@@ -21,7 +21,7 @@ from repro.bandit.reinforce import ReinforceTrainer
 from repro.bandit.reward import DelayCost, RewardFunction
 from repro.evaluation.experiment import evaluate_scheme
 from repro.evaluation.tables import format_table
-from repro.pipelines.common import compute_reward_table
+from repro.experiments.stages import compute_reward_table
 from repro.schemes.adaptive import AdaptiveScheme
 
 from .conftest import write_result

@@ -24,7 +24,7 @@ from repro.bandit.baselines import EpsilonGreedySelector, RandomSelector, UCBSel
 from repro.bandit.policy_network import PolicyNetwork
 from repro.bandit.reinforce import ReinforcementComparisonBaseline, ReinforceTrainer
 from repro.evaluation.tables import format_table
-from repro.pipelines.common import compute_reward_table
+from repro.experiments.stages import compute_reward_table
 
 from .conftest import write_result
 

@@ -20,7 +20,7 @@ import pytest
 from repro.bandit.policy_network import PolicyNetwork
 from repro.bandit.reinforce import ReinforceTrainer
 from repro.evaluation.tables import format_table
-from repro.pipelines.common import compute_reward_table
+from repro.experiments.stages import compute_reward_table
 
 from .conftest import write_result
 

@@ -41,7 +41,7 @@ from repro.bandit.policy_network import PolicyNetwork
 from repro.bandit.reinforce import ReinforceTrainer
 from repro.evaluation.experiment import evaluate_scheme
 from repro.experiments import SCENARIOS, ExperimentRunner, get_scenario
-from repro.pipelines.common import TIERS, compute_reward_table
+from repro.experiments.stages import TIERS, compute_reward_table
 from repro.schemes.adaptive import AdaptiveScheme
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme

@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Each benchmark regenerates one of the paper's tables or figures.  The heavy
-artefacts (trained pipelines) are session-scoped: they are built once with the
+artefacts (trained experiments) are session-scoped: they are built once with the
 fast configuration and reused by every benchmark in the session.  Result
 tables are also written to ``benchmarks/results/`` so they can be inspected
 after the run and copied into EXPERIMENTS.md.
@@ -10,7 +10,6 @@ after the run and copied into EXPERIMENTS.md.
 from __future__ import annotations
 
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -20,13 +19,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.data.power import PowerDatasetConfig  # noqa: E402
-from repro.pipelines import (  # noqa: E402
-    MultivariatePipelineConfig,
-    UnivariatePipelineConfig,
-    run_multivariate_pipeline,
-    run_univariate_pipeline,
-)
+from repro.experiments import ExperimentRunner, get_scenario  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -41,19 +34,11 @@ def write_result(name: str, text: str) -> Path:
 
 @pytest.fixture(scope="session")
 def univariate_result():
-    """A fast end-to-end run of the univariate (power / autoencoder) pipeline."""
-    config = UnivariatePipelineConfig(
-        data=PowerDatasetConfig(weeks=40, samples_per_day=24, anomalous_day_fraction=0.06, seed=7),
-        policy_episodes=40,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_univariate_pipeline(config)
+    """A fast end-to-end run of the univariate (power / autoencoder) track."""
+    return ExperimentRunner(get_scenario("univariate-power")).run()
 
 
 @pytest.fixture(scope="session")
 def multivariate_result():
-    """A fast end-to-end run of the multivariate (MHEALTH / seq2seq) pipeline."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_multivariate_pipeline(MultivariatePipelineConfig())
+    """A fast end-to-end run of the multivariate (MHEALTH / seq2seq) track."""
+    return ExperimentRunner(get_scenario("multivariate-mhealth")).run()

@@ -36,7 +36,7 @@ from repro.hec.device import DeviceProfile
 from repro.hec.network import NetworkLink
 from repro.hec.simulation import HECSystem
 from repro.hec.topology import HECTopology
-from repro.pipelines.common import train_policy
+from repro.experiments.stages import train_policy
 from repro.schemes.adaptive import AdaptiveScheme
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme

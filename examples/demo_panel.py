@@ -25,12 +25,7 @@ import numpy as np
 
 from repro.evaluation.figures import build_demo_panel_series
 from repro.evaluation.metrics import cumulative_accuracy, cumulative_f1
-from repro.pipelines import (
-    MultivariatePipelineConfig,
-    UnivariatePipelineConfig,
-    run_multivariate_pipeline,
-    run_univariate_pipeline,
-)
+from repro.experiments import ExperimentRunner, get_scenario
 from repro.schemes.adaptive import AdaptiveScheme
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme
@@ -49,7 +44,7 @@ def parse_args() -> argparse.Namespace:
 
 
 def build_scheme(result, name: str):
-    """Instantiate the requested selection scheme against the pipeline's HEC system."""
+    """Instantiate the requested selection scheme against the run's HEC system."""
     if name == "adaptive":
         return AdaptiveScheme(result.system, result.policy, result.context_extractor)
     if name == "successive":
@@ -60,11 +55,9 @@ def build_scheme(result, name: str):
 
 def main() -> None:
     args = parse_args()
-    print(f"Preparing the {args.dataset} pipeline (training detectors and policy network)...")
-    if args.dataset == "univariate":
-        result = run_univariate_pipeline(UnivariatePipelineConfig().with_seed(args.seed))
-    else:
-        result = run_multivariate_pipeline(MultivariatePipelineConfig().with_seed(args.seed))
+    print(f"Preparing the {args.dataset} experiment (training detectors and policy network)...")
+    scenario = {"univariate": "univariate-power", "multivariate": "multivariate-mhealth"}
+    result = ExperimentRunner(get_scenario(scenario[args.dataset]).with_seed(args.seed)).run()
 
     scheme = build_scheme(result, args.scheme)
     windows = result.test_windows[: args.max_windows]

@@ -22,9 +22,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.data.mhealth import ACTIVITY_NAMES, MHealthConfig
+from repro.data.mhealth import ACTIVITY_NAMES
 from repro.evaluation.tables import format_table
-from repro.pipelines import MultivariatePipelineConfig, run_multivariate_pipeline
+from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 
 
 def parse_args() -> argparse.Namespace:
@@ -43,25 +43,19 @@ def main() -> None:
     args = parse_args()
 
     if args.paper_scale:
-        config = MultivariatePipelineConfig.paper_scale()
+        spec = get_scenario("multivariate-mhealth-paper")
     else:
-        config = MultivariatePipelineConfig(
-            data=MHealthConfig(
-                n_subjects=args.subjects,
-                seconds_per_activity=args.seconds_per_activity,
-                sampling_rate_hz=25.0,
-                seed=args.seed + 11,
-            ),
-            seed=args.seed,
-        )
+        spec = apply_overrides(get_scenario("multivariate-mhealth").with_seed(args.seed), {
+            "data.n_subjects": args.subjects,
+            "data.seconds_per_activity": args.seconds_per_activity,
+        })
 
-    normal = ACTIVITY_NAMES[config.data.normal_activity_index]
     print(
-        f"Running the multivariate pipeline: {config.data.n_subjects} subjects, "
-        f"{len(ACTIVITY_NAMES)} activities, normal activity = {normal!r}, "
-        f"window {config.window_size} steps / stride {config.stride}."
+        f"Running the multivariate experiment: {spec.data.n_subjects} subjects, "
+        f"{len(ACTIVITY_NAMES)} activities, normal activity = {spec.data.normal_activity!r}, "
+        f"window {spec.data.window_size} steps / stride {spec.data.stride}."
     )
-    result = run_multivariate_pipeline(config)
+    result = ExperimentRunner(spec).run()
 
     print()
     print(format_table([row.as_dict() for row in result.table1_rows],

@@ -1,6 +1,6 @@
 """Quickstart: run the full univariate experiment end to end in under a minute.
 
-This script runs the library's default (fast) univariate pipeline:
+This script runs the built-in ``univariate-power`` scenario (fast defaults):
 
 1. generate a synthetic power-consumption series and cut it into weekly windows;
 2. train the three autoencoder detectors (AE-IoT / AE-Edge / AE-Cloud);
@@ -23,12 +23,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.evaluation.tables import format_table
-from repro.pipelines import UnivariatePipelineConfig, run_univariate_pipeline
+from repro.experiments import ExperimentRunner, get_scenario
 
 
 def main() -> None:
-    print("Running the univariate (power-consumption) pipeline with the fast configuration...")
-    result = run_univariate_pipeline(UnivariatePipelineConfig())
+    print("Running the univariate (power-consumption) scenario with the fast configuration...")
+    result = ExperimentRunner(get_scenario("univariate-power")).run()
 
     print()
     print(

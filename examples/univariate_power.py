@@ -1,7 +1,7 @@
 """Univariate power-consumption walkthrough (the paper's autoencoder track).
 
 Unlike the quickstart, this example builds the pieces explicitly instead of
-calling the pipeline, so it doubles as a tour of the public API:
+calling the experiment runner, so it doubles as a tour of the public API:
 
 * synthetic power data generation and weekly windowing,
 * training the three autoencoders on normal weeks only,
@@ -34,7 +34,7 @@ from repro.data.splits import anomaly_detection_split, policy_training_split
 from repro.detectors.autoencoder import build_autoencoder_detector
 from repro.evaluation.experiment import evaluate_scheme
 from repro.evaluation.tables import format_table
-from repro.pipelines.common import build_hec_system, build_schemes, train_policy
+from repro.experiments.stages import build_hec_system, build_schemes, train_policy
 
 
 def parse_args() -> argparse.Namespace:

@@ -34,9 +34,6 @@ The package is organised into the following subpackages:
     The declarative experiment API: serialisable ``ExperimentSpec`` trees, the
     stage-based ``ExperimentRunner`` and the scenario registry behind the
     ``repro run / list / describe`` CLI.
-``repro.pipelines``
-    Deprecated shims over ``repro.experiments`` preserving the original
-    univariate/multivariate pipeline entry points.
 """
 
 from repro.version import __version__

@@ -46,11 +46,6 @@ contracts, exiting 0 only when every contract holds::
     python -m repro.cli qualify --pack hostile --output-dir reports/
     python -m repro.cli qualify --pack hostile --scenario qualify-flash-crowd
     python -m repro.cli qualify --pack control   # deliberately fails (exit 1)
-
-The legacy subcommands ``univariate`` / ``multivariate`` / ``both`` are kept
-as deprecated aliases over the corresponding scenarios; each prints a pointer
-to the ``run`` command on stderr and emits a once-per-process
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -63,8 +58,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.adapt import AdaptSpec, ModelRegistry
-from repro.data.mhealth import MHealthConfig
-from repro.data.power import PowerDatasetConfig
 from repro.evaluation.reporting import write_report
 from repro.evaluation.tables import format_table
 from repro.exceptions import ReproError
@@ -76,13 +69,6 @@ from repro.experiments import (
     get_scenario,
     parse_set_arguments,
 )
-from repro.pipelines import (
-    MultivariatePipelineConfig,
-    UnivariatePipelineConfig,
-    run_multivariate_pipeline,
-    run_univariate_pipeline,
-)
-from repro.utils.deprecation import warn_deprecated_once
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,85 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     describe.add_argument("scenario", help="scenario name, e.g. univariate-power")
 
-    # -- deprecated aliases -----------------------------------------------------
-
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--seed", type=int, default=0, help="master random seed")
-        sub.add_argument("--paper-scale", action="store_true",
-                         help="use the paper-scale configuration (slow)")
-        sub.add_argument("--output-dir", type=str, default=None,
-                         help="directory for the JSON/Markdown reproduction reports")
-        sub.add_argument("--quiet", action="store_true", help="suppress table output")
-
-    univariate = subparsers.add_parser(
-        "univariate",
-        help="[deprecated alias of 'run univariate-power'] run the univariate experiment",
-    )
-    add_common(univariate)
-    univariate.add_argument("--weeks", type=int, default=40,
-                            help="number of synthetic weeks (fast configuration only)")
-    univariate.add_argument("--policy-episodes", type=int, default=40)
-
-    multivariate = subparsers.add_parser(
-        "multivariate",
-        help="[deprecated alias of 'run multivariate-mhealth'] run the multivariate experiment",
-    )
-    add_common(multivariate)
-    multivariate.add_argument("--subjects", type=int, default=3,
-                              help="number of simulated subjects (fast configuration only)")
-    multivariate.add_argument("--policy-episodes", type=int, default=30)
-
-    both = subparsers.add_parser(
-        "both", help="[deprecated] run both experiments back to back"
-    )
-    add_common(both)
-    # Per-track knobs must be registered here too — an earlier version of the
-    # CLI silently ignored them on 'both' because getattr() fell back to the
-    # defaults.  None means "use the track's own default".
-    both.add_argument("--weeks", type=int, default=None,
-                      help="number of synthetic weeks for the univariate track")
-    both.add_argument("--subjects", type=int, default=None,
-                      help="number of simulated subjects for the multivariate track")
-    both.add_argument("--policy-episodes", type=int, default=None,
-                      help="policy-training episodes for both tracks")
-
     return parser
-
-
-def _resolved(args: argparse.Namespace, name: str, default):
-    """An argument value with ``None`` (the 'both' subparser) meaning default."""
-    value = getattr(args, name, None)
-    return default if value is None else value
-
-
-def _univariate_config(args: argparse.Namespace) -> UnivariatePipelineConfig:
-    if args.paper_scale:
-        return UnivariatePipelineConfig.paper_scale()
-    config = UnivariatePipelineConfig(
-        data=PowerDatasetConfig(
-            weeks=_resolved(args, "weeks", 40), samples_per_day=24,
-            anomalous_day_fraction=0.06, seed=args.seed + 7,
-        ),
-        policy_episodes=_resolved(args, "policy_episodes", 40),
-        seed=args.seed,
-    )
-    return config
-
-
-def _multivariate_config(args: argparse.Namespace) -> MultivariatePipelineConfig:
-    if args.paper_scale:
-        return MultivariatePipelineConfig.paper_scale()
-    base = MultivariatePipelineConfig(seed=args.seed)
-    return replace(
-        base,
-        data=MHealthConfig(
-            n_subjects=_resolved(args, "subjects", 3),
-            seconds_per_activity=base.data.seconds_per_activity,
-            sampling_rate_hz=base.data.sampling_rate_hz,
-            seed=args.seed + 11,
-        ),
-        policy_episodes=_resolved(args, "policy_episodes", 30),
-    )
 
 
 def _report(result, args: argparse.Namespace, report_name: Optional[str] = None) -> None:
@@ -892,19 +800,6 @@ def _describe_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_deprecated(command: str, replacement: str) -> None:
-    warn_deprecated_once(
-        f"cli.{command}",
-        f"the '{command}' subcommand is deprecated; "
-        f"use 'python -m repro.cli {replacement}'",
-    )
-    print(
-        f"note: '{command}' is a deprecated alias; "
-        f"use 'python -m repro.cli {replacement}'",
-        file=sys.stderr,
-    )
-
-
 def run_command(args: argparse.Namespace) -> int:
     """Execute one parsed CLI command; returns a process exit code."""
     if args.command == "run":
@@ -923,23 +818,8 @@ def run_command(args: argparse.Namespace) -> int:
         return _run_obs(args)
     if args.command == "list":
         return _list_scenarios(verbose=getattr(args, "verbose", False))
-    if args.command == "describe":
-        return _describe_scenario(args)
-
-    # Deprecated aliases over the legacy pipeline shims.
-    if args.command == "univariate":
-        _warn_deprecated("univariate", "run univariate-power")
-    elif args.command == "multivariate":
-        _warn_deprecated("multivariate", "run multivariate-mhealth")
-    else:
-        _warn_deprecated("both", "run univariate-power / run multivariate-mhealth")
-    if args.command in ("univariate", "both"):
-        result = run_univariate_pipeline(_univariate_config(args))
-        _report(result, args)
-    if args.command in ("multivariate", "both"):
-        result = run_multivariate_pipeline(_multivariate_config(args))
-        _report(result, args)
-    return 0
+    # argparse admits no other subcommand, so this is "describe".
+    return _describe_scenario(args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

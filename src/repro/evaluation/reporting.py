@@ -1,6 +1,6 @@
 """Experiment reporting: persist pipeline results as JSON and Markdown.
 
-A :class:`~repro.pipelines.common.PipelineResult` contains everything needed
+A :class:`~repro.experiments.stages.PipelineResult` contains everything needed
 to regenerate the paper's tables for one dataset.  This module serialises that
 result into two artefacts:
 

@@ -1,6 +1,6 @@
 """Declarative experiment API: specs, a stage-based runner and a scenario registry.
 
-This package replaces the twin hardcoded pipelines with three pieces:
+Every experiment runs through three pieces:
 
 * :mod:`repro.experiments.spec` — frozen, serialisable
   :class:`~repro.experiments.spec.ExperimentSpec` dataclasses
@@ -15,9 +15,6 @@ This package replaces the twin hardcoded pipelines with three pieces:
   :class:`~repro.experiments.registry.ScenarioRegistry` with the built-in
   scenarios of :mod:`repro.experiments.scenarios` (the paper's two tracks,
   paper-scale variants, a 4-tier hierarchy and a mixed-detector deployment).
-
-The shared stage machinery (:mod:`repro.experiments.stages`) also backs the
-legacy ``repro.pipelines`` shims, which remain as thin deprecated wrappers.
 """
 
 from repro.experiments.spec import (
@@ -45,10 +42,6 @@ from repro.experiments.stages import (
     train_policy,
 )
 from repro.experiments.runner import ExperimentRunner, ExperimentState
-from repro.experiments.compat import (
-    spec_from_multivariate_config,
-    spec_from_univariate_config,
-)
 from repro.experiments.registry import (
     SCENARIOS,
     ScenarioEntry,
@@ -89,9 +82,6 @@ __all__ = [
     "train_policy",
     "ExperimentRunner",
     "ExperimentState",
-    # compat
-    "spec_from_univariate_config",
-    "spec_from_multivariate_config",
     # registry
     "ScenarioRegistry",
     "ScenarioEntry",

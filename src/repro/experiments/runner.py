@@ -11,11 +11,9 @@ intermediate state.  :meth:`ExperimentRunner.fork` clones a runner with a
 different policy/evaluation sub-spec while *sharing* the prepared data and
 fitted detectors, which makes policy sweeps cheap (detectors train once).
 
-The runner reproduces the legacy pipelines bit-for-bit: the master RNG is
-consumed in exactly the same order (anomaly-detection split, one detector seed
-per layer, policy-training split), so a spec derived from a legacy
-configuration yields identical Table I / Table II rows — a property enforced
-by the shim-equivalence tests.
+The master RNG is consumed in a fixed order (anomaly-detection split, one
+detector seed per layer, policy-training split), so equal specs yield
+identical Table I / Table II rows.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ with dotted ``key=value`` paths (the CLI's ``--set``) and handed to an
 :class:`~repro.experiments.runner.ExperimentRunner` to execute.
 
 The same spec tree expresses the paper's two original tracks *and* scenarios
-the old twin pipelines could not: deeper hierarchies (any number of tiers,
-each with its own device/link profile) and mixed detector families (e.g.
-autoencoders on the lower tiers with a seq2seq model on the cloud).
+beyond them: deeper hierarchies (any number of tiers, each with its own
+device/link profile) and mixed detector families (e.g. autoencoders on the
+lower tiers with a seq2seq model on the cloud).
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ CONTEXT_KINDS = ("daily-stats", "iot-encoder")
 #: Topology presets understood by :meth:`TopologySpec.build`.
 TOPOLOGY_PRESETS = ("paper-three-layer",)
 
-#: Seed offsets applied by :meth:`DataSpec.reseed`, mirroring the legacy
-#: ``UnivariatePipelineConfig.with_seed`` / ``MultivariatePipelineConfig.with_seed``.
+#: Seed offsets applied by :meth:`DataSpec.reseed`: the data seed of each
+#: source trails the master seed by a fixed amount.
 _DATA_SEED_OFFSETS = {"power": 7, "mhealth": 11}
 
 
@@ -100,7 +100,7 @@ class DataSpec:
         _check_choice(self.source, DATA_SOURCES, "data.source")
 
     def reseed(self, seed: int) -> "DataSpec":
-        """The data seed derived from a new master ``seed`` (legacy offsets)."""
+        """The data seed derived from a new master ``seed`` (per-source offset)."""
         return replace(self, seed=seed + _DATA_SEED_OFFSETS[self.source])
 
     @classmethod
@@ -386,7 +386,7 @@ class ExperimentSpec:
         return self.dataset_name or self.name
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
-        """A copy with a new master seed (data seed follows the legacy offsets)."""
+        """A copy with a new master seed (the data seed follows at its offset)."""
         return replace(self, seed=seed, data=self.data.reseed(seed))
 
     # -- serialization -----------------------------------------------------------

@@ -11,10 +11,7 @@ the same recipe once their detectors are trained:
 5. evaluate the selection schemes against the same HEC system.
 
 This module holds that shared machinery plus the :class:`PipelineResult`
-container.  It lives under :mod:`repro.experiments` so that the stage-based
-:class:`~repro.experiments.runner.ExperimentRunner` and the legacy pipeline
-shims can both import it without cycles; :mod:`repro.pipelines.common`
-re-exports everything for backwards compatibility.
+container returned by :meth:`~repro.experiments.runner.ExperimentRunner.run`.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from repro.data.windowing import windows_from_dataset
 from repro.detectors.autoencoder import AutoencoderDetector
 from repro.detectors.lstm_seq2seq import Seq2SeqDetector
 from repro.hec.topology import build_three_layer_topology
-from repro.pipelines.common import build_hec_system
+from repro.experiments.stages import build_hec_system
 
 
 @pytest.fixture(scope="session")

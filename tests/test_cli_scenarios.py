@@ -1,11 +1,10 @@
-"""Tests for the scenario-driven CLI (run / list / describe) and the fixed
-per-track knobs of the deprecated ``both`` alias."""
+"""Tests for the scenario-driven CLI (run / list / describe)."""
 
 import json
 
 import pytest
 
-from repro.cli import build_parser, main, run_command, _multivariate_config, _univariate_config
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -24,33 +23,14 @@ class TestParser:
         args = build_parser().parse_args(["describe", "mixed-detectors"])
         assert args.scenario == "mixed-detectors"
 
-    def test_legacy_aliases_still_parse(self):
-        args = build_parser().parse_args(["univariate", "--weeks", "14"])
-        assert args.command == "univariate" and args.weeks == 14
-        args = build_parser().parse_args(["multivariate", "--subjects", "2"])
-        assert args.subjects == 2
-
-    def test_both_accepts_per_track_knobs(self):
-        """Regression: these knobs used to be silently ignored on 'both'."""
-        args = build_parser().parse_args([
-            "both", "--weeks", "10", "--subjects", "2", "--policy-episodes", "3",
-        ])
-        assert args.weeks == 10
-        assert args.subjects == 2
-        assert args.policy_episodes == 3
-        assert _univariate_config(args).data.weeks == 10
-        assert _univariate_config(args).policy_episodes == 3
-        assert _multivariate_config(args).data.n_subjects == 2
-        assert _multivariate_config(args).policy_episodes == 3
-
-    def test_both_defaults_fall_back_per_track(self):
-        args = build_parser().parse_args(["both"])
-        assert _univariate_config(args).policy_episodes == 40
-        assert _multivariate_config(args).policy_episodes == 30
+    @pytest.mark.parametrize("alias", ["univariate", "multivariate", "both"])
+    def test_removed_aliases_are_invalid_choices(self, alias, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([alias])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_knob_errors(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["both", "--bogus-knob", "1"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "univariate-power", "--weeks", "3"])
 
@@ -123,16 +103,3 @@ class TestRunCommand:
     def test_malformed_set_pair_exits_2(self, capsys):
         assert main(["run", "univariate-power", "--set", "data.weeks"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
-
-
-class TestLegacyAliases:
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_univariate_alias_warns_and_runs(self, tmp_path, capsys):
-        args = build_parser().parse_args([
-            "univariate", "--weeks", "10", "--policy-episodes", "3",
-            "--output-dir", str(tmp_path), "--quiet",
-        ])
-        assert run_command(args) == 0
-        captured = capsys.readouterr()
-        assert "deprecated alias" in captured.err
-        assert (tmp_path / "report_univariate.json").exists()

@@ -2,18 +2,24 @@
 
 The examples train real (small) models, so running them end to end belongs in
 manual/benchmark territory; here we verify that every example compiles, has a
-main entry point and documents itself, and that the package exposes the public
+main entry point and documents itself, that every ``repro`` name the examples
+and benchmark scripts import exists, and that the package exposes the public
 API the README advertises.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
+BENCHMARK_FILES = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")) + [
+    REPO_ROOT / "benchmarks" / "conftest.py"
+]
 
 
 class TestExamples:
@@ -51,6 +57,24 @@ class TestExamples:
                 continue
             assert roots <= allowed_roots, f"{path.name} imports {roots - allowed_roots}"
 
+    @pytest.mark.parametrize(
+        "path", EXAMPLE_FILES + BENCHMARK_FILES, ids=lambda p: f"{p.parent.name}/{p.name}"
+    )
+    def test_repro_imports_resolve(self, path):
+        """Every ``from repro.<mod> import <name>`` names something that exists
+        (compiling alone would let a dangling import through)."""
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            if node.level or node.module.split(".")[0] != "repro":
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"{path.name}: {node.module} has no {alias.name!r}"
+                )
+
     def test_quickstart_present(self):
         assert (EXAMPLES_DIR / "quickstart.py").exists()
 
@@ -72,13 +96,15 @@ class TestPackageSurface:
             "repro.schemes",
             "repro.evaluation",
             "repro.experiments",
-            "repro.pipelines",
             "repro.cli",
         ],
     )
     def test_subpackages_importable(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} must have a module docstring"
+
+    def test_legacy_pipelines_package_is_gone(self):
+        assert importlib.util.find_spec("repro.pipelines") is None
 
     def test_exceptions_exported_at_top_level(self):
         import repro
@@ -95,7 +121,6 @@ class TestPackageSurface:
             ("repro.bandit", ["PolicyNetwork", "ReinforceTrainer", "RewardFunction"]),
             ("repro.hec", ["HECSystem", "build_three_layer_topology", "deploy_registry"]),
             ("repro.schemes", ["FixedLayerScheme", "SuccessiveScheme", "AdaptiveScheme"]),
-            ("repro.pipelines", ["run_univariate_pipeline", "run_multivariate_pipeline"]),
             ("repro.experiments", ["ExperimentSpec", "ExperimentRunner", "register_scenario",
                                    "get_scenario", "apply_overrides"]),
         ],
@@ -117,16 +142,16 @@ class TestPackageSurface:
 class TestDocumentationFiles:
     @pytest.mark.parametrize("filename", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
     def test_documentation_exists_and_is_substantial(self, filename):
-        path = Path(__file__).resolve().parent.parent / filename
+        path = REPO_ROOT / filename
         assert path.exists(), f"{filename} is missing"
         assert len(path.read_text(encoding="utf-8")) > 1000
 
     def test_design_lists_experiment_index(self):
-        design = (Path(__file__).resolve().parent.parent / "DESIGN.md").read_text(encoding="utf-8")
+        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
         assert "Table I" in design and "Table II" in design
 
     def test_experiments_covers_every_table_and_figure(self):
-        experiments = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text(
+        experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(
             encoding="utf-8"
         )
         for marker in ("Table I", "Table II", "Fig. 1", "Fig. 2", "Fig. 3"):

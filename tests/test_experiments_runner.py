@@ -1,27 +1,19 @@
 """Tests for the stage-based experiment runner.
 
-Covers the shim-equivalence guarantee (the legacy pipelines and the runner
-produce *identical* Table I / Table II rows for a fixed seed), individual
-stage invocation, policy-sweep forking and the two scenarios the legacy API
-could not express (4-tier topology, mixed detector families).
+Covers individual stage invocation, policy-sweep forking and the two
+scenarios beyond the paper's shape (4-tier topology, mixed detector
+families).
 """
 
 import numpy as np
 import pytest
 
-from repro.data.power import PowerDatasetConfig
 from repro.detectors.adapters import WindowReshapeAdapter
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     ExperimentRunner,
     apply_overrides,
     get_scenario,
-)
-from repro.pipelines import (
-    MultivariatePipelineConfig,
-    UnivariatePipelineConfig,
-    run_multivariate_pipeline,
-    run_univariate_pipeline,
 )
 
 #: Overrides that shrink the extended scenarios to test size.
@@ -40,69 +32,6 @@ TINY_MIXED = {
     "detectors.2.epochs": "2",
     "policy.episodes": "3",
 }
-
-
-def _small_univariate_config() -> UnivariatePipelineConfig:
-    return UnivariatePipelineConfig(
-        data=PowerDatasetConfig(weeks=12, samples_per_day=24, anomalous_day_fraction=0.08, seed=3),
-        epochs={"iot": 5, "edge": 5, "cloud": 5},
-        policy_episodes=5,
-    )
-
-
-def _small_multivariate_config() -> MultivariatePipelineConfig:
-    return MultivariatePipelineConfig(
-        units={"iot": 4, "edge": 6, "cloud": 5},
-        epochs={"iot": 2, "edge": 2, "cloud": 2},
-        policy_episodes=4,
-    )
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestShimEquivalence:
-    """run_*_pipeline(cfg) and ExperimentRunner(spec).run() are bit-for-bit equal.
-
-    The shims warn (once per process) that they are deprecated; the CI tier
-    promotes DeprecationWarning to an error, hence the class-level filter.
-    """
-
-    def test_univariate_rows_identical(self):
-        config = _small_univariate_config()
-        legacy = run_univariate_pipeline(config)
-        runner = ExperimentRunner(config.to_experiment_spec()).run()
-        assert legacy.table1_rows == runner.table1_rows
-        assert legacy.table2_rows == runner.table2_rows
-        for name in legacy.evaluations:
-            np.testing.assert_array_equal(
-                legacy.evaluations[name].predictions, runner.evaluations[name].predictions
-            )
-            np.testing.assert_array_equal(
-                legacy.evaluations[name].delays_ms, runner.evaluations[name].delays_ms
-            )
-
-    def test_univariate_bandit_log_identical(self):
-        config = _small_univariate_config()
-        legacy = run_univariate_pipeline(config)
-        runner = ExperimentRunner(config.to_experiment_spec()).run()
-        np.testing.assert_array_equal(
-            np.asarray(legacy.bandit_log.episode_mean_rewards),
-            np.asarray(runner.bandit_log.episode_mean_rewards),
-        )
-
-    def test_multivariate_rows_identical(self):
-        config = _small_multivariate_config()
-        legacy = run_multivariate_pipeline(config)
-        runner = ExperimentRunner(config.to_experiment_spec()).run()
-        assert legacy.table1_rows == runner.table1_rows
-        assert legacy.table2_rows == runner.table2_rows
-
-    def test_result_metadata_preserved(self):
-        config = _small_univariate_config()
-        result = run_univariate_pipeline(config)
-        assert result.dataset_name == "univariate"
-        assert list(result.detectors) == ["iot", "edge", "cloud"]
-        assert [row.tier for row in result.table1_rows] == ["iot", "edge", "cloud"]
-        assert result.demo_panel is not None
 
 
 class TestStageInvocation:
@@ -135,6 +64,10 @@ class TestStageInvocation:
         assert result is runner.state.result
         # run() after all stages is a no-op returning the same result.
         assert runner.run() is result
+        assert result.dataset_name == "univariate"
+        assert list(result.detectors) == ["iot", "edge", "cloud"]
+        assert [row.tier for row in result.table1_rows] == ["iot", "edge", "cloud"]
+        assert result.demo_panel is not None
 
     def test_fork_reuses_fitted_detectors_across_policy_sweep(self):
         spec = apply_overrides(
@@ -166,7 +99,7 @@ class TestStageInvocation:
 
 
 class TestFourTierScenario:
-    """K = 4 was inexpressible under the legacy 3-tier pipelines."""
+    """K = 4: one more tier than the paper's testbed."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -203,7 +136,7 @@ class TestFourTierScenario:
 
 
 class TestMixedDetectorScenario:
-    """Mixed detector families were inexpressible under the legacy pipelines."""
+    """Mixed detector families across the tiers of one deployment."""
 
     @pytest.fixture(scope="class")
     def result(self):

@@ -1,5 +1,6 @@
 """Tests for the declarative experiment specs and the scenario registry."""
 
+import hashlib
 import importlib.util
 import json
 from dataclasses import replace
@@ -22,10 +23,7 @@ from repro.experiments import (
     get_scenario,
     list_scenarios,
     parse_set_arguments,
-    spec_from_multivariate_config,
-    spec_from_univariate_config,
 )
-from repro.pipelines import MultivariatePipelineConfig, UnivariatePipelineConfig
 
 BUILTIN_SCENARIOS = (
     "univariate-power",
@@ -118,6 +116,13 @@ class TestOverrides:
         assert out.detectors[1].epochs == 7
         assert out.detectors[0].epochs == spec.detectors[0].epochs
 
+    def test_overrides_reach_windowing_and_keep_the_context_kind(self):
+        spec = apply_overrides(get_scenario("multivariate-mhealth"), {
+            "data.window_size": "64", "data.stride": "32", "seed": "9",
+        })
+        assert (spec.data.window_size, spec.data.stride, spec.seed) == (64, 32, 9)
+        assert spec.policy.context == "iot-encoder"
+
     def test_unknown_key_raises(self):
         spec = get_scenario("univariate-power")
         with pytest.raises(ConfigurationError, match="unknown key"):
@@ -208,40 +213,29 @@ class TestScenarioRegistry:
             registry.spec("broken")
 
 
-class TestLegacyConfigConversion:
-    """The builtin scenarios ARE the converted legacy defaults."""
+class TestBuiltinSpecDigests:
+    """The built-in specs are pinned byte-for-byte: a changed digest means a
+    changed experiment (and a stale benchmark fingerprint), never a refactor."""
 
-    def test_univariate_scenario_matches_legacy_default(self):
-        assert get_scenario("univariate-power") == spec_from_univariate_config(
-            UnivariatePipelineConfig()
-        )
+    DIGESTS = {
+        "univariate-power":
+            "2e2644712068c2a8905db27a5fb1f8a7c8dabfd871b02a6a943526ff898343b7",
+        "multivariate-mhealth":
+            "b82113eafb06bfabf189085dfb5c730a7f1b7fa231d2f01eb061c05c2c7144a6",
+        "univariate-power-paper":
+            "7bf1469aa1417af130e30a94ccc76296d987b13b5822a45ccc8ebcc9f6ce2e05",
+        "multivariate-mhealth-paper":
+            "4f8d739a1163cc18f46ec902e87401f10e5cfd33bd8c66a1c0fc6145d0c2241d",
+        "hierarchical-edge-4tier":
+            "9034fa1e00294cc0364de4476a35bc2808710403684d10e4bb5507fb17957e55",
+        "mixed-detectors":
+            "95fe3e1789774e1956c5db0d44df192c0efe1d486f76d9aec14c1247086c61f6",
+    }
 
-    def test_multivariate_scenario_matches_legacy_default(self):
-        assert get_scenario("multivariate-mhealth") == spec_from_multivariate_config(
-            MultivariatePipelineConfig()
-        )
-
-    def test_paper_scale_variants_match(self):
-        assert get_scenario("univariate-power-paper") == spec_from_univariate_config(
-            UnivariatePipelineConfig.paper_scale(), name="univariate-power-paper"
-        )
-        assert get_scenario("multivariate-mhealth-paper") == spec_from_multivariate_config(
-            MultivariatePipelineConfig.paper_scale(), name="multivariate-mhealth-paper"
-        )
-
-    def test_config_to_experiment_spec_method(self):
-        config = UnivariatePipelineConfig(policy_episodes=3)
-        spec = config.to_experiment_spec()
-        assert spec.policy.episodes == 3
-        assert spec.dataset_name == "univariate"
-
-    def test_custom_config_fields_survive_conversion(self):
-        config = MultivariatePipelineConfig(window_size=64, stride=32, seed=9)
-        spec = spec_from_multivariate_config(config)
-        assert spec.data.window_size == 64
-        assert spec.data.stride == 32
-        assert spec.seed == 9
-        assert spec.policy.context == "iot-encoder"
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_spec_digest_is_pinned(self, name):
+        payload = json.dumps(get_scenario(name).to_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGESTS[name]
 
 
 class TestCustomScenarioExample:

@@ -7,7 +7,7 @@ from repro.bandit.context import UnivariateContextExtractor
 from repro.bandit.reward import DelayCost, RewardFunction
 from repro.exceptions import DeploymentError
 from repro.nn.gradient_check import GradientCheckResult, check_gradients, numerical_gradient
-from repro.pipelines.common import (
+from repro.experiments.stages import (
     build_hec_system,
     build_schemes,
     compute_reward_table,

@@ -1,48 +1,30 @@
-"""End-to-end tests of the univariate and multivariate pipelines.
+"""End-to-end tests of the univariate and multivariate paper tracks.
 
 These are the integration tests: they exercise every subsystem together and
 check the qualitative shape the paper reports (Table I/II trends), not its
 absolute numbers.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.data.power import PowerDatasetConfig
-from repro.pipelines import (
-    MultivariatePipelineConfig,
-    UnivariatePipelineConfig,
-    run_multivariate_pipeline,
-    run_univariate_pipeline,
-)
-from repro.pipelines.common import TIERS
-
-
-def _run_shim(shim, *args, **kwargs):
-    """Call a deprecated pipeline shim with its DeprecationWarning silenced
-    (the CI tier promotes DeprecationWarning to an error; the once-per-process
-    warning itself is covered by tests/test_deprecation.py)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return shim(*args, **kwargs)
+from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
+from repro.experiments.stages import TIERS
 
 
 @pytest.fixture(scope="session")
 def univariate_result():
-    """One shared fast run of the univariate pipeline."""
-    config = UnivariatePipelineConfig(
-        data=PowerDatasetConfig(weeks=30, samples_per_day=24, anomalous_day_fraction=0.08, seed=7),
-        policy_episodes=30,
-    )
-    return _run_shim(run_univariate_pipeline, config)
+    """One shared fast run of the univariate track."""
+    spec = apply_overrides(get_scenario("univariate-power"), {
+        "data.weeks": 30, "data.anomalous_day_fraction": 0.08, "policy.episodes": 30,
+    })
+    return ExperimentRunner(spec).run()
 
 
 @pytest.fixture(scope="session")
 def multivariate_result():
-    """One shared fast run of the multivariate pipeline."""
-    return _run_shim(run_multivariate_pipeline, MultivariatePipelineConfig())
+    """One shared fast run of the multivariate track."""
+    return ExperimentRunner(get_scenario("multivariate-mhealth")).run()
 
 
 SCHEME_NAMES = {"IoT Device", "Edge", "Cloud", "Successive", "Our Method"}
@@ -137,13 +119,13 @@ class TestUnivariatePipeline:
             univariate_result.evaluation("Fog")
 
     def test_reproducible_with_same_seed(self):
-        config = UnivariatePipelineConfig(
-            data=PowerDatasetConfig(weeks=12, samples_per_day=24, anomalous_day_fraction=0.08, seed=3),
-            epochs={"iot": 10, "edge": 10, "cloud": 10},
-            policy_episodes=10,
-        )
-        a = _run_shim(run_univariate_pipeline, config)
-        b = _run_shim(run_univariate_pipeline, config)
+        spec = apply_overrides(get_scenario("univariate-power"), {
+            "data.weeks": 12, "data.anomalous_day_fraction": 0.08, "data.seed": 3,
+            "detectors.0.epochs": 10, "detectors.1.epochs": 10, "detectors.2.epochs": 10,
+            "policy.episodes": 10,
+        })
+        a = ExperimentRunner(spec).run()
+        b = ExperimentRunner(spec).run()
         np.testing.assert_array_equal(
             a.evaluations["Our Method"].predictions, b.evaluations["Our Method"].predictions
         )
@@ -151,15 +133,10 @@ class TestUnivariatePipeline:
             b.evaluations["Our Method"].total_reward
         )
 
-    def test_paper_scale_config_dimensions(self):
-        config = UnivariatePipelineConfig.paper_scale()
-        assert config.data.samples_per_day == 96
-        assert config.hidden_sizes["iot"] == (201,)
-
-    def test_with_seed_changes_data_seed(self):
-        config = UnivariatePipelineConfig().with_seed(5)
-        assert config.seed == 5
-        assert config.data.seed == 12
+    def test_paper_scale_dimensions(self):
+        spec = get_scenario("univariate-power-paper")
+        assert spec.data.samples_per_day == 96
+        assert spec.detectors[0].hidden_sizes == (201,)
 
 
 class TestMultivariatePipeline:
@@ -201,13 +178,8 @@ class TestMultivariatePipeline:
         panel = multivariate_result.demo_panel
         assert set(np.unique(panel.actions)).issubset({0, 1, 2})
 
-    def test_paper_scale_config_dimensions(self):
-        config = MultivariatePipelineConfig.paper_scale()
-        assert config.window_size == 128
-        assert config.stride == 64
-        assert config.units == {"iot": 50, "edge": 100, "cloud": 200}
-
-    def test_with_seed(self):
-        config = MultivariatePipelineConfig().with_seed(4)
-        assert config.seed == 4
-        assert config.data.seed == 15
+    def test_paper_scale_dimensions(self):
+        spec = get_scenario("multivariate-mhealth-paper")
+        assert spec.data.window_size == 128
+        assert spec.data.stride == 64
+        assert [detector.units for detector in spec.detectors] == [50, 100, 200]

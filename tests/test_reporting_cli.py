@@ -1,37 +1,27 @@
 """Tests for the reporting module and the command-line interface."""
 
 import json
-import warnings
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main, run_command
-from repro.data.power import PowerDatasetConfig
 from repro.evaluation.reporting import (
     result_to_dict,
     result_to_markdown,
     write_report,
 )
-from repro.pipelines import UnivariatePipelineConfig, run_univariate_pipeline
-
-#: The legacy shims/aliases exercised here warn once per process; the CI tier
-#: promotes DeprecationWarning to an error, so silence it for these tests
-#: (the warning behaviour itself is pinned by tests/test_deprecation.py).
-IGNORE_DEPRECATIONS = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 
 
 @pytest.fixture(scope="module")
 def small_result():
-    """A very small univariate pipeline run shared by the reporting/CLI tests."""
-    config = UnivariatePipelineConfig(
-        data=PowerDatasetConfig(weeks=16, samples_per_day=24, anomalous_day_fraction=0.07, seed=2),
-        epochs={"iot": 10, "edge": 15, "cloud": 15},
-        policy_episodes=10,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_univariate_pipeline(config)
+    """A very small univariate run shared by the reporting/CLI tests."""
+    spec = apply_overrides(get_scenario("univariate-power"), {
+        "data.weeks": 16, "data.anomalous_day_fraction": 0.07, "data.seed": 2,
+        "detectors.0.epochs": 10, "detectors.1.epochs": 15, "detectors.2.epochs": 15,
+        "policy.episodes": 10,
+    })
+    return ExperimentRunner(spec).run()
 
 
 class TestResultToDict:
@@ -93,39 +83,37 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
-    def test_parser_univariate_defaults(self):
-        args = build_parser().parse_args(["univariate"])
-        assert args.command == "univariate"
-        assert args.seed == 0
-        assert args.paper_scale is False
+    def test_parser_run_defaults(self):
+        args = build_parser().parse_args(["run", "univariate-power"])
+        assert args.command == "run"
+        assert args.seed is None
+        assert args.quiet is False
 
-    def test_parser_multivariate_options(self):
+    def test_parser_run_options(self):
         args = build_parser().parse_args(
-            ["multivariate", "--subjects", "2", "--seed", "5", "--quiet"]
+            ["run", "multivariate-mhealth", "--set", "data.n_subjects=2", "--seed", "5", "--quiet"]
         )
-        assert args.subjects == 2
+        assert args.overrides == ["data.n_subjects=2"]
         assert args.seed == 5
         assert args.quiet is True
 
-    @IGNORE_DEPRECATIONS
     def test_run_univariate_command_writes_report(self, tmp_path, capsys):
         exit_code = main([
-            "univariate", "--weeks", "14", "--policy-episodes", "5",
+            "run", "univariate-power", "--set", "data.weeks=14", "--set", "policy.episodes=5",
             "--output-dir", str(tmp_path), "--seed", "1",
         ])
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "Table II (univariate)" in captured.out
-        assert (tmp_path / "report_univariate.json").exists()
-        assert (tmp_path / "report_univariate.md").exists()
+        assert (tmp_path / "report_univariate-power.json").exists()
+        assert (tmp_path / "report_univariate-power.md").exists()
 
-    @IGNORE_DEPRECATIONS
     def test_run_command_quiet_suppresses_tables(self, tmp_path, capsys):
         args = build_parser().parse_args([
-            "univariate", "--weeks", "14", "--policy-episodes", "5", "--quiet",
-            "--output-dir", str(tmp_path),
+            "run", "univariate-power", "--set", "data.weeks=14", "--set", "policy.episodes=5",
+            "--quiet", "--output-dir", str(tmp_path),
         ])
         assert run_command(args) == 0
         captured = capsys.readouterr()
         assert "Table II" not in captured.out
-        assert (tmp_path / "report_univariate.json").exists()
+        assert (tmp_path / "report_univariate-power.json").exists()
