@@ -173,8 +173,8 @@ class AdaptationController:
         label-0 windows feed the clean retraining reservoir, every labelled
         window feeds the holdout slice the shadow gate scores against.
 
-        The hook is array-in/array-out all the way down (the streaming fast
-        path hands it the engine's columnar arrays directly): confusion
+        The hook is array-in/array-out all the way down (the streaming loop
+        hands it the engine's columnar arrays directly): confusion
         folding, reservoir feeding and the monitor stream build no
         intermediate per-window structures.
         """

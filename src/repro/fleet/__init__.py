@@ -8,17 +8,18 @@ streaming sensor windows:
 * :mod:`repro.fleet.spec` — declarative :class:`FleetSpec`/:class:`MutatorSpec`
   (the ``fleet`` node of an :class:`~repro.experiments.spec.ExperimentSpec`);
 * :mod:`repro.fleet.devices` — :class:`DeviceFleet` workload generators with
-  per-device RNG streams;
+  per-device RNG streams, emitting one struct-of-arrays
+  :class:`ColumnarArrivals` batch per tick;
 * :mod:`repro.fleet.mutators` — concept drift, bursty anomaly episodes,
-  device churn and phase jitter;
-* :mod:`repro.fleet.engine` — the event-clocked :class:`FleetEngine` (with a
-  columnar struct-of-arrays fast path pinned bit-identical to the per-window
-  reference loop) and the ``multiprocessing``-sharded
+  device churn, phase jitter and sensor faults, as batch hooks;
+* :mod:`repro.fleet.engine` — the event-clocked :class:`FleetEngine` (one
+  struct-of-arrays streaming loop, pinned by goldens recorded from the
+  per-window loop it replaced) and the ``multiprocessing``-sharded
   :class:`ShardedFleetEngine`;
 * :mod:`repro.fleet.sharding` — persistent worker pools and zero-copy shard
   payloads behind the sharded engine;
 * :mod:`repro.fleet.stream_cache` — bounded creation/arrival-stream caches
-  behind the columnar fast path;
+  behind :meth:`DeviceFleet.arrivals_columnar`;
 * :mod:`repro.fleet.profiling` — the per-stage :class:`StageProfiler` behind
   ``repro fleet --profile``;
 * :mod:`repro.fleet.metrics` / :mod:`repro.fleet.report` — bounded-memory
@@ -33,7 +34,6 @@ from repro.fleet.devices import (
     ColumnarArrivals,
     DeviceFleet,
     VirtualDevice,
-    WindowArrival,
     WindowPool,
 )
 from repro.fleet.engine import FleetEngine, ShardedFleetEngine
@@ -59,7 +59,6 @@ __all__ = [
     "ColumnarArrivals",
     "DeviceFleet",
     "VirtualDevice",
-    "WindowArrival",
     "WindowPool",
     "StageProfiler",
     "FleetEngine",

@@ -3,9 +3,10 @@
 A :class:`DeviceFleet` turns the experiment's prepared (standardised) windows
 into *live traffic*: each :class:`VirtualDevice` samples windows from a shared
 :class:`WindowPool` — normal and anomalous pools cut from the synthetic
-power/MHEALTH generators — perturbs them through the configured stream
-mutators, and emits timestamped :class:`WindowArrival` batches per event-clock
-tick.
+power/MHEALTH generators — and the fleet perturbs them through the configured
+stream mutators, emitting one timestamped :class:`ColumnarArrivals` batch per
+event-clock tick (:meth:`DeviceFleet.arrivals_columnar`, the only arrival
+API).
 
 Determinism is the load-bearing property: every device owns an RNG seeded
 from ``(master seed, fleet seed, device id)``, so a device's stream is
@@ -72,26 +73,13 @@ def _rng_from_state(state: dict) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class WindowArrival:
-    """One window emitted by one device at one point in simulated time."""
-
-    device_id: int
-    tick: int
-    #: Tick-relative simulated emission time (``tick`` plus an in-tick offset).
-    timestamp: float
-    window: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class ColumnarArrivals:
     """One tick's arrivals as parallel arrays (the struct-of-arrays view).
 
-    The fast-path counterpart of a ``List[WindowArrival]``: windows arrive
-    pre-stacked (mutators applied) with labels, device ids and timestamps as
-    aligned arrays, so the engine never builds or tears down per-window
-    objects.  Arrays may be shared with the stream cache — treat them as
-    read-only.
+    Windows arrive pre-stacked (mutators applied) with labels, device ids and
+    timestamps as aligned arrays, so the engine never builds or tears down
+    per-window objects.  Arrays may be shared with the stream cache — treat
+    them as read-only.
     """
 
     #: ``(n, *window_shape)`` float64 stack, mutators applied, arrival order.
@@ -100,7 +88,7 @@ class ColumnarArrivals:
     labels: np.ndarray
     #: ``(n,)`` int64 emitting-device ids.
     device_ids: np.ndarray
-    #: ``(n,)`` float64 simulated emission times.
+    #: ``(n,)`` float64 simulated emission times (``tick`` plus an in-tick offset).
     timestamps: np.ndarray
     #: Number of online devices at this tick.
     online: int
@@ -144,7 +132,8 @@ class WindowPool:
 
 
 class VirtualDevice:
-    """One simulated IoT device emitting perturbed windows from the pool."""
+    """One simulated IoT device: its RNG stream, mutator states and class
+    parameters.  The fleet draws every device's arrivals per tick."""
 
     def __init__(
         self,
@@ -155,8 +144,6 @@ class VirtualDevice:
         master_seed: int = 0,
     ) -> None:
         self.device_id = int(device_id)
-        self.pool = pool
-        self.mutators = tuple(mutators)
         self.spec = spec
         self._rng: Optional[np.random.Generator] = device_rng(
             master_seed, spec.seed, device_id
@@ -167,7 +154,7 @@ class VirtualDevice:
         # mutator order (creation draws precede every emission draw).
         self.states = [
             mutator.device_state_for(self.device_id, self._rng, pool.window_shape)
-            for mutator in self.mutators
+            for mutator in mutators
         ]
 
     def _init_class_params(self) -> None:
@@ -184,8 +171,6 @@ class VirtualDevice:
     def from_snapshot(
         cls,
         device_id: int,
-        pool: WindowPool,
-        mutators: Sequence[StreamMutator],
         spec: FleetSpec,
         states: List[dict],
         rng_state: dict,
@@ -200,8 +185,6 @@ class VirtualDevice:
         """
         device = cls.__new__(cls)
         device.device_id = int(device_id)
-        device.pool = pool
-        device.mutators = tuple(mutators)
         device.spec = spec
         device._init_class_params()
         device.states = states
@@ -220,68 +203,14 @@ class VirtualDevice:
         """``(rng state, mutator states)`` right after the creation draws."""
         return self.rng.bit_generator.state, self.states
 
-    def online(self, tick: int) -> bool:
-        """Whether the device emits at ``tick`` (pure, no RNG draws)."""
-        return all(
-            mutator.online(state, tick)
-            for mutator, state in zip(self.mutators, self.states)
-        )
-
-    def _anomaly_rate(self, tick: int) -> float:
-        rate = self.base_anomaly_rate
-        for mutator, state in zip(self.mutators, self.states):
-            rate = mutator.anomaly_rate(rate, state, tick)
-        return rate
-
-    def emit(self, tick: int) -> List[WindowArrival]:
-        """The device's arrivals for ``tick`` (empty while offline)."""
-        if not self.online(tick):
-            return []
-        return self._emit_online(tick)
-
-    def _emit_online(self, tick: int) -> List[WindowArrival]:
-        """Arrivals for ``tick``, assuming the caller already checked online."""
-        count = int(self.rng.poisson(self.arrival_rate * self.spec.rate_multiplier(tick)))
-        arrivals: List[WindowArrival] = []
-        rate = self._anomaly_rate(tick)
-        apply_amplitude = self.amp_scale != 1.0 or self.amp_offset != 0.0
-        for _ in range(count):
-            anomalous = bool(self.rng.random() < rate) and self.pool.anomalous.shape[0] > 0
-            source = self.pool.anomalous if anomalous else self.pool.normal
-            window = source[int(self.rng.integers(source.shape[0]))]
-            for mutator, state in zip(self.mutators, self.states):
-                window = mutator.transform(window, state, tick, self.rng)
-            if apply_amplitude:
-                # The class amplitude affine runs after all mutators and draws
-                # no RNG; the columnar path replays the identical elementwise
-                # expression in _assemble, preserving bit-identity.
-                window = window * self.amp_scale + self.amp_offset
-            arrivals.append(
-                WindowArrival(
-                    device_id=self.device_id,
-                    tick=tick,
-                    timestamp=float(tick + self.rng.random()),
-                    window=np.asarray(window, dtype=float),
-                    label=int(anomalous),
-                )
-            )
-        return arrivals
-
 
 class DeviceFleet:
     """An ordered collection of virtual devices (optionally a shard subset).
 
-    Two arrival APIs share one determinism contract:
-
-    * :meth:`arrivals` — the per-window reference path, one
-      :class:`WindowArrival` object per emission;
-    * :meth:`arrivals_columnar` — the struct-of-arrays fast path, returning
-      a :class:`ColumnarArrivals` whose values (and the per-device RNG draw
-      order producing them) are bit-identical to stacking the reference
-      path's output.  It may serve repeated runs of the same configuration
-      from the module-level stream cache; call it with non-decreasing ticks
-      starting at 0 and do not interleave it with :meth:`arrivals` on the
-      same instance (the two paths consume the same device streams).
+    :meth:`arrivals_columnar` returns one tick's arrivals as a
+    :class:`ColumnarArrivals`.  It may serve repeated runs of the same
+    configuration from the module-level stream cache; call it with
+    non-decreasing ticks starting at 0.
     """
 
     def __init__(
@@ -290,7 +219,6 @@ class DeviceFleet:
         pool: WindowPool,
         master_seed: int = 0,
         device_ids: Optional[Sequence[int]] = None,
-        cache: bool = True,
     ) -> None:
         self.spec = spec
         self.pool = pool
@@ -302,13 +230,7 @@ class DeviceFleet:
         )
         mutators = spec.build_mutators()
         self.mutators = mutators
-        #: ``cache=False`` keeps this fleet away from the module-level
-        #: creation/stream caches entirely — the engine's legacy reference
-        #: path builds its fleets this way, so the oracle can never share
-        #: state (and thus a defect) with the fast path it validates.
-        self._cacheable = bool(cache) and all(
-            type(m) in _BUILTIN_MUTATORS for m in mutators
-        )
+        self._cacheable = all(type(m) in _BUILTIN_MUTATORS for m in mutators)
         self._creation_key = (
             self.master_seed,
             spec,
@@ -323,7 +245,7 @@ class DeviceFleet:
         if snapshots is not None:
             self.devices = [
                 VirtualDevice.from_snapshot(
-                    device_id, pool, mutators, spec, states=states, rng_state=rng_state
+                    device_id, spec, states=states, rng_state=rng_state
                 )
                 for device_id, (rng_state, states) in zip(ids, snapshots)
             ]
@@ -350,35 +272,6 @@ class DeviceFleet:
         """Shape of one emitted window."""
         return self.pool.window_shape
 
-    def arrivals(self, tick: int) -> Tuple[List[WindowArrival], int]:
-        """All arrivals for ``tick`` in device-id order, plus the online count."""
-        batch: List[WindowArrival] = []
-        online = 0
-        for device in self.devices:
-            if device.online(tick):
-                online += 1
-                batch.extend(device._emit_online(tick))
-        return batch, online
-
-    # -- columnar fast path ------------------------------------------------------
-
-    def columnar_supported(self) -> bool:
-        """Whether every mutator provides a faithful batch transform.
-
-        A subclass that overrides :meth:`~repro.fleet.mutators.StreamMutator.
-        transform` without also overriding ``transform_batch`` cannot be
-        vectorised; :meth:`arrivals_columnar` then routes through the
-        per-window reference path.
-        """
-        for mutator in self.mutators:
-            kind = type(mutator)
-            if (
-                kind.transform is not StreamMutator.transform
-                and kind.transform_batch is StreamMutator.transform_batch
-            ):
-                return False
-        return True
-
     def _ensure_columnar_setup(self) -> None:
         if self._columnar_setup_done:
             return
@@ -392,34 +285,26 @@ class DeviceFleet:
             mutator.stack_states(states)
             for mutator, states in zip(mutators, self._states_cols)
         ]
-        base_online = StreamMutator.online
-        base_online_batch = StreamMutator.online_batch
-        self._online_positions = [
-            position
-            for position, mutator in enumerate(mutators)
-            if type(mutator).online is not base_online
-            or type(mutator).online_batch is not base_online_batch
-        ]
-        base_rate = StreamMutator.anomaly_rate
-        base_rate_batch = StreamMutator.anomaly_rate_batch
-        self._rate_positions = [
-            position
-            for position, mutator in enumerate(mutators)
-            if type(mutator).anomaly_rate is not base_rate
-            or type(mutator).anomaly_rate_batch is not base_rate_batch
-        ]
-        self._draw_mutators = [
-            (position, mutator)
-            for position, mutator in enumerate(mutators)
-            if type(mutator).transform_draw is not StreamMutator.transform_draw
-        ]
+        # _generate_chunk visits only the mutators that override a hook: the
+        # base hooks are no-ops, and transform_draw sits in the per-arrival
+        # loop (its results are cached per window).
+        def overriding(hook: str) -> List[Tuple[int, StreamMutator]]:
+            base = getattr(StreamMutator, hook)
+            return [
+                (position, mutator)
+                for position, mutator in enumerate(mutators)
+                if getattr(type(mutator), hook) is not base
+            ]
+
+        self._online_mutators = overriding("online_batch")
+        self._rate_mutators = overriding("anomaly_rate_batch")
+        self._draw_mutators = overriding("transform_draw")
         self._id_array = np.fromiter(
             (device.device_id for device in devices), dtype=np.int64, count=len(devices)
         )
         # Heterogeneous-class parameters, resolved once per fleet.  Plain
-        # Python float lists where the per-row value feeds an RNG call, so
-        # the columnar path hands the generators the exact same Python floats
-        # the per-window reference path does.
+        # Python float lists where the per-row value feeds an RNG call (the
+        # recorded streams were drawn from exactly these Python floats).
         self._arrival_rates = [device.arrival_rate for device in devices]
         self._base_anomaly_rates = [device.base_anomaly_rate for device in devices]
         self._amp_scales = np.array(
@@ -439,19 +324,14 @@ class DeviceFleet:
         self._columnar_setup_done = True
 
     def arrivals_columnar(self, tick: int) -> ColumnarArrivals:
-        """All arrivals for ``tick`` as a :class:`ColumnarArrivals`.
+        """All arrivals for ``tick`` (device-id order) as a :class:`ColumnarArrivals`.
 
-        Bit-identical to :meth:`arrivals` (same per-device RNG streams, same
-        draw order, same values in the same arrival order) but without
-        per-window objects: draws are collected as arrays, windows are
-        gathered from the pool in one fancy-indexing pass, and mutators apply
-        through their batch hooks.  Cached fleet configurations replay their
-        draws from the stream cache without consuming any RNG.
+        Draws are collected as arrays, windows are gathered from the pool in
+        one fancy-indexing pass, and mutators apply through their batch
+        hooks.  Cached fleet configurations replay their draws from the
+        stream cache without consuming any RNG.
         """
         tick = int(tick)
-        if not self.columnar_supported():
-            batch, online = self.arrivals(tick)
-            return self._columnar_from_arrivals(batch, online)
         self._ensure_columnar_setup()
         entry = (
             stream_cache.stream_entry(self._stream_key)
@@ -486,26 +366,6 @@ class DeviceFleet:
                     self._next_gen_tick += 1
         return self._assemble(chunk, tick)
 
-    def _columnar_from_arrivals(
-        self, batch: List[WindowArrival], online: int
-    ) -> ColumnarArrivals:
-        """Pack reference-path arrivals into the columnar layout (fallback)."""
-        if not batch:
-            return self._empty_columnar(online)
-        return ColumnarArrivals(
-            windows=np.stack([arrival.window for arrival in batch]),
-            labels=np.fromiter(
-                (arrival.label for arrival in batch), dtype=np.int64, count=len(batch)
-            ),
-            device_ids=np.fromiter(
-                (arrival.device_id for arrival in batch), dtype=np.int64, count=len(batch)
-            ),
-            timestamps=np.fromiter(
-                (arrival.timestamp for arrival in batch), dtype=float, count=len(batch)
-            ),
-            online=online,
-        )
-
     def _empty_columnar(self, online: int) -> ColumnarArrivals:
         return ColumnarArrivals(
             windows=np.empty((0, *self.pool.window_shape)),
@@ -518,17 +378,16 @@ class DeviceFleet:
     def _generate_chunk(self, tick: int) -> StreamChunk:
         """Draw one tick's arrivals from the device RNG streams.
 
-        The draw order per device is exactly the reference path's: one
-        Poisson count, then per arrival the anomaly uniform, the pool index,
-        any mutator transform draws (in mutator order), and the timestamp
-        offset.  Devices are visited in fleet order, as :meth:`arrivals`
-        does.
+        The draw order per device is the stream's definition (the goldens
+        pin it): one Poisson count, then per arrival the anomaly uniform, the
+        pool index, any mutator transform draws (in mutator order), and the
+        timestamp offset.  Devices are visited in fleet order.
         """
         devices = self.devices
         n_devices = len(devices)
         mask: Optional[np.ndarray] = None
-        for position in self._online_positions:
-            sub = self.mutators[position].online_batch(
+        for position, mutator in self._online_mutators:
+            sub = mutator.online_batch(
                 self._stacked[position], self._states_cols[position], tick
             )
             mask = sub if mask is None else mask & sub
@@ -541,10 +400,10 @@ class DeviceFleet:
 
         base_rates = self._base_anomaly_rates
         rates_list = None
-        if self._rate_positions:
+        if self._rate_mutators:
             rates = np.array(base_rates, dtype=float)
-            for position in self._rate_positions:
-                rates = self.mutators[position].anomaly_rate_batch(
+            for position, mutator in self._rate_mutators:
+                rates = mutator.anomaly_rate_batch(
                     rates, self._stacked[position], self._states_cols[position], tick
                 )
             rates_list = np.asarray(rates, dtype=float).tolist()
@@ -613,8 +472,8 @@ class DeviceFleet:
                 chunk.draws.get(position),
             )
         if self._has_amplitude:
-            # Mirror of the reference path's per-device affine: same skip
-            # condition per device, same elementwise w*scale+offset float ops.
+            # The class amplitude affine runs after all mutators and draws
+            # no RNG: per window w*scale+offset, skipped for identity classes.
             scales = self._amp_scales[chunk.rows]
             offsets = self._amp_offsets[chunk.rows]
             affected = (scales != 1.0) | (offsets != 0.0)

@@ -7,17 +7,12 @@ one batched detector call per selected layer — feeding a
 :class:`~repro.fleet.metrics.StreamingMetrics` aggregator so the full trace
 is never materialised.
 
-Two streaming paths share one determinism contract:
-
-* the **columnar fast path** (default) — struct-of-arrays end to end:
-  :meth:`~repro.fleet.devices.DeviceFleet.arrivals_columnar` arrays in,
-  :meth:`~repro.hec.simulation.HECSystem.detect_batch_columnar` arrays out,
-  tick-batched metric/controller feeds, zero per-window objects;
-* the **legacy per-window path** (``columnar=False``) — the reference
-  implementation the fast path is pinned bit-identical against (same
-  per-device RNG streams, same per-tick forward batches, same counts,
-  confusions, utilisation and delay sums, hence an equal
-  :class:`~repro.fleet.report.FleetReport`).
+There is one streaming loop, struct-of-arrays end to end:
+:meth:`~repro.fleet.devices.DeviceFleet.arrivals_columnar` arrays in,
+:meth:`~repro.hec.simulation.HECSystem.detect_batch_columnar` arrays out,
+tick-batched metric/controller feeds, zero per-window objects.  Its reports
+are pinned by goldens recorded from the per-window loop it replaced (see
+DESIGN.md, "Goldens").
 
 :class:`ShardedFleetEngine` partitions the device ids across worker
 processes, runs one :class:`FleetEngine` per shard and merges the per-shard
@@ -126,7 +121,6 @@ class FleetEngine:
         tier_names: Optional[Sequence[str]] = None,
         device_ids: Optional[Sequence[int]] = None,
         controller=None,
-        columnar: bool = True,
         profiler: Optional[StageProfiler] = None,
         telemetry: Optional[Telemetry] = None,
         faults: Optional[FaultSpec] = None,
@@ -164,9 +158,6 @@ class FleetEngine:
         #: ``None`` keeps the streaming loop bit-identical to the
         #: pre-adaptation engine (no extra draws, no extra branches taken).
         self.controller = controller
-        #: Whether to stream through the columnar fast path (bit-identical to
-        #: the legacy per-window path; ``False`` runs the reference loop).
-        self.columnar = bool(columnar)
         #: Optional :class:`~repro.fleet.profiling.StageProfiler`.
         self.profiler = profiler
         #: Optional :class:`~repro.obs.export.Telemetry` session.  ``None``
@@ -250,15 +241,11 @@ class FleetEngine:
         previous_record_log = system.record_log
         system.record_log = False
         try:
-            # The legacy reference path builds its fleet cold (cache=False):
-            # the oracle must not share creation/stream-cache state with the
-            # fast path it is the oracle *for*.
             fleet = DeviceFleet(
                 spec,
                 self.pool,
                 master_seed=self.master_seed,
                 device_ids=self.device_ids,
-                cache=self.columnar,
             )
             metrics = StreamingMetrics(
                 ticks=spec.ticks,
@@ -287,10 +274,7 @@ class FleetEngine:
                             shard=self.shard_index,
                             seconds=elapsed,
                         )
-            if self.columnar:
-                self._stream_columnar(fleet, metrics, start_tick, store)
-            else:
-                self._stream_legacy(fleet, metrics, start_tick, store)
+            self._stream(fleet, metrics, start_tick, store)
         finally:
             system.record_log = previous_record_log
         if self.profiler is not None:
@@ -453,15 +437,12 @@ class FleetEngine:
         fleet configurations replay from the stream cache without consuming
         RNG at all, which is the same bookkeeping the live loop relies on.
         """
-        for tick in range(start_tick):
-            if self.columnar:
-                fleet.arrivals_columnar(tick)
-            else:
-                fleet.arrivals(tick)
+        for past_tick in range(start_tick):
+            fleet.arrivals_columnar(past_tick)
 
-    # -- streaming loops ----------------------------------------------------------
+    # -- the streaming loop -------------------------------------------------------
 
-    def _stream_columnar(
+    def _stream(
         self,
         fleet: DeviceFleet,
         metrics: StreamingMetrics,
@@ -595,105 +576,6 @@ class FleetEngine:
             },
         )
 
-    def _stream_legacy(
-        self,
-        fleet: DeviceFleet,
-        metrics: StreamingMetrics,
-        start_tick: int = 0,
-        store: Optional[CheckpointStore] = None,
-    ) -> None:
-        """The per-window reference loop (the fast path's oracle)."""
-        system = self.system
-        controller = self.controller
-        profiler = self.profiler
-        telemetry = self.telemetry
-        tracing = telemetry is not None and telemetry.trace_enabled
-        watcher = telemetry.watcher if telemetry is not None else None
-        tier_cells = self._tier_cells()
-        faulted = self._schedule is not None
-        for tick in range(start_tick, self.spec.ticks):
-            if tracing:
-                tick_span = telemetry.tracer.start_span(
-                    "fleet.tick", parent=self._run_span, tick=tick
-                )
-                stage_mark = profiler.stage_values()
-            if faulted:
-                self._begin_tick(tick)
-            if profiler is not None:
-                mark = perf_counter()
-            arrivals, online = fleet.arrivals(tick)
-            if profiler is not None:
-                profiler.add("arrivals", perf_counter() - mark)
-            metrics.record_uptime(online, len(fleet) - online)
-            if arrivals:
-                if profiler is not None:
-                    mark = perf_counter()
-                windows = np.stack([arrival.window for arrival in arrivals])
-                labels = np.asarray(
-                    [arrival.label for arrival in arrivals], dtype=int
-                )
-                contexts = self.context_extractor.extract(windows)
-                actions = self.policy.select_actions(contexts, greedy=True)
-                if profiler is not None:
-                    profiler.add("context_policy", perf_counter() - mark)
-                for action in np.unique(actions):
-                    chosen = np.flatnonzero(actions == action)
-                    if profiler is not None:
-                        mark = perf_counter()
-                    records = system.detect_batch(
-                        int(action), windows[chosen], ground_truths=labels[chosen]
-                    )
-                    served = int(records[0].layer) if records else int(action)
-                    if tier_cells is not None:
-                        tier_cells[served].value += len(records)
-                    predictions = np.asarray([r.prediction for r in records])
-                    if profiler is not None:
-                        now = perf_counter()
-                        profiler.add("detect", now - mark)
-                        mark = now
-                    metrics.observe(
-                        tick,
-                        served,
-                        predictions=predictions,
-                        labels=labels[chosen],
-                        delays_ms=np.asarray([r.delay_ms for r in records]),
-                        redirected=len(records) if served != int(action) else 0,
-                    )
-                    if profiler is not None:
-                        profiler.add("metrics", perf_counter() - mark)
-                    if self.controller is not None:
-                        if profiler is not None:
-                            mark = perf_counter()
-                        self.controller.observe_batch(
-                            tick,
-                            served,
-                            windows=windows[chosen],
-                            predictions=predictions,
-                            labels=labels[chosen],
-                            scores=np.asarray(
-                                [r.anomaly_score for r in records]
-                            ),
-                        )
-                        if profiler is not None:
-                            profiler.add("adapt", perf_counter() - mark)
-            if controller is not None:
-                if profiler is not None:
-                    mark = perf_counter()
-                if tracing:
-                    with telemetry.tracer.activate(tick_span):
-                        controller.end_tick(tick)
-                else:
-                    controller.end_tick(tick)
-                if profiler is not None:
-                    profiler.add("adapt", perf_counter() - mark)
-            self._maybe_checkpoint(store, tick, metrics)
-            if tracing:
-                self._end_tick_span(
-                    tick_span, stage_mark, len(arrivals), int(online)
-                )
-            if watcher is not None:
-                watcher.observe(tick + 1)
-
     def run(self, resume: bool = False) -> FleetReport:
         """Stream the fleet and assemble the :class:`FleetReport`."""
         metrics = self.run_metrics(resume=resume)
@@ -781,7 +663,6 @@ class ShardedFleetEngine:
         n_shards: Optional[int] = None,
         parallel: Union[bool, str] = "auto",
         controller=None,
-        columnar: bool = True,
         profiler: Optional[StageProfiler] = None,
         telemetry: Optional[Telemetry] = None,
         faults: Optional[FaultSpec] = None,
@@ -811,7 +692,6 @@ class ShardedFleetEngine:
         )
         self.parallel = parallel
         self.controller = controller
-        self.columnar = bool(columnar)
         self.profiler = profiler
         self.telemetry = telemetry
         self.faults = faults
@@ -855,7 +735,6 @@ class ShardedFleetEngine:
             "master_seed": self.master_seed,
             "name": self.name,
             "tier_names": self.tier_names,
-            "columnar": self.columnar,
             "faults": self.faults,
             "checkpoint_dir": self.checkpoint_dir,
             "checkpoint_cadence": self.checkpoint_cadence,
@@ -1012,7 +891,6 @@ class ShardedFleetEngine:
                 name=self.name,
                 tier_names=self.tier_names,
                 controller=self.controller,
-                columnar=self.columnar,
                 profiler=self.profiler,
                 telemetry=self.telemetry,
                 faults=self.faults,

@@ -1,35 +1,30 @@
 """Stream mutators: controlled non-stationarity for device window streams.
 
-A mutator perturbs one aspect of a virtual device's stream and is driven by
-three hooks:
+A mutator perturbs one aspect of a fleet's stream.  Its hooks are consumed by
+:meth:`~repro.fleet.devices.DeviceFleet.arrivals_columnar`, which evaluates a
+whole tick at once:
 
-* :meth:`StreamMutator.device_state` — called once when a device is created,
-  drawing any per-device parameters from the *device's own* RNG (so the
-  perturbation is independent of how devices are partitioned across shards);
-* :meth:`StreamMutator.anomaly_rate` / :meth:`StreamMutator.online` — pure
-  functions of the device state and the tick (no RNG draws, so an offline
-  device consumes exactly the same stream as an online one would have);
-* :meth:`StreamMutator.transform` — applied to each emitted window, with the
-  device RNG available for per-window draws.
+* :meth:`StreamMutator.device_state` / :meth:`StreamMutator.device_state_for`
+  — called once when a device is created, drawing any per-device parameters
+  from the *device's own* RNG (so the perturbation is independent of how
+  devices are partitioned across shards); :meth:`StreamMutator.stack_states`
+  turns the per-device states into the columnar view the other hooks receive;
+* :meth:`StreamMutator.online_batch` / :meth:`StreamMutator.anomaly_rate_batch`
+  — pure functions of the device states and the tick (no RNG draws, so an
+  offline device consumes exactly the same stream as an online one would
+  have), evaluated over the whole fleet;
+* :meth:`StreamMutator.transform_draw` — the per-window RNG draws of the
+  transform, made from the device RNG at the window's position in the
+  device's stream;
+* :meth:`StreamMutator.transform_batch` — the window math, applied to the
+  tick's stacked ``(n, *window_shape)`` batch given those draws.
 
 The concrete mutators cover the scenarios the paper's fleet premise implies
 but the offline replay could never exercise: gradual concept drift, bursty
 fleet-wide anomaly episodes, device churn/dropout, per-device phase jitter,
 and the sensor-level fault models used by fault injection (stuck-at sensors,
-transient spikes, permanent sensor dropout).
-
-Each hook also has a *columnar* counterpart consumed by the streaming fast
-path (:meth:`~repro.fleet.devices.DeviceFleet.arrivals_columnar`):
-:meth:`StreamMutator.online_batch` / :meth:`StreamMutator.anomaly_rate_batch`
-evaluate the pure per-device hooks over the whole fleet at once,
-:meth:`StreamMutator.transform_draw` makes exactly the RNG draws
-:meth:`StreamMutator.transform` would make for one window (so the per-device
-streams stay bit-identical), and :meth:`StreamMutator.transform_batch`
-applies the window math to a stacked ``(n, *window_shape)`` batch.  The
-columnar hooks must mirror the per-window hooks element for element — the
-built-ins do, and the fast path falls back to the per-window reference for
-subclasses that override :meth:`StreamMutator.transform` without providing a
-batch counterpart.
+transient spikes, permanent sensor dropout).  Each batch transform is pinned
+by test to the plain per-window NumPy expression it vectorises.
 """
 
 from __future__ import annotations
@@ -58,26 +53,6 @@ class StreamMutator:
         """
         return self.device_state(rng, window_shape)
 
-    def anomaly_rate(self, base_rate: float, state: Dict[str, Any], tick: int) -> float:
-        """The effective anomaly probability for this device at ``tick``."""
-        return base_rate
-
-    def online(self, state: Dict[str, Any], tick: int) -> bool:
-        """Whether the device emits at ``tick``."""
-        return True
-
-    def transform(
-        self,
-        window: np.ndarray,
-        state: Dict[str, Any],
-        tick: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """The emitted view of a sampled pool window."""
-        return window
-
-    # -- columnar counterparts (the streaming fast path) -------------------------
-
     def stack_states(self, states: Sequence[Dict[str, Any]]):
         """A columnar view of the per-device states (``None`` when not needed).
 
@@ -88,31 +63,22 @@ class StreamMutator:
         return None
 
     def online_batch(self, stacked, states: Sequence[Dict[str, Any]], tick: int) -> np.ndarray:
-        """Per-device online mask at ``tick`` (mirrors :meth:`online` row-wise)."""
-        return np.fromiter(
-            (self.online(state, tick) for state in states), dtype=bool, count=len(states)
-        )
+        """Which devices emit at ``tick``, as a ``(n_devices,)`` bool mask."""
+        return np.ones(len(states), dtype=bool)
 
     def anomaly_rate_batch(
         self, base_rates: np.ndarray, stacked, states: Sequence[Dict[str, Any]], tick: int
     ) -> np.ndarray:
-        """Per-device anomaly rates at ``tick`` (mirrors :meth:`anomaly_rate`)."""
-        return np.fromiter(
-            (
-                self.anomaly_rate(float(rate), state, tick)
-                for rate, state in zip(base_rates, states)
-            ),
-            dtype=float,
-            count=len(states),
-        )
+        """The effective per-device anomaly probabilities at ``tick``."""
+        return base_rates
 
     def transform_draw(self, state: Dict[str, Any], rng: np.random.Generator):
-        """The RNG values :meth:`transform` would draw for one window.
+        """The RNG values this mutator's transform needs for one window.
 
-        Called at the exact stream position where :meth:`transform` would have
-        drawn, keeping a device's RNG stream bit-identical between the
-        per-window and columnar paths.  ``None`` means the transform draws
-        nothing (the base class and every built-in except phase jitter).
+        Called once per emitted window, between the window's pool-index draw
+        and its timestamp draw, so the draw order within a device's stream is
+        fixed.  ``None`` means the transform draws nothing (the base class
+        and every built-in except phase jitter and sensor spikes).
         """
         return None
 
@@ -124,13 +90,13 @@ class StreamMutator:
         tick: int,
         draws: Optional[List],
     ) -> np.ndarray:
-        """Apply this mutator to a stacked batch (mirrors :meth:`transform`).
+        """The emitted view of one tick's sampled pool windows.
 
         ``windows`` is the ``(n, *window_shape)`` float batch (safe to modify
-        in place — the fast path owns it), ``rows`` maps each window to its
+        in place — the caller owns it), ``rows`` maps each window to its
         device's position in the fleet, and ``draws`` carries the per-window
         :meth:`transform_draw` results in arrival order.  The base transform
-        is the identity, so the base batch hook is too.
+        is the identity.
         """
         return windows
 
@@ -161,19 +127,13 @@ class ConceptDrift(StreamMutator):
             direction = direction / norm
         return {"drift_direction": direction}
 
-    def transform(self, window, state, tick, rng):
-        if self.saturation_tick > 0:
-            tick = min(tick, self.saturation_tick)
-        return window + self.drift_per_tick * tick * state["drift_direction"]
-
     def stack_states(self, states):
         return np.stack([state["drift_direction"] for state in states])
 
     def transform_batch(self, windows, stacked, rows, tick, draws):
         if self.saturation_tick > 0:
             tick = min(tick, self.saturation_tick)
-        # Same per-element float ops as transform(): (drift * tick) scales the
-        # unit direction, then one elementwise add — bit-identical per window.
+        # Per window: w + (drift * tick) * direction, one elementwise add.
         windows += self.drift_per_tick * tick * stacked[rows]
         return windows
 
@@ -200,9 +160,6 @@ class AnomalyBurst(StreamMutator):
     def in_burst(self, tick: int) -> bool:
         """Whether ``tick`` falls inside a burst episode."""
         return tick % self.period < self.burst_ticks
-
-    def anomaly_rate(self, base_rate, state, tick):
-        return self.burst_anomaly_rate if self.in_burst(tick) else base_rate
 
     def anomaly_rate_batch(self, base_rates, stacked, states, tick):
         if self.in_burst(tick):
@@ -234,11 +191,6 @@ class DeviceChurn(StreamMutator):
         phase = int(rng.integers(0, self.period))
         return {"churns": churns, "churn_phase": phase}
 
-    def online(self, state, tick):
-        if not state["churns"]:
-            return True
-        return (tick + state["churn_phase"]) % self.period >= self.offline_ticks
-
     def stack_states(self, states):
         return {
             "churns": np.array([state["churns"] for state in states], dtype=bool),
@@ -266,14 +218,6 @@ class PhaseJitter(StreamMutator):
         base = int(rng.integers(-self.max_shift, self.max_shift + 1)) if self.max_shift else 0
         return {"base_shift": base}
 
-    def transform(self, window, state, tick, rng):
-        shift = state["base_shift"]
-        if self.max_shift:
-            shift += int(rng.integers(-1, 2))
-        if shift == 0:
-            return window
-        return np.roll(window, shift, axis=0)
-
     def stack_states(self, states):
         return np.array([state["base_shift"] for state in states], dtype=np.int64)
 
@@ -290,8 +234,8 @@ class PhaseJitter(StreamMutator):
         shifts = shifts % length
         moved = np.flatnonzero(shifts)
         if moved.size:
-            # result[i] = window[(i - shift) % length] is exactly np.roll along
-            # axis 0 — a pure permutation, so the values stay bit-identical.
+            # result[i] = window[(i - shift) % length] is exactly
+            # np.roll(window, shift, axis=0) — a pure permutation.
             gather = (np.arange(length)[None, :] - shifts[moved, None]) % length
             windows[moved] = windows[moved][np.arange(moved.size)[:, None], gather]
         return windows
@@ -319,11 +263,6 @@ class SensorStuck(StreamMutator):
         value = float(rng.normal(0.0, self.stuck_scale))
         return {"stuck": stuck, "stuck_value": value}
 
-    def transform(self, window, state, tick, rng):
-        if not state["stuck"]:
-            return window
-        return np.full(window.shape, state["stuck_value"])
-
     def stack_states(self, states):
         return {
             "stuck": np.array([state["stuck"] for state in states], dtype=bool),
@@ -334,8 +273,7 @@ class SensorStuck(StreamMutator):
         mask = stacked["stuck"][rows]
         if mask.any():
             values = stacked["values"][rows[mask]]
-            # Broadcasting the scalar over the window assigns the exact float
-            # np.full() would — constant fills are trivially bit-identical.
+            # Per window: np.full(window.shape, stuck_value).
             windows[mask] = values.reshape((-1,) + (1,) * (windows.ndim - 1))
         return windows
 
@@ -356,16 +294,6 @@ class SensorSpike(StreamMutator):
     def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
         return {"length": int(window_shape[0])}
 
-    def transform(self, window, state, tick, rng):
-        if not (rng.random() < self.spike_rate):
-            return window
-        index = int(rng.integers(state["length"]))
-        # Pool windows reach the per-window path as views — copy before the
-        # in-place corruption so the shared pool is never mutated.
-        window = np.array(window, dtype=float)
-        window[index] += self.spike_magnitude
-        return window
-
     def transform_draw(self, state, rng):
         if rng.random() < self.spike_rate:
             return int(rng.integers(state["length"]))
@@ -380,8 +308,8 @@ class SensorSpike(StreamMutator):
             indices = np.fromiter(
                 (draws[i] for i in hit), dtype=np.int64, count=hit.size
             )
-            # Same float64 add at the same (window, timestep) coordinates as
-            # transform() performs on its copy — bit-identical per element.
+            # Per spiked window: window[index] += magnitude (every channel
+            # of that one timestep).
             windows[hit, indices] += self.spike_magnitude
         return windows
 
@@ -404,9 +332,6 @@ class SensorDropout(StreamMutator):
         fails = bool(rng.random() < self.dropout_fraction)
         fail_tick = int(rng.integers(0, self.horizon))
         return {"fails": fails, "fail_tick": fail_tick}
-
-    def online(self, state, tick):
-        return not state["fails"] or tick < state["fail_tick"]
 
     def stack_states(self, states):
         return {
@@ -432,9 +357,8 @@ class CorrelatedDrift(ConceptDrift):
     device RNGs, so device streams remain partition-independent and
     bit-identical to an uncorrelated run of the same seed.
 
-    The drift math itself (transform, state stacking, batch hook) is
-    inherited from :class:`ConceptDrift`, so columnar==legacy bit-identity
-    carries over for free.
+    The drift math itself (state stacking, batch transform) is inherited
+    from :class:`ConceptDrift`.
     """
 
     def __init__(
@@ -487,8 +411,7 @@ class AdversarialCamouflage(StreamMutator):
     qualification contract can pin how much loss is tolerable.
 
     No RNG draws: the shrink factor is a pure function of the window, so
-    the per-device streams are unperturbed and the columnar batch hook is a
-    row-wise replay of the same scalar math (bit-identical).
+    the per-device streams are unperturbed.
     """
 
     def __init__(self, target_amplitude: float = 1.0, strength: float = 0.8) -> None:
@@ -501,12 +424,6 @@ class AdversarialCamouflage(StreamMutator):
             return 1.0
         excess = rms - self.target_amplitude
         return (self.target_amplitude + (1.0 - self.strength) * excess) / rms
-
-    def transform(self, window, state, tick, rng):
-        factor = self._factor(window)
-        if factor == 1.0:
-            return window
-        return window * factor
 
     def transform_batch(self, windows, stacked, rows, tick, draws):
         for i in range(windows.shape[0]):

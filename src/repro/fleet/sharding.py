@@ -109,7 +109,6 @@ def _structural_key(heavy: dict) -> tuple:
         heavy["master_seed"],
         heavy["name"],
         heavy["tier_names"],
-        heavy.get("columnar", True),
         # FaultSpec is frozen (hashable); different fault schedules or
         # checkpoint configurations must never share a forked snapshot.
         heavy.get("faults"),
@@ -159,7 +158,15 @@ def _pool_for(processes: int, token: int) -> multiprocessing.pool.Pool:
         entry.pool.terminate()
         entry.pool.join()
     context = multiprocessing.get_context("fork")
-    pool = context.Pool(processes=processes)
+    # Workers must die on Pool.terminate()'s SIGTERM: reset the parent's
+    # inherited cleanup handler (see _install_signal_cleanup), which would
+    # otherwise run shutdown() inside the worker and can leave it blocked on
+    # a pool lock the parent never releases — hanging the parent's join().
+    pool = context.Pool(
+        processes=processes,
+        initializer=signal.signal,
+        initargs=(signal.SIGTERM, signal.SIG_DFL),
+    )
     _POOLS[processes] = _PoolEntry(pool=pool, tokens=frozenset(_TOKENS))
     return pool
 

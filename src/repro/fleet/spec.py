@@ -262,10 +262,9 @@ class LoadCurveSpec:
     """A time-varying multiplier on the fleet's Poisson arrival rates.
 
     ``rate_multiplier(tick)`` is a pure function shared by
-    :class:`~repro.fleet.devices.DeviceFleet` (both the legacy and columnar
-    paths apply the identical float expression, preserving bit-identity) and
-    the serving load generator, so the diurnal swing and the flash-crowd
-    spike hit fleet simulation and the front door in the same tick windows.
+    :class:`~repro.fleet.devices.DeviceFleet` and the serving load generator,
+    so the diurnal swing and the flash-crowd spike hit fleet simulation and
+    the front door in the same tick windows.
     """
 
     #: Sinusoidal swing: rate × (1 + amplitude·sin(2π·tick/period)).

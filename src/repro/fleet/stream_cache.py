@@ -1,4 +1,4 @@
-"""Bounded caches behind the columnar streaming fast path.
+"""Bounded caches behind :meth:`DeviceFleet.arrivals_columnar`.
 
 Two module-level caches make repeated streaming of the *same seeded
 workload* — benchmark repeats, shard sweeps, persistent shard workers
@@ -21,13 +21,8 @@ independent of the pool contents, so two experiments sharing a spec but not
 a pool still share a stream.  Entries are evicted LRU beyond a small bound,
 and only fleets whose mutators are all built-ins participate (a custom
 :class:`~repro.fleet.mutators.StreamMutator` subclass could close over
-mutable state the cache cannot see).
-
-The reference path stays cold: :meth:`~repro.fleet.devices.DeviceFleet.
-arrivals` itself never reads these caches, and the streaming engine builds
-its legacy-path fleets with ``cache=False`` so not even device construction
-is shared — the oracle the equivalence tests pin the fast path against can
-never inherit a defect from the caches it validates.
+mutable state the cache cannot see).  Cached and uncached streams are pinned
+to the same recorded goldens (``tests/goldens/fleet/arrivals-*.npz``).
 """
 
 from __future__ import annotations

@@ -21,6 +21,24 @@ from repro.detectors.lstm_seq2seq import Seq2SeqDetector
 from repro.hec.topology import build_three_layer_topology
 from repro.experiments.stages import build_hec_system
 
+from goldens import assert_matches_golden
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-goldens",
+        action="store_true",
+        help="rewrite the files under tests/goldens/ whose payload changed "
+        "instead of comparing against them",
+    )
+
+
+@pytest.fixture()
+def golden(request):
+    """``golden(name, payload)``: compare against (or record) a golden file."""
+    record = request.config.getoption("--record-goldens")
+    return lambda name, payload: assert_matches_golden(name, payload, record=record)
+
 
 @pytest.fixture(scope="session")
 def rng():

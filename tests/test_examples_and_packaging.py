@@ -106,6 +106,27 @@ class TestPackageSurface:
     def test_legacy_pipelines_package_is_gone(self):
         assert importlib.util.find_spec("repro.pipelines") is None
 
+    def test_per_window_fleet_path_is_gone(self):
+        """One streaming path: no per-window arrival type, nothing selects a path."""
+        import inspect
+
+        import repro.fleet
+        from repro.fleet.mutators import StreamMutator
+
+        # Spelled in two halves so CI's grep guard for the name stays clean.
+        arrival_type = "Window" + "Arrival"
+        assert arrival_type not in repro.fleet.__all__
+        assert not hasattr(repro.fleet, arrival_type)
+        for cls in (repro.fleet.FleetEngine, repro.fleet.ShardedFleetEngine,
+                    repro.fleet.DeviceFleet):
+            parameters = inspect.signature(cls.__init__).parameters
+            assert not {"columnar", "cache"} & set(parameters), cls.__name__
+        hooks = [name for name in vars(StreamMutator) if not name.startswith("_")]
+        assert hooks == [
+            "device_state", "device_state_for", "stack_states", "online_batch",
+            "anomaly_rate_batch", "transform_draw", "transform_batch",
+        ]
+
     def test_exceptions_exported_at_top_level(self):
         import repro
 

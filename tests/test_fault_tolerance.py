@@ -302,20 +302,15 @@ class TestFaultSpec:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_checkpointing_does_not_perturb_the_stream(
-        self, trained, tmp_path, columnar
-    ):
+    def test_checkpointing_does_not_perturb_the_stream(self, trained, tmp_path, golden):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        plain = FleetEngine(**kwargs, columnar=columnar).run()
+        plain = FleetEngine(**kwargs).run()
         checkpointed = FleetEngine(
-            **kwargs,
-            columnar=columnar,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_cadence=3,
+            **kwargs, checkpoint_dir=str(tmp_path), checkpoint_cadence=3
         ).run()
         assert checkpointed == plain
+        golden("fleet/report-fleet-burst-storm.json", checkpointed.to_dict())
         # Boundaries 3, 6 and 9 were saved; keep=2 leaves the newest two.
         assert CheckpointStore(tmp_path).latest_tick() == 9
 
@@ -471,12 +466,10 @@ class TestLinkFailover:
             baseline.tiers[0].mean_delay_ms,
         )
 
-    def test_outage_is_path_independent(self, trained):
+    def test_outage_report_matches_golden(self, trained, golden):
         spec, runner = trained
-        kwargs = _engine_kwargs(spec, runner)
-        fast = FleetEngine(**kwargs, faults=OUTAGE).run()
-        legacy = FleetEngine(**kwargs, faults=OUTAGE, columnar=False).run()
-        assert fast == legacy
+        report = FleetEngine(**_engine_kwargs(spec, runner), faults=OUTAGE).run()
+        golden("fleet/report-fleet-burst-storm-outage.json", report.to_dict())
 
     def test_links_restored_after_outage_window(self, trained):
         spec, runner = trained
@@ -548,7 +541,7 @@ SENSOR_MUTATORS = (
 
 
 class TestSensorFaultMutators:
-    def test_sensor_faults_are_path_independent(self, trained):
+    def test_sensor_fault_report_matches_golden(self, trained, golden):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
         kwargs["spec"] = replace(
@@ -560,9 +553,8 @@ class TestSensorFaultMutators:
                 ),
             ),
         )
-        fast = FleetEngine(**kwargs).run()
-        legacy = FleetEngine(**kwargs, columnar=False).run()
-        assert fast == legacy
+        report = FleetEngine(**kwargs).run()
+        golden("fleet/report-fleet-burst-storm-sensor-faults.json", report.to_dict())
 
     def test_sensor_corruption_keeps_devices_online_and_deterministic(self, trained):
         spec, runner = trained

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.fleet.devices import DeviceFleet, VirtualDevice, WindowPool, device_rng
-from repro.fleet.mutators import AnomalyBurst, DeviceChurn
+from repro.fleet import stream_cache
+from repro.fleet.devices import DeviceFleet, WindowPool, device_rng
+from repro.fleet.mutators import (
+    AdversarialCamouflage,
+    AnomalyBurst,
+    ConceptDrift,
+    DeviceChurn,
+    PhaseJitter,
+    SensorSpike,
+    SensorStuck,
+    StreamMutator,
+)
 from repro.fleet.spec import FleetSpec, MutatorSpec
 
 
@@ -16,10 +26,44 @@ def pool():
     return WindowPool(normal=normal, anomalous=anomalous)
 
 
-def _device(pool, spec, device_id=0, master_seed=0):
-    return VirtualDevice(
-        device_id, pool, spec.build_mutators(), spec, master_seed=master_seed
-    )
+@pytest.fixture()
+def cold_cache():
+    """Start from (and leave behind) empty creation/stream caches."""
+    stream_cache.clear()
+    yield
+    stream_cache.clear()
+
+
+@pytest.fixture()
+def no_cache(cold_cache):
+    """Every fleet draws from its own device RNGs (caches disabled)."""
+    previous = stream_cache.set_enabled(False)
+    yield
+    stream_cache.set_enabled(previous)
+
+
+def _stream(fleet):
+    """The fleet's whole stream, one batch per tick."""
+    return [fleet.arrivals_columnar(tick) for tick in range(fleet.spec.ticks)]
+
+
+def _stream_payload(fleet):
+    """A whole stream as flat arrays (the ``.npz`` golden layout)."""
+    batches = _stream(fleet)
+    return {
+        "windows": np.concatenate([batch.windows for batch in batches]),
+        "labels": np.concatenate([batch.labels for batch in batches]),
+        "device_ids": np.concatenate([batch.device_ids for batch in batches]),
+        "timestamps": np.concatenate([batch.timestamps for batch in batches]),
+        "counts": np.array([batch.n for batch in batches], dtype=np.int64),
+        "online": np.array([batch.online for batch in batches], dtype=np.int64),
+    }
+
+
+def _assert_batches_equal(a, b):
+    assert a.online == b.online
+    for field in ("windows", "labels", "device_ids", "timestamps"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 class TestWindowPool:
@@ -40,34 +84,34 @@ class TestWindowPool:
 
 
 class TestDeviceDeterminism:
-    def test_same_seed_same_stream(self, pool):
+    def test_same_seed_same_stream(self, pool, no_cache):
         spec = FleetSpec(n_devices=4, ticks=6, arrival_rate=1.0, seed=3)
-        a = _device(pool, spec, device_id=2)
-        b = _device(pool, spec, device_id=2)
-        for tick in range(spec.ticks):
-            arrivals_a, arrivals_b = a.emit(tick), b.emit(tick)
-            assert len(arrivals_a) == len(arrivals_b)
-            for x, y in zip(arrivals_a, arrivals_b):
-                np.testing.assert_array_equal(x.window, y.window)
-                assert (x.label, x.timestamp) == (y.label, y.timestamp)
+        a = DeviceFleet(spec, pool, device_ids=[2])
+        b = DeviceFleet(spec, pool, device_ids=[2])
+        streams = list(zip(_stream(a), _stream(b)))
+        assert sum(x.n for x, _ in streams) > 0
+        for x, y in streams:
+            _assert_batches_equal(x, y)
 
-    def test_stream_independent_of_other_devices(self, pool):
+    def test_stream_independent_of_other_devices(self, pool, no_cache):
         """A device's stream depends only on (master seed, fleet seed, id)."""
         spec = FleetSpec(n_devices=8, ticks=4, arrival_rate=1.0, seed=3)
         whole = DeviceFleet(spec, pool)
-        subset = DeviceFleet(spec, pool, device_ids=[5])
-        lone = subset.devices[0]
-        twin = whole.devices[5]
-        for tick in range(spec.ticks):
-            for x, y in zip(twin.emit(tick), lone.emit(tick)):
-                np.testing.assert_array_equal(x.window, y.window)
-                assert x.label == y.label
+        lone = DeviceFleet(spec, pool, device_ids=[5])
+        for full, alone in zip(_stream(whole), _stream(lone)):
+            twin = full.device_ids == 5
+            np.testing.assert_array_equal(full.windows[twin], alone.windows)
+            np.testing.assert_array_equal(full.labels[twin], alone.labels)
+            np.testing.assert_array_equal(full.timestamps[twin], alone.timestamps)
 
     def test_different_devices_differ(self, pool):
         spec = FleetSpec(n_devices=4, ticks=2, arrival_rate=3.0, seed=3)
-        fleet = DeviceFleet(spec, pool)
-        streams = [tuple(a.timestamp for a in d.emit(0)) for d in fleet.devices]
-        assert len(set(streams)) > 1
+        batch = DeviceFleet(spec, pool).arrivals_columnar(0)
+        streams = {
+            tuple(batch.timestamps[batch.device_ids == device_id])
+            for device_id in range(4)
+        }
+        assert len(streams) > 1
 
     def test_device_rng_is_pure_function(self):
         a = device_rng(1, 2, 3).integers(0, 1 << 30, size=4)
@@ -80,20 +124,18 @@ class TestDeviceDeterminism:
 class TestArrivals:
     def test_arrivals_are_timestamped_within_tick(self, pool):
         spec = FleetSpec(n_devices=6, ticks=5, arrival_rate=2.0, seed=1)
-        fleet = DeviceFleet(spec, pool)
-        for tick in range(spec.ticks):
-            batch, online = fleet.arrivals(tick)
-            assert online == 6
-            for arrival in batch:
-                assert arrival.tick == tick
-                assert tick <= arrival.timestamp < tick + 1
-                assert arrival.window.shape == pool.window_shape
+        for tick, batch in enumerate(_stream(DeviceFleet(spec, pool))):
+            assert batch.online == 6
+            assert batch.n > 0
+            assert np.all((tick <= batch.timestamps) & (batch.timestamps < tick + 1))
+            assert batch.windows.shape == (batch.n, *pool.window_shape)
+            # Arrivals come in fleet (device-id) order.
+            assert np.all(np.diff(batch.device_ids) >= 0)
 
     def test_labels_follow_anomaly_pool(self, pool):
         spec = FleetSpec(n_devices=20, ticks=10, arrival_rate=2.0, anomaly_rate=1.0, seed=1)
-        fleet = DeviceFleet(spec, pool)
-        batch, _ = fleet.arrivals(0)
-        assert batch and all(arrival.label == 1 for arrival in batch)
+        batch = DeviceFleet(spec, pool).arrivals_columnar(0)
+        assert batch.n and np.all(batch.labels == 1)
 
     def test_empty_anomaly_pool_yields_normal_labels(self):
         lonely = WindowPool(
@@ -101,8 +143,8 @@ class TestArrivals:
             anomalous=np.zeros((0, 10)),
         )
         spec = FleetSpec(n_devices=5, ticks=3, arrival_rate=2.0, anomaly_rate=1.0, seed=1)
-        batch, _ = DeviceFleet(spec, lonely).arrivals(0)
-        assert batch and all(arrival.label == 0 for arrival in batch)
+        batch = DeviceFleet(spec, lonely).arrivals_columnar(0)
+        assert batch.n and np.all(batch.labels == 0)
 
 
 class TestConceptDrift:
@@ -115,18 +157,16 @@ class TestConceptDrift:
             seed=5,
             mutators=(MutatorSpec(kind="concept-drift", drift_per_tick=0.2),),
         )
-        device = _device(pool, spec)
+        batches = _stream(DeviceFleet(spec, pool))
 
-        def mean_distance(tick):
-            arrivals = device.emit(tick)
-            distances = [
-                np.min(np.linalg.norm(pool.normal - a.window, axis=1)) for a in arrivals
-            ]
-            return np.mean(distances) if distances else None
+        def mean_distance(batch):
+            assert batch.n
+            return np.mean(
+                [np.min(np.linalg.norm(pool.normal - w, axis=1)) for w in batch.windows]
+            )
 
-        early, late = mean_distance(0), mean_distance(29)
-        assert early is not None and late is not None
-        assert late > early + 1.0  # 29 ticks x 0.2/tick along a unit direction
+        # 29 ticks x 0.2/tick along a unit direction
+        assert mean_distance(batches[29]) > mean_distance(batches[0]) + 1.0
 
     def test_drift_preserves_labels(self, pool):
         spec = FleetSpec(
@@ -137,8 +177,7 @@ class TestConceptDrift:
             seed=5,
             mutators=(MutatorSpec(kind="concept-drift", drift_per_tick=0.5),),
         )
-        device = _device(pool, spec)
-        assert all(a.label == 0 for tick in range(5) for a in device.emit(tick))
+        assert all(np.all(b.labels == 0) for b in _stream(DeviceFleet(spec, pool)))
 
 
 class TestAnomalyBurst:
@@ -163,11 +202,10 @@ class TestAnomalyBurst:
                 ),
             ),
         )
-        fleet = DeviceFleet(spec, pool)
-        burst_batch, _ = fleet.arrivals(0)
-        calm_batch, _ = fleet.arrivals(5)
-        assert burst_batch and all(a.label == 1 for a in burst_batch)
-        assert calm_batch and all(a.label == 0 for a in calm_batch)
+        batches = _stream(DeviceFleet(spec, pool))
+        burst_batch, calm_batch = batches[0], batches[5]
+        assert burst_batch.n and np.all(burst_batch.labels == 1)
+        assert calm_batch.n and np.all(calm_batch.labels == 0)
 
 
 class TestDeviceChurn:
@@ -184,16 +222,21 @@ class TestDeviceChurn:
             ),
         )
         fleet = DeviceFleet(spec, pool)
-        online_counts = [fleet.arrivals(tick)[1] for tick in range(16)]
-        assert min(online_counts) < 30  # someone is offline
-        for device in fleet.devices:  # every device returns within one period
-            assert any(device.online(tick) for tick in range(8))
-            assert not all(device.online(tick) for tick in range(8))
+        assert min(batch.online for batch in _stream(fleet)) < 30  # someone is offline
+        (churn,) = fleet.mutators
+        states = [device.states[0] for device in fleet.devices]
+        stacked = churn.stack_states(states)
+        online = np.stack(
+            [churn.online_batch(stacked, states, tick) for tick in range(8)]
+        )
+        # Every device goes dark and returns within one period.
+        assert np.all(online.any(axis=0)) and not np.any(online.all(axis=0))
 
     def test_zero_fraction_never_drops(self, pool):
         churn = DeviceChurn(churn_fraction=0.0)
-        state = churn.device_state(np.random.default_rng(0), pool.window_shape)
-        assert all(churn.online(state, tick) for tick in range(100))
+        states = [churn.device_state(np.random.default_rng(0), pool.window_shape)]
+        stacked = churn.stack_states(states)
+        assert all(churn.online_batch(stacked, states, tick).all() for tick in range(100))
 
     def test_offline_devices_emit_nothing(self, pool):
         spec = FleetSpec(
@@ -207,8 +250,8 @@ class TestDeviceChurn:
                 ),
             ),
         )
-        device = _device(pool, spec)
-        assert all(device.emit(tick) == [] for tick in range(8))
+        for batch in _stream(DeviceFleet(spec, pool)):
+            assert (batch.n, batch.online) == (0, 0)
 
 
 class TestPhaseJitter:
@@ -221,12 +264,10 @@ class TestPhaseJitter:
             seed=6,
             mutators=(MutatorSpec(kind="phase-jitter", max_shift=4),),
         )
-        device = _device(pool, spec)
-        for arrival in device.emit(0):
-            rolled_back = [
-                np.roll(arrival.window, -shift, axis=0)
-                for shift in range(-5, 6)
-            ]
+        batch = DeviceFleet(spec, pool).arrivals_columnar(0)
+        assert batch.n
+        for window in batch.windows:
+            rolled_back = [np.roll(window, -shift, axis=0) for shift in range(-5, 6)]
             assert any(
                 any(np.allclose(candidate, w) for w in pool.normal)
                 for candidate in rolled_back
@@ -241,13 +282,105 @@ class TestPhaseJitter:
             seed=6,
             mutators=(MutatorSpec(kind="phase-jitter", max_shift=0),),
         )
-        device = _device(pool, spec)
-        for arrival in device.emit(0):
-            assert any(np.array_equal(arrival.window, w) for w in pool.normal)
+        batch = DeviceFleet(spec, pool).arrivals_columnar(0)
+        assert batch.n
+        for window in batch.windows:
+            assert any(np.array_equal(window, w) for w in pool.normal)
+
+
+class TestTransformBatchReference:
+    """Each batch transform against the per-window NumPy expression it vectorises.
+
+    Multichannel ``(timesteps, channels)`` windows, three devices, windows
+    mapped to devices through ``rows`` — the batch hook must equal applying
+    the plain expression to every window on its own, bit for bit.
+    """
+
+    SHAPE = (7, 3)
+    ROWS = np.array([0, 2, 2, 1, 0, 1, 2, 0])
+
+    @pytest.fixture()
+    def windows(self):
+        return np.random.default_rng(8).normal(scale=2.0, size=(self.ROWS.size, *self.SHAPE))
+
+    def _states(self, mutator):
+        return [
+            mutator.device_state_for(device_id, device_rng(0, 1, device_id), self.SHAPE)
+            for device_id in range(3)
+        ]
+
+    def _check(self, mutator, windows, reference, tick=5, draws=None, states=None):
+        states = self._states(mutator) if states is None else states
+        expected = np.stack(
+            [reference(w, states[row], i) for i, (w, row) in enumerate(zip(windows, self.ROWS))]
+        )
+        observed = mutator.transform_batch(
+            windows.copy(), mutator.stack_states(states), self.ROWS, tick, draws
+        )
+        np.testing.assert_array_equal(observed, expected)
+        assert not np.array_equal(observed, windows)  # the transform did something
+
+    @pytest.mark.parametrize("saturation_tick", [0, 3])
+    def test_concept_drift_adds_scaled_direction(self, windows, saturation_tick):
+        drift = ConceptDrift(drift_per_tick=0.05, saturation_tick=saturation_tick)
+        tick = min(5, saturation_tick) if saturation_tick else 5
+        self._check(
+            drift, windows, lambda w, state, i: w + 0.05 * tick * state["drift_direction"]
+        )
+
+    def test_phase_jitter_rolls_along_time(self, windows):
+        jitter = PhaseJitter(max_shift=4)
+        draws = [1, -1, 0, 1, 0, -1, 1, 0]
+        self._check(
+            jitter,
+            windows,
+            lambda w, state, i: np.roll(w, state["base_shift"] + draws[i], axis=0),
+            draws=draws,
+        )
+
+    def test_sensor_stuck_fills_a_constant(self, windows):
+        states = [
+            {"stuck": True, "stuck_value": 0.75},
+            {"stuck": False, "stuck_value": 9.0},
+            {"stuck": True, "stuck_value": -1.25},
+        ]
+        self._check(
+            SensorStuck(),
+            windows,
+            lambda w, state, i: (
+                np.full(w.shape, state["stuck_value"]) if state["stuck"] else w
+            ),
+            states=states,
+        )
+
+    def test_sensor_spike_adds_to_one_timestep(self, windows):
+        spike = SensorSpike(spike_rate=0.5, spike_magnitude=6.0)
+        draws = [None, 2, 6, None, 0, None, 2, None]
+
+        def reference(w, state, i):
+            w = w.copy()
+            if draws[i] is not None:
+                w[draws[i]] += 6.0
+            return w
+
+        self._check(spike, windows, reference, draws=draws)
+
+    def test_camouflage_shrinks_excess_rms(self, windows):
+        camouflage = AdversarialCamouflage(target_amplitude=2.0, strength=0.7)
+
+        def reference(w, state, i):
+            rms = float(np.sqrt(np.mean(np.square(w))))
+            if rms <= 2.0:
+                return w
+            return w * ((2.0 + (1.0 - 0.7) * (rms - 2.0)) / rms)
+
+        rms = np.sqrt(np.mean(np.square(windows), axis=(1, 2)))
+        assert np.any(rms > 2.0) and np.any(rms <= 2.0)  # both branches taken
+        self._check(camouflage, windows, reference)
 
 
 class TestColumnarArrivals:
-    """The struct-of-arrays fast path is bit-identical to the object path."""
+    """Arrival streams are pinned to goldens recorded from the per-window path."""
 
     MUTATOR_SETS = {
         "plain": (),
@@ -271,167 +404,85 @@ class TestColumnarArrivals:
             mutators=mutators,
         )
 
-    def _assert_equivalent(self, spec, pool, device_ids=None):
-        legacy = DeviceFleet(spec, pool, master_seed=7, device_ids=device_ids)
-        fast = DeviceFleet(spec, pool, master_seed=7, device_ids=device_ids)
-        for tick in range(spec.ticks):
-            batch, online = legacy.arrivals(tick)
-            columnar = fast.arrivals_columnar(tick)
-            assert columnar.online == online
-            assert columnar.n == len(batch)
-            if batch:
-                assert np.array_equal(
-                    columnar.windows, np.stack([a.window for a in batch])
-                )
-                assert np.array_equal(columnar.labels, [a.label for a in batch])
-                assert np.array_equal(
-                    columnar.device_ids, [a.device_id for a in batch]
-                )
-                assert np.array_equal(
-                    columnar.timestamps, [a.timestamp for a in batch]
-                )
-
     @pytest.mark.parametrize("name", sorted(MUTATOR_SETS))
     @pytest.mark.parametrize("cached", [True, False])
-    def test_bit_identical_to_reference_path(self, pool, name, cached):
-        from repro.fleet import stream_cache
-
-        stream_cache.clear()
+    def test_stream_matches_golden(self, pool, golden, cold_cache, name, cached):
         previous = stream_cache.set_enabled(cached)
         try:
-            self._assert_equivalent(self._spec(self.MUTATOR_SETS[name]), pool)
+            fleet = DeviceFleet(self._spec(self.MUTATOR_SETS[name]), pool, master_seed=7)
+            golden(f"fleet/arrivals-{name}.npz", _stream_payload(fleet))
         finally:
             stream_cache.set_enabled(previous)
-            stream_cache.clear()
 
-    def test_shard_subset_is_equivalent(self, pool):
-        from repro.fleet import stream_cache
+    def test_shard_subset_matches_golden(self, pool, golden, cold_cache):
+        fleet = DeviceFleet(
+            self._spec(self.MUTATOR_SETS["all"]), pool, master_seed=7,
+            device_ids=[2, 9, 17],
+        )
+        golden("fleet/arrivals-all-subset.npz", _stream_payload(fleet))
 
-        stream_cache.clear()
-        try:
-            self._assert_equivalent(
-                self._spec(self.MUTATOR_SETS["all"]), pool, device_ids=[2, 9, 17]
-            )
-        finally:
-            stream_cache.clear()
-
-    def test_cached_replay_never_materialises_generators(self, pool):
+    def test_cached_replay_never_materialises_generators(self, pool, cold_cache):
         """A full cache hit replays the stream without touching any RNG."""
-        from repro.fleet import stream_cache
-
-        stream_cache.clear()
         spec = self._spec(self.MUTATOR_SETS["drift"])
-        try:
-            first = DeviceFleet(spec, pool, master_seed=7)
-            generated = [first.arrivals_columnar(tick) for tick in range(spec.ticks)]
-            second = DeviceFleet(spec, pool, master_seed=7)
-            replayed = [second.arrivals_columnar(tick) for tick in range(spec.ticks)]
-            for a, b in zip(generated, replayed):
-                assert np.array_equal(a.windows, b.windows)
-                assert np.array_equal(a.labels, b.labels)
-            # Snapshot-restored devices never needed their generators.
-            assert all(device._rng is None for device in second.devices)
-        finally:
-            stream_cache.clear()
+        generated = _stream(DeviceFleet(spec, pool, master_seed=7))
+        second = DeviceFleet(spec, pool, master_seed=7)
+        for a, b in zip(generated, _stream(second)):
+            _assert_batches_equal(a, b)
+        # Snapshot-restored devices never needed their generators.
+        assert all(device._rng is None for device in second.devices)
 
-    def test_uncached_access_must_be_sequential(self, pool):
+    def test_uncached_access_must_be_sequential(self, pool, no_cache):
         from repro.exceptions import ConfigurationError
-        from repro.fleet import stream_cache
 
-        previous = stream_cache.set_enabled(False)
-        try:
-            fleet = DeviceFleet(self._spec(()), pool, master_seed=7)
-            fleet.arrivals_columnar(0)
-            with pytest.raises(ConfigurationError, match="sequentially"):
-                fleet.arrivals_columnar(2)
-        finally:
-            stream_cache.set_enabled(previous)
+        fleet = DeviceFleet(self._spec(()), pool, master_seed=7)
+        fleet.arrivals_columnar(0)
+        with pytest.raises(ConfigurationError, match="sequentially"):
+            fleet.arrivals_columnar(2)
 
-    def test_custom_transform_mutator_falls_back_to_reference(self, pool):
-        """Overriding transform() without transform_batch() stays correct."""
-        from repro.fleet.mutators import StreamMutator
-
-        class Doubler(StreamMutator):
-            def transform(self, window, state, tick, rng):
-                return window * 2.0
-
-        spec = self._spec(())
-        legacy = DeviceFleet(spec, pool, master_seed=7)
-        fast = DeviceFleet(spec, pool, master_seed=7)
-        mutators = (Doubler(),)
-        for fleet in (legacy, fast):
-            fleet.mutators = mutators
-            for device in fleet.devices:
-                device.mutators = mutators
-                device.states = [m.device_state(device.rng, pool.window_shape)
-                                 for m in mutators]
-        assert not fast.columnar_supported()
-        for tick in range(spec.ticks):
-            batch, online = legacy.arrivals(tick)
-            columnar = fast.arrivals_columnar(tick)
-            assert columnar.online == online
-            assert columnar.n == len(batch)
-            if batch:
-                assert np.array_equal(
-                    columnar.windows, np.stack([a.window for a in batch])
-                )
-
-    def test_custom_batch_aware_mutator_uses_fast_path(self, pool):
-        """A subclass providing both hooks is accepted by the fast path."""
-        from repro.fleet.mutators import StreamMutator
+    def test_custom_batch_aware_mutator_uses_fast_path(self, pool, cold_cache, monkeypatch):
+        """A subclass overriding only batch hooks streams correctly (uncached)."""
 
         class Shifter(StreamMutator):
-            def transform(self, window, state, tick, rng):
-                return window + 1.0
-
             def transform_batch(self, windows, stacked, rows, tick, draws):
                 windows += 1.0
                 return windows
 
-        fleet = DeviceFleet(self._spec(()), pool, master_seed=7)
-        fleet.mutators = (Shifter(),)
-        assert fleet.columnar_supported()
-
-    def test_stream_cache_budget_bounds_memory_not_correctness(self, pool, monkeypatch):
-        """Ticks beyond the per-entry budget stay correct, just uncached."""
-        from repro.fleet import stream_cache
-
+        spec = self._spec(())
+        plain = _stream(DeviceFleet(spec, pool, master_seed=7))
         stream_cache.clear()
+        monkeypatch.setattr(FleetSpec, "build_mutators", lambda self: (Shifter(),))
+        shifted = _stream(DeviceFleet(spec, pool, master_seed=7))
+        # A mutator the caches cannot vouch for keeps its fleet out of them.
+        assert stream_cache.cache_stats() == (0, 0)
+        for a, b in zip(plain, shifted):
+            np.testing.assert_array_equal(b.windows, a.windows + 1.0)
+            np.testing.assert_array_equal(b.timestamps, a.timestamps)
+
+    def test_stream_cache_budget_bounds_memory_not_correctness(
+        self, pool, golden, cold_cache, monkeypatch
+    ):
+        """Ticks beyond the per-entry budget stay correct, just uncached."""
         monkeypatch.setattr(stream_cache, "STREAM_CACHE_MAX_ARRIVALS", 20)
         spec = self._spec(self.MUTATOR_SETS["drift"])
-        try:
-            reference = DeviceFleet(spec, pool, master_seed=7)
-            expected = [reference.arrivals(tick) for tick in range(spec.ticks)]
+        first = DeviceFleet(spec, pool, master_seed=7)
+        _stream(first)
+        entry = stream_cache.stream_entry(first._stream_key)
+        assert entry.cached_arrivals <= 20
+        assert len(entry.chunks) < spec.ticks  # budget actually bit
 
-            first = DeviceFleet(spec, pool, master_seed=7)
-            for tick in range(spec.ticks):
-                first.arrivals_columnar(tick)
-            entry = stream_cache.stream_entry(first._stream_key)
-            assert entry.cached_arrivals <= 20
-            assert len(entry.chunks) < spec.ticks  # budget actually bit
-
-            # A replaying fleet crosses the budget edge and regenerates.
-            second = DeviceFleet(spec, pool, master_seed=7)
-            for tick, (batch, online) in enumerate(expected):
-                columnar = second.arrivals_columnar(tick)
-                assert columnar.online == online
-                assert columnar.n == len(batch)
-                if batch:
-                    assert np.array_equal(
-                        columnar.windows, np.stack([a.window for a in batch])
-                    )
-        finally:
-            stream_cache.clear()
+        # A replaying fleet crosses the budget edge and regenerates.
+        second = DeviceFleet(spec, pool, master_seed=7)
+        golden("fleet/arrivals-drift.npz", _stream_payload(second))
 
 
 class TestMutatorComposition:
     """Property tests over random mutator pairs stacked on one device class.
 
-    Stacking any two registered mutators must (a) keep the columnar fast
-    path bit-identical to the legacy object path, and (b) keep every
-    device's stream a pure function of its device id — a fleet holding only
-    a subset of the devices replays exactly the same per-device draws, so
-    composition never perturbs the per-device RNG draw order.
+    Stacking any two registered mutators must (a) reproduce the stream the
+    per-window path recorded for that pair, and (b) keep every device's
+    stream a pure function of its device id — a fleet holding only a subset
+    of the devices replays exactly the same per-device draws, so composition
+    never perturbs the per-device RNG draw order.
     """
 
     CATALOG = (
@@ -467,50 +518,19 @@ class TestMutatorComposition:
         )
 
     @pytest.mark.parametrize("draw", range(10))
-    def test_random_pairs_columnar_matches_legacy(self, pool, draw):
-        pair = self._pair(draw)
-        spec = self._spec(pair)
-        legacy = DeviceFleet(spec, pool, master_seed=11)
-        fast = DeviceFleet(spec, pool, master_seed=11)
-        for tick in range(spec.ticks):
-            batch, online = legacy.arrivals(tick)
-            columnar = fast.arrivals_columnar(tick)
-            assert columnar.online == online
-            assert columnar.n == len(batch)
-            if batch:
-                assert np.array_equal(
-                    columnar.windows, np.stack([a.window for a in batch])
-                )
-                assert np.array_equal(columnar.labels, [a.label for a in batch])
-                assert np.array_equal(
-                    columnar.device_ids, [a.device_id for a in batch]
-                )
-                assert np.array_equal(
-                    columnar.timestamps, [a.timestamp for a in batch]
-                )
+    def test_random_pairs_match_golden(self, pool, golden, cold_cache, draw):
+        fleet = DeviceFleet(self._spec(self._pair(draw)), pool, master_seed=11)
+        golden(f"fleet/arrivals-pair-{draw}.npz", _stream_payload(fleet))
 
     @pytest.mark.parametrize("draw", range(10))
-    def test_random_pairs_preserve_per_device_draw_order(self, pool, draw):
-        pair = self._pair(1000 + draw)
-        spec = self._spec(pair)
-        full = DeviceFleet(spec, pool, master_seed=11)
-        by_device = {}
-        for tick in range(spec.ticks):
-            batch, _ = full.arrivals(tick)
-            for arrival in batch:
-                by_device.setdefault(arrival.device_id, []).append(arrival)
+    def test_random_pairs_preserve_per_device_draw_order(self, pool, cold_cache, draw):
+        spec = self._spec(self._pair(1000 + draw))
         subset_ids = [3, 7, 12]
-        subset = DeviceFleet(spec, pool, master_seed=11, device_ids=subset_ids)
-        subset_by_device = {}
-        for tick in range(spec.ticks):
-            batch, _ = subset.arrivals(tick)
-            for arrival in batch:
-                subset_by_device.setdefault(arrival.device_id, []).append(arrival)
-        for device_id in subset_ids:
-            expected = by_device.get(device_id, [])
-            observed = subset_by_device.get(device_id, [])
-            assert len(observed) == len(expected)
-            for a, b in zip(expected, observed):
-                assert a.timestamp == b.timestamp
-                assert a.label == b.label
-                assert np.array_equal(a.window, b.window)
+        full = _stream(DeviceFleet(spec, pool, master_seed=11))
+        subset = _stream(DeviceFleet(spec, pool, master_seed=11, device_ids=subset_ids))
+        for whole, part in zip(full, subset):
+            kept = np.isin(whole.device_ids, subset_ids)
+            np.testing.assert_array_equal(whole.device_ids[kept], part.device_ids)
+            np.testing.assert_array_equal(whole.timestamps[kept], part.timestamps)
+            np.testing.assert_array_equal(whole.labels[kept], part.labels)
+            np.testing.assert_array_equal(whole.windows[kept], part.windows)

@@ -28,6 +28,23 @@ TINY = {
     "fleet.arrival_rate": "1.0",
 }
 
+#: The drift and churn scenarios at test size.
+DRIFT_TINY = {
+    "data.weeks": "10", "detectors.0.epochs": "3",
+    "detectors.1.epochs": "3", "detectors.2.epochs": "3",
+    "policy.episodes": "3",
+    "fleet.n_devices": "40", "fleet.ticks": "32",
+    "fleet.metrics_window": "8", "fleet.arrival_rate": "1.0",
+    "fleet.mutators.0.drift_per_tick": "0.08",
+}
+CHURN_TINY = {
+    "data.weeks": "8", "detectors.0.epochs": "2",
+    "detectors.1.epochs": "2", "detectors.2.epochs": "2",
+    "policy.episodes": "2",
+    "fleet.n_devices": "20", "fleet.ticks": "16",
+    "fleet.mutators.0.churn_fraction": "1.0",
+}
+
 
 @pytest.fixture(scope="module")
 def trained():
@@ -96,38 +113,22 @@ class TestFleetEngine:
 
 
 class TestScenarioStreams:
-    """Each built-in fleet scenario's mutators show up in its online metrics."""
+    """Each built-in fleet scenario's mutators show up in its online metrics,
+    and its report equals the one recorded from the per-window path."""
 
-    def test_drift_scenario_degrades_windowed_accuracy(self):
-        spec = apply_overrides(
-            get_scenario("fleet-1k-drift"),
-            {
-                "data.weeks": "10", "detectors.0.epochs": "3",
-                "detectors.1.epochs": "3", "detectors.2.epochs": "3",
-                "policy.episodes": "3",
-                "fleet.n_devices": "40", "fleet.ticks": "32",
-                "fleet.metrics_window": "8", "fleet.arrival_rate": "1.0",
-                "fleet.mutators.0.drift_per_tick": "0.08",
-            },
-        )
+    def test_drift_scenario_degrades_windowed_accuracy(self, golden):
+        spec = apply_overrides(get_scenario("fleet-1k-drift"), DRIFT_TINY)
         report = ExperimentRunner(spec).run_fleet()
         assert report.windowed[0].accuracy > report.windowed[-1].accuracy
+        golden("fleet/report-fleet-1k-drift.json", report.to_dict())
 
-    def test_churn_scenario_reports_offline_device_ticks(self):
-        spec = apply_overrides(
-            get_scenario("fleet-churn-mixed-detectors"),
-            {
-                "data.weeks": "8", "detectors.0.epochs": "2",
-                "detectors.1.epochs": "2", "detectors.2.epochs": "2",
-                "policy.episodes": "2",
-                "fleet.n_devices": "20", "fleet.ticks": "16",
-                "fleet.mutators.0.churn_fraction": "1.0",
-            },
-        )
+    def test_churn_scenario_reports_offline_device_ticks(self, golden):
+        spec = apply_overrides(get_scenario("fleet-churn-mixed-detectors"), CHURN_TINY)
         report = ExperimentRunner(spec).run_fleet()
         assert report.offline_device_ticks > 0
         total = report.online_device_ticks + report.offline_device_ticks
         assert total == 20 * 16
+        golden("fleet/report-fleet-churn-mixed-detectors.json", report.to_dict())
 
 
 class TestShardedEquivalence:
@@ -231,39 +232,28 @@ class TestRunnerStreamStage:
 
 
 class TestColumnarEngine:
-    """The columnar fast path is pinned bit-identical to the legacy loop."""
+    """The engine's reports are pinned to goldens recorded from the per-window loop."""
 
-    def test_columnar_report_equals_legacy_report(self, trained):
+    def test_report_matches_golden(self, trained, golden):
         spec, runner = trained
-        kwargs = _engine_kwargs(spec, runner)
-        legacy = FleetEngine(**kwargs, columnar=False).run()
-        columnar = FleetEngine(**kwargs, columnar=True).run()
-        assert columnar == legacy
+        report = FleetEngine(**_engine_kwargs(spec, runner)).run()
+        golden("fleet/report-fleet-burst-storm.json", report.to_dict())
 
-    def test_columnar_is_the_default(self, trained):
-        spec, runner = trained
-        engine = FleetEngine(**_engine_kwargs(spec, runner))
-        assert engine.columnar
-
-    def test_uncached_columnar_equals_legacy(self, trained):
+    def test_uncached_report_matches_golden(self, trained, golden):
         from repro.fleet import stream_cache
 
         spec, runner = trained
-        kwargs = _engine_kwargs(spec, runner)
-        legacy = FleetEngine(**kwargs, columnar=False).run()
         previous = stream_cache.set_enabled(False)
         try:
-            uncached = FleetEngine(**kwargs, columnar=True).run()
+            report = FleetEngine(**_engine_kwargs(spec, runner)).run()
         finally:
             stream_cache.set_enabled(previous)
-        assert uncached == legacy
+        golden("fleet/report-fleet-burst-storm.json", report.to_dict())
 
-    def test_sharded_columnar_flag_propagates(self, trained):
+    def test_two_shard_report_matches_golden(self, trained, golden):
         spec, runner = trained
-        kwargs = _engine_kwargs(spec, runner)
-        fast = ShardedFleetEngine(**kwargs, n_shards=2, columnar=True).run()
-        reference = ShardedFleetEngine(**kwargs, n_shards=2, columnar=False).run()
-        assert fast == reference
+        report = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2).run()
+        golden("fleet/report-fleet-burst-storm-2shard.json", report.to_dict())
 
     def test_profiler_accounts_the_run(self, trained):
         from repro.fleet.profiling import STAGES, StageProfiler
@@ -343,6 +333,22 @@ class TestShardingInfrastructure:
         assert sharding._POOLS.get(2) is pool_after_first  # no re-fork
         assert first == second
 
+    def test_pool_workers_do_not_inherit_the_sigterm_cleanup_handler(self):
+        """``Pool.terminate()`` kills workers by SIGTERM; a worker that ran the
+        parent's cleanup handler instead could block forever and hang join()."""
+        import signal
+
+        from repro.fleet import sharding
+
+        sharding.shutdown()
+        sharding._install_signal_cleanup()
+        pool = sharding._pool_for(2, token=-1)
+        try:
+            disposition = pool.apply_async(signal.getsignal, (signal.SIGTERM,))
+            assert disposition.get(timeout=30) == signal.SIG_DFL
+        finally:
+            sharding.shutdown()
+
     def test_shard_tasks_ship_tokens_not_state(self, trained):
         """The per-task payload is (token, device ids) — state goes via fork."""
         import pickle
@@ -417,19 +423,3 @@ class TestShardingInfrastructure:
         with pytest.raises(ConfigurationError, match="bad spec"):
             ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
         assert engine_module._pool_fallback_warned is False
-
-    def test_legacy_reference_path_stays_cold(self, trained):
-        """The oracle never touches the creation/stream caches it validates."""
-        from repro.fleet import stream_cache
-
-        spec, runner = trained
-        kwargs = _engine_kwargs(spec, runner)
-        stream_cache.clear()
-        try:
-            FleetEngine(**kwargs, columnar=False).run()
-            assert stream_cache.cache_stats() == (0, 0)
-            FleetEngine(**kwargs, columnar=True).run()
-            creation_entries, stream_entries = stream_cache.cache_stats()
-            assert creation_entries >= 1 and stream_entries >= 1
-        finally:
-            stream_cache.clear()
