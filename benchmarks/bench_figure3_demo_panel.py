@@ -33,7 +33,10 @@ def test_fig3_demo_panel_stream(benchmark, univariate_result, multivariate_resul
     def stream():
         result.system.reset()
         scheme = AdaptiveScheme(result.system, result.policy, result.context_extractor)
-        outcomes = scheme.run(windows, labels)
+        outcomes = [
+            scheme.handle_window(windows[index], index, ground_truth=int(labels[index]))
+            for index in range(len(labels))
+        ]
         return build_demo_panel_series(outcomes, labels, windows=windows, scheme_name=scheme.name)
 
     panel = benchmark(stream)

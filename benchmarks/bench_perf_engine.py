@@ -1,13 +1,15 @@
-"""Perf benchmark — sequential vs batched execution engine.
+"""Perf benchmark — the batched execution engine.
 
-Times the two hot paths that the batched execution engine vectorises, on the
-fig-2 univariate workload:
+Times the two hot paths the execution engine vectorises, on the fig-2
+univariate workload:
 
 * **policy training** — per-sample REINFORCE (``batch_size=1``, the paper's
   loop) against the minibatched trainer (one fused forward/backward/optimizer
   step per minibatch);
-* **scheme evaluation** — one-window-at-a-time ``SelectionScheme.run`` against
-  the vectorised ``run_batch`` drivers (one batched detector call per layer).
+* **scheme evaluation** — each scheme's ``run_batch`` driver (one batched
+  detector call per layer) over the tiled test set, as a wall-clock
+  trajectory.  Scheme *outcomes* are pinned by ``tests/goldens/schemes/``,
+  not here.
 
 The workload is tiled to a few hundred windows so the timings are stable on a
 shared CI runner; every timing is the best of several repeats.  Results are
@@ -21,10 +23,9 @@ whole-pipeline regressions, not just kernel slowdowns.  The standalone entry
 point accepts ``--scenario`` to run the kernel benchmarks against any
 registered scenario's pipeline result.
 
-Equivalence policy: batched scheme evaluation must match sequential exactly
-(greedy policy, deterministic links); minibatched policy training samples
-actions from the same distribution but with a different RNG stream, so it is
-held to a documented stochastic tolerance on the final greedy reward instead.
+Equivalence policy: minibatched policy training samples actions from the same
+distribution as the per-sample loop but with a different RNG stream, so it is
+held to a documented stochastic tolerance on the final greedy reward.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ EVAL_TILE = 8
 REPEATS = 5
 #: Acceptance thresholds (see ISSUE/acceptance criteria).
 MIN_TRAINING_SPEEDUP = 5.0
-MIN_SCHEME_SPEEDUP = 3.0
 #: Stochastic-equivalence tolerance on the final greedy mean reward between
 #: sequential and minibatched training (sampled actions, different RNG stream).
 TRAINING_REWARD_TOLERANCE = 0.3
@@ -129,14 +129,8 @@ def _evaluation_fingerprint(evaluation):
     }
 
 
-def _close(a: float, b: float, tolerance: float = 1e-9) -> bool:
-    if np.isnan(a) and np.isnan(b):
-        return True
-    return bool(np.isclose(a, b, rtol=tolerance, atol=tolerance))
-
-
 def run_perf_engine(result) -> dict:
-    """Time sequential vs batched paths; returns the JSON-ready report."""
+    """Time both hot paths; returns the JSON-ready report."""
     report: dict = {
         "generated_by": "benchmarks/bench_perf_engine.py",
         "dataset": result.dataset_name,
@@ -179,33 +173,20 @@ def run_perf_engine(result) -> dict:
         },
     }
 
-    # -- scheme evaluation: run vs run_batch -----------------------------------
+    # -- scheme evaluation: the run_batch drivers ---------------------------------
     windows = np.tile(result.test_windows, (EVAL_TILE,) + (1,) * (result.test_windows.ndim - 1))
     labels = np.tile(result.test_labels, EVAL_TILE)
     schemes = []
     for name, factory in _scheme_factories(result, windows).items():
-        sequential_seconds, sequential_eval = _best_of(
-            lambda: evaluate_scheme(factory(), windows, labels, result.reward_fn, batched=False)
+        seconds, evaluation = _best_of(
+            lambda: evaluate_scheme(factory(), windows, labels, result.reward_fn)
         )
-        batched_seconds, batched_eval = _best_of(
-            lambda: evaluate_scheme(factory(), windows, labels, result.reward_fn, batched=True)
-        )
-        sequential_fp = _evaluation_fingerprint(sequential_eval)
-        batched_fp = _evaluation_fingerprint(batched_eval)
-        equivalent = all(
-            _close(sequential_fp[key], batched_fp[key])
-            for key in ("f1", "accuracy", "mean_delay_ms", "mean_reward")
-        ) and sequential_fp["layer_usage"] == batched_fp["layer_usage"]
         schemes.append(
             {
                 "scheme": name,
                 "n_windows": int(windows.shape[0]),
-                "sequential_seconds": sequential_seconds,
-                "batched_seconds": batched_seconds,
-                "speedup": sequential_seconds / batched_seconds,
-                "numerically_equivalent": equivalent,
-                "sequential": sequential_fp,
-                "batched": batched_fp,
+                "seconds": seconds,
+                "evaluation": _evaluation_fingerprint(evaluation),
             }
         )
     report["scheme_evaluation"] = schemes
@@ -269,22 +250,10 @@ def _assert_report(report: dict) -> None:
             f"trainer by {difference:.3f} mean reward"
         )
 
-    by_scheme = {entry["scheme"]: entry for entry in report["scheme_evaluation"]}
-    for name in ("IoT Device", "Edge", "Cloud", "Our Method"):
-        assert by_scheme[name]["speedup"] >= MIN_SCHEME_SPEEDUP, (
-            f"{name} batched evaluation speedup "
-            f"{by_scheme[name]['speedup']:.2f}x below {MIN_SCHEME_SPEEDUP}x"
-        )
-    for entry in report["scheme_evaluation"]:
-        assert entry["numerically_equivalent"], (
-            f"{entry['scheme']} batched evaluation diverged: "
-            f"{entry['sequential']} vs {entry['batched']}"
-        )
-
 
 @pytest.mark.benchmark(group="perf-engine")
-def test_perf_engine_sequential_vs_batched(univariate_result):
-    """Time both paths, persist the JSON trajectory, enforce the speedup floors."""
+def test_perf_engine(univariate_result):
+    """Time both hot paths, persist the JSON trajectory, enforce the training floor."""
     report = run_perf_engine(univariate_result)
     report["scenario_runs"] = time_scenario_runs()
     for entry in report["scenario_runs"]:
@@ -299,10 +268,7 @@ def test_perf_engine_sequential_vs_batched(univariate_result):
             f"{training['sequential_seconds']*1e3:.1f} ms)"
         )
     for entry in report["scheme_evaluation"]:
-        print(
-            f"  scheme eval {entry['scheme']:<12s} {entry['batched_seconds']*1e3:8.1f} ms "
-            f"({entry['speedup']:5.1f}x, equivalent={entry['numerically_equivalent']})"
-        )
+        print(f"  scheme eval {entry['scheme']:<12s} {entry['seconds']*1e3:8.1f} ms")
     _assert_report(report)
 
 
@@ -335,7 +301,7 @@ def main() -> None:
         path = write_report(report, name=f"perf_engine_{args.scenario}")
     print(json.dumps(report, indent=2))
     print(f"\nwritten to {path}")
-    # The speedup/equivalence floors are calibrated on the univariate workload.
+    # The training speedup floor is calibrated on the univariate workload.
     if args.scenario == "univariate-power":
         _assert_report(report)
 

@@ -159,7 +159,7 @@ class AnomalyDetector:
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Binary predictions (1 = anomaly) for a batch of windows."""
-        return np.asarray([int(result.is_anomaly) for result in self.detect(windows)], dtype=int)
+        return self.detect_arrays(windows, with_confidence=False)[0].astype(int)
 
     def context_features(self, windows: np.ndarray) -> Optional[np.ndarray]:
         """Optional contextual features this detector can provide for the bandit.

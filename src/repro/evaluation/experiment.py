@@ -100,22 +100,15 @@ def evaluate_scheme(
     labels: np.ndarray,
     reward_fn: Optional[RewardFunction] = None,
     reset_system: bool = True,
-    batched: bool = True,
 ) -> SchemeEvaluation:
     """Run ``scheme`` over ``windows`` and aggregate the results.
 
-    ``reset_system=True`` (default) clears the HEC system's event log, clock
+    ``reset_system=True`` (default) clears the HEC system's counters, clock
     and link state before the run so evaluations of different schemes against
-    the same system are independent.  ``batched=True`` (default) drives the
-    scheme through its vectorised :meth:`~repro.schemes.base.SelectionScheme.run_batch`
-    path; set it to ``False`` to force the one-window-at-a-time loop.
+    the same system are independent.
     """
     if reset_system:
         scheme.system.reset()
     windows = np.asarray(windows, dtype=float)
-    labels_array = np.asarray(labels, dtype=int)
-    if batched:
-        outcomes = scheme.run_batch(windows, labels_array)
-    else:
-        outcomes = scheme.run(windows, labels_array)
+    outcomes = scheme.run_batch(windows, np.asarray(labels, dtype=int))
     return evaluate_outcomes(scheme.name, outcomes, labels, reward_fn=reward_fn)

@@ -459,7 +459,6 @@ class ExperimentRunner:
             state.test_windows,
             state.test_labels,
             state.reward_fn,
-            batched=self.spec.evaluation.batched,
             demo_panel=self.spec.evaluation.demo_panel,
             fixed_layer_names=fixed_layer_names,
         )

@@ -324,7 +324,6 @@ class PolicySpec:
 class EvaluationSpec:
     """What the ``evaluate`` stage produces."""
 
-    batched: bool = True
     table1: bool = True
     demo_panel: bool = True
 

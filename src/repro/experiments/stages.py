@@ -215,7 +215,6 @@ def evaluate_all_schemes(
     test_windows: np.ndarray,
     test_labels: np.ndarray,
     reward_fn: RewardFunction,
-    batched: bool = True,
     demo_panel: bool = True,
     fixed_layer_names: Optional[Sequence[str]] = None,
 ) -> tuple[Dict[str, SchemeEvaluation], List[SchemeComparisonRow], Optional[DemoPanelSeries]]:
@@ -224,9 +223,7 @@ def evaluate_all_schemes(
     rows: List[SchemeComparisonRow] = []
     panel: Optional[DemoPanelSeries] = None
     for scheme in build_schemes(system, policy, context_extractor, fixed_layer_names):
-        evaluation = evaluate_scheme(
-            scheme, test_windows, test_labels, reward_fn=reward_fn, batched=batched
-        )
+        evaluation = evaluate_scheme(scheme, test_windows, test_labels, reward_fn=reward_fn)
         evaluations[scheme.name] = evaluation
         rows.append(scheme_comparison_row(dataset_name, evaluation))
         if demo_panel and isinstance(scheme, AdaptiveScheme):

@@ -236,47 +236,40 @@ class FleetEngine:
                 retries=self.faults.failover_retries,
                 timeout_ms=self.faults.retry_timeout_ms,
             )
-        # The event log would grow with the stream; the aggregator is the
-        # bounded-memory replacement, so logging is suspended for the run.
-        previous_record_log = system.record_log
-        system.record_log = False
-        try:
-            fleet = DeviceFleet(
-                spec,
-                self.pool,
-                master_seed=self.master_seed,
-                device_ids=self.device_ids,
-            )
-            metrics = StreamingMetrics(
-                ticks=spec.ticks,
-                metrics_window=spec.metrics_window,
-                n_layers=system.n_layers,
-                reservoir_size=spec.reservoir_size,
-                seed_entropy=(self.master_seed, spec.seed),
-            )
-            start_tick = 0
-            if resume and store is not None:
-                mark = perf_counter()
-                payload = store.latest()
-                if payload is not None:
-                    start_tick = self._restore_checkpoint(payload, metrics)
-                    self._fast_forward(fleet, start_tick)
-                    if telemetry is not None:
-                        elapsed = perf_counter() - mark
-                        telemetry.registry.histogram(
-                            "checkpoint_load_seconds",
-                            "Checkpoint restore + arrival-replay latency.",
-                            buckets=_SECONDS_BUCKETS,
-                        ).observe(elapsed)
-                        telemetry.event(
-                            "checkpoint.load",
-                            tick=start_tick,
-                            shard=self.shard_index,
-                            seconds=elapsed,
-                        )
-            self._stream(fleet, metrics, start_tick, store)
-        finally:
-            system.record_log = previous_record_log
+        fleet = DeviceFleet(
+            spec,
+            self.pool,
+            master_seed=self.master_seed,
+            device_ids=self.device_ids,
+        )
+        metrics = StreamingMetrics(
+            ticks=spec.ticks,
+            metrics_window=spec.metrics_window,
+            n_layers=system.n_layers,
+            reservoir_size=spec.reservoir_size,
+            seed_entropy=(self.master_seed, spec.seed),
+        )
+        start_tick = 0
+        if resume and store is not None:
+            mark = perf_counter()
+            payload = store.latest()
+            if payload is not None:
+                start_tick = self._restore_checkpoint(payload, metrics)
+                self._fast_forward(fleet, start_tick)
+                if telemetry is not None:
+                    elapsed = perf_counter() - mark
+                    telemetry.registry.histogram(
+                        "checkpoint_load_seconds",
+                        "Checkpoint restore + arrival-replay latency.",
+                        buckets=_SECONDS_BUCKETS,
+                    ).observe(elapsed)
+                    telemetry.event(
+                        "checkpoint.load",
+                        tick=start_tick,
+                        shard=self.shard_index,
+                        seconds=elapsed,
+                    )
+        self._stream(fleet, metrics, start_tick, store)
         if self.profiler is not None:
             # Accumulate: serial shard engines share one profiler, so totals
             # and window counts add up across shards.

@@ -15,8 +15,8 @@ simulated equivalent:
 * :mod:`repro.hec.delay` — end-to-end delay accounting for a detection request
   handled at a given layer;
 * :mod:`repro.hec.simulation` — the HEC system facade used by the selection
-  schemes (submit a window, get back prediction, confidence and delay), plus
-  an event log for the demo panel.
+  schemes, the fleet engine and the ingest server (submit a batch of windows
+  for one layer, get back predictions, confidence and delays).
 """
 
 from repro.hec.device import DeviceProfile, RASPBERRY_PI_3, JETSON_TX2, GPU_DEVBOX

@@ -32,28 +32,12 @@ class DelayBreakdown:
     uplink_ms: float = 0.0
     execution_ms: float = 0.0
     downlink_ms: float = 0.0
-    #: Execution time spent at lower layers before escalating (Successive scheme only).
-    escalation_ms: float = 0.0
-    #: Retry/timeout penalty paid when the request was redirected off an
-    #: unreachable tier (fault-injection failover; zero on healthy runs).
-    retry_ms: float = 0.0
     hops: List[str] = field(default_factory=list)
 
     @property
     def total_ms(self) -> float:
         """Total end-to-end delay."""
-        return (
-            self.uplink_ms
-            + self.execution_ms
-            + self.downlink_ms
-            + self.escalation_ms
-            + self.retry_ms
-        )
-
-    def merge_escalation(self, previous: "DelayBreakdown") -> "DelayBreakdown":
-        """Fold a previous (non-confident) attempt into this breakdown's escalation time."""
-        self.escalation_ms += previous.total_ms
-        return self
+        return self.uplink_ms + self.execution_ms + self.downlink_ms
 
 
 def window_payload_bytes(window_shape: tuple, bytes_per_value: int = 4) -> float:

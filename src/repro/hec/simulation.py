@@ -1,29 +1,25 @@
 """The HEC system facade used by the model-selection schemes.
 
 :class:`HECSystem` ties the pieces together: a topology, the per-layer model
-deployments and the delay model.  A scheme submits one window at a time with
-``detect_at(layer, window)`` and receives a :class:`DetectionRecord` holding
-the prediction, the detector's confidence and the full delay breakdown.  The
-system keeps an event log (one record per handled request) that the demo panel
-and the benchmarks consume, and aggregate per-layer counters used to verify
-offloading behaviour.
+deployments and the delay model.  A caller submits a batch of windows for one
+layer and gets the predictions, the detector's confidence and the end-to-end
+delays back — as aligned arrays (:meth:`HECSystem.detect_batch_columnar`, the
+streaming and serving hot path) or boxed into one :class:`DetectionRecord` per
+window (:meth:`HECSystem.detect_batch`, what the selection schemes consume).
+Both are views over one kernel, which is the only code that resolves failover,
+runs a detector, computes delays, advances the clock and bumps the per-layer
+counters used to verify offloading behaviour.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import DeploymentError, SchedulingError, ShapeError
-from repro.detectors.base import DetectionResult
-from repro.hec.delay import (
-    RESULT_PAYLOAD_BYTES,
-    DelayBreakdown,
-    end_to_end_delay,
-    window_payload_bytes,
-)
+from repro.hec.delay import RESULT_PAYLOAD_BYTES, end_to_end_delay, window_payload_bytes
 from repro.hec.deployment import ModelDeployment
 from repro.hec.topology import HECTopology
 from repro.utils.timer import SimulatedClock
@@ -50,10 +46,9 @@ def _as_float64_batch(windows: np.ndarray) -> np.ndarray:
 class BatchDetectionResult:
     """One batched detection outcome as aligned arrays (the columnar view).
 
-    What :meth:`HECSystem.detect_batch_columnar` returns instead of a list of
-    :class:`DetectionRecord` objects: exactly the per-window fields the
-    streaming metrics and the adaptation loop consume, with no delay
-    breakdowns, no per-window records and nothing to tear back apart.
+    What :meth:`HECSystem.detect_batch_columnar` returns: exactly the
+    per-window fields the streaming metrics and the adaptation loop consume,
+    with no per-window objects and nothing to tear back apart.
     """
 
     layer: int
@@ -83,13 +78,9 @@ class DetectionRecord:
     prediction: int
     confident: bool
     anomaly_score: float
-    delay: DelayBreakdown
+    #: Total end-to-end delay of the request (escalation and retry included).
+    delay_ms: float
     ground_truth: Optional[int] = None
-
-    @property
-    def delay_ms(self) -> float:
-        """Total end-to-end delay of the request."""
-        return self.delay.total_ms
 
     @property
     def correct(self) -> Optional[bool]:
@@ -132,12 +123,6 @@ class HECSystem:
         ]
         if missing:
             raise DeploymentError(f"no deployment for layers {missing}")
-        self.records: List[DetectionRecord] = []
-        #: Whether handled requests are appended to :attr:`records`.  The
-        #: fleet streaming engine disables this so unbounded streams aggregate
-        #: through bounded online metrics instead of an ever-growing log;
-        #: counters, clock and link bookkeeping are unaffected.
-        self.record_log = True
         self.layer_counters: Dict[int, LayerCounters] = {
             layer: LayerCounters() for layer in range(topology.n_layers)
         }
@@ -196,7 +181,7 @@ class HECSystem:
     def configure_failover(self, retries: int = 1, timeout_ms: float = 200.0) -> None:
         """Set the retry policy charged when a request is redirected off a
         tier behind a down link: ``retries * timeout_ms`` of extra delay per
-        redirected request, recorded in the delay breakdown's ``retry_ms``."""
+        redirected request."""
         if retries < 1:
             raise SchedulingError(f"failover retries must be >= 1, got {retries}")
         if timeout_ms < 0:
@@ -228,183 +213,95 @@ class HECSystem:
 
     # -- request handling --------------------------------------------------------------
 
-    def detect_at(
-        self,
-        layer: int,
-        window: np.ndarray,
-        ground_truth: Optional[int] = None,
-        escalated_from: Optional[DelayBreakdown] = None,
-    ) -> DetectionRecord:
-        """Handle one detection request at ``layer`` and log the outcome.
-
-        ``escalated_from`` carries the delay already spent at lower layers when
-        the Successive scheme escalates a non-confident request upward.
-        """
-        layer, retry_ms, redirected = self._resolve_layer(layer)
-        deployment = self.deployment_at(layer)
-        window = np.asarray(window, dtype=float)
-        batch = window[None, ...]
-        results: List[DetectionResult] = deployment.detector.detect(batch)
-        result = results[0]
-
-        payload = window_payload_bytes(window.shape)
-        breakdown = end_to_end_delay(
-            self.topology,
-            layer,
-            execution_ms=deployment.execution_time_ms,
-            payload_bytes=payload,
-        )
-        breakdown.retry_ms = retry_ms
-        if escalated_from is not None:
-            breakdown.merge_escalation(escalated_from)
-        self.clock.advance(breakdown.total_ms)
-
-        record = DetectionRecord(
-            window_index=self._request_counter,
-            layer=layer,
-            prediction=int(result.is_anomaly),
-            confident=result.confident,
-            anomaly_score=result.anomaly_score,
-            delay=breakdown,
-            ground_truth=ground_truth,
-        )
-        self._request_counter += 1
-        if self.record_log:
-            self.records.append(record)
-
-        counters = self.layer_counters[layer]
-        counters.requests += 1
-        counters.total_execution_ms += deployment.execution_time_ms
-        counters.total_delay_ms += breakdown.total_ms
-        counters.anomalies_reported += record.prediction
-        counters.redirected += int(redirected)
-        return record
-
     def detect_batch(
         self,
         layer: int,
         windows: np.ndarray,
         ground_truths: Optional[Sequence[int]] = None,
-        escalated_from: Optional[Sequence[Optional[DelayBreakdown]]] = None,
+        escalated_ms: Optional[np.ndarray] = None,
     ) -> List[DetectionRecord]:
-        """Handle a batch of detection requests at ``layer`` with one detector call.
+        """Handle a batch of detection requests, boxed one record per window.
 
-        Semantically equivalent to calling :meth:`detect_at` once per window in
-        order (records, counters, clock and link bookkeeping all match), but
-        the detector's forward pass runs once on the whole ``(n, ...)`` batch
-        and the per-window delay breakdowns are replicated from a single
-        steady-state computation whenever the links are jitter-free.
-
-        ``escalated_from`` optionally carries, per window, the delay already
-        spent at lower layers (the Successive scheme's batched escalation).
+        The record view of :meth:`detect_batch_columnar` (same kernel, same
+        values, confidence always computed): what the selection schemes
+        consume.  ``ground_truths`` is carried onto the records untouched.
         """
-        layer, retry_ms, redirected = self._resolve_layer(layer)
-        deployment = self.deployment_at(layer)
-        windows = _as_float64_batch(windows)
-        if windows.ndim < 2:
+        if ground_truths is not None and len(ground_truths) != len(windows):
             raise ShapeError(
-                f"detect_batch expects a batch of windows (n, ...), got shape {windows.shape}"
+                f"got {len(ground_truths)} ground truths for {len(windows)} windows"
             )
-        n = windows.shape[0]
-        if ground_truths is not None and len(ground_truths) != n:
-            raise ShapeError(
-                f"got {len(ground_truths)} ground truths for {n} windows"
+        first_index = self._request_counter
+        result = self._detect(layer, windows, True, escalated_ms)
+        truths = (
+            [None] * result.n if ground_truths is None else [int(t) for t in ground_truths]
+        )
+        return [
+            DetectionRecord(
+                window_index=first_index + offset,
+                layer=result.layer,
+                prediction=prediction,
+                confident=confident,
+                anomaly_score=score,
+                delay_ms=delay_ms,
+                ground_truth=truth,
             )
-        if escalated_from is not None and len(escalated_from) != n:
-            raise ShapeError(
-                f"got {len(escalated_from)} escalation breakdowns for {n} windows"
+            for offset, (prediction, confident, score, delay_ms, truth) in enumerate(
+                zip(
+                    result.predictions.tolist(),
+                    result.confidents.tolist(),
+                    result.anomaly_scores.tolist(),
+                    result.delays_ms.tolist(),
+                    truths,
+                )
             )
-        if n == 0:
-            return []
-
-        results: List[DetectionResult] = deployment.detector.detect(windows)
-        breakdowns = self._batch_delay_breakdowns(layer, windows.shape[1:], n, deployment)
-
-        records: List[DetectionRecord] = []
-        counters = self.layer_counters[layer]
-        for index in range(n):
-            breakdown = breakdowns[index]
-            breakdown.retry_ms = retry_ms
-            if escalated_from is not None and escalated_from[index] is not None:
-                breakdown.merge_escalation(escalated_from[index])
-            self.clock.advance(breakdown.total_ms)
-            result = results[index]
-            record = DetectionRecord(
-                window_index=self._request_counter,
-                layer=layer,
-                prediction=int(result.is_anomaly),
-                confident=result.confident,
-                anomaly_score=result.anomaly_score,
-                delay=breakdown,
-                ground_truth=(
-                    int(ground_truths[index]) if ground_truths is not None else None
-                ),
-            )
-            self._request_counter += 1
-            if self.record_log:
-                self.records.append(record)
-            records.append(record)
-            counters.requests += 1
-            counters.total_execution_ms += deployment.execution_time_ms
-            counters.total_delay_ms += breakdown.total_ms
-            counters.anomalies_reported += record.prediction
-            counters.redirected += int(redirected)
-        return records
+        ]
 
     def detect_batch_columnar(
         self,
         layer: int,
         windows: np.ndarray,
         with_confidence: bool = False,
+        escalated_ms: Optional[np.ndarray] = None,
     ) -> BatchDetectionResult:
         """Handle a batch of detection requests, returning arrays not records.
 
-        The streaming fast path: one detector forward (identical batching to
-        :meth:`detect_batch`, so predictions/scores are bit-identical to the
-        record path's), per-window delays as one array, and bulk bookkeeping.
-        Per-window values — predictions, anomaly scores, delays — match
-        :meth:`detect_batch` element for element, including the per-transfer
-        jitter draw order on jittery links.  Only the float *accumulation*
-        order of the clock and the per-layer counters differs (one batched
-        advance instead of ``n`` sequential ones), which is why the streaming
-        metrics consume the returned arrays rather than those counters.
+        One detector forward for the whole ``(n, ...)`` batch, per-window
+        delays as one array (computed in request order, so the per-transfer
+        jitter draws on jittery links are those of ``n`` single requests),
+        and bulk bookkeeping: the clock and the per-layer counters advance
+        once, by the batch totals.
 
         ``with_confidence`` opts into the confidence-rule outcomes
         (``result.confidents``); streaming consumers never read them, so the
-        default skips those detector passes entirely.
-
-        With :attr:`record_log` enabled the call routes through
-        :meth:`detect_batch` so the event log keeps its one-record-per-request
-        contract; the fast path engages only for log-free streaming.
+        default skips those detector passes entirely.  ``escalated_ms``
+        optionally carries, per window, the delay already spent at lower
+        layers (the Successive scheme's escalation); it is added to the
+        reported delay.
         """
-        if self.record_log:
-            records = self.detect_batch(layer, windows)
-            n = len(records)
-            served = records[0].layer if records else self.reachable_layer(layer)
-            return BatchDetectionResult(
-                layer=int(served),
-                predictions=np.fromiter(
-                    (r.prediction for r in records), dtype=np.int64, count=n
-                ),
-                anomaly_scores=np.fromiter(
-                    (r.anomaly_score for r in records), dtype=float, count=n
-                ),
-                delays_ms=np.fromiter(
-                    (r.delay_ms for r in records), dtype=float, count=n
-                ),
-                confidents=np.fromiter(
-                    (r.confident for r in records), dtype=bool, count=n
-                ),
-            )
+        return self._detect(layer, windows, with_confidence, escalated_ms)
+
+    def _detect(
+        self,
+        layer: int,
+        windows: np.ndarray,
+        with_confidence: bool,
+        escalated_ms: Optional[np.ndarray],
+    ) -> BatchDetectionResult:
+        """The detection kernel behind both public entry points."""
         layer, retry_ms, redirected = self._resolve_layer(layer)
         deployment = self.deployment_at(layer)
         windows = _as_float64_batch(windows)
         if windows.ndim < 2:
             raise ShapeError(
-                f"detect_batch_columnar expects a batch of windows (n, ...), "
-                f"got shape {windows.shape}"
+                f"expected a batch of windows (n, ...), got shape {windows.shape}"
             )
         n = windows.shape[0]
+        if escalated_ms is not None:
+            escalated_ms = np.asarray(escalated_ms, dtype=float)
+            if escalated_ms.shape != (n,):
+                raise ShapeError(
+                    f"got escalated_ms of shape {escalated_ms.shape} for {n} windows"
+                )
         if n == 0:
             return BatchDetectionResult(
                 layer=int(layer),
@@ -419,18 +316,12 @@ class HECSystem:
         )
         predictions = is_anomaly.astype(np.int64)
 
-        first, steady, jittery = self._batch_delay_profile(
-            layer, windows.shape[1:], n, deployment
-        )
-        delays = np.empty(n)
-        delays[0] = first.total_ms
-        if steady is not None:
-            delays[1:] = steady.total_ms
-        elif jittery:
-            delays[1:] = [breakdown.total_ms for breakdown in jittery]
+        # (uplink + execution + downlink), then escalation, then retry: the
+        # float order every recorded golden was produced with.
+        delays = self._batch_delay_profile(layer, windows.shape[1:], n, deployment)
+        if escalated_ms is not None:
+            delays += escalated_ms
         if retry_ms:
-            # Bit-identical to setting retry_ms on each breakdown: total_ms
-            # sums retry last, and x + 0.0 + r == x + r exactly.
             delays += retry_ms
 
         total_delay = float(delays.sum())
@@ -456,83 +347,46 @@ class HECSystem:
         window_shape: tuple,
         n: int,
         deployment: ModelDeployment,
-    ):
-        """The single source of per-batch delay computation and link accounting.
+    ) -> np.ndarray:
+        """Per-request delays of ``n >= 1`` same-shaped requests, with link accounting.
 
-        Returns ``(first, steady, jittery)``: the first request's breakdown
-        (which may pay connection setup), then either a steady-state
-        breakdown the remaining ``n - 1`` requests replicate (jitter-free
-        links — the traffic counters for the ``n - 2`` uncomputed transfers
-        are advanced in bulk here) or, on jittery links, the per-window
-        breakdowns for requests ``1..n-1`` computed in order (``steady`` is
-        ``None``) so the per-transfer RNG draws match sequential handling.
-        Both the record path (:meth:`detect_batch`) and the columnar path
-        (:meth:`detect_batch_columnar`) consume this profile, so the
-        invariant cannot drift between them.
+        The first request may pay connection setup.  On jitter-free links the
+        remaining ``n - 1`` replicate one steady-state delay (the traffic
+        counters for the ``n - 2`` uncomputed transfers are advanced in bulk);
+        on jittery links every request is computed in order so the
+        per-transfer RNG draws match one-at-a-time handling.
         """
         payload = window_payload_bytes(window_shape)
         links = self.topology.links_to(layer)
 
-        def one_breakdown() -> DelayBreakdown:
+        def one_delay() -> float:
             return end_to_end_delay(
                 self.topology,
                 layer,
                 execution_ms=deployment.execution_time_ms,
                 payload_bytes=payload,
-            )
+            ).total_ms
 
-        first = one_breakdown()
+        delays = np.empty(n)
+        delays[0] = one_delay()
         if n == 1:
-            return first, None, []
+            return delays
         if any(link.jitter_ms > 0.0 for link in links):
-            return first, None, [one_breakdown() for _ in range(n - 1)]
-        steady = one_breakdown()
+            delays[1:] = [one_delay() for _ in range(n - 1)]
+            return delays
+        delays[1:] = one_delay()
         for link in links:
             link.record_transfers(payload, n - 2)
             link.record_transfers(RESULT_PAYLOAD_BYTES, n - 2)
-        return first, steady, None
-
-    def _batch_delay_breakdowns(
-        self,
-        layer: int,
-        window_shape: tuple,
-        n: int,
-        deployment: ModelDeployment,
-    ) -> List[DelayBreakdown]:
-        """Per-window delay breakdowns for ``n`` same-shaped requests at ``layer``.
-
-        Materialises one :class:`DelayBreakdown` per request from
-        :meth:`_batch_delay_profile` (steady-state breakdowns are replicated
-        as copies so escalation merging never aliases).
-        """
-        first, steady, jittery = self._batch_delay_profile(
-            layer, window_shape, n, deployment
-        )
-        breakdowns = [first]
-        if steady is not None:
-            breakdowns.append(steady)
-            for _ in range(n - 2):
-                breakdowns.append(
-                    DelayBreakdown(
-                        layer=steady.layer,
-                        uplink_ms=steady.uplink_ms,
-                        execution_ms=steady.execution_ms,
-                        downlink_ms=steady.downlink_ms,
-                        hops=list(steady.hops),
-                    )
-                )
-        elif jittery:
-            breakdowns.extend(jittery)
-        return breakdowns
+        return delays
 
     # -- checkpointing ---------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
         """Picklable mid-run state for the fleet checkpoint layer.
 
-        Captures the clock position (history excluded — nothing downstream of
-        a streaming run reads it), the request counter, per-layer counters and
-        per-link state.  The deployed models are *not* captured here; the
+        Captures the clock position, the request counter, per-layer counters
+        and per-link state.  The deployed models are *not* captured here; the
         adaptation controller snapshots them (a frozen run redeploys the same
         detectors deterministically).
         """
@@ -573,8 +427,7 @@ class HECSystem:
     # -- bookkeeping -----------------------------------------------------------------------
 
     def reset(self) -> None:
-        """Clear the event log, counters, clock and link state."""
-        self.records.clear()
+        """Clear the counters, clock and link state."""
         self.layer_counters = {layer: LayerCounters() for layer in range(self.n_layers)}
         self.clock.reset()
         self.topology.reset_links()
@@ -583,9 +436,3 @@ class HECSystem:
     def layer_usage(self) -> Dict[int, int]:
         """Number of requests handled per layer."""
         return {layer: counters.requests for layer, counters in self.layer_counters.items()}
-
-    def mean_delay_ms(self) -> float:
-        """Mean end-to-end delay over all handled requests."""
-        if not self.records:
-            return 0.0
-        return float(np.mean([record.delay_ms for record in self.records]))

@@ -22,7 +22,7 @@ import numpy as np
 from repro.bandit.context import ContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
 from repro.exceptions import ConfigurationError
-from repro.hec.simulation import HECSystem
+from repro.hec.simulation import DetectionRecord, HECSystem
 from repro.schemes.base import SchemeOutcome, SelectionScheme
 from repro.utils.validation import check_non_negative
 
@@ -53,57 +53,41 @@ class AdaptiveScheme(SelectionScheme):
         #: Actions chosen so far (useful for the demo panel's action plot).
         self.chosen_actions: list[int] = []
 
-    def handle_window(
-        self,
-        window: np.ndarray,
-        window_index: int,
-        ground_truth: Optional[int] = None,
-    ) -> SchemeOutcome:
-        context = self.context_extractor.extract(np.asarray(window, dtype=float)[None, ...])
-        action, _probabilities = self.policy.select_action(context[0], greedy=self.greedy)
-        self.chosen_actions.append(int(action))
-        record = self.system.detect_at(action, window, ground_truth=ground_truth)
-        if self.policy_overhead_ms > 0:
-            record.delay.execution_ms += self.policy_overhead_ms
-        return SchemeOutcome(window_index=window_index, final=record, records=[record])
-
     def run_batch(
         self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
     ) -> List[SchemeOutcome]:
-        """Fully vectorised path: one context extraction, one policy forward,
-        then one batched detector call per selected layer.
+        """One context extraction, one policy forward, then one batched
+        detector call per selected layer.
 
-        Windows are grouped by chosen action, detected per group, and the
-        outcomes re-assembled in the original window order.  With a greedy
-        policy (the evaluation default) and jitter-free links the per-window
-        outcomes are identical to :meth:`run`; with sampling the action draws
-        use the policy's vectorised sampler, so they differ from the
-        sequential draws while following the same distribution.  Jittery
-        links fall back to the sequential loop (grouping would reorder the
-        per-transfer jitter draws).
+        Windows are grouped by chosen action — groups in order of first
+        arrival, so each link's connection setup is paid by the first window
+        to cross it — detected per group, and the outcomes re-assembled in the
+        original window order.  On jittery links the windows go through one at
+        a time instead (grouping would reorder the per-transfer jitter draws).
+        With ``greedy=False`` the actions come from the policy's vectorised
+        sampler.
         """
         windows = np.asarray(windows, dtype=float)
         n = windows.shape[0]
         if n == 0:
             return []
-        if not self._links_jitter_free():
-            return self.run(windows, ground_truth)
+        if self._must_step(n):
+            return self._step(windows, ground_truth)
         contexts = self.context_extractor.extract(windows)
         actions = self.policy.select_actions(contexts, greedy=self.greedy)
         self.chosen_actions.extend(int(action) for action in actions)
 
-        records: List[Optional[object]] = [None] * n
-        for action in np.unique(actions):
+        records: List[Optional[DetectionRecord]] = [None] * n
+        _, first_arrival = np.unique(actions, return_index=True)
+        for action in actions[np.sort(first_arrival)]:
             indices = np.flatnonzero(actions == action)
             truths = ground_truth[indices] if ground_truth is not None else None
             for index, record in zip(
                 indices,
                 self.system.detect_batch(int(action), windows[indices], ground_truths=truths),
             ):
+                record.delay_ms += self.policy_overhead_ms
                 records[index] = record
-        if self.policy_overhead_ms > 0:
-            for record in records:
-                record.delay.execution_ms += self.policy_overhead_ms
         return [
             SchemeOutcome(window_index=index, final=record, records=[record])
             for index, record in enumerate(records)

@@ -53,45 +53,47 @@ class SelectionScheme:
     def __init__(self, system: HECSystem) -> None:
         self.system = system
 
+    def run_batch(
+        self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
+    ) -> List[SchemeOutcome]:
+        """Process a batch of windows; returns one outcome per window, in order.
+
+        The one driver every scheme implements: whole batches go through
+        :meth:`~repro.hec.simulation.HECSystem.detect_batch`, one detector
+        call per layer involved.
+        """
+        raise NotImplementedError
+
     def handle_window(
         self,
         window: np.ndarray,
         window_index: int,
         ground_truth: Optional[int] = None,
     ) -> SchemeOutcome:
-        """Process one window and return the scheme's outcome."""
-        raise NotImplementedError
+        """Process one window: :meth:`run_batch` over a batch of one."""
+        truth = None if ground_truth is None else np.asarray([ground_truth])
+        (outcome,) = self.run_batch(np.asarray(window, dtype=float)[None, ...], truth)
+        outcome.window_index = window_index
+        return outcome
 
-    def run(self, windows: np.ndarray, labels: Optional[np.ndarray] = None) -> List[SchemeOutcome]:
-        """Process a batch of windows one at a time; returns one outcome per window."""
-        windows = np.asarray(windows, dtype=float)
-        outcomes: List[SchemeOutcome] = []
-        for index in range(windows.shape[0]):
-            truth = int(labels[index]) if labels is not None else None
-            outcomes.append(self.handle_window(windows[index], index, ground_truth=truth))
-        return outcomes
+    def _must_step(self, n: int) -> bool:
+        """Whether ``n`` windows must go through the driver one at a time.
 
-    def run_batch(
-        self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
+        Drivers that regroup requests by layer would reorder the per-transfer
+        jitter draws, so on jittery links they feed themselves one window at
+        a time, in arrival order (:meth:`_step`).
+        """
+        return n > 1 and any(link.jitter_ms > 0.0 for link in self.system.topology.links)
+
+    def _step(
+        self, windows: np.ndarray, ground_truth: Optional[np.ndarray]
     ) -> List[SchemeOutcome]:
-        """Batched driver: process all windows with vectorised detector calls.
-
-        Subclasses override this with a path that pushes whole batches through
-        :meth:`~repro.hec.simulation.HECSystem.detect_batch`; the outcomes are
-        equivalent to :meth:`run` (identical predictions, delays and system
-        bookkeeping on jitter-free links).  The base implementation simply
-        falls back to the sequential loop.
-        """
-        return self.run(windows, ground_truth)
-
-    def _links_jitter_free(self) -> bool:
-        """Whether every link's delay is deterministic (no jitter RNG draws).
-
-        Schemes whose batched drivers reorder detection requests (grouping by
-        layer) use this to fall back to the sequential path when jitter is on,
-        so the per-transfer jitter draws keep the same order as :meth:`run`.
-        """
-        return all(link.jitter_ms == 0.0 for link in self.system.topology.links)
+        return [
+            self.handle_window(
+                windows[index], index, None if ground_truth is None else ground_truth[index]
+            )
+            for index in range(windows.shape[0])
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

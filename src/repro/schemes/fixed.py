@@ -41,15 +41,6 @@ class FixedLayerScheme(SelectionScheme):
         else:
             self.name = _FIXED_SCHEME_NAMES.get(self.layer, f"Layer-{self.layer}")
 
-    def handle_window(
-        self,
-        window: np.ndarray,
-        window_index: int,
-        ground_truth: Optional[int] = None,
-    ) -> SchemeOutcome:
-        record = self.system.detect_at(self.layer, window, ground_truth=ground_truth)
-        return SchemeOutcome(window_index=window_index, final=record, records=[record])
-
     def run_batch(
         self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
     ) -> List[SchemeOutcome]:

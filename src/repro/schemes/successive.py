@@ -33,74 +33,47 @@ class SuccessiveScheme(SelectionScheme):
             )
         self.start_layer = int(start_layer)
 
-    def handle_window(
-        self,
-        window: np.ndarray,
-        window_index: int,
-        ground_truth: Optional[int] = None,
-    ) -> SchemeOutcome:
-        records: List[DetectionRecord] = []
-        accumulated_delay = None
-        record: Optional[DetectionRecord] = None
-        for layer in range(self.start_layer, self.system.n_layers):
-            record = self.system.detect_at(
-                layer,
-                window,
-                ground_truth=ground_truth,
-                escalated_from=accumulated_delay,
-            )
-            records.append(record)
-            if record.confident or layer == self.system.n_layers - 1:
-                break
-            # The next attempt inherits everything spent so far.
-            accumulated_delay = record.delay
-        assert record is not None  # the loop always executes at least once
-        return SchemeOutcome(window_index=window_index, final=record, records=records)
-
     def run_batch(
         self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
     ) -> List[SchemeOutcome]:
         """Escalation loop over layers with batched per-layer detector calls.
 
-        Instead of finishing each window before starting the next, all windows
-        are detected at the start layer in one batch; the unconfident ones are
-        escalated together to the next layer, and so on.  On jitter-free links
-        each window's record chain and accumulated delay are the same as in
-        :meth:`run` (only the order of the system's global event log differs);
-        jittery links fall back to the sequential loop so the per-transfer
-        jitter draws keep their order.
+        All windows are detected at the start layer in one batch; the
+        unconfident ones are escalated together to the next layer — each
+        carrying the delay it has spent so far — and so on.  On jittery links
+        the windows go through one at a time instead, each finishing its
+        escalation before the next starts, so the per-transfer jitter draws
+        keep arrival order.
         """
         windows = np.asarray(windows, dtype=float)
         n = windows.shape[0]
         if n == 0:
             return []
-        if not self._links_jitter_free():
-            return self.run(windows, ground_truth)
+        if self._must_step(n):
+            return self._step(windows, ground_truth)
         finals: List[Optional[DetectionRecord]] = [None] * n
         chains: List[List[DetectionRecord]] = [[] for _ in range(n)]
-        accumulated: List[Optional[object]] = [None] * n
 
+        top = self.system.n_layers - 1
         active = np.arange(n)
+        spent_ms: Optional[np.ndarray] = None
         for layer in range(self.start_layer, self.system.n_layers):
             truths = ground_truth[active] if ground_truth is not None else None
             records = self.system.detect_batch(
-                layer,
-                windows[active],
-                ground_truths=truths,
-                escalated_from=[accumulated[index] for index in active],
+                layer, windows[active], ground_truths=truths, escalated_ms=spent_ms
             )
-            still_active = []
-            top = self.system.n_layers - 1
+            escalating = []
             for index, record in zip(active, records):
                 chains[index].append(record)
                 if record.confident or layer == top:
                     finals[index] = record
                 else:
-                    accumulated[index] = record.delay
-                    still_active.append(index)
-            if not still_active:
+                    escalating.append(index)
+            if not escalating:
                 break
-            active = np.asarray(still_active)
+            active = np.asarray(escalating)
+            # The next attempt inherits everything spent so far.
+            spent_ms = np.asarray([chains[index][-1].delay_ms for index in active])
 
         return [
             SchemeOutcome(window_index=index, final=finals[index], records=chains[index])

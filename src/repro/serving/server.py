@@ -238,7 +238,6 @@ class IngestServer:
         self._closing = False
         self._warned_overload = False
         self._inflight = 0
-        self._saved_record_log: Optional[bool] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher: Optional[asyncio.Task] = None
@@ -262,12 +261,9 @@ class IngestServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-detect"
         )
-        # The engine's serving preamble: fresh clock/counters, warmed links,
-        # and no per-request record log (the fast columnar path requires it).
-        self._saved_record_log = self.system.record_log
+        # The engine's serving preamble: fresh clock/counters, warmed links.
         self.system.reset()
         self.system.topology.warm_links()
-        self.system.record_log = False
         if self.faults is not None:
             self.system.configure_failover(
                 self.faults.failover_retries, self.faults.retry_timeout_ms
@@ -283,7 +279,6 @@ class IngestServer:
         await self._batcher
         await self._idle.wait()
         self._executor.shutdown(wait=True)
-        self.system.record_log = self._saved_record_log
         if self._fault_schedule is not None:
             # Leave the topology healthy for whoever uses the system next.
             for link in self.system.topology.links:

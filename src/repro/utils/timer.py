@@ -10,8 +10,8 @@ provides a deterministic notion of time for the event-driven HEC simulator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.exceptions import ConfigurationError
 
@@ -54,29 +54,20 @@ class SimulatedClock:
     """
 
     now_ms: float = 0.0
-    _history: List[float] = field(default_factory=list)
 
     def advance(self, delta_ms: float) -> float:
         """Advance the clock by ``delta_ms`` (must be non-negative) and return the new time."""
         if delta_ms < 0:
             raise ConfigurationError(f"cannot advance clock by a negative amount ({delta_ms})")
         self.now_ms += float(delta_ms)
-        self._history.append(self.now_ms)
         return self.now_ms
 
     def advance_to(self, timestamp_ms: float) -> float:
         """Advance the clock to ``timestamp_ms`` if it is in the future; otherwise no-op."""
         if timestamp_ms > self.now_ms:
             self.now_ms = float(timestamp_ms)
-            self._history.append(self.now_ms)
         return self.now_ms
 
     def reset(self) -> None:
-        """Reset the clock to time zero and clear its history."""
+        """Reset the clock to time zero."""
         self.now_ms = 0.0
-        self._history.clear()
-
-    @property
-    def history(self) -> List[float]:
-        """Timestamps recorded at every advance, oldest first."""
-        return list(self._history)

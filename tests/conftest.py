@@ -19,6 +19,7 @@ from repro.data.windowing import windows_from_dataset
 from repro.detectors.autoencoder import AutoencoderDetector
 from repro.detectors.lstm_seq2seq import Seq2SeqDetector
 from repro.hec.topology import build_three_layer_topology
+from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 from repro.experiments.stages import build_hec_system
 
 from goldens import assert_matches_golden
@@ -174,3 +175,54 @@ def univariate_hec(power_scaled):
         detectors[tier] = detector
     system, deployments = build_hec_system(detectors, workload="univariate")
     return system, deployments, detectors, test_windows, test_labels
+
+
+# ---------------------------------------------------------------------------
+# Pipeline runs (one per scenario the Table-II goldens cover)
+# ---------------------------------------------------------------------------
+
+#: Overrides that shrink the extended scenarios to test size.
+TINY_4TIER = {
+    "data.weeks": "10",
+    "detectors.0.epochs": "3",
+    "detectors.1.epochs": "3",
+    "detectors.2.epochs": "3",
+    "detectors.3.epochs": "3",
+    "policy.episodes": "3",
+}
+TINY_MIXED = {
+    "data.weeks": "10",
+    "detectors.0.epochs": "3",
+    "detectors.1.epochs": "3",
+    "detectors.2.epochs": "2",
+    "policy.episodes": "3",
+}
+
+
+@pytest.fixture(scope="session")
+def univariate_result():
+    """One shared fast run of the univariate track."""
+    spec = apply_overrides(get_scenario("univariate-power"), {
+        "data.weeks": 30, "data.anomalous_day_fraction": 0.08, "policy.episodes": 30,
+    })
+    return ExperimentRunner(spec).run()
+
+
+@pytest.fixture(scope="session")
+def multivariate_result():
+    """One shared fast run of the multivariate track."""
+    return ExperimentRunner(get_scenario("multivariate-mhealth")).run()
+
+
+@pytest.fixture(scope="session")
+def four_tier_result():
+    """One shared tiny run of the K = 4 scenario."""
+    spec = apply_overrides(get_scenario("hierarchical-edge-4tier"), TINY_4TIER)
+    return ExperimentRunner(spec).run()
+
+
+@pytest.fixture(scope="session")
+def mixed_result():
+    """One shared tiny run of the mixed AE + seq2seq scenario."""
+    spec = apply_overrides(get_scenario("mixed-detectors"), TINY_MIXED)
+    return ExperimentRunner(spec).run()

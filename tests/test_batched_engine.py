@@ -1,12 +1,14 @@
-"""Batched-vs-sequential equivalence tests for the vectorised execution engine.
+"""Batch-size equivalence tests for the vectorised execution engine.
 
-Every batched fast path introduced by the execution engine must agree with the
-corresponding one-sample-at-a-time path (the Keras wrapper/recurrent test
-idiom): the minibatched policy-gradient step with a batch of one matches the
-per-sample step, ``HECSystem.detect_batch`` reproduces repeated ``detect_at``
-calls including all bookkeeping, the scheme ``run_batch`` drivers reproduce
-``run``, and the vectorised LSTM backward matches the seed (per-timestep)
-implementation's gradients to tight tolerance.
+Every batched path must agree with the same path stepped one sample at a time
+(the Keras wrapper/recurrent test idiom): the minibatched policy-gradient step
+with a batch of one matches the per-sample step, one ``HECSystem.detect_batch``
+call reproduces repeated single-window calls including all bookkeeping, the
+scheme ``run_batch`` drivers reproduce themselves stepped through
+``handle_window``, and the vectorised LSTM backward matches the seed
+(per-timestep) implementation's gradients to tight tolerance.  What the deleted
+sequential implementations (``detect_at``, ``SelectionScheme.run``) produced is
+pinned by the recorded goldens in ``tests/test_schemes_goldens.py``.
 """
 
 import numpy as np
@@ -349,7 +351,7 @@ class TestMinibatchedTrainer:
 
 
 # ---------------------------------------------------------------------------
-# HECSystem.detect_batch vs repeated detect_at
+# HECSystem.detect_batch vs repeated single-window calls
 # ---------------------------------------------------------------------------
 
 def _record_exact(record):
@@ -359,55 +361,47 @@ def _record_exact(record):
         record.prediction,
         record.confident,
         record.ground_truth,
-        tuple(record.delay.hops),
     )
 
 
 def _record_floats(record):
+    return (record.anomaly_score, record.delay_ms)
+
+
+def _system_state(system, layer):
     return (
-        record.anomaly_score,
-        record.delay.uplink_ms,
-        record.delay.execution_ms,
-        record.delay.downlink_ms,
-        record.delay.escalation_ms,
+        system.clock.now_ms,
+        {link.name: (link.transferred_bytes, link.transfer_count)
+         for link in system.topology.links},
+        system.layer_counters[layer].total_delay_ms,
     )
 
 
 class TestDetectBatch:
     @pytest.mark.parametrize("layer", [0, 1, 2])
-    def test_matches_repeated_detect_at(self, univariate_hec, layer):
+    def test_matches_repeated_single_window_calls(self, univariate_hec, layer):
         system, _deployments, _detectors, windows, labels = univariate_hec
         batch = windows[:10]
         truths = labels[:10]
 
         system.reset()
-        sequential = [
-            system.detect_at(layer, batch[i], ground_truth=int(truths[i]))
+        stepped = [
+            system.detect_batch(layer, batch[i][None, ...], ground_truths=truths[i:i + 1])[0]
             for i in range(batch.shape[0])
         ]
-        sequential_state = (
-            system.clock.now_ms,
-            {link.name: (link.transferred_bytes, link.transfer_count)
-             for link in system.topology.links},
-            system.layer_counters[layer].total_delay_ms,
-        )
+        stepped_state = _system_state(system, layer)
 
         system.reset()
         batched = system.detect_batch(layer, batch, ground_truths=truths)
-        batched_state = (
-            system.clock.now_ms,
-            {link.name: (link.transferred_bytes, link.transfer_count)
-             for link in system.topology.links},
-            system.layer_counters[layer].total_delay_ms,
-        )
+        batched_state = _system_state(system, layer)
 
-        assert len(batched) == len(sequential)
-        for record_a, record_b in zip(sequential, batched):
+        assert len(batched) == len(stepped)
+        for record_a, record_b in zip(stepped, batched):
             assert _record_exact(record_a) == _record_exact(record_b)
             assert _record_floats(record_a) == pytest.approx(_record_floats(record_b))
-        assert sequential_state[0] == pytest.approx(batched_state[0])
-        assert sequential_state[1] == batched_state[1]
-        assert sequential_state[2] == pytest.approx(batched_state[2])
+        assert stepped_state[0] == pytest.approx(batched_state[0])
+        assert stepped_state[1] == batched_state[1]
+        assert stepped_state[2] == pytest.approx(batched_state[2])
 
     def test_empty_batch(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
@@ -420,21 +414,23 @@ class TestDetectBatch:
         with pytest.raises(ShapeError):
             system.detect_batch(0, windows[:3], ground_truths=labels[:2])
         with pytest.raises(ShapeError):
-            system.detect_batch(0, windows[:3], escalated_from=[None])
+            system.detect_batch(0, windows[:3], escalated_ms=np.zeros(1))
 
     def test_escalation_merges_per_window(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
         system.reset()
+        system.topology.warm_links()
         previous = system.detect_batch(0, windows[:2])
+        plain = system.detect_batch(1, windows[:2])
         escalated = system.detect_batch(
-            1, windows[:2], escalated_from=[record.delay for record in previous]
+            1, windows[:2], escalated_ms=[record.delay_ms for record in previous]
         )
-        for before, after in zip(previous, escalated):
-            assert after.delay.escalation_ms == pytest.approx(before.delay.total_ms)
+        for before, alone, after in zip(previous, plain, escalated):
+            assert after.delay_ms == pytest.approx(alone.delay_ms + before.delay_ms)
 
 
 # ---------------------------------------------------------------------------
-# Scheme run_batch vs run
+# Scheme run_batch vs itself stepped through handle_window
 # ---------------------------------------------------------------------------
 
 def _outcome_signature(outcomes):
@@ -451,25 +447,42 @@ def _outcome_signature(outcomes):
     ]
 
 
+def _stepped(scheme, windows, labels):
+    return [
+        scheme.handle_window(windows[index], index, ground_truth=int(labels[index]))
+        for index in range(windows.shape[0])
+    ]
+
+
+def _untrained_policy(windows):
+    extractor = UnivariateContextExtractor(segments=7)
+    extractor.fit(windows)
+    policy = PolicyNetwork(context_dim=extractor.context_dim, n_actions=3,
+                           hidden_units=8, seed=0)
+    return policy, extractor
+
+
 class TestSchemeRunBatchEquivalence:
+    """One driver at two batch sizes: all windows at once vs one at a time."""
+
     def test_fixed_scheme(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
         for layer in range(system.n_layers):
             system.reset()
-            sequential = FixedLayerScheme(system, layer).run(windows, labels)
+            stepped = _stepped(FixedLayerScheme(system, layer), windows, labels)
             system.reset()
             batched = FixedLayerScheme(system, layer).run_batch(windows, labels)
-            assert _outcome_signature(batched) == pytest.approx(_outcome_signature(sequential))
+            assert _outcome_signature(batched) == pytest.approx(_outcome_signature(stepped))
 
     def test_successive_scheme(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
         system.reset()
-        sequential = SuccessiveScheme(system).run(windows, labels)
+        stepped = _stepped(SuccessiveScheme(system), windows, labels)
         system.reset()
         batched = SuccessiveScheme(system).run_batch(windows, labels)
-        assert _outcome_signature(batched) == pytest.approx(_outcome_signature(sequential))
+        assert _outcome_signature(batched) == pytest.approx(_outcome_signature(stepped))
         # The per-window escalation chains must match layer by layer.
-        for outcome_a, outcome_b in zip(sequential, batched):
+        for outcome_a, outcome_b in zip(stepped, batched):
             assert [r.layer for r in outcome_a.records] == [r.layer for r in outcome_b.records]
             assert [r.confident for r in outcome_a.records] == [
                 r.confident for r in outcome_b.records
@@ -477,24 +490,40 @@ class TestSchemeRunBatchEquivalence:
 
     def test_adaptive_scheme_greedy(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
-        extractor = UnivariateContextExtractor(segments=7)
-        extractor.fit(windows)
-        policy = PolicyNetwork(context_dim=extractor.context_dim, n_actions=3,
-                               hidden_units=8, seed=0)
+        policy, extractor = _untrained_policy(windows)
         system.reset()
-        sequential = AdaptiveScheme(system, policy, extractor).run(windows, labels)
+        stepped = _stepped(AdaptiveScheme(system, policy, extractor), windows, labels)
         system.reset()
         batched_scheme = AdaptiveScheme(system, policy, extractor)
         batched = batched_scheme.run_batch(windows, labels)
-        assert _outcome_signature(batched) == pytest.approx(_outcome_signature(sequential))
+        assert _outcome_signature(batched) == pytest.approx(_outcome_signature(stepped))
         assert len(batched_scheme.chosen_actions) == windows.shape[0]
+
+    def test_first_window_to_cross_a_link_pays_its_setup(self, univariate_hec):
+        """Grouping by layer must not move connection setup off the window
+        that, in arrival order, opens the connection."""
+        system, _deployments, _detectors, windows, labels = univariate_hec
+        policy, extractor = _untrained_policy(windows)
+        policy.select_actions = lambda contexts, greedy=True: np.array([2, 1, 1, 0])[
+            : len(contexts)
+        ]
+        system.reset()
+        batched = AdaptiveScheme(system, policy, extractor).run_batch(windows[:4], labels[:4])
+        setup = sum(link.connection_setup_ms for link in system.topology.links)
+        assert setup > 0
+        shape = windows.shape[1:]
+        assert [outcome.delay_ms for outcome in batched] == pytest.approx(
+            [
+                system.expected_delay_ms(2, shape) + setup,  # opens both links
+                system.expected_delay_ms(1, shape),
+                system.expected_delay_ms(1, shape),
+                system.expected_delay_ms(0, shape),
+            ]
+        )
 
     def test_adaptive_scheme_policy_overhead(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
-        extractor = UnivariateContextExtractor(segments=7)
-        extractor.fit(windows)
-        policy = PolicyNetwork(context_dim=extractor.context_dim, n_actions=3,
-                               hidden_units=8, seed=0)
+        policy, extractor = _untrained_policy(windows)
         system.reset()
         plain = AdaptiveScheme(system, policy, extractor).run_batch(windows[:4], labels[:4])
         system.reset()
@@ -504,26 +533,11 @@ class TestSchemeRunBatchEquivalence:
         for outcome_a, outcome_b in zip(plain, overhead):
             assert outcome_b.delay_ms == pytest.approx(outcome_a.delay_ms + 5.0)
 
-    def test_base_class_falls_back_to_sequential(self, univariate_hec):
+    def test_jittery_links_step_window_by_window(self, univariate_hec, monkeypatch):
+        """Grouped batching would reorder jitter draws, so on jittery links
+        run_batch feeds itself one window at a time, in arrival order."""
         system, _deployments, _detectors, windows, labels = univariate_hec
-
-        class MinimalScheme(FixedLayerScheme):
-            run_batch = None  # force resolution through the base class
-
-        scheme = MinimalScheme(system, 0)
-        system.reset()
-        from repro.schemes.base import SelectionScheme
-
-        outcomes = SelectionScheme.run_batch(scheme, windows[:3], labels[:3])
-        assert len(outcomes) == 3
-
-    def test_jittery_links_fall_back_to_sequential(self, univariate_hec, monkeypatch):
-        """Grouped batching would reorder jitter draws, so run_batch must delegate."""
-        system, _deployments, _detectors, windows, labels = univariate_hec
-        extractor = UnivariateContextExtractor(segments=7)
-        extractor.fit(windows)
-        policy = PolicyNetwork(context_dim=extractor.context_dim, n_actions=3,
-                               hidden_units=8, seed=0)
+        policy, extractor = _untrained_policy(windows)
         link = system.topology.links[0]
         original_jitter = link.jitter_ms
         link.jitter_ms = 1.0
@@ -532,28 +546,25 @@ class TestSchemeRunBatchEquivalence:
                 SuccessiveScheme(system),
                 AdaptiveScheme(system, policy, extractor),
             ):
-                calls = []
-                sequential_run = type(scheme).run
+                batch_sizes = []
+                run_batch = type(scheme).run_batch
 
-                def spy(self, w, l=None, _calls=calls, _run=sequential_run):
-                    _calls.append(w.shape[0])
+                def spy(self, w, l=None, _sizes=batch_sizes, _run=run_batch):
+                    _sizes.append(w.shape[0])
                     return _run(self, w, l)
 
-                monkeypatch.setattr(type(scheme), "run", spy)
+                monkeypatch.setattr(type(scheme), "run_batch", spy)
                 system.reset()
                 outcomes = scheme.run_batch(windows[:3], labels[:3])
-                assert calls == [3]
-                assert len(outcomes) == 3
+                assert batch_sizes == [3, 1, 1, 1]
+                assert [outcome.window_index for outcome in outcomes] == [0, 1, 2]
                 monkeypatch.undo()
         finally:
             link.jitter_ms = original_jitter
 
     def test_empty_batches(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
-        extractor = UnivariateContextExtractor(segments=7)
-        extractor.fit(windows)
-        policy = PolicyNetwork(context_dim=extractor.context_dim, n_actions=3,
-                               hidden_units=8, seed=0)
+        policy, extractor = _untrained_policy(windows)
         system.reset()
         assert AdaptiveScheme(system, policy, extractor).run_batch(windows[:0]) == []
         assert SuccessiveScheme(system).run_batch(windows[:0]) == []

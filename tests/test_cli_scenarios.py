@@ -96,6 +96,11 @@ class TestRunCommand:
         assert main(["run", "univariate-power", "--set", "data.bogus=1"]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_removed_batched_override_exits_2_naming_the_key(self, capsys):
+        assert main(["run", "univariate-power", "--set", "evaluation.batched=false"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key" in err and "batched" in err
+
     def test_bad_override_value_exits_2(self, capsys):
         assert main(["run", "univariate-power", "--set", "data.weeks=soon"]) == 2
         assert "cannot parse" in capsys.readouterr().err

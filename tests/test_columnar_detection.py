@@ -1,12 +1,11 @@
-"""Equivalence tests for the columnar detection path.
+"""Tests for the columnar detection path.
 
-``HECSystem.detect_batch_columnar`` and the detectors' ``detect_arrays``
-must reproduce the record-based ``detect_batch``/``detect`` outcomes element
-for element — predictions, confidence flags, anomaly scores, delays and the
-integer bookkeeping — including the per-transfer jitter draw order on
-jittery links.  Only the float *accumulation* order of the clock and the
-per-layer counters is allowed to differ (one batched advance instead of
-``n`` sequential ones), which the tests pin with ``approx``.
+``HECSystem.detect_batch`` is a boxing view over the kernel behind
+``HECSystem.detect_batch_columnar``: its records must equal the columnar
+arrays element for element — predictions, confidence flags, anomaly scores,
+delays and every piece of bookkeeping — with and without ``escalated_ms``,
+behind a down link and on jittery links.  The detectors' ``detect_arrays``
+must likewise reproduce ``detect``.
 """
 
 import copy
@@ -27,46 +26,68 @@ def _columnar_from_records(records):
     )
 
 
+def _assert_same_outcome(reference, records, system, result):
+    """Records from ``reference`` equal the arrays from ``system``, state included."""
+    predictions, confidents, scores, delays = _columnar_from_records(records)
+    assert isinstance(result, BatchDetectionResult)
+    assert {r.layer for r in records} == {result.layer}
+    assert np.array_equal(result.predictions, predictions)
+    assert np.array_equal(result.confidents, confidents)
+    assert np.array_equal(result.anomaly_scores, scores)
+    assert np.array_equal(result.delays_ms, delays)
+    assert system.layer_counters == reference.layer_counters
+    assert system.clock.now_ms == reference.clock.now_ms
+    for link_a, link_b in zip(reference.topology.links, system.topology.links):
+        assert link_a.transfer_count == link_b.transfer_count
+        assert link_a.transferred_bytes == link_b.transferred_bytes
+
+
 class TestDetectBatchColumnar:
     @pytest.mark.parametrize("layer", [0, 1, 2])
     def test_matches_detect_batch(self, univariate_hec, layer):
         system, _deployments, _detectors, windows, labels = univariate_hec
         batch = windows[:10]
+        reference = copy.deepcopy(system)
+        for escalated_ms in (None, np.linspace(5.0, 50.0, 10)):
+            reference.reset()
+            records = reference.detect_batch(
+                layer, batch, ground_truths=labels[:10], escalated_ms=escalated_ms
+            )
+            system.reset()
+            result = system.detect_batch_columnar(
+                layer, batch, with_confidence=True, escalated_ms=escalated_ms
+            )
+            assert result.layer == layer
+            assert [r.window_index for r in records] == list(range(10))
+            assert [r.ground_truth for r in records] == labels[:10].tolist()
+            _assert_same_outcome(reference, records, system, result)
+        # The escalated run reports exactly the plain delays plus escalated_ms.
+        system.reset()
+        plain = system.detect_batch_columnar(layer, batch)
+        assert np.array_equal(result.delays_ms, plain.delays_ms + escalated_ms)
 
+    def test_matches_detect_batch_behind_a_down_link(self, univariate_hec):
+        system, _deployments, _detectors, windows, _labels = univariate_hec
+        escalated_ms = np.full(6, 12.4)
         reference = copy.deepcopy(system)
         reference.reset()
-        reference.record_log = False
-        records = reference.detect_batch(layer, batch)
+        reference.topology.links[1].set_status("down")
+        records = reference.detect_batch(2, windows[:6], escalated_ms=escalated_ms)
 
         system.reset()
-        system.record_log = False
-        try:
-            result = system.detect_batch_columnar(layer, batch, with_confidence=True)
-        finally:
-            system.record_log = True
-
-        predictions, confidents, scores, delays = _columnar_from_records(records)
-        assert isinstance(result, BatchDetectionResult)
-        assert result.layer == layer
-        assert np.array_equal(result.predictions, predictions)
-        assert np.array_equal(result.confidents, confidents)
-        assert np.array_equal(result.anomaly_scores, scores)
-        assert np.array_equal(result.delays_ms, delays)
-        # Integer bookkeeping is exact; float accumulation order may differ.
-        ref_counters = reference.layer_counters[layer]
-        col_counters = system.layer_counters[layer]
-        assert col_counters.requests == ref_counters.requests
-        assert col_counters.anomalies_reported == ref_counters.anomalies_reported
-        assert col_counters.total_delay_ms == pytest.approx(ref_counters.total_delay_ms)
-        assert col_counters.total_execution_ms == pytest.approx(
-            ref_counters.total_execution_ms
+        system.topology.links[1].set_status("down")
+        result = system.detect_batch_columnar(
+            2, windows[:6], with_confidence=True, escalated_ms=escalated_ms
         )
-        assert system.clock.now_ms == pytest.approx(reference.clock.now_ms)
-        for link_a, link_b in zip(
-            reference.topology.links, system.topology.links
-        ):
-            assert link_a.transfer_count == link_b.transfer_count
-            assert link_a.transferred_bytes == pytest.approx(link_b.transferred_bytes)
+        system.topology.links[1].set_status("up")
+
+        assert result.layer == 1  # served by the best reachable tier
+        assert system.layer_counters[1].redirected == 6
+        _assert_same_outcome(reference, records, system, result)
+        # (uplink + execution + downlink) + escalated + retry, in that order.
+        system.reset()
+        at_edge = system.detect_batch_columnar(1, windows[:6])
+        assert np.array_equal(result.delays_ms, (at_edge.delays_ms + escalated_ms) + 200.0)
 
     def test_matches_detect_batch_on_jittery_links(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
@@ -76,45 +97,25 @@ class TestDetectBatchColumnar:
         reference = copy.deepcopy(jittery)
 
         reference.reset()
-        reference.record_log = False
         records = reference.detect_batch(2, windows[:8])
 
         jittery.reset()
-        jittery.record_log = False
-        result = jittery.detect_batch_columnar(2, windows[:8])
+        result = jittery.detect_batch_columnar(2, windows[:8], with_confidence=True)
 
-        _, _, _, delays = _columnar_from_records(records)
         # Per-window jitter draws happen in the same order, so the delay
         # stream is bit-identical, not merely statistically equal.
-        assert np.array_equal(result.delays_ms, delays)
+        _assert_same_outcome(reference, records, jittery, result)
         assert len(set(result.delays_ms)) > 1  # jitter actually varied
-
-    def test_record_log_routes_through_detect_batch(self, univariate_hec):
-        system, _deployments, _detectors, windows, _labels = univariate_hec
-        system.reset()
-        assert system.record_log
-        result = system.detect_batch_columnar(0, windows[:4])
-        # The event log keeps its one-record-per-request contract.
-        assert len(system.records) == 4
-        assert np.array_equal(
-            result.predictions, [r.prediction for r in system.records]
-        )
-        system.reset()
 
     def test_confidence_skipped_by_default(self, univariate_hec):
         """Streaming never reads confidence, so the default skips computing it."""
         system, _deployments, _detectors, windows, _labels = univariate_hec
         reference = copy.deepcopy(system)
         reference.reset()
-        reference.record_log = False
         records = reference.detect_batch(1, windows[:6])
 
         system.reset()
-        system.record_log = False
-        try:
-            lean = system.detect_batch_columnar(1, windows[:6])
-        finally:
-            system.record_log = True
+        lean = system.detect_batch_columnar(1, windows[:6])
         assert lean.confidents is None
         # The detection rule itself is unchanged by the lean path.
         assert np.array_equal(lean.predictions, [r.prediction for r in records])
@@ -123,23 +124,17 @@ class TestDetectBatchColumnar:
     def test_empty_batch(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
         system.reset()
-        system.record_log = False
-        try:
-            result = system.detect_batch_columnar(0, windows[:0])
-        finally:
-            system.record_log = True
+        result = system.detect_batch_columnar(0, windows[:0])
         assert result.n == 0
         assert result.predictions.shape == (0,)
         assert system.layer_counters[0].requests == 0
 
     def test_shape_validation(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
-        system.record_log = False
-        try:
-            with pytest.raises(ShapeError):
-                system.detect_batch_columnar(0, windows[0])  # not a batch
-        finally:
-            system.record_log = True
+        with pytest.raises(ShapeError):
+            system.detect_batch_columnar(0, windows[0])  # not a batch
+        with pytest.raises(ShapeError):
+            system.detect_batch_columnar(0, windows[:3], escalated_ms=np.zeros(2))
 
 
 class TestDetectArrays:
@@ -201,17 +196,17 @@ class TestNoCopyFastPath:
         batch = np.ascontiguousarray(windows[:3], dtype=np.float64)
         seen = {}
         detector = system.deployment_at(0).detector
-        original = detector.detect
+        original = detector.detect_arrays
 
-        def spy(arg):
+        def spy(arg, with_confidence=True):
             seen["windows"] = arg
-            return original(arg)
+            return original(arg, with_confidence=with_confidence)
 
-        detector.detect = spy
+        detector.detect_arrays = spy
         try:
             system.reset()
             system.detect_batch(0, batch)
         finally:
-            detector.detect = original
+            del detector.detect_arrays
             system.reset()
         assert np.shares_memory(seen["windows"], batch)

@@ -122,7 +122,7 @@ class TestSchemeEvaluation:
     def test_outcome_label_count_mismatch(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
         scheme = FixedLayerScheme(system, 0)
-        outcomes = scheme.run(windows[:3], labels[:3])
+        outcomes = scheme.run_batch(windows[:3], labels[:3])
         with pytest.raises(ValueError):
             evaluate_outcomes("x", outcomes, labels[:4])
 
@@ -185,7 +185,7 @@ class TestDemoPanel:
     def test_series_lengths(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
         system.reset()
-        outcomes = SuccessiveScheme(system).run(windows, labels)
+        outcomes = SuccessiveScheme(system).run_batch(windows, labels)
         panel = build_demo_panel_series(outcomes, labels, windows=windows, scheme_name="Successive")
         n = len(labels)
         assert len(panel.predictions) == n
@@ -197,7 +197,7 @@ class TestDemoPanel:
     def test_cumulative_accuracy_final_matches_overall(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
         system.reset()
-        outcomes = FixedLayerScheme(system, 2).run(windows, labels)
+        outcomes = FixedLayerScheme(system, 2).run_batch(windows, labels)
         panel = build_demo_panel_series(outcomes, labels)
         assert panel.cumulative_accuracy[-1] == pytest.approx(
             accuracy_score(panel.predictions, labels)
@@ -206,7 +206,7 @@ class TestDemoPanel:
     def test_summary_lines_truncate(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
         system.reset()
-        outcomes = FixedLayerScheme(system, 0).run(windows, labels)
+        outcomes = FixedLayerScheme(system, 0).run_batch(windows, labels)
         panel = build_demo_panel_series(outcomes, labels, scheme_name="IoT Device")
         lines = panel.summary_lines(max_rows=3)
         assert "IoT Device" in lines[0]
@@ -214,13 +214,12 @@ class TestDemoPanel:
 
     def test_multivariate_preview_averages_channels(self):
         from repro.hec.simulation import DetectionRecord
-        from repro.hec.delay import DelayBreakdown
         from repro.schemes.base import SchemeOutcome
 
         records = [
             DetectionRecord(
                 window_index=i, layer=0, prediction=0, confident=True, anomaly_score=-1.0,
-                delay=DelayBreakdown(layer=0, execution_ms=1.0), ground_truth=0,
+                delay_ms=1.0, ground_truth=0,
             )
             for i in range(2)
         ]

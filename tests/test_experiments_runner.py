@@ -16,23 +16,6 @@ from repro.experiments import (
     get_scenario,
 )
 
-#: Overrides that shrink the extended scenarios to test size.
-TINY_4TIER = {
-    "data.weeks": "10",
-    "detectors.0.epochs": "3",
-    "detectors.1.epochs": "3",
-    "detectors.2.epochs": "3",
-    "detectors.3.epochs": "3",
-    "policy.episodes": "3",
-}
-TINY_MIXED = {
-    "data.weeks": "10",
-    "detectors.0.epochs": "3",
-    "detectors.1.epochs": "3",
-    "detectors.2.epochs": "2",
-    "policy.episodes": "3",
-}
-
 
 class TestStageInvocation:
     def test_stages_require_prerequisites(self):
@@ -102,9 +85,8 @@ class TestFourTierScenario:
     """K = 4: one more tier than the paper's testbed."""
 
     @pytest.fixture(scope="class")
-    def result(self):
-        spec = apply_overrides(get_scenario("hierarchical-edge-4tier"), TINY_4TIER)
-        return ExperimentRunner(spec).run()
+    def result(self, four_tier_result):
+        return four_tier_result
 
     def test_four_layers_deployed(self, result):
         assert len(result.deployments) == 4
@@ -139,9 +121,8 @@ class TestMixedDetectorScenario:
     """Mixed detector families across the tiers of one deployment."""
 
     @pytest.fixture(scope="class")
-    def result(self):
-        spec = apply_overrides(get_scenario("mixed-detectors"), TINY_MIXED)
-        return ExperimentRunner(spec).run()
+    def result(self, mixed_result):
+        return mixed_result
 
     def test_families_mixed(self, result):
         names = [row.model_name for row in result.table1_rows]

@@ -104,11 +104,11 @@ class TestOverrides:
         out = apply_overrides(spec, {
             "data.weeks": "12",
             "policy.learning_rate": "0.01",
-            "evaluation.batched": "false",
+            "evaluation.demo_panel": "false",
         })
         assert out.data.weeks == 12
         assert out.policy.learning_rate == pytest.approx(0.01)
-        assert out.evaluation.batched is False
+        assert out.evaluation.demo_panel is False
 
     def test_detector_index_paths(self):
         spec = get_scenario("univariate-power")
@@ -141,7 +141,18 @@ class TestOverrides:
     def test_bad_bool_raises(self):
         spec = get_scenario("univariate-power")
         with pytest.raises(ConfigurationError, match="boolean"):
-            apply_overrides(spec, {"evaluation.batched": "maybe"})
+            apply_overrides(spec, {"evaluation.demo_panel": "maybe"})
+
+    def test_removed_batched_key_is_rejected_by_name(self):
+        """``evaluation.batched`` selected the sequential scheme drivers, which
+        are gone; an old spec file or ``--set`` still carrying it fails loudly."""
+        spec = get_scenario("univariate-power")
+        with pytest.raises(ConfigurationError, match="unknown key.*batched"):
+            apply_overrides(spec, {"evaluation.batched": "false"})
+        stale = spec.to_dict()
+        stale["evaluation"]["batched"] = True
+        with pytest.raises(ConfigurationError, match="batched"):
+            ExperimentSpec.from_dict(stale)
 
     def test_bad_index_raises(self):
         spec = get_scenario("univariate-power")
@@ -219,6 +230,21 @@ class TestBuiltinSpecDigests:
 
     DIGESTS = {
         "univariate-power":
+            "fc2ceb9d40fa107a07381dd826a13ed2df2cf3fb6daefeaea3d7b09ceea24775",
+        "multivariate-mhealth":
+            "453724df9b15c937e592e623f5f14cdfa7bffc8eb5d1a3dbace78b55ef630131",
+        "univariate-power-paper":
+            "8ce15f18f7c04209a43f5333d3f5674ea58b5cc8b01465624b88ed51f5f74ac7",
+        "multivariate-mhealth-paper":
+            "027368843056f4cf93c8e659b39d196ca98b9f630160b37072ad6ed2820baf5d",
+        "hierarchical-edge-4tier":
+            "dcff2ab4380e32c9d868666d082b90c933590229c77c0f9f874be24c83b3d4c7",
+        "mixed-detectors":
+            "fb3a331e1c862a1fcd2b77f3b579f97cccac37e48e1264bfff862f876fd78ebc",
+    }
+    #: The digests before ``evaluation.batched`` was removed (PR 14).
+    DIGESTS_WITH_BATCHED = {
+        "univariate-power":
             "2e2644712068c2a8905db27a5fb1f8a7c8dabfd871b02a6a943526ff898343b7",
         "multivariate-mhealth":
             "b82113eafb06bfabf189085dfb5c730a7f1b7fa231d2f01eb061c05c2c7144a6",
@@ -236,6 +262,15 @@ class TestBuiltinSpecDigests:
     def test_spec_digest_is_pinned(self, name):
         payload = json.dumps(get_scenario(name).to_dict(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_only_the_batched_key_left_the_spec(self, name):
+        """Re-inserting the removed key reproduces the previous digest, so the
+        re-pin above moved nothing else."""
+        spec = get_scenario(name).to_dict()
+        spec["evaluation"]["batched"] = True
+        payload = json.dumps(spec, sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGESTS_WITH_BATCHED[name]
 
 
 class TestCustomScenarioExample:

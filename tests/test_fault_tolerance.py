@@ -503,13 +503,13 @@ class TestLinkFailover:
         window = WindowPool.from_labeled(runner.state.standardized_all).normal[0]
         system.reset()
         system.topology.warm_links()
-        at_edge = system.detect_at(1, window)
+        (at_edge,) = system.detect_batch(1, window[None])
         system.reset()
         system.topology.warm_links()
         system.configure_failover(retries=2, timeout_ms=150.0)
         system.topology.links[1].set_status("down")
         assert system.reachable_layer(2) == 1
-        record = system.detect_at(2, window)
+        (record,) = system.detect_batch(2, window[None])
         assert record.layer == 1
         assert record.delay_ms == pytest.approx(at_edge.delay_ms + 300.0)
         system.reset()
@@ -520,7 +520,7 @@ class TestLinkFailover:
         system = runner.state.system
         window = WindowPool.from_labeled(runner.state.standardized_all).normal[0]
         with pytest.raises(SchedulingError):
-            system.detect_at(99, window)
+            system.detect_batch(99, window[None])
 
     def test_failover_configuration_validated(self, trained):
         _, runner = trained

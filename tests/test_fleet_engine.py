@@ -88,15 +88,6 @@ class TestFleetEngine:
         assert sum(t.requests for t in report.tiers) == report.n_windows
         assert report.delay.samples_seen == report.n_windows
 
-    def test_stream_leaves_no_event_log(self, trained):
-        """The streaming path must not materialise the per-request trace."""
-        spec, runner = trained
-        engine = FleetEngine(**_engine_kwargs(spec, runner))
-        report = engine.run()
-        assert report.n_windows > 0
-        assert engine.system.records == []
-        assert engine.system.record_log is True  # restored afterwards
-
     def test_burst_storm_visible_in_windowed_metrics(self, trained):
         """Bursts (ticks 0-3 of every 16) raise the windowed anomaly fraction."""
         spec, runner = trained

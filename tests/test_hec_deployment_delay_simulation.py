@@ -1,4 +1,4 @@
-"""Tests for deployment, delay accounting, transport channels and the HEC system."""
+"""Tests for deployment, delay accounting and the HEC system."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from repro.hec.device import DeviceProfile
 from repro.hec.network import NetworkLink
 from repro.hec.simulation import HECSystem
 from repro.hec.topology import HECTopology, build_three_layer_topology
-from repro.hec.transport import ChannelStats, KeepAliveChannel, Message
-from repro.utils.timer import SimulatedClock
 
 
 def _tiny_registry(window_size=10, fitted=True, rng_seed=0):
@@ -135,13 +133,6 @@ class TestDelay:
         assert "edge-cloud:up" in breakdown.hops
         assert "iot-edge:down" in breakdown.hops
 
-    def test_escalation_merge(self, topology):
-        first = end_to_end_delay(topology, 0, execution_ms=10.0, payload_bytes=0.0)
-        second = end_to_end_delay(topology, 1, execution_ms=5.0, payload_bytes=0.0)
-        second.merge_escalation(first)
-        assert second.escalation_ms == pytest.approx(10.0)
-        assert second.total_ms >= 10.0 + 5.0
-
     def test_negative_execution_rejected(self, topology):
         with pytest.raises(ConfigurationError):
             end_to_end_delay(topology, 0, execution_ms=-1.0, payload_bytes=0.0)
@@ -155,64 +146,6 @@ class TestDelay:
         assert without_down.total_ms < with_down.total_ms
 
 
-class TestKeepAliveChannel:
-    def _channel(self, idle_timeout_ms=None):
-        link = NetworkLink("l", one_way_latency_ms=10.0, connection_setup_ms=5.0)
-        return KeepAliveChannel(link, clock=SimulatedClock(), idle_timeout_ms=idle_timeout_ms)
-
-    def test_first_message_pays_handshake(self):
-        channel = self._channel()
-        first = channel.send(Message(0.0))
-        second = channel.send(Message(0.0))
-        assert first > second
-        assert channel.stats.handshakes == 1
-
-    def test_idle_timeout_forces_rehandshake(self):
-        channel = self._channel(idle_timeout_ms=50.0)
-        channel.send(Message(0.0))
-        channel.clock.advance(1000.0)
-        channel.send(Message(0.0))
-        assert channel.stats.handshakes == 2
-
-    def test_close_forces_rehandshake(self):
-        channel = self._channel()
-        channel.send(Message(0.0))
-        channel.close()
-        channel.send(Message(0.0))
-        assert channel.stats.handshakes == 2
-
-    def test_request_response_directions_validated(self):
-        channel = self._channel()
-        with pytest.raises(SchedulingError):
-            channel.request_response(Message(1.0, "up"), Message(1.0, "up"))
-
-    def test_request_response_advances_clock(self):
-        channel = self._channel()
-        delay = channel.request_response(Message(10.0, "up"), Message(1.0, "down"))
-        assert channel.clock.now_ms == pytest.approx(delay)
-
-    def test_stats_accumulate(self):
-        channel = self._channel()
-        channel.send(Message(100.0))
-        channel.send(Message(200.0))
-        assert channel.stats.messages_sent == 2
-        assert channel.stats.bytes_sent == 300.0
-        assert channel.stats.mean_delay_ms > 0.0
-
-    def test_empty_stats_mean(self):
-        assert ChannelStats().mean_delay_ms == 0.0
-
-    def test_invalid_message(self):
-        with pytest.raises(ConfigurationError):
-            Message(-1.0)
-        with pytest.raises(ConfigurationError):
-            Message(1.0, direction="diagonal")
-
-    def test_invalid_idle_timeout(self):
-        with pytest.raises(ConfigurationError):
-            self._channel(idle_timeout_ms=0.0)
-
-
 class TestHECSystem:
     @pytest.fixture()
     def system(self):
@@ -221,25 +154,22 @@ class TestHECSystem:
         deployments = deploy_registry(registry, topology, workload="univariate")
         return HECSystem(topology, deployments)
 
-    def test_detect_at_returns_record(self, system):
+    def test_detect_batch_returns_record(self, system):
         window = np.random.default_rng(0).normal(size=10)
-        record = system.detect_at(1, window, ground_truth=0)
+        (record,) = system.detect_batch(1, window[None], ground_truths=[0])
         assert record.layer == 1
         assert record.prediction in (0, 1)
         assert record.delay_ms > 0.0
         assert record.correct in (True, False)
 
     def test_records_and_counters_accumulate(self, system):
-        window = np.zeros(10)
-        system.detect_at(0, window)
-        system.detect_at(0, window)
-        system.detect_at(2, window)
-        assert len(system.records) == 3
+        windows = np.zeros((2, 10))
+        records = system.detect_batch(0, windows) + system.detect_batch(2, windows[:1])
+        assert [record.window_index for record in records] == [0, 1, 2]
         assert system.layer_usage() == {0: 2, 1: 0, 2: 1}
 
     def test_clock_advances(self, system):
-        window = np.zeros(10)
-        system.detect_at(2, window)
+        system.detect_batch(2, np.zeros((1, 10)))
         assert system.clock.now_ms > 0.0
 
     def test_expected_delay_ordering(self, system):
@@ -255,21 +185,22 @@ class TestHECSystem:
 
     def test_expected_delay_does_not_log_records(self, system):
         system.expected_delay_ms(2, (10,))
-        assert len(system.records) == 0
+        assert system.layer_usage() == {0: 0, 1: 0, 2: 0}
+        assert system.clock.now_ms == 0.0
+        assert all(link.transfer_count == 0 for link in system.topology.links)
 
     def test_unknown_layer_rejected(self, system):
         with pytest.raises(SchedulingError):
-            system.detect_at(5, np.zeros(10))
+            system.detect_batch(5, np.zeros((1, 10)))
 
     def test_ground_truth_optional(self, system):
-        record = system.detect_at(0, np.zeros(10))
+        (record,) = system.detect_batch(0, np.zeros((1, 10)))
         assert record.ground_truth is None
         assert record.correct is None
 
     def test_reset_clears_state(self, system):
-        system.detect_at(1, np.zeros(10))
+        system.detect_batch(1, np.zeros((1, 10)))
         system.reset()
-        assert len(system.records) == 0
         assert system.clock.now_ms == 0.0
         assert system.layer_usage() == {0: 0, 1: 0, 2: 0}
 
@@ -286,8 +217,9 @@ class TestHECSystem:
             HECSystem(topology, deployments[:2])
 
     def test_escalation_delay_included(self, system):
-        window = np.zeros(10)
-        first = system.detect_at(0, window)
-        second = system.detect_at(1, window, escalated_from=first.delay)
-        assert second.delay_ms >= first.delay_ms
-        assert second.delay.escalation_ms == pytest.approx(first.delay.total_ms)
+        window = np.zeros((1, 10))
+        (first,) = system.detect_batch(0, window)
+        (alone,) = system.detect_batch(1, window)
+        system.reset()
+        (second,) = system.detect_batch(1, window, escalated_ms=[first.delay_ms])
+        assert second.delay_ms == pytest.approx(alone.delay_ms + first.delay_ms)

@@ -11,22 +11,6 @@ import pytest
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 from repro.experiments.stages import TIERS
 
-
-@pytest.fixture(scope="session")
-def univariate_result():
-    """One shared fast run of the univariate track."""
-    spec = apply_overrides(get_scenario("univariate-power"), {
-        "data.weeks": 30, "data.anomalous_day_fraction": 0.08, "policy.episodes": 30,
-    })
-    return ExperimentRunner(spec).run()
-
-
-@pytest.fixture(scope="session")
-def multivariate_result():
-    """One shared fast run of the multivariate track."""
-    return ExperimentRunner(get_scenario("multivariate-mhealth")).run()
-
-
 SCHEME_NAMES = {"IoT Device", "Edge", "Cloud", "Successive", "Our Method"}
 
 

@@ -36,7 +36,7 @@ class TestFixedLayerScheme:
     def test_always_uses_configured_layer(self, fresh_system):
         system, _detectors, windows, labels = fresh_system
         scheme = FixedLayerScheme(system, 1)
-        outcomes = scheme.run(windows[:5], labels[:5])
+        outcomes = scheme.run_batch(windows[:5], labels[:5])
         assert all(outcome.layer == 1 for outcome in outcomes)
         assert system.layer_usage()[1] == 5
 
@@ -55,7 +55,7 @@ class TestFixedLayerScheme:
         for layer in range(3):
             system.reset()
             scheme = FixedLayerScheme(system, layer)
-            outcomes = scheme.run(windows[:4], labels[:4])
+            outcomes = scheme.run_batch(windows[:4], labels[:4])
             delays.append(np.mean([o.delay_ms for o in outcomes]))
         assert delays[0] < delays[1] < delays[2]
 
@@ -75,7 +75,7 @@ class TestSuccessiveScheme:
     def test_escalates_only_when_not_confident(self, fresh_system):
         system, _detectors, windows, labels = fresh_system
         scheme = SuccessiveScheme(system)
-        outcomes = scheme.run(windows, labels)
+        outcomes = scheme.run_batch(windows, labels)
         for outcome in outcomes:
             # Every record except the last must be unconfident (that is why it escalated).
             for record in outcome.records[:-1]:
@@ -87,13 +87,13 @@ class TestSuccessiveScheme:
     def test_final_layer_bounded_by_cloud(self, fresh_system):
         system, _detectors, windows, labels = fresh_system
         scheme = SuccessiveScheme(system)
-        outcomes = scheme.run(windows, labels)
+        outcomes = scheme.run_batch(windows, labels)
         assert all(outcome.layer < system.n_layers for outcome in outcomes)
 
     def test_escalation_accumulates_delay(self, fresh_system):
         system, _detectors, windows, labels = fresh_system
         scheme = SuccessiveScheme(system)
-        outcomes = scheme.run(windows, labels)
+        outcomes = scheme.run_batch(windows, labels)
         escalated = [o for o in outcomes if len(o.records) > 1]
         if escalated:  # delay of an escalated window exceeds the pure IoT delay
             iot_exec = system.execution_time_ms(0)
@@ -102,18 +102,18 @@ class TestSuccessiveScheme:
     def test_mean_delay_between_iot_and_cloud(self, fresh_system):
         system, _detectors, windows, labels = fresh_system
         system.reset()
-        successive = SuccessiveScheme(system).run(windows, labels)
+        successive = SuccessiveScheme(system).run_batch(windows, labels)
         successive_delay = np.mean([o.delay_ms for o in successive])
         system.reset()
-        iot_delay = np.mean([o.delay_ms for o in FixedLayerScheme(system, 0).run(windows, labels)])
+        iot_delay = np.mean([o.delay_ms for o in FixedLayerScheme(system, 0).run_batch(windows, labels)])
         system.reset()
-        cloud_delay = np.mean([o.delay_ms for o in FixedLayerScheme(system, 2).run(windows, labels)])
+        cloud_delay = np.mean([o.delay_ms for o in FixedLayerScheme(system, 2).run_batch(windows, labels)])
         assert iot_delay <= successive_delay <= cloud_delay
 
     def test_escalation_rate(self, fresh_system):
         system, _detectors, windows, labels = fresh_system
         scheme = SuccessiveScheme(system)
-        outcomes = scheme.run(windows, labels)
+        outcomes = scheme.run_batch(windows, labels)
         rate = scheme.escalation_rate(outcomes)
         assert 0.0 <= rate <= 1.0
         assert scheme.escalation_rate([]) == 0.0
@@ -146,7 +146,7 @@ class TestAdaptiveScheme:
         extractor = _context_extractor(windows)
         policy = self._policy(extractor.context_dim, favored_action=1)
         scheme = AdaptiveScheme(system, policy, extractor)
-        outcomes = scheme.run(windows[:6], labels[:6])
+        outcomes = scheme.run_batch(windows[:6], labels[:6])
         # The nudged policy should pick the favoured layer most of the time.
         chosen = [o.layer for o in outcomes]
         assert chosen.count(1) >= 4
@@ -156,7 +156,7 @@ class TestAdaptiveScheme:
         extractor = _context_extractor(windows)
         policy = self._policy(extractor.context_dim)
         scheme = AdaptiveScheme(system, policy, extractor)
-        scheme.run(windows[:5], labels[:5])
+        scheme.run_batch(windows[:5], labels[:5])
         assert len(scheme.chosen_actions) == 5
         distribution = scheme.action_distribution()
         assert distribution.sum() == pytest.approx(1.0)
@@ -191,6 +191,6 @@ class TestAdaptiveScheme:
         extractor = _context_extractor(windows)
         policy = self._policy(extractor.context_dim)
         scheme = AdaptiveScheme(system, policy, extractor, greedy=False)
-        scheme.run(windows, labels)
+        scheme.run_batch(windows, labels)
         # Sampling from an untrained (nearly uniform) policy should hit >1 layer.
         assert len(set(scheme.chosen_actions)) > 1

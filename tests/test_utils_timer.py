@@ -49,15 +49,8 @@ class TestSimulatedClock:
         clock.advance_to(10.0)
         assert clock.now_ms == 50.0
 
-    def test_history_records_each_advance(self):
-        clock = SimulatedClock()
-        clock.advance(1.0)
-        clock.advance(2.0)
-        assert clock.history == [1.0, 3.0]
-
     def test_reset(self):
         clock = SimulatedClock()
         clock.advance(5.0)
         clock.reset()
         assert clock.now_ms == 0.0
-        assert clock.history == []
