@@ -10,7 +10,7 @@ pre-activation input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -46,14 +46,11 @@ def _relu_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad * (output > 0.0)
 
 
-def _sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    # Numerically stable piecewise sigmoid.
-    out = np.empty_like(x, dtype=float)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+def _sigmoid_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # Stable and branch-free: no exponent is positive, and each element gets the
+    # arithmetic of the piecewise form, 1 / (1 + e^-x) for x >= 0 and
+    # e^x / (1 + e^x) below, without boolean-mask indexing.
+    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + np.exp(-np.abs(x)), out=out)
 
 
 def _sigmoid_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from repro.exceptions import ShapeError
 from repro.nn.activations import Activation, get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.layers.base import Layer
-from repro.nn.regularizers import Regularizer, get_regularizer
+from repro.nn.regularizers import Regularizer, ZeroRegularizer, get_regularizer
 from repro.utils.validation import check_positive
 
 
@@ -68,12 +68,8 @@ class Dense(Layer):
         if self.use_bias:
             pre_activation = pre_activation + self.params["bias"]
         output = self.activation.forward(pre_activation)
-        if training:
-            self._cache_input = inputs
-            self._cache_output = output
-        else:
-            self._cache_input = inputs
-            self._cache_output = output
+        self._cache_input = inputs
+        self._cache_output = output
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -82,10 +78,11 @@ class Dense(Layer):
         grad_output = np.asarray(grad_output, dtype=float)
         grad_pre = self.activation.backward(self._cache_output, grad_output)
         grad_kernel = self._cache_input.T @ grad_pre
-        grad_kernel += self.kernel_regularizer.gradient(self.params["kernel"])
-        self.grads["kernel"] = self.grads.get("kernel", 0) + grad_kernel
+        if not isinstance(self.kernel_regularizer, ZeroRegularizer):
+            grad_kernel += self.kernel_regularizer.gradient(self.params["kernel"])
+        self.grads["kernel"] += grad_kernel
         if self.use_bias:
-            self.grads["bias"] = self.grads.get("bias", 0) + np.sum(grad_pre, axis=0)
+            self.grads["bias"] += np.sum(grad_pre, axis=0)
         return grad_pre @ self.params["kernel"].T
 
     def regularization_penalty(self) -> float:

@@ -20,6 +20,11 @@ Two details exist specifically to mirror the paper's implementation:
 * ``forward`` accepts an ``initial_state`` and ``backward`` accepts/exposes
   state gradients, which is what allows the sequence-to-sequence
   encoder–decoder in :mod:`repro.nn.models.seq2seq` to train end to end.
+
+Every step goes through :func:`_lstm_cell`, the one place the gate equations
+live.  ``forward(training=True)`` points it at slices of the whole-sequence
+tensors ``backward`` needs; an inference ``forward`` reuses one step's buffers,
+keeps only ``(h, c)`` and its output, and ``backward`` after it raises.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.exceptions import ShapeError
 from repro.nn.activations import sigmoid as _sigmoid
 from repro.nn.initializers import get_initializer
 from repro.nn.layers.base import Layer
-from repro.nn.regularizers import Regularizer, get_regularizer
+from repro.nn.regularizers import Regularizer, ZeroRegularizer, get_regularizer
 from repro.utils.validation import check_positive
 
 State = Tuple[np.ndarray, np.ndarray]
@@ -41,25 +46,37 @@ State = Tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class _SequenceCache:
-    """Whole-sequence tensors cached during the forward pass for BPTT.
+    """Whole-sequence tensors kept by a ``training`` forward pass for BPTT.
 
-    Gate activations are stored as full ``(batch, time, units)`` tensors (one
-    allocation per gate for the entire sequence) instead of per-timestep
-    objects, so the backward pass can compute the weight gradients with single
-    ``tensordot`` contractions over the batch and time axes.  ``h_states`` and
-    ``c_states`` have shape ``(batch, time + 1, units)``: index ``t`` holds the
-    state *entering* timestep ``t`` (index 0 is the initial state), so
-    ``h_states[:, 1:]`` is the output sequence.
+    All but ``inputs`` are time-major, so one timestep is one contiguous
+    block.  ``gates`` is ``(time, batch, 4 * units)`` in ``(i, f, g, o)``
+    order; ``h_states`` and ``c_states`` are ``(time + 1, batch, units)`` with
+    index ``t`` the state *entering* timestep ``t`` (0: the initial state).
     """
 
     inputs: np.ndarray
     h_states: np.ndarray
     c_states: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    gates: np.ndarray
     tanh_c: np.ndarray
+
+
+def _lstm_cell(z, c_prev, gates, c, tanh_c, h) -> None:
+    """One LSTM step from its pre-activations ``z`` of shape ``(batch, 4 * units)``.
+
+    Everything lands in the caller's buffers: the ``(i, f, g, o)`` activations
+    in ``gates``, the new cell state in ``c`` (which may be ``c_prev`` itself),
+    its tanh in ``tanh_c`` and the new hidden state in ``h``.
+    """
+    units = c.shape[1]
+    g = gates[:, 2 * units: 3 * units]
+    _sigmoid.forward(z, out=gates)
+    np.tanh(z[:, 2 * units: 3 * units], out=g)
+    np.multiply(gates[:, :units], g, out=tanh_c)  # i * g; tanh_c is free until c is known
+    np.multiply(gates[:, units: 2 * units], c_prev, out=c)
+    np.add(c, tanh_c, out=c)
+    np.tanh(c, out=tanh_c)
+    np.multiply(gates[:, 3 * units:], tanh_c, out=h)
 
 
 class LSTM(Layer):
@@ -92,8 +109,6 @@ class LSTM(Layer):
         self.last_state: Optional[State] = None
         self.grad_initial_state: Optional[State] = None
         self._cache: Optional[_SequenceCache] = None
-        self._input_shape: Optional[Tuple[int, int, int]] = None
-        self._used_initial_state = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -137,19 +152,16 @@ class LSTM(Layer):
             )
         units = self.units
         if initial_state is not None:
-            h, c = initial_state
-            h = np.asarray(h, dtype=float)
-            c = np.asarray(c, dtype=float)
+            # Copies: an inference pass updates its state buffers in place.
+            h, c = (np.array(state, dtype=float) for state in initial_state)
             if h.shape != (batch, units) or c.shape != (batch, units):
                 raise ShapeError(
                     f"initial_state must be two arrays of shape {(batch, units)}, "
                     f"got {h.shape} and {c.shape}"
                 )
-            self._used_initial_state = True
         else:
             h = np.zeros((batch, units))
             c = np.zeros((batch, units))
-            self._used_initial_state = False
 
         kernel = self.params["kernel"]
         recurrent = self.params["recurrent_kernel"]
@@ -157,48 +169,42 @@ class LSTM(Layer):
         if self.double_bias:
             bias = bias + self.params["recurrent_bias"]
 
-        self._input_shape = (batch, timesteps, features)
-
-        # Whole-sequence caches: one allocation each, filled as the recurrence runs.
-        h_states = np.empty((batch, timesteps + 1, units))
-        c_states = np.empty((batch, timesteps + 1, units))
-        h_states[:, 0, :] = h
-        c_states[:, 0, :] = c
-        i_all = np.empty((batch, timesteps, units))
-        f_all = np.empty((batch, timesteps, units))
-        g_all = np.empty((batch, timesteps, units))
-        o_all = np.empty((batch, timesteps, units))
-        tanh_c_all = np.empty((batch, timesteps, units))
-
         # Pre-compute the input contribution for all timesteps in one matmul.
         input_projection = inputs.reshape(batch * timesteps, features) @ kernel
         input_projection = input_projection.reshape(batch, timesteps, 4 * units)
 
-        for t in range(timesteps):
-            z = input_projection[:, t, :] + h @ recurrent + bias
-            i = _sigmoid.forward(z[:, :units])
-            f = _sigmoid.forward(z[:, units: 2 * units])
-            g = np.tanh(z[:, 2 * units: 3 * units])
-            o = _sigmoid.forward(z[:, 3 * units:])
-            c = f * c + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            i_all[:, t, :] = i
-            f_all[:, t, :] = f
-            g_all[:, t, :] = g
-            o_all[:, t, :] = o
-            tanh_c_all[:, t, :] = tanh_c
-            h_states[:, t + 1, :] = h
-            c_states[:, t + 1, :] = c
+        z = np.empty((batch, 4 * units))
+        if training:
+            # BPTT tensors: one allocation each, one block filled per step.
+            h_states = np.empty((timesteps + 1, batch, units))
+            c_states = np.empty((timesteps + 1, batch, units))
+            gates = np.empty((timesteps, batch, 4 * units))
+            tanh_c = np.empty((timesteps, batch, units))
+            h_states[0], c_states[0] = h, c
+            h, c = h_states[0], c_states[0]
+            self._cache = _SequenceCache(inputs, h_states, c_states, gates, tanh_c)
+        else:
+            # One step's buffers, reused: only (h, c) and the output survive.
+            h_states = np.empty((timesteps, batch, units)) if self.return_sequences else None
+            gates = np.empty((batch, 4 * units))
+            tanh_c = np.empty((batch, units))
+            self._cache = None
 
-        self._cache = _SequenceCache(
-            inputs=inputs, h_states=h_states, c_states=c_states,
-            i=i_all, f=f_all, g=g_all, o=o_all, tanh_c=tanh_c_all,
-        )
+        for t in range(timesteps):
+            np.matmul(h, recurrent, out=z)
+            z += input_projection[:, t, :]
+            z += bias
+            if training:
+                c_prev, c, h = c, c_states[t + 1], h_states[t + 1]
+                _lstm_cell(z, c_prev, gates[t], c, tanh_c[t], h)
+            else:
+                if h_states is not None:
+                    h = h_states[t]
+                _lstm_cell(z, c, gates, c, tanh_c, h)
+
         self.last_state = (h, c)
-        if self.return_sequences:
-            return h_states[:, 1:, :]
-        return h
+        # A training pass's h_states also holds the initial state, in front.
+        return h_states[-timesteps:].transpose(1, 0, 2) if self.return_sequences else h
 
     # -- backward ----------------------------------------------------------
 
@@ -207,9 +213,10 @@ class LSTM(Layer):
         grad_output: np.ndarray,
         grad_state: Optional[State] = None,
     ) -> np.ndarray:
-        if self._input_shape is None or self._cache is None:
-            raise ShapeError("backward called before forward on LSTM layer")
-        batch, timesteps, features = self._input_shape
+        if self._cache is None:
+            raise ShapeError("backward called before forward(training=True) on LSTM layer")
+        cache = self._cache
+        batch, timesteps, features = cache.inputs.shape
         units = self.units
         grad_output = np.asarray(grad_output, dtype=float)
 
@@ -218,73 +225,81 @@ class LSTM(Layer):
                 raise ShapeError(
                     f"grad_output must have shape {(batch, timesteps, units)}, got {grad_output.shape}"
                 )
-            grad_h_seq = grad_output
+            grad_h_seq = grad_output.transpose(1, 0, 2)
         else:
             if grad_output.shape != (batch, units):
                 raise ShapeError(
                     f"grad_output must have shape {(batch, units)}, got {grad_output.shape}"
                 )
-            grad_h_seq = np.zeros((batch, timesteps, units))
-            grad_h_seq[:, -1, :] = grad_output
+            grad_h_seq = np.zeros((timesteps, batch, units))
+            grad_h_seq[-1] = grad_output
 
         kernel = self.params["kernel"]
-        recurrent = self.params["recurrent_kernel"]
-        cache = self._cache
+        recurrent_t = self.params["recurrent_kernel"].T
 
-        # Preallocated gate-gradient tensor for the whole sequence; the
-        # recurrent sweep only fills slices of it (no per-timestep concatenate)
-        # and the weight gradients fall out of single tensordots afterwards.
-        dz_all = np.empty((batch, timesteps, 4 * units))
+        # What does not depend on the recurrence, for the whole sequence at once:
+        # 1 - a for the sigmoid gates, 1 - g**2 for the candidate, 1 - tanh(c)**2.
+        one_minus = 1.0 - cache.gates
+        one_minus[:, :, 2 * units: 3 * units] = 1.0 - cache.gates[:, :, 2 * units: 3 * units] ** 2
+        one_minus_tanh_c_sq = 1.0 - cache.tanh_c**2
+
+        # Gate gradients of the whole sequence, one block filled per step; the
+        # weight gradients fall out of single contractions afterwards.
+        dz_all = np.empty((timesteps, batch, 4 * units))
 
         dh_next = np.zeros((batch, units))
-        dc_next = np.zeros((batch, units))
+        dc = np.zeros((batch, units))  # dc_next on entry to a step, dc inside it
         if grad_state is not None:
             dh_extra, dc_extra = grad_state
-            dh_next = dh_next + np.asarray(dh_extra, dtype=float)
-            dc_next = dc_next + np.asarray(dc_extra, dtype=float)
+            dh_next += np.asarray(dh_extra, dtype=float)
+            dc += np.asarray(dc_extra, dtype=float)
+        dh = np.empty((batch, units))
+        dh_o = np.empty((batch, units))
 
         for t in range(timesteps - 1, -1, -1):
-            i = cache.i[:, t, :]
-            f = cache.f[:, t, :]
-            g = cache.g[:, t, :]
-            o = cache.o[:, t, :]
-            tanh_c = cache.tanh_c[:, t, :]
-            c_prev = cache.c_states[:, t, :]
+            gates = cache.gates[t]
+            o = gates[:, 3 * units:]
+            dz = dz_all[t]
 
-            dh = grad_h_seq[:, t, :] + dh_next
-            do = dh * tanh_c
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
+            np.add(grad_h_seq[t], dh_next, out=dh)
+            np.multiply(dh, o, out=dh_o)
+            dh_o *= one_minus_tanh_c_sq[t]
+            dc += dh_o
 
-            dz = dz_all[:, t, :]
-            dz[:, :units] = di * i * (1.0 - i)
-            dz[:, units: 2 * units] = df * f * (1.0 - f)
-            dz[:, 2 * units: 3 * units] = dg * (1.0 - g**2)
-            dz[:, 3 * units:] = do * o * (1.0 - o)
+            # (di, df, dg, do) = (dc * g, dc * c_prev, dc * i, dh * tanh_c) ...
+            np.multiply(dc, gates[:, 2 * units: 3 * units], out=dz[:, :units])
+            np.multiply(dc, cache.c_states[t], out=dz[:, units: 2 * units])
+            np.multiply(dc, gates[:, :units], out=dz[:, 2 * units: 3 * units])
+            np.multiply(dh, cache.tanh_c[t], out=dz[:, 3 * units:])
+            # ... times the activation derivatives: a * (1 - a), and 1 - g**2.
+            dz[:, : 2 * units] *= gates[:, : 2 * units]
+            dz[:, 3 * units:] *= o
+            dz *= one_minus[t]
 
-            dh_next = dz @ recurrent.T
-            dc_next = dc * f
+            np.matmul(dz, recurrent_t, out=dh_next)
+            dc *= gates[:, units: 2 * units]
 
-        # Contract the whole sequence at once: sum over batch and time axes.
+        # Contract the whole sequence at once: sum over batch and time axes,
+        # batch-major, the order the float sums have always run in.
+        dz_all = np.ascontiguousarray(dz_all.transpose(1, 0, 2))
         flat_dz = dz_all.reshape(batch * timesteps, 4 * units)
         grad_kernel = cache.inputs.reshape(batch * timesteps, features).T @ flat_dz
         grad_recurrent = np.tensordot(
-            cache.h_states[:, :-1, :], dz_all, axes=([0, 1], [0, 1])
+            cache.h_states[:-1].transpose(1, 0, 2), dz_all, axes=([0, 1], [0, 1])
         )
         grad_bias = flat_dz.sum(axis=0)
         grad_inputs = (flat_dz @ kernel.T).reshape(batch, timesteps, features)
 
-        grad_kernel += self.kernel_regularizer.gradient(kernel)
+        if not isinstance(self.kernel_regularizer, ZeroRegularizer):
+            grad_kernel += self.kernel_regularizer.gradient(kernel)
 
-        self.grads["kernel"] = self.grads.get("kernel", 0) + grad_kernel
-        self.grads["recurrent_kernel"] = self.grads.get("recurrent_kernel", 0) + grad_recurrent
-        self.grads["bias"] = self.grads.get("bias", 0) + grad_bias
+        self.grads["kernel"] += grad_kernel
+        self.grads["recurrent_kernel"] += grad_recurrent
+        self.grads["bias"] += grad_bias
         if self.double_bias:
-            self.grads["recurrent_bias"] = self.grads.get("recurrent_bias", 0) + grad_bias
+            self.grads["recurrent_bias"] += grad_bias
 
-        self.grad_initial_state = (dh_next, dc_next)
+        self.grad_initial_state = (dh_next, dc)
         return grad_inputs
 
     # -- misc ----------------------------------------------------------------

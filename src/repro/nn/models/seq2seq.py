@@ -23,7 +23,6 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
-from repro.nn.activations import sigmoid as _sigmoid
 from repro.nn.layers.bidirectional import Bidirectional
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.dropout import Dropout
@@ -52,11 +51,10 @@ class Seq2SeqAutoencoder:
             raise ConfigurationError("the decoder LSTM must have return_sequences=True")
         if encoder.return_sequences:
             raise ConfigurationError("the encoder must have return_sequences=False")
-        encoder_state_size = encoder.units if isinstance(encoder, Bidirectional) else encoder.units
-        if decoder.units != encoder_state_size:
+        if decoder.units != encoder.units:
             raise ConfigurationError(
                 "decoder units must equal the encoder state size "
-                f"({encoder_state_size}), got {decoder.units}"
+                f"({encoder.units}), got {decoder.units}"
             )
         self.name = name
         self._rng = ensure_rng(seed)
@@ -238,33 +236,16 @@ class Seq2SeqAutoencoder:
             self.forward(inputs[:1], training=False)
         batch, timesteps, features = inputs.shape
         self.encoder.forward(inputs, training=False)
-        h, c = self.encoder.last_state
-        h = h.copy()
-        c = c.copy()
-
-        units = self.decoder.units
-        kernel = self.decoder.params["kernel"]
-        recurrent = self.decoder.params["recurrent_kernel"]
-        bias = self.decoder.params["bias"]
-        if self.decoder.double_bias:
-            bias = bias + self.decoder.params["recurrent_bias"]
-        dense = self.projection.inner
-        dense_kernel = dense.params["kernel"]
-        dense_bias = dense.params["bias"] if dense.use_bias else 0.0
-
-        previous_output = np.zeros((batch, features))
-        reconstruction = np.zeros((batch, timesteps, features))
+        state = self.encoder.last_state
+        # The decoder stepped one timepoint at a time, state carried over, its
+        # own projected output fed back (the start token is zero).
+        previous_output = np.zeros((batch, 1, features))
+        reconstruction = np.empty((batch, timesteps, features))
         for t in range(timesteps):
-            z = previous_output @ kernel + h @ recurrent + bias
-            i = _sigmoid.forward(z[:, :units])
-            f = _sigmoid.forward(z[:, units: 2 * units])
-            g = np.tanh(z[:, 2 * units: 3 * units])
-            o = _sigmoid.forward(z[:, 3 * units:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            step_output = h @ dense_kernel + dense_bias
-            reconstruction[:, t, :] = step_output
-            previous_output = step_output
+            decoded = self.decoder.forward(previous_output, initial_state=state)
+            state = self.decoder.last_state
+            previous_output = self.projection.forward(self.dropout.forward(decoded))
+            reconstruction[:, t: t + 1, :] = previous_output
         return reconstruction
 
     # -- introspection ------------------------------------------------------------

@@ -64,6 +64,16 @@ class TestInitializers:
         assert array.shape == (10,)
 
 
+def _masked_sigmoid(x):
+    """The piecewise sigmoid as it stood before PR 16 (boolean-mask gathers and scatters)."""
+    out = np.empty_like(x, dtype=float)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
 class TestActivations:
     def test_relu_values(self):
         x = np.array([-2.0, 0.0, 3.0])
@@ -78,6 +88,33 @@ class TestActivations:
     def test_sigmoid_extreme_values_stable(self):
         y = activations.sigmoid(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_sigmoid_equals_masked_formulation(self, scale):
+        """Bit for bit, so weights fitted through the old kernel do not move."""
+        rng = np.random.default_rng(int(scale * 1000))
+        for shape in ((8, 64), (1, 192), (7, 3), (5,)):
+            x = rng.normal(size=shape) * scale
+            np.testing.assert_array_equal(activations.sigmoid(x), _masked_sigmoid(x))
+
+    def test_sigmoid_equals_masked_formulation_on_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 745.2, -745.2, 1e-320])
+        np.testing.assert_array_equal(activations.sigmoid(x), _masked_sigmoid(x))
+
+    def test_sigmoid_on_non_contiguous_slice_and_into_out_buffer(self):
+        block = np.random.default_rng(3).normal(size=(6, 4, 16)) * 5.0
+        for x in (block[:, 2, 4:12], block[::2, :, 3], block.T[5]):
+            assert not x.flags["C_CONTIGUOUS"]
+            expected = _masked_sigmoid(x)
+            np.testing.assert_array_equal(activations.sigmoid(x), expected)
+            out = np.full((2,) + x.shape, -1.0)
+            target = out[1]
+            assert activations.sigmoid.forward(x, out=target) is target
+            np.testing.assert_array_equal(target, expected)
+            np.testing.assert_array_equal(out[0], -1.0)
+        strided_out = np.zeros((6, 3, 8))
+        activations.sigmoid.forward(block[:, 2, 4:12], out=strided_out[:, 1, :])
+        np.testing.assert_array_equal(strided_out[:, 1, :], _masked_sigmoid(block[:, 2, 4:12]))
 
     def test_tanh_matches_numpy(self):
         x = np.linspace(-3, 3, 7)

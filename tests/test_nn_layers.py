@@ -334,6 +334,76 @@ class TestLSTM:
             lstm.backward(np.zeros((2, 3)))
 
 
+class TestLSTMCellKernel:
+    """One cell kernel behind every path, pinned by construction: ``assert_array_equal``."""
+
+    @staticmethod
+    def _layer(cls=LSTM, **kwargs):
+        layer = LSTM(5, **kwargs)
+        if cls is Bidirectional:
+            layer = Bidirectional(layer)
+        layer.set_rng(0)
+        return layer
+
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    @pytest.mark.parametrize("double_bias", [False, True])
+    def test_timestep_by_timestep_equals_full_sequence(self, return_sequences, double_bias):
+        """One timepoint at a time with the state carried over is the full-sequence layer."""
+        layer = self._layer(return_sequences=return_sequences, double_bias=double_bias)
+        x = np.random.default_rng(1).normal(size=(4, 9, 3))
+        full = layer.forward(x)
+        full_h, full_c = layer.last_state
+        state, steps = None, []
+        for t in range(x.shape[1]):
+            steps.append(layer.forward(x[:, t: t + 1, :], initial_state=state))
+            state = layer.last_state
+        stepped = np.concatenate(steps, axis=1) if return_sequences else steps[-1]
+        np.testing.assert_array_equal(stepped, full)
+        np.testing.assert_array_equal(state[0], full_h)
+        np.testing.assert_array_equal(state[1], full_c)
+
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    @pytest.mark.parametrize("cls", [LSTM, Bidirectional])
+    def test_inference_forward_equals_training_forward(self, cls, return_sequences):
+        layer = self._layer(cls, return_sequences=return_sequences, double_bias=True)
+        x = np.random.default_rng(2).normal(size=(3, 7, 4))
+        trained = np.array(layer.forward(x, training=True))
+        trained_state = [np.array(state) for state in layer.last_state]
+        np.testing.assert_array_equal(layer.forward(x, training=False), trained)
+        np.testing.assert_array_equal(layer.last_state[0], trained_state[0])
+        np.testing.assert_array_equal(layer.last_state[1], trained_state[1])
+
+    def test_inference_forward_does_not_touch_the_initial_state(self):
+        layer = self._layer(return_sequences=True)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 4, 3))
+        h0, c0 = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+        kept = (h0.copy(), c0.copy())
+        layer.forward(x, initial_state=(h0, c0))
+        np.testing.assert_array_equal(h0, kept[0])
+        np.testing.assert_array_equal(c0, kept[1])
+
+    @pytest.mark.parametrize("cls", [LSTM, Bidirectional])
+    def test_backward_after_inference_forward_raises(self, cls):
+        """An inference pass drops the BPTT tensors; backward never reads stale ones."""
+        layer = self._layer(cls)
+        x = np.random.default_rng(4).normal(size=(2, 4, 3))
+        out = layer.forward(x, training=True)
+        layer.backward(np.ones_like(out))
+        layer.forward(x, training=False)
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones_like(out))
+
+    def test_inference_forward_keeps_no_sequence_tensors(self):
+        layer = self._layer()
+        x = np.random.default_rng(5).normal(size=(2, 6, 3))
+        layer.forward(x, training=True)
+        assert layer._cache is not None
+        layer.forward(x)
+        assert layer._cache is None
+        assert all(state.shape == (2, 5) for state in layer.last_state)
+
+
 class TestBidirectional:
     def test_output_shapes(self):
         bi_seq = Bidirectional(LSTM(3, return_sequences=True))

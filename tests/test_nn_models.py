@@ -1,9 +1,14 @@
 """Tests for the Sequential and Seq2SeqAutoencoder model containers."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.detectors.lstm_seq2seq import build_seq2seq_detector
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
+from repro.nn.activations import sigmoid
 from repro.nn.gradient_check import check_gradients
 from repro.nn.layers import LSTM, Bidirectional, Dense, Dropout
 from repro.nn.models.seq2seq import Seq2SeqAutoencoder
@@ -278,3 +283,115 @@ class TestSeq2SeqAutoencoder:
         config = model.get_config()
         assert config["type"] == "Seq2SeqAutoencoder"
         assert config["output_dim"] == 2
+
+
+# ---------------------------------------------------------------------------
+# The seq2seq inference paths against the training-mode pass and the old decoder
+# ---------------------------------------------------------------------------
+
+
+def _reference_autoregressive_decode(model, encoded_state, batch, timesteps, features):
+    """The decoder loop as ``_reconstruct_autoregressive`` spelled it out before
+    PR 16, with its own copy of the gate equations (the sigmoid itself is pinned
+    to its old formulation in ``test_nn_initializers_activations.py``)."""
+    h, c = (state.copy() for state in encoded_state)
+    units = model.decoder.units
+    kernel = model.decoder.params["kernel"]
+    recurrent = model.decoder.params["recurrent_kernel"]
+    bias = model.decoder.params["bias"]
+    if model.decoder.double_bias:
+        bias = bias + model.decoder.params["recurrent_bias"]
+    dense = model.projection.inner
+    previous_output = np.zeros((batch, features))
+    reconstruction = np.zeros((batch, timesteps, features))
+    for t in range(timesteps):
+        z = previous_output @ kernel + h @ recurrent + bias
+        i = sigmoid.forward(z[:, :units])
+        f = sigmoid.forward(z[:, units: 2 * units])
+        g = np.tanh(z[:, 2 * units: 3 * units])
+        o = sigmoid.forward(z[:, 3 * units:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        previous_output = h @ dense.params["kernel"] + dense.params["bias"]
+        reconstruction[:, t, :] = previous_output
+    return reconstruction
+
+
+def _arrays_reachable_from(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float, bool, type(None))):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays_reachable_from(value, seen)
+    elif isinstance(obj, (list, tuple, set)):
+        for value in obj:
+            yield from _arrays_reachable_from(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays_reachable_from(vars(obj), seen)
+
+
+class TestSeq2SeqInferencePaths:
+    @staticmethod
+    def _model(bidirectional, double_bias=False, units=4, channels=3, seed=0):
+        encoder = LSTM(units, double_bias=double_bias)
+        if bidirectional:
+            encoder = Bidirectional(encoder)
+        decoder = LSTM(encoder.units, return_sequences=True, double_bias=double_bias)
+        model = Seq2SeqAutoencoder(
+            encoder, decoder, output_dim=channels, dropout_rate=0.0, seed=seed
+        )
+        model.compile("rmsprop", "mse", learning_rate=0.01)
+        return model
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_teacher_forced_reconstruct_equals_training_forward(self, bidirectional):
+        model = self._model(bidirectional, double_bias=bidirectional)
+        windows = np.random.default_rng(1).normal(size=(5, 8, 3))
+        model.fit(windows, epochs=2, batch_size=2)
+        trained = np.array(model.forward(windows, training=True))
+        np.testing.assert_array_equal(model.forward(windows, training=False), trained)
+        np.testing.assert_array_equal(model.reconstruct(windows, teacher_forcing=True), trained)
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_autoregressive_reconstruct_equals_the_old_decoder_loop(self, bidirectional):
+        model = self._model(bidirectional, double_bias=bidirectional)
+        windows = np.random.default_rng(2).normal(size=(5, 8, 3))
+        model.fit(windows, epochs=2, batch_size=2)
+        model.encoder.forward(windows, training=True)
+        encoded_state = [np.array(state) for state in model.encoder.last_state]
+        reference = _reference_autoregressive_decode(model, encoded_state, 5, 8, 3)
+        np.testing.assert_array_equal(model.reconstruct(windows), reference)
+        # ... and the encoder's inference pass is its training pass, bit for bit.
+        np.testing.assert_array_equal(model.encode(windows), encoded_state[0])
+
+    def test_backward_after_reconstruct_raises(self):
+        """The inference pass dropped the decoder's BPTT tensors; none are reused."""
+        model = self._model(bidirectional=False)
+        windows = np.random.default_rng(3).normal(size=(2, 5, 3))
+        recon = model.forward(windows, training=True)
+        model.reconstruct(windows, teacher_forcing=True)
+        with pytest.raises(ShapeError):
+            model.backward(np.ones_like(recon))
+
+    @pytest.mark.parametrize("inference_mode", ["autoregressive", "teacher_forcing"])
+    @pytest.mark.parametrize("tier", ["iot", "cloud"])
+    def test_detector_copies_carry_no_sequence_tensors(self, tier, inference_mode):
+        """After detection nothing of shape (batch, time, ·) rides along in a
+        deepcopy (retrainer, serving hot-swap) or a pickle (checkpoints)."""
+        detector = build_seq2seq_detector(
+            tier, n_channels=3, units=4, inference_mode=inference_mode, seed=0
+        )
+        windows = np.random.default_rng(4).normal(size=(6, 10, 3))
+        detector.fit(windows, epochs=1, batch_size=3)
+        detector.detect_arrays(windows)
+        for clone in (copy.deepcopy(detector), pickle.loads(pickle.dumps(detector))):
+            shapes = [array.shape for array in _arrays_reachable_from(clone)]
+            assert shapes and all(len(shape) < 3 for shape in shapes), shapes
+            np.testing.assert_array_equal(
+                clone.detect_arrays(windows)[0], detector.detect_arrays(windows)[0]
+            )
