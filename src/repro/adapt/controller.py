@@ -16,16 +16,15 @@ reservoirs, and at the tick boundary runs the lifecycle state machine:
 
 Everything the controller does is recorded in an
 :class:`~repro.adapt.events.AdaptationTimeline`; wall-clock retrain/swap
-latencies are kept separately in :attr:`AdaptationController.timings` so the
-timeline (and the fleet report carrying it) stays timing-free and
-deterministic.
+latencies go only to the telemetry session's ``adapt_retrain_seconds`` /
+``adapt_swap_seconds`` histograms, so the timeline (and the fleet report
+carrying it) stays timing-free and deterministic.
 """
 
 from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -46,17 +45,6 @@ _HOLDOUT_TAG = 0xAD02
 _SECONDS_BUCKETS = (
     0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
 )
-
-
-@dataclass
-class RetrainTiming:
-    """Wall-clock cost of one retrain attempt (kept out of the timeline)."""
-
-    tick: int
-    tier: str
-    retrain_seconds: float
-    swap_seconds: float
-    accepted: bool
 
 
 class AdaptationController:
@@ -130,7 +118,6 @@ class AdaptationController:
         self.drifts: List[DriftEvent] = []
         self.retrains: List[RetrainEvent] = []
         self.swaps: List = []
-        self.timings: List[RetrainTiming] = []
         #: Optional :class:`~repro.obs.export.Telemetry` session (the engine
         #: binds it for telemetry-enabled runs).  Read via one ``is None``
         #: check per lifecycle decision — never inside the per-batch hook.
@@ -284,7 +271,6 @@ class AdaptationController:
         retrain_seconds = time.perf_counter() - started
 
         candidate_version = None
-        swap_seconds = 0.0
         if outcome.accepted:
             started = time.perf_counter()
             tick_range = self._train_ranges[layer]
@@ -331,15 +317,6 @@ class AdaptationController:
                 candidate_f1=outcome.candidate_f1,
                 accepted=outcome.accepted,
                 candidate_version=candidate_version,
-            )
-        )
-        self.timings.append(
-            RetrainTiming(
-                tick=int(tick),
-                tier=tier,
-                retrain_seconds=retrain_seconds,
-                swap_seconds=swap_seconds,
-                accepted=outcome.accepted,
             )
         )
         if telemetry is not None:
@@ -401,7 +378,6 @@ class AdaptationController:
             "drifts": list(self.drifts),
             "retrains": list(self.retrains),
             "swaps": list(self.swaps),
-            "timings": list(self.timings),
             "train_reservoirs": self.train_reservoirs,
             "holdout_reservoirs": self.holdout_reservoirs,
             "score_monitors": self.score_monitors,
@@ -441,7 +417,6 @@ class AdaptationController:
         self.drifts = list(snapshot["drifts"])
         self.retrains = list(snapshot["retrains"])
         self.swaps = list(snapshot["swaps"])
-        self.timings = list(snapshot["timings"])
         self.train_reservoirs = list(snapshot["train_reservoirs"])
         self.holdout_reservoirs = list(snapshot["holdout_reservoirs"])
         self.score_monitors = [list(group) for group in snapshot["score_monitors"]]

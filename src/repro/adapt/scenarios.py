@@ -8,8 +8,8 @@ reservoir of recent clean windows, the candidate passes the shadow gate and
 is hot-swapped (FP16-quantised below the cloud) — after which the windowed
 online F1 recovers.  The recovery contract (post-swap F1 strictly above the
 trough and within 10% of the pre-drift level, deterministically under a
-fixed seed) is pinned by the tests and recorded by
-``benchmarks/bench_adapt.py``.
+fixed seed) is pinned by the tests and by the recorded
+``report-adapt-1k-drift-recovery`` golden.
 
 The module is imported (and thereby registered) by :mod:`repro.experiments`,
 next to the offline and fleet built-ins.

@@ -69,6 +69,7 @@ from repro.experiments import (
     get_scenario,
     parse_set_arguments,
 )
+from repro.fleet.engine import STAGES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,8 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for the JSON fleet report")
     fleet.add_argument("--profile", action="store_true",
                        help="print a per-stage wall-clock breakdown of the stream "
-                       "(arrivals / context+policy / detect / metrics / adapt); "
-                       "sharded runs are profiled serially in-process")
+                       "(arrivals / context+policy / detect / metrics / adapt) "
+                       "from the run's telemetry counters; sharded runs add up "
+                       "their shards' seconds; uses an in-memory telemetry "
+                       "session when --telemetry is absent")
     fleet.add_argument("--checkpoint-dir", type=str, default=None,
                        help="directory for durable streaming checkpoints; a killed "
                        "run restarts from the newest one with --resume (or "
@@ -426,13 +429,22 @@ def _finalize_telemetry(runner, args: argparse.Namespace) -> None:
         print(f"Telemetry: {paths['trace'].parent}")
 
 
-def _attach_watch(runner, args: argparse.Namespace, serving: bool = False) -> None:
-    """Wire ``--watch N`` onto the runner's telemetry session.
+def _ensure_telemetry(runner) -> None:
+    """Give the runner an in-memory telemetry session if it has none.
 
-    With no ``--telemetry`` directory an in-memory session is attached just
-    for the watch — the run still streams bit-identical (telemetry never
-    draws RNG), it just gains the rolling health lines and alert evaluation.
+    ``--watch`` and ``--profile`` read the registry; with no ``--telemetry``
+    directory the session lives in memory only — the run still streams
+    bit-identical (telemetry never draws RNG).
     """
+    if runner.telemetry is None:
+        from repro.obs.export import Telemetry
+
+        runner.telemetry = Telemetry()
+
+
+def _attach_watch(runner, args: argparse.Namespace, serving: bool = False) -> None:
+    """Wire ``--watch N`` onto the runner's telemetry session: rolling health
+    lines and alert evaluation."""
     watch = getattr(args, "watch", None)
     if watch is None:
         return
@@ -441,10 +453,7 @@ def _attach_watch(runner, args: argparse.Namespace, serving: bool = False) -> No
     from repro.obs.alerts import default_fleet_rules, default_serving_rules
     from repro.obs.live import RollupWatcher
 
-    if runner.telemetry is None:
-        from repro.obs.export import Telemetry
-
-        runner.telemetry = Telemetry()
+    _ensure_telemetry(runner)
     if serving:
         rules = default_serving_rules(runner.spec.serve)
         label = "serve"
@@ -502,32 +511,61 @@ def _run_fleet(args: argparse.Namespace) -> int:
         registry_root = str(Path(args.output_dir) / "registry")
     runner = ExperimentRunner(spec)
     _attach_watch(runner, args, serving=False)
-    profiler = None
     if args.profile:
-        from repro.fleet.profiling import StageProfiler
-
-        # With --telemetry too, the profiler aggregates into the telemetry
-        # session's registry, so one set of stage counters backs both the
-        # printed breakdown and the exported metrics.
-        profiler = StageProfiler(
-            registry=runner.telemetry.registry
-            if runner.telemetry is not None
-            else None
-        )
+        _ensure_telemetry(runner)
     report = runner.run_fleet(
         registry_root=registry_root,
-        profiler=profiler,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_cadence=args.checkpoint_cadence,
         resume=args.resume,
     )
     _print_fleet_report(report, runner, args, name=args.scenario or spec.name)
-    if profiler is not None:
+    if args.profile:
         # --quiet suppresses the report summary, not the breakdown the
         # user explicitly asked for with --profile.
-        print(profiler.summary())
+        print(_stage_breakdown(runner.telemetry.registry, spec.fleet.ticks))
     _finalize_telemetry(runner, args)
     return 0
+
+
+_STAGE_LABELS = {
+    "arrivals": "arrivals (device draws + window assembly)",
+    "context_policy": "context + policy (extract, select actions)",
+    "detect": "detect (detector forward, scoring, delays)",
+    "metrics": "metrics (online aggregation)",
+    "adapt": "adapt (controller feed + tick boundary)",
+}
+
+
+def _stage_breakdown(registry, ticks: int) -> str:
+    """The ``--profile`` breakdown of a streamed run, read from its registry.
+
+    One source: the same ``fleet_stage_seconds_total`` / ``fleet_run_seconds_total``
+    / ``fleet_windows_total`` counters ``--telemetry`` exports.
+    """
+    stage_seconds = registry.get("fleet_stage_seconds_total")
+    total = registry.get("fleet_run_seconds_total").value()
+    n_windows = int(registry.get("fleet_windows_total").value())
+    lines = ["per-stage wall-clock breakdown:"]
+    accounted = 0.0
+    for stage in STAGES:
+        seconds = stage_seconds.value(stage=stage)
+        accounted += seconds
+        lines.append(
+            f"  {_STAGE_LABELS[stage]:<50s} {seconds:8.3f} s  "
+            f"({100.0 * seconds / total:5.1f}%)"
+        )
+    other = max(0.0, total - accounted)
+    lines.append(
+        f"  {'other (fleet construction, engine glue)':<50s} "
+        f"{other:8.3f} s  ({100.0 * other / total:5.1f}%)"
+    )
+    lines.append(f"  {'total':<50s} {total:8.3f} s")
+    lines.append(
+        f"  throughput: {n_windows / total:,.0f} windows/s "
+        f"({n_windows} windows over {ticks} ticks)"
+    )
+    return "\n".join(lines)
 
 
 def _print_fleet_report(report, runner, args, name: str) -> None:

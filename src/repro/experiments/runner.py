@@ -104,7 +104,7 @@ class ExperimentState:
     # stream
     fleet_report: Optional[FleetReport] = None
     #: The adaptation controller of the last ``stream`` call (``None`` for
-    #: frozen-detector runs); exposes the registry and wall-clock timings.
+    #: frozen-detector runs); exposes the model registry.
     adaptation_controller: Optional[object] = None
     # serve
     serving_report: Optional[ServingReport] = None
@@ -484,7 +484,6 @@ class ExperimentRunner:
     def stream(
         self,
         registry_root: Optional[str] = None,
-        profiler=None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_cadence: int = 0,
         resume: bool = False,
@@ -512,10 +511,10 @@ class ExperimentRunner:
         uninterrupted run).  A fresh checkpointed run also writes ``run.json``
         into the directory so ``repro resume <dir>`` can rebuild the run.
 
-        ``profiler`` attaches a :class:`~repro.fleet.profiling.StageProfiler`
-        recording the per-stage wall-clock breakdown; profiled sharded runs
-        execute their shards serially in-process (per-stage timings across
-        forked workers would not add up to anything meaningful).
+        A runner with a telemetry session accumulates the per-stage
+        wall-clock breakdown in its registry (``fleet_stage_seconds_total``,
+        ``fleet_run_seconds_total``, ``fleet_windows_total``), sharded or
+        not; ``repro fleet --profile`` prints it.
         """
         self._require("train_policy")
         fleet_spec = self.spec.fleet
@@ -547,7 +546,6 @@ class ExperimentRunner:
             name=self.spec.name,
             tier_names=self.tier_names,
             controller=controller,
-            profiler=profiler,
             telemetry=self.telemetry,
             faults=self.spec.faults,
             checkpoint_dir=checkpoint_dir,
@@ -629,7 +627,6 @@ class ExperimentRunner:
     def run_fleet(
         self,
         registry_root: Optional[str] = None,
-        profiler=None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_cadence: int = 0,
         resume: bool = False,
@@ -648,7 +645,6 @@ class ExperimentRunner:
         if "stream" not in self.state.completed:
             self.stream(
                 registry_root=registry_root,
-                profiler=profiler,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_cadence=checkpoint_cadence,
                 resume=resume,

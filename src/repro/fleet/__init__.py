@@ -20,8 +20,6 @@ streaming sensor windows:
   payloads behind the sharded engine;
 * :mod:`repro.fleet.stream_cache` — bounded creation/arrival-stream caches
   behind :meth:`DeviceFleet.arrivals_columnar`;
-* :mod:`repro.fleet.profiling` — the per-stage :class:`StageProfiler` behind
-  ``repro fleet --profile``;
 * :mod:`repro.fleet.metrics` / :mod:`repro.fleet.report` — bounded-memory
   online evaluation and the serialisable :class:`FleetReport`.
 
@@ -38,7 +36,6 @@ from repro.fleet.devices import (
 )
 from repro.fleet.engine import FleetEngine, ShardedFleetEngine
 from repro.fleet.metrics import DelayReservoir, StreamingMetrics
-from repro.fleet.profiling import StageProfiler
 from repro.fleet.mutators import (
     AnomalyBurst,
     ConceptDrift,
@@ -60,7 +57,6 @@ __all__ = [
     "DeviceFleet",
     "VirtualDevice",
     "WindowPool",
-    "StageProfiler",
     "FleetEngine",
     "ShardedFleetEngine",
     "DelayReservoir",

@@ -70,11 +70,15 @@ from repro.fleet.checkpoint import CheckpointStore, shard_checkpoint_dir
 from repro.fleet.devices import DeviceFleet, WindowPool
 from repro.fleet.faults import FaultSchedule, FaultSpec, WorkerCrash
 from repro.fleet.metrics import StreamingMetrics
-from repro.fleet.profiling import STAGES, StageProfiler
 from repro.fleet.report import FleetReport, report_from_metrics
 from repro.fleet.spec import FleetSpec
 from repro.hec.simulation import HECSystem
 from repro.obs.export import Telemetry
+
+#: The streaming stages, in loop order — the label set of the
+#: ``fleet_stage_seconds_total`` counters a telemetered run accumulates
+#: (``repro fleet --profile`` prints them).
+STAGES = ("arrivals", "context_policy", "detect", "metrics", "adapt")
 
 #: Bucket bounds for the checkpoint save/load timing histograms (seconds).
 _SECONDS_BUCKETS = (
@@ -121,7 +125,6 @@ class FleetEngine:
         tier_names: Optional[Sequence[str]] = None,
         device_ids: Optional[Sequence[int]] = None,
         controller=None,
-        profiler: Optional[StageProfiler] = None,
         telemetry: Optional[Telemetry] = None,
         faults: Optional[FaultSpec] = None,
         checkpoint_dir: Optional[str] = None,
@@ -158,8 +161,6 @@ class FleetEngine:
         #: ``None`` keeps the streaming loop bit-identical to the
         #: pre-adaptation engine (no extra draws, no extra branches taken).
         self.controller = controller
-        #: Optional :class:`~repro.fleet.profiling.StageProfiler`.
-        self.profiler = profiler
         #: Optional :class:`~repro.obs.export.Telemetry` session.  ``None``
         #: keeps every instrumentation site down to one ``is None`` check;
         #: a session never draws RNG, so a telemetry-enabled run streams
@@ -205,11 +206,6 @@ class FleetEngine:
         self._armed = not resume
         telemetry = self.telemetry
         if telemetry is not None:
-            if self.profiler is None:
-                # Stage attribution doubles as the substrate of the per-tick
-                # spans, so a telemetry run always profiles — into the session
-                # registry, so the same numbers land in the exported metrics.
-                self.profiler = StageProfiler(registry=telemetry.registry)
             if self.controller is not None:
                 self.controller.telemetry = telemetry
             if telemetry.trace_enabled:
@@ -270,14 +266,6 @@ class FleetEngine:
                         seconds=elapsed,
                     )
         self._stream(fleet, metrics, start_tick, store)
-        if self.profiler is not None:
-            # Accumulate: serial shard engines share one profiler, so totals
-            # and window counts add up across shards.
-            self.profiler.total_seconds = (
-                self.profiler.total_seconds or 0.0
-            ) + (perf_counter() - started)
-            self.profiler.n_windows += metrics.n_windows
-            self.profiler.ticks = spec.ticks
         if telemetry is not None:
             registry = telemetry.registry
             registry.counter(
@@ -445,11 +433,13 @@ class FleetEngine:
         """The struct-of-arrays loop: arrays in, arrays out, no objects."""
         system = self.system
         controller = self.controller
-        profiler = self.profiler
         telemetry = self.telemetry
         tracing = telemetry is not None and telemetry.trace_enabled
         watcher = telemetry.watcher if telemetry is not None else None
         tier_cells = self._tier_cells()
+        stage_cells = self._stage_cells()
+        if stage_cells is not None:
+            arrivals_s, context_policy_s, detect_s, metrics_s, adapt_s = stage_cells
         faulted = self._schedule is not None
         extract = self.context_extractor.extract
         select_actions = self.policy.select_actions
@@ -459,24 +449,24 @@ class FleetEngine:
                 tick_span = telemetry.tracer.start_span(
                     "fleet.tick", parent=self._run_span, tick=tick
                 )
-                stage_mark = profiler.stage_values()
+                stage_mark = [cell.value for cell in stage_cells]
             if faulted:
                 self._begin_tick(tick)
-            if profiler is not None:
+            if stage_cells is not None:
                 mark = perf_counter()
             batch = fleet.arrivals_columnar(tick)
-            if profiler is not None:
-                profiler.add("arrivals", perf_counter() - mark)
+            if stage_cells is not None:
+                arrivals_s.value += perf_counter() - mark
             metrics.record_uptime(batch.online, n_fleet - batch.online)
             if batch.n:
                 windows = batch.windows
                 labels = batch.labels
-                if profiler is not None:
+                if stage_cells is not None:
                     mark = perf_counter()
                 contexts = extract(windows)
                 actions = select_actions(contexts, greedy=True)
-                if profiler is not None:
-                    profiler.add("context_policy", perf_counter() - mark)
+                if stage_cells is not None:
+                    context_policy_s.value += perf_counter() - mark
                 for action in np.unique(actions):
                     chosen = np.flatnonzero(actions == action)
                     if chosen.size == actions.shape[0]:
@@ -486,7 +476,7 @@ class FleetEngine:
                     else:
                         tier_windows = windows[chosen]
                         tier_labels = labels[chosen]
-                    if profiler is not None:
+                    if stage_cells is not None:
                         mark = perf_counter()
                     detected = system.detect_batch_columnar(int(action), tier_windows)
                     # Failover may have served the batch at a lower tier than
@@ -494,9 +484,9 @@ class FleetEngine:
                     served = int(detected.layer)
                     if tier_cells is not None:
                         tier_cells[served].value += int(detected.n)
-                    if profiler is not None:
+                    if stage_cells is not None:
                         now = perf_counter()
-                        profiler.add("detect", now - mark)
+                        detect_s.value += now - mark
                         mark = now
                     metrics.observe(
                         tick,
@@ -506,10 +496,10 @@ class FleetEngine:
                         delays_ms=detected.delays_ms,
                         redirected=detected.n if served != int(action) else 0,
                     )
-                    if profiler is not None:
-                        profiler.add("metrics", perf_counter() - mark)
+                    if stage_cells is not None:
+                        metrics_s.value += perf_counter() - mark
                     if controller is not None:
-                        if profiler is not None:
+                        if stage_cells is not None:
                             mark = perf_counter()
                         controller.observe_batch(
                             tick,
@@ -519,13 +509,13 @@ class FleetEngine:
                             labels=tier_labels,
                             scores=detected.anomaly_scores,
                         )
-                        if profiler is not None:
-                            profiler.add("adapt", perf_counter() - mark)
+                        if stage_cells is not None:
+                            adapt_s.value += perf_counter() - mark
             if controller is not None:
                 # The tick boundary: drift decisions, gated retrains and
                 # atomic detector swaps happen between ticks, never inside
                 # one, so no batch sees a half-updated model.
-                if profiler is not None:
+                if stage_cells is not None:
                     mark = perf_counter()
                 if tracing:
                     # Activating the tick span parents the controller's
@@ -534,12 +524,18 @@ class FleetEngine:
                         controller.end_tick(tick)
                 else:
                     controller.end_tick(tick)
-                if profiler is not None:
-                    profiler.add("adapt", perf_counter() - mark)
+                if stage_cells is not None:
+                    adapt_s.value += perf_counter() - mark
             self._maybe_checkpoint(store, tick, metrics)
             if tracing:
-                self._end_tick_span(
-                    tick_span, stage_mark, int(batch.n), int(batch.online)
+                # Close the tick span with the stage-seconds deltas.
+                tick_span.end(
+                    windows=int(batch.n),
+                    online=int(batch.online),
+                    **{
+                        f"{stage}_ms": (cell.value - before) * 1000.0
+                        for stage, before, cell in zip(STAGES, stage_mark, stage_cells)
+                    },
                 )
             if watcher is not None:
                 # After the span closes: the watcher reads the registry and
@@ -557,17 +553,17 @@ class FleetEngine:
         )
         return [family.labels(tier=tier) for tier in self.tier_names]
 
-    def _end_tick_span(self, span, stage_mark, windows: int, online: int) -> None:
-        """Close a per-tick span with the stage-seconds deltas as attributes."""
-        deltas = self.profiler.stage_values()
-        span.end(
-            windows=windows,
-            online=online,
-            **{
-                f"{stage}_ms": (after - before) * 1000.0
-                for stage, before, after in zip(STAGES, stage_mark, deltas)
-            },
+    def _stage_cells(self):
+        """Pre-resolved per-stage seconds counters, in :data:`STAGES` order
+        (``None`` untelemetered, so the plain loop times nothing)."""
+        if self.telemetry is None:
+            return None
+        family = self.telemetry.registry.counter(
+            "fleet_stage_seconds_total",
+            "Wall-clock seconds per streaming stage.",
+            labelnames=("stage",),
         )
+        return [family.labels(stage=stage) for stage in STAGES]
 
     def run(self, resume: bool = False) -> FleetReport:
         """Stream the fleet and assemble the :class:`FleetReport`."""
@@ -609,11 +605,7 @@ def _run_shard_worker(payload: dict, resume: bool = False) -> "sharding.ShardRes
     half-written ``.tmp``).
     """
     payload = dict(payload)
-    config = payload.pop("obs", None)
-    child = None
-    if config is not None:
-        child = config.child(payload.get("shard_index", 0))
-        payload["telemetry"] = child
+    child = sharding.shard_child_telemetry(payload, payload.get("shard_index", 0))
     engine = FleetEngine(**payload)
     metrics = engine.run_metrics(resume=resume)
     return sharding.ShardResult(
@@ -634,13 +626,13 @@ class ShardedFleetEngine:
     fork only when the host actually has more than one CPU to run workers
     on — a single-core host pays fork/IPC overhead for pure time-slicing,
     which is exactly what made multi-shard runs *slower* than one shard).
-    Attaching a profiler forces serial shards (per-stage wall-clock across
-    forked workers would not add up to anything meaningful).  A telemetry
-    session does *not*: each shard — pooled or serial — runs its own child
-    session (``shard-NN/`` sinks mirroring the checkpoint layout, shard-
-    scoped trace ids) and the parent absorbs the children in shard order
-    through the deterministic registry merge algebra, so the merged metrics
-    equal what a serial unsharded run records.
+    Nothing else decides it — in particular a telemetry session does not:
+    each shard — pooled or serial — runs its own child session
+    (``shard-NN/`` sinks mirroring the checkpoint layout, shard-scoped trace
+    ids) and the parent absorbs the children in shard order through the
+    deterministic registry merge algebra, so the merged metrics equal what a
+    serial unsharded run records (stage and run seconds add up across
+    shards).
     """
 
     def __init__(
@@ -656,7 +648,6 @@ class ShardedFleetEngine:
         n_shards: Optional[int] = None,
         parallel: Union[bool, str] = "auto",
         controller=None,
-        profiler: Optional[StageProfiler] = None,
         telemetry: Optional[Telemetry] = None,
         faults: Optional[FaultSpec] = None,
         checkpoint_dir: Optional[str] = None,
@@ -685,7 +676,6 @@ class ShardedFleetEngine:
         )
         self.parallel = parallel
         self.controller = controller
-        self.profiler = profiler
         self.telemetry = telemetry
         self.faults = faults
         #: Base checkpoint directory; shard ``i`` checkpoints under
@@ -709,7 +699,7 @@ class ShardedFleetEngine:
             )
 
     def _resolve_parallel(self) -> bool:
-        if self.parallel is False or self.profiler is not None:
+        if self.parallel is False:
             return False
         if self.parallel == "auto":
             # Only the CPU count matters: run_sharded itself picks the
@@ -752,7 +742,6 @@ class ShardedFleetEngine:
             payload = {
                 **shared,
                 "device_ids": partition,
-                "profiler": self.profiler,
                 "shard_index": index,
             }
             if self.n_shards == 1:
@@ -884,7 +873,6 @@ class ShardedFleetEngine:
                 name=self.name,
                 tier_names=self.tier_names,
                 controller=self.controller,
-                profiler=self.profiler,
                 telemetry=self.telemetry,
                 faults=self.faults,
                 checkpoint_dir=(

@@ -245,7 +245,7 @@ class ShardResult:
     obs: Optional[dict] = None
 
 
-def _shard_child_telemetry(kwargs: dict, shard_index: int):
+def shard_child_telemetry(kwargs: dict, shard_index: int):
     """Pop the shard-telemetry recipe (if any) and build the child session."""
     config = kwargs.pop("obs", None)
     if config is None:
@@ -267,7 +267,7 @@ def _worker_run_shard(task: Tuple[int, int, List[int]]) -> dict:
     if base:
         kwargs["checkpoint_dir"] = shard_checkpoint_dir(base, shard_index)
     kwargs["shard_index"] = shard_index
-    child = _shard_child_telemetry(kwargs, shard_index)
+    child = shard_child_telemetry(kwargs, shard_index)
     engine = FleetEngine(device_ids=device_ids, **kwargs)
     metrics = engine.run_metrics().to_payload()
     return {
@@ -403,7 +403,7 @@ def _worker_run_shard_spawn(payload: dict) -> dict:
     anomalous_segment, anomalous = attach_array(anomalous_spec, untrack=True)
     try:
         payload["pool"] = WindowPool(normal=normal, anomalous=anomalous)
-        child = _shard_child_telemetry(payload, payload["shard_index"])
+        child = shard_child_telemetry(payload, payload["shard_index"])
         engine = FleetEngine(**payload)
         metrics = engine.run_metrics().to_payload()
         return {

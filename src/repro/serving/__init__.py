@@ -17,7 +17,8 @@ serving under real queueing:
   :class:`~repro.serving.report.ServingReport`;
 * :mod:`repro.serving.run` — :func:`~repro.serving.run.serve_workload`, the
   one-call orchestration used by the runner's ``serve`` stage, the
-  ``repro serve`` CLI and ``benchmarks/bench_serving.py``.
+  ``repro serve`` CLI and the ``serve-paced`` / ``serve-unpaced`` benchmark
+  workloads.
 """
 
 from repro.serving.loadgen import OpenLoopLoadGenerator

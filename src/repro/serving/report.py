@@ -9,8 +9,9 @@ that landed mid-run.
 
 Unlike :class:`~repro.fleet.report.FleetReport`, a serving report is
 inherently wall-clock — two runs of the same spec will not compare equal —
-so CI gates only its machine-relative leaves (ratios and the SLO pass/fail
-booleans; see ``benchmarks/compare_results.py --preset serving``).
+so CI gates only its machine-independent leaves (conservation counts and
+the SLO pass/fail booleans; see the ``serve-smoke`` assertions on
+``repro serve`` reports).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@
 to an :class:`~repro.serving.loadgen.OpenLoopLoadGenerator` inside a fresh
 event loop, optionally lands one hot swap mid-run through the drain-and-swap
 gate, and assembles the :class:`~repro.serving.report.ServingReport`.  It is
-what the runner's ``serve`` stage and ``benchmarks/bench_serving.py`` call.
+what the runner's ``serve`` stage and the ``serve-paced`` / ``serve-unpaced``
+benchmark workloads call.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from repro.utils.validation import (
     check_array,
     check_in,
 )
-from repro.utils.timer import WallClockTimer, SimulatedClock
+from repro.utils.timer import SimulatedClock
 
 __all__ = [
     "ensure_rng",
@@ -18,6 +18,5 @@ __all__ = [
     "check_probability",
     "check_array",
     "check_in",
-    "WallClockTimer",
     "SimulatedClock",
 ]

@@ -246,8 +246,11 @@ class TestAdaptationController:
         assert controller.retrains == []
 
     def test_drift_triggers_gated_retrain_and_swap(self, training_windows, tmp_path):
+        from repro.obs.export import Telemetry
+
         system = _tiny_system(training_windows)
         controller = self._controller(system, tmp_path)
+        controller.telemetry = Telemetry()
         rng = np.random.default_rng(1)
         incumbent = system.deployment_at(0).detector
         shift = 4.0 * np.ones(WINDOW_SIZE) / np.sqrt(WINDOW_SIZE)
@@ -270,7 +273,14 @@ class TestAdaptationController:
         assert timeline.drifts == tuple(controller.drifts)
         if timeline.swaps:
             assert system.deployment_at(0).detector is not incumbent
-            assert controller.timings[0].retrain_seconds > 0.0
+
+        def observed(name):
+            """Observation count of a latency histogram (their one owner)."""
+            family = controller.telemetry.registry.get(name)
+            return family.snapshot()["count"] if family is not None else 0
+
+        assert observed("adapt_retrain_seconds") == len(timeline.retrains)
+        assert observed("adapt_swap_seconds") == len(timeline.swaps)
 
     def test_anonymous_registry_is_ephemeral_and_cleaned_up(self, training_windows):
         system = _tiny_system(training_windows)

@@ -1,4 +1,4 @@
-"""End-to-end tests: the drift-recovery scenario, engine hooks, CLI and tools.
+"""End-to-end tests: the drift-recovery scenario, engine hooks and CLI.
 
 The acceptance pins live here:
 
@@ -13,7 +13,6 @@ The acceptance pins live here:
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,137 +287,6 @@ class TestCli:
             "models", "rollback", "iot", "--registry", str(tmp_path / "registry"),
         ]) == 2
         assert "root version" in capsys.readouterr().err
-
-
-class TestCompareResults:
-    def _write(self, tmp_path, name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return str(path)
-
-    def test_no_regression_exits_zero(self, tmp_path, capsys):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {"windows_per_second": 100.0})
-        new = self._write(tmp_path, "new.json", {"windows_per_second": 95.0})
-        assert compare_main([old, new]) == 0
-
-    def test_throughput_regression_exits_nonzero(self, tmp_path, capsys):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {"unsharded": {"windows_per_second": 100.0}})
-        new = self._write(tmp_path, "new.json", {"unsharded": {"windows_per_second": 80.0}})
-        assert compare_main([old, new]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_cost_increase_is_a_regression(self, tmp_path):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {"retrain_seconds_mean": 1.0})
-        new = self._write(tmp_path, "new.json", {"retrain_seconds_mean": 1.5})
-        assert compare_main([old, new]) == 1
-
-    def test_context_fields_ignored(self, tmp_path):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {"cpus": 8, "n_windows": 100})
-        new = self._write(tmp_path, "new.json", {"cpus": 1, "n_windows": 10})
-        assert compare_main([old, new]) == 0
-
-    def test_disjoint_files_exit_two(self, tmp_path):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {"a": 1.0})
-        new = self._write(tmp_path, "new.json", {"b": 2.0})
-        assert compare_main([old, new]) == 2
-
-    def test_ignore_masks_machine_dependent_leaves(self, tmp_path):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {"retrain_seconds_mean": 1.0, "f1": 0.9})
-        new = self._write(tmp_path, "new.json", {"retrain_seconds_mean": 3.0, "f1": 0.9})
-        assert compare_main([old, new]) == 1
-        assert compare_main([old, new, "--ignore", "seconds"]) == 0
-
-    def test_slo_boolean_flip_is_a_regression(self, tmp_path, capsys):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {"summary": {"overload_slo_met": True}})
-        new = self._write(tmp_path, "new.json", {"summary": {"overload_slo_met": False}})
-        assert compare_main([old, new]) == 1
-        assert "overload_slo_met" in capsys.readouterr().out
-        # The healthy direction is not a regression.
-        assert compare_main([new, old]) == 0
-
-    def test_serving_preset_masks_machine_dependent_leaves(self, tmp_path):
-        from benchmarks.compare_results import main as compare_main
-
-        # Absolute throughput, wall-clock and measured latency differ across
-        # hosts; the ratio and the SLO boolean are what the preset keeps gated.
-        old = self._write(tmp_path, "old.json", {
-            "summary": {"max_sustained_rps": 100.0, "sustained_throughput_ratio": 0.8},
-            "sweep": [{"latency_p99_ms": 500.0, "duration_seconds": 2.0, "slo_met": True}],
-        })
-        new = self._write(tmp_path, "new.json", {
-            "summary": {"max_sustained_rps": 40.0, "sustained_throughput_ratio": 0.78},
-            "sweep": [{"latency_p99_ms": 1900.0, "duration_seconds": 9.0, "slo_met": True}],
-        })
-        assert compare_main([old, new, "--preset", "serving"]) == 0
-
-    def test_serving_preset_still_gates_the_ratio(self, tmp_path, capsys):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(
-            tmp_path, "old.json", {"summary": {"sustained_throughput_ratio": 0.8}}
-        )
-        new = self._write(
-            tmp_path, "new.json", {"summary": {"sustained_throughput_ratio": 0.3}}
-        )
-        assert compare_main([old, new, "--preset", "serving"]) == 1
-        assert "sustained_throughput_ratio" in capsys.readouterr().out
-
-    def test_qualify_preset_masks_observed_values_gates_verdicts(self, tmp_path):
-        from benchmarks.compare_results import main as compare_main
-
-        # Observed values and margins drift across hosts (retry counts,
-        # redirect counts); the contract verdicts are what stays gated.
-        old = self._write(tmp_path, "old.json", {
-            "passed": True,
-            "cases": [{"passed": True, "contracts": [
-                {"name": "c", "value": 4.0, "margin": 3.0, "passed": True},
-            ]}],
-        })
-        new = self._write(tmp_path, "new.json", {
-            "passed": True,
-            "cases": [{"passed": True, "contracts": [
-                {"name": "c", "value": 1.0, "margin": 0.1, "passed": True},
-            ]}],
-        })
-        assert compare_main([old, new, "--preset", "qualify"]) == 0
-
-    def test_qualify_preset_gates_contract_flips(self, tmp_path, capsys):
-        from benchmarks.compare_results import main as compare_main
-
-        old = self._write(tmp_path, "old.json", {
-            "passed": True,
-            "cases": [{"passed": True, "contracts": [{"passed": True}]}],
-        })
-        new = self._write(tmp_path, "new.json", {
-            "passed": False,
-            "cases": [{"passed": False, "contracts": [{"passed": False}]}],
-        })
-        assert compare_main([old, new, "--preset", "qualify"]) == 1
-        assert "passed" in capsys.readouterr().out
-
-    def test_committed_qualify_baseline_self_compares_clean(self, capsys):
-        from benchmarks.compare_results import main as compare_main
-
-        baseline = str(
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "results" / "qualify.json"
-        )
-        assert compare_main([baseline, baseline, "--preset", "qualify"]) == 0
-        capsys.readouterr()
 
 
 class TestAdaptiveRunGolden:

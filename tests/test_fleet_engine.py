@@ -247,32 +247,20 @@ class TestColumnarEngine:
         golden("fleet/report-fleet-burst-storm-2shard.json", report.to_dict())
 
     def test_profiler_accounts_the_run(self, trained):
-        from repro.fleet.profiling import STAGES, StageProfiler
+        from repro.fleet.engine import STAGES
+        from repro.obs.export import Telemetry
 
         spec, runner = trained
-        profiler = StageProfiler()
-        report = FleetEngine(**_engine_kwargs(spec, runner), profiler=profiler).run()
-        assert profiler.total_seconds is not None
-        assert profiler.total_seconds > 0
-        assert profiler.n_windows == report.n_windows
-        assert profiler.ticks == spec.fleet.ticks
-        assert profiler.seconds["arrivals"] > 0
-        assert profiler.seconds["detect"] > 0
-        assert profiler.accounted_seconds <= profiler.total_seconds
-        summary = profiler.summary()
-        for stage in STAGES:
-            assert stage.split("_")[0] in summary
-        assert "windows/s" in summary
-
-    def test_profiled_sharded_run_is_serial(self, trained):
-        from repro.fleet.profiling import StageProfiler
-
-        spec, runner = trained
-        engine = ShardedFleetEngine(
-            **_engine_kwargs(spec, runner), n_shards=2,
-            parallel=True, profiler=StageProfiler(),
-        )
-        assert engine._resolve_parallel() is False
+        telemetry = Telemetry()
+        report = FleetEngine(**_engine_kwargs(spec, runner), telemetry=telemetry).run()
+        registry = telemetry.registry
+        total = registry.get("fleet_run_seconds_total").value()
+        assert total > 0
+        assert registry.get("fleet_windows_total").value() == report.n_windows
+        stages = registry.get("fleet_stage_seconds_total")
+        assert stages.value(stage="arrivals") > 0
+        assert stages.value(stage="detect") > 0
+        assert sum(stages.value(stage=stage) for stage in STAGES) <= total
 
     def test_invalid_parallel_value_rejected(self, trained):
         spec, runner = trained

@@ -128,16 +128,53 @@ class TestListVerbose:
 class TestFleetProfileFlag:
     """Satellite: ``repro fleet --profile`` prints the per-stage breakdown."""
 
-    def test_profile_prints_stage_breakdown(self, capsys):
-        assert main(["fleet", "fleet-burst-storm", *TINY_SETS, "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "per-stage wall-clock breakdown" in out
-        assert "arrivals" in out
-        assert "context + policy" in out
-        assert "detect" in out
-        assert "metrics" in out
-        assert "adapt" in out
+    @staticmethod
+    def _check_breakdown(out, telemetry_dir):
+        """The printed shape, and the registry invariants behind it."""
+        from repro.fleet.engine import STAGES
+        from repro.obs.metrics import MetricsRegistry
+
+        assert "per-stage wall-clock breakdown:" in out
+        for label in ("arrivals (", "context + policy (", "detect (", "metrics (",
+                      "adapt (", "other (", "  total ", "  throughput: "):
+            assert label in out
         assert "windows/s" in out
+        registry = MetricsRegistry.from_payload(
+            json.loads((telemetry_dir / "metrics.json").read_text())
+        )
+        stages = registry.get("fleet_stage_seconds_total")
+        assert {key[0] for key in stages._children} == set(STAGES)
+        assert sum(stages.value(stage=stage) for stage in STAGES) <= registry.get(
+            "fleet_run_seconds_total"
+        ).value()
+
+    def test_profile_prints_stage_breakdown(self, tmp_path, capsys):
+        assert main([
+            "fleet", "fleet-burst-storm", *TINY_SETS, "--profile",
+            "--telemetry", str(tmp_path),
+        ]) == 0
+        self._check_breakdown(capsys.readouterr().out, tmp_path)
+
+    def test_profile_with_shards_profiles_the_forked_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """--profile no longer changes how shards execute: they still fork."""
+        from repro.fleet import sharding
+
+        pooled = []
+        run_sharded = sharding.run_sharded
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 2)
+        monkeypatch.setattr(
+            sharding,
+            "run_sharded",
+            lambda *args: pooled.append(args[2]) or run_sharded(*args),
+        )
+        assert main([
+            "fleet", "fleet-burst-storm", *TINY_SETS, "--shards", "2", "--profile",
+            "--telemetry", str(tmp_path),
+        ]) == 0
+        assert pooled == [2]
+        self._check_breakdown(capsys.readouterr().out, tmp_path)
 
     def test_profile_parses_with_shards(self):
         args = build_parser().parse_args(

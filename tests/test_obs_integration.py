@@ -32,9 +32,8 @@ from repro.cli import main
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 from repro.fleet import sharding
 from repro.fleet.devices import DeviceFleet, WindowPool
-from repro.fleet.engine import FleetEngine, ShardedFleetEngine
+from repro.fleet.engine import STAGES, FleetEngine, ShardedFleetEngine
 from repro.fleet.faults import FaultEvent, FaultSpec
-from repro.fleet.profiling import STAGES, StageProfiler
 from repro.obs.export import Telemetry, read_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spec import ObsSpec
@@ -144,20 +143,23 @@ class TestFleetBitIdentity:
         family = telemetry.registry.get("fleet_windows_total")
         assert family is not None and family.value() == traced.n_windows
 
-    def test_telemetry_no_longer_forces_serial_shards(self, fleet_trained):
-        # Child shard sessions made the old telemetry->serial coupling
-        # unnecessary; only the profiler still forces serial (cross-process
-        # wall-clock would not add up to anything meaningful).
+    def test_telemetry_no_longer_forces_serial_shards(self, fleet_trained, monkeypatch):
+        # Child shard sessions fold through the registry merge, so only
+        # ``parallel`` and the CPU count decide whether shards fork.
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
-        telemetered = ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=True, telemetry=Telemetry(),
-        )
-        assert telemetered._resolve_parallel() is True
-        profiled = ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=True, profiler=StageProfiler(),
-        )
-        assert profiled._resolve_parallel() is False
+
+        def resolve(parallel):
+            return ShardedFleetEngine(
+                **kwargs, n_shards=2, parallel=parallel, telemetry=Telemetry(),
+            )._resolve_parallel()
+
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 1)
+        assert resolve(True) is True
+        assert resolve(False) is False
+        assert resolve("auto") is False
+        monkeypatch.setattr(sharding, "available_cpus", lambda: 2)
+        assert resolve("auto") is True
 
     def test_faulted_checkpointed_run_is_bit_identical(self, fleet_trained, tmp_path):
         spec, runner = fleet_trained
@@ -344,18 +346,6 @@ class TestFleetTelemetryContent:
         assert f"telemetry digest: {spec.name}" in digest
         assert "top 10 spans by duration:" in digest
         assert "tier utilization:" in digest
-
-    def test_profiler_shim_breakdown_is_registry_agnostic(self):
-        plain = StageProfiler()
-        backed = StageProfiler(registry=MetricsRegistry())
-        for profiler in (plain, backed):
-            profiler.add("arrivals", 0.25)
-            profiler.add("detect", 0.5)
-            profiler.total_seconds = 1.0
-            profiler.n_windows = 100
-            profiler.ticks = 4
-        assert backed.summary() == plain.summary()
-        assert backed.seconds == plain.seconds
 
 
 class TestServingBitIdentity:
@@ -551,6 +541,17 @@ class TestCliSurface:
         assert f"Telemetry: {out_dir}" in out
         for name in ("trace.jsonl", "metrics.json", "metrics.prom"):
             assert (out_dir / name).is_file()
+        # One source: the printed stage seconds are the exported counters.
+        exported = MetricsRegistry.from_payload(
+            json.loads((out_dir / "metrics.json").read_text())
+        )
+        printed = re.findall(r"^  \w.*\) +(\d+\.\d{3}) s  \(", out, re.MULTILINE)
+        stage_seconds = exported.get("fleet_stage_seconds_total")
+        assert printed[: len(STAGES)] == [
+            f"{stage_seconds.value(stage=stage):.3f}" for stage in STAGES
+        ]
+        total = exported.get("fleet_run_seconds_total").value()
+        assert f"{'total':<50s} {total:8.3f} s" in out
         assert main(["obs", "summarize", str(out_dir / "trace.jsonl")]) == 0
         digest = capsys.readouterr().out
         assert "telemetry digest: fleet-burst-storm" in digest
