@@ -16,8 +16,8 @@ streaming sensor windows:
   struct-of-arrays streaming loop, pinned by goldens recorded from the
   per-window loop it replaced) and the ``multiprocessing``-sharded
   :class:`ShardedFleetEngine`;
-* :mod:`repro.fleet.sharding` — persistent worker pools and zero-copy shard
-  payloads behind the sharded engine;
+* :mod:`repro.fleet.sharding` — the one shard runner and the per-run worker
+  pool (zero-copy shard payloads under ``fork``) behind the sharded engine;
 * :mod:`repro.fleet.stream_cache` — bounded creation/arrival-stream caches
   behind :meth:`DeviceFleet.arrivals_columnar`;
 * :mod:`repro.fleet.metrics` / :mod:`repro.fleet.report` — bounded-memory

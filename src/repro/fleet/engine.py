@@ -19,8 +19,9 @@ processes, runs one :class:`FleetEngine` per shard and merges the per-shard
 aggregators in shard order.  Because every device owns an RNG derived from
 its id (not from its shard), the merged counts are independent of the
 partitioning, and a single-shard run is bit-identical to the unsharded
-engine — a property pinned by the equivalence tests.  Worker pools persist
-across runs and shard payloads ship zero-copy (see
+engine — a property pinned by the equivalence tests.  A pooled run owns its
+worker pool — created for the run, torn down before it returns — and shard
+payloads reach the workers zero-copy under ``fork`` (see
 :mod:`repro.fleet.sharding`); with ``parallel="auto"`` the engine only forks
 when more than one CPU is actually available — on a single-core host the
 shards run serially in-process, which is strictly cheaper than time-slicing
@@ -594,26 +595,6 @@ class FleetEngine:
         return self.run(resume=True)
 
 
-def _run_shard_worker(payload: dict, resume: bool = False) -> "sharding.ShardResult":
-    """In-process shard entry point (serial shards and the pool fallback).
-
-    Mirrors the pooled workers' protocol: on telemetered runs the shard gets
-    its own child session built from the ``obs`` recipe, and the result
-    carries its compact payload for the parent to absorb.  The input dict is
-    never mutated, so crash recovery can re-run from the same payload with a
-    *fresh* child session (whose sink overwrites the crashed shard's
-    half-written ``.tmp``).
-    """
-    payload = dict(payload)
-    child = sharding.shard_child_telemetry(payload, payload.get("shard_index", 0))
-    engine = FleetEngine(**payload)
-    metrics = engine.run_metrics(resume=resume)
-    return sharding.ShardResult(
-        metrics=metrics,
-        obs=child.shard_payload() if child is not None else None,
-    )
-
-
 class ShardedFleetEngine:
     """Partition the fleet across worker processes and merge deterministically.
 
@@ -702,14 +683,12 @@ class ShardedFleetEngine:
         if self.parallel is False:
             return False
         if self.parallel == "auto":
-            # Only the CPU count matters: run_sharded itself picks the
-            # transport (fork-shared state where fork exists, SharedMemory
-            # pool shipping on spawn-only platforms).
             return sharding.available_cpus() > 1
         return True
 
-    def _shared_kwargs(self) -> dict:
-        return {
+    def _shard_payloads(self) -> List[dict]:
+        """The :class:`FleetEngine` kwargs of every shard, in shard order."""
+        shared = {
             "system": self.system,
             "policy": self.policy,
             "context_extractor": self.context_extractor,
@@ -721,27 +700,18 @@ class ShardedFleetEngine:
             "faults": self.faults,
             "checkpoint_dir": self.checkpoint_dir,
             "checkpoint_cadence": self.checkpoint_cadence,
-            # The frozen recipe shard workers build child telemetry sessions
-            # from (None on untelemetered runs); also part of the fork-pool
-            # structural key, via sharding._structural_key.
+            # The frozen recipe each shard builds its child telemetry session
+            # from (None on untelemetered runs).
             "obs": (
                 self.telemetry.shard_config() if self.telemetry is not None else None
             ),
         }
-
-    def _partitions(self) -> List[List[int]]:
-        return [
-            partition.tolist()
-            for partition in np.array_split(np.arange(self.spec.n_devices), self.n_shards)
-        ]
-
-    def _shard_payloads(self) -> List[dict]:
-        shared = self._shared_kwargs()
+        partitions = np.array_split(np.arange(self.spec.n_devices), self.n_shards)
         payloads = []
-        for index, partition in enumerate(self._partitions()):
+        for index, partition in enumerate(partitions):
             payload = {
                 **shared,
-                "device_ids": partition,
+                "device_ids": partition.tolist(),
                 "shard_index": index,
             }
             if self.n_shards == 1:
@@ -774,7 +744,7 @@ class ShardedFleetEngine:
             RuntimeWarning,
             stacklevel=3,
         )
-        return _run_shard_worker(payload, resume=True)
+        return sharding.run_shard(payload, resume=True)
 
     def _absorb_shards(self, results: list) -> List[StreamingMetrics]:
         """Fold child telemetry into the parent session, in shard order.
@@ -801,47 +771,42 @@ class ShardedFleetEngine:
 
     def _run_shards(self, resume: bool = False) -> List[StreamingMetrics]:
         payloads = self._shard_payloads()
-        if self.n_shards == 1 or resume or not self._resolve_parallel():
-            # In-process path: FleetEngine.run_metrics resets the shared
-            # system before each shard, so sequential shards stay isolated.
-            # Resumed runs always take it — each shard must read its own
-            # checkpoint store with the resume semantics, which the pooled
-            # task protocol does not carry.
+        results = None
+        # Resumed runs stay in-process: each shard restores the system from
+        # its own checkpoint store, one shard at a time.
+        if self.n_shards > 1 and not resume and self._resolve_parallel():
+            try:
+                results = sharding.run_pooled(payloads)
+            except ReproError:
+                # Application errors raised inside a worker (configuration/shape
+                # problems) are not pool failures: re-running them serially would
+                # double the wall-clock only to raise the same error, behind a
+                # warning blaming parallelism.  ReproErrors also subclass
+                # ValueError/RuntimeError, so this re-raise must precede the catch.
+                raise
+            except (
+                OSError, ValueError, RuntimeError, multiprocessing.ProcessError
+            ) as exc:
+                # RuntimeError: BrokenProcessPool, a worker that died without
+                # raising (OOM kill) — its shards have no result to wait for.
+                _warn_pool_fallback_once(exc)
+        if results is None:
+            # In-process: FleetEngine.run_metrics resets the shared system
+            # before each shard, so sequential shards stay isolated.
             results = []
             for payload in payloads:
                 try:
-                    results.append(_run_shard_worker(payload, resume=resume))
-                except WorkerCrash:
-                    results.append(self._recover_shard(payload))
-            return self._absorb_shards(results)
-        try:
-            parts = sharding.run_sharded(
-                self._shared_kwargs(), self._partitions(), self.n_shards
-            )
-        except ReproError:
-            # Application errors raised inside a worker (configuration/shape
-            # problems) are not pool failures: re-running them serially would
-            # double the wall-clock only to raise the same error, behind a
-            # warning blaming parallelism.  ConfigurationError/ShapeError also
-            # subclass ValueError, so this re-raise must precede the catch.
-            raise
-        except (OSError, ValueError, multiprocessing.ProcessError) as exc:
-            _warn_pool_fallback_once(exc)
-            results = []
-            for payload in payloads:
-                try:
-                    results.append(_run_shard_worker(payload))
-                except WorkerCrash:
-                    results.append(self._recover_shard(payload))
-            return self._absorb_shards(results)
-        # Injected shard crashes surface as WorkerCrash placeholders in the
-        # pooled results; recover each from its shard checkpoint store.
+                    results.append(sharding.run_shard(payload, resume=resume))
+                except WorkerCrash as crash:
+                    results.append(crash)
+        # Injected shard crashes sit in their shard's slot, pooled or serial;
+        # recover each from its shard checkpoint store.
         return self._absorb_shards(
             [
-                self._recover_shard(payloads[index])
-                if isinstance(part, WorkerCrash)
-                else part
-                for index, part in enumerate(parts)
+                self._recover_shard(payload)
+                if isinstance(result, WorkerCrash)
+                else result
+                for payload, result in zip(payloads, results)
             ]
         )
 

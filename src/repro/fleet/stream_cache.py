@@ -1,8 +1,8 @@
 """Bounded caches behind :meth:`DeviceFleet.arrivals_columnar`.
 
 Two module-level caches make repeated streaming of the *same seeded
-workload* — benchmark repeats, shard sweeps, persistent shard workers
-re-running a scenario — nearly free without touching determinism:
+workload* — benchmark repeats, serial shard sweeps re-running a scenario in
+one process — nearly free without touching determinism:
 
 * the **creation cache** stores, per fleet configuration, each device's
   mutator states and the RNG state *after* the creation draws, so a fresh

@@ -128,9 +128,8 @@ class HECSystem:
         }
         self._request_counter = 0
         #: Monotone counter bumped whenever the deployed model set changes
-        #: (hot-swaps).  Consumers that snapshot the system — the sharded
-        #: engine's forked worker pools — key their snapshots on it so a
-        #: swap invalidates them (see :mod:`repro.fleet.sharding`).
+        #: (hot-swaps).  The serving front door stamps every response with it,
+        #: which is how a drain-and-swap shows which model set answered.
         self.state_version = 0
         #: Failover policy under link outage: a request whose tier is behind a
         #: down link is redirected to the best reachable tier and charged

@@ -337,11 +337,10 @@ class Telemetry:
         return self.shard_config().child(shard_index)
 
     def shard_config(self) -> "ShardObsConfig":
-        """The frozen recipe worker processes build their child sessions from.
+        """The frozen recipe each shard builds its child session from.
 
-        Hashable (it keys the fork-pool's published-state snapshot) and
-        picklable (the spawn path ships it), unlike the live session with its
-        open file handle.
+        Picklable, because it crosses a process boundary in the shard's
+        payload — unlike the live session with its open file handle.
         """
         return ShardObsConfig(
             dir=str(self.out_dir) if self.out_dir is not None else None,
@@ -431,10 +430,9 @@ class ShardObsConfig:
     """How a shard worker rebuilds its child :class:`Telemetry` session.
 
     A live session holds an open file handle and cannot cross a process
-    boundary; this frozen value can — it rides in the published shared
-    kwargs (fork pool), pickles into spawn payloads, and its hashability
-    makes telemetry configuration part of the fork-pool's structural key, so
-    runs with different telemetry setups never share a forked snapshot.
+    boundary; this frozen value can — it rides in every shard's payload
+    (inherited under ``fork``, pickled under ``spawn``) and
+    :func:`repro.fleet.sharding.run_shard` builds the child from it.
     """
 
     #: The *parent* session's output directory (``None`` = in-memory child).

@@ -15,9 +15,10 @@ The headline contracts of the robustness layer:
 
 Kill tests fork a child process (fork start method: the trained state is
 inherited, nothing is pickled) and SIGKILL it from inside via the injected
-``process-kill`` fault; multiprocessing *pools* must never be SIGKILLed —
-``Pool.map`` hangs on dead workers — which is why the kill scenarios stay on
-the serial paths.
+``process-kill`` fault, on the serial paths.  What a *pooled* run does when a
+worker dies, the parent is interrupted or the parent is SIGTERMed is
+``TestPoolCleanup``'s: those run in subprocesses under a hard ``timeout``, so a
+regression fails instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -422,7 +426,10 @@ class TestShardCrashRecovery:
         # the recovery run kept checkpointing past the crash tick.
         assert CheckpointStore(shard_checkpoint_dir(tmp_path, 1)).latest_tick() == 10
 
-    @pytest.mark.skipif(not sharding.fork_available(), reason="needs fork pools")
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork pools",
+    )
     def test_pooled_crash_recovers_exact_counts(self, trained):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
@@ -432,6 +439,7 @@ class TestShardCrashRecovery:
                 **kwargs, n_shards=2, parallel=True, faults=CRASH_SHARD_1
             ).run()
         assert crashed == baseline
+        assert multiprocessing.active_children() == []
 
 
 # -- link faults & tier failover -------------------------------------------------
@@ -654,52 +662,147 @@ class TestMergeEdgeCases:
             _metrics(n_layers=4).restore_state(snapshot)
 
 
-# -- worker-pool and shared-memory cleanup ---------------------------------------
+# -- worker-pool cleanup ---------------------------------------------------------
+
+#: Subprocess prelude: train the tiny scenario (overrides in argv[1]) and keep
+#: the real shard runner, so a script can wrap it with a misbehaving one that
+#: the pool workers inherit through fork.
+_POOLED_PRELUDE = """
+import json, multiprocessing, os, sys, time, warnings
+from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
+from repro.fleet import sharding
+from repro.fleet.devices import WindowPool
+from repro.fleet.engine import ShardedFleetEngine
+
+spec = apply_overrides(get_scenario("fleet-burst-storm"), json.loads(sys.argv[1]))
+runner = ExperimentRunner(spec)
+for stage in ("prepare_data", "fit_detectors", "deploy", "train_policy"):
+    getattr(runner, stage)()
+state = runner.state
+kwargs = dict(
+    system=state.system, policy=state.policy,
+    context_extractor=state.context_extractor, spec=spec.fleet,
+    pool=WindowPool.from_labeled(state.standardized_all),
+    master_seed=spec.seed, name=spec.name, tier_names=spec.topology.tier_names,
+)
+parent, run_shard = os.getpid(), sharding.run_shard
+"""
+
+
+def _pooled_script(body: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-c", _POOLED_PRELUDE + body, json.dumps(TINY)],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, PYTHONPATH="src"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (an unreaped zombie has already died)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestPoolCleanup:
     def test_keyboard_interrupt_drops_the_pool(self, trained, monkeypatch):
+        # Shard 0 returns, the parent is interrupted reading its result while
+        # shard 1's worker is still mid-stream: that worker must not survive.
         spec, runner = trained
         engine = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2)
+        run_shard = sharding.run_shard
 
-        class ExplodingPool:
-            def apply_async(self, *args, **kwargs):
-                raise KeyboardInterrupt
+        def slow_second_shard(payload, resume=False):
+            if payload["shard_index"] == 1:
+                time.sleep(60)
+            return run_shard(payload, resume)
 
-        dropped = []
-        monkeypatch.setattr(sharding, "_pool_for", lambda n, token: ExplodingPool())
-        monkeypatch.setattr(sharding, "_drop_pool", dropped.append)
+        def interrupted(payload):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sharding, "run_shard", slow_second_shard)
+        monkeypatch.setattr(StreamingMetrics, "from_payload", interrupted)
+        started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            sharding.run_sharded(engine._shared_kwargs(), engine._partitions(), 2)
-        assert dropped == [2]
+            sharding.run_pooled(engine._shard_payloads())
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 30
 
-    @pytest.mark.skipif(
-        not Path("/dev/shm").is_dir(), reason="needs POSIX shared memory"
-    )
-    def test_sigterm_unlinks_shared_memory(self, tmp_path):
-        # A SIGTERMed parent must not leak its exported SharedMemory segments:
-        # the installed handler runs shutdown() and re-raises SIGTERM.
-        script = (
-            "import os, signal\n"
-            "import numpy as np\n"
-            "from repro.fleet import sharding\n"
-            "segment, spec = sharding.export_array(np.zeros(16))\n"
-            "sharding._install_signal_cleanup()\n"
-            "print(segment.name, flush=True)\n"
-            "os.kill(os.getpid(), signal.SIGTERM)\n"
+    def test_dead_worker_falls_back_instead_of_hanging(self):
+        # os._exit stands in for an OOM kill: the worker dies without raising,
+        # so no result and no exception ever comes back for its shard.
+        script = _pooled_script(
+            """
+def dying(payload, resume=False):
+    if os.getpid() != parent and payload["shard_index"] == 1:
+        os._exit(1)
+    return run_shard(payload, resume)
+
+sharding.run_shard = dying
+serial = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    pooled = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+print(json.dumps({
+    "equal": pooled == serial,
+    "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+    "children": len(multiprocessing.active_children()),
+}))
+"""
         )
-        env = dict(os.environ, PYTHONPATH="src")
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            cwd=Path(__file__).resolve().parent.parent,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
+        try:
+            out, err = script.communicate(timeout=120)
+        finally:
+            script.kill()
+        assert script.returncode == 0, err
+        result = json.loads(out)
+        assert result["equal"] is True
+        assert len(result["warnings"]) == 1
+        assert result["warnings"][0].startswith("RuntimeWarning: sharded fleet worker")
+        assert "BrokenProcessPool" in result["warnings"][0]
+        assert result["children"] == 0
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_sigterm_kills_live_workers(self):
+        # SIGTERM's default disposition runs no cleanup: without the handler a
+        # terminated parent would leave its mid-shard workers streaming.
+        script = _pooled_script(
+            """
+def blocking(payload, resume=False):
+    os.write(1, f"{os.getpid()}\\n".encode())  # one write: two workers share the pipe
+    time.sleep(120)
+
+sharding.run_shard = blocking
+ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+"""
         )
-        name = result.stdout.strip().splitlines()[0].lstrip("/")
-        assert result.returncode == -15, result.stderr
-        assert not (Path("/dev/shm") / name).exists()
+        watchdog = threading.Timer(120, script.kill)
+        watchdog.start()
+        workers = []
+        try:
+            workers = [int(script.stdout.readline() or 0) for _ in range(2)]
+            assert all(workers) and script.pid not in workers, script.stderr.read()
+            script.send_signal(signal.SIGTERM)
+            assert script.wait(timeout=60) == -signal.SIGTERM, script.stderr.read()
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, workers))
+        finally:
+            watchdog.cancel()
+            script.kill()
+            script.wait()
+            for pid in filter(None, workers):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            script.stdout.close()
+            script.stderr.close()
 
 
 # -- CLI error contract ----------------------------------------------------------

@@ -285,7 +285,7 @@ class TestPoolFallbackWarning:
         def broken(*args, **kw):
             raise OSError("fork refused for the test")
 
-        monkeypatch.setattr(sharding, "run_sharded", broken)
+        monkeypatch.setattr(sharding, "run_pooled", broken)
         monkeypatch.setattr(engine_module, "_pool_fallback_warned", False)
 
         with pytest.warns(RuntimeWarning, match="OSError: fork refused"):
@@ -299,47 +299,77 @@ class TestPoolFallbackWarning:
 
 
 class TestShardingInfrastructure:
-    def test_worker_pool_persists_across_runs(self, trained):
-        from repro.fleet import sharding
+    def test_pooled_run_never_streams_a_stale_fork(self, trained):
+        """A pooled run owns its pool, so it can never stream a stale fork:
+        overwrite the policy's output layer in place between two pooled runs
+        (no version bump, nothing to invalidate) and the second run equals the
+        serial report of the mutated system."""
+        import multiprocessing
 
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        sharding.shutdown()
-        first = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
-        pool_after_first = sharding._POOLS.get(2)
-        assert pool_after_first is not None
-        second = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
-        assert sharding._POOLS.get(2) is pool_after_first  # no re-fork
-        assert first == second
+        before = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+        assert multiprocessing.active_children() == []
+        params = kwargs["policy"].model.layers[-1].params
+        saved = {name: value.copy() for name, value in params.items()}
+        try:
+            params["kernel"][...] = 0.0
+            params["bias"][...] = 0.0
+            params["bias"][-1] = 50.0  # every context now picks the top tier
+            pooled = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+            serial = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+        finally:
+            for name, value in saved.items():
+                params[name][...] = value
+        assert pooled == serial
+        assert pooled != before
+        assert [tier.requests for tier in pooled.tiers][:-1] == [0, 0]
+        assert multiprocessing.active_children() == []
 
-    def test_pool_workers_do_not_inherit_the_sigterm_cleanup_handler(self):
-        """``Pool.terminate()`` kills workers by SIGTERM; a worker that ran the
-        parent's cleanup handler instead could block forever and hang join()."""
+    def test_pool_workers_do_not_inherit_the_sigterm_cleanup_handler(
+        self, trained, monkeypatch
+    ):
+        """The parent kills workers on SIGTERM through a handler that fork
+        hands to them too; a worker that ran it instead of dying would outlive
+        the kill.  Workers report the disposition they stream under."""
         import signal
 
         from repro.fleet import sharding
+        from repro.fleet.faults import WorkerCrash
 
-        sharding.shutdown()
-        sharding._install_signal_cleanup()
-        pool = sharding._pool_for(2, token=-1)
-        try:
-            disposition = pool.apply_async(signal.getsignal, (signal.SIGTERM,))
-            assert disposition.get(timeout=30) == signal.SIG_DFL
-        finally:
-            sharding.shutdown()
+        def report_disposition(payload, resume=False):
+            raise WorkerCrash(repr(signal.getsignal(signal.SIGTERM)))
 
-    def test_shard_tasks_ship_tokens_not_state(self, trained):
-        """The per-task payload is (token, device ids) — state goes via fork."""
+        spec, runner = trained
+        engine = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2)
+        monkeypatch.setattr(sharding, "run_shard", report_disposition)
+        previous = signal.getsignal(signal.SIGTERM)
+        crashes = sharding.run_pooled(engine._shard_payloads())
+        assert [str(crash) for crash in crashes] == [repr(signal.SIG_DFL)] * 2
+        # ... and the parent's own disposition is back once the pool is gone.
+        assert signal.getsignal(signal.SIGTERM) is previous
+
+    def test_shard_tasks_ship_an_index_not_state(self, trained, monkeypatch):
+        """State reaches the workers by inheritance (the pool's initializer
+        arguments), so the message pickled per task stays tiny."""
         import pickle
+        from concurrent.futures import ProcessPoolExecutor
 
         from repro.fleet import sharding
 
         spec, runner = trained
-        kwargs = _engine_kwargs(spec, runner)
-        engine = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True)
-        token = sharding._publish(engine._shared_kwargs())
-        task = (token, 0, engine._partitions()[0])
-        assert len(pickle.dumps(task)) < 4096
+        engine = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2)
+        sizes = []
+        submit = ProcessPoolExecutor.submit
+
+        def measuring_submit(self, fn, *args, **kwargs):
+            sizes.append(len(pickle.dumps((fn, args, kwargs))))
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", measuring_submit)
+        results = sharding.run_pooled(engine._shard_payloads())
+        assert len(results) == len(sizes) == 2
+        assert max(sizes) < 4096
 
     def test_compact_metrics_payload_round_trips(self, trained):
         from repro.fleet.metrics import StreamingMetrics
@@ -354,39 +384,6 @@ class TestShardingInfrastructure:
         assert merged_a.reservoir.values == merged_b.reservoir.values
         assert merged_a.delay_sum == merged_b.delay_sum
 
-    def test_shared_memory_round_trip(self):
-        from repro.fleet import sharding
-
-        array = np.random.default_rng(0).normal(size=(17, 9))
-        segment, spec = sharding.export_array(array)
-        try:
-            attached, view = sharding.attach_array(spec)
-            try:
-                assert np.array_equal(view, array)
-                assert not view.flags.writeable
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_hot_swap_invalidates_published_fork_state(self, trained):
-        """A state_version bump re-keys the published snapshot (stale-fork guard)."""
-        from repro.fleet import sharding
-
-        spec, runner = trained
-        kwargs = _engine_kwargs(spec, runner)
-        engine = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True)
-        token_before = sharding._publish(engine._shared_kwargs())
-        assert sharding._publish(engine._shared_kwargs()) == token_before
-        kwargs["system"].bump_state_version()
-        try:
-            token_after = sharding._publish(engine._shared_kwargs())
-            assert token_after != token_before
-        finally:
-            kwargs["system"].state_version = 0
-            sharding.invalidate()
-
     def test_worker_application_error_is_not_a_pool_failure(self, trained, monkeypatch):
         """ConfigurationError from a worker propagates instead of warning+serial."""
         from repro.fleet import engine as engine_module, sharding
@@ -394,10 +391,10 @@ class TestShardingInfrastructure:
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
 
-        def broken(*args, **kw):
+        def broken(payload, resume=False):
             raise ConfigurationError("bad spec inside the worker")
 
-        monkeypatch.setattr(sharding, "run_sharded", broken)
+        monkeypatch.setattr(sharding, "run_shard", broken)  # inherited by fork
         monkeypatch.setattr(engine_module, "_pool_fallback_warned", False)
         with pytest.raises(ConfigurationError, match="bad spec"):
             ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()

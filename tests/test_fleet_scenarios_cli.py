@@ -162,12 +162,12 @@ class TestFleetProfileFlag:
         from repro.fleet import sharding
 
         pooled = []
-        run_sharded = sharding.run_sharded
+        run_pooled = sharding.run_pooled
         monkeypatch.setattr(sharding, "available_cpus", lambda: 2)
         monkeypatch.setattr(
             sharding,
-            "run_sharded",
-            lambda *args: pooled.append(args[2]) or run_sharded(*args),
+            "run_pooled",
+            lambda payloads: pooled.append(len(payloads)) or run_pooled(payloads),
         )
         assert main([
             "fleet", "fleet-burst-storm", *TINY_SETS, "--shards", "2", "--profile",

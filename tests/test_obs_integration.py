@@ -23,6 +23,7 @@ surface (``--telemetry``, ``--profile`` over the shared registry,
 """
 
 import json
+import multiprocessing
 import re
 from dataclasses import replace
 
@@ -273,7 +274,8 @@ class TestShardedTelemetry:
         assert len(ids) == len(set(ids))
 
     @pytest.mark.skipif(
-        not sharding.fork_available(), reason="needs the fork start method"
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
     )
     def test_pooled_shards_match_serial_shards(self, fleet_trained):
         spec, runner = fleet_trained
@@ -286,13 +288,11 @@ class TestShardedTelemetry:
         pooled = ShardedFleetEngine(
             **kwargs, n_shards=2, parallel=True, telemetry=pooled_tel
         ).run()
-        try:
-            assert pooled == serial
-            assert pooled_tel.registry.project(
-                drop_substrings=_CLOCK_FREE
-            ) == serial_tel.registry.project(drop_substrings=_CLOCK_FREE)
-        finally:
-            sharding.shutdown()
+        assert pooled == serial
+        assert pooled_tel.registry.project(
+            drop_substrings=_CLOCK_FREE
+        ) == serial_tel.registry.project(drop_substrings=_CLOCK_FREE)
+        assert multiprocessing.active_children() == []
 
 
 class TestFleetTelemetryContent:
