@@ -116,7 +116,6 @@ class PolicyNetwork:
             raise ConfigurationError(
                 f"action must lie in [0, {self.n_actions}), got {action}"
             )
-        self.model.zero_grads()
         probabilities = self.model.forward(context, training=True)
         probability = float(np.clip(probabilities[0, action], 1e-12, 1.0))
 
@@ -162,7 +161,6 @@ class PolicyNetwork:
                 f"actions must lie in [0, {self.n_actions}), got range "
                 f"[{actions.min()}, {actions.max()}]"
             )
-        self.model.zero_grads()
         probabilities = self.model.forward(contexts, training=True)
         rows = np.arange(n)
         chosen = np.clip(probabilities[rows, actions], 1e-12, 1.0)

@@ -105,6 +105,8 @@ class AutoencoderDetector(AnomalyDetector):
             early_stopping=stopper,
             verbose=verbose,
         )
+        # A fitted detector only infers: free gradient buffers and optimiser moments.
+        self.model.release_training_buffers()
         errors = self._point_errors(windows)
         self.scorer.fit(errors.reshape(-1, 1))
         self.fitted = True

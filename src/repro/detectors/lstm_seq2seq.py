@@ -148,6 +148,8 @@ class Seq2SeqDetector(AnomalyDetector):
             early_stopping=stopper,
             verbose=verbose,
         )
+        # A fitted detector only infers: free gradient buffers and optimiser moments.
+        self.model.release_training_buffers()
         errors = self._point_errors(windows)
         self.scorer.fit(errors.reshape(-1, self.n_channels))
         self.fitted = True

@@ -1,8 +1,9 @@
 """Layer base class.
 
-A layer owns its parameters (as named float arrays), caches whatever it needs
-from the forward pass, and implements ``backward`` to propagate gradients and
-accumulate parameter gradients.  Layers are deliberately stateful in the same
+A layer owns its parameters (as named float arrays) and one gradient buffer per
+parameter, caches whatever a training forward pass leaves for ``backward``, and
+implements ``backward`` to propagate gradients and write the parameter
+gradients of that pass into its buffers.  Layers are deliberately stateful in the same
 way Keras layers are: ``build`` is called lazily on the first forward pass
 once the input dimensionality is known.
 """
@@ -31,6 +32,7 @@ class Layer:
         self.trainable = True
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
+        self._pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._rng = ensure_rng(None)
 
     # -- lifecycle ---------------------------------------------------------
@@ -60,30 +62,33 @@ class Layer:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_output`` and return the gradient w.r.t. the input.
 
-        Parameter gradients are *accumulated* into ``self.grads``; call
-        :meth:`zero_grads` before starting a new batch.
+        This pass's parameter gradients are *written* into the buffers of
+        :meth:`gradient_buffers`, replacing the previous pass's.
         """
         raise NotImplementedError
 
     # -- parameters --------------------------------------------------------
 
-    def zero_grads(self) -> None:
-        """Reset all accumulated parameter gradients to zero."""
-        for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
+    def gradient_buffers(self) -> Dict[str, np.ndarray]:
+        """``self.grads``: one buffer per parameter, allocated on first use."""
+        if len(self.grads) != len(self.params):
+            self.grads.update((key, np.zeros_like(value)) for key, value in self.params.items())
+        return self.grads
 
     def parameters_and_gradients(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Pairs of (parameter, accumulated gradient) for the optimiser."""
+        """Pairs of (parameter, gradient buffer) for the optimiser, resolved once."""
         if not self.built:
             raise NotFittedError(f"layer {self.name!r} has not been built yet")
-        pairs = []
-        for key in sorted(self.params):
-            grad = self.grads.get(key)
-            if grad is None:
-                grad = np.zeros_like(self.params[key])
-                self.grads[key] = grad
-            pairs.append((self.params[key], grad))
-        return pairs
+        if self._pairs is None:
+            grads = self.gradient_buffers()
+            self._pairs = [(self.params[key], grads[key]) for key in sorted(self.params)]
+        return self._pairs
+
+    def release_training_buffers(self) -> None:
+        """Free the gradient buffers (a training forward's caches go with the
+        next inference forward); the next ``backward`` allocates them again."""
+        self.grads.clear()
+        self._pairs = None
 
     def parameter_count(self) -> int:
         """Total number of scalar parameters in the layer."""

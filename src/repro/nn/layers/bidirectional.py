@@ -113,9 +113,9 @@ class Bidirectional(Layer):
 
     # -- parameters ----------------------------------------------------------
 
-    def zero_grads(self) -> None:
-        self.forward_layer.zero_grads()
-        self.backward_layer.zero_grads()
+    def release_training_buffers(self) -> None:
+        self.forward_layer.release_training_buffers()
+        self.backward_layer.release_training_buffers()
 
     def parameters_and_gradients(self):
         return (

@@ -50,7 +50,6 @@ class Dense(Layer):
         self.params["kernel"] = kernel_init((self.input_dim, self.units), self._rng)
         if self.use_bias:
             self.params["bias"] = bias_init((self.units,), self._rng)
-        self.zero_grads()
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)
@@ -68,21 +67,22 @@ class Dense(Layer):
         if self.use_bias:
             pre_activation = pre_activation + self.params["bias"]
         output = self.activation.forward(pre_activation)
-        self._cache_input = inputs
-        self._cache_output = output
+        # Only a training pass is followed by ``backward``.
+        self._cache_input = inputs if training else None
+        self._cache_output = output if training else None
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache_input is None or self._cache_output is None:
-            raise ShapeError("backward called before forward on Dense layer")
+            raise ShapeError("backward called before forward(training=True) on Dense layer")
         grad_output = np.asarray(grad_output, dtype=float)
         grad_pre = self.activation.backward(self._cache_output, grad_output)
-        grad_kernel = self._cache_input.T @ grad_pre
+        grads = self.gradient_buffers()
+        np.matmul(self._cache_input.T, grad_pre, out=grads["kernel"])
         if not isinstance(self.kernel_regularizer, ZeroRegularizer):
-            grad_kernel += self.kernel_regularizer.gradient(self.params["kernel"])
-        self.grads["kernel"] += grad_kernel
+            grads["kernel"] += self.kernel_regularizer.gradient(self.params["kernel"])
         if self.use_bias:
-            self.grads["bias"] += np.sum(grad_pre, axis=0)
+            np.sum(grad_pre, axis=0, out=grads["bias"])
         return grad_pre @ self.params["kernel"].T
 
     def regularization_penalty(self) -> float:

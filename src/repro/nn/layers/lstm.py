@@ -126,7 +126,6 @@ class LSTM(Layer):
         self.params["bias"] = bias
         if self.double_bias:
             self.params["recurrent_bias"] = bias_init((4 * units,), self._rng)
-        self.zero_grads()
 
     # -- forward -----------------------------------------------------------
 
@@ -283,21 +282,20 @@ class LSTM(Layer):
         # batch-major, the order the float sums have always run in.
         dz_all = np.ascontiguousarray(dz_all.transpose(1, 0, 2))
         flat_dz = dz_all.reshape(batch * timesteps, 4 * units)
-        grad_kernel = cache.inputs.reshape(batch * timesteps, features).T @ flat_dz
-        grad_recurrent = np.tensordot(
-            cache.h_states[:-1].transpose(1, 0, 2), dz_all, axes=([0, 1], [0, 1])
+        grads = self.gradient_buffers()
+        np.matmul(
+            cache.inputs.reshape(batch * timesteps, features).T, flat_dz, out=grads["kernel"]
         )
-        grad_bias = flat_dz.sum(axis=0)
+        # ``np.tensordot`` over (batch, time), spelled out so the product has an ``out``.
+        h_prev = cache.h_states[:-1].transpose(2, 1, 0).reshape(units, batch * timesteps)
+        np.dot(h_prev, flat_dz, out=grads["recurrent_kernel"])
+        np.sum(flat_dz, axis=0, out=grads["bias"])
+        if self.double_bias:
+            grads["recurrent_bias"][...] = grads["bias"]
         grad_inputs = (flat_dz @ kernel.T).reshape(batch, timesteps, features)
 
         if not isinstance(self.kernel_regularizer, ZeroRegularizer):
-            grad_kernel += self.kernel_regularizer.gradient(kernel)
-
-        self.grads["kernel"] += grad_kernel
-        self.grads["recurrent_kernel"] += grad_recurrent
-        self.grads["bias"] += grad_bias
-        if self.double_bias:
-            self.grads["recurrent_bias"] += grad_bias
+            grads["kernel"] += self.kernel_regularizer.gradient(kernel)
 
         self.grad_initial_state = (dh_next, dc)
         return grad_inputs

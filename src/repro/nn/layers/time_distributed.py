@@ -55,9 +55,8 @@ class TimeDistributed(Layer):
         flat_input_grad = self.inner.backward(flat_grad)
         return flat_input_grad.reshape(batch, timesteps, features)
 
-    def zero_grads(self) -> None:
-        self.inner.zero_grads()
-        self.grads = self.inner.grads
+    def release_training_buffers(self) -> None:
+        self.inner.release_training_buffers()
 
     def parameters_and_gradients(self):
         return self.inner.parameters_and_gradients()

@@ -140,10 +140,12 @@ class Seq2SeqAutoencoder:
     def _components(self):
         return (self.encoder, self.decoder, self.projection)
 
-    def zero_grads(self) -> None:
-        """Clear accumulated gradients in every trainable component."""
+    def release_training_buffers(self) -> None:
+        """Free what only training needs: gradient buffers and optimiser moments."""
         for component in self._components():
-            component.zero_grads()
+            component.release_training_buffers()
+        if self.optimizer is not None:
+            self.optimizer.reset()
 
     def parameters_and_gradients(self):
         """All (parameter, gradient) pairs across encoder, decoder and projection."""
@@ -161,7 +163,6 @@ class Seq2SeqAutoencoder:
         if self.optimizer is None or self.loss is None:
             raise NotFittedError("model must be compiled before training")
         inputs = np.asarray(inputs, dtype=float)
-        self.zero_grads()
         reconstruction = self.forward(inputs, training=True)
         loss_value = self.loss.value(reconstruction, inputs) + self.regularization_penalty()
         grad = self.loss.gradient(reconstruction, inputs)

@@ -89,17 +89,19 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
-    def zero_grads(self) -> None:
-        """Clear accumulated gradients in every layer."""
+    def release_training_buffers(self) -> None:
+        """Free what only training needs: gradient buffers and optimiser moments."""
         for layer in self.layers:
-            layer.zero_grads()
+            layer.release_training_buffers()
+        if self.optimizer is not None:
+            self.optimizer.reset()
 
     def parameters_and_gradients(self):
-        """All (parameter, gradient) pairs across layers."""
+        """All (parameter, gradient) pairs across the built layers."""
         pairs = []
         for layer in self.layers:
-            if layer.params or not layer.built:
-                pairs.extend(layer.parameters_and_gradients() if layer.built else [])
+            if layer.built:
+                pairs.extend(layer.parameters_and_gradients())
         return pairs
 
     def regularization_penalty(self) -> float:
@@ -110,7 +112,6 @@ class Sequential:
         """One gradient step on a single mini-batch; returns the batch loss."""
         if self.optimizer is None or self.loss is None:
             raise NotFittedError("model must be compiled before training")
-        self.zero_grads()
         predictions = self.forward(inputs, training=True)
         loss_value = self.loss.value(predictions, targets) + self.regularization_penalty()
         grad = self.loss.gradient(predictions, targets)

@@ -4,14 +4,15 @@ The paper trains its seq2seq models with RMSProp and the policy network with
 plain policy-gradient ascent; all three optimisers here share the same
 interface so models can swap them freely.
 
-Each optimiser keeps per-parameter state keyed by the ``id`` of the parameter
-array.  Parameters are updated *in place* so layers keep referencing the same
-arrays across steps.
+Parameters are updated *in place*, ``_BLOCK`` elements at a time through two
+block-sized scratch rows, so a step allocates no parameter-sized array.  The
+moments are one flat buffer addressed by *position* in the ``(param, grad)``
+list of the first step; every later step must bring the same shapes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -20,43 +21,76 @@ from repro.utils.validation import check_non_negative, check_positive
 
 ParamGrad = Tuple[np.ndarray, np.ndarray]
 
+#: Elements updated per pass, so that a block's parameter, gradient, moments and
+#: scratch stay in L2 across the step's ~12 ufunc calls (DESIGN.md, *The training step*).
+_BLOCK = 16384
+
 
 class Optimizer:
     """Base optimiser interface.
 
-    Subclasses implement :meth:`_update_one`, which computes the update for a
-    single parameter given its gradient and its optimiser state dictionary.
+    Subclasses set ``_n_moments`` and implement :meth:`_update_block`, which
+    updates one block of a flattened parameter, and its moments, in place.
     """
+
+    _n_moments = 0
 
     def __init__(self, learning_rate: float = 0.001, clip_norm: float | None = None) -> None:
         self.learning_rate = check_positive(learning_rate, "learning_rate")
         if clip_norm is not None:
             clip_norm = check_positive(clip_norm, "clip_norm")
         self.clip_norm = clip_norm
-        self._state: Dict[int, Dict[str, np.ndarray]] = {}
-        self.iterations = 0
+        self.reset()
 
     # -- public API --------------------------------------------------------
 
     def step(self, params_and_grads: Iterable[ParamGrad]) -> None:
         """Apply one update step to every (parameter, gradient) pair."""
         pairs: List[ParamGrad] = list(params_and_grads)
+        shapes = [param.shape for param, _ in pairs]
+        if shapes != [grad.shape for _, grad in pairs]:
+            raise ConfigurationError(f"parameter shapes {shapes} do not match their gradients'")
+        if self._shapes is None:
+            sizes = [int(np.prod(shape)) for shape in shapes]
+            moments, scratch = np.zeros((self._n_moments, sum(sizes))), np.empty((2, _BLOCK))
+            # Per parameter, per block: where it is, its moment rows, the scratch
+            # rows cut to its length (a slice past an end clips to it).
+            self._shapes, self._plan = shapes, [
+                [(slice(at, at + _BLOCK), *rows[:, at: at + _BLOCK], *scratch[:, : size - at])
+                 for at in range(0, size, _BLOCK)]
+                for size, rows in zip(sizes, np.split(moments, np.cumsum(sizes)[:-1], axis=1))
+            ]
+        elif shapes != self._shapes:
+            raise ConfigurationError(
+                f"optimiser state was laid out for parameter shapes {self._shapes}, got {shapes}"
+            )
         if self.clip_norm is not None:
-            pairs = self._clip_global_norm(pairs, self.clip_norm)
+            # Global norm from per-array sums; gradients are copied only when scaled.
+            total = float(np.sqrt(sum(float(np.sum(np.square(g))) for _, g in pairs)))
+            if total > self.clip_norm:
+                pairs = [(p, g * (self.clip_norm / total)) for p, g in pairs]
         self.iterations += 1
-        for param, grad in pairs:
-            if param.shape != grad.shape:
-                raise ConfigurationError(
-                    f"parameter shape {param.shape} does not match gradient shape {grad.shape}"
-                )
-            state = self._state.setdefault(id(param), {})
-            update = self._update_one(param, grad, state)
-            param -= update
+        self._moment_steps += 1
+        for (param, grad), blocks in zip(pairs, self._plan):
+            # A non-contiguous parameter flattens to a copy: written back below.
+            flat, flat_grad = param.reshape(-1), grad.reshape(-1)
+            for where, *buffers in blocks:
+                self._update_block(flat[where], flat_grad[where], *buffers)
+            if not param.flags.c_contiguous:
+                param[...] = flat.reshape(param.shape)
+
+    def _update_block(self, param, grad, *buffers) -> None:
+        """Update one block in place; ``buffers`` = its moment rows, then two scratch rows."""
+        raise NotImplementedError
 
     def reset(self) -> None:
         """Forget all optimiser state (momenta, moving averages, step count)."""
-        self._state.clear()
-        self.iterations = 0
+        self._shapes = self._plan = None
+        self.iterations = self._moment_steps = 0
+
+    def __getstate__(self) -> dict:
+        """Configuration and ``iterations`` only: a copy starts from zero moments."""
+        return {**self.__dict__, "_shapes": None, "_plan": None, "_moment_steps": 0}
 
     def get_config(self) -> dict:
         """JSON-serialisable optimiser configuration."""
@@ -65,21 +99,6 @@ class Optimizer:
             "learning_rate": self.learning_rate,
             "clip_norm": self.clip_norm,
         }
-
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _clip_global_norm(pairs: List[ParamGrad], max_norm: float) -> List[ParamGrad]:
-        total = float(np.sqrt(sum(float(np.sum(np.square(g))) for _, g in pairs)))
-        if total <= max_norm or total == 0.0:
-            return pairs
-        scale = max_norm / total
-        return [(p, g * scale) for p, g in pairs]
-
-    def _update_one(
-        self, param: np.ndarray, grad: np.ndarray, state: Dict[str, np.ndarray]
-    ) -> np.ndarray:
-        raise NotImplementedError
 
 
 class SGD(Optimizer):
@@ -95,14 +114,16 @@ class SGD(Optimizer):
         self.momentum = check_non_negative(momentum, "momentum")
         if self.momentum >= 1.0:
             raise ConfigurationError(f"momentum must be < 1, got {momentum}")
+        self._n_moments = int(self.momentum != 0.0)
 
-    def _update_one(self, param, grad, state):
-        if self.momentum == 0.0:
-            return self.learning_rate * grad
-        velocity = state.setdefault("velocity", np.zeros_like(param))
-        velocity *= self.momentum
-        velocity += self.learning_rate * grad
-        return velocity.copy()
+    def _update_block(self, param, grad, *buffers):
+        update = np.multiply(grad, self.learning_rate, out=buffers[-1])
+        if self.momentum != 0.0:
+            velocity = buffers[0]
+            velocity *= self.momentum
+            velocity += update
+            update = velocity
+        param -= update
 
     def get_config(self) -> dict:
         config = super().get_config()
@@ -112,6 +133,8 @@ class SGD(Optimizer):
 
 class RMSProp(Optimizer):
     """RMSProp: scale the step by a moving RMS of recent gradients."""
+
+    _n_moments = 1
 
     def __init__(
         self,
@@ -126,11 +149,13 @@ class RMSProp(Optimizer):
         self.rho = float(rho)
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update_one(self, param, grad, state):
-        mean_square = state.setdefault("mean_square", np.zeros_like(param))
+    def _update_block(self, param, grad, mean_square, a, b):
         mean_square *= self.rho
-        mean_square += (1.0 - self.rho) * np.square(grad)
-        return self.learning_rate * grad / (np.sqrt(mean_square) + self.epsilon)
+        mean_square += np.multiply(np.square(grad, out=a), 1.0 - self.rho, out=a)
+        # (lr * g) / (sqrt(ms) + eps), the order the update has always had.
+        np.multiply(grad, self.learning_rate, out=a)
+        a /= np.add(np.sqrt(mean_square, out=b), self.epsilon, out=b)
+        param -= a
 
     def get_config(self) -> dict:
         config = super().get_config()
@@ -140,6 +165,8 @@ class RMSProp(Optimizer):
 
 class Adam(Optimizer):
     """Adam optimiser with bias-corrected first and second moments."""
+
+    _n_moments = 2
 
     def __init__(
         self,
@@ -158,18 +185,17 @@ class Adam(Optimizer):
         self.beta_2 = float(beta_2)
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update_one(self, param, grad, state):
-        m = state.setdefault("m", np.zeros_like(param))
-        v = state.setdefault("v", np.zeros_like(param))
-        t = state.setdefault("t", np.zeros(1))
-        t += 1
+    def _update_block(self, param, grad, m, v, a, b):
+        t = float(self._moment_steps)  # steps since the moments were zero
         m *= self.beta_1
-        m += (1.0 - self.beta_1) * grad
+        m += np.multiply(grad, 1.0 - self.beta_1, out=a)
         v *= self.beta_2
-        v += (1.0 - self.beta_2) * np.square(grad)
-        m_hat = m / (1.0 - self.beta_1 ** float(t[0]))
-        v_hat = v / (1.0 - self.beta_2 ** float(t[0]))
-        return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        v += np.multiply(np.square(grad, out=a), 1.0 - self.beta_2, out=a)
+        # (lr * (m / c1)) / (sqrt(v / c2) + eps), the order the update has always had.
+        np.multiply(np.divide(m, 1.0 - self.beta_1**t, out=a), self.learning_rate, out=a)
+        np.sqrt(np.divide(v, 1.0 - self.beta_2**t, out=b), out=b)
+        a /= np.add(b, self.epsilon, out=b)
+        param -= a
 
     def get_config(self) -> dict:
         config = super().get_config()

@@ -129,7 +129,6 @@ class TestVectorizedLSTMBackward:
         outputs = layer.forward(inputs, training=True)
         grad_output = rng.normal(size=outputs.shape)
 
-        layer.zero_grads()
         grad_inputs = layer.backward(grad_output)
         reference = _reference_lstm_gradients(layer, inputs, grad_output)
 
@@ -153,7 +152,6 @@ class TestVectorizedLSTMBackward:
 
         outputs = layer.forward(inputs, training=True, initial_state=initial_state)
         grad_output = rng.normal(size=outputs.shape)
-        layer.zero_grads()
         grad_inputs = layer.backward(grad_output, grad_state=grad_state)
         reference = _reference_lstm_gradients(
             layer, inputs, grad_output, initial_state=initial_state, grad_state=grad_state
@@ -203,7 +201,6 @@ class TestPolicyGradientStepBatch:
         policy = _fresh_policy(seed=5)
 
         def gradients(ctx, act, adv):
-            policy.model.zero_grads()
             probabilities = policy.model.forward(np.atleast_2d(ctx), training=True)
             ctx2 = np.atleast_2d(ctx)
             act = np.atleast_1d(act)

@@ -1,5 +1,8 @@
 """Tests for the autoencoder and seq2seq detectors and the detector registry."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,71 @@ class TestSeq2SeqDetector:
         anomaly_rate_on_anomalies = predictions[labels == 1].mean() if np.any(labels == 1) else 0
         anomaly_rate_on_normals = predictions[labels == 0].mean() if np.any(labels == 0) else 0
         assert anomaly_rate_on_anomalies >= anomaly_rate_on_normals
+
+
+def _float_arrays(root):
+    """Every float ndarray reachable from ``root`` through attributes and containers."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype.kind == "f":
+                found.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            stack.extend(vars(obj).values())
+    return found
+
+
+class TestFittedDetectorKeepsOnlyWeights:
+    """``fit`` ends by freeing gradient buffers, optimiser moments and forward caches."""
+
+    @pytest.fixture(scope="class", params=["autoencoder", "seq2seq"])
+    def case(self, request, power_scaled, mhealth_windows):
+        if request.param == "autoencoder":
+            windows = power_scaled[0]
+            detector = AutoencoderDetector(windows.shape[1], hidden_sizes=(32, 16, 32), seed=0)
+        else:
+            windows = mhealth_windows.windows[:12]
+            detector = Seq2SeqDetector(mhealth_windows.n_channels, units=16, seed=0)
+        detector.fit(windows, epochs=2, batch_size=8)
+        return detector, windows
+
+    def test_no_training_buffer_survives_fit(self, case):
+        detector, _windows = case
+        weights = [param for param, _grad in detector.model.parameters_and_gradients()]
+        detector.model.release_training_buffers()  # the call above allocated the buffers again
+        shapes = {param.shape for param in weights}
+        # A parameter made as a view (the orthogonal initialiser's) keeps its storage alive.
+        storage = weights + [param.base for param in weights if param.base is not None]
+        extras = [
+            array for array in _float_arrays(detector.model)  # the scorer's mean is bias-shaped
+            if array.shape in shapes and not any(array is kept for kept in storage)
+        ]
+        assert extras == []
+        weight_bytes = sum(param.nbytes for param in weights)
+        assert len(pickle.dumps(detector)) < 2.5 * weight_bytes
+
+    def test_copies_refit_like_the_original(self, case):
+        detector, windows = case
+        refits = [copy.deepcopy(detector), pickle.loads(pickle.dumps(detector)), detector]
+        for candidate in refits:
+            candidate.fit(windows, epochs=2, batch_size=8)
+        scores = [[r.anomaly_score for r in candidate.detect(windows)] for candidate in refits]
+        assert scores[0] == scores[2] and scores[1] == scores[2]
+        for candidate in refits[:-1]:
+            for (got, _), (want, _) in zip(
+                candidate.model.parameters_and_gradients(),
+                detector.model.parameters_and_gradients(),
+            ):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestDetectorRegistry:

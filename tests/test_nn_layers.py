@@ -14,7 +14,6 @@ MSE = MeanSquaredError()
 def _grad_check_layer(layer, inputs, target, tolerance=1e-4, grad_state=None):
     """Forward/backward once, then finite-difference check every parameter."""
     layer.forward(inputs, training=True)  # build
-    layer.zero_grads()
     output = layer.forward(inputs, training=True)
     grad = MSE.gradient(output, target)
     if isinstance(layer, (LSTM, Bidirectional)) and grad_state is not None:
@@ -64,6 +63,18 @@ class TestDense:
         with pytest.raises(ShapeError):
             layer.backward(np.zeros((2, 4)))
 
+    def test_backward_after_inference_forward_raises(self):
+        """Only a training pass keeps the input and output ``backward`` needs."""
+        layer = Dense(4, activation="tanh")
+        layer.set_rng(0)
+        x = np.random.default_rng(0).normal(size=(2, 3))
+        out = layer.forward(x, training=True)
+        layer.backward(np.ones_like(out))
+        layer.forward(x)
+        assert layer._cache_input is None and layer._cache_output is None
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones_like(out))
+
     def test_gradient_check_linear(self):
         rng = np.random.default_rng(0)
         layer = Dense(4, activation="linear")
@@ -77,7 +88,6 @@ class TestDense:
         inputs = rng.normal(size=(5, 3))
         target = rng.normal(size=(5, 4))
         layer.forward(inputs, training=True)
-        layer.zero_grads()
         output = layer.forward(inputs, training=True)
         layer.backward(MSE.gradient(output, target))
 
@@ -301,7 +311,6 @@ class TestLSTM:
         x = rng.normal(size=(2, 4, 2))
         target = rng.normal(size=(2, 4, 3))
         lstm.forward(x, training=True)
-        lstm.zero_grads()
         out = lstm.forward(x, training=True)
         grad_inputs = lstm.backward(MSE.gradient(out, target))
         eps = 1e-6
@@ -320,7 +329,6 @@ class TestLSTM:
         lstm.set_rng(0)
         x = np.random.default_rng(0).normal(size=(2, 4, 2))
         out = lstm.forward(x, training=True)
-        lstm.zero_grads()
         out = lstm.forward(x, training=True)
         lstm.backward(np.ones_like(out))
         dh0, dc0 = lstm.grad_initial_state
@@ -482,3 +490,60 @@ class TestBidirectional:
         np.testing.assert_allclose(
             bi.forward(np.ones((1, 3, 2))), bi.forward(np.ones((1, 3, 2)))
         )
+
+
+class TestGradientBuffers:
+    """``backward`` writes this pass's gradients; nothing accumulates, nothing is zeroed."""
+
+    @staticmethod
+    def _layers():
+        return [
+            Dense(4, activation="tanh", kernel_regularizer=1e-2),
+            LSTM(3, return_sequences=True, double_bias=True, kernel_regularizer=1e-2),
+            Bidirectional(LSTM(3)),
+            TimeDistributed(Dense(2)),
+        ]
+
+    @staticmethod
+    def _backward(layer, x, seed):
+        out = layer.forward(x, training=True)
+        layer.backward(np.random.default_rng(seed).normal(size=out.shape))
+        return [grad.copy() for _param, grad in layer.parameters_and_gradients()]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_two_backward_passes_leave_the_second_alone(self, index):
+        rng = np.random.default_rng(7)
+        shape = (5, 3) if index == 0 else (2, 4, 3)
+        first, second = rng.normal(size=shape), rng.normal(size=shape)
+
+        layer = self._layers()[index]
+        layer.set_rng(0)
+        self._backward(layer, first, seed=1)
+        pairs = layer.parameters_and_gradients()
+        both = self._backward(layer, second, seed=2)
+
+        fresh = self._layers()[index]
+        fresh.set_rng(0)
+        only_second = self._backward(fresh, second, seed=2)
+
+        assert both and len(both) == len(only_second)
+        for got, want in zip(both, only_second):
+            np.testing.assert_array_equal(got, want)
+        # The pairs are resolved once: the same arrays on every call.
+        again = layer.parameters_and_gradients()
+        assert all(p is q and g is h for (p, g), (q, h) in zip(pairs, again))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_released_buffers_come_back_on_the_next_backward(self, index):
+        x = np.random.default_rng(8).normal(size=(5, 3) if index == 0 else (2, 4, 3))
+        layer = self._layers()[index]
+        layer.set_rng(0)
+        before = self._backward(layer, x, seed=3)
+        params = [param for param, _grad in layer.parameters_and_gradients()]
+        layer.release_training_buffers()
+        inner = [layer.forward_layer, layer.backward_layer] if index == 2 else [layer]
+        assert all(not part.grads for part in inner)
+        after = self._backward(layer, x, seed=3)
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+        assert all(p is q for p, (q, _grad) in zip(params, layer.parameters_and_gradients()))

@@ -1,11 +1,14 @@
 """Tests for repro.nn.losses, repro.nn.regularizers and repro.nn.optimizers."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.losses import HuberLoss, MeanAbsoluteError, MeanSquaredError, get_loss
-from repro.nn.optimizers import SGD, Adam, RMSProp, get_optimizer
+from repro.nn.optimizers import _BLOCK, SGD, Adam, RMSProp, get_optimizer
 from repro.nn.regularizers import (
     L1Regularizer,
     L2Regularizer,
@@ -157,6 +160,10 @@ class TestOptimizers:
         assert opt.iterations == 1
         opt.reset()
         assert opt.iterations == 0
+        fresh, again = np.ones(2), np.ones(2)
+        Adam(learning_rate=0.1).step([(fresh, np.ones(2))])
+        opt.step([(again, np.ones(2))])
+        np.testing.assert_array_equal(again, fresh)
 
     def test_get_optimizer_by_name(self):
         assert isinstance(get_optimizer("sgd"), SGD)
@@ -187,3 +194,146 @@ class TestOptimizers:
         assert Adam().get_config()["type"] == "Adam"
         assert "momentum" in SGD(momentum=0.1).get_config()
         assert "rho" in RMSProp().get_config()
+
+
+# -- the in-place, cache-blocked step against the formulas it replaced ---------
+#
+# The references below are the allocate-per-step updates the optimisers used
+# before the step went in place: one fresh array per sub-expression, state per
+# parameter.  The arithmetic is unchanged, so the results must be *equal*.
+
+
+def _clipped(grads, clip_norm):
+    if clip_norm is None:
+        return grads
+    total = float(np.sqrt(sum(float(np.sum(np.square(g))) for g in grads)))
+    if total <= clip_norm or total == 0.0:
+        return grads
+    return [g * (clip_norm / total) for g in grads]
+
+
+def _reference_sgd(params, grads, state, step, learning_rate=0.01, momentum=0.0):
+    for index, (param, grad) in enumerate(zip(params, grads)):
+        if momentum == 0.0:
+            param -= learning_rate * grad
+            continue
+        velocity = state.setdefault(index, np.zeros_like(param))
+        velocity *= momentum
+        velocity += learning_rate * grad
+        param -= velocity.copy()
+
+
+def _reference_rmsprop(params, grads, state, step, learning_rate=0.001, rho=0.9, epsilon=1e-7):
+    for index, (param, grad) in enumerate(zip(params, grads)):
+        mean_square = state.setdefault(index, np.zeros_like(param))
+        mean_square *= rho
+        mean_square += (1.0 - rho) * np.square(grad)
+        param -= learning_rate * grad / (np.sqrt(mean_square) + epsilon)
+
+
+def _reference_adam(
+    params, grads, state, step, learning_rate=0.001, beta_1=0.9, beta_2=0.999, epsilon=1e-8
+):
+    for index, (param, grad) in enumerate(zip(params, grads)):
+        m, v = state.setdefault(index, (np.zeros_like(param), np.zeros_like(param)))
+        m *= beta_1
+        m += (1.0 - beta_1) * grad
+        v *= beta_2
+        v += (1.0 - beta_2) * np.square(grad)
+        m_hat = m / (1.0 - beta_1 ** float(step))
+        v_hat = v / (1.0 - beta_2 ** float(step))
+        param -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+
+
+_STEP_SHAPES = [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 7,), (37, 911)]
+_STEP_CASES = [
+    pytest.param(SGD, {}, _reference_sgd, id="sgd"),
+    pytest.param(SGD, {"momentum": 0.9}, _reference_sgd, id="sgd-momentum"),
+    pytest.param(RMSProp, {}, _reference_rmsprop, id="rmsprop"),
+    pytest.param(Adam, {}, _reference_adam, id="adam"),
+]
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    @pytest.mark.parametrize("cls, kwargs, reference", _STEP_CASES)
+    def test_equals_the_allocating_formulas_bit_for_bit(self, cls, kwargs, reference, clip_norm):
+        rng = np.random.default_rng(0)
+        params = [rng.normal(size=shape) for shape in _STEP_SHAPES]
+        expected = [param.copy() for param in params]
+        optimizer, state = cls(clip_norm=clip_norm, **kwargs), {}
+        for step in range(1, 21):
+            # Every other step is small enough that clip_norm=0.5 does not clip.
+            scale = 1e-4 if step % 2 else 1.0
+            grads = [scale * rng.normal(size=shape) for shape in _STEP_SHAPES]
+            reference(expected, _clipped(grads, clip_norm), state, step, **kwargs)
+            optimizer.step(list(zip(params, grads)))
+        for got, want in zip(params, expected):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cls, kwargs, reference", _STEP_CASES)
+    def test_non_contiguous_parameter_is_still_updated(self, cls, kwargs, reference):
+        rng = np.random.default_rng(1)
+        storage = rng.normal(size=(5, 3))
+        view = storage.T  # reshape(-1) of this view is a copy
+        assert not view.flags.c_contiguous
+        expected = [view.copy()]
+        optimizer, state = cls(**kwargs), {}
+        for step in range(1, 4):
+            grad = rng.normal(size=view.shape)
+            reference(expected, [grad], state, step, **kwargs)
+            optimizer.step([(view, grad)])
+        np.testing.assert_array_equal(view, expected[0])
+        np.testing.assert_array_equal(storage, expected[0].T)
+
+    def test_unclipped_step_reads_the_gradients_it_was_given(self):
+        seen = []
+
+        class Recording(SGD):
+            def _update_block(self, param, grad, *buffers):
+                seen.append(grad)
+                super()._update_block(param, grad, *buffers)
+
+        grads = [np.full(4, 1e-3), np.full((2, 3), 1e-3)]
+        params = [np.zeros(4), np.zeros((2, 3))]
+        Recording(clip_norm=1.0).step(list(zip(params, grads)))
+        assert all(np.shares_memory(block, grad) for block, grad in zip(seen, grads))
+        seen.clear()
+        Recording(clip_norm=1e-6).step(list(zip(params, grads)))
+        assert not any(np.shares_memory(block, grad) for block, grad in zip(seen, grads))
+
+    def test_state_is_positional_so_a_changed_parameter_list_is_refused(self):
+        optimizer = Adam()
+        pairs = [(np.ones(3), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2)))]
+        optimizer.step(pairs)
+        with pytest.raises(ConfigurationError, match="laid out"):
+            optimizer.step(pairs[:1])
+        with pytest.raises(ConfigurationError, match="laid out"):
+            optimizer.step([pairs[0], (np.ones(4), np.ones(4))])
+        with pytest.raises(ConfigurationError, match="laid out"):
+            optimizer.step(pairs + [(np.ones(1), np.ones(1))])
+        assert optimizer.iterations == 1
+        optimizer.reset()
+        optimizer.step(pairs[:1])
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))])
+    def test_a_copy_carries_config_and_iterations_but_no_moments(self, duplicate):
+        size = 4 * _BLOCK
+        optimizer = Adam(learning_rate=0.05, clip_norm=3.0)
+        weights = np.ones(size)
+        for _ in range(3):
+            optimizer.step([(weights, np.ones(size))])
+        assert len(pickle.dumps(optimizer)) < 1024  # not 2 x 8 x size bytes of moments
+        clone = duplicate(optimizer)
+        assert clone.get_config() == optimizer.get_config()
+        assert clone.iterations == 3
+        # A continued step on the copy starts from zero moments, like a new optimiser ...
+        continued, fresh = np.ones(size), np.ones(size)
+        clone.step([(continued, np.full(size, 0.5))])
+        Adam(learning_rate=0.05, clip_norm=3.0).step([(fresh, np.full(size, 0.5))])
+        np.testing.assert_array_equal(continued, fresh)
+        assert clone.iterations == 4
+        # ... and the original keeps its own.
+        before = weights.copy()
+        optimizer.step([(weights, np.full(size, 0.5))])
+        assert not np.array_equal(before - weights, 1.0 - fresh)

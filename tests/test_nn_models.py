@@ -129,7 +129,6 @@ class TestSequential:
         x = rng.normal(size=(6, 4)) + 0.5  # keep ReLU inputs away from the kink
         y = rng.normal(size=(6, 3))
         model.forward(x, training=True)
-        model.zero_grads()
         pred = model.forward(x, training=True)
         model.backward(model.loss.gradient(pred, y))
         result = check_gradients(
@@ -137,6 +136,18 @@ class TestSequential:
             model.parameters_and_gradients(),
         )
         assert result.passed(1e-3)
+
+    def test_trains_a_layer_that_keeps_its_parameters_in_sublayers(self):
+        """``Bidirectional`` has no ``params`` of its own; its LSTMs' must still be stepped."""
+        model = Sequential([Bidirectional(LSTM(2)), Dropout(0.0), Dense(1)], seed=0)
+        model.compile("sgd", "mse", learning_rate=0.1)
+        assert model.parameters_and_gradients() == []  # nothing built yet
+        x = np.random.default_rng(0).normal(size=(3, 4, 2))
+        model.forward(x)
+        assert len(model.parameters_and_gradients()) == 3 + 3 + 2
+        before = model.layers[0].forward_layer.get_weights()["kernel"]
+        model.train_on_batch(x, np.ones((3, 1)))
+        assert not np.array_equal(model.layers[0].forward_layer.params["kernel"], before)
 
 
 class TestSeq2SeqAutoencoder:
@@ -237,7 +248,6 @@ class TestSeq2SeqAutoencoder:
         rng = np.random.default_rng(3)
         windows = rng.normal(size=(2, 4, 2))
         model.forward(windows, training=True)
-        model.zero_grads()
         recon = model.forward(windows, training=True)
         model.backward(model.loss.gradient(recon, windows))
         result = check_gradients(
@@ -253,7 +263,6 @@ class TestSeq2SeqAutoencoder:
         rng = np.random.default_rng(4)
         windows = rng.normal(size=(2, 4, 2))
         model.forward(windows, training=True)
-        model.zero_grads()
         recon = model.forward(windows, training=True)
         model.backward(model.loss.gradient(recon, windows))
         result = check_gradients(
