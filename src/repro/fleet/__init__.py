@@ -7,9 +7,9 @@ streaming sensor windows:
 
 * :mod:`repro.fleet.spec` — declarative :class:`FleetSpec`/:class:`MutatorSpec`
   (the ``fleet`` node of an :class:`~repro.experiments.spec.ExperimentSpec`);
-* :mod:`repro.fleet.devices` — :class:`DeviceFleet` workload generators with
-  per-device RNG streams, emitting one struct-of-arrays
-  :class:`ColumnarArrivals` batch per tick;
+* :mod:`repro.fleet.devices` — :class:`DeviceFleet` workload generators: the
+  arrival stream as a pure function of (seed, device block, tick), one
+  struct-of-arrays :class:`ColumnarArrivals` batch per tick;
 * :mod:`repro.fleet.mutators` — concept drift, bursty anomaly episodes,
   device churn, phase jitter and sensor faults, as batch hooks;
 * :mod:`repro.fleet.engine` — the event-clocked :class:`FleetEngine` (one
@@ -18,8 +18,6 @@ streaming sensor windows:
   :class:`ShardedFleetEngine`;
 * :mod:`repro.fleet.sharding` — the one shard runner and the per-run worker
   pool (zero-copy shard payloads under ``fork``) behind the sharded engine;
-* :mod:`repro.fleet.stream_cache` — bounded creation/arrival-stream caches
-  behind :meth:`DeviceFleet.arrivals_columnar`;
 * :mod:`repro.fleet.metrics` / :mod:`repro.fleet.report` — bounded-memory
   online evaluation and the serialisable :class:`FleetReport`.
 
@@ -28,12 +26,7 @@ shared scenario registry by :mod:`repro.experiments` (not imported here, to
 keep the import graph acyclic).
 """
 
-from repro.fleet.devices import (
-    ColumnarArrivals,
-    DeviceFleet,
-    VirtualDevice,
-    WindowPool,
-)
+from repro.fleet.devices import ColumnarArrivals, DeviceFleet, WindowPool
 from repro.fleet.engine import FleetEngine, ShardedFleetEngine
 from repro.fleet.metrics import DelayReservoir, StreamingMetrics
 from repro.fleet.mutators import (
@@ -55,7 +48,6 @@ from repro.fleet.spec import MUTATOR_KINDS, FleetSpec, MutatorSpec
 __all__ = [
     "ColumnarArrivals",
     "DeviceFleet",
-    "VirtualDevice",
     "WindowPool",
     "FleetEngine",
     "ShardedFleetEngine",

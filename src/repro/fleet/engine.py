@@ -16,8 +16,8 @@ DESIGN.md, "Goldens").
 
 :class:`ShardedFleetEngine` partitions the device ids across worker
 processes, runs one :class:`FleetEngine` per shard and merges the per-shard
-aggregators in shard order.  Because every device owns an RNG derived from
-its id (not from its shard), the merged counts are independent of the
+aggregators in shard order.  Because a device's stream is a function of its
+id (not of its shard), the merged counts are independent of the
 partitioning, and a single-shard run is bit-identical to the unsharded
 engine — a property pinned by the equivalence tests.  A pooled run owns its
 worker pool — created for the run, torn down before it returns — and shard
@@ -39,10 +39,9 @@ Fault tolerance rides on the same boundaries.  With a ``checkpoint_dir`` the
 engine durably snapshots its state (metrics, system, controller) every
 ``checkpoint_cadence`` ticks through :class:`~repro.fleet.checkpoint.
 CheckpointStore`; ``run(resume=True)`` (or :meth:`FleetEngine.resume`)
-rebuilds the devices, *replays* their arrival draws up to the checkpointed
-tick — per-device RNG streams are pure functions of the seeds, so replay is
-cheaper and safer than snapshotting thousands of generator states — and
-continues bit-identical to an uninterrupted run.  A
+rebuilds the fleet and continues at the checkpointed tick, bit-identical to
+an uninterrupted run — a tick's arrivals need no tick before them, so a
+checkpoint stores no stream state and a resume replays nothing.  A
 :class:`~repro.fleet.faults.FaultSpec` on the engine drives deterministic
 fault injection at tick boundaries: link degradation/outage (the system fails
 over to the best reachable tier), injected shard crashes
@@ -252,12 +251,11 @@ class FleetEngine:
             payload = store.latest()
             if payload is not None:
                 start_tick = self._restore_checkpoint(payload, metrics)
-                self._fast_forward(fleet, start_tick)
                 if telemetry is not None:
                     elapsed = perf_counter() - mark
                     telemetry.registry.histogram(
                         "checkpoint_load_seconds",
-                        "Checkpoint restore + arrival-replay latency.",
+                        "Checkpoint restore latency.",
                         buckets=_SECONDS_BUCKETS,
                     ).observe(elapsed)
                     telemetry.event(
@@ -409,18 +407,6 @@ class FleetEngine:
         if self.controller is not None:
             self.controller.restore_state(payload["controller"])
         return int(payload["tick"])
-
-    def _fast_forward(self, fleet: DeviceFleet, start_tick: int) -> None:
-        """Replay (and discard) arrivals for ticks ``0..start_tick - 1``.
-
-        Checkpoints never store per-device RNG states; a device's stream is a
-        pure function of the seeds, so replaying the draws restores every
-        generator to exactly where the checkpointed run left it — and cached
-        fleet configurations replay from the stream cache without consuming
-        RNG at all, which is the same bookkeeping the live loop relies on.
-        """
-        for past_tick in range(start_tick):
-            fleet.arrivals_columnar(past_tick)
 
     # -- the streaming loop -------------------------------------------------------
 

@@ -1,21 +1,19 @@
 """Stream mutators: controlled non-stationarity for device window streams.
 
 A mutator perturbs one aspect of a fleet's stream.  Its hooks are consumed by
-:meth:`~repro.fleet.devices.DeviceFleet.arrivals_columnar`, which evaluates a
-whole tick at once:
+:class:`~repro.fleet.devices.DeviceFleet`, which evaluates a whole block of
+devices at once:
 
-* :meth:`StreamMutator.device_state` / :meth:`StreamMutator.device_state_for`
-  — called once when a device is created, drawing any per-device parameters
-  from the *device's own* RNG (so the perturbation is independent of how
-  devices are partitioned across shards); :meth:`StreamMutator.stack_states`
-  turns the per-device states into the columnar view the other hooks receive;
+* :meth:`StreamMutator.create_batch` — called once per block of device ids
+  when a fleet is built, drawing any per-device parameters as columns from
+  the generator the fleet hands it (positioned by the block and the mutator's
+  place in the spec, so the parameters are independent of how devices are
+  partitioned across shards and of which other mutators are stacked);
 * :meth:`StreamMutator.online_batch` / :meth:`StreamMutator.anomaly_rate_batch`
-  — pure functions of the device states and the tick (no RNG draws, so an
-  offline device consumes exactly the same stream as an online one would
-  have), evaluated over the whole fleet;
-* :meth:`StreamMutator.transform_draw` — the per-window RNG draws of the
-  transform, made from the device RNG at the window's position in the
-  device's stream;
+  — pure functions of those columns and the tick (no RNG draws), evaluated
+  over the fleet's devices;
+* :meth:`StreamMutator.draw_batch` — the per-window RNG draws of the
+  transform, one row per arrival of the block;
 * :meth:`StreamMutator.transform_batch` — the window math, applied to the
   tick's stacked ``(n, *window_shape)`` batch given those draws.
 
@@ -23,85 +21,85 @@ The concrete mutators cover the scenarios the paper's fleet premise implies
 but the offline replay could never exercise: gradual concept drift, bursty
 fleet-wide anomaly episodes, device churn/dropout, per-device phase jitter,
 and the sensor-level fault models used by fault injection (stuck-at sensors,
-transient spikes, permanent sensor dropout).  Each batch transform is pinned
-by test to the plain per-window NumPy expression it vectorises.
+transient spikes, permanent sensor dropout).  Each batch hook is pinned by
+test to the plain per-device / per-window NumPy expression it vectorises.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
+
+#: A mutator's columnar device states: ``(n_devices, ...)`` arrays by name.
+States = Optional[Dict[str, np.ndarray]]
 
 
 class StreamMutator:
     """Base class: a no-op perturbation of a device stream."""
 
-    def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
-        """Per-device parameters, drawn from the device's own RNG at creation."""
-        return {}
+    def create_batch(
+        self, rng: np.random.Generator, device_ids: np.ndarray, window_shape: tuple
+    ) -> States:
+        """Per-device parameters of the devices ``device_ids``, as columns.
 
-    def device_state_for(
-        self, device_id: int, rng: np.random.Generator, window_shape: tuple
-    ) -> Dict[str, Any]:
-        """Per-device parameters with the device's identity in scope.
-
-        Most mutators ignore the id and delegate to :meth:`device_state`;
-        cohort-structured mutators (e.g. :class:`CorrelatedDrift`) use it to
-        derive *shared* parameters without consuming device RNG draws, which
-        keeps the streams partition-independent.
-        """
-        return self.device_state(rng, window_shape)
-
-    def stack_states(self, states: Sequence[Dict[str, Any]]):
-        """A columnar view of the per-device states (``None`` when not needed).
-
-        Computed once per fleet and handed back to every
-        :meth:`online_batch` / :meth:`anomaly_rate_batch` /
-        :meth:`transform_batch` call, so batch hooks never re-stack per tick.
+        ``rng`` is this mutator's creation generator for the block; every
+        column's leading axis is ``len(device_ids)``.  ``None`` (the base
+        class) means the mutator keeps no device state.
         """
         return None
 
-    def online_batch(self, stacked, states: Sequence[Dict[str, Any]], tick: int) -> np.ndarray:
-        """Which devices emit at ``tick``, as a ``(n_devices,)`` bool mask."""
-        return np.ones(len(states), dtype=bool)
+    def online_batch(self, states: States, tick: int) -> Optional[np.ndarray]:
+        """Which devices emit at ``tick``, as a ``(n_devices,)`` bool mask
+        (``None``: all of them)."""
+        return None
 
     def anomaly_rate_batch(
-        self, base_rates: np.ndarray, stacked, states: Sequence[Dict[str, Any]], tick: int
+        self, base_rates: np.ndarray, states: States, tick: int
     ) -> np.ndarray:
         """The effective per-device anomaly probabilities at ``tick``."""
         return base_rates
 
-    def transform_draw(self, state: Dict[str, Any], rng: np.random.Generator):
-        """The RNG values this mutator's transform needs for one window.
+    def draw_batch(
+        self, rng: np.random.Generator, n: int, window_shape: tuple
+    ) -> Optional[np.ndarray]:
+        """The RNG values this mutator's transform needs for ``n`` windows,
+        as an array with one row per window.
 
-        Called once per emitted window, between the window's pool-index draw
-        and its timestamp draw, so the draw order within a device's stream is
-        fixed.  ``None`` means the transform draws nothing (the base class
-        and every built-in except phase jitter and sensor spikes).
+        ``None`` means the transform draws nothing (the base class and every
+        built-in except phase jitter and sensor spikes).
         """
         return None
 
     def transform_batch(
         self,
         windows: np.ndarray,
-        stacked,
+        states: States,
         rows: np.ndarray,
         tick: int,
-        draws: Optional[List],
+        draws: Optional[np.ndarray],
     ) -> np.ndarray:
         """The emitted view of one tick's sampled pool windows.
 
         ``windows`` is the ``(n, *window_shape)`` float batch (safe to modify
         in place — the caller owns it), ``rows`` maps each window to its
-        device's position in the fleet, and ``draws`` carries the per-window
-        :meth:`transform_draw` results in arrival order.  The base transform
-        is the identity.
+        device's row in ``states``, and ``draws`` carries the windows'
+        :meth:`draw_batch` rows in arrival order.  The base transform is the
+        identity.
         """
         return windows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
+
+
+def _unit_directions(directions: np.ndarray) -> np.ndarray:
+    """Scale each ``directions[i]`` to unit Euclidean norm (in place)."""
+    flat = directions.reshape(directions.shape[0], -1)
+    norms = np.sqrt(np.square(flat).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+    flat /= norms[:, None]
+    return directions
 
 
 class ConceptDrift(StreamMutator):
@@ -120,21 +118,15 @@ class ConceptDrift(StreamMutator):
         #: settled into a new regime); 0 means the drift never saturates.
         self.saturation_tick = int(saturation_tick)
 
-    def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
-        direction = rng.normal(size=window_shape)
-        norm = float(np.linalg.norm(direction))
-        if norm > 0:
-            direction = direction / norm
-        return {"drift_direction": direction}
+    def create_batch(self, rng, device_ids, window_shape):
+        directions = rng.normal(size=(len(device_ids), *window_shape))
+        return {"directions": _unit_directions(directions)}
 
-    def stack_states(self, states):
-        return np.stack([state["drift_direction"] for state in states])
-
-    def transform_batch(self, windows, stacked, rows, tick, draws):
+    def transform_batch(self, windows, states, rows, tick, draws):
         if self.saturation_tick > 0:
             tick = min(tick, self.saturation_tick)
         # Per window: w + (drift * tick) * direction, one elementwise add.
-        windows += self.drift_per_tick * tick * stacked[rows]
+        windows += self.drift_per_tick * tick * states["directions"][rows]
         return windows
 
 
@@ -161,19 +153,19 @@ class AnomalyBurst(StreamMutator):
         """Whether ``tick`` falls inside a burst episode."""
         return tick % self.period < self.burst_ticks
 
-    def anomaly_rate_batch(self, base_rates, stacked, states, tick):
+    def anomaly_rate_batch(self, base_rates, states, tick):
         if self.in_burst(tick):
-            return np.full(len(states), self.burst_anomaly_rate)
-        return np.asarray(base_rates, dtype=float)
+            return np.full(len(base_rates), self.burst_anomaly_rate)
+        return base_rates
 
 
 class DeviceChurn(StreamMutator):
     """Periodic device dropout: a fraction of the fleet goes dark and returns.
 
-    At creation each device decides (from its own RNG) whether it churns and,
-    if so, at which phase of the ``period`` its ``offline_ticks``-long outage
-    falls.  Online-ness is then a pure function of the tick, so churn never
-    perturbs the RNG stream the device uses for its windows.
+    At creation each device decides whether it churns and, if so, at which
+    phase of the ``period`` its ``offline_ticks``-long outage falls.
+    Online-ness is then a pure function of the tick, so churn never perturbs
+    the draws behind the surviving windows.
     """
 
     def __init__(
@@ -186,20 +178,16 @@ class DeviceChurn(StreamMutator):
         self.offline_ticks = int(offline_ticks)
         self.period = int(period)
 
-    def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
-        churns = bool(rng.random() < self.churn_fraction)
-        phase = int(rng.integers(0, self.period))
-        return {"churns": churns, "churn_phase": phase}
-
-    def stack_states(self, states):
+    def create_batch(self, rng, device_ids, window_shape):
+        n = len(device_ids)
         return {
-            "churns": np.array([state["churns"] for state in states], dtype=bool),
-            "phases": np.array([state["churn_phase"] for state in states], dtype=np.int64),
+            "churns": rng.random(n) < self.churn_fraction,
+            "phases": rng.integers(0, self.period, size=n),
         }
 
-    def online_batch(self, stacked, states, tick):
-        return ~stacked["churns"] | (
-            (tick + stacked["phases"]) % self.period >= self.offline_ticks
+    def online_batch(self, states, tick):
+        return ~states["churns"] | (
+            (tick + states["phases"]) % self.period >= self.offline_ticks
         )
 
 
@@ -214,22 +202,17 @@ class PhaseJitter(StreamMutator):
     def __init__(self, max_shift: int = 4) -> None:
         self.max_shift = int(max_shift)
 
-    def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
-        base = int(rng.integers(-self.max_shift, self.max_shift + 1)) if self.max_shift else 0
-        return {"base_shift": base}
+    def create_batch(self, rng, device_ids, window_shape):
+        shift = self.max_shift
+        return {"base_shifts": rng.integers(-shift, shift + 1, size=len(device_ids))}
 
-    def stack_states(self, states):
-        return np.array([state["base_shift"] for state in states], dtype=np.int64)
+    def draw_batch(self, rng, n, window_shape):
+        return rng.integers(-1, 2, size=n) if self.max_shift else None
 
-    def transform_draw(self, state, rng):
+    def transform_batch(self, windows, states, rows, tick, draws):
+        shifts = states["base_shifts"][rows]
         if self.max_shift:
-            return int(rng.integers(-1, 2))
-        return None
-
-    def transform_batch(self, windows, stacked, rows, tick, draws):
-        shifts = stacked[rows]
-        if self.max_shift:
-            shifts = shifts + np.asarray(draws, dtype=np.int64)
+            shifts = shifts + draws
         length = windows.shape[1]
         shifts = shifts % length
         moved = np.flatnonzero(shifts)
@@ -244,8 +227,8 @@ class PhaseJitter(StreamMutator):
 class SensorStuck(StreamMutator):
     """Stuck-at sensor fault: a fraction of devices emit a constant reading.
 
-    At creation each device decides (from its own RNG) whether its sensor is
-    stuck and, if so, at which constant standardised value.  A stuck device
+    At creation each device decides whether its sensor is stuck and, if so,
+    at which constant standardised value.  A stuck device
     keeps sampling — and labelling — windows from the pool exactly as a
     healthy one would, but what it *emits* is the constant, so ground truth
     is preserved while the observable signal is destroyed.  That is the
@@ -258,21 +241,17 @@ class SensorStuck(StreamMutator):
         #: Standard deviation of the per-device stuck value (standardised units).
         self.stuck_scale = float(stuck_scale)
 
-    def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
-        stuck = bool(rng.random() < self.stuck_fraction)
-        value = float(rng.normal(0.0, self.stuck_scale))
-        return {"stuck": stuck, "stuck_value": value}
-
-    def stack_states(self, states):
+    def create_batch(self, rng, device_ids, window_shape):
+        n = len(device_ids)
         return {
-            "stuck": np.array([state["stuck"] for state in states], dtype=bool),
-            "values": np.array([state["stuck_value"] for state in states], dtype=float),
+            "stuck": rng.random(n) < self.stuck_fraction,
+            "values": rng.normal(0.0, self.stuck_scale, size=n),
         }
 
-    def transform_batch(self, windows, stacked, rows, tick, draws):
-        mask = stacked["stuck"][rows]
+    def transform_batch(self, windows, states, rows, tick, draws):
+        mask = states["stuck"][rows]
         if mask.any():
-            values = stacked["values"][rows[mask]]
+            values = states["values"][rows[mask]]
             # Per window: np.full(window.shape, stuck_value).
             windows[mask] = values.reshape((-1,) + (1,) * (windows.ndim - 1))
         return windows
@@ -291,26 +270,17 @@ class SensorSpike(StreamMutator):
         self.spike_rate = float(spike_rate)
         self.spike_magnitude = float(spike_magnitude)
 
-    def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
-        return {"length": int(window_shape[0])}
+    def draw_batch(self, rng, n, window_shape):
+        # The spiked timestep of each window, -1 where the window is clean.
+        spiked = rng.random(n) < self.spike_rate
+        return np.where(spiked, rng.integers(window_shape[0], size=n), -1)
 
-    def transform_draw(self, state, rng):
-        if rng.random() < self.spike_rate:
-            return int(rng.integers(state["length"]))
-        return None
-
-    def transform_batch(self, windows, stacked, rows, tick, draws):
-        spiked = np.fromiter(
-            (draw is not None for draw in draws), dtype=bool, count=len(draws)
-        )
-        hit = np.flatnonzero(spiked)
+    def transform_batch(self, windows, states, rows, tick, draws):
+        hit = np.flatnonzero(draws >= 0)
         if hit.size:
-            indices = np.fromiter(
-                (draws[i] for i in hit), dtype=np.int64, count=hit.size
-            )
             # Per spiked window: window[index] += magnitude (every channel
             # of that one timestep).
-            windows[hit, indices] += self.spike_magnitude
+            windows[hit, draws[hit]] += self.spike_magnitude
         return windows
 
 
@@ -328,21 +298,15 @@ class SensorDropout(StreamMutator):
         self.dropout_fraction = float(dropout_fraction)
         self.horizon = int(horizon)
 
-    def device_state(self, rng: np.random.Generator, window_shape: tuple) -> Dict[str, Any]:
-        fails = bool(rng.random() < self.dropout_fraction)
-        fail_tick = int(rng.integers(0, self.horizon))
-        return {"fails": fails, "fail_tick": fail_tick}
-
-    def stack_states(self, states):
+    def create_batch(self, rng, device_ids, window_shape):
+        n = len(device_ids)
         return {
-            "fails": np.array([state["fails"] for state in states], dtype=bool),
-            "fail_ticks": np.array(
-                [state["fail_tick"] for state in states], dtype=np.int64
-            ),
+            "fails": rng.random(n) < self.dropout_fraction,
+            "fail_ticks": rng.integers(0, self.horizon, size=n),
         }
 
-    def online_batch(self, stacked, states, tick):
-        return ~stacked["fails"] | (tick < stacked["fail_ticks"])
+    def online_batch(self, states, tick):
+        return ~states["fails"] | (tick < states["fail_ticks"])
 
 
 class CorrelatedDrift(ConceptDrift):
@@ -353,12 +317,11 @@ class CorrelatedDrift(ConceptDrift):
     ``device_id % n_cohorts`` moves along the same direction, so the fleet's
     windowed F1 collapses coherently instead of degrading gracefully.  The
     cohort directions are a pure function of ``seed`` (via a private
-    :class:`numpy.random.SeedSequence`) and consume **zero** draws from the
-    device RNGs, so device streams remain partition-independent and
-    bit-identical to an uncorrelated run of the same seed.
+    :class:`numpy.random.SeedSequence`) and consume **zero** fleet draws, so
+    device streams remain partition-independent.
 
-    The drift math itself (state stacking, batch transform) is inherited
-    from :class:`ConceptDrift`.
+    The drift math itself (the batch transform) is inherited from
+    :class:`ConceptDrift`.
     """
 
     def __init__(
@@ -371,30 +334,21 @@ class CorrelatedDrift(ConceptDrift):
         super().__init__(drift_per_tick=drift_per_tick, saturation_tick=saturation_tick)
         self.n_cohorts = int(n_cohorts)
         self.seed = int(seed)
-        self._directions: Dict[tuple, np.ndarray] = {}
 
-    def _direction(self, cohort: int, window_shape: tuple) -> np.ndarray:
-        key = (cohort, tuple(window_shape))
-        direction = self._directions.get(key)
-        if direction is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed & 0xFFFFFFFF, cohort))
-            )
-            direction = rng.normal(size=window_shape)
-            norm = float(np.linalg.norm(direction))
-            if norm > 0:
-                direction = direction / norm
-            self._directions[key] = direction
-        return direction
-
-    def device_state_for(self, device_id, rng, window_shape):
-        cohort = int(device_id) % self.n_cohorts
-        return {"drift_direction": self._direction(cohort, window_shape)}
-
-    def device_state(self, rng, window_shape):
-        # Identity-free fallback (never used by the fleet, which calls
-        # device_state_for): cohort 0's direction, still draw-free.
-        return {"drift_direction": self._direction(0, window_shape)}
+    def create_batch(self, rng, device_ids, window_shape):
+        cohorts = np.stack(
+            [
+                np.random.default_rng(
+                    np.random.SeedSequence((self.seed & 0xFFFFFFFF, cohort))
+                ).normal(size=window_shape)
+                for cohort in range(self.n_cohorts)
+            ]
+        )
+        return {
+            "directions": _unit_directions(cohorts)[
+                np.asarray(device_ids) % self.n_cohorts
+            ]
+        }
 
 
 class AdversarialCamouflage(StreamMutator):
@@ -410,8 +364,7 @@ class AdversarialCamouflage(StreamMutator):
     through — so detectors lose recall on the camouflaged anomalies, and a
     qualification contract can pin how much loss is tolerable.
 
-    No RNG draws: the shrink factor is a pure function of the window, so
-    the per-device streams are unperturbed.
+    No RNG draws: the shrink factor is a pure function of the window.
     """
 
     def __init__(self, target_amplitude: float = 1.0, strength: float = 0.8) -> None:
@@ -425,7 +378,7 @@ class AdversarialCamouflage(StreamMutator):
         excess = rms - self.target_amplitude
         return (self.target_amplitude + (1.0 - self.strength) * excess) / rms
 
-    def transform_batch(self, windows, stacked, rows, tick, draws):
+    def transform_batch(self, windows, states, rows, tick, draws):
         for i in range(windows.shape[0]):
             factor = self._factor(windows[i])
             if factor != 1.0:

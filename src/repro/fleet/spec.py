@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import checked_dataclass_kwargs
 
@@ -398,33 +400,29 @@ class FleetSpec:
         bounds[-1] = self.n_devices
         return tuple(bounds)
 
-    def device_class(self, device_id: int) -> Optional[DeviceClassSpec]:
-        """The class a device belongs to (``None`` for homogeneous fleets)."""
+    def class_columns(self, device_ids) -> Tuple[np.ndarray, ...]:
+        """Class parameters of the devices ``device_ids``, one float column
+        each: ``(arrival rates, anomaly rates, amplitude scales, amplitude
+        offsets)``.  ``None`` class rates inherit the fleet-level value; a
+        homogeneous fleet is one identity-amplitude class."""
+        ids = np.asarray(device_ids, dtype=np.int64)
         if not self.device_classes:
-            return None
-        for bound, cls in zip(self.class_boundaries(), self.device_classes):
-            if device_id < bound:
-                return cls
-        return self.device_classes[-1]
-
-    def device_arrival_rate(self, device_id: int) -> float:
-        cls = self.device_class(device_id)
-        if cls is None or cls.arrival_rate is None:
-            return self.arrival_rate
-        return cls.arrival_rate
-
-    def device_anomaly_rate(self, device_id: int) -> float:
-        cls = self.device_class(device_id)
-        if cls is None or cls.anomaly_rate is None:
-            return self.anomaly_rate
-        return cls.anomaly_rate
-
-    def device_amplitude(self, device_id: int) -> Tuple[float, float]:
-        """``(scale, offset)`` of the class amplitude affine for a device."""
-        cls = self.device_class(device_id)
-        if cls is None:
-            return (1.0, 0.0)
-        return (cls.amplitude_scale, cls.amplitude_offset)
+            per_class = [(self.arrival_rate, self.anomaly_rate, 1.0, 0.0)]
+            member = np.zeros(ids.shape[0], dtype=np.int64)
+        else:
+            per_class = [
+                (
+                    self.arrival_rate if cls.arrival_rate is None else cls.arrival_rate,
+                    self.anomaly_rate if cls.anomaly_rate is None else cls.anomaly_rate,
+                    cls.amplitude_scale,
+                    cls.amplitude_offset,
+                )
+                for cls in self.device_classes
+            ]
+            # A device belongs to the first class whose exclusive bound
+            # exceeds its id.
+            member = np.searchsorted(self.class_boundaries(), ids, side="right")
+        return tuple(np.array(per_class, dtype=float).T[:, member])
 
     def rate_multiplier(self, tick: int) -> float:
         """Load-curve arrival multiplier at ``tick`` (1.0 without a curve)."""

@@ -41,14 +41,14 @@ class OpenLoopLoadGenerator:
         master_seed: int = 0,
     ) -> None:
         self.serving = serving
-        # Columnar arrivals must be drawn sequentially from tick 0 (the fleet
-        # contract), so the request stream is materialised once, up front.
+        # The request stream is materialised once, up front, stopping at the
+        # tick that fills ``max_requests``.
         windows, labels, device_ids, ticks = [], [], [], []
         collected = 0
         for tick in range(fleet.spec.ticks):
-            batch = fleet.arrivals_columnar(tick)
             if collected >= serving.max_requests:
-                continue  # keep draining ticks to respect the sequencing contract
+                break
+            batch = fleet.arrivals_columnar(tick)
             take = min(batch.windows.shape[0], serving.max_requests - collected)
             if take:
                 windows.append(batch.windows[:take])

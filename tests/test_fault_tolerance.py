@@ -339,6 +339,31 @@ class TestCheckpointResume:
         ).resume()
         assert resumed == uninterrupted
 
+    def test_resume_draws_no_tick_below_the_checkpoint(
+        self, trained, tmp_path, monkeypatch
+    ):
+        """Resume is O(1): a tick's arrivals need no tick before them, so a
+        resumed run asks the fleet for the checkpointed tick onwards only."""
+        from repro.fleet.devices import DeviceFleet
+
+        spec, runner = trained
+        kwargs = _engine_kwargs(spec, runner)
+        uninterrupted = FleetEngine(**kwargs).run()
+        _run_killed(kwargs, KILL_AT_7, str(tmp_path), cadence=3)
+        drawn = []
+        arrivals = DeviceFleet.arrivals_columnar
+
+        def counting(self, tick):
+            drawn.append(tick)
+            return arrivals(self, tick)
+
+        monkeypatch.setattr(DeviceFleet, "arrivals_columnar", counting)
+        resumed = FleetEngine(
+            **kwargs, faults=KILL_AT_7, checkpoint_dir=str(tmp_path), checkpoint_cadence=3
+        ).resume()
+        assert drawn == list(range(6, spec.fleet.ticks))
+        assert resumed == uninterrupted
+
     def test_kill_and_resume_sharded_is_bit_identical(self, trained, tmp_path):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)

@@ -105,7 +105,7 @@ class TestFleetEngine:
 
 class TestScenarioStreams:
     """Each built-in fleet scenario's mutators show up in its online metrics,
-    and its report equals the one recorded from the per-window path."""
+    and its report equals the recorded one."""
 
     def test_drift_scenario_degrades_windowed_accuracy(self, golden):
         spec = apply_overrides(get_scenario("fleet-1k-drift"), DRIFT_TINY)
@@ -223,22 +223,11 @@ class TestRunnerStreamStage:
 
 
 class TestColumnarEngine:
-    """The engine's reports are pinned to goldens recorded from the per-window loop."""
+    """The engine's reports are pinned to recorded goldens."""
 
     def test_report_matches_golden(self, trained, golden):
         spec, runner = trained
         report = FleetEngine(**_engine_kwargs(spec, runner)).run()
-        golden("fleet/report-fleet-burst-storm.json", report.to_dict())
-
-    def test_uncached_report_matches_golden(self, trained, golden):
-        from repro.fleet import stream_cache
-
-        spec, runner = trained
-        previous = stream_cache.set_enabled(False)
-        try:
-            report = FleetEngine(**_engine_kwargs(spec, runner)).run()
-        finally:
-            stream_cache.set_enabled(previous)
         golden("fleet/report-fleet-burst-storm.json", report.to_dict())
 
     def test_two_shard_report_matches_golden(self, trained, golden):

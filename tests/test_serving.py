@@ -64,8 +64,7 @@ def trained():
 
 
 def _fresh_fleet(spec, runner):
-    """A fresh fleet per run keeps the device streams on their
-    sequential-draw contract."""
+    """The scenario's device fleet."""
     pool = WindowPool.from_labeled(runner.state.standardized_all)
     return DeviceFleet(spec.fleet, pool, master_seed=spec.seed)
 
@@ -213,6 +212,32 @@ class TestIngestServerValidation:
         with pytest.raises(ConfigurationError, match="no arrivals"):
             OpenLoopLoadGenerator(
                 DeviceFleet(starved, pool, master_seed=spec.seed), spec.serve
+            )
+
+
+    def test_loadgen_stops_at_the_tick_that_fills_max_requests(self, trained):
+        """Same requests as draining every tick (the reference below), without
+        drawing the ticks past the one that fills ``max_requests``."""
+        spec, runner = trained
+        serving = replace(spec.serve, max_requests=25)
+        fleet = _fresh_fleet(spec, runner)
+        drawn = []
+        arrivals = fleet.arrivals_columnar
+        fleet.arrivals_columnar = lambda tick: drawn.append(tick) or arrivals(tick)
+        generator = OpenLoopLoadGenerator(fleet, serving, master_seed=spec.seed)
+
+        batches = [
+            _fresh_fleet(spec, runner).arrivals_columnar(tick)
+            for tick in range(spec.fleet.ticks)
+        ]
+        ticks = np.repeat(np.arange(spec.fleet.ticks), [batch.n for batch in batches])
+        assert ticks.size > 25 and ticks[24] < spec.fleet.ticks - 1
+        assert drawn == list(range(ticks[24] + 1))
+        np.testing.assert_array_equal(generator.ticks, ticks[:25])
+        for field in ("windows", "labels", "device_ids"):
+            np.testing.assert_array_equal(
+                getattr(generator, field),
+                np.concatenate([getattr(batch, field) for batch in batches])[:25],
             )
 
 
