@@ -83,7 +83,7 @@ class PolicyNetwork:
         if greedy:
             action = int(np.argmax(probabilities))
         else:
-            action = int(self._rng.choice(self.n_actions, p=probabilities))
+            action = self._draw_action(probabilities)
         return action, probabilities
 
     def select_actions(self, contexts: np.ndarray, greedy: bool = True) -> np.ndarray:
@@ -91,6 +91,14 @@ class PolicyNetwork:
         probabilities = self.action_probabilities(contexts)
         if greedy:
             return np.argmax(probabilities, axis=1)
+        return self._draw_actions(probabilities)
+
+    def _draw_action(self, probabilities: np.ndarray) -> int:
+        """One categorical draw from a ``(n_actions,)`` distribution."""
+        return int(self._rng.choice(self.n_actions, p=probabilities))
+
+    def _draw_actions(self, probabilities: np.ndarray) -> np.ndarray:
+        """One inverse-transform draw per row of ``(n, n_actions)`` probabilities."""
         cumulative = np.cumsum(probabilities, axis=1)
         draws = self._rng.random((probabilities.shape[0], 1))
         # Floating-point error can leave the last cumulative slightly below
@@ -99,24 +107,47 @@ class PolicyNetwork:
 
     # -- learning --------------------------------------------------------------------
 
+    def explore(self, context: np.ndarray) -> Tuple[int, np.ndarray]:
+        """Sample an action for one context from a *training* forward pass.
+
+        Returns ``(action, probabilities)`` with ``probabilities`` of shape
+        ``(1, n_actions)``; the action is the draw ``select_action(context)``
+        makes.  Pass both to :meth:`policy_gradient_step` (``probabilities=``)
+        and the update backpropagates through this forward instead of running
+        its own — the REINFORCE trainer's one forward per update.
+        """
+        probabilities = self.model.forward(self._check_context(context), training=True)
+        return self._draw_action(probabilities[0]), probabilities
+
+    def explore_batch(self, contexts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`explore` for a minibatch: ``select_actions(contexts,
+        greedy=False)``'s draw, from a training forward that
+        :meth:`policy_gradient_step_batch` (``probabilities=``) reuses."""
+        probabilities = self.model.forward(self._check_context(contexts), training=True)
+        return self._draw_actions(probabilities), probabilities
+
     def policy_gradient_step(
         self,
         context: np.ndarray,
         action: int,
         advantage: float,
         entropy_weight: float = 0.0,
+        probabilities: Optional[np.ndarray] = None,
     ) -> float:
         """One REINFORCE update for a single (context, action, advantage) triple.
 
         Minimises ``-advantage * log pi(a|z) - entropy_weight * H(pi(.|z))``.
         Returns the log-probability of the chosen action (useful for logging).
+        ``probabilities`` is what :meth:`explore` returned for this context, if
+        it was the last forward pass; otherwise the step runs the forward.
         """
         context = self._check_context(context)
         if not 0 <= action < self.n_actions:
             raise ConfigurationError(
                 f"action must lie in [0, {self.n_actions}), got {action}"
             )
-        probabilities = self.model.forward(context, training=True)
+        if probabilities is None:
+            probabilities = self.model.forward(context, training=True)
         probability = float(np.clip(probabilities[0, action], 1e-12, 1.0))
 
         # d/dp of (-advantage * log p_a): only the chosen action's probability
@@ -138,6 +169,7 @@ class PolicyNetwork:
         actions: np.ndarray,
         advantages: np.ndarray,
         entropy_weight: float = 0.0,
+        probabilities: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One REINFORCE update for a whole minibatch of (context, action, advantage).
 
@@ -146,7 +178,9 @@ class PolicyNetwork:
         the update runs one forward pass, one backward pass and one optimizer
         step regardless of the batch size; with a batch of one it reproduces
         :meth:`policy_gradient_step` exactly.  Returns the log-probability of
-        each chosen action (shape ``(n,)``).
+        each chosen action (shape ``(n,)``).  ``probabilities`` is what
+        :meth:`explore_batch` returned for these contexts, if it was the last
+        forward pass; otherwise the step runs the forward.
         """
         contexts = self._check_context(contexts)
         actions = np.asarray(actions, dtype=int)
@@ -161,7 +195,8 @@ class PolicyNetwork:
                 f"actions must lie in [0, {self.n_actions}), got range "
                 f"[{actions.min()}, {actions.max()}]"
             )
-        probabilities = self.model.forward(contexts, training=True)
+        if probabilities is None:
+            probabilities = self.model.forward(contexts, training=True)
         rows = np.arange(n)
         chosen = np.clip(probabilities[rows, actions], 1e-12, 1.0)
 

@@ -258,17 +258,22 @@ class ReinforceTrainer:
         action_rewards: np.ndarray,
         order: np.ndarray,
     ) -> tuple:
-        """One pass with per-sample updates (the original REINFORCE loop)."""
+        """One pass with per-sample updates (the original REINFORCE loop).
+
+        Each update samples its action from the training forward it then
+        backpropagates through: one policy forward per window.
+        """
         total_reward = 0.0
         counts = np.zeros(self.policy.n_actions, dtype=int)
         for index in order:
             context = contexts[index]
-            action, _probs = self.policy.select_action(context, greedy=False)
+            action, probabilities = self.policy.explore(context)
             reward = float(action_rewards[index, action])
             baseline_value = self.baseline.value(action)
             advantage = reward - baseline_value
             self.policy.policy_gradient_step(
-                context, action, advantage, entropy_weight=self.entropy_weight
+                context, action, advantage, entropy_weight=self.entropy_weight,
+                probabilities=probabilities,
             )
             self.baseline.update(reward, action)
             total_reward += reward
@@ -288,11 +293,12 @@ class ReinforceTrainer:
         for start in range(0, order.shape[0], batch_size):
             batch_indices = order[start: start + batch_size]
             batch_contexts = contexts[batch_indices]
-            actions = self.policy.select_actions(batch_contexts, greedy=False)
+            actions, probabilities = self.policy.explore_batch(batch_contexts)
             rewards = action_rewards[batch_indices, actions]
             advantages = rewards - self.baseline.values(actions)
             self.policy.policy_gradient_step_batch(
-                batch_contexts, actions, advantages, entropy_weight=self.entropy_weight
+                batch_contexts, actions, advantages, entropy_weight=self.entropy_weight,
+                probabilities=probabilities,
             )
             self.baseline.update_batch(rewards, actions)
             total_reward += float(rewards.sum())

@@ -3,8 +3,10 @@
 Table I compares the anomaly-detection models themselves (parameters,
 accuracy, F1, execution time per layer); Table II compares the five
 model-selection schemes (F1, accuracy, end-to-end delay, cumulative reward).
-``format_table`` renders either as aligned plain text, which is what the
-benchmark harness prints alongside the paper's reference numbers.
+Both are read off scheme evaluations: a Table I column is the fixed-layer
+scheme's evaluation at that tier.  ``format_table`` renders either as aligned
+plain text, which is what the benchmark harness prints alongside the paper's
+reference numbers.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.detectors.base import AnomalyDetector
 from repro.evaluation.experiment import SchemeEvaluation
-from repro.evaluation.metrics import accuracy_score, f1_score
 
 
 @dataclass
@@ -70,20 +69,31 @@ class SchemeComparisonRow:
 def model_comparison_row(
     dataset: str,
     tier: str,
+    layer: int,
     detector: AnomalyDetector,
-    test_windows: np.ndarray,
-    test_labels: np.ndarray,
+    evaluation: SchemeEvaluation,
     execution_time_ms: float,
 ) -> ModelComparisonRow:
-    """Evaluate one detector in isolation and build its Table I column."""
-    predictions = detector.predict(test_windows)
+    """The Table I column of the detector deployed at ``layer``.
+
+    Read off ``evaluation``, the fixed-layer scheme's run over the test set:
+    that run is this detector's predictions on every test window, so Table I
+    needs no detection of its own.  An evaluation any of whose windows was
+    served at another layer (failover) measured another detector, and raises.
+    """
+    served = sorted(set(evaluation.layer_usage) - {layer})
+    if served:
+        raise ValueError(
+            f"Table I row for layer {layer} ({tier!r}) needs its fixed-layer evaluation, "
+            f"but {evaluation.scheme_name!r} was also served at layers {served}"
+        )
     return ModelComparisonRow(
         dataset=dataset,
         tier=tier,
         model_name=detector.name,
         parameter_count=detector.parameter_count(),
-        accuracy=accuracy_score(predictions, test_labels),
-        f1=f1_score(predictions, test_labels),
+        accuracy=evaluation.accuracy,
+        f1=evaluation.f1,
         execution_time_ms=execution_time_ms,
     )
 

@@ -432,19 +432,6 @@ class ExperimentRunner:
         self._require("train_policy")
         state = self.state
         label = self.spec.dataset_label
-        table1_rows: List[ModelComparisonRow] = []
-        if self.spec.evaluation.table1:
-            for layer, tier in enumerate(self.tier_names):
-                table1_rows.append(
-                    model_comparison_row(
-                        dataset=label,
-                        tier=tier,
-                        detector=state.detectors[layer],
-                        test_windows=state.test_windows,
-                        test_labels=state.test_labels,
-                        execution_time_ms=state.deployments[layer].execution_time_ms,
-                    )
-                )
         # The paper's three-layer topology keeps the legacy Table II labels
         # (IoT Device / Edge / Cloud); deeper or renamed hierarchies label the
         # fixed schemes after their tiers.
@@ -462,6 +449,22 @@ class ExperimentRunner:
             demo_panel=self.spec.evaluation.demo_panel,
             fixed_layer_names=fixed_layer_names,
         )
+        # Table I is a view of the fixed-layer schemes, which come first, bottom-up:
+        # each ran its tier's detector over the whole test set.
+        table1_rows: List[ModelComparisonRow] = []
+        if self.spec.evaluation.table1:
+            fixed = list(evaluations.values())[: len(self.tier_names)]
+            for layer, (tier, evaluation) in enumerate(zip(self.tier_names, fixed)):
+                table1_rows.append(
+                    model_comparison_row(
+                        dataset=label,
+                        tier=tier,
+                        layer=layer,
+                        detector=state.detectors[layer],
+                        evaluation=evaluation,
+                        execution_time_ms=state.deployments[layer].execution_time_ms,
+                    )
+                )
         state.result = PipelineResult(
             dataset_name=label,
             detectors=dict(zip(self.tier_names, state.detectors)),

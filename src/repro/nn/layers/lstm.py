@@ -300,6 +300,11 @@ class LSTM(Layer):
         self.grad_initial_state = (dh_next, dc)
         return grad_inputs
 
+    def release_training_buffers(self) -> None:
+        """Also drop the last ``backward``'s initial-state gradient."""
+        super().release_training_buffers()
+        self.grad_initial_state = None
+
     # -- misc ----------------------------------------------------------------
 
     def regularization_penalty(self) -> float:

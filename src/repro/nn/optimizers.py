@@ -7,7 +7,11 @@ interface so models can swap them freely.
 Parameters are updated *in place*, ``_BLOCK`` elements at a time through two
 block-sized scratch rows, so a step allocates no parameter-sized array.  The
 moments are one flat buffer addressed by *position* in the ``(param, grad)``
-list of the first step; every later step must bring the same shapes.
+list of the first step; every later step must bring the same shapes.  Adjacent
+parameters smaller than a block lie side by side in that buffer and share one
+block: their gradients are gathered into a row laid out with the moments,
+so a run of small tensors costs one block's ufunc calls instead of one set
+per tensor.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ class Optimizer:
     """Base optimiser interface.
 
     Subclasses set ``_n_moments`` and implement :meth:`_update_block`, which
-    updates one block of a flattened parameter, and its moments, in place.
+    updates one block of moments in place and returns the block's update;
+    :meth:`step` subtracts it from the parameters the block covers.
     """
 
     _n_moments = 0
@@ -51,15 +56,7 @@ class Optimizer:
         if shapes != [grad.shape for _, grad in pairs]:
             raise ConfigurationError(f"parameter shapes {shapes} do not match their gradients'")
         if self._shapes is None:
-            sizes = [int(np.prod(shape)) for shape in shapes]
-            moments, scratch = np.zeros((self._n_moments, sum(sizes))), np.empty((2, _BLOCK))
-            # Per parameter, per block: where it is, its moment rows, the scratch
-            # rows cut to its length (a slice past an end clips to it).
-            self._shapes, self._plan = shapes, [
-                [(slice(at, at + _BLOCK), *rows[:, at: at + _BLOCK], *scratch[:, : size - at])
-                 for at in range(0, size, _BLOCK)]
-                for size, rows in zip(sizes, np.split(moments, np.cumsum(sizes)[:-1], axis=1))
-            ]
+            self._shapes, self._plan = shapes, self._lay_out(shapes)
         elif shapes != self._shapes:
             raise ConfigurationError(
                 f"optimiser state was laid out for parameter shapes {self._shapes}, got {shapes}"
@@ -71,16 +68,73 @@ class Optimizer:
                 pairs = [(p, g * (self.clip_norm / total)) for p, g in pairs]
         self.iterations += 1
         self._moment_steps += 1
-        for (param, grad), blocks in zip(pairs, self._plan):
-            # A non-contiguous parameter flattens to a copy: written back below.
+        for members, gathered, work in self._plan:
+            if gathered is not None:
+                # Small parameters sharing a block: gather, update once, scatter.
+                for index, _, into in members:
+                    np.copyto(into, pairs[index][1])
+                update = self._update_block(gathered, *work)
+                for index, where, _ in members:
+                    param = pairs[index][0]
+                    param -= update[where].reshape(param.shape)
+                continue
+            # One parameter, read and updated where it lives, block by block; a
+            # non-contiguous one flattens to a copy, written back afterwards.
+            param, grad = pairs[members]
             flat, flat_grad = param.reshape(-1), grad.reshape(-1)
-            for where, *buffers in blocks:
-                self._update_block(flat[where], flat_grad[where], *buffers)
+            for where, *buffers in work:
+                target = flat[where]
+                target -= self._update_block(flat_grad[where], *buffers)
             if not param.flags.c_contiguous:
                 param[...] = flat.reshape(param.shape)
 
-    def _update_block(self, param, grad, *buffers) -> None:
-        """Update one block in place; ``buffers`` = its moment rows, then two scratch rows."""
+    def _lay_out(self, shapes) -> list:
+        """The moment buffer and the views each step walks, cut once.
+
+        A run of adjacent parameters smaller than ``_BLOCK`` whose sizes sum to
+        at most ``_BLOCK`` becomes one *packed* entry ``(members, gathered,
+        buffers)``: ``gathered`` is the run's own gradient row, and per member
+        its position, its slice of the block and its view of ``gathered``.
+        Any other parameter is an *in-place* entry ``(position, None,
+        [(slice, *buffers), ...])``, one slice per block.  ``buffers`` are the
+        block's moment rows, then two scratch rows.
+        """
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        offsets = np.cumsum([0] + sizes).tolist()
+        moments = np.zeros((self._n_moments, offsets[-1]))
+        scratch = np.empty((2, _BLOCK))
+        runs: List[List[int]] = []
+        room = -1
+        for index, size in enumerate(sizes):
+            if size < _BLOCK and size <= room:
+                runs[-1].append(index)
+                room -= size
+            else:
+                runs.append([index])
+                room = _BLOCK - size if size < _BLOCK else -1
+        plan = []
+        for run in runs:
+            start, stop = offsets[run[0]], offsets[run[-1] + 1]
+            if len(run) > 1:
+                gathered = np.empty(stop - start)
+                members = []
+                for index in run:
+                    where = slice(offsets[index] - start, offsets[index + 1] - start)
+                    members.append((index, where, gathered[where].reshape(shapes[index])))
+                work = (*moments[:, start:stop], *scratch[:, : stop - start])
+                plan.append((members, gathered, work))
+                continue
+            size = sizes[run[0]]
+            plan.append((run[0], None, [
+                (slice(at, at + _BLOCK), *moments[:, start + at: start + min(at + _BLOCK, size)],
+                 *scratch[:, : size - at])
+                for at in range(0, size, _BLOCK)
+            ]))
+        return plan
+
+    def _update_block(self, grad, *buffers) -> np.ndarray:
+        """Update one block's moments in place and return the block's update
+        (``param -= update``); ``buffers`` = its moment rows, then two scratch rows."""
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -116,14 +170,14 @@ class SGD(Optimizer):
             raise ConfigurationError(f"momentum must be < 1, got {momentum}")
         self._n_moments = int(self.momentum != 0.0)
 
-    def _update_block(self, param, grad, *buffers):
+    def _update_block(self, grad, *buffers):
         update = np.multiply(grad, self.learning_rate, out=buffers[-1])
         if self.momentum != 0.0:
             velocity = buffers[0]
             velocity *= self.momentum
             velocity += update
             update = velocity
-        param -= update
+        return update
 
     def get_config(self) -> dict:
         config = super().get_config()
@@ -149,13 +203,13 @@ class RMSProp(Optimizer):
         self.rho = float(rho)
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update_block(self, param, grad, mean_square, a, b):
+    def _update_block(self, grad, mean_square, a, b):
         mean_square *= self.rho
         mean_square += np.multiply(np.square(grad, out=a), 1.0 - self.rho, out=a)
         # (lr * g) / (sqrt(ms) + eps), the order the update has always had.
         np.multiply(grad, self.learning_rate, out=a)
         a /= np.add(np.sqrt(mean_square, out=b), self.epsilon, out=b)
-        param -= a
+        return a
 
     def get_config(self) -> dict:
         config = super().get_config()
@@ -185,7 +239,7 @@ class Adam(Optimizer):
         self.beta_2 = float(beta_2)
         self.epsilon = check_positive(epsilon, "epsilon")
 
-    def _update_block(self, param, grad, m, v, a, b):
+    def _update_block(self, grad, m, v, a, b):
         t = float(self._moment_steps)  # steps since the moments were zero
         m *= self.beta_1
         m += np.multiply(grad, 1.0 - self.beta_1, out=a)
@@ -195,7 +249,7 @@ class Adam(Optimizer):
         np.multiply(np.divide(m, 1.0 - self.beta_1**t, out=a), self.learning_rate, out=a)
         np.sqrt(np.divide(v, 1.0 - self.beta_2**t, out=b), out=b)
         a /= np.add(b, self.epsilon, out=b)
-        param -= a
+        return a
 
     def get_config(self) -> dict:
         config = super().get_config()

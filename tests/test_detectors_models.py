@@ -19,6 +19,7 @@ from repro.detectors.lstm_seq2seq import (
 )
 from repro.detectors.registry import DetectorRegistry
 from repro.exceptions import ConfigurationError, DeploymentError, NotFittedError, ShapeError
+from repro.nn.layers.lstm import LSTM
 
 
 class TestAutoencoderDetector:
@@ -194,17 +195,16 @@ class TestSeq2SeqDetector:
         assert anomaly_rate_on_anomalies >= anomaly_rate_on_normals
 
 
-def _float_arrays(root):
-    """Every float ndarray reachable from ``root`` through attributes and containers."""
+def _reachable(root):
+    """Every object reachable from ``root`` through attributes and containers."""
     seen, stack, found = set(), [root], []
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
+        found.append(obj)
         if isinstance(obj, np.ndarray):
-            if obj.dtype.kind == "f":
-                found.append(obj)
             stack.append(obj.base)
         elif isinstance(obj, dict):
             stack.extend(obj.values())
@@ -213,6 +213,14 @@ def _float_arrays(root):
         elif hasattr(obj, "__dict__") and not isinstance(obj, type):
             stack.extend(vars(obj).values())
     return found
+
+
+def _float_arrays(root):
+    """Every float ndarray reachable from ``root`` through attributes and containers."""
+    return [
+        obj for obj in _reachable(root)
+        if isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+    ]
 
 
 class TestFittedDetectorKeepsOnlyWeights:
@@ -243,6 +251,16 @@ class TestFittedDetectorKeepsOnlyWeights:
         assert extras == []
         weight_bytes = sum(param.nbytes for param in weights)
         assert len(pickle.dumps(detector)) < 2.5 * weight_bytes
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_no_lstm_keeps_an_initial_state_gradient(self, bidirectional, mhealth_windows):
+        detector = Seq2SeqDetector(
+            mhealth_windows.n_channels, units=8, bidirectional=bidirectional, seed=0
+        )
+        detector.fit(mhealth_windows.windows[:12], epochs=1, batch_size=8)
+        lstms = [obj for obj in _reachable(detector) if isinstance(obj, LSTM)]
+        assert len(lstms) == (3 if bidirectional else 2)  # encoder (two directions), decoder
+        assert [lstm.grad_initial_state for lstm in lstms] == [None] * len(lstms)
 
     def test_copies_refit_like_the_original(self, case):
         detector, windows = case

@@ -136,15 +136,43 @@ class TestSchemeEvaluation:
 
 class TestTables:
     def test_model_comparison_row(self, univariate_hec):
-        _system, deployments, detectors, windows, labels = univariate_hec
+        system, deployments, detectors, windows, labels = univariate_hec
+        evaluation = evaluate_scheme(FixedLayerScheme(system, 0), windows, labels)
         row = model_comparison_row(
-            "univariate", "iot", detectors["iot"], windows, labels,
+            "univariate", "iot", 0, detectors["iot"], evaluation,
             execution_time_ms=deployments[0].execution_time_ms,
         )
         assert row.parameter_count == detectors["iot"].parameter_count()
-        assert 0.0 <= row.accuracy <= 1.0
+        assert row.model_name == detectors["iot"].name
+        predictions = detectors["iot"].predict(windows)
+        assert row.accuracy == accuracy_score(predictions, labels)
+        assert row.f1 == f1_score(predictions, labels)
         assert row.execution_time_ms == pytest.approx(12.4)
         assert row.as_dict()["dataset"] == "univariate"
+
+    def test_model_comparison_row_refuses_an_evaluation_served_elsewhere(self, univariate_hec):
+        system, deployments, detectors, windows, labels = univariate_hec
+        edge = evaluate_scheme(FixedLayerScheme(system, 1), windows, labels)
+        with pytest.raises(ValueError, match="served at layers \\[1\\]"):
+            model_comparison_row("univariate", "iot", 0, detectors["iot"], edge, 12.4)
+        successive = evaluate_scheme(SuccessiveScheme(system), windows, labels)
+        with pytest.raises(ValueError, match="Successive"):
+            model_comparison_row("univariate", "iot", 0, detectors["iot"], successive, 12.4)
+        # A failover: the cloud link is down, so "Cloud" is served below it.
+        system.reset()
+        system.topology.links_to(2)[-1].set_status("down")
+        try:
+            redirected = evaluate_scheme(
+                FixedLayerScheme(system, 2), windows, labels, reset_system=False
+            )
+        finally:
+            system.reset()
+        assert 2 not in redirected.layer_usage
+        with pytest.raises(ValueError, match="'Cloud'"):
+            model_comparison_row(
+                "univariate", "cloud", 2, detectors["cloud"], redirected,
+                deployments[2].execution_time_ms,
+            )
 
     def test_scheme_comparison_row(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec

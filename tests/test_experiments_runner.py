@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from repro.detectors.adapters import WindowReshapeAdapter
+from repro.evaluation.metrics import accuracy_score, f1_score
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     ExperimentRunner,
     apply_overrides,
     get_scenario,
+    list_scenarios,
 )
 
 
@@ -79,6 +81,57 @@ class TestStageInvocation:
         runner = ExperimentRunner(get_scenario("univariate-power"))
         with pytest.raises(ConfigurationError, match="cannot replace"):
             runner.fork(data=get_scenario("multivariate-mhealth").data)
+
+
+def _smoke(spec):
+    """``spec`` shrunk to a sub-second offline run."""
+    overrides = {"policy.episodes": 1}
+    if spec.data.source == "power":
+        overrides.update({"data.weeks": 16, "data.samples_per_day": 24})
+    else:
+        overrides.update({"data.n_subjects": 2, "data.window_size": 32, "data.stride": 16})
+    for index, detector in enumerate(spec.detectors):
+        overrides[f"detectors.{index}.epochs"] = 1
+        if detector.family == "seq2seq":
+            overrides[f"detectors.{index}.units"] = 4 + 2 * index
+    return apply_overrides(spec, overrides)
+
+
+class TestTable1IsAViewOfTheFixedLayerSchemes:
+    """Table I read off the fixed-layer evaluations ≡ each detector's own
+    ``predict`` over the test set, the way Table I used to be computed."""
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_rows_equal_the_detectors_own_predictions(self, name):
+        runner = ExperimentRunner(_smoke(get_scenario(name)))
+        result = runner.run()
+        state = runner.state
+        assert [row.tier for row in result.table1_rows] == list(runner.tier_names)
+        for layer, row in enumerate(result.table1_rows):
+            detector = state.detectors[layer]
+            predictions = detector.predict(state.test_windows)
+            assert (row.model_name, row.parameter_count) == (
+                detector.name, detector.parameter_count()
+            )
+            assert row.accuracy == accuracy_score(predictions, state.test_labels)
+            assert row.f1 == f1_score(predictions, state.test_labels)
+            assert row.execution_time_ms == state.deployments[layer].execution_time_ms
+
+    def test_a_redirected_fixed_layer_evaluation_raises(self):
+        runner = ExperimentRunner(_smoke(get_scenario("univariate-power")))
+        for stage in ("prepare_data", "fit_detectors", "deploy", "train_policy"):
+            getattr(runner, stage)()
+        # Fail the cloud uplink for every scheme run: "Cloud" is served below it.
+        system = runner.state.system
+        reset = system.reset
+
+        def reset_with_cloud_down():
+            reset()
+            system.topology.links_to(2)[-1].set_status("down")
+
+        system.reset = reset_with_cloud_down
+        with pytest.raises(ValueError, match="'Cloud' was also served at layers \\[1\\]"):
+            runner.evaluate()
 
 
 class TestFourTierScenario:

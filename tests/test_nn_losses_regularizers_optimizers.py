@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,43 @@ def _reference_adam(
         param -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
 
 
+class _PerParameterStep:
+    """The step before small parameters were packed: each parameter walked on
+    its own, block by block, through ``optimizer._update_block``."""
+
+    def __init__(self, optimizer):
+        self.optimizer = optimizer
+        self.moments = None
+        self.scratch = np.empty((2, _BLOCK))
+
+    def step(self, pairs):
+        optimizer = self.optimizer
+        if self.moments is None:
+            self.moments = [np.zeros((optimizer._n_moments, p.size)) for p, _ in pairs]
+        if optimizer.clip_norm is not None:
+            total = float(np.sqrt(sum(float(np.sum(np.square(g))) for _, g in pairs)))
+            if total > optimizer.clip_norm:
+                pairs = [(p, g * (optimizer.clip_norm / total)) for p, g in pairs]
+        optimizer.iterations += 1
+        optimizer._moment_steps += 1
+        for (param, grad), rows in zip(pairs, self.moments):
+            flat, flat_grad = param.reshape(-1), grad.reshape(-1)
+            for at in range(0, param.size, _BLOCK):
+                where = slice(at, at + _BLOCK)
+                target = flat[where]
+                target -= optimizer._update_block(
+                    flat_grad[where], *rows[:, where], *self.scratch[:, : param.size - at]
+                )
+            if not param.flags.c_contiguous:
+                param[...] = flat.reshape(param.shape)
+
+
+#: Two packed small parameters, three large ones in place, a run of small ones
+#: that sums past one block, and (replaced in the test) a non-contiguous member.
+_MIXED_SHAPES = [
+    (1,), (3,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
+    (50, 80), (50, 80), (50, 80), (50, 80), (50, 80), (7,), (30, 40),
+]
 _STEP_SHAPES = [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 7,), (37, 911)]
 _STEP_CASES = [
     pytest.param(SGD, {}, _reference_sgd, id="sgd"),
@@ -290,17 +328,65 @@ class TestInPlaceStep:
         seen = []
 
         class Recording(SGD):
-            def _update_block(self, param, grad, *buffers):
+            def _update_block(self, grad, *buffers):
                 seen.append(grad)
-                super()._update_block(param, grad, *buffers)
+                return super()._update_block(grad, *buffers)
 
-        grads = [np.full(4, 1e-3), np.full((2, 3), 1e-3)]
-        params = [np.zeros(4), np.zeros((2, 3))]
+        # One large parameter (two blocks, read in place), then two small ones
+        # that share a block (gathered into the scratch row).
+        grads = [np.full(_BLOCK + 5, 1e-3), np.full(1000, 1e-3), np.full((10, 100), 1e-3)]
+        params = [np.zeros(grad.shape) for grad in grads]
+        optimizer = Recording()
+        optimizer.step(list(zip(params, grads)))  # lays the state out
+        seen.clear()
+        tracemalloc.start()
+        optimizer.step(list(zip(params, grads)))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < grads[1].nbytes // 2  # no array the size of any parameter
+        assert [np.shares_memory(block, grads[0]) for block in seen] == [True, True, False]
+        assert not any(np.shares_memory(seen[-1], grad) for grad in grads[1:])
+        seen.clear()
         Recording(clip_norm=1.0).step(list(zip(params, grads)))
-        assert all(np.shares_memory(block, grad) for block, grad in zip(seen, grads))
+        assert [np.shares_memory(block, grads[0]) for block in seen] == [True, True, False]
         seen.clear()
         Recording(clip_norm=1e-6).step(list(zip(params, grads)))
-        assert not any(np.shares_memory(block, grad) for block, grad in zip(seen, grads))
+        assert not any(np.shares_memory(block, grad) for block in seen for grad in grads)
+
+    @pytest.mark.parametrize("cls, kwargs, reference", _STEP_CASES)
+    def test_every_unclipped_step_allocates_nothing(self, cls, kwargs, reference):
+        grads = [np.full(_BLOCK + 5, 1e-3), np.full(1000, 1e-3), np.full((10, 100), 1e-3)]
+        params = [np.zeros(grad.shape) for grad in grads]
+        optimizer = cls(**kwargs)
+        optimizer.step(list(zip(params, grads)))
+        tracemalloc.start()
+        optimizer.step(list(zip(params, grads)))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < grads[1].nbytes // 2
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    @pytest.mark.parametrize("cls, kwargs, reference", _STEP_CASES)
+    def test_packed_blocks_equal_the_per_parameter_step(self, cls, kwargs, reference, clip_norm):
+        rng = np.random.default_rng(2)
+        params = [rng.normal(size=shape) for shape in _MIXED_SHAPES]
+        params[-1] = rng.normal(size=(40, 30)).T  # a non-contiguous member of a packed run
+        params.append(rng.normal(size=(130, 130)).T)  # ... and a large one, in place
+        expected = [param.copy(order="K") for param in params]
+        assert not params[-1].flags.c_contiguous and not expected[-1].flags.c_contiguous
+        optimizer = cls(clip_norm=clip_norm, **kwargs)
+        per_parameter = _PerParameterStep(cls(clip_norm=clip_norm, **kwargs))
+        for step in range(1, 21):
+            scale = 1e-4 if step % 2 else 1.0
+            grads = [scale * rng.normal(size=param.shape) for param in params]
+            per_parameter.step(list(zip(expected, grads)))
+            optimizer.step(list(zip(params, grads)))
+        for got, want in zip(params, expected):
+            np.testing.assert_array_equal(got, want)
+        packed = [members for members, gathered, _ in optimizer._plan if gathered is not None]
+        assert [[index for index, _, _ in members] for members in packed] == [
+            [0, 1], [5, 6, 7, 8], [9, 10, 11]
+        ]
 
     def test_state_is_positional_so_a_changed_parameter_list_is_refused(self):
         optimizer = Adam()
@@ -324,6 +410,9 @@ class TestInPlaceStep:
         for _ in range(3):
             optimizer.step([(weights, np.ones(size))])
         assert len(pickle.dumps(optimizer)) < 1024  # not 2 x 8 x size bytes of moments
+        packed = Adam()
+        packed.step([(np.ones(1000), np.ones(1000)), (np.ones(2000), np.ones(2000))])
+        assert len(pickle.dumps(packed)) < 1024  # nor a pack's gather row
         clone = duplicate(optimizer)
         assert clone.get_config() == optimizer.get_config()
         assert clone.iterations == 3
