@@ -49,8 +49,15 @@ def _relu_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def _sigmoid_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # Stable and branch-free: no exponent is positive, and each element gets the
     # arithmetic of the piecewise form, 1 / (1 + e^-x) for x >= 0 and
-    # e^x / (1 + e^x) below, without boolean-mask indexing.
-    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + np.exp(-np.abs(x)), out=out)
+    # e^x / (1 + e^x) below, without boolean-mask indexing.  The denominator is
+    # built first, in one scratch array (a large temporary costs fresh pages
+    # from the allocator), so ``out`` may be ``x`` itself.
+    denominator = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(denominator, out=denominator)
+    np.exp(denominator, out=denominator)
+    denominator += 1.0
+    numerator = np.exp(np.minimum(x, 0.0, out=out), out=out)
+    return np.divide(numerator, denominator, out=denominator if out is None else out)
 
 
 def _sigmoid_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:

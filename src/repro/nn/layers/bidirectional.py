@@ -1,21 +1,28 @@
 """Bidirectional LSTM wrapper.
 
 The paper's cloud-tier multivariate model (``BiLSTM-seq2seq-Cloud``) uses a
-bidirectional LSTM encoder.  This wrapper runs one LSTM forward in time and
-an independent LSTM over the time-reversed sequence and concatenates the
-results (Keras' ``merge_mode="concat"``), both for per-timestep outputs and
-for the final states handed to the decoder.
+bidirectional LSTM encoder.  This wrapper holds one LSTM for forward time and
+one for the time-reversed sequence and concatenates the results (Keras'
+``merge_mode="concat"``), both for per-timestep outputs and for the final
+states handed to the decoder.
+
+The two LSTMs hold the parameters.  The steps run through :mod:`.lstm`'s one
+forward and one BPTT loop with both directions as one ``(2, batch, ...)``
+block: half the ufunc calls of two LSTMs for the same arithmetic, so the same
+bits.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.nn.layers.base import Layer
-from repro.nn.layers.lstm import LSTM, State
+from repro.nn.layers.lstm import (
+    LSTM, State, _bptt_steps, _check_input, _forward_steps, _SequenceCache,
+)
 
 
 class Bidirectional(Layer):
@@ -48,13 +55,16 @@ class Bidirectional(Layer):
             raise ShapeError("forward and backward LSTMs must agree on return_sequences")
         self.units = 2 * self.forward_layer.units
         self.return_sequences = self.forward_layer.return_sequences
+        self.input_dim: Optional[int] = None
         self.last_state: Optional[State] = None
+        self._cache: Optional[_SequenceCache] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def build(self, input_dim: int) -> None:
         self.forward_layer.ensure_built(input_dim, rng=self._rng)
         self.backward_layer.ensure_built(input_dim, rng=self._rng)
+        self.input_dim = int(input_dim)
 
     def set_rng(self, seed) -> None:  # noqa: D102 - documented on base class
         super().set_rng(seed)
@@ -67,53 +77,66 @@ class Bidirectional(Layer):
                 initial_state: Optional[State] = None) -> np.ndarray:
         if initial_state is not None:
             raise ShapeError("Bidirectional does not support an external initial_state")
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 3:
-            raise ShapeError(
-                f"Bidirectional expects a 3-D input (batch, time, features), got {inputs.shape}"
-            )
-        self.ensure_built(inputs.shape[2])
-        forward_out = self.forward_layer.forward(inputs, training=training)
-        backward_out = self.backward_layer.forward(inputs[:, ::-1, :], training=training)
-
-        fh, fc = self.forward_layer.last_state
-        bh, bc = self.backward_layer.last_state
-        self.last_state = (np.concatenate([fh, bh], axis=1), np.concatenate([fc, bc], axis=1))
-
+        inputs = _check_input(self, inputs)
+        batch, timesteps, _features = inputs.shape
+        units = self.forward_layer.units
+        layers = (self.forward_layer, self.backward_layer)
+        # The reverse-time direction reads a time-reversed view, as its own LSTM would.
+        directions = (inputs, inputs[:, ::-1, :])
+        projection = np.empty((2, batch, timesteps, 4 * units))
+        for layer, x, out in zip(layers, directions, projection):
+            layer._input_projection(x, out=out)
+        bias = np.stack([layer._bias() for layer in layers])[:, None, :]
+        recurrent = np.stack([layer.params["recurrent_kernel"] for layer in layers])
+        h, c = np.zeros((2, 2, batch, units))
+        h, c, outputs, self._cache = _forward_steps(
+            directions, projection, recurrent, bias, h, c, training, self.return_sequences
+        )
+        # (direction, batch, units) -> (batch, 2 * units), forward direction first.
+        self.last_state = (np.concatenate(h, axis=1), np.concatenate(c, axis=1))
         if self.return_sequences:
-            # Align the reverse-time output back to the original time order.
-            backward_aligned = backward_out[:, ::-1, :]
-            return np.concatenate([forward_out, backward_aligned], axis=2)
-        return np.concatenate([forward_out, backward_out], axis=1)
+            forward_out, backward_out = outputs.swapaxes(0, 1)
+            # The reverse-time output back in time order, then batch-major.
+            aligned = (forward_out, backward_out[::-1])
+            return np.concatenate([out.transpose(1, 0, 2) for out in aligned], axis=2)
+        return self.last_state[0]
 
     def backward(self, grad_output: np.ndarray,
                  grad_state: Optional[State] = None) -> np.ndarray:
-        grad_output = np.asarray(grad_output, dtype=float)
+        if self._cache is None:
+            raise ShapeError("backward called before forward(training=True) on Bidirectional layer")
+        layers = (self.forward_layer, self.backward_layer)
+        directions = self._cache.inputs
+        batch, timesteps, _features = directions[0].shape
         units = self.forward_layer.units
-
-        forward_state_grad = None
-        backward_state_grad = None
-        if grad_state is not None:
-            dh, dc = grad_state
-            dh = np.asarray(dh, dtype=float)
-            dc = np.asarray(dc, dtype=float)
-            forward_state_grad = (dh[:, :units], dc[:, :units])
-            backward_state_grad = (dh[:, units:], dc[:, units:])
-
+        grad_output = np.asarray(grad_output, dtype=float)
+        # (batch, [time,] 2 * units) -> time-major (time, direction, batch, units).
         if self.return_sequences:
-            grad_forward = grad_output[:, :, :units]
-            grad_backward = grad_output[:, ::-1, units:]
+            halves = (grad_output[:, :, :units], grad_output[:, ::-1, units:])
+            grad_h_seq = np.stack(halves).transpose(2, 0, 1, 3)
         else:
-            grad_forward = grad_output[:, :units]
-            grad_backward = grad_output[:, units:]
-
-        grad_inputs_forward = self.forward_layer.backward(grad_forward, grad_state=forward_state_grad)
-        grad_inputs_backward = self.backward_layer.backward(grad_backward, grad_state=backward_state_grad)
+            grad_h_seq = np.zeros((timesteps, 2, batch, units))
+            grad_h_seq[-1] = grad_output.reshape(batch, 2, units).transpose(1, 0, 2)
+        dh_next, dc = np.zeros((2, 2, batch, units))
+        for total, extra in zip((dh_next, dc), () if grad_state is None else grad_state):
+            total += np.asarray(extra, dtype=float).reshape(batch, 2, units).transpose(1, 0, 2)
+        # A view of the kernels' transposes: a contiguous copy would pick
+        # another BLAS kernel and change the last bits.
+        kernels = np.stack([layer.params["recurrent_kernel"] for layer in layers])
+        dz_all = _bptt_steps(self._cache, grad_h_seq, kernels.transpose(0, 2, 1), dh_next, dc)
+        grad_inputs_forward, grad_inputs_backward = (
+            layer._weight_gradients(x, h_states, dz)
+            for layer, x, dz, h_states in zip(
+                layers, directions, dz_all.swapaxes(0, 1), self._cache.h_states.swapaxes(0, 1)
+            )
+        )
         return grad_inputs_forward + grad_inputs_backward[:, ::-1, :]
 
     # -- parameters ----------------------------------------------------------
 
     def release_training_buffers(self) -> None:
+        """Also drop the stacked BPTT tensors of the last training forward."""
+        self._cache = None
         self.forward_layer.release_training_buffers()
         self.backward_layer.release_training_buffers()
 

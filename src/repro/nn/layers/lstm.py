@@ -48,13 +48,14 @@ State = Tuple[np.ndarray, np.ndarray]
 class _SequenceCache:
     """Whole-sequence tensors kept by a ``training`` forward pass for BPTT.
 
-    All but ``inputs`` are time-major, so one timestep is one contiguous
-    block.  ``gates`` is ``(time, batch, 4 * units)`` in ``(i, f, g, o)``
-    order; ``h_states`` and ``c_states`` are ``(time + 1, batch, units)`` with
-    index ``t`` the state *entering* timestep ``t`` (0: the initial state).
+    All but ``inputs`` are time-major, so one timestep is one contiguous block.
+    ``gates`` is ``(time, ..., batch, 4 * units)`` in ``(i, f, g, o)`` order
+    (``...``: a stacked ``Bidirectional``'s direction axis); ``h_states`` and
+    ``c_states`` are ``(time + 1, ..., batch, units)`` with index ``t`` the
+    state *entering* timestep ``t`` (0: the initial state).
     """
 
-    inputs: np.ndarray
+    inputs: object
     h_states: np.ndarray
     c_states: np.ndarray
     gates: np.ndarray
@@ -62,21 +63,117 @@ class _SequenceCache:
 
 
 def _lstm_cell(z, c_prev, gates, c, tanh_c, h) -> None:
-    """One LSTM step from its pre-activations ``z`` of shape ``(batch, 4 * units)``.
+    """One LSTM step from its pre-activations ``z`` of shape ``(..., batch, 4 * units)``.
 
     Everything lands in the caller's buffers: the ``(i, f, g, o)`` activations
     in ``gates``, the new cell state in ``c`` (which may be ``c_prev`` itself),
     its tanh in ``tanh_c`` and the new hidden state in ``h``.
     """
-    units = c.shape[1]
-    g = gates[:, 2 * units: 3 * units]
+    units = c.shape[-1]
+    g = gates[..., 2 * units: 3 * units]
     _sigmoid.forward(z, out=gates)
-    np.tanh(z[:, 2 * units: 3 * units], out=g)
-    np.multiply(gates[:, :units], g, out=tanh_c)  # i * g; tanh_c is free until c is known
-    np.multiply(gates[:, units: 2 * units], c_prev, out=c)
+    np.tanh(z[..., 2 * units: 3 * units], out=g)
+    np.multiply(gates[..., :units], g, out=tanh_c)  # i * g; tanh_c is free until c is known
+    np.multiply(gates[..., units: 2 * units], c_prev, out=c)
     np.add(c, tanh_c, out=c)
     np.tanh(c, out=tanh_c)
-    np.multiply(gates[:, 3 * units:], tanh_c, out=h)
+    np.multiply(gates[..., 3 * units:], tanh_c, out=h)
+
+
+def _forward_steps(inputs, projection, recurrent, bias, h, c, training, return_sequences):
+    """The forward step loop from ``(h, c)``, each ``(..., batch, units)``, over
+    ``projection``, every step's input side ``(..., batch, time, 4 * units)``.
+    Returns ``(h, c)``, the time-major outputs if ``return_sequences`` and the
+    BPTT cache (keeping ``inputs``) if ``training``."""
+    timesteps = projection.shape[-2]
+    z = np.empty(h.shape[:-1] + projection.shape[-1:])
+    if training:
+        # BPTT tensors: one allocation each, one block filled per step.
+        states = (timesteps + 1,) + h.shape
+        h_states, c_states = np.empty(states), np.empty(states)
+        gates, tanh_c = np.empty((timesteps,) + z.shape), np.empty((timesteps,) + h.shape)
+        h_states[0], c_states[0] = h, c
+        h, c = h_states[0], c_states[0]
+        cache = _SequenceCache(inputs, h_states, c_states, gates, tanh_c)
+    else:
+        # One step's buffers, reused: only (h, c) and the output survive.
+        h_states = np.empty((timesteps,) + h.shape) if return_sequences else None
+        gates, tanh_c = np.empty(z.shape), np.empty(h.shape)
+        cache = None
+
+    for t in range(timesteps):
+        np.matmul(h, recurrent, out=z)
+        z += projection[..., t, :]
+        z += bias
+        if training:
+            c_prev, c, h = c, c_states[t + 1], h_states[t + 1]
+            _lstm_cell(z, c_prev, gates[t], c, tanh_c[t], h)
+        else:
+            if h_states is not None:
+                h = h_states[t]
+            _lstm_cell(z, c, gates, c, tanh_c, h)
+    # A training pass's h_states also holds the initial state, in front.
+    return h, c, h_states[-timesteps:] if return_sequences else None, cache
+
+
+def _bptt_steps(cache, grad_h_seq, recurrent_t, dh_next, dc):
+    """The BPTT step loop over a :func:`_forward_steps` cache, given the time-major
+    gradient reaching each hidden state from outside: the gate gradients.
+    ``dh_next`` and ``dc`` enter as the final state's gradients, leave as the initial's."""
+    units = dc.shape[-1]
+    # What does not depend on the recurrence, for the whole sequence at once:
+    # 1 - a for the sigmoid gates, 1 - g**2 for the candidate, 1 - tanh(c)**2.
+    one_minus = 1.0 - cache.gates
+    one_minus[..., 2 * units: 3 * units] = 1.0 - cache.gates[..., 2 * units: 3 * units] ** 2
+    one_minus_tanh_c_sq = 1.0 - cache.tanh_c**2
+
+    # Gate gradients of the whole sequence, one block filled per step; the
+    # weight gradients fall out of single contractions afterwards.
+    dz_all = np.empty(cache.gates.shape)
+    dh, dh_o = np.empty(dc.shape), np.empty(dc.shape)
+
+    for t in range(len(dz_all) - 1, -1, -1):
+        gates = cache.gates[t]
+        o = gates[..., 3 * units:]
+        dz = dz_all[t]
+
+        np.add(grad_h_seq[t], dh_next, out=dh)
+        np.multiply(dh, o, out=dh_o)
+        dh_o *= one_minus_tanh_c_sq[t]
+        dc += dh_o
+
+        # (di, df, dg, do) = (dc * g, dc * c_prev, dc * i, dh * tanh_c) ...
+        np.multiply(dc, gates[..., 2 * units: 3 * units], out=dz[..., :units])
+        np.multiply(dc, cache.c_states[t], out=dz[..., units: 2 * units])
+        np.multiply(dc, gates[..., :units], out=dz[..., 2 * units: 3 * units])
+        np.multiply(dh, cache.tanh_c[t], out=dz[..., 3 * units:])
+        # ... times the activation derivatives: a * (1 - a), and 1 - g**2.
+        dz[..., : 2 * units] *= gates[..., : 2 * units]
+        dz[..., 3 * units:] *= o
+        dz *= one_minus[t]
+
+        np.matmul(dz, recurrent_t, out=dh_next)
+        dc *= gates[..., units: 2 * units]
+    return dz_all
+
+
+def _check_input(layer, inputs) -> np.ndarray:
+    """``inputs`` as a float ``(batch, time, features)`` array; builds ``layer``."""
+    kind = type(layer).__name__
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 3:
+        raise ShapeError(
+            f"{kind} expects a 3-D input (batch, time, features), got shape {inputs.shape}"
+        )
+    if inputs.shape[1] == 0:
+        raise ShapeError(f"{kind} received an input with zero timesteps")
+    layer.ensure_built(inputs.shape[2])
+    if inputs.shape[2] != layer.input_dim:
+        raise ShapeError(
+            f"{kind} {layer.name!r} was built with input_dim={layer.input_dim}, "
+            f"got input with {inputs.shape[2]} features"
+        )
+    return inputs
 
 
 class LSTM(Layer):
@@ -135,21 +232,8 @@ class LSTM(Layer):
         training: bool = False,
         initial_state: Optional[State] = None,
     ) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 3:
-            raise ShapeError(
-                f"LSTM expects a 3-D input (batch, time, features), got shape {inputs.shape}"
-            )
-        batch, timesteps, features = inputs.shape
-        if timesteps == 0:
-            raise ShapeError("LSTM received an input with zero timesteps")
-        self.ensure_built(features)
-        if features != self.input_dim:
-            raise ShapeError(
-                f"LSTM {self.name!r} was built with input_dim={self.input_dim}, "
-                f"got input with {features} features"
-            )
-        units = self.units
+        inputs = _check_input(self, inputs)
+        batch, units = inputs.shape[0], self.units
         if initial_state is not None:
             # Copies: an inference pass updates its state buffers in place.
             h, c = (np.array(state, dtype=float) for state in initial_state)
@@ -159,51 +243,25 @@ class LSTM(Layer):
                     f"got {h.shape} and {c.shape}"
                 )
         else:
-            h = np.zeros((batch, units))
-            c = np.zeros((batch, units))
+            h, c = np.zeros((2, batch, units))
 
-        kernel = self.params["kernel"]
-        recurrent = self.params["recurrent_kernel"]
-        bias = self.params["bias"]
-        if self.double_bias:
-            bias = bias + self.params["recurrent_bias"]
-
-        # Pre-compute the input contribution for all timesteps in one matmul.
-        input_projection = inputs.reshape(batch * timesteps, features) @ kernel
-        input_projection = input_projection.reshape(batch, timesteps, 4 * units)
-
-        z = np.empty((batch, 4 * units))
-        if training:
-            # BPTT tensors: one allocation each, one block filled per step.
-            h_states = np.empty((timesteps + 1, batch, units))
-            c_states = np.empty((timesteps + 1, batch, units))
-            gates = np.empty((timesteps, batch, 4 * units))
-            tanh_c = np.empty((timesteps, batch, units))
-            h_states[0], c_states[0] = h, c
-            h, c = h_states[0], c_states[0]
-            self._cache = _SequenceCache(inputs, h_states, c_states, gates, tanh_c)
-        else:
-            # One step's buffers, reused: only (h, c) and the output survive.
-            h_states = np.empty((timesteps, batch, units)) if self.return_sequences else None
-            gates = np.empty((batch, 4 * units))
-            tanh_c = np.empty((batch, units))
-            self._cache = None
-
-        for t in range(timesteps):
-            np.matmul(h, recurrent, out=z)
-            z += input_projection[:, t, :]
-            z += bias
-            if training:
-                c_prev, c, h = c, c_states[t + 1], h_states[t + 1]
-                _lstm_cell(z, c_prev, gates[t], c, tanh_c[t], h)
-            else:
-                if h_states is not None:
-                    h = h_states[t]
-                _lstm_cell(z, c, gates, c, tanh_c, h)
-
+        h, c, outputs, self._cache = _forward_steps(
+            inputs, self._input_projection(inputs), self.params["recurrent_kernel"],
+            self._bias(), h, c, training, self.return_sequences,
+        )
         self.last_state = (h, c)
-        # A training pass's h_states also holds the initial state, in front.
-        return h_states[-timesteps:].transpose(1, 0, 2) if self.return_sequences else h
+        return outputs.transpose(1, 0, 2) if self.return_sequences else h
+
+    def _input_projection(self, inputs: np.ndarray, out: Optional[np.ndarray] = None):
+        """Every timestep's input side in one matmul, ``(batch, time, 4 * units)``."""
+        flat = inputs.reshape(-1, inputs.shape[2])
+        flat_out = None if out is None else out.reshape(len(flat), -1)
+        projection = np.matmul(flat, self.params["kernel"], out=flat_out)
+        return projection.reshape(inputs.shape[:2] + (-1,))
+
+    def _bias(self) -> np.ndarray:
+        bias = self.params["bias"]
+        return bias + self.params["recurrent_bias"] if self.double_bias else bias
 
     # -- backward ----------------------------------------------------------
 
@@ -215,7 +273,7 @@ class LSTM(Layer):
         if self._cache is None:
             raise ShapeError("backward called before forward(training=True) on LSTM layer")
         cache = self._cache
-        batch, timesteps, features = cache.inputs.shape
+        batch, timesteps, _features = cache.inputs.shape
         units = self.units
         grad_output = np.asarray(grad_output, dtype=float)
 
@@ -233,61 +291,26 @@ class LSTM(Layer):
             grad_h_seq = np.zeros((timesteps, batch, units))
             grad_h_seq[-1] = grad_output
 
-        kernel = self.params["kernel"]
-        recurrent_t = self.params["recurrent_kernel"].T
+        dh_next, dc = np.zeros((2, batch, units))  # dc: dc_next on entry to a step
+        for total, extra in zip((dh_next, dc), () if grad_state is None else grad_state):
+            total += np.asarray(extra, dtype=float)
+        dz_all = _bptt_steps(cache, grad_h_seq, self.params["recurrent_kernel"].T, dh_next, dc)
+        self.grad_initial_state = (dh_next, dc)
+        return self._weight_gradients(cache.inputs, cache.h_states, dz_all)
 
-        # What does not depend on the recurrence, for the whole sequence at once:
-        # 1 - a for the sigmoid gates, 1 - g**2 for the candidate, 1 - tanh(c)**2.
-        one_minus = 1.0 - cache.gates
-        one_minus[:, :, 2 * units: 3 * units] = 1.0 - cache.gates[:, :, 2 * units: 3 * units] ** 2
-        one_minus_tanh_c_sq = 1.0 - cache.tanh_c**2
-
-        # Gate gradients of the whole sequence, one block filled per step; the
-        # weight gradients fall out of single contractions afterwards.
-        dz_all = np.empty((timesteps, batch, 4 * units))
-
-        dh_next = np.zeros((batch, units))
-        dc = np.zeros((batch, units))  # dc_next on entry to a step, dc inside it
-        if grad_state is not None:
-            dh_extra, dc_extra = grad_state
-            dh_next += np.asarray(dh_extra, dtype=float)
-            dc += np.asarray(dc_extra, dtype=float)
-        dh = np.empty((batch, units))
-        dh_o = np.empty((batch, units))
-
-        for t in range(timesteps - 1, -1, -1):
-            gates = cache.gates[t]
-            o = gates[:, 3 * units:]
-            dz = dz_all[t]
-
-            np.add(grad_h_seq[t], dh_next, out=dh)
-            np.multiply(dh, o, out=dh_o)
-            dh_o *= one_minus_tanh_c_sq[t]
-            dc += dh_o
-
-            # (di, df, dg, do) = (dc * g, dc * c_prev, dc * i, dh * tanh_c) ...
-            np.multiply(dc, gates[:, 2 * units: 3 * units], out=dz[:, :units])
-            np.multiply(dc, cache.c_states[t], out=dz[:, units: 2 * units])
-            np.multiply(dc, gates[:, :units], out=dz[:, 2 * units: 3 * units])
-            np.multiply(dh, cache.tanh_c[t], out=dz[:, 3 * units:])
-            # ... times the activation derivatives: a * (1 - a), and 1 - g**2.
-            dz[:, : 2 * units] *= gates[:, : 2 * units]
-            dz[:, 3 * units:] *= o
-            dz *= one_minus[t]
-
-            np.matmul(dz, recurrent_t, out=dh_next)
-            dc *= gates[:, units: 2 * units]
-
+    def _weight_gradients(self, inputs, h_states, dz_all) -> np.ndarray:
+        """Write the parameter gradients of time-major ``dz_all``; return the input's."""
+        batch, timesteps, features = inputs.shape
+        units = self.units
         # Contract the whole sequence at once: sum over batch and time axes,
         # batch-major, the order the float sums have always run in.
         dz_all = np.ascontiguousarray(dz_all.transpose(1, 0, 2))
         flat_dz = dz_all.reshape(batch * timesteps, 4 * units)
         grads = self.gradient_buffers()
-        np.matmul(
-            cache.inputs.reshape(batch * timesteps, features).T, flat_dz, out=grads["kernel"]
-        )
+        kernel = self.params["kernel"]
+        np.matmul(inputs.reshape(batch * timesteps, features).T, flat_dz, out=grads["kernel"])
         # ``np.tensordot`` over (batch, time), spelled out so the product has an ``out``.
-        h_prev = cache.h_states[:-1].transpose(2, 1, 0).reshape(units, batch * timesteps)
+        h_prev = h_states[:-1].transpose(2, 1, 0).reshape(units, batch * timesteps)
         np.dot(h_prev, flat_dz, out=grads["recurrent_kernel"])
         np.sum(flat_dz, axis=0, out=grads["bias"])
         if self.double_bias:
@@ -296,8 +319,6 @@ class LSTM(Layer):
 
         if not isinstance(self.kernel_regularizer, ZeroRegularizer):
             grads["kernel"] += self.kernel_regularizer.gradient(kernel)
-
-        self.grad_initial_state = (dh_next, dc)
         return grad_inputs
 
     def release_training_buffers(self) -> None:

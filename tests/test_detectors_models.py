@@ -252,6 +252,26 @@ class TestFittedDetectorKeepsOnlyWeights:
         weight_bytes = sum(param.nbytes for param in weights)
         assert len(pickle.dumps(detector)) < 2.5 * weight_bytes
 
+    def test_bidirectional_encoder_keeps_no_bptt_tensors(self, mhealth_windows):
+        """The stacked encoder's (time + 1, 2, batch, units) states go with ``fit``."""
+        windows = mhealth_windows.windows[:12]
+        units, timesteps = 8, windows.shape[1]
+        detector = Seq2SeqDetector(
+            mhealth_windows.n_channels, units=units, bidirectional=True, seed=0
+        )
+        detector.fit(windows, epochs=2, batch_size=8)
+        stacked = {
+            shape
+            for batch in (8, 4)  # the two batch sizes of 12 windows in batches of 8
+            for shape in ((timesteps + 1, 2, batch, units), (2, timesteps + 1, batch, units))
+        }
+        assert [a.shape for a in _float_arrays(detector) if a.shape in stacked] == []
+        assert detector.model.encoder._cache is None
+        weights = [param for param, _grad in detector.model.parameters_and_gradients()]
+        detector.model.release_training_buffers()
+        weight_bytes = sum(param.nbytes for param in weights)
+        assert len(pickle.dumps(detector)) < 2.5 * weight_bytes
+
     @pytest.mark.parametrize("bidirectional", [False, True])
     def test_no_lstm_keeps_an_initial_state_gradient(self, bidirectional, mhealth_windows):
         detector = Seq2SeqDetector(

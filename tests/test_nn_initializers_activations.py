@@ -115,6 +115,14 @@ class TestActivations:
         strided_out = np.zeros((6, 3, 8))
         activations.sigmoid.forward(block[:, 2, 4:12], out=strided_out[:, 1, :])
         np.testing.assert_array_equal(strided_out[:, 1, :], _masked_sigmoid(block[:, 2, 4:12]))
+        in_place = block[:, 2, 4:12].copy()
+        assert activations.sigmoid.forward(in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, _masked_sigmoid(block[:, 2, 4:12]))
+
+    def test_sigmoid_of_scalars_and_integer_arrays(self):
+        np.testing.assert_array_equal(activations.sigmoid(-1.5), _masked_sigmoid(np.array(-1.5)))
+        ints = np.arange(-4, 5)
+        np.testing.assert_array_equal(activations.sigmoid(ints), _masked_sigmoid(ints.astype(float)))
 
     def test_tanh_matches_numpy(self):
         x = np.linspace(-3, 3, 7)

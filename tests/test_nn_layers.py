@@ -399,7 +399,7 @@ class TestLSTMCellKernel:
         out = layer.forward(x, training=True)
         layer.backward(np.ones_like(out))
         layer.forward(x, training=False)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=cls.__name__):
             layer.backward(np.ones_like(out))
 
     def test_inference_forward_keeps_no_sequence_tensors(self):
@@ -492,6 +492,119 @@ class TestBidirectional:
         )
 
 
+class _TwoLSTMBidirectional:
+    """The reference: each direction a separate ``LSTM`` run one after the other."""
+
+    def __init__(self, forward_layer, backward_layer):
+        self.forward_layer, self.backward_layer = forward_layer, backward_layer
+        self.units = forward_layer.units
+
+    def forward(self, inputs):
+        forward_out = self.forward_layer.forward(inputs, training=True)
+        backward_out = self.backward_layer.forward(inputs[:, ::-1, :], training=True)
+        (fh, fc), (bh, bc) = self.forward_layer.last_state, self.backward_layer.last_state
+        self.last_state = (np.concatenate([fh, bh], axis=1), np.concatenate([fc, bc], axis=1))
+        if self.forward_layer.return_sequences:
+            return np.concatenate([forward_out, backward_out[:, ::-1, :]], axis=2)
+        return np.concatenate([forward_out, backward_out], axis=1)
+
+    def backward(self, grad_output, grad_state=None):
+        units = self.units
+        forward_state = backward_state = None
+        if grad_state is not None:
+            dh, dc = grad_state
+            forward_state = (dh[:, :units], dc[:, :units])
+            backward_state = (dh[:, units:], dc[:, units:])
+        if self.forward_layer.return_sequences:
+            grad_forward, grad_backward = grad_output[:, :, :units], grad_output[:, ::-1, units:]
+        else:
+            grad_forward, grad_backward = grad_output[:, :units], grad_output[:, units:]
+        grad_f = self.forward_layer.backward(grad_forward, grad_state=forward_state)
+        grad_b = self.backward_layer.backward(grad_backward, grad_state=backward_state)
+        return grad_f + grad_b[:, ::-1, :]
+
+    def parameters_and_gradients(self):
+        return (
+            self.forward_layer.parameters_and_gradients()
+            + self.backward_layer.parameters_and_gradients()
+        )
+
+
+class TestStackedBidirectional:
+    """Both directions in one block equal the two-LSTM wrapper bit for bit (SNIPPETS.md's
+    reference-vs-subject check, with ``assert_array_equal`` for its tolerance)."""
+
+    @staticmethod
+    def _pair(units, seed, **kwargs):
+        layers = [LSTM(units, **kwargs) for _ in range(2)]
+        for offset, layer in enumerate(layers):
+            layer.set_rng(seed + offset)
+        return layers
+
+    @staticmethod
+    def _compare(units, batch, return_sequences, double_bias, with_grad_state,
+                 kernel_regularizer=None):
+        kwargs = dict(return_sequences=return_sequences, double_bias=double_bias,
+                      kernel_regularizer=kernel_regularizer)
+        rng = np.random.default_rng(units + batch)
+        x = rng.normal(size=(batch, 7, 5))
+        reference = _TwoLSTMBidirectional(*TestStackedBidirectional._pair(units, 1, **kwargs))
+        want = reference.forward(x)
+        subject = Bidirectional(*TestStackedBidirectional._pair(units, 50, **kwargs))
+        subject.set_rng(50)
+        subject.forward(x)  # build
+        subject.set_weights({
+            "forward": reference.forward_layer.get_weights(),
+            "backward": reference.backward_layer.get_weights(),
+        })
+        got = subject.forward(x, training=True)
+        np.testing.assert_array_equal(got, want)
+        for got_state, want_state in zip(subject.last_state, reference.last_state):
+            np.testing.assert_array_equal(got_state, want_state)
+
+        grad_output = rng.normal(size=want.shape)
+        grad_state = (
+            tuple(rng.normal(size=(batch, 2 * units)) for _ in range(2))
+            if with_grad_state else None
+        )
+        np.testing.assert_array_equal(
+            subject.backward(grad_output, grad_state=grad_state),
+            reference.backward(grad_output, grad_state=grad_state),
+        )
+        got_pairs, want_pairs = subject.parameters_and_gradients(), reference.parameters_and_gradients()
+        assert len(got_pairs) == len(want_pairs)
+        for (_p, got_grad), (_q, want_grad) in zip(got_pairs, want_pairs):
+            np.testing.assert_array_equal(got_grad, want_grad)
+
+    @pytest.mark.parametrize("units", [8, 48, 200])
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("with_grad_state", [False, True])
+    @pytest.mark.parametrize("double_bias", [False, True])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_equals_two_lstm_wrapper(self, units, batch, return_sequences, double_bias,
+                                     with_grad_state):
+        self._compare(units, batch, return_sequences, double_bias, with_grad_state)
+
+    def test_equals_two_lstm_wrapper_with_kernel_regularizer(self):
+        self._compare(48, 16, True, True, True, kernel_regularizer=1e-2)
+
+    def test_rejects_zero_timesteps(self):
+        with pytest.raises(ShapeError, match="zero timesteps"):
+            Bidirectional(LSTM(3)).forward(np.zeros((2, 0, 4)))
+
+    def test_rejects_changed_feature_count(self):
+        bi = Bidirectional(LSTM(3))
+        bi.forward(np.zeros((2, 4, 4)))
+        with pytest.raises(ShapeError, match="input_dim=4"):
+            bi.forward(np.zeros((2, 4, 5)))
+
+    def test_backward_before_training_forward_names_the_layer(self):
+        """After an inference forward too: ``TestLSTMCellKernel`` checks that case."""
+        bi = Bidirectional(LSTM(3))
+        with pytest.raises(ShapeError, match="Bidirectional"):
+            bi.backward(np.zeros((2, 6)))
+
+
 class TestGradientBuffers:
     """``backward`` writes this pass's gradients; nothing accumulates, nothing is zeroed."""
 
@@ -543,6 +656,8 @@ class TestGradientBuffers:
         layer.release_training_buffers()
         inner = [layer.forward_layer, layer.backward_layer] if index == 2 else [layer]
         assert all(not part.grads for part in inner)
+        if index == 2:
+            assert layer._cache is None  # the stacked BPTT tensors go with the buffers
         after = self._backward(layer, x, seed=3)
         for got, want in zip(after, before):
             np.testing.assert_array_equal(got, want)
