@@ -62,15 +62,23 @@ class UnivariateContextExtractor(ContextExtractor):
             )
         segment_length = window_size // self.segments
         segmented = windows.reshape(n_windows, self.segments, segment_length)
-        features = np.concatenate(
-            [
-                segmented.min(axis=2),
-                segmented.max(axis=2),
-                segmented.mean(axis=2),
-                segmented.std(axis=2),
-            ],
-            axis=1,
-        )
+        # [min | max | mean | std] blocks of one matrix, each written in place.
+        features = np.empty((n_windows, 4 * self.segments))
+        minimum, maximum, mean, std = np.split(features, 4, axis=1)
+        # Min and max are order-free: reduce a position-major copy elementwise.
+        by_position = np.ascontiguousarray(segmented.transpose(2, 0, 1))
+        np.minimum.reduce(by_position, axis=0, out=minimum)
+        np.maximum.reduce(by_position, axis=0, out=maximum)
+        # One sum for mean and std, then NumPy's own ``_var`` steps.  Sums stay
+        # on the last axis: their pairwise order sets the last bit.
+        sums = np.add.reduce(segmented, axis=2, keepdims=True)
+        np.true_divide(sums, segment_length, out=sums)
+        mean[...] = sums[..., 0]
+        deviations = np.subtract(segmented, sums)
+        np.square(deviations, out=deviations)
+        np.add.reduce(deviations, axis=2, out=std)
+        np.true_divide(std, segment_length, out=std)
+        np.sqrt(std, out=std)
         return features
 
     def fit(self, windows: np.ndarray) -> "UnivariateContextExtractor":
@@ -89,7 +97,9 @@ class UnivariateContextExtractor(ContextExtractor):
             raise NotFittedError(
                 "UnivariateContextExtractor must be fitted before extracting normalised features"
             )
-        return (features - self._mean) / self._std
+        features -= self._mean
+        features /= self._std
+        return features
 
 
 class EncoderContextExtractor(ContextExtractor):

@@ -82,10 +82,19 @@ class GaussianLogPDScorer:
                 f"errors have {errors.shape[1]} dimensions but the scorer was fitted "
                 f"with {self.mean_.shape[0]}"
             )
-        centred = errors - self.mean_
-        mahalanobis = np.einsum("ij,jk,ik->i", centred, self.precision_, centred)
         dimension = errors.shape[1]
-        return -0.5 * (mahalanobis + self.log_det_ + dimension * np.log(2.0 * np.pi))
+        if dimension == 1:
+            # The einsum's own product order, (c * p) * c, without its setup.
+            centred = errors[:, 0] - self.mean_[0]
+            logpd = centred * self.precision_[0, 0]
+            logpd *= centred
+        else:
+            centred = errors - self.mean_
+            logpd = np.einsum("ij,jk,ik->i", centred, self.precision_, centred)
+        logpd += self.log_det_
+        logpd += dimension * np.log(2.0 * np.pi)
+        logpd *= -0.5
+        return logpd
 
     @property
     def threshold(self) -> float:

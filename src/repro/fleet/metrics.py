@@ -212,14 +212,15 @@ class StreamingMetrics:
             raise ConfigurationError(f"tick must lie in [0, {self.ticks}), got {tick}")
         counts = confusion_counts(predictions, labels)
         window = tick // self.metrics_window
+        delay_sum = float(delays_ms.sum())
         self.confusion += counts
         self.windowed_confusion[window] += counts
-        self.windowed_delay_sum[window] += float(delays_ms.sum())
+        self.windowed_delay_sum[window] += delay_sum
         self.layer_requests[layer] += predictions.shape[0]
-        self.layer_delay_sum[layer] += float(delays_ms.sum())
+        self.layer_delay_sum[layer] += delay_sum
         self.layer_anomalies[layer] += int(predictions.sum())
         self.layer_redirected[layer] += int(redirected)
-        self.delay_sum += float(delays_ms.sum())
+        self.delay_sum += delay_sum
         if delays_ms.size:
             self.delay_max = max(self.delay_max, float(delays_ms.max()))
         self.reservoir.extend(delays_ms)

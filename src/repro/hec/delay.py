@@ -14,14 +14,15 @@ keep-alive sockets of the paper's implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.hec.network import TransferSpec
+from repro.hec.network import NetworkLink, TransferSpec
 from repro.hec.topology import HECTopology
 
 #: Size of the verdict/result message sent back down the hierarchy.
 RESULT_PAYLOAD_BYTES = 64.0
+_RESULT_TRANSFER = TransferSpec(RESULT_PAYLOAD_BYTES, "down")
 
 
 @dataclass
@@ -62,14 +63,32 @@ def end_to_end_delay(
     """
     if execution_ms < 0:
         raise ConfigurationError(f"execution_ms must be non-negative, got {execution_ms}")
-    breakdown = DelayBreakdown(layer=layer, execution_ms=float(execution_ms))
-    for link in topology.links_to(layer):
-        breakdown.uplink_ms += link.transfer_delay_ms(TransferSpec(payload_bytes, "up"))
-        breakdown.hops.append(f"{link.name}:up")
+    links = topology.links_to(layer)
+    uplink_ms, downlink_ms = _transfers_ms(links, payload_bytes, include_downlink)
+    hops = [f"{link.name}:up" for link in links]
     if include_downlink:
-        for link in reversed(topology.links_to(layer)):
-            breakdown.downlink_ms += link.transfer_delay_ms(
-                TransferSpec(RESULT_PAYLOAD_BYTES, "down")
-            )
-            breakdown.hops.append(f"{link.name}:down")
-    return breakdown
+        hops += [f"{link.name}:down" for link in reversed(links)]
+    return DelayBreakdown(layer, uplink_ms, float(execution_ms), downlink_ms, hops)
+
+
+def request_delay_ms(
+    links: Sequence[NetworkLink], execution_ms: float, payload_bytes: float
+) -> float:
+    """``end_to_end_delay(...).total_ms`` over ``links``, without the breakdown."""
+    uplink_ms, downlink_ms = _transfers_ms(links, payload_bytes, True)
+    return uplink_ms + float(execution_ms) + downlink_ms
+
+
+def _transfers_ms(
+    links: Sequence[NetworkLink], payload_bytes: float, include_downlink: bool
+) -> Tuple[float, float]:
+    """One request's summed uplink and downlink transfers, in transfer order."""
+    upload = TransferSpec(payload_bytes, "up")
+    uplink_ms = 0.0
+    for link in links:
+        uplink_ms += link.transfer_delay_ms(upload)
+    downlink_ms = 0.0
+    if include_downlink:
+        for link in reversed(links):
+            downlink_ms += link.transfer_delay_ms(_RESULT_TRANSFER)
+    return uplink_ms, downlink_ms

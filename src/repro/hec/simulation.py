@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import DeploymentError, SchedulingError, ShapeError
-from repro.hec.delay import RESULT_PAYLOAD_BYTES, end_to_end_delay, window_payload_bytes
+from repro.hec.delay import RESULT_PAYLOAD_BYTES, request_delay_ms, window_payload_bytes
 from repro.hec.deployment import ModelDeployment
 from repro.hec.topology import HECTopology
 from repro.utils.timer import SimulatedClock
@@ -359,12 +359,7 @@ class HECSystem:
         links = self.topology.links_to(layer)
 
         def one_delay() -> float:
-            return end_to_end_delay(
-                self.topology,
-                layer,
-                execution_ms=deployment.execution_time_ms,
-                payload_bytes=payload,
-            ).total_ms
+            return request_delay_ms(links, deployment.execution_time_ms, payload)
 
         delays = np.empty(n)
         delays[0] = one_delay()

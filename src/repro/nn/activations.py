@@ -22,15 +22,15 @@ class Activation:
     """A named activation with its forward map and output-based derivative."""
 
     name: str
-    forward: Callable[[np.ndarray], np.ndarray]
+    forward: Callable[..., np.ndarray]  # (x, out=None); ``out`` may be ``x``
     backward: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
 
-def _linear_forward(x: np.ndarray) -> np.ndarray:
-    return x
+def _linear_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return x if out is None or out is x else np.positive(x, out=out)
 
 
 def _linear_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -38,8 +38,8 @@ def _linear_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _relu_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def _relu_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -64,18 +64,19 @@ def _sigmoid_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad * output * (1.0 - output)
 
 
-def _tanh_forward(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+def _tanh_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.tanh(x, out=out)
 
 
 def _tanh_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad * (1.0 - output * output)
 
 
-def _softmax_forward(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
+def _softmax_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    exp = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
+    np.exp(exp, out=exp)
+    exp /= np.sum(exp, axis=-1, keepdims=True)
+    return exp
 
 
 def _softmax_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -84,8 +85,8 @@ def _softmax_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return output * (grad - dot)
 
 
-def _softplus_forward(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+def _softplus_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.logaddexp(0.0, x, out=out)
 
 
 def _softplus_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:

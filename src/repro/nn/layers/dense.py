@@ -63,10 +63,11 @@ class Dense(Layer):
                 f"Dense {self.name!r} was built with input_dim={self.input_dim}, "
                 f"got input with {inputs.shape[1]} features"
             )
+        # Bias and activation run in place on the matmul's fresh result.
         pre_activation = inputs @ self.params["kernel"]
         if self.use_bias:
-            pre_activation = pre_activation + self.params["bias"]
-        output = self.activation.forward(pre_activation)
+            pre_activation += self.params["bias"]
+        output = self.activation.forward(pre_activation, out=pre_activation)
         # Only a training pass is followed by ``backward``.
         self._cache_input = inputs if training else None
         self._cache_output = output if training else None

@@ -1,5 +1,7 @@
 """Tests for deployment, delay accounting and the HEC system."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.exceptions import ConfigurationError, DeploymentError, SchedulingErro
 from repro.hec.delay import RESULT_PAYLOAD_BYTES, end_to_end_delay, window_payload_bytes
 from repro.hec.deployment import deploy_registry
 from repro.hec.device import DeviceProfile
-from repro.hec.network import NetworkLink
+from repro.hec.network import NetworkLink, paper_link_edge_cloud, paper_link_iot_edge
 from repro.hec.simulation import HECSystem
 from repro.hec.topology import HECTopology, build_three_layer_topology
 
@@ -144,6 +146,46 @@ class TestDelay:
             topology, 1, execution_ms=0.0, payload_bytes=0.0, include_downlink=False
         )
         assert without_down.total_ms < with_down.total_ms
+
+
+def _links(health):
+    if health == "jittery":
+        return [
+            NetworkLink("iot-edge", 125.0, 100.0, jitter_ms=4.0, connection_setup_ms=3.0, rng=1),
+            NetworkLink("edge-cloud", 125.0, jitter_ms=7.0, connection_setup_ms=3.0, rng=2),
+        ]
+    links = [paper_link_iot_edge(), paper_link_edge_cloud()]
+    if health == "degraded":
+        links[1].set_status("degraded", factor=2.5)
+    return links
+
+
+class TestKernelDelays:
+    """A request's delay has one definition: the kernel's delays are, bit for
+    bit, ``end_to_end_delay(...).total_ms`` of the same requests in order."""
+
+    @pytest.fixture(scope="class")
+    def registry(self):
+        return _tiny_registry(window_size=10)
+
+    @pytest.mark.parametrize("health", ["healthy", "degraded", "jittery"])
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_batch_delays_are_end_to_end_delays(self, registry, health, layer, n):
+        topology = build_three_layer_topology(links=_links(health))
+        system = HECSystem(topology, deploy_registry(registry, topology, workload="univariate"))
+        twin = copy.deepcopy(topology)
+        execution_ms = system.deployment_at(layer).execution_time_ms
+        for _ in range(2):  # the first batch pays connection setup, the second does not
+            delays = system.detect_batch_columnar(layer, np.zeros((n, 10))).delays_ms
+            expected = [
+                end_to_end_delay(twin, layer, execution_ms, window_payload_bytes((10,))).total_ms
+                for _ in range(n)
+            ]
+            assert delays.tolist() == expected
+        assert [link.transfer_count for link in topology.links] == [
+            link.transfer_count for link in twin.links
+        ]
 
 
 class TestHECSystem:
