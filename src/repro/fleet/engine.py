@@ -14,41 +14,34 @@ tick-batched metric/controller feeds, zero per-window objects.  Its reports
 are pinned by goldens recorded from the per-window loop it replaced (see
 DESIGN.md, "Goldens").
 
-:class:`ShardedFleetEngine` partitions the device ids across worker
-processes, runs one :class:`FleetEngine` per shard and merges the per-shard
-aggregators in shard order.  Because a device's stream is a function of its
-id (not of its shard), the merged counts are independent of the
-partitioning, and a single-shard run is bit-identical to the unsharded
-engine — a property pinned by the equivalence tests.  A pooled run owns its
-worker pool — created for the run, torn down before it returns — and shard
-payloads reach the workers zero-copy under ``fork`` (see
-:mod:`repro.fleet.sharding`); with ``parallel="auto"`` the engine only forks
-when more than one CPU is actually available — on a single-core host the
-shards run serially in-process, which is strictly cheaper than time-slicing
-workers plus IPC.
+What a run observes is decided once, at its start: the loop reports each
+stage boundary, tick and checkpoint to one per-run seam — :class:`_Observed`
+(the resolved ``fleet_*``/``checkpoint_*`` cells, spans and watcher of a
+telemetry session; this module is the one place that knows those names) or
+:class:`_Unobserved`, whose hooks are no-op bound methods, so the plain loop
+times nothing.  Neither draws RNG: a telemetered run streams bit-identical.
 
-Both engines accept an optional adaptation ``controller`` (see
-:mod:`repro.adapt.controller`): per tick the engine feeds it every detected
-batch and calls its ``end_tick`` hook at the tick boundary, which is where
-drift-triggered retrains and atomic detector hot-swaps happen.  With no
-controller the streaming loop is unchanged — not a single extra RNG draw —
-so a run with adaptation disabled stays bit-identical to the pre-adaptation
-engine (pinned by test).
+:class:`ShardedFleetEngine` partitions the device ids across shard engines
+(worker processes, see :mod:`repro.fleet.sharding`) and merges their
+aggregators in shard order.  A device's stream is a function of its id, not
+of its shard, so the merged counts are independent of the partitioning and
+a single-shard run is bit-identical to the unsharded engine (pinned by the
+equivalence tests).
 
-Fault tolerance rides on the same boundaries.  With a ``checkpoint_dir`` the
-engine durably snapshots its state (metrics, system, controller) every
-``checkpoint_cadence`` ticks through :class:`~repro.fleet.checkpoint.
-CheckpointStore`; ``run(resume=True)`` (or :meth:`FleetEngine.resume`)
-rebuilds the fleet and continues at the checkpointed tick, bit-identical to
-an uninterrupted run — a tick's arrivals need no tick before them, so a
-checkpoint stores no stream state and a resume replays nothing.  A
-:class:`~repro.fleet.faults.FaultSpec` on the engine drives deterministic
-fault injection at tick boundaries: link degradation/outage (the system fails
-over to the best reachable tier), injected shard crashes
-(:class:`~repro.fleet.faults.WorkerCrash`, recovered by the sharded engine
-from the shard's own checkpoints) and mid-run process kills.  One-shot
-kill/crash events are disarmed on resumed runs so recovery cannot re-trigger
-the fault that killed the original run.
+An optional adaptation ``controller`` (:mod:`repro.adapt.controller`) is fed
+every detected batch and ends each tick (drift decisions, retrains, atomic
+detector swaps); with none the loop takes no extra branch and draws nothing,
+so a non-adaptive run is bit-identical to the pre-adaptation engine.
+
+Fault tolerance rides on the same tick boundaries.  With a ``checkpoint_dir``
+the engine durably snapshots metrics, system and controller every
+``checkpoint_cadence`` ticks (:class:`~repro.fleet.checkpoint.CheckpointStore`)
+and ``resume`` continues at the checkpointed tick, bit-identical to an
+uninterrupted run — arrivals are a pure function of the tick, so nothing is
+replayed.  A :class:`~repro.fleet.faults.FaultSpec` injects link
+degradation/outage (failover to the best reachable tier), shard crashes
+(recovered from the shard's own checkpoints) and process kills; one-shot
+kill/crash events are disarmed on resumed runs so recovery cannot re-die.
 """
 
 from __future__ import annotations
@@ -57,8 +50,9 @@ import multiprocessing
 import os
 import signal
 import warnings
+from contextlib import nullcontext
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,7 +60,7 @@ from repro.bandit.context import ContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
 from repro.exceptions import ConfigurationError, ReproError
 from repro.fleet import sharding
-from repro.fleet.checkpoint import CheckpointStore, shard_checkpoint_dir
+from repro.fleet.checkpoint import CHECKPOINT_FORMAT, CheckpointStore, shard_checkpoint_dir
 from repro.fleet.devices import DeviceFleet, WindowPool
 from repro.fleet.faults import FaultSchedule, FaultSpec, WorkerCrash
 from repro.fleet.metrics import StreamingMetrics
@@ -81,13 +75,10 @@ from repro.obs.export import Telemetry
 STAGES = ("arrivals", "context_policy", "detect", "metrics", "adapt")
 
 #: Bucket bounds for the checkpoint save/load timing histograms (seconds).
-_SECONDS_BUCKETS = (
-    0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
-)
+_SECONDS_BUCKETS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
 
-
-def _default_tier_names(n_layers: int) -> Tuple[str, ...]:
-    return tuple(f"layer-{layer}" for layer in range(n_layers))
+#: The tick scope of a run that traces nothing (``nullcontext`` is reusable).
+_NO_SCOPE = nullcontext()
 
 
 #: Whether the degraded-parallelism warning already fired this process.
@@ -108,6 +99,177 @@ def _warn_pool_fallback_once(exc: BaseException) -> None:
         RuntimeWarning,
         stacklevel=3,
     )
+
+
+# -- the per-run observation seam ---------------------------------------------------
+
+
+class _Unobserved:
+    """The seam of an untelemetered run: every hook is a no-op bound method.
+
+    No ``perf_counter`` call, no registry lookup — the plain loop times
+    nothing (pinned by test).
+    """
+
+    def _ignore(self, *args, **fields) -> None:
+        return None
+
+    clock = start_tick = lap = count_tier = end_tick = _ignore
+    faults = event = checkpoint_saved = checkpoint_loaded = end_run = _ignore
+
+    def tick_scope(self):
+        return _NO_SCOPE
+
+
+_UNOBSERVED = _Unobserved()
+
+
+class _Observed:
+    """The seam of a telemetered run, resolved once at its start.
+
+    Stage seconds accumulate by laps: :meth:`start_tick` starts the clock and
+    each ``lap(stage)`` charges the time since the previous mark to that
+    stage's ``fleet_stage_seconds_total`` cell.  A traced tick's span carries
+    the same deltas as ``<stage>_ms`` — one measurement, two views.
+    """
+
+    def __init__(self, engine: "FleetEngine", resume: bool) -> None:
+        self.started = perf_counter()
+        telemetry = self.telemetry = engine.telemetry
+        self.shard = engine.shard_index
+        self.watcher = telemetry.watcher
+        if engine.controller is not None:
+            engine.controller.telemetry = telemetry
+        registry = telemetry.registry
+        self.tracer = telemetry.tracer if telemetry.trace_enabled else None
+        self.run_span = None if self.tracer is None else self.tracer.start_span(
+            "fleet.run",
+            run=engine.name,
+            shard=engine.shard_index,
+            ticks=engine.spec.ticks,
+            devices=engine.n_devices,
+            resume=bool(resume),
+        )
+        stages = registry.counter(
+            "fleet_stage_seconds_total",
+            "Wall-clock seconds per streaming stage.",
+            labelnames=("stage",),
+        )
+        self.stages = {stage: stages.labels(stage=stage) for stage in STAGES}
+        tiers = registry.counter(
+            "fleet_tier_windows_total",
+            "Windows served per tier (post-failover accounting).",
+            labelnames=("tier",),
+        )
+        self.tiers = [tiers.labels(tier=tier) for tier in engine.tier_names]
+        if engine.faults is not None:
+            self.fault_ticks = registry.counter(
+                "fleet_fault_active_ticks_total",
+                "Ticks spent under an active injected fault.",
+                labelnames=("kind",),
+            )
+
+    def clock(self) -> float:
+        return perf_counter()
+
+    def start_tick(self, tick: int) -> None:
+        if self.tracer is not None:
+            self.tick_span = self.tracer.start_span(
+                "fleet.tick", parent=self.run_span, tick=tick
+            )
+            self.tick_start = {s: cell.value for s, cell in self.stages.items()}
+        self.mark = perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = perf_counter()
+        self.stages[stage].value += now - self.mark
+        self.mark = now
+
+    def count_tier(self, tier: int, n: int) -> None:
+        self.tiers[tier].value += int(n)
+
+    def tick_scope(self):
+        """Activate the tick span, so the controller's adapt.retrain spans
+        parent under this tick in the trace."""
+        if self.tracer is None:
+            return _NO_SCOPE
+        return self.tracer.activate(self.tick_span)
+
+    def end_tick(self, tick: int, batch) -> None:
+        if self.tracer is not None:
+            self.tick_span.end(
+                windows=int(batch.n),
+                online=int(batch.online),
+                **{
+                    f"{stage}_ms": (cell.value - self.tick_start[stage]) * 1000.0
+                    for stage, cell in self.stages.items()
+                },
+            )
+        if self.watcher is not None:
+            # After the span closes: the watcher reads the registry and may
+            # emit its own events, which must not nest under the tick.
+            self.watcher.observe(tick + 1)
+
+    def faults(self, schedule: FaultSchedule, tick: int) -> None:
+        """Count active link faults; log each activation edge once."""
+        for event in schedule.link_events:
+            if not event.active(tick):
+                continue
+            self.fault_ticks.labels(kind=event.kind).value += 1
+            if tick == event.at_tick:
+                self.telemetry.event(
+                    "fault.link",
+                    fault=event.kind,
+                    tick=tick,
+                    link=event.link,
+                    factor=event.factor,
+                    until_tick=event.until_tick,
+                )
+
+    def event(self, name: str, **fields) -> None:
+        self.telemetry.event(name, **fields)
+
+    def checkpoint_saved(self, tick: int, path, since: float) -> None:
+        elapsed = perf_counter() - since
+        size = path.stat().st_size
+        registry = self.telemetry.registry
+        registry.histogram(
+            "checkpoint_save_seconds",
+            "Durable checkpoint save latency.",
+            buckets=_SECONDS_BUCKETS,
+        ).observe(elapsed)
+        registry.counter("checkpoint_saves_total", "Durable checkpoints written.").inc()
+        registry.counter(
+            "checkpoint_saved_bytes_total", "Bytes of checkpoints written."
+        ).inc(size)
+        self.telemetry.event(
+            "checkpoint.save", tick=tick, shard=self.shard, bytes=size, seconds=elapsed
+        )
+
+    def checkpoint_loaded(self, tick: int, since: float) -> None:
+        elapsed = perf_counter() - since
+        self.telemetry.registry.histogram(
+            "checkpoint_load_seconds",
+            "Checkpoint restore latency.",
+            buckets=_SECONDS_BUCKETS,
+        ).observe(elapsed)
+        self.telemetry.event(
+            "checkpoint.load", tick=tick, shard=self.shard, seconds=elapsed
+        )
+
+    def end_run(self, metrics: StreamingMetrics) -> None:
+        registry = self.telemetry.registry
+        registry.counter(
+            "fleet_windows_total", "Windows streamed by the fleet engines."
+        ).inc(metrics.n_windows)
+        registry.counter(
+            "fleet_run_seconds_total", "Wall-clock seconds of fleet runs."
+        ).inc(perf_counter() - self.started)
+        if self.run_span is not None:
+            self.run_span.end(windows=metrics.n_windows)
+
+
+# -- the engines ------------------------------------------------------------------
 
 
 class FleetEngine:
@@ -147,8 +309,8 @@ class FleetEngine:
         self.pool = pool
         self.master_seed = int(master_seed)
         self.name = name
-        self.tier_names = tuple(tier_names) if tier_names else _default_tier_names(
-            system.n_layers
+        self.tier_names = tuple(
+            tier_names or (f"layer-{layer}" for layer in range(system.n_layers))
         )
         if len(self.tier_names) != system.n_layers:
             raise ConfigurationError(
@@ -162,12 +324,10 @@ class FleetEngine:
         #: pre-adaptation engine (no extra draws, no extra branches taken).
         self.controller = controller
         #: Optional :class:`~repro.obs.export.Telemetry` session.  ``None``
-        #: keeps every instrumentation site down to one ``is None`` check;
-        #: a session never draws RNG, so a telemetry-enabled run streams
-        #: bit-identical to a disabled one (pinned by test).
+        #: gives each run the no-op observation seam; a session never draws
+        #: RNG, so a telemetry-enabled run streams bit-identical to a
+        #: disabled one (pinned by test).
         self.telemetry = telemetry
-        #: The root span of the current run (tracing-enabled sessions only).
-        self._run_span = None
         #: Optional deterministic fault injection (see :mod:`repro.fleet.faults`).
         self.faults = faults
         self._schedule = FaultSchedule(faults) if faults is not None else None
@@ -200,28 +360,11 @@ class FleetEngine:
         disk (or no checkpoint directory at all) a resumed run simply
         streams from tick 0, faults disarmed.
         """
+        obs = _Observed(self, resume) if self.telemetry is not None else _UNOBSERVED
         spec = self.spec
         system = self.system
-        started = perf_counter()
         self._armed = not resume
-        telemetry = self.telemetry
-        if telemetry is not None:
-            if self.controller is not None:
-                self.controller.telemetry = telemetry
-            if telemetry.trace_enabled:
-                self._run_span = telemetry.tracer.start_span(
-                    "fleet.run",
-                    run=self.name,
-                    shard=self.shard_index,
-                    ticks=spec.ticks,
-                    devices=self.n_devices,
-                    resume=bool(resume),
-                )
-        store = (
-            CheckpointStore(self.checkpoint_dir)
-            if self.checkpoint_dir is not None
-            else None
-        )
+        store = CheckpointStore(self.checkpoint_dir) if self.checkpoint_dir else None
         system.reset()
         # Streams run against a warmed system: keep-alive connections are
         # established up front, so every request sees steady-state delays and
@@ -233,10 +376,7 @@ class FleetEngine:
                 timeout_ms=self.faults.retry_timeout_ms,
             )
         fleet = DeviceFleet(
-            spec,
-            self.pool,
-            master_seed=self.master_seed,
-            device_ids=self.device_ids,
+            spec, self.pool, master_seed=self.master_seed, device_ids=self.device_ids
         )
         metrics = StreamingMetrics(
             ticks=spec.ticks,
@@ -247,93 +387,39 @@ class FleetEngine:
         )
         start_tick = 0
         if resume and store is not None:
-            mark = perf_counter()
+            mark = obs.clock()
             payload = store.latest()
             if payload is not None:
                 start_tick = self._restore_checkpoint(payload, metrics)
-                if telemetry is not None:
-                    elapsed = perf_counter() - mark
-                    telemetry.registry.histogram(
-                        "checkpoint_load_seconds",
-                        "Checkpoint restore latency.",
-                        buckets=_SECONDS_BUCKETS,
-                    ).observe(elapsed)
-                    telemetry.event(
-                        "checkpoint.load",
-                        tick=start_tick,
-                        shard=self.shard_index,
-                        seconds=elapsed,
-                    )
-        self._stream(fleet, metrics, start_tick, store)
-        if telemetry is not None:
-            registry = telemetry.registry
-            registry.counter(
-                "fleet_windows_total", "Windows streamed by the fleet engines."
-            ).inc(metrics.n_windows)
-            registry.counter(
-                "fleet_run_seconds_total", "Wall-clock seconds of fleet runs."
-            ).inc(perf_counter() - started)
-            if self._run_span is not None:
-                self._run_span.end(windows=metrics.n_windows)
-                self._run_span = None
+                obs.checkpoint_loaded(start_tick, mark)
+        self._stream(fleet, metrics, obs, start_tick, store)
+        obs.end_run(metrics)
         return metrics
 
     # -- fault injection & checkpointing ------------------------------------------
 
-    def _begin_tick(self, tick: int) -> None:
-        """Apply the fault schedule at the start of ``tick`` (no-op unfaulted)."""
+    def _begin_tick(self, tick: int, obs) -> None:
+        """Apply the fault schedule at the start of ``tick`` (faulted runs only)."""
         schedule = self._schedule
         if schedule.has_link_faults:
             schedule.apply_links(self.system, tick)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            self._record_fault_telemetry(schedule, tick)
+        obs.faults(schedule, tick)
         if not self._armed:
             return
         if schedule.crashes_shard(self.shard_index, tick):
-            if telemetry is not None:
-                telemetry.event(
-                    "fault.shard-crash", tick=tick, shard=self.shard_index
-                )
+            obs.event("fault.shard-crash", tick=tick, shard=self.shard_index)
             raise WorkerCrash(
                 f"injected crash of shard {self.shard_index} at tick {tick}"
             )
         if schedule.kills_process(tick):
-            if telemetry is not None:
-                # Best-effort: the sink's tmp file dies with the process —
-                # exactly what a real crash would lose.
-                telemetry.event(
-                    "fault.process-kill", tick=tick, shard=self.shard_index
-                )
+            # Best-effort: the sink's tmp file dies with the process —
+            # exactly what a real crash would lose.
+            obs.event("fault.process-kill", tick=tick, shard=self.shard_index)
             # The whole point: die the way a real crash does — no cleanup, no
             # exception unwinding — so resume is exercised against SIGKILL.
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def _record_fault_telemetry(self, schedule: FaultSchedule, tick: int) -> None:
-        """Count active link faults; log each activation edge once."""
-        telemetry = self.telemetry
-        counter = telemetry.registry.counter(
-            "fleet_fault_active_ticks_total",
-            "Ticks spent under an active injected fault.",
-            labelnames=("kind",),
-        )
-        for event in schedule.link_events:
-            if not event.active(tick):
-                continue
-            counter.labels(kind=event.kind).value += 1
-            if tick == event.at_tick:
-                telemetry.event(
-                    "fault.link",
-                    fault=event.kind,
-                    tick=tick,
-                    link=event.link,
-                    factor=event.factor,
-                    until_tick=event.until_tick,
-                )
-
-    def _maybe_checkpoint(
-        self, store: Optional[CheckpointStore], tick: int, metrics: StreamingMetrics
-    ) -> None:
+    def _maybe_checkpoint(self, store, tick: int, metrics: StreamingMetrics, obs) -> None:
         """Durably checkpoint at the boundary after ``tick`` when it is due.
 
         Runs after ``controller.end_tick`` (the snapshot must include the
@@ -345,37 +431,11 @@ class FleetEngine:
             return
         boundary = tick + 1
         if boundary % self.checkpoint_cadence == 0 and boundary < self.spec.ticks:
-            telemetry = self.telemetry
-            if telemetry is None:
-                store.save(self._checkpoint_payload(boundary, metrics), boundary)
-                return
-            mark = perf_counter()
+            mark = obs.clock()
             path = store.save(self._checkpoint_payload(boundary, metrics), boundary)
-            elapsed = perf_counter() - mark
-            size = path.stat().st_size
-            registry = telemetry.registry
-            registry.histogram(
-                "checkpoint_save_seconds",
-                "Durable checkpoint save latency.",
-                buckets=_SECONDS_BUCKETS,
-            ).observe(elapsed)
-            registry.counter(
-                "checkpoint_saves_total", "Durable checkpoints written."
-            ).inc()
-            registry.counter(
-                "checkpoint_saved_bytes_total", "Bytes of checkpoints written."
-            ).inc(size)
-            telemetry.event(
-                "checkpoint.save",
-                tick=boundary,
-                shard=self.shard_index,
-                bytes=size,
-                seconds=elapsed,
-            )
+            obs.checkpoint_saved(boundary, path, mark)
 
     def _checkpoint_payload(self, tick: int, metrics: StreamingMetrics) -> dict:
-        from repro.fleet.checkpoint import CHECKPOINT_FORMAT
-
         return {
             "format": CHECKPOINT_FORMAT,
             "tick": int(tick),
@@ -402,6 +462,13 @@ class FleetEngine:
                 "checkpoint was written without adaptation; resume with the "
                 "adaptation controller disabled"
             )
+        written_by = (payload.get("name"), payload.get("shard_index"))
+        if written_by != (self.name, self.shard_index):
+            raise ConfigurationError(
+                f"checkpoint was written by run {written_by[0]!r} shard "
+                f"{written_by[1]!r}; this engine is run {self.name!r} shard "
+                f"{self.shard_index} — resume each shard from its own store"
+            )
         metrics.restore_state(payload["metrics"])
         self.system.restore_state(payload["system"])
         if self.controller is not None:
@@ -411,49 +478,32 @@ class FleetEngine:
     # -- the streaming loop -------------------------------------------------------
 
     def _stream(
-        self,
-        fleet: DeviceFleet,
-        metrics: StreamingMetrics,
-        start_tick: int = 0,
-        store: Optional[CheckpointStore] = None,
+        self, fleet: DeviceFleet, metrics: StreamingMetrics, obs, start_tick: int, store
     ) -> None:
-        """The struct-of-arrays loop: arrays in, arrays out, no objects."""
+        """The struct-of-arrays loop: arrays in, arrays out, no objects.
+
+        Per tick: arrivals → context + policy → detect at each chosen tier →
+        fold into the metrics (and the controller), then the tick boundary.
+        ``obs.lap(stage)`` closes each stage on the run's observation seam.
+        """
         system = self.system
         controller = self.controller
-        telemetry = self.telemetry
-        tracing = telemetry is not None and telemetry.trace_enabled
-        watcher = telemetry.watcher if telemetry is not None else None
-        tier_cells = self._tier_cells()
-        stage_cells = self._stage_cells()
-        if stage_cells is not None:
-            arrivals_s, context_policy_s, detect_s, metrics_s, adapt_s = stage_cells
         faulted = self._schedule is not None
         extract = self.context_extractor.extract
         select_actions = self.policy.select_actions
         n_fleet = len(fleet)
         for tick in range(start_tick, self.spec.ticks):
-            if tracing:
-                tick_span = telemetry.tracer.start_span(
-                    "fleet.tick", parent=self._run_span, tick=tick
-                )
-                stage_mark = [cell.value for cell in stage_cells]
             if faulted:
-                self._begin_tick(tick)
-            if stage_cells is not None:
-                mark = perf_counter()
+                self._begin_tick(tick, obs)
+            obs.start_tick(tick)
             batch = fleet.arrivals_columnar(tick)
-            if stage_cells is not None:
-                arrivals_s.value += perf_counter() - mark
+            obs.lap("arrivals")
             metrics.record_uptime(batch.online, n_fleet - batch.online)
             if batch.n:
                 windows = batch.windows
                 labels = batch.labels
-                if stage_cells is not None:
-                    mark = perf_counter()
-                contexts = extract(windows)
-                actions = select_actions(contexts, greedy=True)
-                if stage_cells is not None:
-                    context_policy_s.value += perf_counter() - mark
+                actions = select_actions(extract(windows), greedy=True)
+                obs.lap("context_policy")
                 for action in np.unique(actions):
                     chosen = np.flatnonzero(actions == action)
                     if chosen.size == actions.shape[0]:
@@ -463,18 +513,12 @@ class FleetEngine:
                     else:
                         tier_windows = windows[chosen]
                         tier_labels = labels[chosen]
-                    if stage_cells is not None:
-                        mark = perf_counter()
                     detected = system.detect_batch_columnar(int(action), tier_windows)
                     # Failover may have served the batch at a lower tier than
                     # the policy chose; account at the tier that did the work.
                     served = int(detected.layer)
-                    if tier_cells is not None:
-                        tier_cells[served].value += int(detected.n)
-                    if stage_cells is not None:
-                        now = perf_counter()
-                        detect_s.value += now - mark
-                        mark = now
+                    obs.count_tier(served, detected.n)
+                    obs.lap("detect")
                     metrics.observe(
                         tick,
                         served,
@@ -483,11 +527,8 @@ class FleetEngine:
                         delays_ms=detected.delays_ms,
                         redirected=detected.n if served != int(action) else 0,
                     )
-                    if stage_cells is not None:
-                        metrics_s.value += perf_counter() - mark
+                    obs.lap("metrics")
                     if controller is not None:
-                        if stage_cells is not None:
-                            mark = perf_counter()
                         controller.observe_batch(
                             tick,
                             served,
@@ -496,72 +537,23 @@ class FleetEngine:
                             labels=tier_labels,
                             scores=detected.anomaly_scores,
                         )
-                        if stage_cells is not None:
-                            adapt_s.value += perf_counter() - mark
+                        obs.lap("adapt")
             if controller is not None:
                 # The tick boundary: drift decisions, gated retrains and
                 # atomic detector swaps happen between ticks, never inside
                 # one, so no batch sees a half-updated model.
-                if stage_cells is not None:
-                    mark = perf_counter()
-                if tracing:
-                    # Activating the tick span parents the controller's
-                    # adapt.retrain spans under this tick in the trace.
-                    with telemetry.tracer.activate(tick_span):
-                        controller.end_tick(tick)
-                else:
+                with obs.tick_scope():
                     controller.end_tick(tick)
-                if stage_cells is not None:
-                    adapt_s.value += perf_counter() - mark
-            self._maybe_checkpoint(store, tick, metrics)
-            if tracing:
-                # Close the tick span with the stage-seconds deltas.
-                tick_span.end(
-                    windows=int(batch.n),
-                    online=int(batch.online),
-                    **{
-                        f"{stage}_ms": (cell.value - before) * 1000.0
-                        for stage, before, cell in zip(STAGES, stage_mark, stage_cells)
-                    },
-                )
-            if watcher is not None:
-                # After the span closes: the watcher reads the registry and
-                # may emit its own events, which must not nest under the tick.
-                watcher.observe(tick + 1)
-
-    def _tier_cells(self):
-        """Pre-resolved per-tier window counters (``None`` untelemetered)."""
-        if self.telemetry is None:
-            return None
-        family = self.telemetry.registry.counter(
-            "fleet_tier_windows_total",
-            "Windows served per tier (post-failover accounting).",
-            labelnames=("tier",),
-        )
-        return [family.labels(tier=tier) for tier in self.tier_names]
-
-    def _stage_cells(self):
-        """Pre-resolved per-stage seconds counters, in :data:`STAGES` order
-        (``None`` untelemetered, so the plain loop times nothing)."""
-        if self.telemetry is None:
-            return None
-        family = self.telemetry.registry.counter(
-            "fleet_stage_seconds_total",
-            "Wall-clock seconds per streaming stage.",
-            labelnames=("stage",),
-        )
-        return [family.labels(stage=stage) for stage in STAGES]
+                obs.lap("adapt")
+            self._maybe_checkpoint(store, tick, metrics, obs)
+            obs.end_tick(tick, batch)
 
     def run(self, resume: bool = False) -> FleetReport:
         """Stream the fleet and assemble the :class:`FleetReport`."""
         metrics = self.run_metrics(resume=resume)
         timeline = self.controller.timeline() if self.controller is not None else None
         return report_from_metrics(
-            self.name,
-            metrics,
-            self.tier_names,
-            n_devices=self.n_devices,
-            adaptation=timeline,
+            self.name, metrics, self.tier_names, n_devices=self.n_devices, adaptation=timeline
         )
 
     def resume(self, path: Optional[str] = None) -> FleetReport:
@@ -581,8 +573,19 @@ class FleetEngine:
         return self.run(resume=True)
 
 
-class ShardedFleetEngine:
+#: The :class:`FleetEngine` settings every shard engine copies unchanged.
+_SHARD_SETTINGS = (
+    "system", "policy", "context_extractor", "spec", "pool", "master_seed",
+    "name", "tier_names", "faults", "checkpoint_cadence",
+)
+
+
+class ShardedFleetEngine(FleetEngine):
     """Partition the fleet across worker processes and merge deterministically.
+
+    A :class:`FleetEngine` over the whole fleet whose :meth:`run_metrics`
+    streams it as ``n_shards`` shard engines (shard ``i`` checkpoints under
+    ``<checkpoint_dir>/shard-<i>``, so per-shard recovery never mixes stores).
 
     Multi-shard runs require jitter-free links (the paper's configuration):
     per-transfer jitter draws would come from each shard's own link replicas
@@ -620,6 +623,11 @@ class ShardedFleetEngine:
         checkpoint_dir: Optional[str] = None,
         checkpoint_cadence: int = 0,
     ) -> None:
+        super().__init__(
+            system, policy, context_extractor, spec, pool, master_seed, name,
+            tier_names, controller=controller, telemetry=telemetry, faults=faults,
+            checkpoint_dir=checkpoint_dir, checkpoint_cadence=checkpoint_cadence,
+        )
         self.n_shards = int(n_shards) if n_shards is not None else spec.n_shards
         if self.n_shards <= 0:
             raise ConfigurationError(f"n_shards must be positive, got {self.n_shards}")
@@ -631,28 +639,7 @@ class ShardedFleetEngine:
             raise ConfigurationError(
                 f"parallel must be True, False or 'auto', got {parallel!r}"
             )
-        self.system = system
-        self.policy = policy
-        self.context_extractor = context_extractor
-        self.spec = spec
-        self.pool = pool
-        self.master_seed = int(master_seed)
-        self.name = name
-        self.tier_names = tuple(tier_names) if tier_names else _default_tier_names(
-            system.n_layers
-        )
         self.parallel = parallel
-        self.controller = controller
-        self.telemetry = telemetry
-        self.faults = faults
-        #: Base checkpoint directory; shard ``i`` checkpoints under
-        #: ``<dir>/shard-<i>`` so per-shard recovery never mixes stores.
-        self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else None
-        self.checkpoint_cadence = int(checkpoint_cadence)
-        if self.checkpoint_cadence < 0:
-            raise ConfigurationError(
-                f"checkpoint_cadence must be non-negative, got {checkpoint_cadence}"
-            )
         if self.n_shards > 1 and any(
             link.jitter_ms > 0.0 for link in system.topology.links
         ):
@@ -666,52 +653,33 @@ class ShardedFleetEngine:
             )
 
     def _resolve_parallel(self) -> bool:
-        if self.parallel is False:
-            return False
         if self.parallel == "auto":
             return sharding.available_cpus() > 1
-        return True
+        return self.parallel
+
+    def _engine_kwargs(self, shard_index: int) -> dict:
+        """The kwargs of the :class:`FleetEngine` this one runs as shard
+        ``shard_index`` (its own settings, checkpointing in that shard's store)."""
+        kwargs = {key: getattr(self, key) for key in _SHARD_SETTINGS}
+        if self.checkpoint_dir is not None:
+            kwargs["checkpoint_dir"] = shard_checkpoint_dir(self.checkpoint_dir, shard_index)
+        return {**kwargs, "shard_index": shard_index}
 
     def _shard_payloads(self) -> List[dict]:
         """The :class:`FleetEngine` kwargs of every shard, in shard order."""
-        shared = {
-            "system": self.system,
-            "policy": self.policy,
-            "context_extractor": self.context_extractor,
-            "spec": self.spec,
-            "pool": self.pool,
-            "master_seed": self.master_seed,
-            "name": self.name,
-            "tier_names": self.tier_names,
-            "faults": self.faults,
-            "checkpoint_dir": self.checkpoint_dir,
-            "checkpoint_cadence": self.checkpoint_cadence,
-            # The frozen recipe each shard builds its child telemetry session
-            # from (None on untelemetered runs).
-            "obs": (
-                self.telemetry.shard_config() if self.telemetry is not None else None
-            ),
-        }
+        if self.n_shards > 1 and self.telemetry is not None:
+            # The frozen recipe each shard builds its child session from.
+            observe = {"obs": self.telemetry.shard_config()}
+        else:
+            # A 1-shard "sharded" run is just the serial run: the parent
+            # session records directly (tick spans, unscoped ids) instead of
+            # routing through a pointless shard-00 child.
+            observe = {"obs": None, "telemetry": self.telemetry}
         partitions = np.array_split(np.arange(self.spec.n_devices), self.n_shards)
-        payloads = []
-        for index, partition in enumerate(partitions):
-            payload = {
-                **shared,
-                "device_ids": partition.tolist(),
-                "shard_index": index,
-            }
-            if self.n_shards == 1:
-                # A 1-shard "sharded" run is just the serial run: the parent
-                # session records directly (tick spans, unscoped ids) instead
-                # of routing through a pointless shard-00 child.
-                payload["obs"] = None
-                payload["telemetry"] = self.telemetry
-            if self.checkpoint_dir is not None:
-                payload["checkpoint_dir"] = shard_checkpoint_dir(
-                    self.checkpoint_dir, index
-                )
-            payloads.append(payload)
-        return payloads
+        return [
+            {**self._engine_kwargs(index), **observe, "device_ids": partition.tolist()}
+            for index, partition in enumerate(partitions)
+        ]
 
     def _recover_shard(self, payload: dict) -> "sharding.ShardResult":
         """Re-run a crashed shard in-process from its last durable checkpoint.
@@ -770,9 +738,7 @@ class ShardedFleetEngine:
                 # warning blaming parallelism.  ReproErrors also subclass
                 # ValueError/RuntimeError, so this re-raise must precede the catch.
                 raise
-            except (
-                OSError, ValueError, RuntimeError, multiprocessing.ProcessError
-            ) as exc:
+            except (OSError, ValueError, RuntimeError, multiprocessing.ProcessError) as exc:
                 # RuntimeError: BrokenProcessPool, a worker that died without
                 # raising (OOM kill) — its shards have no result to wait for.
                 _warn_pool_fallback_once(exc)
@@ -789,15 +755,13 @@ class ShardedFleetEngine:
         # recover each from its shard checkpoint store.
         return self._absorb_shards(
             [
-                self._recover_shard(payload)
-                if isinstance(result, WorkerCrash)
-                else result
+                self._recover_shard(payload) if isinstance(result, WorkerCrash) else result
                 for payload, result in zip(payloads, results)
             ]
         )
 
-    def run(self, resume: bool = False) -> FleetReport:
-        """Run every shard, merge in shard order and assemble the report."""
+    def run_metrics(self, resume: bool = False) -> StreamingMetrics:
+        """Run every shard and merge their metrics in shard order."""
         if self.controller is not None:
             # Adaptation is tick-synchronous global state (monitors, a shared
             # registry, live detector swaps), so an adaptive run streams the
@@ -812,42 +776,14 @@ class ShardedFleetEngine:
                     "engine (counts are partition-independent and identical; "
                     "delay percentiles use the unsharded reservoir)",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             return FleetEngine(
-                system=self.system,
-                policy=self.policy,
-                context_extractor=self.context_extractor,
-                spec=self.spec,
-                pool=self.pool,
-                master_seed=self.master_seed,
-                name=self.name,
-                tier_names=self.tier_names,
+                **self._engine_kwargs(0),
                 controller=self.controller,
                 telemetry=self.telemetry,
-                faults=self.faults,
-                checkpoint_dir=(
-                    shard_checkpoint_dir(self.checkpoint_dir, 0)
-                    if self.checkpoint_dir is not None
-                    else None
-                ),
-                checkpoint_cadence=self.checkpoint_cadence,
-            ).run(resume=resume)
-        parts = self._run_shards(resume=resume)
-        metrics = StreamingMetrics.merge(
-            parts, seed_entropy=(self.master_seed, self.spec.seed)
+            ).run_metrics(resume=resume)
+        return StreamingMetrics.merge(
+            self._run_shards(resume=resume),
+            seed_entropy=(self.master_seed, self.spec.seed),
         )
-        return report_from_metrics(
-            self.name, metrics, self.tier_names, n_devices=self.spec.n_devices
-        )
-
-    def resume(self, path: Optional[str] = None) -> FleetReport:
-        """Continue a killed sharded run from its per-shard checkpoints."""
-        if path is not None:
-            self.checkpoint_dir = str(path)
-        if self.checkpoint_dir is None:
-            raise ConfigurationError(
-                "resume needs a checkpoint directory (constructor "
-                "checkpoint_dir or resume(path=...))"
-            )
-        return self.run(resume=True)

@@ -234,9 +234,10 @@ class Telemetry:
 
     The instrumented subsystems (engine, server, controller, runner) each
     hold one optional reference to this object; every recording site is
-    guarded by a single ``is None`` check, and nothing here draws RNG — the
-    two halves of the zero-cost-when-disabled / bit-identical-when-enabled
-    contract.
+    guarded by a single ``is None`` check (the fleet engine checks once per
+    run and observes through a no-op seam when disabled), and nothing here
+    draws RNG — the two halves of the zero-cost-when-disabled /
+    bit-identical-when-enabled contract.
     """
 
     def __init__(
