@@ -44,6 +44,9 @@ CHECKPOINT_FORMAT = 1
 
 _CKPT_PATTERN = re.compile(r"^ckpt-(\d{8})\.pkl$")
 
+#: The fields every ``manifest.json`` carries.
+_MANIFEST_FIELDS = frozenset({"file", "tick", "sha256"})
+
 
 def shard_checkpoint_dir(base: PathLike, shard_index: int) -> str:
     """The per-shard checkpoint directory under a sharded run's base dir."""
@@ -107,8 +110,9 @@ class CheckpointStore:
             if name != current:
                 (self.directory / name).unlink(missing_ok=True)
 
-    def latest(self) -> Optional[Dict[str, Any]]:
-        """The newest checkpoint payload, hash-verified; ``None`` if none exists."""
+    def _manifest(self) -> Optional[Dict[str, Any]]:
+        """The parsed manifest, ``None`` if none exists; raises
+        :class:`SerializationError` on one that does not parse or lacks a field."""
         if not self.manifest_path.exists():
             return None
         try:
@@ -118,14 +122,26 @@ class CheckpointStore:
             raise SerializationError(
                 f"corrupt checkpoint manifest {self.manifest_path}: {exc}"
             ) from exc
-        target = self.directory / str(manifest.get("file", ""))
+        if not (isinstance(manifest, dict) and _MANIFEST_FIELDS <= manifest.keys()):
+            raise SerializationError(
+                f"corrupt checkpoint manifest {self.manifest_path}: expected the "
+                f"fields {sorted(_MANIFEST_FIELDS)}, got {manifest!r}"
+            )
+        return manifest
+
+    def latest(self) -> Optional[Dict[str, Any]]:
+        """The newest checkpoint payload, hash-verified; ``None`` if none exists."""
+        manifest = self._manifest()
+        if manifest is None:
+            return None
+        target = self.directory / str(manifest["file"])
         if not target.is_file():
             raise SerializationError(
                 f"checkpoint manifest points at missing file {target}"
             )
         data = target.read_bytes()
         digest = hashlib.sha256(data).hexdigest()
-        if digest != manifest.get("sha256"):
+        if digest != manifest["sha256"]:
             raise SerializationError(
                 f"checkpoint {target} fails its manifest hash — the file is "
                 "corrupt; delete it (and the manifest) to restart from scratch"
@@ -140,10 +156,8 @@ class CheckpointStore:
 
     def latest_tick(self) -> Optional[int]:
         """The tick of the newest checkpoint without unpickling it."""
-        if not self.manifest_path.exists():
-            return None
-        with self.manifest_path.open("r", encoding="utf-8") as handle:
-            return int(json.load(handle)["tick"])
+        manifest = self._manifest()
+        return None if manifest is None else int(manifest["tick"])
 
 
 # -- run descriptors -------------------------------------------------------------

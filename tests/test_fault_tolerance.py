@@ -187,9 +187,11 @@ class TestCheckpointStore:
     def test_corrupt_manifest_refused(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.save(self._payload(2), 2)
-        store.manifest_path.write_text("{not json")
-        with pytest.raises(SerializationError, match="corrupt checkpoint manifest"):
-            store.latest()
+        for corrupt in ("{not json", '{"file": "ckpt-00000002.pkl"}', "[]"):
+            store.manifest_path.write_text(corrupt)
+            for read in (store.latest, store.latest_tick):
+                with pytest.raises(SerializationError, match="corrupt checkpoint manifest"):
+                    read()
 
     def test_format_mismatch_refused(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -406,6 +408,21 @@ class TestCheckpointResume:
         engine.controller = object()
         with pytest.raises(ConfigurationError, match="without adaptation"):
             engine._restore_checkpoint({"tick": 0, "controller": None}, metrics=None)
+
+    def test_checkpoint_from_another_shard_or_run_refused(self, trained, tmp_path):
+        spec, runner = trained
+        kwargs = _engine_kwargs(spec, runner)
+        ShardedFleetEngine(
+            **kwargs, n_shards=2, parallel=False,
+            checkpoint_dir=str(tmp_path), checkpoint_cadence=3,
+        ).run()
+        shard1 = shard_checkpoint_dir(tmp_path, 1)
+        with pytest.raises(ConfigurationError, match="shard 1.*shard 0"):
+            FleetEngine(**kwargs, shard_index=0).resume(path=shard1)
+        with pytest.raises(ConfigurationError, match="run 'other'"):
+            FleetEngine(**{**kwargs, "name": "other"}, shard_index=1).resume(path=shard1)
+        # The shard's own engine resumes from the same store.
+        assert FleetEngine(**kwargs, shard_index=1).resume(path=shard1).n_windows > 0
 
     def test_negative_cadence_rejected(self, trained):
         spec, runner = trained

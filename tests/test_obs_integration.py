@@ -188,6 +188,39 @@ class TestFleetBitIdentity:
         assert telemetry.registry.get("checkpoint_saves_total").value() == 2
         assert telemetry.registry.get("checkpoint_saved_bytes_total").value() > 0
 
+    def test_plain_run_times_nothing(self, fleet_trained, tmp_path, monkeypatch):
+        # Without a session the loop, the fault hook and the checkpoint
+        # save/load never read the clock.  The same run with a session does,
+        # so the probe is live.
+        from repro.fleet import engine as engine_module
+
+        spec, runner = fleet_trained
+        faults = FaultSpec(events=(
+            FaultEvent(kind="link-degrade", at_tick=3, until_tick=8,
+                       link=0, factor=4.0),
+        ))
+        calls = []
+        clock = engine_module.perf_counter
+
+        def counting_clock():
+            calls.append(None)
+            return clock()
+
+        monkeypatch.setattr(engine_module, "perf_counter", counting_clock)
+
+        def clock_reads(name, **telemetry):
+            calls.clear()
+            engine = FleetEngine(
+                **_engine_kwargs(spec, runner), faults=faults,
+                checkpoint_dir=str(tmp_path / name), checkpoint_cadence=4, **telemetry,
+            )
+            engine.run()
+            engine.resume()  # restores the tick-8 checkpoint
+            return len(calls)
+
+        assert clock_reads("plain") == 0
+        assert clock_reads("telemetered", telemetry=Telemetry(name=spec.name)) > 0
+
 
 class TestShardedTelemetry:
     """Cross-shard telemetry: child sessions, shard sinks, deterministic merge."""
@@ -314,7 +347,7 @@ class TestFleetTelemetryContent:
 
     def test_trace_artifacts_on_disk(self, fleet_reports, fleet_trained):
         spec, _runner = fleet_trained
-        _baseline, traced, _telemetry, paths = fleet_reports
+        _baseline, traced, telemetry, paths = fleet_reports
         records = read_trace(paths["trace"])
         assert records[0]["kind"] == "header"
         assert records[0]["name"] == spec.name
@@ -323,8 +356,13 @@ class TestFleetTelemetryContent:
         run_span = next(r for r in records if r.get("name") == "fleet.run")
         assert all(t["parent_id"] == run_span["span_id"] for t in ticks)
         assert run_span["attributes"]["windows"] == traced.n_windows
-        # Every tick span carries the per-stage wall-clock breakdown.
+        # Every tick span carries the per-stage wall-clock breakdown, and the
+        # spans add up to the stage counters: one measurement, two views.
         assert all(f"{stage}_ms" in ticks[0]["attributes"] for stage in STAGES)
+        stage_seconds = telemetry.registry.get("fleet_stage_seconds_total")
+        for stage in STAGES:
+            spans_ms = sum(tick["attributes"][f"{stage}_ms"] for tick in ticks)
+            assert spans_ms == pytest.approx(stage_seconds.value(stage=stage) * 1000.0)
 
     def test_metrics_artifacts_round_trip(self, fleet_reports):
         _baseline, traced, telemetry, paths = fleet_reports
