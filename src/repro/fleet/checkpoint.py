@@ -2,26 +2,24 @@
 
 A :class:`CheckpointStore` persists the streaming engine's state at tick
 boundaries so a killed run can resume **bit-identical** to an uninterrupted
-one.  The write protocol is write-ahead atomic:
+one.  Each file describes itself: ``ckpt-<tick>.pkl`` is one header line,
+``repro-ckpt <format> <SHA-256 of the pickle>``, then the pickled payload.
+A save is one write cycle: ``.tmp`` file + fsync, ``os.replace`` into place
+(atomic on POSIX), then a directory fsync so the rename is durable too.
 
-1. the pickled payload is written to a ``.tmp`` file and fsynced;
-2. the tmp file is renamed to ``ckpt-<tick>.pkl`` (atomic on POSIX);
-3. ``manifest.json`` — also written tmp+rename — records the file name, the
-   tick and the payload's SHA-256.
-
-A crash at any point leaves either the previous manifest (pointing at the
-previous, intact checkpoint) or the new one (pointing at the fully written
-new checkpoint); :meth:`CheckpointStore.latest` verifies the manifest hash
-and raises :class:`~repro.exceptions.SerializationError` on corruption
-instead of resuming from a damaged snapshot.  The store keeps the last
-``keep`` checkpoints (default 2: the newest plus its predecessor as the
-crash-during-write fallback) and prunes older ones.
+The store keeps the newest two checkpoints: the newest plus its predecessor
+as the crash-during-write fallback.  :meth:`CheckpointStore.latest` walks
+the files newest-first, skips with a warning one that is truncated or fails
+its hash, and raises :class:`~repro.exceptions.SerializationError` when none
+verifies or a file has another format.  Newest by tick is newest written
+because a run that does not resume first empties its store
+(:meth:`CheckpointStore.discard`), so it can never resume another run's state.
 
 What goes *into* a checkpoint is the engine's business
-(:meth:`~repro.fleet.engine.FleetEngine._checkpoint_payload`); this module
-only guarantees durability and atomicity.  ``run.json`` helpers persist the
-resolved experiment spec next to the checkpoints so ``repro resume <dir>``
-can rebuild the whole run from the directory alone.
+(:meth:`~repro.fleet.engine.FleetEngine._checkpoint_payload`); only this
+module knows the on-disk format.  ``run.json`` helpers persist the resolved
+experiment spec next to the checkpoints so ``repro resume <dir>`` can
+rebuild the whole run from the directory alone.
 """
 
 from __future__ import annotations
@@ -31,21 +29,25 @@ import json
 import os
 import pickle
 import re
+import warnings
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.exceptions import ConfigurationError, SerializationError
 
 PathLike = Union[str, Path]
 
-#: Bumped whenever the checkpoint payload layout changes; resume refuses to
-#: load a payload written by a different format.
-CHECKPOINT_FORMAT = 1
+#: Bumped whenever the checkpoint file or payload layout changes; resume
+#: refuses a file written in a different format.
+CHECKPOINT_FORMAT = 2
 
-_CKPT_PATTERN = re.compile(r"^ckpt-(\d{8})\.pkl$")
+#: The first word of every checkpoint file's header line.
+_MAGIC = b"repro-ckpt"
 
-#: The fields every ``manifest.json`` carries.
-_MANIFEST_FIELDS = frozenset({"file", "tick", "sha256"})
+#: Checkpoints kept after each save: the newest and its fallback.
+_KEEP = 2
+
+_CKPT_PATTERN = re.compile(r"^ckpt-(\d{8,})\.pkl$")
 
 
 def shard_checkpoint_dir(base: PathLike, shard_index: int) -> str:
@@ -56,108 +58,86 @@ def shard_checkpoint_dir(base: PathLike, shard_index: int) -> str:
 
 
 class CheckpointStore:
-    """Atomic pickle checkpoints under one directory, newest-wins."""
+    """Self-verifying pickle checkpoints under one directory, newest-wins."""
 
-    def __init__(self, directory: PathLike, keep: int = 2) -> None:
-        if keep < 1:
-            raise ConfigurationError(f"keep must be >= 1, got {keep}")
+    def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
-        self.keep = int(keep)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / "manifest.json"
-
-    def _checkpoint_path(self, tick: int) -> Path:
-        return self.directory / f"ckpt-{tick:08d}.pkl"
+    def _files(self) -> List[Path]:
+        """The checkpoint files, oldest tick first (``.tmp`` files never match)."""
+        matches = map(_CKPT_PATTERN.match, os.listdir(self.directory))
+        found = sorted((int(match.group(1)), match.group(0)) for match in matches if match)
+        return [self.directory / name for _, name in found]
 
     def save(self, payload: Mapping[str, Any], tick: int) -> Path:
         """Durably write ``payload`` as the checkpoint for ``tick``."""
         if tick < 0:
             raise ConfigurationError(f"tick must be non-negative, got {tick}")
         data = pickle.dumps(dict(payload), protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(data).hexdigest()
-        target = self._checkpoint_path(tick)
+        digest = hashlib.sha256(data).hexdigest().encode()
+        target = self.directory / f"ckpt-{tick:08d}.pkl"
         tmp = target.with_suffix(".pkl.tmp")
         with tmp.open("wb") as handle:
+            handle.write(b"%s %d %s\n" % (_MAGIC, CHECKPOINT_FORMAT, digest))
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
-        manifest = {
-            "format": CHECKPOINT_FORMAT,
-            "file": target.name,
-            "tick": int(tick),
-            "sha256": digest,
-        }
-        manifest_tmp = self.manifest_path.with_suffix(".json.tmp")
-        with manifest_tmp.open("w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(manifest_tmp, self.manifest_path)
-        self._prune(current=target.name)
+        directory = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        for stale in self._files()[:-_KEEP]:
+            if stale != target:
+                stale.unlink(missing_ok=True)
         return target
 
-    def _prune(self, current: str) -> None:
-        """Drop all but the newest ``keep`` checkpoints (never the current)."""
-        entries = sorted(
-            name for name in os.listdir(self.directory) if _CKPT_PATTERN.match(name)
-        )
-        for name in entries[: -self.keep] if len(entries) > self.keep else ():
-            if name != current:
-                (self.directory / name).unlink(missing_ok=True)
+    def discard(self) -> None:
+        """Delete every checkpoint, so the next save is the newest."""
+        for path in self._files():
+            path.unlink(missing_ok=True)
 
-    def _manifest(self) -> Optional[Dict[str, Any]]:
-        """The parsed manifest, ``None`` if none exists; raises
-        :class:`SerializationError` on one that does not parse or lacks a field."""
-        if not self.manifest_path.exists():
-            return None
-        try:
-            with self.manifest_path.open("r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (json.JSONDecodeError, OSError) as exc:
+    def _read(self, path: Path) -> Optional[Dict[str, Any]]:
+        """The payload in ``path``; ``None`` if it is truncated or fails its hash."""
+        data = path.read_bytes()
+        header, newline, body = data.partition(b"\n")
+        magic, _, fields = header.partition(b" ")
+        version, _, digest = fields.partition(b" ")
+        if not newline and _MAGIC.startswith(magic):
+            return None  # cut off inside the header line
+        if magic != _MAGIC:
+            version = b"1 (a bare pickle with no header)"
+        if version != b"%d" % CHECKPOINT_FORMAT:
             raise SerializationError(
-                f"corrupt checkpoint manifest {self.manifest_path}: {exc}"
-            ) from exc
-        if not (isinstance(manifest, dict) and _MANIFEST_FIELDS <= manifest.keys()):
-            raise SerializationError(
-                f"corrupt checkpoint manifest {self.manifest_path}: expected the "
-                f"fields {sorted(_MANIFEST_FIELDS)}, got {manifest!r}"
+                f"checkpoint {path} uses format {version.decode(errors='replace')}; "
+                f"this build reads format {CHECKPOINT_FORMAT} — start the run afresh "
+                "instead of resuming"
             )
-        return manifest
+        verified = hashlib.sha256(body).hexdigest().encode() == digest
+        return pickle.loads(body) if verified else None
 
     def latest(self) -> Optional[Dict[str, Any]]:
-        """The newest checkpoint payload, hash-verified; ``None`` if none exists."""
-        manifest = self._manifest()
-        if manifest is None:
-            return None
-        target = self.directory / str(manifest["file"])
-        if not target.is_file():
-            raise SerializationError(
-                f"checkpoint manifest points at missing file {target}"
+        """The newest checkpoint payload that verifies; ``None`` if none exists."""
+        files = self._files()
+        for path in reversed(files):
+            payload = self._read(path)
+            if payload is not None:
+                return payload
+            warnings.warn(
+                f"checkpoint {path} is truncated or fails its hash; "
+                "falling back to the checkpoint before it",
+                RuntimeWarning,
+                stacklevel=2,
             )
-        data = target.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != manifest["sha256"]:
+        if files:
             raise SerializationError(
-                f"checkpoint {target} fails its manifest hash — the file is "
-                "corrupt; delete it (and the manifest) to restart from scratch"
+                f"no checkpoint in {self.directory} verifies "
+                f"({', '.join(path.name for path in files)}); delete them to "
+                "restart from scratch"
             )
-        payload = pickle.loads(data)
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise SerializationError(
-                f"checkpoint {target} uses format {payload.get('format')!r}; "
-                f"this build reads format {CHECKPOINT_FORMAT}"
-            )
-        return payload
-
-    def latest_tick(self) -> Optional[int]:
-        """The tick of the newest checkpoint without unpickling it."""
-        manifest = self._manifest()
-        return None if manifest is None else int(manifest["tick"])
+        return None
 
 
 # -- run descriptors -------------------------------------------------------------

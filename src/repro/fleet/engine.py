@@ -60,7 +60,7 @@ from repro.bandit.context import ContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
 from repro.exceptions import ConfigurationError, ReproError
 from repro.fleet import sharding
-from repro.fleet.checkpoint import CHECKPOINT_FORMAT, CheckpointStore, shard_checkpoint_dir
+from repro.fleet.checkpoint import CheckpointStore, shard_checkpoint_dir
 from repro.fleet.devices import DeviceFleet, WindowPool
 from repro.fleet.faults import FaultSchedule, FaultSpec, WorkerCrash
 from repro.fleet.metrics import StreamingMetrics
@@ -358,13 +358,17 @@ class FleetEngine:
         disarms one-shot kill/crash fault events so recovery cannot re-die
         on the fault that ended the original run.  With no checkpoint on
         disk (or no checkpoint directory at all) a resumed run simply
-        streams from tick 0, faults disarmed.
+        streams from tick 0, faults disarmed.  A run that does not resume
+        first discards the checkpoints already in :attr:`checkpoint_dir`, so
+        a later resume can only continue this run, never an earlier one.
         """
         obs = _Observed(self, resume) if self.telemetry is not None else _UNOBSERVED
         spec = self.spec
         system = self.system
         self._armed = not resume
         store = CheckpointStore(self.checkpoint_dir) if self.checkpoint_dir else None
+        if store is not None and not resume:
+            store.discard()
         system.reset()
         # Streams run against a warmed system: keep-alive connections are
         # established up front, so every request sees steady-state delays and
@@ -437,7 +441,6 @@ class FleetEngine:
 
     def _checkpoint_payload(self, tick: int, metrics: StreamingMetrics) -> dict:
         return {
-            "format": CHECKPOINT_FORMAT,
             "tick": int(tick),
             "name": self.name,
             "shard_index": self.shard_index,

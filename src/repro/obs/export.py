@@ -1,10 +1,11 @@
 """Telemetry exporters and the per-run :class:`Telemetry` session object.
 
 :class:`JsonlSink` writes span/event records incrementally to a ``.tmp``
-file and atomically renames it into place on :meth:`JsonlSink.close` — the
-:class:`~repro.fleet.checkpoint.CheckpointStore` write protocol, so a
-crashed run never leaves a half-written file masquerading as a complete
-trace (the partial ``.tmp`` stays inspectable next to it).
+file, fsyncs it and atomically renames it into place on
+:meth:`JsonlSink.close`, so a crashed run never leaves a half-written file
+masquerading as a complete trace (the partial ``.tmp`` stays inspectable
+next to it).  Unlike :class:`~repro.fleet.checkpoint.CheckpointStore` it
+does not fsync the directory: a trace is re-recorded, never resumed from.
 
 :class:`Telemetry` bundles the three pillars for one run — a
 :class:`~repro.obs.metrics.MetricsRegistry`, a
