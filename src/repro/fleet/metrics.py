@@ -394,6 +394,21 @@ def confusion_counts(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
     )
 
 
+def delay_ns(delays_ms) -> np.ndarray:
+    """Delays as int64 nanoseconds: each rounded once, so sums are exact.
+
+    Integer sums are associative, so any grouping of batches, ticks, shards
+    or tier completions adds up to the same bits.
+    """
+    return np.rint(np.asarray(delays_ms, dtype=float) * 1e6).astype(np.int64)
+
+
+def mean_ms(total_ns, count: int) -> float:
+    """The mean in milliseconds of ``count`` delays summing to ``total_ns``
+    (0.0 when empty): one correctly rounded division of two integers."""
+    return int(total_ns) / (int(count) * 1_000_000) if count else 0.0
+
+
 def rates_from_confusion(counts: np.ndarray) -> dict:
     """accuracy/precision/recall/F1 from one ``[tp, fp, tn, fn]`` vector."""
     tp, fp, tn, fn = (int(c) for c in counts)

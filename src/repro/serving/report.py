@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import rates_from_confusion
+from repro.fleet.metrics import delay_ns, mean_ms, rates_from_confusion
 from repro.fleet.report import DelaySummary
 from repro.serving.server import IngestServer
 from repro.utils.serialization import load_json, save_json, to_jsonable
@@ -186,14 +186,13 @@ def report_from_server(
                 redirected=int(server.tier_redirected[layer]),
             )
         )
+    latencies = server.served_column("latency")
     latency = DelaySummary(
-        mean_ms=(
-            float(server.latency_sum_ms / server.n_served) if server.n_served else 0.0
-        ),
+        mean_ms=mean_ms(delay_ns(latencies).sum(), latencies.size),
         p50_ms=server.latency.percentile(50.0),
         p90_ms=server.latency.percentile(90.0),
         p99_ms=p99,
-        max_ms=float(server.latency_max_ms),
+        max_ms=float(latencies.max()) if latencies.size else 0.0,
         samples_seen=int(server.latency.seen),
         reservoir_size=int(server.latency.capacity),
     )
@@ -223,8 +222,8 @@ def report_from_server(
         ),
         max_batch_size=int(server.max_batch_size),
         latency=latency,
-        mean_simulated_delay_ms=(
-            float(server.simulated_delay_sum / server.n_served) if server.n_served else 0.0
+        mean_simulated_delay_ms=mean_ms(
+            delay_ns(server.served_column("delay")).sum(), server.n_served
         ),
         accuracy=quality["accuracy"],
         f1=quality["f1"],

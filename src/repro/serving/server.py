@@ -209,10 +209,6 @@ class IngestServer:
         )
         self.tier_served = np.zeros(system.n_layers, dtype=np.int64)
         self.tier_redirected = np.zeros(system.n_layers, dtype=np.int64)
-        self.simulated_delay_sum = 0.0
-        # Exact mean/max live outside the reservoir (which only samples).
-        self.latency_sum_ms = 0.0
-        self.latency_max_ms = 0.0
 
         # -- telemetry (optional; every hot site pays one `is None` check) ------
         self.telemetry = telemetry
@@ -413,6 +409,13 @@ class IngestServer:
         labels = self._label[:n]
         scored = (self._status[:n] == _SERVED) & (labels != _MISSING)
         return confusion_counts(self._prediction[:n][scored], labels[scored])
+
+    def served_column(self, name: str) -> np.ndarray:
+        """``"delay"`` or ``"latency"`` (ms) of every served request, in row
+        order: the report reads exact totals and the maximum from these, so
+        they do not depend on the order in which tier batches completed."""
+        n = self.n_submitted
+        return getattr(self, f"_{name}")[:n][self._status[:n] == _SERVED]
 
     @property
     def total_shed(self) -> int:
@@ -649,13 +652,10 @@ class IngestServer:
             n = len(rows)
             latencies = (done - arrivals) * 1000.0
             self.latency.extend(latencies)
-            self.latency_sum_ms += float(latencies.sum())
-            self.latency_max_ms = max(self.latency_max_ms, float(latencies.max()))
             self.n_served += n
             self.tier_served[served] += n
             if served != layer:
                 self.tier_redirected[served] += n
-            self.simulated_delay_sum += float(detected.delays_ms.sum())
             if telemetry is not None:
                 self._tel_status["served"].value += n
                 self._tel_tiers[served].value += n
