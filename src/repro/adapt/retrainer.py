@@ -2,12 +2,11 @@
 
 Two pieces live here:
 
-* :class:`WindowReservoir` — a bounded uniform sample (Vitter's algorithm R,
-  the same scheme as the fleet's
-  :class:`~repro.fleet.metrics.DelayReservoir`) over a stream of windows,
-  optionally keeping labels.  The retrainer feeds one reservoir per tier
-  with recent *clean* windows (the delayed-label audit stream the F1 monitor
-  already relies on) and a labelled holdout reservoir for gate evaluation.
+* :class:`WindowReservoir` — a bounded uniform sample (Vitter's algorithm R)
+  over a stream of windows, optionally keeping labels.  The retrainer feeds
+  one reservoir per tier with recent *clean* windows (the delayed-label audit
+  stream the F1 monitor already relies on) and a labelled holdout reservoir
+  for gate evaluation.
 * :class:`OnlineRetrainer` — given a drift signal, deep-copies the incumbent
   detector, fine-tunes it on the reservoir snapshot with early stopping,
   refits the scorer on the same recent windows (recalibrating the detection

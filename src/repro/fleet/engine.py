@@ -23,10 +23,10 @@ times nothing.  Neither draws RNG: a telemetered run streams bit-identical.
 
 :class:`ShardedFleetEngine` partitions the device ids across shard engines
 (worker processes, see :mod:`repro.fleet.sharding`) and merges their
-aggregators in shard order.  A device's stream is a function of its id, not
-of its shard, so the merged counts are independent of the partitioning and
-a single-shard run is bit-identical to the unsharded engine (pinned by the
-equivalence tests).
+aggregators.  A device's stream is a function of its id, not of its shard,
+and every metric is an order-free function of the windows (exact integer
+delay sums, a delay sample keyed by window identity), so a K-shard report
+equals the unsharded one field for field (pinned by the equivalence tests).
 
 An optional adaptation ``controller`` (:mod:`repro.adapt.controller`) is fed
 every detected batch and ends each tick (drift decisions, retrains, atomic
@@ -52,7 +52,7 @@ import signal
 import warnings
 from contextlib import nullcontext
 from time import perf_counter
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from repro.fleet import sharding
 from repro.fleet.checkpoint import CheckpointStore, shard_checkpoint_dir
 from repro.fleet.devices import DeviceFleet, WindowPool
 from repro.fleet.faults import FaultSchedule, FaultSpec, WorkerCrash
-from repro.fleet.metrics import StreamingMetrics
+from repro.fleet.metrics import StreamingMetrics, mix64
 from repro.fleet.report import FleetReport, report_from_metrics
 from repro.fleet.spec import FleetSpec
 from repro.hec.simulation import HECSystem
@@ -79,6 +79,26 @@ _SECONDS_BUCKETS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2
 
 #: The tick scope of a run that traces nothing (``nullcontext`` is reusable).
 _NO_SCOPE = nullcontext()
+
+
+#: The 64-bit word mask seeds are folded into key salts with.
+_WORD_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def _tick_salts(master_seed: int, fleet_seed: int, ticks: int) -> np.ndarray:
+    """One delay-sample key salt per tick, folding in the run's two seeds."""
+    fleet = mix64(np.uint64(fleet_seed & _WORD_MASK))
+    run = mix64(np.uint64(master_seed & _WORD_MASK) ^ fleet)
+    return mix64(run ^ np.arange(ticks, dtype=np.uint64))
+
+
+def _window_keys(device_ids: np.ndarray, salt: np.uint64) -> np.ndarray:
+    """Each window's delay-sample key: its device id and its rank among the
+    device's arrivals this tick, under the tick's ``salt``.  Arrivals are
+    device-contiguous, so the rank (unlike the row) is the same in every
+    shard that holds the device."""
+    rank = np.arange(device_ids.size) - np.searchsorted(device_ids, device_ids)
+    return mix64(device_ids.astype(np.uint64) ^ salt) + rank.astype(np.uint64)
 
 
 #: Whether the degraded-parallelism warning already fired this process.
@@ -387,14 +407,13 @@ class FleetEngine:
             metrics_window=spec.metrics_window,
             n_layers=system.n_layers,
             reservoir_size=spec.reservoir_size,
-            seed_entropy=(self.master_seed, spec.seed),
         )
         start_tick = 0
         if resume and store is not None:
             mark = obs.clock()
             payload = store.latest()
             if payload is not None:
-                start_tick = self._restore_checkpoint(payload, metrics)
+                start_tick, metrics = self._restore_checkpoint(payload, metrics.shape)
                 obs.checkpoint_loaded(start_tick, mark)
         self._stream(fleet, metrics, obs, start_tick, store)
         obs.end_run(metrics)
@@ -444,7 +463,7 @@ class FleetEngine:
             "tick": int(tick),
             "name": self.name,
             "shard_index": self.shard_index,
-            "metrics": metrics.snapshot_state(),
+            "metrics": metrics.to_payload(),
             "system": self.system.snapshot_state(),
             "controller": (
                 self.controller.snapshot_state()
@@ -453,8 +472,11 @@ class FleetEngine:
             ),
         }
 
-    def _restore_checkpoint(self, payload: dict, metrics: StreamingMetrics) -> int:
-        """Load a checkpoint payload into this run's state; returns the tick."""
+    def _restore_checkpoint(
+        self, payload: dict, shape: Tuple[int, int, int, int]
+    ) -> Tuple[int, StreamingMetrics]:
+        """Load a checkpoint payload into this run's state; returns the tick
+        and the restored metrics, which must have this run's ``shape``."""
         if payload.get("controller") is not None and self.controller is None:
             raise ConfigurationError(
                 "checkpoint was written by an adaptive run; resume with the "
@@ -472,11 +494,11 @@ class FleetEngine:
                 f"{written_by[1]!r}; this engine is run {self.name!r} shard "
                 f"{self.shard_index} — resume each shard from its own store"
             )
-        metrics.restore_state(payload["metrics"])
+        metrics = StreamingMetrics.from_payload(payload["metrics"], shape=shape)
         self.system.restore_state(payload["system"])
         if self.controller is not None:
             self.controller.restore_state(payload["controller"])
-        return int(payload["tick"])
+        return int(payload["tick"]), metrics
 
     # -- the streaming loop -------------------------------------------------------
 
@@ -495,11 +517,13 @@ class FleetEngine:
         extract = self.context_extractor.extract
         select_actions = self.policy.select_actions
         n_fleet = len(fleet)
+        salts = _tick_salts(self.master_seed, self.spec.seed, self.spec.ticks)
         for tick in range(start_tick, self.spec.ticks):
             if faulted:
                 self._begin_tick(tick, obs)
             obs.start_tick(tick)
             batch = fleet.arrivals_columnar(tick)
+            keys = _window_keys(batch.device_ids, salts[tick])
             obs.lap("arrivals")
             metrics.record_uptime(batch.online, n_fleet - batch.online)
             if batch.n:
@@ -512,10 +536,11 @@ class FleetEngine:
                     if chosen.size == actions.shape[0]:
                         # One tier took the whole tick — skip the re-index
                         # copies (the arrays are already exactly the batch).
-                        tier_windows, tier_labels = windows, labels
+                        tier_windows, tier_labels, tier_keys = windows, labels, keys
                     else:
                         tier_windows = windows[chosen]
                         tier_labels = labels[chosen]
+                        tier_keys = keys[chosen]
                     detected = system.detect_batch_columnar(int(action), tier_windows)
                     # Failover may have served the batch at a lower tier than
                     # the policy chose; account at the tier that did the work.
@@ -528,6 +553,7 @@ class FleetEngine:
                         predictions=detected.predictions,
                         labels=tier_labels,
                         delays_ms=detected.delays_ms,
+                        keys=tier_keys,
                         redirected=detected.n if served != int(action) else 0,
                     )
                     obs.lap("metrics")
@@ -768,16 +794,15 @@ class ShardedFleetEngine(FleetEngine):
         if self.controller is not None:
             # Adaptation is tick-synchronous global state (monitors, a shared
             # registry, live detector swaps), so an adaptive run streams the
-            # whole fleet through one in-process engine.  Device streams are
-            # partition-independent, so every count matches what a sharded
-            # merge would have produced; only the delay-reservoir subsampling
-            # (which sharded merges re-draw) uses the unsharded path.
+            # whole fleet through one in-process engine.  Every metric is
+            # partition-independent, so the report is the one a sharded merge
+            # would have produced.
             if self.n_shards > 1:
                 warnings.warn(
                     f"adaptive streaming is tick-synchronous; running the "
                     f"{self.n_shards}-shard fleet through one in-process "
-                    "engine (counts are partition-independent and identical; "
-                    "delay percentiles use the unsharded reservoir)",
+                    "engine (every metric is partition-independent, so the "
+                    "report is identical)",
                     RuntimeWarning,
                     stacklevel=3,
                 )
@@ -786,7 +811,4 @@ class ShardedFleetEngine(FleetEngine):
                 controller=self.controller,
                 telemetry=self.telemetry,
             ).run_metrics(resume=resume)
-        return StreamingMetrics.merge(
-            self._run_shards(resume=resume),
-            seed_entropy=(self.master_seed, self.spec.seed),
-        )
+        return StreamingMetrics.merge(self._run_shards(resume=resume))

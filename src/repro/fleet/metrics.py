@@ -2,161 +2,137 @@
 
 :class:`StreamingMetrics` aggregates a fleet run incrementally: global and
 windowed confusion counts (accuracy/F1 per block of ticks), per-tier
-utilisation and delay sums, and end-to-end delay percentiles estimated from a
+utilisation and delay sums, and end-to-end delay percentiles read off a
 bounded :class:`DelayReservoir` — O(reservoir + ticks/metrics_window + tiers)
 memory regardless of how many windows stream through.
 
-Aggregators are mergeable: :meth:`StreamingMetrics.merge` folds per-shard
-aggregators (in shard order) into the fleet-wide result, which is how
-:class:`~repro.fleet.engine.ShardedFleetEngine` reduces its workers.  Merging
-a single aggregator is the identity, so a one-shard run reproduces the
-unsharded engine bit for bit.
+Every statistic is an order-free function of the windows it covers.  Delays
+are summed as integer nanoseconds (:func:`delay_ns`: one rounding per delay,
+then exact, associative sums), and the reservoir is a keyed bottom-k sample
+whose keys name the windows, not their positions in a batch.  So any split of
+a run into batches, ticks or shards, folded in any order, gives the same
+bits: :meth:`StreamingMetrics.merge` of per-shard aggregators equals the
+unsharded aggregator field for field, and :meth:`StreamingMetrics.to_payload`
+is the one state codec for shard results and checkpoints alike.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-#: SeedSequence entropy tag for the reservoir-merge subsampling draws.
-_MERGE_TAG = 0x5EED
+# splitmix64's increment and output multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def mix64(keys) -> np.ndarray:
+    """splitmix64 of each integer key: a fixed bijection of 64-bit words
+    that scatters consecutive keys over the whole range (as ``uint64``)."""
+    mixed = np.asarray(keys).astype(np.uint64)
+    mixed += _GAMMA
+    mixed ^= mixed >> np.uint64(30)
+    mixed *= _MIX1
+    mixed ^= mixed >> np.uint64(27)
+    mixed *= _MIX2
+    mixed ^= mixed >> np.uint64(31)
+    return mixed
 
 
 class DelayReservoir:
-    """Bounded uniform sample of a delay stream (Vitter's algorithm R).
+    """Keyed bottom-k sample of a delay stream.
 
-    The replacement slot for the ``i``-th overflow sample is drawn as
-    ``floor(u * seen)`` from one uniform ``u`` — a formulation chosen because
-    a batch of uniforms is stream-equivalent to the same scalar draws, which
-    lets :meth:`extend` vectorise the whole replacement phase while staying
-    draw-for-draw identical to repeated :meth:`add` calls (pinned by test).
-    The samples live in a preallocated array; :attr:`values` presents them as
-    a list for the merge/serialisation API.
+    Each delay arrives with an integer key naming what it measured (the
+    fleet engine's window identity, serving's request row).  The sample is
+    the ``capacity`` delays of smallest priority ``mix64(key)``: a uniform
+    sample without replacement, and, for distinct keys, a function of the
+    set of (key, delay) pairs alone.  Any batching, interleaving or sharding
+    of the stream keeps the same sample, and :meth:`merge` keeps the k
+    smallest of the union (Cohen & Kaplan, *Summarizing data using bottom-k
+    sketches*, PODC 2007).  While ``seen <= capacity`` the sample is the
+    whole stream.
+
+    Selection is amortised: offered entries collect in a buffer of twice
+    the capacity, which one ``argpartition`` cuts back to the k smallest
+    whenever it would overflow.
     """
 
-    def __init__(self, capacity: int, seed_entropy: Sequence[int]) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"reservoir capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self._store = np.empty(self.capacity, dtype=float)
-        self._size = 0
         self.seen = 0
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence([int(e) & 0xFFFFFFFF for e in seed_entropy])
-        )
+        self._values = np.empty(2 * self.capacity)
+        self._priorities = np.empty(2 * self.capacity, dtype=np.uint64)
+        self._size = 0
 
-    @property
-    def values(self) -> List[float]:
-        """The sampled delays, in slot order."""
-        return self._store[: self._size].tolist()
-
-    @values.setter
-    def values(self, new_values) -> None:
-        new_values = np.asarray(list(new_values), dtype=float)
-        if new_values.size > self.capacity:
-            raise ConfigurationError(
-                f"cannot hold {new_values.size} samples in a reservoir of "
-                f"capacity {self.capacity}"
-            )
-        self._size = int(new_values.size)
-        self._store[: self._size] = new_values
-
-    def add(self, value: float) -> None:
-        """Offer one sample to the reservoir."""
-        self.seen += 1
-        if self._size < self.capacity:
-            self._store[self._size] = value
-            self._size += 1
-            return
-        slot = int(self._rng.random() * self.seen)
-        if slot < self.capacity:
-            self._store[slot] = value
-
-    def extend(self, values) -> None:
-        """Offer a batch of samples in order.
-
-        Draw-for-draw identical to calling :meth:`add` per value: the fill
-        phase is bulk-copied (no RNG), and the replacement phase draws one
-        uniform batch (stream-equivalent to the scalar draws) and applies the
-        slot writes with NumPy's last-write-wins fancy assignment — the same
-        final state as sequential overwrites.
-        """
+    def extend(self, values, keys) -> None:
+        """Offer a batch of delays, one key each."""
         values = np.asarray(values, dtype=float)
-        if not values.size:
-            return
-        free = self.capacity - self._size
-        if free > 0:
-            head = values[:free]
-            self._store[self._size: self._size + head.size] = head
-            self._size += int(head.size)
-            self.seen += int(head.size)
-            values = values[free:]
-        overflow = int(values.size)
-        if not overflow:
-            return
-        draws = self._rng.random(overflow)
-        bounds = self.seen + 1 + np.arange(overflow)
-        slots = (draws * bounds).astype(np.int64)
-        self.seen += overflow
-        hits = slots < self.capacity
-        if hits.any():
-            self._store[slots[hits]] = values[hits]
+        priorities = mix64(keys)
+        if priorities.shape != values.shape:
+            raise ConfigurationError(
+                f"got {priorities.size} keys for {values.size} delays"
+            )
+        self.seen += values.size
+        self._offer(values, priorities)
+
+    def _offer(self, values: np.ndarray, priorities: np.ndarray) -> None:
+        start, end = self._size, self._size + values.size
+        if end > self._values.size:
+            values = np.concatenate([self._values[:start], values])
+            priorities = np.concatenate([self._priorities[:start], priorities])
+            keep = np.argpartition(priorities, self.capacity - 1)[: self.capacity]
+            values, priorities = values[keep], priorities[keep]
+            start, end = 0, self.capacity
+        self._values[start:end] = values
+        self._priorities[start:end] = priorities
+        self._size = end
+
+    def sample(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sampled ``(delays, priorities)``, in ascending priority."""
+        order = np.argsort(self._priorities[: self._size])[: self.capacity]
+        return self._values[order], self._priorities[order]
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of the sampled delays (NaN when empty)."""
         if not self._size:
             return float("nan")
-        return float(np.percentile(self._store[: self._size], q))
+        return float(np.percentile(self.sample()[0], q))
 
     @classmethod
-    def merge(cls, parts: Sequence["DelayReservoir"], seed_entropy: Sequence[int]
-              ) -> "DelayReservoir":
-        """Fold per-shard reservoirs into one, deterministically.
-
-        Samples are concatenated in shard order; when the union exceeds the
-        capacity it is subsampled without replacement, weighting each sample
-        by its source stream's seen/kept ratio so heavier shards stay
-        proportionally represented.  A single part merges to an exact copy.
-        """
+    def merge(cls, parts: Sequence["DelayReservoir"]) -> "DelayReservoir":
+        """The reservoir of the concatenated streams: the k smallest
+        priorities of the parts' union, whatever the parts' order."""
         if not parts:
             raise ConfigurationError("cannot merge zero reservoirs")
-        capacity = parts[0].capacity
-        merged = cls(capacity, seed_entropy)
-        merged.seen = int(sum(part.seen for part in parts))
-        if len(parts) == 1:
-            merged.values = list(parts[0].values)
-            return merged
-        pooled: List[float] = []
-        weights: List[float] = []
+        merged = cls(parts[0].capacity)
         for part in parts:
-            pooled.extend(part.values)
-            if part.values:
-                weights.extend([part.seen / len(part.values)] * len(part.values))
-        if len(pooled) <= capacity:
-            merged.values = pooled
-            return merged
-        probabilities = np.asarray(weights, dtype=float)
-        probabilities /= probabilities.sum()
-        chosen = merged._rng.choice(
-            len(pooled), size=capacity, replace=False, p=probabilities
-        )
-        merged.values = [pooled[index] for index in sorted(chosen)]
+            if part.capacity != merged.capacity:
+                raise ConfigurationError("cannot merge reservoirs of different capacities")
+            merged.seen += part.seen
+            merged._offer(*part.sample())
         return merged
+
+
+#: The aggregator's additive fields: merging adds them, the payload carries
+#: them as they are (int64 arrays or Python ints; delay sums in nanoseconds).
+_SUMMED_ARRAYS = (
+    "confusion", "windowed_confusion", "windowed_delay_sum", "layer_requests",
+    "layer_delay_sum", "layer_anomalies", "layer_redirected",
+)
+_SUMMED_COUNTS = ("delay_sum", "online_device_ticks", "offline_device_ticks")
 
 
 class StreamingMetrics:
     """Incremental fleet-run aggregation (confusion, tiers, delays, uptime)."""
 
     def __init__(
-        self,
-        ticks: int,
-        metrics_window: int,
-        n_layers: int,
-        reservoir_size: int,
-        seed_entropy: Sequence[int],
+        self, ticks: int, metrics_window: int, n_layers: int, reservoir_size: int
     ) -> None:
         if ticks <= 0 or metrics_window <= 0:
             raise ConfigurationError(
@@ -169,19 +145,25 @@ class StreamingMetrics:
         # Confusion counts: [tp, fp, tn, fn], globally and per metrics window.
         self.confusion = np.zeros(4, dtype=np.int64)
         self.windowed_confusion = np.zeros((self.n_metric_windows, 4), dtype=np.int64)
-        self.windowed_delay_sum = np.zeros(self.n_metric_windows)
+        self.windowed_delay_sum = np.zeros(self.n_metric_windows, dtype=np.int64)
         # Per-tier utilisation.
         self.layer_requests = np.zeros(self.n_layers, dtype=np.int64)
-        self.layer_delay_sum = np.zeros(self.n_layers)
+        self.layer_delay_sum = np.zeros(self.n_layers, dtype=np.int64)
         self.layer_anomalies = np.zeros(self.n_layers, dtype=np.int64)
         self.layer_redirected = np.zeros(self.n_layers, dtype=np.int64)
         # Delay stream.
-        self.delay_sum = 0.0
+        self.delay_sum = 0
         self.delay_max = 0.0
-        self.reservoir = DelayReservoir(reservoir_size, seed_entropy)
+        self.reservoir = DelayReservoir(reservoir_size)
         # Fleet uptime.
         self.online_device_ticks = 0
         self.offline_device_ticks = 0
+
+    @property
+    def shape(self) -> Tuple[int, int, int, int]:
+        """``(ticks, metrics_window, n_layers, reservoir capacity)``: what
+        aggregators must share to merge, and a checkpoint to restore."""
+        return (self.ticks, self.metrics_window, self.n_layers, self.reservoir.capacity)
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -197,6 +179,7 @@ class StreamingMetrics:
         predictions: np.ndarray,
         labels: np.ndarray,
         delays_ms: np.ndarray,
+        keys: np.ndarray,
         redirected: int = 0,
     ) -> None:
         """Fold one detected batch (a single layer within one tick) in.
@@ -204,26 +187,25 @@ class StreamingMetrics:
         ``layer`` is the tier that actually *served* the batch;
         ``redirected`` counts how many of its windows were redirected there
         because their requested tier was unreachable (failover accounting).
+        ``keys`` name the windows for the delay sample (:class:`DelayReservoir`).
         """
-        predictions = np.asarray(predictions, dtype=int)
-        labels = np.asarray(labels, dtype=int)
-        delays_ms = np.asarray(delays_ms, dtype=float)
         if not 0 <= tick < self.ticks:
             raise ConfigurationError(f"tick must lie in [0, {self.ticks}), got {tick}")
         counts = confusion_counts(predictions, labels)
+        delays_ms = np.asarray(delays_ms, dtype=float)
+        delay_sum = int(delay_ns(delays_ms).sum())
         window = tick // self.metrics_window
-        delay_sum = float(delays_ms.sum())
         self.confusion += counts
         self.windowed_confusion[window] += counts
         self.windowed_delay_sum[window] += delay_sum
-        self.layer_requests[layer] += predictions.shape[0]
+        self.layer_requests[layer] += counts.sum()
         self.layer_delay_sum[layer] += delay_sum
-        self.layer_anomalies[layer] += int(predictions.sum())
+        self.layer_anomalies[layer] += counts[0] + counts[1]
         self.layer_redirected[layer] += int(redirected)
         self.delay_sum += delay_sum
         if delays_ms.size:
             self.delay_max = max(self.delay_max, float(delays_ms.max()))
-        self.reservoir.extend(delays_ms)
+        self.reservoir.extend(delays_ms, keys)
 
     # -- derived -----------------------------------------------------------------
 
@@ -235,143 +217,75 @@ class StreamingMetrics:
     # -- transport ---------------------------------------------------------------
 
     def to_payload(self) -> dict:
-        """A compact, picklable snapshot of the aggregated counts.
+        """The aggregator's whole state as a compact, picklable dict.
 
-        What a shard worker ships back instead of the whole aggregator: the
-        count arrays plus the reservoir's sample — everything
-        :meth:`merge` reads — and nothing else (in particular no RNG state,
-        which the merge re-derives from its own seed entropy).
+        What a shard worker ships back and what a checkpoint stores: the
+        count arrays, the delay sums and the reservoir's sample with its
+        priorities.  No generator state exists to carry.
         """
+        values, priorities = self.reservoir.sample()
         return {
             "ticks": self.ticks,
             "metrics_window": self.metrics_window,
             "n_layers": self.n_layers,
-            "confusion": self.confusion,
-            "windowed_confusion": self.windowed_confusion,
-            "windowed_delay_sum": self.windowed_delay_sum,
-            "layer_requests": self.layer_requests,
-            "layer_delay_sum": self.layer_delay_sum,
-            "layer_anomalies": self.layer_anomalies,
-            "layer_redirected": self.layer_redirected,
-            "delay_sum": self.delay_sum,
+            **{name: getattr(self, name) for name in _SUMMED_ARRAYS + _SUMMED_COUNTS},
             "delay_max": self.delay_max,
-            "online_device_ticks": self.online_device_ticks,
-            "offline_device_ticks": self.offline_device_ticks,
             "reservoir_capacity": self.reservoir.capacity,
             "reservoir_seen": self.reservoir.seen,
-            "reservoir_values": list(self.reservoir.values),
+            "reservoir_values": values,
+            "reservoir_priorities": priorities,
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "StreamingMetrics":
-        """Rebuild an aggregator from :meth:`to_payload` (for merging).
+    def from_payload(
+        cls, payload: dict, shape: Optional[Tuple[int, int, int, int]] = None
+    ) -> "StreamingMetrics":
+        """Rebuild an aggregator from :meth:`to_payload`.
 
-        The reconstructed reservoir carries the shard's sample and ``seen``
-        count but a fresh placeholder RNG — it exists to be merged, not to
-        keep sampling.
+        ``shape``, when given, is the :attr:`shape` the payload must have —
+        a checkpoint written under another spec is refused.
         """
         metrics = cls(
             ticks=int(payload["ticks"]),
             metrics_window=int(payload["metrics_window"]),
             n_layers=int(payload["n_layers"]),
             reservoir_size=int(payload["reservoir_capacity"]),
-            seed_entropy=(0,),
         )
-        metrics.confusion = np.asarray(payload["confusion"], dtype=np.int64)
-        metrics.windowed_confusion = np.asarray(
-            payload["windowed_confusion"], dtype=np.int64
-        )
-        metrics.windowed_delay_sum = np.asarray(payload["windowed_delay_sum"], dtype=float)
-        metrics.layer_requests = np.asarray(payload["layer_requests"], dtype=np.int64)
-        metrics.layer_delay_sum = np.asarray(payload["layer_delay_sum"], dtype=float)
-        metrics.layer_anomalies = np.asarray(payload["layer_anomalies"], dtype=np.int64)
-        # Absent in payloads written before the failover accounting existed.
-        metrics.layer_redirected = np.asarray(
-            payload.get("layer_redirected", np.zeros(metrics.n_layers)), dtype=np.int64
-        )
-        metrics.delay_sum = float(payload["delay_sum"])
-        metrics.delay_max = float(payload["delay_max"])
-        metrics.online_device_ticks = int(payload["online_device_ticks"])
-        metrics.offline_device_ticks = int(payload["offline_device_ticks"])
-        metrics.reservoir.seen = int(payload["reservoir_seen"])
-        metrics.reservoir.values = [float(v) for v in payload["reservoir_values"]]
-        return metrics
-
-    def snapshot_state(self) -> dict:
-        """A mid-run snapshot for the fleet checkpoint layer.
-
-        Unlike :meth:`to_payload` (a terminal shard result, RNG-free), a
-        checkpoint must let the reservoir *keep sampling* bit-identically, so
-        the reservoir's generator state rides along.
-        """
-        snapshot = self.to_payload()
-        snapshot["reservoir_rng_state"] = self.reservoir._rng.bit_generator.state
-        return snapshot
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Restore the state captured by :meth:`snapshot_state` in place."""
-        if (
-            int(snapshot["ticks"]) != self.ticks
-            or int(snapshot["metrics_window"]) != self.metrics_window
-            or int(snapshot["n_layers"]) != self.n_layers
-            or int(snapshot["reservoir_capacity"]) != self.reservoir.capacity
-        ):
+        if shape is not None and metrics.shape != tuple(shape):
             raise ConfigurationError(
                 "checkpointed metrics shape does not match this run — was the "
                 "spec changed between checkpoint and resume?"
             )
-        restored = StreamingMetrics.from_payload(snapshot)
-        for name in (
-            "confusion", "windowed_confusion", "windowed_delay_sum",
-            "layer_requests", "layer_delay_sum", "layer_anomalies",
-            "layer_redirected", "delay_sum", "delay_max",
-            "online_device_ticks", "offline_device_ticks",
-        ):
-            setattr(self, name, getattr(restored, name))
-        self.reservoir.seen = restored.reservoir.seen
-        self.reservoir.values = restored.reservoir.values
-        self.reservoir._rng.bit_generator.state = snapshot["reservoir_rng_state"]
+        for name in _SUMMED_ARRAYS:
+            setattr(metrics, name, np.array(payload[name], dtype=np.int64))
+        for name in _SUMMED_COUNTS:
+            setattr(metrics, name, int(payload[name]))
+        metrics.delay_max = float(payload["delay_max"])
+        metrics.reservoir.seen = int(payload["reservoir_seen"])
+        metrics.reservoir._offer(
+            np.asarray(payload["reservoir_values"], dtype=float),
+            np.asarray(payload["reservoir_priorities"], dtype=np.uint64),
+        )
+        return metrics
 
     @classmethod
-    def merge(
-        cls, parts: Sequence["StreamingMetrics"], seed_entropy: Sequence[int]
-    ) -> "StreamingMetrics":
-        """Fold per-shard aggregators (in shard order) into one."""
+    def merge(cls, parts: Sequence["StreamingMetrics"]) -> "StreamingMetrics":
+        """Fold per-shard aggregators into one (in any order: same result)."""
         if not parts:
             raise ConfigurationError("cannot merge zero metric aggregators")
-        first = parts[0]
-        for part in parts[1:]:
-            if (
-                part.ticks != first.ticks
-                or part.metrics_window != first.metrics_window
-                or part.n_layers != first.n_layers
-                or part.reservoir.capacity != first.reservoir.capacity
-            ):
-                raise ConfigurationError("cannot merge metric aggregators with different shapes")
-        merged = cls(
-            ticks=first.ticks,
-            metrics_window=first.metrics_window,
-            n_layers=first.n_layers,
-            reservoir_size=first.reservoir.capacity,
-            seed_entropy=list(seed_entropy) + [_MERGE_TAG],
-        )
-        for part in parts:
-            merged.confusion += part.confusion
-            merged.windowed_confusion += part.windowed_confusion
-            merged.windowed_delay_sum += part.windowed_delay_sum
-            merged.layer_requests += part.layer_requests
-            merged.layer_delay_sum += part.layer_delay_sum
-            merged.layer_anomalies += part.layer_anomalies
-            merged.layer_redirected += part.layer_redirected
-            merged.delay_sum += part.delay_sum
-            merged.delay_max = max(merged.delay_max, part.delay_max)
-            merged.online_device_ticks += part.online_device_ticks
-            merged.offline_device_ticks += part.offline_device_ticks
-        merged.reservoir = DelayReservoir.merge(
-            [part.reservoir for part in parts],
-            list(seed_entropy) + [_MERGE_TAG],
-        )
+        if any(part.shape != parts[0].shape for part in parts):
+            raise ConfigurationError("cannot merge metric aggregators with different shapes")
+        ticks, metrics_window, n_layers, capacity = parts[0].shape
+        merged = cls(ticks, metrics_window, n_layers, capacity)
+        for name in _SUMMED_ARRAYS + _SUMMED_COUNTS:
+            setattr(merged, name, sum(getattr(part, name) for part in parts))
+        merged.delay_max = max(part.delay_max for part in parts)
+        merged.reservoir = DelayReservoir.merge([part.reservoir for part in parts])
         return merged
+
+
+#: Where each ``2 * prediction + label`` cell lands in ``[tp, fp, tn, fn]``.
+_CELL_ORDER = np.array([3, 2, 0, 1])
 
 
 def confusion_counts(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -379,19 +293,14 @@ def confusion_counts(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     The single source of the count ordering :func:`rates_from_confusion`
     expects — shared by the streaming aggregator and the adaptation loop's
-    windowed-F1 and shadow-gate computations.
+    windowed-F1 and shadow-gate computations.  Anything but 0/1 raises.
     """
-    predictions = np.asarray(predictions, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    return np.array(
-        [
-            np.sum((predictions == 1) & (labels == 1)),
-            np.sum((predictions == 1) & (labels == 0)),
-            np.sum((predictions == 0) & (labels == 0)),
-            np.sum((predictions == 0) & (labels == 1)),
-        ],
-        dtype=np.int64,
-    )
+    predictions = np.asarray(predictions, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any((predictions | labels) & ~1):
+        raise ConfigurationError("confusion counts need 0/1 predictions and labels")
+    cells = np.bincount((2 * predictions + labels).ravel(), minlength=4)
+    return cells[_CELL_ORDER]
 
 
 def delay_ns(delays_ms) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.adapt.events import AdaptationTimeline
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import StreamingMetrics, rates_from_confusion
+from repro.fleet.metrics import StreamingMetrics, mean_ms, rates_from_confusion
 from repro.utils.serialization import load_json, save_json, to_jsonable
 
 PathLike = Union[str, Path]
@@ -211,9 +211,7 @@ def report_from_metrics(
                 accuracy=block["accuracy"],
                 f1=block["f1"],
                 anomaly_fraction=block["anomaly_fraction"],
-                mean_delay_ms=(
-                    float(metrics.windowed_delay_sum[index] / block_n) if block_n else 0.0
-                ),
+                mean_delay_ms=mean_ms(metrics.windowed_delay_sum[index], block_n),
             )
         )
 
@@ -226,16 +224,14 @@ def report_from_metrics(
                 tier=tier,
                 requests=requests,
                 fraction=float(requests / n_windows) if n_windows else 0.0,
-                mean_delay_ms=(
-                    float(metrics.layer_delay_sum[layer] / requests) if requests else 0.0
-                ),
+                mean_delay_ms=mean_ms(metrics.layer_delay_sum[layer], requests),
                 anomalies_reported=int(metrics.layer_anomalies[layer]),
                 redirected=int(metrics.layer_redirected[layer]),
             )
         )
 
     delay = DelaySummary(
-        mean_ms=float(metrics.delay_sum / n_windows) if n_windows else 0.0,
+        mean_ms=mean_ms(metrics.delay_sum, n_windows),
         p50_ms=metrics.reservoir.percentile(50.0),
         p90_ms=metrics.reservoir.percentile(90.0),
         p99_ms=metrics.reservoir.percentile(99.0),

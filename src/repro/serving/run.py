@@ -82,7 +82,6 @@ def serve_workload(
             policy,
             context_extractor,
             serving,
-            master_seed=master_seed,
             tier_names=tier_names,
             telemetry=telemetry,
             faults=faults,

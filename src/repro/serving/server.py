@@ -65,9 +65,6 @@ from repro.obs.export import Telemetry
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.serving.spec import ServingSpec
 
-#: SeedSequence entropy tag for the serving latency reservoir.
-_SERVE_TAG = 0x5E21
-
 #: Bucket bounds for the micro-batch size histogram (requests per batch).
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -157,7 +154,6 @@ class IngestServer:
         context_extractor,
         serving: ServingSpec,
         *,
-        master_seed: int = 0,
         tier_names: Optional[Sequence[str]] = None,
         telemetry: Optional[Telemetry] = None,
         faults: Optional[FaultSpec] = None,
@@ -204,9 +200,8 @@ class IngestServer:
         #: behind a down link before failing over (report + contract input).
         self.n_retries = 0
         self._fault_tick = 0
-        self.latency = DelayReservoir(
-            serving.reservoir_size, (master_seed, serving.seed, _SERVE_TAG)
-        )
+        #: Latency sample keyed by request row.
+        self.latency = DelayReservoir(serving.reservoir_size)
         self.tier_served = np.zeros(system.n_layers, dtype=np.int64)
         self.tier_redirected = np.zeros(system.n_layers, dtype=np.int64)
 
@@ -651,7 +646,7 @@ class IngestServer:
             served = int(detected.layer)
             n = len(rows)
             latencies = (done - arrivals) * 1000.0
-            self.latency.extend(latencies)
+            self.latency.extend(latencies, rows)
             self.n_served += n
             self.tier_served[served] += n
             if served != layer:

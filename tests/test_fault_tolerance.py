@@ -200,16 +200,18 @@ class TestCheckpointStore:
 
     def test_format_mismatch_refused(self, tmp_path):
         store = self._saved(tmp_path, 2)
-        # A format-1 file is a bare pickle with no header; a future format
-        # carries another number.  Neither is skipped: both are refused.
+        # A format-1 file is a bare pickle with no header; format 2 carried
+        # the delay reservoir's generator state; a future format carries
+        # another number.  None is skipped: all are refused.
         pickled = pickle.dumps({"format": 1, "tick": 4})
         digest = hashlib.sha256(pickled).hexdigest().encode()
         for data, found in (
             (pickled, "format 1 "),
-            (b"repro-ckpt 3 " + digest + b"\n" + pickled, "format 3;"),
+            (b"repro-ckpt 2 " + digest + b"\n" + pickled, "format 2;"),
+            (b"repro-ckpt 4 " + digest + b"\n" + pickled, "format 4;"),
         ):
             (tmp_path / "ckpt-00000004.pkl").write_bytes(data)
-            with pytest.raises(SerializationError, match=f"{found}.*reads format 2"):
+            with pytest.raises(SerializationError, match=f"{found}.*reads format 3"):
                 store.latest()
 
     def test_stray_tmp_file_ignored(self, tmp_path):
@@ -451,10 +453,10 @@ class TestCheckpointResume:
         spec, runner = trained
         engine = FleetEngine(**_engine_kwargs(spec, runner))
         with pytest.raises(ConfigurationError, match="adaptive run"):
-            engine._restore_checkpoint({"tick": 0, "controller": {}}, metrics=None)
+            engine._restore_checkpoint({"tick": 0, "controller": {}}, shape=None)
         engine.controller = object()
         with pytest.raises(ConfigurationError, match="without adaptation"):
-            engine._restore_checkpoint({"tick": 0, "controller": None}, metrics=None)
+            engine._restore_checkpoint({"tick": 0, "controller": None}, shape=None)
 
     def test_checkpoint_from_another_shard_or_run_refused(self, trained, tmp_path):
         spec, runner = trained
@@ -688,9 +690,7 @@ class TestSensorFaultMutators:
 
 
 def _metrics(**overrides):
-    base = dict(
-        ticks=4, metrics_window=2, n_layers=3, reservoir_size=8, seed_entropy=(1, 2)
-    )
+    base = dict(ticks=4, metrics_window=2, n_layers=3, reservoir_size=8)
     base.update(overrides)
     return StreamingMetrics(**base)
 
@@ -705,6 +705,7 @@ class TestMergeEdgeCases:
             predictions=np.array([1, 0]),
             labels=np.array([1, 1]),
             delays_ms=np.array([5.0, 6.0]),
+            keys=np.array([0, 1]),
             redirected=1,
         )
         return metrics
@@ -714,8 +715,7 @@ class TestMergeEdgeCases:
         # payload; merging it must not disturb the surviving shard's counts.
         filled = self._filled()
         merged = StreamingMetrics.merge(
-            [_metrics(), StreamingMetrics.from_payload(filled.to_payload())],
-            seed_entropy=(1, 2),
+            [_metrics(), StreamingMetrics.from_payload(filled.to_payload())]
         )
         assert merged.n_windows == filled.n_windows
         payload, expected = merged.to_payload(), filled.to_payload()
@@ -729,26 +729,24 @@ class TestMergeEdgeCases:
         assert math.isnan(rebuilt.reservoir.percentile(50))
 
     def test_percentile_on_empty_reservoir_is_nan(self):
-        reservoir = DelayReservoir(capacity=8, seed_entropy=(1, 2))
+        reservoir = DelayReservoir(capacity=8)
         assert math.isnan(reservoir.percentile(50))
         assert math.isnan(reservoir.percentile(99))
 
     def test_merge_zero_parts_rejected(self):
         with pytest.raises(ConfigurationError):
-            StreamingMetrics.merge([], seed_entropy=(1, 2))
+            StreamingMetrics.merge([])
         with pytest.raises(ConfigurationError):
-            DelayReservoir.merge([], seed_entropy=(1, 2))
+            DelayReservoir.merge([])
 
     def test_merge_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            StreamingMetrics.merge(
-                [_metrics(), _metrics(n_layers=4)], seed_entropy=(1, 2)
-            )
+            StreamingMetrics.merge([_metrics(), _metrics(n_layers=4)])
 
     def test_restore_shape_mismatch_rejected(self):
-        snapshot = _metrics().snapshot_state()
+        payload = _metrics().to_payload()
         with pytest.raises(ConfigurationError, match="shape"):
-            _metrics(n_layers=4).restore_state(snapshot)
+            StreamingMetrics.from_payload(payload, shape=_metrics(n_layers=4).shape)
 
 
 # -- worker-pool cleanup ---------------------------------------------------------

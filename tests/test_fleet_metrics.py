@@ -4,109 +4,158 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import DelayReservoir, StreamingMetrics, rates_from_confusion
+from repro.fleet.metrics import (
+    DelayReservoir,
+    StreamingMetrics,
+    confusion_counts,
+    mix64,
+    rates_from_confusion,
+)
 from repro.fleet.report import report_from_metrics
+
+
+def _sample(reservoir):
+    """The sampled delays as a sorted list (the sample is a set)."""
+    return sorted(reservoir.sample()[0].tolist())
 
 
 class TestDelayReservoir:
     def test_keeps_everything_under_capacity(self):
-        reservoir = DelayReservoir(10, [1, 2])
-        reservoir.extend([1.0, 2.0, 3.0])
-        assert reservoir.values == [1.0, 2.0, 3.0]
+        reservoir = DelayReservoir(10)
+        reservoir.extend([3.0, 1.0, 2.0], keys=[7, 8, 9])
+        assert _sample(reservoir) == [1.0, 2.0, 3.0]
         assert reservoir.seen == 3
 
     def test_bounded_beyond_capacity(self):
-        reservoir = DelayReservoir(16, [1, 2])
-        reservoir.extend(np.arange(1000, dtype=float))
-        assert len(reservoir.values) == 16
+        reservoir = DelayReservoir(16)
+        reservoir.extend(np.arange(1000, dtype=float), keys=np.arange(1000))
+        assert len(_sample(reservoir)) == 16
         assert reservoir.seen == 1000
 
-    def test_deterministic_given_seed(self):
-        a, b = DelayReservoir(8, [3]), DelayReservoir(8, [3])
-        stream = np.random.default_rng(0).normal(size=200)
-        a.extend(stream)
-        b.extend(stream)
-        assert a.values == b.values
+    def test_sample_is_the_smallest_priorities(self):
+        """The sample is the k values whose mix64(key) is smallest, in
+        ascending priority: a fixed function of the (key, value) pairs."""
+        rng = np.random.default_rng(0)
+        keys = rng.permutation(5000)
+        values = rng.normal(size=5000)
+        reservoir = DelayReservoir(64)
+        for chunk in np.array_split(np.arange(5000), 37):
+            reservoir.extend(values[chunk], keys[chunk])
+        smallest = np.argsort(mix64(keys))[:64]
+        sampled, priorities = reservoir.sample()
+        np.testing.assert_array_equal(sampled, values[smallest])
+        np.testing.assert_array_equal(priorities, mix64(keys[smallest]))
+
+    def test_keys_must_match_values(self):
+        with pytest.raises(ConfigurationError, match="keys"):
+            DelayReservoir(8).extend([1.0, 2.0], keys=[1])
 
     def test_percentiles_on_full_sample(self):
-        reservoir = DelayReservoir(1000, [1])
-        reservoir.extend(np.arange(101, dtype=float))
+        reservoir = DelayReservoir(1000)
+        reservoir.extend(np.arange(101, dtype=float), keys=np.arange(101))
         assert reservoir.percentile(50.0) == pytest.approx(50.0)
         assert reservoir.percentile(100.0) == pytest.approx(100.0)
 
     def test_merge_single_part_is_identity(self):
-        part = DelayReservoir(8, [1])
-        part.extend([5.0, 6.0, 7.0])
-        merged = DelayReservoir.merge([part], [9])
-        assert merged.values == part.values
+        part = DelayReservoir(8)
+        part.extend([5.0, 6.0, 7.0], keys=[1, 2, 3])
+        merged = DelayReservoir.merge([part])
+        assert _sample(merged) == _sample(part)
         assert merged.seen == part.seen
 
-    def test_merge_respects_capacity_and_determinism(self):
+    def test_merge_equals_the_reservoir_of_the_whole_stream(self):
+        """Shards of one keyed stream merge to exactly the sample one
+        reservoir keeps over all of it, in any shard order."""
+        rng = np.random.default_rng(5)
+        values = rng.exponential(scale=50.0, size=900)
+        keys = np.arange(900) * 7919
+        whole = DelayReservoir(32)
+        whole.extend(values, keys)
         parts = []
-        for shard in range(3):
-            part = DelayReservoir(32, [shard])
-            part.extend(np.random.default_rng(shard).normal(size=100))
+        for shard in np.array_split(rng.permutation(900), 3):
+            part = DelayReservoir(32)
+            part.extend(values[shard], keys[shard])
             parts.append(part)
-        merged_a = DelayReservoir.merge(parts, [7])
-        merged_b = DelayReservoir.merge(parts, [7])
-        assert len(merged_a.values) == 32
-        assert merged_a.seen == 300
-        assert merged_a.values == merged_b.values
+        for order in (parts, parts[::-1]):
+            merged = DelayReservoir.merge(order)
+            assert merged.seen == 900
+            for got, want in zip(merged.sample(), whole.sample()):
+                np.testing.assert_array_equal(got, want)
 
-    def test_chunking_invariance_for_fixed_seed(self):
-        """Micro-batch boundaries must not leak into the sample: the serving
-        front door feeds the reservoir batch-by-batch as tiers complete, and
-        the retained values must only depend on the value stream and seed."""
-        stream = np.random.default_rng(11).exponential(scale=50.0, size=500)
-        whole = DelayReservoir(32, [4, 2])
-        whole.extend(stream)
-        chunked = DelayReservoir(32, [4, 2])
-        for chunk in np.array_split(stream, [3, 7, 50, 51, 200, 433]):
-            chunked.extend(chunk)
-        one_by_one = DelayReservoir(32, [4, 2])
-        for value in stream:
-            one_by_one.add(float(value))
-        assert chunked.values == whole.values
-        assert one_by_one.values == whole.values
-        assert chunked.seen == one_by_one.seen == whole.seen == 500
+    def test_merge_rejects_mixed_capacities(self):
+        with pytest.raises(ConfigurationError, match="capacities"):
+            DelayReservoir.merge([DelayReservoir(8), DelayReservoir(16)])
 
     def test_merge_equivalence_under_out_of_order_batch_completion(self):
-        """Per-part reservoirs filled by interleaved, out-of-order batch
-        completions merge identically as long as each part sees its own
-        values in order — the shard/tier merge contract."""
+        """Batches completing in any order, into any part, merge to the same
+        sample: the serving front door's tier-completion order and the
+        fleet's shard order cannot leak into the percentiles."""
         rng = np.random.default_rng(23)
-        batches_a = [rng.exponential(scale=10.0, size=n) for n in (5, 32, 1, 12)]
-        batches_b = [rng.exponential(scale=80.0, size=n) for n in (20, 3, 9)]
+        sizes = (5, 32, 1, 12, 20, 3, 9)
+        batches = [rng.exponential(scale=10.0, size=n) for n in sizes]
+        offsets = np.cumsum((0,) + sizes)
+        keyed = [(batch, np.arange(start, start + batch.size))
+                 for batch, start in zip(batches, offsets)]
 
         def _fill(schedule):
-            parts = {"a": DelayReservoir(16, [0]), "b": DelayReservoir(16, [1])}
+            parts = {"a": DelayReservoir(16), "b": DelayReservoir(16)}
             for name, index in schedule:
-                batch = (batches_a if name == "a" else batches_b)[index]
-                parts[name].extend(batch)
-            return [parts["a"], parts["b"]]
+                parts[name].extend(*keyed[index])
+            return DelayReservoir.merge([parts["a"], parts["b"]])
 
-        # Two completion orders interleaving the parts differently while
-        # preserving each part's own batch order.
-        in_order = _fill(
-            [("a", 0), ("a", 1), ("a", 2), ("a", 3), ("b", 0), ("b", 1), ("b", 2)]
+        in_order = _fill([("a", 0), ("a", 1), ("a", 2), ("a", 3), ("b", 4), ("b", 5), ("b", 6)])
+        interleaved = _fill([("b", 6), ("a", 2), ("b", 0), ("a", 5), ("a", 1), ("b", 3), ("a", 4)])
+        assert _sample(in_order) == _sample(interleaved)
+        assert in_order.seen == interleaved.seen == 82
+
+
+class TestConfusionCounts:
+    @staticmethod
+    def _four_masks(predictions, labels):
+        """The four-mask formulation ``confusion_counts`` replaced."""
+        return np.array(
+            [
+                np.sum((predictions == 1) & (labels == 1)),
+                np.sum((predictions == 1) & (labels == 0)),
+                np.sum((predictions == 0) & (labels == 0)),
+                np.sum((predictions == 0) & (labels == 1)),
+            ],
+            dtype=np.int64,
         )
-        interleaved = _fill(
-            [("b", 0), ("a", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3)]
-        )
-        merged_in_order = DelayReservoir.merge(in_order, [5])
-        merged_interleaved = DelayReservoir.merge(interleaved, [5])
-        assert merged_in_order.values == merged_interleaved.values
-        assert merged_in_order.seen == merged_interleaved.seen == 82
+
+    def test_matches_the_four_mask_reference(self):
+        rng = np.random.default_rng(17)
+        for n in (0, 1, 2, 7, 64, 1000):
+            for _ in range(20):
+                predictions = rng.integers(0, 2, size=n)
+                labels = rng.integers(0, 2, size=n)
+                counts = confusion_counts(predictions, labels)
+                assert counts.dtype == np.int64
+                np.testing.assert_array_equal(
+                    counts, self._four_masks(predictions, labels)
+                )
+
+    @pytest.mark.parametrize(
+        "predictions, labels",
+        [([0, 2], [0, 1]), ([0, 1], [2, 0]), ([-1], [1]), ([1], [-1]), ([3], [0])],
+    )
+    def test_non_binary_input_raises(self, predictions, labels):
+        with pytest.raises(ConfigurationError, match="0/1"):
+            confusion_counts(np.array(predictions), np.array(labels))
+
+
+def assert_same_payload(a: dict, b: dict) -> None:
+    """Two :meth:`StreamingMetrics.to_payload` dicts hold the same bits."""
+    assert sorted(a) == sorted(b)
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+        assert np.asarray(a[key]).dtype == np.asarray(b[key]).dtype, key
 
 
 class TestStreamingMetrics:
     def _metrics(self, ticks=8, window=4, layers=3, reservoir=64):
         return StreamingMetrics(
-            ticks=ticks,
-            metrics_window=window,
-            n_layers=layers,
-            reservoir_size=reservoir,
-            seed_entropy=(0, 0),
+            ticks=ticks, metrics_window=window, n_layers=layers, reservoir_size=reservoir
         )
 
     def test_confusion_and_windowed_counts(self):
@@ -116,34 +165,51 @@ class TestStreamingMetrics:
             predictions=np.array([1, 0, 1, 0]),
             labels=np.array([1, 0, 0, 1]),
             delays_ms=np.array([10.0, 10.0, 10.0, 10.0]),
+            keys=np.arange(4),
         )
         metrics.observe(
             5, 2,
             predictions=np.array([1]),
             labels=np.array([1]),
             delays_ms=np.array([40.0]),
+            keys=np.array([4]),
         )
         np.testing.assert_array_equal(metrics.confusion, [2, 1, 1, 1])
         np.testing.assert_array_equal(metrics.windowed_confusion[0], [1, 1, 1, 1])
         np.testing.assert_array_equal(metrics.windowed_confusion[1], [1, 0, 0, 0])
         assert metrics.n_windows == 5
         np.testing.assert_array_equal(metrics.layer_requests, [0, 4, 1])
-        assert metrics.delay_sum == pytest.approx(80.0)
+        assert metrics.delay_sum == 80_000_000
         assert metrics.delay_max == 40.0
+
+    def test_delay_sums_are_exact_nanoseconds(self):
+        """Each delay is rounded to ns once; the sums are exact integers, so
+        a tier that always took 504.564768 ms reports exactly that mean."""
+        metrics = self._metrics()
+        for tick in range(8):
+            metrics.observe(
+                tick, 2, np.zeros(3), np.zeros(3), np.full(3, 504.564768),
+                keys=np.arange(3) + 3 * tick,
+            )
+        report = report_from_metrics("exact", metrics, ("a", "b", "c"), n_devices=3)
+        assert metrics.layer_delay_sum[2] == 24 * 504_564_768
+        assert report.tiers[2].mean_delay_ms == 504.564768
+        assert report.delay.mean_ms == 504.564768
+        assert [block.mean_delay_ms for block in report.windowed] == [504.564768] * 2
 
     def test_out_of_range_tick_rejected(self):
         with pytest.raises(ConfigurationError, match="tick"):
             self._metrics(ticks=4).observe(
-                4, 0, np.array([1]), np.array([1]), np.array([1.0])
+                4, 0, np.array([1]), np.array([1]), np.array([1.0]), np.array([0])
             )
 
     def test_merge_is_additive_and_shape_checked(self):
         a, b = self._metrics(), self._metrics()
-        a.observe(0, 0, np.array([1]), np.array([1]), np.array([5.0]))
-        b.observe(7, 2, np.array([0]), np.array([1]), np.array([9.0]))
+        a.observe(0, 0, np.array([1]), np.array([1]), np.array([5.0]), np.array([0]))
+        b.observe(7, 2, np.array([0]), np.array([1]), np.array([9.0]), np.array([1]))
         a.record_uptime(3, 1)
         b.record_uptime(4, 0)
-        merged = StreamingMetrics.merge([a, b], seed_entropy=(0, 0))
+        merged = StreamingMetrics.merge([a, b])
         np.testing.assert_array_equal(merged.confusion, a.confusion + b.confusion)
         np.testing.assert_array_equal(
             merged.layer_requests, a.layer_requests + b.layer_requests
@@ -151,8 +217,9 @@ class TestStreamingMetrics:
         assert merged.online_device_ticks == 7
         assert merged.offline_device_ticks == 1
         assert merged.reservoir.seen == 2
+        assert_same_payload(merged.to_payload(), StreamingMetrics.merge([b, a]).to_payload())
         with pytest.raises(ConfigurationError, match="different shapes"):
-            StreamingMetrics.merge([a, self._metrics(ticks=99)], seed_entropy=(0, 0))
+            StreamingMetrics.merge([a, self._metrics(ticks=99)])
 
     def test_rates_from_confusion(self):
         rates = rates_from_confusion(np.array([2, 1, 6, 1]))
@@ -167,9 +234,7 @@ class TestStreamingMetrics:
 
 class TestReportAssembly:
     def test_report_round_trips_and_sums_add_up(self, tmp_path):
-        metrics = StreamingMetrics(
-            ticks=8, metrics_window=4, n_layers=2, reservoir_size=64, seed_entropy=(0, 0)
-        )
+        metrics = StreamingMetrics(ticks=8, metrics_window=4, n_layers=2, reservoir_size=64)
         rng = np.random.default_rng(0)
         for tick in range(8):
             n = 5
@@ -179,6 +244,7 @@ class TestReportAssembly:
                 predictions=rng.integers(0, 2, size=n),
                 labels=rng.integers(0, 2, size=n),
                 delays_ms=rng.uniform(1.0, 9.0, size=n),
+                keys=np.arange(n) + n * tick,
             )
             metrics.record_uptime(5, 0)
         report = report_from_metrics("unit", metrics, ("edge", "cloud"), n_devices=5)
@@ -200,10 +266,7 @@ class TestStreamingMetricsEdgeCases:
     """Satellite pins: corner shapes the columnar path must honour too."""
 
     def _metrics(self, **overrides):
-        kwargs = dict(
-            ticks=8, metrics_window=4, n_layers=3, reservoir_size=16,
-            seed_entropy=(1, 2),
-        )
+        kwargs = dict(ticks=8, metrics_window=4, n_layers=3, reservoir_size=16)
         kwargs.update(overrides)
         return StreamingMetrics(**kwargs)
 
@@ -230,13 +293,14 @@ class TestStreamingMetricsEdgeCases:
             predictions=np.array([1, 0, 1, 0]),
             labels=np.array([1, 0, 0, 0]),
             delays_ms=np.full(4, 2.5),
+            keys=np.arange(4),
         )
         assert metrics.layer_requests.tolist() == [0, 4, 0]
         assert metrics.layer_anomalies.tolist() == [0, 2, 0]
-        assert metrics.layer_delay_sum[1] == pytest.approx(10.0)
-        assert metrics.layer_delay_sum[0] == 0.0
+        assert metrics.layer_delay_sum.tolist() == [0, 10_000_000, 0]
         report = report_from_metrics("one-tier", metrics, ("a", "b", "c"), n_devices=6)
         assert report.tiers[1].fraction == pytest.approx(1.0)
+        assert report.tiers[1].mean_delay_ms == 2.5
         assert report.tiers[0].fraction == 0.0
         assert report.tiers[2].mean_delay_ms == 0.0
 
@@ -249,45 +313,48 @@ class TestStreamingMetricsEdgeCases:
             predictions=np.array([1, 0]),
             labels=np.array([1, 1]),
             delays_ms=np.array([3.0, 4.0]),
+            keys=np.array([0, 1]),
         )
         quiet = self._metrics()
         quiet.record_uptime(0, 4)
 
-        merged = StreamingMetrics.merge([busy, quiet], seed_entropy=(1, 2))
+        merged = StreamingMetrics.merge([busy, quiet])
         assert np.array_equal(merged.confusion, busy.confusion)
         assert np.array_equal(merged.windowed_confusion, busy.windowed_confusion)
         assert merged.delay_sum == busy.delay_sum
-        assert merged.reservoir.values == busy.reservoir.values
+        assert _sample(merged.reservoir) == _sample(busy.reservoir)
         assert merged.reservoir.seen == busy.reservoir.seen
         assert merged.online_device_ticks == 4
         assert merged.offline_device_ticks == 4
 
-    def test_bulk_fill_matches_per_value_adds(self):
-        """extend()'s bulk fill phase is pinned to add()-per-value semantics."""
-        stream = np.random.default_rng(3).uniform(1.0, 9.0, size=200)
-        bulk = DelayReservoir(16, [5])
-        bulk.extend(stream)
-        one_by_one = DelayReservoir(16, [5])
-        for value in stream:
-            one_by_one.add(value)
-        assert bulk.values == one_by_one.values
-        assert bulk.seen == one_by_one.seen
-
-    def test_payload_round_trip_preserves_merge_inputs(self):
+    def test_payload_round_trip_is_exact(self):
+        """to_payload/from_payload is the one state codec: a rebuilt
+        aggregator re-emits the same payload and keeps sampling as the
+        original does (it serves checkpoints as well as shard results)."""
         metrics = self._metrics()
         metrics.record_uptime(3, 1)
-        metrics.observe(
-            2, 2,
-            predictions=np.array([0, 1, 1]),
-            labels=np.array([0, 1, 0]),
-            delays_ms=np.array([1.0, 2.0, 8.0]),
-        )
+        rng = np.random.default_rng(4)
+        for tick in range(3):
+            metrics.observe(
+                tick, tick % 3,
+                predictions=rng.integers(0, 2, size=12),
+                labels=rng.integers(0, 2, size=12),
+                delays_ms=rng.uniform(1.0, 9.0, size=12),
+                keys=np.arange(12) + 12 * tick,
+                redirected=tick,
+            )
         rebuilt = StreamingMetrics.from_payload(metrics.to_payload())
-        assert np.array_equal(rebuilt.confusion, metrics.confusion)
-        assert np.array_equal(rebuilt.windowed_confusion, metrics.windowed_confusion)
-        assert np.array_equal(rebuilt.layer_requests, metrics.layer_requests)
-        assert rebuilt.delay_sum == metrics.delay_sum
-        assert rebuilt.delay_max == metrics.delay_max
-        assert rebuilt.reservoir.values == metrics.reservoir.values
-        assert rebuilt.reservoir.seen == metrics.reservoir.seen
-        assert rebuilt.reservoir.capacity == metrics.reservoir.capacity
+        assert_same_payload(rebuilt.to_payload(), metrics.to_payload())
+        assert rebuilt.shape == metrics.shape
+        for aggregator in (metrics, rebuilt):
+            aggregator.observe(
+                5, 0, np.ones(30), np.ones(30), np.arange(30.0), keys=np.arange(36, 66)
+            )
+        assert_same_payload(rebuilt.to_payload(), metrics.to_payload())
+
+    def test_restore_refuses_another_shape(self):
+        payload = self._metrics().to_payload()
+        restored = StreamingMetrics.from_payload(payload, shape=self._metrics().shape)
+        assert restored.shape == (8, 4, 3, 16)
+        with pytest.raises(ConfigurationError, match="shape"):
+            StreamingMetrics.from_payload(payload, shape=self._metrics(n_layers=4).shape)

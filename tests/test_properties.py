@@ -11,6 +11,7 @@ from repro.data.windowing import sliding_windows, window_labels
 from repro.detectors.confidence import ConfidencePolicy
 from repro.detectors.scoring import GaussianLogPDScorer
 from repro.evaluation.metrics import accuracy_score, f1_score, precision_score, recall_score
+from repro.fleet.metrics import StreamingMetrics
 from repro.nn import activations
 from repro.utils.rng import ensure_rng
 
@@ -208,3 +209,75 @@ class TestConfidenceProperties:
         is_anomaly, _confident, fraction = policy.evaluate(scores, threshold)
         assert is_anomaly == bool((scores < threshold).any())
         assert 0.0 <= fraction <= 1.0
+
+
+class TestDelayStatisticsProperties:
+    """Fleet delay statistics are order-free functions of the windows."""
+
+    TICKS, LAYERS = 4, 3
+
+    @staticmethod
+    def _fold(metrics, stream, rows):
+        """Observe ``rows`` of the stream, one call per (tick, layer) group."""
+        ticks, layers, predictions, labels, delays, keys = stream
+        for tick, layer in sorted(set(zip(ticks[rows].tolist(), layers[rows].tolist()))):
+            group = rows[(ticks[rows] == tick) & (layers[rows] == layer)]
+            metrics.observe(
+                tick, layer, predictions[group], labels[group], delays[group], keys[group]
+            )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_gives_the_payload_of_one_fold(self, data):
+        n = data.draw(st.integers(0, 60), label="n")
+        capacity = data.draw(st.integers(1, 24), label="capacity")
+
+        def column(elements):
+            return np.array(
+                data.draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.int64
+            )
+
+        stream = (
+            column(st.integers(0, self.TICKS - 1)),
+            column(st.integers(0, self.LAYERS - 1)),
+            column(st.integers(0, 1)),
+            column(st.integers(0, 1)),
+            data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1e4)), label="delays"),
+            np.array(
+                data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n,
+                                   unique=True), label="keys"),
+                dtype=np.int64,
+            ),
+        )
+        shape = dict(ticks=self.TICKS, metrics_window=2, n_layers=self.LAYERS,
+                     reservoir_size=capacity)
+        whole = StreamingMetrics(**shape)
+        self._fold(whole, stream, np.arange(n))
+
+        # Any order of the rows, dealt to up to four shards, each fed in
+        # batches, the shards merged in any order.
+        order = np.array(data.draw(st.permutations(range(n)), label="order"), dtype=np.int64)
+        shard_of = column(st.integers(0, 3))
+        shards = []
+        for shard in range(4):
+            rows = order[shard_of[order] == shard]
+            cuts = data.draw(st.lists(st.integers(0, rows.size), max_size=4), label="cuts")
+            metrics = StreamingMetrics(**shape)
+            for batch in np.split(rows, sorted(cuts)):
+                self._fold(metrics, stream, batch)
+            shards.append(metrics)
+        shards = data.draw(st.permutations(shards), label="shard order")
+        merged = StreamingMetrics.merge(shards)
+
+        expected, payload = whole.to_payload(), merged.to_payload()
+        assert sorted(payload) == sorted(expected)
+        for key, value in expected.items():
+            assert np.array_equal(payload[key], value), key
+        quantiles = (0.0, 50.0, 90.0, 99.0, 100.0)
+        np.testing.assert_array_equal(
+            [merged.reservoir.percentile(q) for q in quantiles],
+            [whole.reservoir.percentile(q) for q in quantiles],
+        )
+        if n <= capacity:
+            # The sample is the whole stream.
+            assert sorted(whole.reservoir.sample()[0].tolist()) == sorted(stream[4].tolist())

@@ -446,7 +446,6 @@ class TestDrainAndSwap:
                 state.policy,
                 state.context_extractor,
                 replace(spec.serve, max_wait_ms=1.0),
-                master_seed=spec.seed,
                 tier_names=spec.topology.tier_names,
             )
             await server.start()
@@ -497,7 +496,6 @@ def _server(trained, serving):
         state.policy,
         state.context_extractor,
         serving,
-        master_seed=spec.seed,
         tier_names=spec.topology.tier_names,
     )
 
