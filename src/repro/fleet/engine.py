@@ -81,14 +81,9 @@ _SECONDS_BUCKETS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2
 _NO_SCOPE = nullcontext()
 
 
-#: The 64-bit word mask seeds are folded into key salts with.
-_WORD_MASK = 0xFFFFFFFFFFFFFFFF
-
-
 def _tick_salts(master_seed: int, fleet_seed: int, ticks: int) -> np.ndarray:
     """One delay-sample key salt per tick, folding in the run's two seeds."""
-    fleet = mix64(np.uint64(fleet_seed & _WORD_MASK))
-    run = mix64(np.uint64(master_seed & _WORD_MASK) ^ fleet)
+    run = mix64(np.uint64(master_seed % 2**64) ^ mix64(np.uint64(fleet_seed % 2**64)))
     return mix64(run ^ np.arange(ticks, dtype=np.uint64))
 
 
@@ -96,9 +91,10 @@ def _window_keys(device_ids: np.ndarray, salt: np.uint64) -> np.ndarray:
     """Each window's delay-sample key: its device id and its rank among the
     device's arrivals this tick, under the tick's ``salt``.  Arrivals are
     device-contiguous, so the rank (unlike the row) is the same in every
-    shard that holds the device."""
+    shard that holds the device.  Distinct while ids stay below 2**43 and
+    ranks below 2**20."""
     rank = np.arange(device_ids.size) - np.searchsorted(device_ids, device_ids)
-    return mix64(device_ids.astype(np.uint64) ^ salt) + rank.astype(np.uint64)
+    return ((device_ids << 20) | rank).view(np.uint64) ^ salt
 
 
 #: Whether the degraded-parallelism warning already fired this process.

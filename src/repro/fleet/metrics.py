@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-# splitmix64's increment and output multipliers.
+# splitmix64's increment, and its output function's multipliers and shifts.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def mix64(keys) -> np.ndarray:
@@ -35,11 +35,11 @@ def mix64(keys) -> np.ndarray:
     that scatters consecutive keys over the whole range (as ``uint64``)."""
     mixed = np.asarray(keys).astype(np.uint64)
     mixed += _GAMMA
-    mixed ^= mixed >> np.uint64(30)
+    mixed ^= mixed >> _SHIFT1
     mixed *= _MIX1
-    mixed ^= mixed >> np.uint64(27)
+    mixed ^= mixed >> _SHIFT2
     mixed *= _MIX2
-    mixed ^= mixed >> np.uint64(31)
+    mixed ^= mixed >> _SHIFT3
     return mixed
 
 
