@@ -91,8 +91,8 @@ def _window_keys(device_ids: np.ndarray, salt: np.uint64) -> np.ndarray:
     """Each window's delay-sample key: its device id and its rank among the
     device's arrivals this tick, under the tick's ``salt``.  Arrivals are
     device-contiguous, so the rank (unlike the row) is the same in every
-    shard that holds the device.  Distinct while ids stay below 2**43 and
-    ranks below 2**20."""
+    shard that holds the device.  A tick's keys are distinct while ids stay
+    below 2**43 and ranks below 2**20; the salts set the ticks apart."""
     rank = np.arange(device_ids.size) - np.searchsorted(device_ids, device_ids)
     return ((device_ids << 20) | rank).view(np.uint64) ^ salt
 
