@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import delay_ns, mean_ms, rates_from_confusion
+from repro.fleet.metrics import DelayReservoir, delay_ns, mean_ms, rates_from_confusion
 from repro.fleet.report import DelaySummary
 from repro.serving.server import IngestServer
 from repro.utils.serialization import load_json, save_json, to_jsonable
@@ -172,7 +172,10 @@ def report_from_server(
         - server.n_shed
         - server.n_expired
     )
-    p99 = server.latency.percentile(99.0)
+    rows, delays, latencies = server.served()
+    sample = DelayReservoir(serving.reservoir_size)
+    sample.extend(latencies, keys=rows)
+    p99 = sample.percentile(99.0)
     quality = rates_from_confusion(server.confusion)
     tiers = []
     for layer, tier in enumerate(server.tier_names):
@@ -186,15 +189,14 @@ def report_from_server(
                 redirected=int(server.tier_redirected[layer]),
             )
         )
-    latencies = server.served_column("latency")
     latency = DelaySummary(
-        mean_ms=mean_ms(delay_ns(latencies).sum(), latencies.size),
-        p50_ms=server.latency.percentile(50.0),
-        p90_ms=server.latency.percentile(90.0),
+        mean_ms=mean_ms(delay_ns(latencies).sum(), rows.size),
+        p50_ms=sample.percentile(50.0),
+        p90_ms=sample.percentile(90.0),
         p99_ms=p99,
-        max_ms=float(latencies.max()) if latencies.size else 0.0,
-        samples_seen=int(server.latency.seen),
-        reservoir_size=int(server.latency.capacity),
+        max_ms=float(latencies.max()) if rows.size else 0.0,
+        samples_seen=sample.seen,
+        reservoir_size=sample.capacity,
     )
     return ServingReport(
         name=name,
@@ -222,9 +224,7 @@ def report_from_server(
         ),
         max_batch_size=int(server.max_batch_size),
         latency=latency,
-        mean_simulated_delay_ms=mean_ms(
-            delay_ns(server.served_column("delay")).sum(), server.n_served
-        ),
+        mean_simulated_delay_ms=mean_ms(delay_ns(delays).sum(), rows.size),
         accuracy=quality["accuracy"],
         f1=quality["f1"],
         tiers=tuple(tiers),

@@ -54,13 +54,13 @@ import asyncio
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.fleet.faults import FaultSchedule, FaultSpec
-from repro.fleet.metrics import DelayReservoir, confusion_counts
+from repro.fleet.metrics import confusion_counts
 from repro.obs.export import Telemetry
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.serving.spec import ServingSpec
@@ -200,8 +200,6 @@ class IngestServer:
         #: behind a down link before failing over (report + contract input).
         self.n_retries = 0
         self._fault_tick = 0
-        #: Latency sample keyed by request row.
-        self.latency = DelayReservoir(serving.reservoir_size)
         self.tier_served = np.zeros(system.n_layers, dtype=np.int64)
         self.tier_redirected = np.zeros(system.n_layers, dtype=np.int64)
 
@@ -405,12 +403,14 @@ class IngestServer:
         scored = (self._status[:n] == _SERVED) & (labels != _MISSING)
         return confusion_counts(self._prediction[:n][scored], labels[scored])
 
-    def served_column(self, name: str) -> np.ndarray:
-        """``"delay"`` or ``"latency"`` (ms) of every served request, in row
-        order: the report reads exact totals and the maximum from these, so
-        they do not depend on the order in which tier batches completed."""
+    def served(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, simulated delays, latencies)`` of the served requests, in
+        row order: the report reads its exact totals, the latency maximum and
+        the row-keyed latency sample off these, so none of them depends on
+        the order in which tier batches completed."""
         n = self.n_submitted
-        return getattr(self, f"_{name}")[:n][self._status[:n] == _SERVED]
+        rows = np.flatnonzero(self._status[:n] == _SERVED)
+        return rows, self._delay[rows], self._latency[rows]
 
     @property
     def total_shed(self) -> int:
@@ -646,7 +646,6 @@ class IngestServer:
             served = int(detected.layer)
             n = len(rows)
             latencies = (done - arrivals) * 1000.0
-            self.latency.extend(latencies, rows)
             self.n_served += n
             self.tier_served[served] += n
             if served != layer:

@@ -32,10 +32,10 @@ SHED_POLICIES = ("reject-new", "shed-oldest")
 class ServingSpec:
     """An open-loop serving workload attached to an experiment.
 
-    ``seed`` is the serving run's own stream seed; the server and load
-    generator fold it together with the experiment's master seed, so
-    ``repro serve --seed`` reseeds the arrival process and the latency
-    reservoir without perturbing the fleet's device streams.
+    ``seed`` is the serving run's own stream seed; the load generator folds
+    it together with the experiment's master seed, so ``repro serve --seed``
+    reseeds the arrival process without perturbing the fleet's device
+    streams.
     """
 
     # -- micro-batcher ---------------------------------------------------------
@@ -72,7 +72,8 @@ class ServingSpec:
     #: Requests the generator schedules (capped by the fleet's arrivals).
     max_requests: int = 512
     seed: int = 0
-    #: Capacity of the bounded latency reservoir behind the p50/p90/p99.
+    #: Capacity of the latency sample behind the p50/p90/p99 (served
+    #: requests keyed by row, see :class:`~repro.fleet.metrics.DelayReservoir`).
     reservoir_size: int = 2048
 
     def __post_init__(self) -> None:

@@ -745,6 +745,8 @@ class TestMergeEdgeCases:
 
     def test_restore_shape_mismatch_rejected(self):
         payload = _metrics().to_payload()
+        restored = StreamingMetrics.from_payload(payload, shape=_metrics().shape)
+        assert restored.shape == (4, 2, 3, 8)
         with pytest.raises(ConfigurationError, match="shape"):
             StreamingMetrics.from_payload(payload, shape=_metrics(n_layers=4).shape)
 

@@ -351,10 +351,3 @@ class TestStreamingMetricsEdgeCases:
                 5, 0, np.ones(30), np.ones(30), np.arange(30.0), keys=np.arange(36, 66)
             )
         assert_same_payload(rebuilt.to_payload(), metrics.to_payload())
-
-    def test_restore_refuses_another_shape(self):
-        payload = self._metrics().to_payload()
-        restored = StreamingMetrics.from_payload(payload, shape=self._metrics().shape)
-        assert restored.shape == (8, 4, 3, 16)
-        with pytest.raises(ConfigurationError, match="shape"):
-            StreamingMetrics.from_payload(payload, shape=self._metrics(n_layers=4).shape)
