@@ -5,8 +5,8 @@ bursts, churn) into detectors that were fitted once and frozen forever.  This
 package closes the loop — the production meaning of the paper's *adaptive*
 anomaly detection:
 
-* :mod:`repro.adapt.monitors` — bounded-memory drift monitors (Page–Hinkley,
-  ADWIN-style mean-shift, a windowed-F1 floor) over per-tier score streams;
+* :mod:`repro.adapt.monitors` — bounded-memory drift monitors (Page–Hinkley
+  and a windowed-F1 floor) over per-tier score streams;
 * :mod:`repro.adapt.registry` — a content-addressed, versioned model registry
   with lineage metadata and promote/rollback semantics;
 * :mod:`repro.adapt.retrainer` — drift-triggered fine-tuning on a reservoir
@@ -34,7 +34,6 @@ from repro.adapt.events import (
 )
 from repro.adapt.monitors import (
     MONITOR_KINDS,
-    AdwinMonitor,
     F1FloorMonitor,
     PageHinkleyMonitor,
     ScoreMonitor,
@@ -53,7 +52,6 @@ __all__ = [
     "AdaptSpec",
     "AdaptationController",
     "AdaptationTimeline",
-    "AdwinMonitor",
     "DriftEvent",
     "F1FloorMonitor",
     "HotSwapDeployer",

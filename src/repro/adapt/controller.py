@@ -129,11 +129,6 @@ class AdaptationController:
             return build_monitor(
                 kind, layer, tier, delta=spec.ph_delta, threshold=spec.ph_threshold
             )
-        if kind == "adwin":
-            return build_monitor(
-                kind, layer, tier,
-                capacity=spec.adwin_capacity, sensitivity=spec.adwin_sensitivity,
-            )
         return build_monitor(
             kind, layer, tier,
             floor_fraction=spec.f1_floor_fraction,
@@ -155,8 +150,8 @@ class AdaptationController:
 
         ``scores`` are the per-window anomaly scores (minimum logPD — lower
         means the window reconstructs worse); their negated mean is the
-        tier's per-tick "reconstruction badness" stream the Page–Hinkley and
-        ADWIN monitors watch.  Labels play the delayed-label audit role:
+        tier's per-tick "reconstruction badness" stream the Page–Hinkley
+        monitor watches.  Labels play the delayed-label audit role:
         label-0 windows feed the clean retraining reservoir, every labelled
         window feeds the holdout slice the shadow gate scores against.
 

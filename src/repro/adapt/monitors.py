@@ -2,15 +2,11 @@
 
 Each monitor watches one tier's score stream (per-tick mean reconstruction
 badness, or windowed detection F1) and emits a
-:class:`~repro.adapt.events.DriftEvent` when the stream shifts.  Three tests
+:class:`~repro.adapt.events.DriftEvent` when the stream shifts.  Two tests
 are implemented:
 
 * :class:`PageHinkleyMonitor` — the classic Page–Hinkley cumulative-deviation
   test: O(1) memory, sensitive to sustained mean increases;
-* :class:`AdwinMonitor` — an ADWIN-style adaptive-window mean-shift test: a
-  bounded window of recent values, every split point checked against a
-  Hoeffding-like cut; detects both abrupt and gradual shifts and drops the
-  stale half on detection;
 * :class:`F1FloorMonitor` — a detection-quality floor over the engine's
   windowed confusion blocks: fires when windowed F1 drops below a fraction of
   the baseline established over the first healthy blocks.
@@ -22,8 +18,7 @@ decides what to do with a signal.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -31,7 +26,7 @@ from repro.adapt.events import DriftEvent
 from repro.exceptions import ConfigurationError
 
 #: Monitor kinds understood by :func:`build_monitor` and the adapt spec.
-MONITOR_KINDS = ("page-hinkley", "adwin", "f1-floor")
+MONITOR_KINDS = ("page-hinkley", "f1-floor")
 
 
 class ScoreMonitor:
@@ -115,69 +110,6 @@ class PageHinkleyMonitor(ScoreMonitor):
         return None
 
 
-class AdwinMonitor(ScoreMonitor):
-    """ADWIN-style adaptive-window mean-shift test over a bounded deque.
-
-    Keeps the most recent ``capacity`` values; on every update each split of
-    the window into (old, recent) halves with at least ``min_split`` values on
-    both sides is tested: drift is signalled when the absolute difference of
-    the sub-window means exceeds an (epsilon-cut) bound derived from the
-    pooled variance, scaled by ``sensitivity``.  On detection the stale prefix
-    is dropped, so the window re-adapts to the new regime.
-    """
-
-    kind = "adwin"
-
-    def __init__(
-        self,
-        layer: int,
-        tier: str,
-        capacity: int = 64,
-        sensitivity: float = 3.0,
-        min_split: int = 6,
-    ) -> None:
-        super().__init__(layer, tier)
-        if capacity < 2 * min_split:
-            raise ConfigurationError(
-                f"capacity ({capacity}) must be at least twice min_split ({min_split})"
-            )
-        if sensitivity <= 0:
-            raise ConfigurationError(f"sensitivity must be positive, got {sensitivity}")
-        self.capacity = int(capacity)
-        self.sensitivity = float(sensitivity)
-        self.min_split = int(min_split)
-        self.window: Deque[float] = deque(maxlen=self.capacity)
-
-    def reset(self) -> None:
-        self.window.clear()
-
-    def update(self, tick: int, value: float) -> Optional[DriftEvent]:
-        self.window.append(float(value))
-        n = len(self.window)
-        if n < 2 * self.min_split:
-            return None
-        values = np.asarray(self.window, dtype=float)
-        variance = float(values.var())
-        if variance == 0.0:
-            return None
-        prefix = np.cumsum(values)
-        total = prefix[-1]
-        for cut in range(self.min_split, n - self.min_split + 1):
-            n_old, n_new = cut, n - cut
-            mean_old = prefix[cut - 1] / n_old
-            mean_new = (total - prefix[cut - 1]) / n_new
-            harmonic = 1.0 / (1.0 / n_old + 1.0 / n_new)
-            epsilon = self.sensitivity * np.sqrt(variance / harmonic)
-            gap = abs(mean_new - mean_old)
-            if gap > epsilon:
-                event = self._event(tick, gap, float(epsilon))
-                # Drop the stale prefix: the window keeps only the new regime.
-                for _ in range(cut):
-                    self.window.popleft()
-                return event
-        return None
-
-
 class F1FloorMonitor(ScoreMonitor):
     """Detection-quality floor over windowed F1 blocks.
 
@@ -234,8 +166,6 @@ def build_monitor(kind: str, layer: int, tier: str, **kwargs) -> ScoreMonitor:
     """Construct one monitor by kind string (see :data:`MONITOR_KINDS`)."""
     if kind == "page-hinkley":
         return PageHinkleyMonitor(layer, tier, **kwargs)
-    if kind == "adwin":
-        return AdwinMonitor(layer, tier, **kwargs)
     if kind == "f1-floor":
         return F1FloorMonitor(layer, tier, **kwargs)
     raise ConfigurationError(

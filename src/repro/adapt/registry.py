@@ -20,8 +20,8 @@ On-disk layout (deterministic; everything JSON or ``.npz``)::
 The per-tier lineage in ``manifest.json`` is an ordered promotion history:
 the last entry is the *current* version, :meth:`ModelRegistry.rollback` pops
 it, and rolling back past the root raises.  Checkpoint I/O builds on
-:mod:`repro.nn.model_io` and :mod:`repro.utils.serialization`; a missing or
-corrupt checkpoint surfaces as :class:`~repro.exceptions.SerializationError`.
+:mod:`repro.utils.serialization`; a missing or corrupt checkpoint surfaces as
+:class:`~repro.exceptions.SerializationError`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.detectors.base import AnomalyDetector
 from repro.exceptions import ConfigurationError, SerializationError
-from repro.nn.model_io import _flatten_weights, _unflatten_weights
 from repro.nn.quantization import QuantizationReport
 from repro.utils.serialization import (
     load_arrays,
@@ -50,6 +49,34 @@ PathLike = Union[str, Path]
 
 #: Hex digits of the content hash used as the version id.
 _VERSION_DIGEST_CHARS = 12
+
+#: Joins the nested weight-dictionary path into one ``.npz`` key (``"encoder/kernel"``).
+_SEPARATOR = "/"
+
+
+def _flatten_weights(tree: dict, prefix: str = "") -> Dict[str, np.ndarray]:
+    flat: Dict[str, np.ndarray] = {}
+    for key, value in tree.items():
+        path = f"{prefix}{_SEPARATOR}{key}" if prefix else str(key)
+        if isinstance(value, dict):
+            flat.update(_flatten_weights(value, path))
+        else:
+            # Preserve the stored dtype: coercing through ``dtype=float`` would
+            # silently upcast FP16-quantised checkpoints to float64 on save,
+            # breaking the registry's dtype round-trip guarantee.
+            flat[path] = np.asarray(value)
+    return flat
+
+
+def _unflatten_weights(flat: Dict[str, np.ndarray]) -> dict:
+    tree: dict = {}
+    for path, value in flat.items():
+        parts = path.split(_SEPARATOR)
+        node = tree
+        for part in parts[:-1]:
+            node = node.setdefault(part, {})
+        node[parts[-1]] = value
+    return tree
 
 
 def _detector_parts(detector: AnomalyDetector):

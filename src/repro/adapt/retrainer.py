@@ -157,25 +157,3 @@ class OnlineRetrainer:
             n_train_windows=int(n_train_windows),
             n_holdout_windows=int(np.asarray(holdout_windows).shape[0]),
         )
-
-    def attempt(
-        self,
-        incumbent: AnomalyDetector,
-        train_windows: np.ndarray,
-        holdout_windows: np.ndarray,
-        holdout_labels: np.ndarray,
-    ) -> RetrainOutcome:
-        """Fine-tune and shadow-evaluate; ``accepted`` is the gate decision.
-
-        Convenience composition of :meth:`fine_tune` and :meth:`evaluate` for
-        unquantised deployments; the controller drives the two halves
-        separately so deployment-form quantisation can happen in between.
-        """
-        candidate = self.fine_tune(incumbent, train_windows)
-        return self.evaluate(
-            candidate,
-            incumbent,
-            holdout_windows,
-            holdout_labels,
-            n_train_windows=int(np.asarray(train_windows).shape[0]),
-        )

@@ -39,9 +39,6 @@ class AdaptSpec:
     # page-hinkley knobs
     ph_delta: float = 0.005
     ph_threshold: float = 1.0
-    # adwin knobs
-    adwin_capacity: int = 64
-    adwin_sensitivity: float = 3.0
     # f1-floor knobs
     f1_floor_fraction: float = 0.7
     f1_baseline_windows: int = 2

@@ -209,11 +209,6 @@ class PolicyNetwork:
         self.optimizer.step(self.model.parameters_and_gradients())
         return np.log(chosen)
 
-    def log_probability(self, context: np.ndarray, action: int) -> float:
-        """``log pi(a | z)`` for one context/action pair."""
-        probabilities = self.action_probabilities(context)[0]
-        return float(np.log(np.clip(probabilities[action], 1e-12, 1.0)))
-
     # -- introspection ------------------------------------------------------------------
 
     def parameter_count(self) -> int:

@@ -11,13 +11,12 @@ compared against a running baseline reward before being applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.bandit.policy_network import PolicyNetwork
-from repro.bandit.reward import RewardFunction
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -326,30 +325,3 @@ class ReinforceTrainer:
             "action_distribution": (counts / counts.sum()).tolist() if counts.sum() else [],
             "actions": actions,
         }
-
-
-def build_reward_table(
-    correctness_per_action: Sequence[np.ndarray],
-    delays_per_action: Sequence[float],
-    reward_fn: RewardFunction,
-) -> np.ndarray:
-    """Assemble the ``(n_windows, n_actions)`` reward table.
-
-    Parameters
-    ----------
-    correctness_per_action:
-        One binary array per action, each of length ``n_windows``, saying
-        whether that action's detector classifies each window correctly.
-    delays_per_action:
-        The end-to-end delay (milliseconds) of each action.
-    reward_fn:
-        The reward function combining correctness and delay.
-    """
-    correctness = np.stack([np.asarray(c, dtype=float) for c in correctness_per_action], axis=1)
-    delays = np.asarray(delays_per_action, dtype=float)
-    if delays.shape[0] != correctness.shape[1]:
-        raise ShapeError(
-            f"got {correctness.shape[1]} correctness columns but {delays.shape[0]} delays"
-        )
-    delay_matrix = np.broadcast_to(delays, correctness.shape)
-    return reward_fn.batch(correctness, delay_matrix)

@@ -39,16 +39,9 @@ class DelayCost:
     def __post_init__(self) -> None:
         check_non_negative(self.alpha, "alpha")
 
-    def __call__(self, delay_ms: float) -> float:
-        """Cost of an end-to-end delay given in milliseconds."""
-        delay_ms = float(delay_ms)
-        if delay_ms < 0:
-            raise ValueError(f"delay must be non-negative, got {delay_ms}")
-        scaled = self.alpha * delay_ms
-        return scaled / (1.0 + scaled)
-
     def batch(self, delays_ms: np.ndarray) -> np.ndarray:
-        """Vectorised cost over an array of delays."""
+        """Cost of each end-to-end delay in ``delays_ms`` (milliseconds; a
+        scalar works too)."""
         delays_ms = np.asarray(delays_ms, dtype=float)
         if np.any(delays_ms < 0):
             raise ValueError("delays must be non-negative")
@@ -62,23 +55,13 @@ class RewardFunction:
 
     cost: DelayCost = DelayCost()
 
-    def __call__(self, correct: bool | int | float, delay_ms: float) -> float:
-        """Reward of a single detection outcome.
-
-        Parameters
-        ----------
-        correct:
-            1 (or True) when the selected model's prediction matches the
-            ground truth, 0 otherwise.  A float in [0, 1] is also accepted for
-            aggregated accuracies.
-        delay_ms:
-            End-to-end detection delay of the selected action.
-        """
-        accuracy = float(correct)
-        return accuracy - self.cost(delay_ms)
-
     def batch(self, correct: np.ndarray, delays_ms: np.ndarray) -> np.ndarray:
-        """Vectorised reward over matched arrays of outcomes and delays."""
+        """Reward of each (outcome, delay) pair of two matched arrays.
+
+        ``correct`` is 1 where the selected layer's model classifies the window
+        correctly and 0 otherwise (a float in [0, 1] is accepted for aggregated
+        accuracies); ``delays_ms`` holds the end-to-end delays of the actions.
+        """
         correct = np.asarray(correct, dtype=float)
         delays_ms = np.asarray(delays_ms, dtype=float)
         if correct.shape != delays_ms.shape:
@@ -86,12 +69,3 @@ class RewardFunction:
                 f"correct {correct.shape} and delays {delays_ms.shape} must have the same shape"
             )
         return correct - self.cost.batch(delays_ms)
-
-    def action_rewards(self, correct_per_action: np.ndarray, delays_per_action: np.ndarray
-                       ) -> np.ndarray:
-        """Reward of every candidate action for one window.
-
-        Used to build the full reward table the REINFORCE trainer samples
-        from (and by the oracle baseline in the ablation benchmarks).
-        """
-        return self.batch(correct_per_action, delays_per_action)

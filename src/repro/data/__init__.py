@@ -20,7 +20,7 @@ from repro.data.power import PowerDatasetConfig, generate_power_dataset
 from repro.data.mhealth import MHealthConfig, generate_mhealth_dataset, ACTIVITY_NAMES
 from repro.data.windowing import sliding_windows, window_labels
 from repro.data.preprocessing import StandardScaler
-from repro.data.splits import train_test_split_windows, anomaly_detection_split, policy_training_split
+from repro.data.splits import anomaly_detection_split, policy_training_split
 
 __all__ = [
     "LabeledWindows",
@@ -33,7 +33,6 @@ __all__ = [
     "sliding_windows",
     "window_labels",
     "StandardScaler",
-    "train_test_split_windows",
     "anomaly_detection_split",
     "policy_training_split",
 ]

@@ -58,18 +58,6 @@ class TimeSeriesDataset:
         """Number of timesteps in the series."""
         return int(self.values.shape[0])
 
-    @property
-    def n_channels(self) -> int:
-        """Number of channels (1 for univariate data)."""
-        return 1 if self.values.ndim == 1 else int(self.values.shape[1])
-
-    @property
-    def anomaly_fraction(self) -> float:
-        """Fraction of timesteps labelled anomalous."""
-        if self.labels.size == 0:
-            return 0.0
-        return float(np.mean(self.labels))
-
     def as_2d(self) -> np.ndarray:
         """The values with an explicit channel axis (``(timesteps, channels)``)."""
         if self.values.ndim == 1:
@@ -118,21 +106,6 @@ class LabeledWindows:
         """Number of timesteps per window."""
         return int(self.windows.shape[1])
 
-    @property
-    def n_channels(self) -> int:
-        """Number of channels per timestep (1 for univariate windows)."""
-        return 1 if self.windows.ndim == 2 else int(self.windows.shape[2])
-
-    @property
-    def normal(self) -> "LabeledWindows":
-        """The subset of windows labelled normal."""
-        return self.subset(self.labels == 0)
-
-    @property
-    def anomalous(self) -> "LabeledWindows":
-        """The subset of windows labelled anomalous."""
-        return self.subset(self.labels == 1)
-
     def subset(self, mask_or_indices) -> "LabeledWindows":
         """Windows selected by a boolean mask or an index array."""
         indices = np.asarray(mask_or_indices)
@@ -142,21 +115,3 @@ class LabeledWindows:
             labels=self.labels[indices],
             start_indices=starts,
         )
-
-    def concatenate(self, other: "LabeledWindows") -> "LabeledWindows":
-        """Stack another batch of windows after this one."""
-        if self.windows.ndim != other.windows.ndim:
-            raise ShapeError("cannot concatenate windows of different dimensionality")
-        starts = None
-        if self.start_indices is not None and other.start_indices is not None:
-            starts = np.concatenate([self.start_indices, other.start_indices])
-        return LabeledWindows(
-            windows=np.concatenate([self.windows, other.windows], axis=0),
-            labels=np.concatenate([self.labels, other.labels]),
-            start_indices=starts,
-        )
-
-    def shuffled(self, rng: np.random.Generator) -> "LabeledWindows":
-        """A randomly permuted copy of the batch."""
-        order = rng.permutation(len(self))
-        return self.subset(order)

@@ -78,11 +78,6 @@ class PowerDatasetConfig:
             raise DataGenerationError(f"noise_std must be non-negative, got {self.noise_std}")
 
     @property
-    def samples_per_week(self) -> int:
-        """Number of samples in one week (the window size used by the AE models)."""
-        return self.samples_per_day * DAYS_PER_WEEK
-
-    @property
     def total_days(self) -> int:
         """Total number of days in the generated series."""
         return self.weeks * DAYS_PER_WEEK

@@ -52,10 +52,6 @@ class StandardScaler:
         self.std_ = np.where(self.std_ < self.epsilon, 1.0, self.std_)
         return self
 
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        """Fit on ``data`` and return its standardised version."""
-        return self.fit(data).transform(data)
-
     # -- application -----------------------------------------------------------
 
     def _check_fitted(self) -> None:
@@ -71,30 +67,3 @@ class StandardScaler:
                 f"scaler was fitted per-channel (3-D); got data of shape {data.shape}"
             )
         return (data - self.mean_) / self.std_
-
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        """Map standardised data back to the original scale."""
-        self._check_fitted()
-        data = np.asarray(data, dtype=float)
-        return data * self.std_ + self.mean_
-
-    # -- persistence -------------------------------------------------------------
-
-    def get_state(self) -> dict:
-        """JSON/npz-friendly snapshot of the fitted statistics."""
-        self._check_fitted()
-        return {
-            "mean": np.asarray(self.mean_),
-            "std": np.asarray(self.std_),
-            "per_channel": np.asarray(self._per_channel),
-            "epsilon": np.asarray(self.epsilon),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "StandardScaler":
-        """Rebuild a scaler from :meth:`get_state` output."""
-        scaler = cls(epsilon=float(state.get("epsilon", 1e-8)))
-        scaler.mean_ = np.asarray(state["mean"], dtype=float)
-        scaler.std_ = np.asarray(state["std"], dtype=float)
-        scaler._per_channel = bool(np.asarray(state["per_channel"]))
-        return scaler

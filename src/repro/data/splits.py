@@ -32,37 +32,6 @@ class SplitResult:
     test: LabeledWindows
 
 
-def train_test_split_windows(
-    windows: LabeledWindows,
-    train_fraction: float = 0.7,
-    rng: RngLike = 0,
-    stratify: bool = True,
-) -> SplitResult:
-    """Random (optionally label-stratified) train/test split of a window batch."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    generator = ensure_rng(rng)
-    n = len(windows)
-    if n < 2:
-        raise ConfigurationError(f"need at least 2 windows to split, got {n}")
-
-    if stratify:
-        train_mask = np.zeros(n, dtype=bool)
-        for label in np.unique(windows.labels):
-            indices = np.flatnonzero(windows.labels == label)
-            generator.shuffle(indices)
-            n_train = int(round(train_fraction * len(indices)))
-            n_train = min(max(n_train, 1), len(indices) - 1) if len(indices) > 1 else n_train
-            train_mask[indices[:n_train]] = True
-    else:
-        order = generator.permutation(n)
-        n_train = int(round(train_fraction * n))
-        train_mask = np.zeros(n, dtype=bool)
-        train_mask[order[:n_train]] = True
-
-    return SplitResult(train=windows.subset(train_mask), test=windows.subset(~train_mask))
-
-
 def _select_fraction(indices: np.ndarray, fraction: float,
                      generator: np.random.Generator) -> np.ndarray:
     """Randomly select ``fraction`` of ``indices`` (at least one when non-empty)."""

@@ -54,45 +54,15 @@ class ConfidencePolicy:
         check_probability(self.anomalous_fraction, "anomalous_fraction")
         check_positive(self.normal_margin, "normal_margin")
 
-    def evaluate(self, point_scores: np.ndarray, threshold: float) -> tuple[bool, bool, float]:
-        """Apply the rules to one window's point scores.
-
-        Parameters
-        ----------
-        point_scores:
-            Per-timestep logPD values of the window.
-        threshold:
-            The detector's (negative) logPD threshold.
-
-        Returns
-        -------
-        (is_anomaly, confident, anomalous_fraction):
-            The binary verdict, whether that verdict is confident, and the
-            fraction of points below the threshold.
-        """
-        point_scores = np.asarray(point_scores, dtype=float)
-        below_threshold = point_scores < threshold
-        anomalous_fraction = float(np.mean(below_threshold)) if point_scores.size else 0.0
-        is_anomaly = bool(below_threshold.any())
-
-        if is_anomaly:
-            strongly_anomalous = bool(
-                np.any(point_scores < self.strong_score_multiplier * threshold)
-            )
-            high_fraction = anomalous_fraction > self.anomalous_fraction
-            confident = strongly_anomalous or high_fraction
-        else:
-            # Confidently normal: every point stays at or above the margin level.
-            confident = bool(np.all(point_scores >= self.normal_margin * threshold))
-        return is_anomaly, confident, anomalous_fraction
-
     def evaluate_batch(
         self, point_scores: np.ndarray, threshold: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`evaluate` over an ``(n_windows, n_points)`` score matrix.
+        """Apply the rules to an ``(n_windows, n_points)`` matrix of per-point
+        logPD scores against the detector's (negative) logPD ``threshold``.
 
         Returns ``(is_anomaly, confident, anomalous_fraction)``, one entry per
-        window, identical to applying :meth:`evaluate` row by row.
+        window: the binary verdict, whether that verdict is confident, and the
+        fraction of the window's points below the threshold.
         """
         point_scores = np.asarray(point_scores, dtype=float)
         if point_scores.ndim != 2:

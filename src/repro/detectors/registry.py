@@ -52,20 +52,6 @@ class DetectorRegistry:
 
     # -- access ------------------------------------------------------------------
 
-    def get(self, layer: int | str) -> AnomalyDetector:
-        """The detector registered at ``layer`` (raises if missing)."""
-        index = self._resolve_layer(layer)
-        try:
-            return self._detectors[index]
-        except KeyError as exc:
-            raise DeploymentError(
-                f"no detector registered at layer {index} ({self.tier_names[index]!r})"
-            ) from exc
-
-    def tier_name(self, layer: int) -> str:
-        """The tier name of a layer index."""
-        return self.tier_names[self._resolve_layer(layer)]
-
     def layers(self) -> List[int]:
         """Sorted list of layer indices that have a registered detector."""
         return sorted(self._detectors)
@@ -98,14 +84,3 @@ class DetectorRegistry:
                 f"detector registry is missing layers {missing} "
                 f"(registered: {self.layers()})"
             )
-
-    def summary(self) -> str:
-        """A short multi-line description of the registry contents."""
-        lines = ["DetectorRegistry:"]
-        for index, detector in self:
-            fitted = "fitted" if detector.fitted else "unfitted"
-            lines.append(
-                f"  layer {index} ({self.tier_names[index]}): {detector.name} "
-                f"[{fitted}, {detector.parameter_count()} params]"
-            )
-        return "\n".join(lines)

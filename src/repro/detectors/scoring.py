@@ -104,10 +104,6 @@ class GaussianLogPDScorer:
             raise NotFittedError("scorer threshold has not been computed")
         return self.threshold_
 
-    def is_outlier(self, errors: np.ndarray) -> np.ndarray:
-        """Boolean mask: logPD strictly below the training-set minimum."""
-        return self.log_probability_density(errors) < self.threshold
-
     # -- persistence -----------------------------------------------------------------
 
     def get_state(self) -> dict:

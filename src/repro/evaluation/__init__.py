@@ -7,7 +7,6 @@ from repro.evaluation.metrics import (
     precision_score,
     recall_score,
     f1_score,
-    detection_report,
 )
 from repro.evaluation.experiment import SchemeEvaluation, evaluate_scheme, evaluate_outcomes
 from repro.evaluation.tables import ModelComparisonRow, SchemeComparisonRow, format_table
@@ -20,7 +19,6 @@ __all__ = [
     "precision_score",
     "recall_score",
     "f1_score",
-    "detection_report",
     "SchemeEvaluation",
     "evaluate_scheme",
     "evaluate_outcomes",

@@ -23,16 +23,6 @@ class ConfusionCounts:
     true_negatives: int
     false_negatives: int
 
-    @property
-    def total(self) -> int:
-        """Total number of evaluated windows."""
-        return (
-            self.true_positives
-            + self.false_positives
-            + self.true_negatives
-            + self.false_negatives
-        )
-
 
 def _check_pair(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
     predictions = check_binary_labels(predictions, "predictions")
@@ -87,22 +77,6 @@ def f1_score(predictions, labels) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def detection_report(predictions, labels) -> dict:
-    """All metrics in one dictionary (used by tables and the demo panel)."""
-    counts = confusion_counts(predictions, labels)
-    return {
-        "accuracy": accuracy_score(predictions, labels),
-        "precision": precision_score(predictions, labels),
-        "recall": recall_score(predictions, labels),
-        "f1": f1_score(predictions, labels),
-        "true_positives": counts.true_positives,
-        "false_positives": counts.false_positives,
-        "true_negatives": counts.true_negatives,
-        "false_negatives": counts.false_negatives,
-        "n_windows": counts.total,
-    }
 
 
 def cumulative_accuracy(predictions, labels) -> np.ndarray:

@@ -47,7 +47,6 @@ from repro.experiments.registry import (
     ScenarioEntry,
     ScenarioRegistry,
     get_scenario,
-    list_scenarios,
     register_scenario,
 )
 import repro.experiments.scenarios  # noqa: F401  (registers the built-ins)
@@ -88,5 +87,4 @@ __all__ = [
     "SCENARIOS",
     "register_scenario",
     "get_scenario",
-    "list_scenarios",
 ]

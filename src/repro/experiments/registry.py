@@ -167,8 +167,3 @@ def register_scenario(
 def get_scenario(name: str) -> ExperimentSpec:
     """Build the spec of a scenario registered in the default registry."""
     return SCENARIOS.spec(name)
-
-
-def list_scenarios() -> List[str]:
-    """Sorted names of every scenario in the default registry."""
-    return SCENARIOS.names()

@@ -7,9 +7,7 @@ through five composable stages::
 
 Each stage is an ordinary method: call :meth:`ExperimentRunner.run` to execute
 whatever has not run yet, or invoke stages individually to inspect
-intermediate state.  :meth:`ExperimentRunner.fork` clones a runner with a
-different policy/evaluation sub-spec while *sharing* the prepared data and
-fitted detectors, which makes policy sweeps cheap (detectors train once).
+intermediate state.
 
 The master RNG is consumed in a fixed order (anomaly-detection split, one
 detector seed per layer, policy-training split), so equal specs yield
@@ -18,8 +16,7 @@ identical Table I / Table II rows.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -70,11 +67,6 @@ from repro.serving.report import ServingReport
 from repro.serving.run import blue_green_swap, serve_workload
 from repro.utils.rng import ensure_rng
 
-#: Sub-spec fields :meth:`ExperimentRunner.fork` may replace (the ones whose
-#: stages run *after* the shared data/detector/deployment state).
-_FORKABLE_FIELDS = ("name", "dataset_name", "description", "policy", "evaluation")
-
-
 @dataclass
 class ExperimentState:
     """Mutable state threaded through the runner's stages."""
@@ -108,28 +100,6 @@ class ExperimentState:
     adaptation_controller: Optional[object] = None
     # serve
     serving_report: Optional[ServingReport] = None
-
-    def clone_for_fork(self) -> "ExperimentState":
-        """A copy sharing data/detector/deployment state, with the policy and
-        evaluation stages cleared and an independent RNG stream."""
-        clone = copy.copy(self)
-        clone.rng = copy.deepcopy(self.rng)
-        clone.completed = self.completed - {
-            "train_policy",
-            "evaluate",
-            "stream",
-            "serve",
-        }
-        clone.policy = None
-        clone.bandit_log = None
-        clone.reward_table = None
-        clone.context_extractor = None
-        clone.reward_fn = None
-        clone.result = None
-        clone.fleet_report = None
-        clone.adaptation_controller = None
-        clone.serving_report = None
-        return clone
 
 
 def _data_config(data: DataSpec):
@@ -667,26 +637,3 @@ class ExperimentRunner:
         if "serve" not in self.state.completed:
             self.serve(hot_swap=hot_swap)
         return self.state.serving_report
-
-    def fork(self, **replacements) -> "ExperimentRunner":
-        """A runner with replaced policy/evaluation sub-specs sharing this
-        runner's prepared data, fitted detectors and deployment.
-
-        Only ``name``, ``dataset_name``, ``description``, ``policy`` and
-        ``evaluation`` may be replaced — anything earlier in the stage order
-        would invalidate the shared state.
-        """
-        unknown = sorted(set(replacements) - set(_FORKABLE_FIELDS))
-        if unknown:
-            raise ConfigurationError(
-                f"fork() cannot replace {unknown}; replaceable fields: "
-                f"{list(_FORKABLE_FIELDS)} (build a new runner for data/detector/"
-                "topology/deployment changes)"
-            )
-        clone = ExperimentRunner(
-            replace(self.spec, **replacements),
-            verbose=self.verbose,
-            telemetry=self.telemetry,
-        )
-        clone.state = self.state.clone_for_fork()
-        return clone

@@ -230,11 +230,6 @@ class DeviceFleet:
     def __len__(self) -> int:
         return int(self._ids.size)
 
-    @property
-    def window_shape(self) -> Tuple[int, ...]:
-        """Shape of one emitted window."""
-        return self.pool.window_shape
-
     def _rng(self, block: int, tick: int, purpose: int) -> np.random.Generator:
         """The generator of one draw: keyed by the seeds, positioned at the
         counter words ``(running counter, tick + 1, purpose, block)`` with an

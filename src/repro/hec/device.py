@@ -84,12 +84,6 @@ class DeviceProfile:
         check_positive(parameter_count, "parameter_count")
         return float(parameter_count) / self.throughput_params_per_ms
 
-    def calibrate(self, workload: str, execution_ms: float) -> "DeviceProfile":
-        """Record a measured execution time for ``workload`` (returns ``self``)."""
-        check_positive(execution_ms, "execution_ms")
-        self.calibrated_execution_ms[str(workload)] = float(execution_ms)
-        return self
-
     def can_host(self, model_bytes: int, quantized: bool) -> bool:
         """Whether a model of ``model_bytes`` (already quantised or not) fits this device."""
         if not self.supports_fp32 and not quantized:

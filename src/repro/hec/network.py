@@ -151,12 +151,6 @@ class NetworkLink:
         self.transferred_bytes += payload_bytes * count
         self.transfer_count += count
 
-    def round_trip_delay_ms(self, request_bytes: float, response_bytes: float = 64.0) -> float:
-        """Delay of a request/response exchange (uplink payload + small downlink reply)."""
-        up = self.transfer_delay_ms(TransferSpec(request_bytes, "up"))
-        down = self.transfer_delay_ms(TransferSpec(response_bytes, "down"))
-        return up + down
-
     # -- bookkeeping ----------------------------------------------------------------
 
     def reset(self) -> None:
@@ -186,11 +180,6 @@ class NetworkLink:
         self.status = str(snapshot["status"])
         self.degraded_factor = float(snapshot["degraded_factor"])
         self._rng.bit_generator.state = snapshot["rng_state"]
-
-    @property
-    def round_trip_latency_ms(self) -> float:
-        """Pure propagation round-trip time (no payload, no jitter, no setup)."""
-        return 2.0 * self.one_way_latency_ms
 
     def get_config(self) -> dict:
         """JSON-serialisable link description."""

@@ -82,13 +82,6 @@ class DetectionRecord:
     delay_ms: float
     ground_truth: Optional[int] = None
 
-    @property
-    def correct(self) -> Optional[bool]:
-        """Whether the prediction matches the ground truth (``None`` if unknown)."""
-        if self.ground_truth is None:
-            return None
-        return bool(self.prediction == self.ground_truth)
-
 
 @dataclass
 class LayerCounters:

@@ -8,20 +8,18 @@ models need, implemented from scratch on NumPy:
 * activations with derivatives (:mod:`repro.nn.activations`),
 * layers: ``Dense``, ``Dropout``, ``LSTM``, ``Bidirectional``,
   ``TimeDistributed`` (:mod:`repro.nn.layers`),
-* losses and kernel regularisers,
-* optimisers: ``SGD``, ``RMSProp``, ``Adam``,
+* the MSE loss and the L2 kernel regulariser,
+* optimisers: ``RMSProp``, ``Adam``,
 * a ``Sequential`` feed-forward model and a ``Seq2SeqAutoencoder``
   encoder–decoder model,
-* a training loop with mini-batching, shuffling, validation and early
-  stopping,
-* FP16 weight quantisation mirroring the paper's model-compression step, and
-* finite-difference gradient checking used by the test suite.
+* a training loop with mini-batching, shuffling and early stopping, and
+* FP16 weight quantisation mirroring the paper's model-compression step.
 """
 
 from repro.nn import activations, initializers
-from repro.nn.losses import MeanSquaredError, MeanAbsoluteError, get_loss
-from repro.nn.regularizers import L1Regularizer, L2Regularizer, ZeroRegularizer, get_regularizer
-from repro.nn.optimizers import SGD, RMSProp, Adam, get_optimizer
+from repro.nn.losses import MeanSquaredError, get_loss
+from repro.nn.regularizers import L2Regularizer, ZeroRegularizer, get_regularizer
+from repro.nn.optimizers import RMSProp, Adam, get_optimizer
 from repro.nn.layers import Dense, Dropout, LSTM, Bidirectional, TimeDistributed
 from repro.nn.models.sequential import Sequential
 from repro.nn.models.seq2seq import Seq2SeqAutoencoder
@@ -32,13 +30,10 @@ __all__ = [
     "activations",
     "initializers",
     "MeanSquaredError",
-    "MeanAbsoluteError",
     "get_loss",
-    "L1Regularizer",
     "L2Regularizer",
     "ZeroRegularizer",
     "get_regularizer",
-    "SGD",
     "RMSProp",
     "Adam",
     "get_optimizer",

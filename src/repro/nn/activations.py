@@ -85,24 +85,14 @@ def _softmax_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return output * (grad - dot)
 
 
-def _softplus_forward(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    return np.logaddexp(0.0, x, out=out)
-
-
-def _softplus_backward(output: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # sigmoid(x) expressed via the softplus output: sigma = 1 - exp(-softplus(x)).
-    return grad * (1.0 - np.exp(-output))
-
-
 linear = Activation("linear", _linear_forward, _linear_backward)
 relu = Activation("relu", _relu_forward, _relu_backward)
 sigmoid = Activation("sigmoid", _sigmoid_forward, _sigmoid_backward)
 tanh = Activation("tanh", _tanh_forward, _tanh_backward)
 softmax = Activation("softmax", _softmax_forward, _softmax_backward)
-softplus = Activation("softplus", _softplus_forward, _softplus_backward)
 
 _REGISTRY: dict[str, Activation] = {
-    act.name: act for act in (linear, relu, sigmoid, tanh, softmax, softplus)
+    act.name: act for act in (linear, relu, sigmoid, tanh, softmax)
 }
 
 
@@ -118,8 +108,3 @@ def get_activation(name_or_activation: Union[str, Activation, None]) -> Activati
         raise ConfigurationError(
             f"unknown activation {name_or_activation!r}; available: {sorted(_REGISTRY)}"
         ) from exc
-
-
-def available_activations() -> list[str]:
-    """Names of all registered activations."""
-    return sorted(_REGISTRY)

@@ -12,7 +12,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import RngLike, ensure_rng
 
 Initializer = Callable[[Sequence[int], np.random.Generator], np.ndarray]
 
@@ -21,12 +20,6 @@ def zeros(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """All-zero initialiser (used for biases)."""
     del rng
     return np.zeros(shape, dtype=float)
-
-
-def ones(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """All-one initialiser (used e.g. for LSTM forget-gate bias boosting)."""
-    del rng
-    return np.ones(shape, dtype=float)
 
 
 def _fan_in_out(shape: Sequence[int]) -> tuple[int, int]:
@@ -47,27 +40,6 @@ def glorot_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-limit, limit, size=shape)
 
 
-def glorot_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialiser: N(0, 2/(fan_in+fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def he_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialiser, appropriate for ReLU layers."""
-    fan_in, _ = _fan_in_out(shape)
-    limit = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def he_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He normal initialiser, appropriate for ReLU layers."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / max(fan_in, 1))
-    return rng.normal(0.0, std, size=shape)
-
-
 def orthogonal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """Orthogonal initialiser (used for LSTM recurrent kernels)."""
     if len(shape) < 2:
@@ -85,11 +57,7 @@ def orthogonal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
 
 _REGISTRY: dict[str, Initializer] = {
     "zeros": zeros,
-    "ones": ones,
     "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_uniform": he_uniform,
-    "he_normal": he_normal,
     "orthogonal": orthogonal,
 }
 
@@ -104,13 +72,3 @@ def get_initializer(name_or_fn: Union[str, Initializer]) -> Initializer:
         raise ConfigurationError(
             f"unknown initializer {name_or_fn!r}; available: {sorted(_REGISTRY)}"
         ) from exc
-
-
-def initialize(name_or_fn: Union[str, Initializer], shape: Sequence[int], seed: RngLike = None) -> np.ndarray:
-    """Convenience: resolve ``name_or_fn`` and draw an array of ``shape``."""
-    return get_initializer(name_or_fn)(tuple(int(s) for s in shape), ensure_rng(seed))
-
-
-def available_initializers() -> list[str]:
-    """Names of all registered initialisers."""
-    return sorted(_REGISTRY)

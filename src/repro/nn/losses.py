@@ -53,51 +53,9 @@ class MeanSquaredError(Loss):
         return 2.0 * (prediction - target) / prediction.size
 
 
-class MeanAbsoluteError(Loss):
-    """Mean absolute error averaged over all elements."""
-
-    name = "mae"
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        prediction, target = self._check(prediction, target)
-        return float(np.mean(np.abs(prediction - target)))
-
-    def gradient(self, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-        prediction, target = self._check(prediction, target)
-        return np.sign(prediction - target) / prediction.size
-
-
-class HuberLoss(Loss):
-    """Huber loss: quadratic near zero, linear beyond ``delta``."""
-
-    name = "huber"
-
-    def __init__(self, delta: float = 1.0) -> None:
-        if delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {delta}")
-        self.delta = float(delta)
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        prediction, target = self._check(prediction, target)
-        error = prediction - target
-        abs_error = np.abs(error)
-        quadratic = np.minimum(abs_error, self.delta)
-        linear = abs_error - quadratic
-        return float(np.mean(0.5 * quadratic**2 + self.delta * linear))
-
-    def gradient(self, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-        prediction, target = self._check(prediction, target)
-        error = prediction - target
-        clipped = np.clip(error, -self.delta, self.delta)
-        return clipped / prediction.size
-
-
 _REGISTRY = {
     "mse": MeanSquaredError,
     "mean_squared_error": MeanSquaredError,
-    "mae": MeanAbsoluteError,
-    "mean_absolute_error": MeanAbsoluteError,
-    "huber": HuberLoss,
 }
 
 

@@ -281,16 +281,3 @@ class Seq2SeqAutoencoder:
             "optimizer": self.optimizer.get_config() if self.optimizer else None,
             "loss": self.loss.name if self.loss else None,
         }
-
-    def summary(self) -> str:
-        """A human-readable, multi-line summary of the architecture."""
-        lines = [f"Model: {self.name}"]
-        for role, component in (
-            ("encoder", self.encoder),
-            ("decoder", self.decoder),
-            ("projection", self.projection),
-        ):
-            count = component.parameter_count() if component.built else 0
-            lines.append(f"  {role:<11s} {type(component).__name__:<16s} params={count}")
-        lines.append(f"  Total parameters: {self.parameter_count() if self._built else 0}")
-        return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 Used for the paper's autoencoder family (AE-IoT / AE-Edge / AE-Cloud) and for
 the contextual-bandit policy network.  The model supports compile/fit/predict
-with mini-batch training, optional validation split and early stopping.
+with mini-batch training and early stopping.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
 from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss, get_loss
 from repro.nn.optimizers import Optimizer, get_optimizer
-from repro.nn.training import (
-    EarlyStopping,
-    TrainingHistory,
-    iterate_minibatches,
-    train_validation_split,
-)
+from repro.nn.training import EarlyStopping, TrainingHistory, iterate_minibatches
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -126,7 +121,6 @@ class Sequential:
         epochs: int = 10,
         batch_size: int = 32,
         shuffle: bool = True,
-        validation_split: float = 0.0,
         early_stopping: Optional[EarlyStopping] = None,
         verbose: bool = False,
     ) -> TrainingHistory:
@@ -144,34 +138,19 @@ class Sequential:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
 
         autoencoding = targets is None
-        if validation_split > 0.0:
-            train_inputs, val_inputs = train_validation_split(
-                inputs, validation_split, rng=self._rng
-            )
-            if not autoencoding:
-                raise ConfigurationError(
-                    "validation_split is only supported for autoencoder training "
-                    "(targets=None); pass explicit validation data otherwise"
-                )
-        else:
-            train_inputs, val_inputs = inputs, inputs[:0]
         train_targets = None if autoencoding else np.asarray(targets, dtype=float)
 
         self.history = TrainingHistory()
         for epoch in range(1, epochs + 1):
             epoch_losses = []
             for batch_inputs, batch_targets in iterate_minibatches(
-                train_inputs, train_targets, batch_size, shuffle=shuffle, rng=self._rng
+                inputs, train_targets, batch_size, shuffle=shuffle, rng=self._rng
             ):
                 if autoencoding:
                     batch_targets = batch_inputs
                 epoch_losses.append(self.train_on_batch(batch_inputs, batch_targets))
             mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
             self.history.record("loss", mean_loss)
-            if val_inputs.shape[0] > 0:
-                val_pred = self.predict(val_inputs)
-                val_loss = self.loss.value(val_pred, val_inputs)
-                self.history.record("val_loss", val_loss)
             if verbose:
                 print(f"[{self.name}] epoch {epoch}/{epochs} loss={mean_loss:.6f}")
             if early_stopping is not None and early_stopping.update(epoch, self.history):
@@ -213,14 +192,3 @@ class Sequential:
             "optimizer": self.optimizer.get_config() if self.optimizer else None,
             "loss": self.loss.name if self.loss else None,
         }
-
-    def summary(self) -> str:
-        """A human-readable, multi-line summary of the architecture."""
-        lines = [f"Model: {self.name}"]
-        total = 0
-        for index, layer in enumerate(self.layers):
-            count = layer.parameter_count() if layer.built else 0
-            total += count
-            lines.append(f"  ({index}) {type(layer).__name__:<16s} {layer.name:<28s} params={count}")
-        lines.append(f"  Total parameters: {total}")
-        return "\n".join(lines)

@@ -1,8 +1,8 @@
-"""Gradient-descent optimisers: SGD (with momentum), RMSProp and Adam.
+"""Gradient-descent optimisers: RMSProp and Adam.
 
-The paper trains its seq2seq models with RMSProp and the policy network with
-plain policy-gradient ascent; all three optimisers here share the same
-interface so models can swap them freely.
+The paper trains its seq2seq models with RMSProp; the autoencoders and the
+policy network use Adam.  Both optimisers share the same interface so models
+can swap them freely.
 
 Parameters are updated *in place*, ``_BLOCK`` elements at a time through two
 block-sized scratch rows, so a step allocates no parameter-sized array.  The
@@ -21,7 +21,7 @@ from typing import Iterable, List, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 ParamGrad = Tuple[np.ndarray, np.ndarray]
 
@@ -155,36 +155,6 @@ class Optimizer:
         }
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-        clip_norm: float | None = None,
-    ) -> None:
-        super().__init__(learning_rate, clip_norm)
-        self.momentum = check_non_negative(momentum, "momentum")
-        if self.momentum >= 1.0:
-            raise ConfigurationError(f"momentum must be < 1, got {momentum}")
-        self._n_moments = int(self.momentum != 0.0)
-
-    def _update_block(self, grad, *buffers):
-        update = np.multiply(grad, self.learning_rate, out=buffers[-1])
-        if self.momentum != 0.0:
-            velocity = buffers[0]
-            velocity *= self.momentum
-            velocity += update
-            update = velocity
-        return update
-
-    def get_config(self) -> dict:
-        config = super().get_config()
-        config["momentum"] = self.momentum
-        return config
-
-
 class RMSProp(Optimizer):
     """RMSProp: scale the step by a moving RMS of recent gradients."""
 
@@ -260,7 +230,6 @@ class Adam(Optimizer):
 
 
 _REGISTRY = {
-    "sgd": SGD,
     "rmsprop": RMSProp,
     "adam": Adam,
 }

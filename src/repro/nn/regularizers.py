@@ -7,7 +7,7 @@ penalty term to the loss and a corresponding term to the weight gradient.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -61,27 +61,15 @@ class L2Regularizer(Regularizer):
         return {"type": "l2", "strength": self.strength}
 
 
-class L1Regularizer(Regularizer):
-    """L1 (lasso) penalty ``strength * sum(|w|)``."""
-
-    def __init__(self, strength: float = 1e-4) -> None:
-        self.strength = check_non_negative(strength, "strength")
-
-    def penalty(self, weights: np.ndarray) -> float:
-        return float(self.strength * np.sum(np.abs(weights)))
-
-    def gradient(self, weights: np.ndarray) -> np.ndarray:
-        return self.strength * np.sign(weights)
-
-    def get_config(self) -> dict:
-        return {"type": "l1", "strength": self.strength}
+#: Regulariser names :func:`get_regularizer` understands.
+_NAMES = {"l2": L2Regularizer, "none": ZeroRegularizer, "zero": ZeroRegularizer}
 
 
 def get_regularizer(spec: Union[Regularizer, str, float, None]) -> Regularizer:
     """Resolve a regulariser specification.
 
     ``None`` → no regularisation; a float → L2 with that strength; a string
-    (``"l1"``/``"l2"``/``"none"``) → the named regulariser with its default
+    (one of :data:`_NAMES`) → the named regulariser with its default
     strength; a :class:`Regularizer` instance is passed through unchanged.
     """
     if spec is None:
@@ -90,26 +78,9 @@ def get_regularizer(spec: Union[Regularizer, str, float, None]) -> Regularizer:
         return spec
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return L2Regularizer(float(spec))
-    if isinstance(spec, str):
-        name = spec.lower()
-        if name == "l2":
-            return L2Regularizer()
-        if name == "l1":
-            return L1Regularizer()
-        if name in ("none", "zero"):
-            return ZeroRegularizer()
-    raise ConfigurationError(f"cannot interpret regularizer specification {spec!r}")
-
-
-def regularizer_from_config(config: Optional[dict]) -> Regularizer:
-    """Inverse of ``Regularizer.get_config``."""
-    if not config:
-        return ZeroRegularizer()
-    kind = config.get("type", "none")
-    if kind == "none":
-        return ZeroRegularizer()
-    if kind == "l2":
-        return L2Regularizer(float(config.get("strength", 1e-4)))
-    if kind == "l1":
-        return L1Regularizer(float(config.get("strength", 1e-4)))
-    raise ConfigurationError(f"unknown regularizer type {kind!r}")
+    if isinstance(spec, str) and spec.lower() in _NAMES:
+        return _NAMES[spec.lower()]()
+    raise ConfigurationError(
+        f"cannot interpret regularizer specification {spec!r}; available: "
+        f"{sorted(_NAMES)}, a float (L2 strength) or None"
+    )

@@ -15,8 +15,8 @@ from repro.utils.rng import RngLike, ensure_rng
 class TrainingHistory:
     """Per-epoch metric history recorded by ``fit``.
 
-    ``metrics`` maps a metric name (e.g. ``"loss"``, ``"val_loss"``) to the
-    list of its per-epoch values.
+    ``metrics`` maps a metric name (e.g. ``"loss"``) to the list of its
+    per-epoch values.
     """
 
     metrics: Dict[str, List[float]] = field(default_factory=dict)
@@ -32,23 +32,12 @@ class TrainingHistory:
             raise KeyError(f"no values recorded for metric {name!r}")
         return series[-1]
 
-    def best(self, name: str, mode: str = "min") -> float:
-        """Best value of the metric ``name`` (``mode`` is ``"min"`` or ``"max"``)."""
-        series = self.metrics.get(name)
-        if not series:
-            raise KeyError(f"no values recorded for metric {name!r}")
-        return min(series) if mode == "min" else max(series)
-
     @property
     def epochs(self) -> int:
         """Number of completed epochs (length of the loss series)."""
         if not self.metrics:
             return 0
         return max(len(series) for series in self.metrics.values())
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        """A plain-dict copy of the history (JSON-serialisable)."""
-        return {name: list(values) for name, values in self.metrics.items()}
 
 
 class EarlyStopping:
@@ -130,26 +119,3 @@ def iterate_minibatches(
         batch_idx = indices[start: start + batch_size]
         batch_targets = targets[batch_idx] if targets is not None else None
         yield inputs[batch_idx], batch_targets
-
-
-def train_validation_split(
-    inputs: np.ndarray,
-    validation_fraction: float,
-    rng: RngLike = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split ``inputs`` into (train, validation) along the first axis.
-
-    A ``validation_fraction`` of 0 returns an empty validation array.
-    """
-    if not 0.0 <= validation_fraction < 1.0:
-        raise ConfigurationError(
-            f"validation_fraction must lie in [0, 1), got {validation_fraction}"
-        )
-    n = inputs.shape[0]
-    n_val = int(round(n * validation_fraction))
-    if n_val == 0:
-        return inputs, inputs[:0]
-    indices = ensure_rng(rng).permutation(n)
-    val_idx = indices[:n_val]
-    train_idx = indices[n_val:]
-    return inputs[train_idx], inputs[val_idx]

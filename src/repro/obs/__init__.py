@@ -52,7 +52,7 @@ from repro.obs.metrics import (
 from repro.obs.rollup import Rollup, RollupRing
 from repro.obs.spec import ObsSpec
 from repro.obs.summary import summarize_trace
-from repro.obs.trace import Span, Tracer, current_ids, current_span
+from repro.obs.trace import Span, Tracer, current_ids
 
 __all__ = [
     "AlertManager",
@@ -71,7 +71,6 @@ __all__ = [
     "TraceFollower",
     "Tracer",
     "current_ids",
-    "current_span",
     "default_fleet_rules",
     "default_serving_rules",
     "estimate_fraction_above",

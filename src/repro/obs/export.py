@@ -284,10 +284,6 @@ class Telemetry:
     def trace_enabled(self) -> bool:
         return self.spec.trace
 
-    @property
-    def events_enabled(self) -> bool:
-        return self.spec.events
-
     def _record_span(self, span: Span) -> None:
         record = span.to_record()
         if self._sink is not None and not self._sink.closed:

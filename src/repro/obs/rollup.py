@@ -87,11 +87,6 @@ class Rollup:
         self._latest = latest
 
     @property
-    def keys(self) -> Tuple[float, float]:
-        """The (base, latest) progress keys this window spans."""
-        return (self._base.key, self._latest.key)
-
-    @property
     def span(self) -> float:
         """Progress covered by the window (ticks, requests, ...)."""
         return self._latest.key - self._base.key
@@ -209,10 +204,6 @@ class RollupRing:
 
     def __len__(self) -> int:
         return len(self._snapshots)
-
-    @property
-    def latest_key(self) -> Optional[float]:
-        return self._snapshots[-1].key if self._snapshots else None
 
     def push(self, key: float, registry: MetricsRegistry) -> None:
         """Snapshot ``registry`` at progress ``key`` (strictly increasing)."""

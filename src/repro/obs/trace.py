@@ -15,9 +15,9 @@ Two properties matter more than feature count:
   ``is None`` check per site when tracing is disabled.
 
 The *active* span is tracked in a :class:`contextvars.ContextVar`, which
-works across ``asyncio`` task switches; :func:`current_ids` is what the JSON
-log formatter (:func:`repro.utils.logging.configure_basic_logging`) uses to
-stamp trace/span ids onto log records.
+works across ``asyncio`` task switches; :func:`current_ids` is what
+:meth:`~repro.obs.export.Telemetry.event` uses to stamp trace/span ids onto
+event records.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: The span currently activated via :meth:`Tracer.span` (context-local).
 _ACTIVE: ContextVar[Optional["Span"]] = ContextVar("repro_obs_active_span", default=None)
-
-
-def current_span() -> Optional["Span"]:
-    """The span activated in the current (asyncio-aware) context, if any."""
-    return _ACTIVE.get()
 
 
 def current_ids() -> Tuple[Optional[str], Optional[str]]:
@@ -74,14 +69,6 @@ class Span:
     def set_attribute(self, key: str, value: Any) -> "Span":
         self.attributes[key] = value
         return self
-
-    def set_attributes(self, **attributes: Any) -> "Span":
-        self.attributes.update(attributes)
-        return self
-
-    @property
-    def ended(self) -> bool:
-        return self.end_s is not None
 
     @property
     def duration_ms(self) -> Optional[float]:
@@ -198,7 +185,7 @@ class Tracer:
         """Start, *activate* and (on exit) end a span.
 
         Activation makes the span the default parent for nested spans and the
-        source of :func:`current_ids` for log correlation, across ``await``
+        source of :func:`current_ids` for event correlation, across ``await``
         boundaries included.
         """
         span = self.start_span(name, parent=parent, **attributes)

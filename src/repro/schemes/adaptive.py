@@ -92,10 +92,3 @@ class AdaptiveScheme(SelectionScheme):
             SchemeOutcome(window_index=index, final=record, records=[record])
             for index, record in enumerate(records)
         ]
-
-    def action_distribution(self) -> np.ndarray:
-        """Normalised frequencies of the actions chosen so far."""
-        if not self.chosen_actions:
-            return np.zeros(self.policy.n_actions)
-        counts = np.bincount(self.chosen_actions, minlength=self.policy.n_actions).astype(float)
-        return counts / counts.sum()

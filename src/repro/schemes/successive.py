@@ -79,10 +79,3 @@ class SuccessiveScheme(SelectionScheme):
             SchemeOutcome(window_index=index, final=finals[index], records=chains[index])
             for index in range(n)
         ]
-
-    def escalation_rate(self, outcomes: List[SchemeOutcome]) -> float:
-        """Fraction of windows that needed more than one layer."""
-        if not outcomes:
-            return 0.0
-        escalated = sum(1 for outcome in outcomes if len(outcome.records) > 1)
-        return escalated / len(outcomes)

@@ -8,7 +8,7 @@ are reproducible when a seed is given and still convenient when it is not.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,52 +33,3 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     raise TypeError(
         f"seed must be None, an int, or a numpy Generator, got {type(seed)!r}"
     )
-
-
-def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from a parent seed.
-
-    Child generators are statistically independent streams; using them lets a
-    pipeline hand distinct, reproducible randomness to each of its stages.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = ensure_rng(seed)
-    return [np.random.default_rng(s) for s in parent.bit_generator.seed_seq.spawn(count)] \
-        if hasattr(parent.bit_generator, "seed_seq") and parent.bit_generator.seed_seq is not None \
-        else [np.random.default_rng(parent.integers(0, 2**63 - 1)) for _ in range(count)]
-
-
-def derive_seed(rng: np.random.Generator) -> int:
-    """Draw a fresh integer seed from ``rng`` suitable for seeding children."""
-    return int(rng.integers(0, 2**63 - 1))
-
-
-def shuffled_indices(n: int, rng: RngLike = None) -> np.ndarray:
-    """Return a random permutation of ``range(n)`` as an int array."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    generator = ensure_rng(rng)
-    return generator.permutation(n)
-
-
-def bootstrap_indices(n: int, size: Optional[int] = None, rng: RngLike = None) -> np.ndarray:
-    """Sample ``size`` indices uniformly with replacement from ``range(n)``."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    generator = ensure_rng(rng)
-    return generator.integers(0, n, size=size if size is not None else n)
-
-
-def chunked(iterable: Iterable, chunk_size: int):
-    """Yield lists of at most ``chunk_size`` consecutive items from ``iterable``."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    chunk: list = []
-    for item in iterable:
-        chunk.append(item)
-        if len(chunk) == chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -31,14 +31,6 @@ def check_probability(value: float, name: str) -> float:
     return float(value)
 
 
-def check_in(value: Any, allowed: Iterable[Any], name: str) -> Any:
-    """Raise :class:`ConfigurationError` unless ``value`` is one of ``allowed``."""
-    allowed = list(allowed)
-    if value not in allowed:
-        raise ConfigurationError(f"{name} must be one of {allowed!r}, got {value!r}")
-    return value
-
-
 def checked_dataclass_kwargs(cls, payload, where: str) -> dict:
     """``payload`` as kwargs for dataclass ``cls``, rejecting unknown keys.
 
@@ -55,57 +47,6 @@ def checked_dataclass_kwargs(cls, payload, where: str) -> dict:
             f"unknown key(s) {unknown} in {where}; valid keys: {sorted(allowed)}"
         )
     return dict(payload)
-
-
-def check_array(
-    array: Any,
-    name: str,
-    ndim: Optional[int] = None,
-    shape: Optional[Sequence[Optional[int]]] = None,
-    allow_empty: bool = True,
-    dtype: Any = float,
-) -> np.ndarray:
-    """Convert ``array`` to an ndarray and validate its dimensionality/shape.
-
-    Parameters
-    ----------
-    array:
-        Array-like input.
-    name:
-        Argument name used in error messages.
-    ndim:
-        Required number of dimensions, or ``None`` to skip the check.
-    shape:
-        Required shape; entries that are ``None`` match any size.
-    allow_empty:
-        Whether a zero-size array is acceptable.
-    dtype:
-        dtype to convert to (default ``float``); pass ``None`` to keep as-is.
-    """
-    arr = np.asarray(array, dtype=dtype) if dtype is not None else np.asarray(array)
-    if ndim is not None and arr.ndim != ndim:
-        raise ShapeError(f"{name} must have ndim={ndim}, got ndim={arr.ndim} (shape {arr.shape})")
-    if shape is not None:
-        if arr.ndim != len(shape):
-            raise ShapeError(
-                f"{name} must have shape {tuple(shape)}, got {arr.shape}"
-            )
-        for axis, expected in enumerate(shape):
-            if expected is not None and arr.shape[axis] != expected:
-                raise ShapeError(
-                    f"{name} must have shape {tuple(shape)}, got {arr.shape}"
-                )
-    if not allow_empty and arr.size == 0:
-        raise ShapeError(f"{name} must not be empty")
-    return arr
-
-
-def check_same_length(name_a: str, a: Sequence, name_b: str, b: Sequence) -> None:
-    """Raise :class:`ShapeError` unless the two sequences have the same length."""
-    if len(a) != len(b):
-        raise ShapeError(
-            f"{name_a} and {name_b} must have the same length, got {len(a)} and {len(b)}"
-        )
 
 
 def check_binary_labels(labels: Any, name: str = "labels") -> np.ndarray:

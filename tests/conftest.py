@@ -133,7 +133,7 @@ def trained_seq2seq(mhealth_windows) -> Seq2SeqDetector:
     split = anomaly_detection_split(mhealth_windows, rng=0, anomaly_test_fraction=0.2)
     scaler = StandardScaler().fit(split.train.windows)
     detector = Seq2SeqDetector(
-        n_channels=mhealth_windows.n_channels,
+        n_channels=mhealth_windows.windows.shape[2],
         units=8,
         dropout_rate=0.0,
         inference_mode="teacher_forcing",

@@ -1,8 +1,8 @@
 """Finite-difference gradient checking.
 
-Used by the test suite to validate the hand-derived backward passes of every
-layer (Dense, LSTM, Bidirectional, seq2seq).  The check perturbs each
-parameter (or a random subset for large tensors), recomputes the loss, and
+A test helper, next to ``goldens.py``: it validates the hand-derived
+backward passes of every layer (Dense, LSTM, Bidirectional, seq2seq).  The
+check perturbs each parameter (or a random subset for large tensors), recomputes the loss, and
 compares the numerical derivative against the analytic gradient.
 """
 

@@ -6,7 +6,6 @@ import pytest
 from repro.adapt.events import AdaptationTimeline, DriftEvent, RetrainEvent, SwapEvent
 from repro.adapt.monitors import (
     MONITOR_KINDS,
-    AdwinMonitor,
     F1FloorMonitor,
     PageHinkleyMonitor,
     build_monitor,
@@ -56,36 +55,6 @@ class TestPageHinkley:
             PageHinkleyMonitor(0, "iot", threshold=0.0)
         with pytest.raises(ConfigurationError):
             PageHinkleyMonitor(0, "iot", min_observations=1)
-
-
-class TestAdwin:
-    def test_stable_stream_never_fires(self):
-        monitor = AdwinMonitor(0, "iot", capacity=32, sensitivity=4.0)
-        rng = np.random.default_rng(1)
-        assert _drive(monitor, 1.0 + 0.1 * rng.standard_normal(100)) == []
-
-    def test_abrupt_shift_fires_and_drops_stale_prefix(self):
-        monitor = AdwinMonitor(0, "iot", capacity=32, sensitivity=3.0)
-        events = _drive(monitor, [0.0] * 20 + [3.0] * 20)
-        assert len(events) >= 1
-        assert events[0].monitor == "adwin"
-        # After detection the stale (pre-shift) prefix is gone.
-        assert all(v > 1.0 for v in monitor.window)
-
-    def test_bounded_memory(self):
-        monitor = AdwinMonitor(0, "iot", capacity=16, sensitivity=50.0)
-        _drive(monitor, np.linspace(0, 1, 500))
-        assert len(monitor.window) <= 16
-
-    def test_constant_stream_has_zero_variance(self):
-        monitor = AdwinMonitor(0, "iot", capacity=16)
-        assert _drive(monitor, [2.0] * 40) == []
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            AdwinMonitor(0, "iot", capacity=4, min_split=6)
-        with pytest.raises(ConfigurationError):
-            AdwinMonitor(0, "iot", sensitivity=0.0)
 
 
 class TestF1Floor:

@@ -137,7 +137,7 @@ class TestDtypePreservation:
         return _RawTreeDetector(weights, scorer)
 
     def test_fp16_weights_stay_fp16_on_disk(self, registry):
-        """The model_io dtype fix: stored dtypes survive the round trip."""
+        """Stored dtypes survive the commit/restore round trip (no float64 upcast)."""
         detector = self._half_detector()
         meta = registry.commit(detector, tier="iot", layer=0)
         assert meta.weight_dtypes == {"float16": 2}

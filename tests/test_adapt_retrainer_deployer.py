@@ -103,7 +103,10 @@ class TestOnlineRetrainer:
         labels = np.concatenate([np.zeros(32, dtype=int), np.ones(16, dtype=int)])
 
         retrainer = OnlineRetrainer(epochs=4, batch_size=16)
-        outcome = retrainer.attempt(detector, drifted_normal, holdout, labels)
+        candidate = retrainer.fine_tune(detector, drifted_normal)
+        outcome = retrainer.evaluate(
+            candidate, detector, holdout, labels, n_train_windows=len(drifted_normal)
+        )
         assert outcome.candidate_f1 > outcome.incumbent_f1
         assert outcome.accepted
         assert outcome.n_train_windows == 64

@@ -129,12 +129,6 @@ class TestPolicyNetwork:
         after = policy.action_probabilities(context)[0, 2]
         assert after < before
 
-    def test_log_probability_consistent(self):
-        policy = PolicyNetwork(context_dim=3, n_actions=3, hidden_units=4, seed=0)
-        context = np.ones(3)
-        probs = policy.action_probabilities(context)[0]
-        assert policy.log_probability(context, 0) == pytest.approx(np.log(probs[0]))
-
     def test_contextual_discrimination_learnable(self):
         """The policy must be able to map different contexts to different actions."""
         policy = PolicyNetwork(context_dim=2, n_actions=2, hidden_units=16,
@@ -203,23 +197,23 @@ class TestRewardFunction:
         cost = DelayCost(alpha=0.0005)
         t = 257.43
         expected = 0.0005 * t / (1 + 0.0005 * t)
-        assert cost(t) == pytest.approx(expected)
+        assert cost.batch(t) == pytest.approx(expected)
 
     def test_reward_correct_minus_cost(self):
         reward = RewardFunction(cost=DelayCost(alpha=0.001))
-        assert reward(True, 0.0) == pytest.approx(1.0)
-        assert reward(False, 0.0) == pytest.approx(0.0)
-        assert reward(True, 1000.0) == pytest.approx(1.0 - 0.5)
+        assert reward.batch(True, 0.0) == pytest.approx(1.0)
+        assert reward.batch(False, 0.0) == pytest.approx(0.0)
+        assert reward.batch(True, 1000.0) == pytest.approx(1.0 - 0.5)
 
     def test_reward_prefers_cheap_correct_action(self):
         reward = RewardFunction(cost=DelayCost(alpha=0.0005))
-        iot = reward(True, 12.4)
-        cloud = reward(True, 504.5)
+        iot = reward.batch(True, 12.4)
+        cloud = reward.batch(True, 504.5)
         assert iot > cloud
 
     def test_reward_prefers_correct_over_fast_but_wrong(self):
         reward = RewardFunction(cost=DelayCost(alpha=0.0005))
-        assert reward(True, 504.5) > reward(False, 12.4)
+        assert reward.batch(True, 504.5) > reward.batch(False, 12.4)
 
     def test_batch_shapes_validated(self):
         reward = RewardFunction()
@@ -228,7 +222,7 @@ class TestRewardFunction:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            DelayCost()(- 1.0)
+            DelayCost().batch(-1.0)
         with pytest.raises(ValueError):
             DelayCost().batch(np.array([-1.0]))
 
@@ -236,11 +230,11 @@ class TestRewardFunction:
         with pytest.raises(ConfigurationError):
             DelayCost(alpha=-0.1)
 
-    def test_action_rewards_table(self):
+    def test_reward_table(self):
         reward = RewardFunction(cost=DelayCost(alpha=0.001))
         correct = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         delays = np.broadcast_to(np.array([10.0, 100.0, 1000.0]), (2, 3))
-        table = reward.action_rewards(correct, delays)
+        table = reward.batch(correct, delays)
         assert table.shape == (2, 3)
         assert np.argmax(table[0]) == 0  # all correct -> cheapest wins
         assert np.argmax(table[1]) == 1  # IoT wrong -> edge wins
@@ -248,5 +242,5 @@ class TestRewardFunction:
     def test_paper_reward_scale_univariate(self):
         """Paper Table II: IoT reward 48.39 over ~52 windows => ~0.93 per window."""
         reward = RewardFunction(cost=DelayCost(alpha=PAPER_ALPHA_UNIVARIATE))
-        per_window = reward(0.9368, 12.4)  # accuracy used as expected correctness
+        per_window = reward.batch(0.9368, 12.4)  # accuracy used as expected correctness
         assert per_window * 52 == pytest.approx(48.39, abs=0.5)

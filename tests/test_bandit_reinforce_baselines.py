@@ -9,9 +9,7 @@ from repro.bandit.reinforce import (
     BanditEpisodeLog,
     ReinforcementComparisonBaseline,
     ReinforceTrainer,
-    build_reward_table,
 )
-from repro.bandit.reward import DelayCost, RewardFunction
 from repro.exceptions import ConfigurationError, ShapeError
 
 
@@ -256,24 +254,6 @@ class TestOneForwardPerUpdate:
                 np.testing.assert_array_equal(
                     layer_alone.params[name], layer_explored.params[name]
                 )
-
-
-class TestBuildRewardTable:
-    def test_shape_and_values(self):
-        reward_fn = RewardFunction(cost=DelayCost(alpha=0.001))
-        correctness = [np.array([1, 0]), np.array([1, 1]), np.array([1, 1])]
-        delays = [10.0, 100.0, 1000.0]
-        table = build_reward_table(correctness, delays, reward_fn)
-        assert table.shape == (2, 3)
-        # Window 0: everything correct -> cheapest action best.
-        assert np.argmax(table[0]) == 0
-        # Window 1: IoT wrong -> edge best.
-        assert np.argmax(table[1]) == 1
-
-    def test_mismatched_delays_rejected(self):
-        reward_fn = RewardFunction()
-        with pytest.raises(ShapeError):
-            build_reward_table([np.array([1.0])], [1.0, 2.0], reward_fn)
 
 
 class TestClassicalBaselines:

@@ -20,7 +20,6 @@ class TestPowerConfig:
         config = PowerDatasetConfig()
         assert config.weeks == 52
         assert config.samples_per_day == 96
-        assert config.samples_per_week == 672
 
     def test_total_counts(self):
         config = PowerDatasetConfig(weeks=2, samples_per_day=24)
@@ -46,7 +45,7 @@ class TestPowerGeneration:
     def test_output_type_and_length(self, power_dataset, power_config):
         assert isinstance(power_dataset, TimeSeriesDataset)
         assert power_dataset.n_timesteps == power_config.total_samples
-        assert power_dataset.n_channels == 1
+        assert power_dataset.values.ndim == 1
 
     def test_labels_mark_whole_days(self, power_dataset, power_config):
         spd = power_config.samples_per_day
@@ -104,7 +103,7 @@ class TestPowerGeneration:
 class TestWeeklyWindows:
     def test_window_shape(self, power_dataset, power_config):
         windows, labels = weekly_windows(power_dataset, power_config.samples_per_day)
-        assert windows.shape == (power_config.weeks, power_config.samples_per_week)
+        assert windows.shape == (power_config.weeks, 7 * power_config.samples_per_day)
         assert labels.shape == (power_config.weeks,)
 
     def test_window_label_matches_day_labels(self, power_dataset, power_config):
@@ -157,7 +156,7 @@ class TestMHealthGeneration:
             * mhealth_config.samples_per_activity
         )
         assert mhealth_dataset.values.shape == (expected_length, N_CHANNELS)
-        assert mhealth_dataset.n_channels == N_CHANNELS == 18
+        assert N_CHANNELS == 18
 
     def test_labels_follow_normal_activity(self, mhealth_dataset):
         activity = mhealth_dataset.metadata["activity"]

@@ -233,7 +233,7 @@ class TestFittedDetectorKeepsOnlyWeights:
             detector = AutoencoderDetector(windows.shape[1], hidden_sizes=(32, 16, 32), seed=0)
         else:
             windows = mhealth_windows.windows[:12]
-            detector = Seq2SeqDetector(mhealth_windows.n_channels, units=16, seed=0)
+            detector = Seq2SeqDetector(mhealth_windows.windows.shape[2], units=16, seed=0)
         detector.fit(windows, epochs=2, batch_size=8)
         return detector, windows
 
@@ -257,7 +257,7 @@ class TestFittedDetectorKeepsOnlyWeights:
         windows = mhealth_windows.windows[:12]
         units, timesteps = 8, windows.shape[1]
         detector = Seq2SeqDetector(
-            mhealth_windows.n_channels, units=units, bidirectional=True, seed=0
+            mhealth_windows.windows.shape[2], units=units, bidirectional=True, seed=0
         )
         detector.fit(windows, epochs=2, batch_size=8)
         stacked = {
@@ -275,7 +275,7 @@ class TestFittedDetectorKeepsOnlyWeights:
     @pytest.mark.parametrize("bidirectional", [False, True])
     def test_no_lstm_keeps_an_initial_state_gradient(self, bidirectional, mhealth_windows):
         detector = Seq2SeqDetector(
-            mhealth_windows.n_channels, units=8, bidirectional=bidirectional, seed=0
+            mhealth_windows.windows.shape[2], units=8, bidirectional=bidirectional, seed=0
         )
         detector.fit(mhealth_windows.windows[:12], epochs=1, batch_size=8)
         lstms = [obj for obj in _reachable(detector) if isinstance(obj, LSTM)]
@@ -305,14 +305,7 @@ class TestDetectorRegistry:
         registry = DetectorRegistry()
         registry.register(0, self._detector("a"))
         registry.register("edge", self._detector("b"))
-        assert registry.get(0).name == "a"
-        assert registry.get("edge").name == "b"
-        assert registry.get(1).name == "b"
-
-    def test_missing_layer_raises(self):
-        registry = DetectorRegistry()
-        with pytest.raises(DeploymentError):
-            registry.get(0)
+        assert [(index, detector.name) for index, detector in registry] == [(0, "a"), (1, "b")]
 
     def test_unknown_tier_name(self):
         registry = DetectorRegistry()
@@ -353,8 +346,3 @@ class TestDetectorRegistry:
     def test_duplicate_tier_names_rejected(self):
         with pytest.raises(ConfigurationError):
             DetectorRegistry(tier_names=("a", "a", "b"))
-
-    def test_summary_mentions_models(self):
-        registry = DetectorRegistry()
-        registry.register(0, self._detector("ae-iot"))
-        assert "ae-iot" in registry.summary()

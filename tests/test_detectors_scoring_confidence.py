@@ -41,13 +41,13 @@ class TestGaussianScorer:
         rng = np.random.default_rng(3)
         errors = rng.normal(size=(100, 2))
         scorer = GaussianLogPDScorer().fit(errors)
-        assert not scorer.is_outlier(errors).any()
+        assert not (scorer.log_probability_density(errors) < scorer.threshold).any()
 
     def test_far_point_is_outlier(self):
         rng = np.random.default_rng(4)
         errors = rng.normal(size=(300, 2))
         scorer = GaussianLogPDScorer().fit(errors)
-        assert scorer.is_outlier(np.array([[50.0, -50.0]]))[0]
+        assert scorer.log_probability_density(np.array([[50.0, -50.0]]))[0] < scorer.threshold
 
     def test_higher_density_near_mean(self):
         rng = np.random.default_rng(5)
@@ -97,6 +97,12 @@ class TestGaussianScorer:
             GaussianLogPDScorer(covariance_regularization=0.0)
 
 
+def _verdict(policy, scores, threshold):
+    """The rules applied to one window: ``evaluate_batch`` on a one-row matrix."""
+    is_anomaly, confident, fraction = policy.evaluate_batch(np.asarray(scores)[None, :], threshold)
+    return bool(is_anomaly[0]), bool(confident[0]), float(fraction[0])
+
+
 class TestConfidencePolicy:
     def test_defaults_match_paper(self):
         policy = ConfidencePolicy()
@@ -106,7 +112,7 @@ class TestConfidencePolicy:
     def test_normal_window_confident(self):
         policy = ConfidencePolicy()
         scores = np.full(100, -5.0)
-        is_anomaly, confident, fraction = policy.evaluate(scores, threshold=-10.0)
+        is_anomaly, confident, fraction = _verdict(policy, scores, -10.0)
         assert not is_anomaly
         assert confident
         assert fraction == 0.0
@@ -115,34 +121,34 @@ class TestConfidencePolicy:
         # normal_margin > 1 marks near-threshold windows as unconfident.
         policy = ConfidencePolicy(normal_margin=0.5)
         scores = np.full(10, -8.0)  # above threshold (-10) but below 0.5*threshold (-5)
-        is_anomaly, confident, _ = policy.evaluate(scores, threshold=-10.0)
+        is_anomaly, confident, _ = _verdict(policy, scores, -10.0)
         assert not is_anomaly
         assert not confident
 
     def test_anomaly_detected_when_any_point_below_threshold(self):
         policy = ConfidencePolicy()
         scores = np.array([-5.0, -11.0, -5.0])
-        is_anomaly, _, fraction = policy.evaluate(scores, threshold=-10.0)
+        is_anomaly, _, fraction = _verdict(policy, scores, -10.0)
         assert is_anomaly
         assert fraction == pytest.approx(1 / 3)
 
     def test_strongly_anomalous_point_gives_confidence(self):
         policy = ConfidencePolicy(strong_score_multiplier=2.0, anomalous_fraction=0.5)
         scores = np.concatenate([np.full(99, -5.0), [-25.0]])  # one very strong outlier
-        is_anomaly, confident, _ = policy.evaluate(scores, threshold=-10.0)
+        is_anomaly, confident, _ = _verdict(policy, scores, -10.0)
         assert is_anomaly and confident
 
     def test_high_fraction_gives_confidence(self):
         policy = ConfidencePolicy(strong_score_multiplier=100.0, anomalous_fraction=0.05)
         scores = np.concatenate([np.full(80, -5.0), np.full(20, -11.0)])
-        is_anomaly, confident, fraction = policy.evaluate(scores, threshold=-10.0)
+        is_anomaly, confident, fraction = _verdict(policy, scores, -10.0)
         assert is_anomaly and confident
         assert fraction == pytest.approx(0.2)
 
     def test_weak_sparse_anomaly_not_confident(self):
         policy = ConfidencePolicy(strong_score_multiplier=2.0, anomalous_fraction=0.05)
         scores = np.concatenate([np.full(99, -5.0), [-11.0]])  # barely below threshold, 1 %
-        is_anomaly, confident, _ = policy.evaluate(scores, threshold=-10.0)
+        is_anomaly, confident, _ = _verdict(policy, scores, -10.0)
         assert is_anomaly and not confident
 
     def test_invalid_parameters(self):
@@ -154,6 +160,6 @@ class TestConfidencePolicy:
             ConfidencePolicy(normal_margin=-1.0)
 
     def test_empty_scores(self):
-        is_anomaly, confident, fraction = ConfidencePolicy().evaluate(np.array([]), threshold=-10.0)
+        is_anomaly, confident, fraction = _verdict(ConfidencePolicy(), np.array([]), -10.0)
         assert not is_anomaly
         assert fraction == 0.0

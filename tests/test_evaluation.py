@@ -11,7 +11,6 @@ from repro.evaluation.metrics import (
     confusion_counts,
     cumulative_accuracy,
     cumulative_f1,
-    detection_report,
     f1_score,
     precision_score,
     recall_score,
@@ -35,7 +34,6 @@ class TestMetrics:
         assert counts.false_positives == 1
         assert counts.true_negatives == 1
         assert counts.false_negatives == 1
-        assert counts.total == 5
 
     def test_accuracy(self):
         assert accuracy_score([1, 0, 1], [1, 0, 0]) == pytest.approx(2 / 3)
@@ -65,11 +63,6 @@ class TestMetrics:
     def test_non_binary_rejected(self):
         with pytest.raises(ShapeError):
             f1_score([2, 0], [1, 0])
-
-    def test_detection_report_keys(self):
-        report = detection_report([1, 0], [1, 1])
-        assert set(report) >= {"accuracy", "precision", "recall", "f1", "n_windows"}
-        assert report["n_windows"] == 2
 
     def test_cumulative_accuracy(self):
         result = cumulative_accuracy([1, 0, 1], [1, 1, 1])

@@ -10,9 +10,18 @@ API the README advertises.
 import ast
 import importlib
 import importlib.util
+from functools import partial
 from pathlib import Path
 
 import pytest
+
+from repro.adapt.spec import AdaptSpec
+from repro.exceptions import ConfigurationError
+from repro.experiments import apply_overrides, get_scenario
+from repro.nn.initializers import get_initializer
+from repro.nn.losses import get_loss
+from repro.nn.optimizers import get_optimizer
+from repro.nn.regularizers import get_regularizer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO_ROOT / "examples"
@@ -203,6 +212,26 @@ class TestPackageSurface:
         for function in (evaluate_scheme, evaluate_all_schemes, EvaluationSpec):
             assert "batched" not in inspect.signature(function).parameters, function
         assert "escalated_from" not in inspect.signature(system.detect_batch).parameters
+
+    @pytest.mark.parametrize(
+        "refused, remaining",
+        [
+            (partial(get_optimizer, "sgd"), "adam"),
+            (partial(get_loss, "huber"), "mse"),
+            (partial(get_loss, "mae"), "mse"),
+            (partial(get_regularizer, "l1"), "l2"),
+            (partial(get_initializer, "he_normal"), "orthogonal"),
+            (partial(AdaptSpec, monitors=("adwin",)), "page-hinkley"),
+            (partial(apply_overrides, get_scenario("adapt-1k-drift-recovery"),
+                     {"adapt.adwin_capacity": "8"}), "ph_delta"),
+        ],
+        ids=["sgd", "huber", "mae", "l1", "he_normal", "adwin", "adwin_capacity"],
+    )
+    def test_removed_names_are_refused(self, refused, remaining):
+        """Names only tests reached were deleted: asking for one is a
+        configuration error that lists what is left."""
+        with pytest.raises(ConfigurationError, match=remaining):
+            refused()
 
     def test_exceptions_exported_at_top_level(self):
         import repro

@@ -1,8 +1,7 @@
 """Tests for the stage-based experiment runner.
 
-Covers individual stage invocation, policy-sweep forking and the two
-scenarios beyond the paper's shape (4-tier topology, mixed detector
-families).
+Covers individual stage invocation and the two scenarios beyond the paper's
+shape (4-tier topology, mixed detector families).
 """
 
 import numpy as np
@@ -11,12 +10,7 @@ import pytest
 from repro.detectors.adapters import WindowReshapeAdapter
 from repro.evaluation.metrics import accuracy_score, f1_score
 from repro.exceptions import ConfigurationError
-from repro.experiments import (
-    ExperimentRunner,
-    apply_overrides,
-    get_scenario,
-    list_scenarios,
-)
+from repro.experiments import SCENARIOS, ExperimentRunner, apply_overrides, get_scenario
 
 
 class TestStageInvocation:
@@ -54,34 +48,6 @@ class TestStageInvocation:
         assert [row.tier for row in result.table1_rows] == ["iot", "edge", "cloud"]
         assert result.demo_panel is not None
 
-    def test_fork_reuses_fitted_detectors_across_policy_sweep(self):
-        spec = apply_overrides(
-            get_scenario("univariate-power"),
-            {"data.weeks": "10", "policy.episodes": "2",
-             "detectors.0.epochs": "2", "detectors.1.epochs": "2",
-             "detectors.2.epochs": "2"},
-        )
-        base = ExperimentRunner(spec)
-        base.prepare_data()
-        base.fit_detectors()
-        base.deploy()
-
-        results = {}
-        for episodes in (2, 4):
-            swept = base.fork(policy=apply_overrides(
-                spec, {"policy.episodes": str(episodes)}).policy)
-            swept.train_policy()
-            results[episodes] = swept.evaluate()
-            # The detector objects are shared, not retrained.
-            assert swept.state.detectors[0] is base.state.detectors[0]
-        assert results[2].bandit_log.episodes == 2
-        assert results[4].bandit_log.episodes == 4
-
-    def test_fork_rejects_earlier_stage_fields(self):
-        runner = ExperimentRunner(get_scenario("univariate-power"))
-        with pytest.raises(ConfigurationError, match="cannot replace"):
-            runner.fork(data=get_scenario("multivariate-mhealth").data)
-
 
 def _smoke(spec):
     """``spec`` shrunk to a sub-second offline run."""
@@ -101,7 +67,7 @@ class TestTable1IsAViewOfTheFixedLayerSchemes:
     """Table I read off the fixed-layer evaluations ≡ each detector's own
     ``predict`` over the test set, the way Table I used to be computed."""
 
-    @pytest.mark.parametrize("name", list_scenarios())
+    @pytest.mark.parametrize("name", SCENARIOS.names())
     def test_rows_equal_the_detectors_own_predictions(self, name):
         runner = ExperimentRunner(_smoke(get_scenario(name)))
         result = runner.run()

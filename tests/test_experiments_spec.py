@@ -21,7 +21,6 @@ from repro.experiments import (
     TopologySpec,
     apply_overrides,
     get_scenario,
-    list_scenarios,
     parse_set_arguments,
 )
 
@@ -174,7 +173,7 @@ class TestOverrides:
 
 class TestScenarioRegistry:
     def test_builtins_registered(self):
-        names = list_scenarios()
+        names = SCENARIOS.names()
         for name in BUILTIN_SCENARIOS:
             assert name in names
 

@@ -6,7 +6,6 @@ import pytest
 from repro.bandit.context import UnivariateContextExtractor
 from repro.bandit.reward import DelayCost, RewardFunction
 from repro.exceptions import DeploymentError
-from repro.nn.gradient_check import GradientCheckResult, check_gradients, numerical_gradient
 from repro.experiments.stages import (
     build_hec_system,
     build_schemes,
@@ -18,6 +17,8 @@ from repro.experiments.stages import (
 from repro.schemes.adaptive import AdaptiveScheme
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme
+
+from gradient_check import GradientCheckResult, check_gradients, numerical_gradient
 
 
 class TestGradientCheckUtility:

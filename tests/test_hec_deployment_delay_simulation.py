@@ -202,7 +202,7 @@ class TestHECSystem:
         assert record.layer == 1
         assert record.prediction in (0, 1)
         assert record.delay_ms > 0.0
-        assert record.correct in (True, False)
+        assert record.ground_truth == 0
 
     def test_records_and_counters_accumulate(self, system):
         windows = np.zeros((2, 10))
@@ -238,7 +238,6 @@ class TestHECSystem:
     def test_ground_truth_optional(self, system):
         (record,) = system.detect_batch(0, np.zeros((1, 10)))
         assert record.ground_truth is None
-        assert record.correct is None
 
     def test_reset_clears_state(self, system):
         system.detect_batch(1, np.zeros((1, 10)))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotFittedError, ShapeError
-from repro.nn.gradient_check import check_gradients
 from repro.nn.layers import LSTM, Bidirectional, Dense, Dropout, TimeDistributed
 from repro.nn.losses import MeanSquaredError
+
+from gradient_check import check_gradients
 
 MSE = MeanSquaredError()
 

@@ -9,11 +9,12 @@ import pytest
 from repro.detectors.lstm_seq2seq import build_seq2seq_detector
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
 from repro.nn.activations import sigmoid
-from repro.nn.gradient_check import check_gradients
 from repro.nn.layers import LSTM, Bidirectional, Dense, Dropout
 from repro.nn.models.seq2seq import Seq2SeqAutoencoder
 from repro.nn.models.sequential import Sequential
 from repro.nn.training import EarlyStopping
+
+from gradient_check import check_gradients
 
 
 class TestSequential:
@@ -52,19 +53,6 @@ class TestSequential:
         y = np.stack([x[:, 0] + x[:, 1], x[:, 2]], axis=1)
         history = model.fit(x, y, epochs=40, batch_size=8)
         assert history.metrics["loss"][-1] < history.metrics["loss"][0]
-
-    def test_validation_split_records_val_loss(self):
-        model = self._autoencoder()
-        x = np.random.default_rng(0).normal(size=(40, 6))
-        history = model.fit(x, epochs=3, batch_size=8, validation_split=0.25)
-        assert "val_loss" in history.metrics
-        assert len(history.metrics["val_loss"]) == len(history.metrics["loss"])
-
-    def test_validation_split_with_targets_rejected(self):
-        model = self._autoencoder()
-        x = np.random.default_rng(0).normal(size=(10, 6))
-        with pytest.raises(ConfigurationError):
-            model.fit(x, x, epochs=1, validation_split=0.2)
 
     def test_early_stopping_stops(self):
         model = self._autoencoder()
@@ -112,10 +100,9 @@ class TestSequential:
         other.set_weights(weights)
         np.testing.assert_allclose(other.predict(x), reference)
 
-    def test_summary_and_config(self):
+    def test_config(self):
         model = self._autoencoder()
         model.build(6)
-        assert "Total parameters" in model.summary()
         config = model.get_config()
         assert config["type"] == "Sequential"
         assert len(config["layers"]) == 2
@@ -125,7 +112,7 @@ class TestSequential:
         model = Sequential(
             [Dense(5, activation="relu"), Dense(4, activation="tanh"), Dense(3)], seed=0
         )
-        model.compile("sgd", "mse", learning_rate=0.1)
+        model.compile("adam", "mse", learning_rate=0.1)
         x = rng.normal(size=(6, 4)) + 0.5  # keep ReLU inputs away from the kink
         y = rng.normal(size=(6, 3))
         model.forward(x, training=True)
@@ -140,7 +127,7 @@ class TestSequential:
     def test_trains_a_layer_that_keeps_its_parameters_in_sublayers(self):
         """``Bidirectional`` has no ``params`` of its own; its LSTMs' must still be stepped."""
         model = Sequential([Bidirectional(LSTM(2)), Dropout(0.0), Dense(1)], seed=0)
-        model.compile("sgd", "mse", learning_rate=0.1)
+        model.compile("adam", "mse", learning_rate=0.1)
         assert model.parameters_and_gradients() == []  # nothing built yet
         x = np.random.default_rng(0).normal(size=(3, 4, 2))
         model.forward(x)
@@ -285,10 +272,9 @@ class TestSeq2SeqAutoencoder:
             clone.reconstruct(windows, teacher_forcing=True), reference, atol=1e-10
         )
 
-    def test_summary_and_config(self):
+    def test_config(self):
         model = self._model()
         model.build(timesteps=4, features=2)
-        assert "encoder" in model.summary()
         config = model.get_config()
         assert config["type"] == "Seq2SeqAutoencoder"
         assert config["output_dim"] == 2

@@ -1,27 +1,14 @@
-"""Tests for repro.nn.training, repro.nn.metrics, repro.nn.quantization and repro.nn.model_io."""
+"""Tests for repro.nn.training and repro.nn.quantization."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, SerializationError
+from repro.exceptions import ConfigurationError
 from repro.nn.layers import Dense, LSTM
-from repro.nn.metrics import (
-    categorical_accuracy,
-    mean_absolute_error,
-    mean_squared_error,
-    r2_score,
-    root_mean_squared_error,
-)
-from repro.nn.model_io import load_config, load_weights_into, save_model
 from repro.nn.models.seq2seq import Seq2SeqAutoencoder
 from repro.nn.models.sequential import Sequential
 from repro.nn.quantization import quantization_report, quantize_model
-from repro.nn.training import (
-    EarlyStopping,
-    TrainingHistory,
-    iterate_minibatches,
-    train_validation_split,
-)
+from repro.nn.training import EarlyStopping, TrainingHistory, iterate_minibatches
 
 
 class TestTrainingHistory:
@@ -32,23 +19,9 @@ class TestTrainingHistory:
         assert history.last("loss") == 0.5
         assert history.epochs == 2
 
-    def test_best_min_and_max(self):
-        history = TrainingHistory()
-        for value in (3.0, 1.0, 2.0):
-            history.record("loss", value)
-        assert history.best("loss", "min") == 1.0
-        assert history.best("loss", "max") == 3.0
-
     def test_missing_metric_raises(self):
         with pytest.raises(KeyError):
             TrainingHistory().last("loss")
-
-    def test_as_dict_copies(self):
-        history = TrainingHistory()
-        history.record("loss", 1.0)
-        exported = history.as_dict()
-        exported["loss"].append(99.0)
-        assert history.metrics["loss"] == [1.0]
 
 
 class TestEarlyStopping:
@@ -124,47 +97,6 @@ class TestMinibatches:
         with pytest.raises(ConfigurationError):
             list(iterate_minibatches(np.zeros((4, 1)), np.zeros((5, 1)), 2))
 
-    def test_train_validation_split_sizes(self):
-        x = np.arange(10)[:, None].astype(float)
-        train, val = train_validation_split(x, 0.3, rng=0)
-        assert train.shape[0] == 7 and val.shape[0] == 3
-
-    def test_train_validation_split_zero_fraction(self):
-        x = np.arange(4)[:, None].astype(float)
-        train, val = train_validation_split(x, 0.0)
-        assert train.shape[0] == 4 and val.shape[0] == 0
-
-    def test_train_validation_split_invalid(self):
-        with pytest.raises(ConfigurationError):
-            train_validation_split(np.zeros((4, 1)), 1.0)
-
-
-class TestNNMetrics:
-    def test_mse_rmse_mae(self):
-        pred = np.array([1.0, 2.0])
-        target = np.array([0.0, 0.0])
-        assert mean_squared_error(pred, target) == pytest.approx(2.5)
-        assert root_mean_squared_error(pred, target) == pytest.approx(np.sqrt(2.5))
-        assert mean_absolute_error(pred, target) == pytest.approx(1.5)
-
-    def test_r2_perfect_and_mean_predictor(self):
-        target = np.array([1.0, 2.0, 3.0])
-        assert r2_score(target, target) == pytest.approx(1.0)
-        assert r2_score(np.full(3, 2.0), target) == pytest.approx(0.0)
-
-    def test_r2_constant_target(self):
-        assert r2_score(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 1.0
-        assert r2_score(np.array([1.0, 2.0]), np.array([1.0, 1.0])) == 0.0
-
-    def test_categorical_accuracy(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        assert categorical_accuracy(probs, np.array([0, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_categorical_accuracy_one_hot(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        labels = np.array([[1, 0], [0, 1]])
-        assert categorical_accuracy(probs, labels) == 1.0
-
 
 class TestQuantization:
     def _model(self):
@@ -206,116 +138,3 @@ class TestQuantization:
         quantize_model(model)
         after = model.reconstruct(windows, teacher_forcing=True)
         np.testing.assert_allclose(after, before, atol=5e-2)
-
-
-class TestModelIO:
-    def test_sequential_round_trip(self, tmp_path):
-        model = Sequential([Dense(5, activation="tanh"), Dense(3)], seed=0)
-        model.compile("adam", "mse")
-        x = np.random.default_rng(0).normal(size=(6, 3))
-        model.fit(x, np.random.default_rng(1).normal(size=(6, 3)), epochs=2, batch_size=3)
-        save_model(model, tmp_path, name="ae")
-        clone = Sequential([Dense(5, activation="tanh"), Dense(3)], seed=9)
-        clone.build(3)
-        load_weights_into(clone, tmp_path, name="ae")
-        np.testing.assert_allclose(clone.predict(x), model.predict(x))
-
-    def test_seq2seq_round_trip(self, tmp_path):
-        model = Seq2SeqAutoencoder(LSTM(3), LSTM(3, return_sequences=True), output_dim=2, seed=0)
-        model.compile("rmsprop", "mse")
-        windows = np.random.default_rng(0).normal(size=(4, 5, 2))
-        model.fit(windows, epochs=1, batch_size=2)
-        save_model(model, tmp_path, name="s2s")
-        clone = Seq2SeqAutoencoder(LSTM(3), LSTM(3, return_sequences=True), output_dim=2, seed=4)
-        clone.build(timesteps=5, features=2)
-        load_weights_into(clone, tmp_path, name="s2s")
-        np.testing.assert_allclose(
-            clone.reconstruct(windows, teacher_forcing=True),
-            model.reconstruct(windows, teacher_forcing=True),
-        )
-
-    def test_config_saved(self, tmp_path):
-        model = Sequential([Dense(2)], seed=0)
-        model.build(3)
-        save_model(model, tmp_path, name="m")
-        config = load_config(tmp_path, name="m")
-        assert config["type"] == "Sequential"
-
-    def test_missing_weights_raises(self, tmp_path):
-        model = Sequential([Dense(2)], seed=0)
-        model.build(3)
-        with pytest.raises(SerializationError):
-            load_weights_into(model, tmp_path, name="missing")
-
-
-class _RawWeightsModel:
-    """Minimal save_model target holding a raw weight tree (no coercion)."""
-
-    def __init__(self, weights):
-        self.weights = weights
-
-    def get_config(self):
-        return {"type": "RawWeightsModel"}
-
-    def get_weights(self):
-        return self.weights
-
-    def set_weights(self, weights):
-        self.weights = weights
-
-
-class TestDtypeRoundTrip:
-    """save_model/load_weights_into must preserve stored dtypes (no float64
-    upcast), which the adapt model registry's FP16 checkpoints rely on."""
-
-    @pytest.mark.parametrize("dtype", ["float16", "float32", "float64"])
-    def test_dtype_preserved(self, tmp_path, dtype):
-        weights = {
-            "layer": {
-                "kernel": np.arange(12, dtype=dtype).reshape(3, 4),
-                "bias": np.ones(4, dtype=dtype),
-            }
-        }
-        model = _RawWeightsModel(weights)
-        save_model(model, tmp_path, name="raw")
-        clone = _RawWeightsModel({})
-        load_weights_into(clone, tmp_path, name="raw")
-        for key in ("kernel", "bias"):
-            assert clone.weights["layer"][key].dtype == np.dtype(dtype)
-            np.testing.assert_array_equal(
-                clone.weights["layer"][key], weights["layer"][key]
-            )
-
-    def test_quantize_save_load_restore_round_trip(self, tmp_path):
-        """quantize -> save -> load -> restore: values exact, error bound holds."""
-        model = Sequential([Dense(8, activation="tanh"), Dense(4)], seed=0)
-        model.build(4)
-        pristine = model.get_weights()["0:dense"]["kernel"].copy()
-        report = quantize_model(model)
-        quantized = model.get_weights()
-
-        save_model(model, tmp_path, name="q")
-        clone = Sequential([Dense(8, activation="tanh"), Dense(4)], seed=9)
-        clone.build(4)
-        load_weights_into(clone, tmp_path, name="q")
-        restored = clone.get_weights()
-
-        for layer in quantized:
-            for key in quantized[layer]:
-                np.testing.assert_array_equal(restored[layer][key], quantized[layer][key])
-        # The reloaded weights still honour the reported FP16 error bound
-        # against the pristine originals, and stay FP16-representable.
-        kernel = restored["0:dense"]["kernel"]
-        assert np.max(np.abs(kernel - pristine)) <= report.max_absolute_error
-        np.testing.assert_array_equal(kernel, kernel.astype(np.float16).astype(float))
-
-    def test_float16_npz_reload_is_lossless(self, tmp_path):
-        rng = np.random.default_rng(0)
-        half = rng.normal(size=(5, 7)).astype(np.float16)
-        model = _RawWeightsModel({"m": {"w": half}})
-        save_model(model, tmp_path, name="half")
-        clone = _RawWeightsModel({})
-        load_weights_into(clone, tmp_path, name="half")
-        reloaded = clone.weights["m"]["w"]
-        assert reloaded.dtype == np.float16
-        assert np.max(np.abs(reloaded.astype(float) - half.astype(float))) == 0.0

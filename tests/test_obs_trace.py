@@ -9,12 +9,10 @@ The contract under test:
 * a :class:`Telemetry` session with ``out_dir`` writes ``trace.jsonl`` (via
   an atomic tmp+rename sink), ``metrics.json`` and ``metrics.prom`` on
   ``finalize``; without one, records stay in memory and ``finalize`` is a
-  no-op returning ``{}``;
-* the JSON log formatter stamps the active trace/span ids onto records.
+  no-op returning ``{}``.
 """
 
 import json
-import logging
 
 import pytest
 
@@ -31,8 +29,7 @@ from repro.obs.export import (
 )
 from repro.obs.spec import ObsSpec
 from repro.obs.summary import summarize_records, summarize_trace
-from repro.obs.trace import Tracer, current_ids, current_span
-from repro.utils.logging import JsonLineFormatter, configure_basic_logging, get_logger
+from repro.obs.trace import Tracer, current_ids
 
 
 class TestTracer:
@@ -60,12 +57,11 @@ class TestTracer:
         tracer = Tracer()
         assert current_ids() == (None, None)
         with tracer.span("outer") as outer:
-            assert current_span() is outer
             assert current_ids() == (outer.trace_id, outer.span_id)
             inner = tracer.start_span("inner")
             assert inner.parent_id == outer.span_id
         assert current_ids() == (None, None)
-        assert outer.ended
+        assert outer.end_s is not None
 
     def test_activate_parents_without_ending(self):
         tracer = Tracer()
@@ -73,7 +69,7 @@ class TestTracer:
         with tracer.activate(root):
             child = tracer.start_span("child")
         assert child.parent_id == root.span_id
-        assert not root.ended
+        assert root.end_s is None
 
     def test_end_is_idempotent_and_records_once(self):
         tracer = Tracer()
@@ -227,52 +223,3 @@ class TestSummary:
         telemetry.tracer.start_span("s").end()
         telemetry.finalize()
         assert "dirrun" in summarize_trace(tmp_path)
-
-
-class TestJsonLogging:
-    def _capture(self):
-        logger = get_logger()
-        records = []
-
-        class _Capture(logging.Handler):
-            def emit(self, record):
-                records.append(self.format(record))
-
-        handler = _Capture()
-        handler.setFormatter(JsonLineFormatter())
-        logger.addHandler(handler)
-        return logger, handler, records
-
-    def test_formatter_stamps_active_trace_ids(self):
-        logger, handler, records = self._capture()
-        try:
-            tracer = Tracer()
-            logger.warning("outside")
-            with tracer.span("op") as span:
-                logger.warning("inside")
-        finally:
-            logger.removeHandler(handler)
-        outside, inside = (json.loads(line) for line in records)
-        assert outside["message"] == "outside"
-        assert "trace_id" not in outside
-        assert inside["trace_id"] == span.trace_id
-        assert inside["span_id"] == span.span_id
-        assert inside["level"] == "WARNING"
-
-    def test_configure_basic_logging_switches_formats_in_place(self):
-        logger = get_logger()
-        before = list(logger.handlers)
-        try:
-            configure_basic_logging(logging.WARNING, json_lines=True)
-            owned = [h for h in logger.handlers
-                     if getattr(h, "_repro_basic", False)]
-            if owned:  # absent when a foreign handler was already attached
-                assert isinstance(owned[0].formatter, JsonLineFormatter)
-                n_handlers = len(logger.handlers)
-                configure_basic_logging(logging.WARNING, json_lines=False)
-                assert len(logger.handlers) == n_handlers
-                assert not isinstance(owned[0].formatter, JsonLineFormatter)
-        finally:
-            for handler in list(logger.handlers):
-                if handler not in before:
-                    logger.removeHandler(handler)

@@ -63,7 +63,7 @@ class TestRewardProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_cost_in_unit_interval(self, delay, alpha):
-        cost = DelayCost(alpha=alpha)(delay)
+        cost = DelayCost(alpha=alpha).batch(delay)
         assert 0.0 <= cost < 1.0
 
     @given(
@@ -74,12 +74,12 @@ class TestRewardProperties:
     def test_cost_monotone_in_delay(self, a, b):
         cost = DelayCost(alpha=0.0005)
         low, high = sorted((a, b))
-        assert cost(low) <= cost(high) + 1e-12
+        assert cost.batch(low) <= cost.batch(high) + 1e-12
 
     @given(st.booleans(), st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     @settings(max_examples=50, deadline=None)
     def test_reward_bounded(self, correct, delay):
-        reward = RewardFunction()(correct, delay)
+        reward = RewardFunction().batch(correct, delay)
         assert -1.0 < reward <= 1.0
         if correct:
             assert reward > -0.0001
@@ -113,19 +113,6 @@ class TestMetricProperties:
 
 
 class TestScalerProperties:
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(3, 12), st.integers(2, 8)),
-            elements=st.floats(min_value=-100, max_value=100, allow_nan=False, width=64),
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_inverse_transform_is_identity(self, data):
-        scaler = StandardScaler().fit(data)
-        round_trip = scaler.inverse_transform(scaler.transform(data))
-        np.testing.assert_allclose(round_trip, data, atol=1e-6)
-
     @given(
         arrays(
             np.float64,
@@ -183,7 +170,7 @@ class TestScorerProperties:
     def test_training_data_never_flagged(self, seed):
         errors = ensure_rng(seed).normal(size=(50, 2))
         scorer = GaussianLogPDScorer().fit(errors)
-        assert not scorer.is_outlier(errors).any()
+        assert not (scorer.log_probability_density(errors) < scorer.threshold).any()
 
     @given(st.integers(0, 1000), st.floats(min_value=5.0, max_value=50.0))
     @settings(max_examples=20, deadline=None)
@@ -191,7 +178,7 @@ class TestScorerProperties:
         errors = ensure_rng(seed).normal(size=(100, 2))
         scorer = GaussianLogPDScorer().fit(errors)
         outlier = scorer.mean_[None, :] + distance * 10
-        assert scorer.is_outlier(outlier)[0]
+        assert scorer.log_probability_density(outlier)[0] < scorer.threshold
 
 
 class TestConfidenceProperties:
@@ -206,9 +193,9 @@ class TestConfidenceProperties:
     @settings(max_examples=50, deadline=None)
     def test_anomaly_iff_any_point_below_threshold(self, scores, threshold):
         policy = ConfidencePolicy()
-        is_anomaly, _confident, fraction = policy.evaluate(scores, threshold)
-        assert is_anomaly == bool((scores < threshold).any())
-        assert 0.0 <= fraction <= 1.0
+        is_anomaly, _confident, fraction = policy.evaluate_batch(scores[None, :], threshold)
+        assert is_anomaly[0] == bool((scores < threshold).any())
+        assert 0.0 <= fraction[0] <= 1.0
 
 
 class TestDelayStatisticsProperties:

@@ -110,14 +110,6 @@ class TestSuccessiveScheme:
         cloud_delay = np.mean([o.delay_ms for o in FixedLayerScheme(system, 2).run_batch(windows, labels)])
         assert iot_delay <= successive_delay <= cloud_delay
 
-    def test_escalation_rate(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        scheme = SuccessiveScheme(system)
-        outcomes = scheme.run_batch(windows, labels)
-        rate = scheme.escalation_rate(outcomes)
-        assert 0.0 <= rate <= 1.0
-        assert scheme.escalation_rate([]) == 0.0
-
     def test_invalid_start_layer(self, fresh_system):
         system, _detectors, _windows, _labels = fresh_system
         with pytest.raises(ConfigurationError):
@@ -158,14 +150,6 @@ class TestAdaptiveScheme:
         scheme = AdaptiveScheme(system, policy, extractor)
         scheme.run_batch(windows[:5], labels[:5])
         assert len(scheme.chosen_actions) == 5
-        distribution = scheme.action_distribution()
-        assert distribution.sum() == pytest.approx(1.0)
-
-    def test_empty_action_distribution(self, fresh_system):
-        system, _detectors, windows, _labels = fresh_system
-        extractor = _context_extractor(windows)
-        scheme = AdaptiveScheme(system, self._policy(extractor.context_dim), extractor)
-        assert scheme.action_distribution().sum() == 0.0
 
     def test_policy_overhead_added(self, fresh_system):
         system, _detectors, windows, labels = fresh_system

@@ -300,14 +300,6 @@ class TestServingHappyPath:
         assert report.n_submitted == 80
         assert report.n_dropped == 0
 
-    def test_fork_clears_serving_state(self, trained):
-        _spec, runner = trained
-        if "serve" not in runner.state.completed:
-            runner.serve()
-        clone = runner.state.clone_for_fork()
-        assert "serve" not in clone.completed
-        assert clone.serving_report is None
-
 
 class TestOverload:
     def test_reject_new_policy(self, trained):
@@ -530,6 +522,41 @@ class TestRequestTable:
 
         results = asyncio.run(_main())
         assert _without_latency(results) == _without_latency(expected)
+
+    def test_table_grows_past_max_requests(self, trained):
+        """Submitting more rows than ``max_requests`` doubles the table; the
+        rows past the first allocation get what a larger table gives them."""
+        spec, runner = trained
+        generator = OpenLoopLoadGenerator(
+            _fresh_fleet(spec, runner), spec.serve, master_seed=spec.seed
+        )
+        requests = list(zip(generator.device_ids, generator.windows,
+                            generator.labels, generator.ticks))[:40]
+        assert len(requests) == 40
+
+        def _submit_all(max_requests):
+            serving = replace(spec.serve, offered_rps=ALL_DUE, max_requests=max_requests,
+                              queue_capacity=64, **UNPACED)
+
+            async def _main():
+                server = _server(trained, serving)
+                await server.start()
+                rows = [
+                    server.submit(int(device), window, label=int(label), tick=int(tick))
+                    for device, window, label, tick in requests
+                ]
+                results = [await row for row in rows]
+                await server.stop()
+                return server, results
+
+            return asyncio.run(_main())
+
+        grown, results = _submit_all(8)
+        assert len(grown._status) == 64  # 8 doubled three times
+        unchanged, reference = _submit_all(64)
+        assert len(unchanged._status) == 64
+        assert all(result.served for result in results)
+        assert _without_latency(results) == _without_latency(reference)
 
     def test_shed_oldest_around_a_held_partial_batch(self, trained):
         """Rows evicted while the batcher holds a part-filled batch free only

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    bootstrap_indices,
-    chunked,
-    derive_seed,
-    ensure_rng,
-    shuffled_indices,
-    spawn_rngs,
-)
+from repro.utils.rng import ensure_rng
 
 
 class TestEnsureRng:
@@ -40,59 +33,3 @@ class TestEnsureRng:
         a = ensure_rng(seed).random(3)
         b = ensure_rng(7).random(3)
         np.testing.assert_array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_count_respected(self):
-        children = spawn_rngs(0, 4)
-        assert len(children) == 4
-
-    def test_children_are_independent_streams(self):
-        children = spawn_rngs(0, 2)
-        assert not np.allclose(children[0].random(10), children[1].random(10))
-
-    def test_deterministic_given_seed(self):
-        first = [g.random(3) for g in spawn_rngs(5, 3)]
-        second = [g.random(3) for g in spawn_rngs(5, 3)]
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
-class TestHelpers:
-    def test_derive_seed_in_range(self):
-        seed = derive_seed(ensure_rng(0))
-        assert 0 <= seed < 2**63
-
-    def test_shuffled_indices_is_permutation(self):
-        indices = shuffled_indices(10, rng=0)
-        assert sorted(indices.tolist()) == list(range(10))
-
-    def test_shuffled_indices_negative_raises(self):
-        with pytest.raises(ValueError):
-            shuffled_indices(-1)
-
-    def test_bootstrap_indices_shape_and_range(self):
-        indices = bootstrap_indices(5, size=20, rng=0)
-        assert indices.shape == (20,)
-        assert indices.min() >= 0 and indices.max() < 5
-
-    def test_bootstrap_requires_positive_n(self):
-        with pytest.raises(ValueError):
-            bootstrap_indices(0)
-
-    def test_chunked_splits_evenly(self):
-        assert list(chunked(range(6), 2)) == [[0, 1], [2, 3], [4, 5]]
-
-    def test_chunked_last_partial_chunk(self):
-        assert list(chunked(range(5), 2)) == [[0, 1], [2, 3], [4]]
-
-    def test_chunked_invalid_size(self):
-        with pytest.raises(ValueError):
-            list(chunked(range(5), 0))

@@ -1,12 +1,9 @@
-"""Tests for repro.utils.serialization and repro.utils.logging."""
-
-import logging
+"""Tests for repro.utils.serialization."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import SerializationError
-from repro.utils.logging import configure_basic_logging, get_logger
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 
 
@@ -49,15 +46,3 @@ class TestArrays:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(SerializationError):
             load_arrays(tmp_path / "absent.npz")
-
-
-class TestLogging:
-    def test_get_logger_namespace(self):
-        assert get_logger().name == "repro"
-        assert get_logger("hec").name == "repro.hec"
-
-    def test_configure_basic_logging_idempotent(self):
-        configure_basic_logging(logging.WARNING)
-        handlers_before = len(get_logger().handlers)
-        configure_basic_logging(logging.WARNING)
-        assert len(get_logger().handlers) == handlers_before

@@ -5,13 +5,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.utils.validation import (
-    check_array,
     check_binary_labels,
-    check_in,
     check_non_negative,
     check_positive,
     check_probability,
-    check_same_length,
 )
 
 
@@ -41,53 +38,8 @@ class TestScalarChecks:
         with pytest.raises(ConfigurationError):
             check_probability(value, "p")
 
-    def test_check_in_accepts(self):
-        assert check_in("a", ["a", "b"], "mode") == "a"
-
-    def test_check_in_rejects(self):
-        with pytest.raises(ConfigurationError):
-            check_in("c", ["a", "b"], "mode")
-
-
-class TestCheckArray:
-    def test_basic_conversion(self):
-        result = check_array([[1, 2], [3, 4]], "m")
-        assert result.dtype == float
-        assert result.shape == (2, 2)
-
-    def test_ndim_mismatch(self):
-        with pytest.raises(ShapeError):
-            check_array([1, 2, 3], "v", ndim=2)
-
-    def test_shape_wildcards(self):
-        result = check_array(np.zeros((3, 4)), "m", shape=(None, 4))
-        assert result.shape == (3, 4)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            check_array(np.zeros((3, 4)), "m", shape=(3, 5))
-
-    def test_shape_rank_mismatch(self):
-        with pytest.raises(ShapeError):
-            check_array(np.zeros((3, 4)), "m", shape=(3, 4, 1))
-
-    def test_empty_rejected_when_disallowed(self):
-        with pytest.raises(ShapeError):
-            check_array(np.zeros((0,)), "v", allow_empty=False)
-
-    def test_keep_dtype_when_none(self):
-        result = check_array(np.array([1, 2], dtype=int), "v", dtype=None)
-        assert result.dtype == int
-
 
 class TestOtherChecks:
-    def test_check_same_length_ok(self):
-        check_same_length("a", [1, 2], "b", [3, 4])
-
-    def test_check_same_length_raises(self):
-        with pytest.raises(ShapeError):
-            check_same_length("a", [1], "b", [1, 2])
-
     def test_binary_labels_ok(self):
         out = check_binary_labels([0, 1, 1, 0])
         assert out.dtype == int
