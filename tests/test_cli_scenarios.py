@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _load_spec_file, build_parser, main
+from repro.experiments import SCENARIOS, get_scenario
 
 
 class TestParser:
@@ -50,6 +51,15 @@ class TestListAndDescribe:
         assert payload["dataset_name"] == "univariate"
         assert payload["data"]["weeks"] == 40
         assert len(payload["detectors"]) == 3
+
+    @pytest.mark.parametrize("name", SCENARIOS.names())
+    def test_described_spec_loads_back_as_a_spec_file(self, name, capsys, tmp_path):
+        """The JSON ``describe`` prints is the spec ``--spec-file`` accepts."""
+        assert main(["describe", name]) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / "spec.json"
+        path.write_text(out[out.index("{"):], encoding="utf-8")
+        assert _load_spec_file(str(path)) == get_scenario(name)
 
     def test_describe_unknown_scenario_exits_2(self, capsys):
         assert main(["describe", "nope"]) == 2

@@ -334,6 +334,13 @@ class TestDetectorRegistry:
         names = [detector.name for _, detector in registry]
         assert names == ["iot", "edge", "cloud"]
 
+    def test_detectors_listed_bottom_up(self):
+        registry = DetectorRegistry()
+        registry.register("cloud", self._detector("c"))
+        registry.register("iot", self._detector("i"))
+        assert [detector.name for detector in registry.detectors()] == ["i", "c"]
+        assert registry.layers() == [0, 2]
+
     def test_contains_and_len(self):
         registry = DetectorRegistry()
         registry.register("iot", self._detector())

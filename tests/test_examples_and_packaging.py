@@ -18,6 +18,7 @@ import pytest
 from repro.adapt.spec import AdaptSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments import apply_overrides, get_scenario
+from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.losses import get_loss
 from repro.nn.optimizers import get_optimizer
@@ -219,13 +220,22 @@ class TestPackageSurface:
             (partial(get_optimizer, "sgd"), "adam"),
             (partial(get_loss, "huber"), "mse"),
             (partial(get_loss, "mae"), "mse"),
+            (partial(get_loss, "mean_absolute_error"), "mean_squared_error"),
             (partial(get_regularizer, "l1"), "l2"),
             (partial(get_initializer, "he_normal"), "orthogonal"),
+            (partial(get_initializer, "he_uniform"), "glorot_uniform"),
+            (partial(get_initializer, "glorot_normal"), "glorot_uniform"),
+            (partial(get_initializer, "ones"), "zeros"),
+            (partial(get_activation, "softplus"), "sigmoid"),
             (partial(AdaptSpec, monitors=("adwin",)), "page-hinkley"),
             (partial(apply_overrides, get_scenario("adapt-1k-drift-recovery"),
                      {"adapt.adwin_capacity": "8"}), "ph_delta"),
+            (partial(apply_overrides, get_scenario("adapt-1k-drift-recovery"),
+                     {"adapt.adwin_sensitivity": "0.01"}), "ph_delta"),
         ],
-        ids=["sgd", "huber", "mae", "l1", "he_normal", "adwin", "adwin_capacity"],
+        ids=["sgd", "huber", "mae", "mean_absolute_error", "l1", "he_normal", "he_uniform",
+             "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
+             "adwin_sensitivity"],
     )
     def test_removed_names_are_refused(self, refused, remaining):
         """Names only tests reached were deleted: asking for one is a

@@ -35,12 +35,14 @@ BUILTIN_SCENARIOS = (
 
 
 class TestSpecRoundTrip:
-    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    # Every registered scenario, so the fleet, adapt, serve and qualify nodes
+    # each round-trip in the shapes the shipped scenarios give them.
+    @pytest.mark.parametrize("name", SCENARIOS.names())
     def test_dict_round_trip(self, name):
         spec = get_scenario(name)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
-    @pytest.mark.parametrize("name", ["univariate-power", "hierarchical-edge-4tier"])
+    @pytest.mark.parametrize("name", SCENARIOS.names())
     def test_json_file_round_trip(self, name, tmp_path):
         spec = get_scenario(name)
         path = spec.to_json(tmp_path / f"{name}.json")
@@ -176,6 +178,10 @@ class TestScenarioRegistry:
         names = SCENARIOS.names()
         for name in BUILTIN_SCENARIOS:
             assert name in names
+
+    def test_len_and_iteration_follow_the_sorted_names(self):
+        assert len(SCENARIOS) == len(SCENARIOS.names())
+        assert [entry.name for entry in SCENARIOS] == sorted(SCENARIOS.names())
 
     def test_duplicate_registration_raises(self):
         registry = ScenarioRegistry()

@@ -35,6 +35,17 @@ class TestInitializers:
         gram = array @ array.T
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
 
+    def test_orthogonal_flattens_trailing_dims(self):
+        array = _draw("orthogonal", (4, 2, 3), seed=0)
+        assert array.shape == (4, 2, 3)
+        flat = array.reshape(4, 6)
+        np.testing.assert_allclose(flat @ flat.T, np.eye(4), atol=1e-8)
+
+    def test_glorot_uniform_fans_in_over_leading_dims(self):
+        array = _draw("glorot_uniform", (20, 5, 10), seed=0)
+        limit = np.sqrt(6.0 / (100 + 10))
+        assert np.all(np.abs(array) <= limit) and np.abs(array).max() > 0.9 * limit
+
     def test_orthogonal_is_contiguous(self):
         array = _draw("orthogonal", (4, 16), seed=0)
         assert array.flags["C_CONTIGUOUS"]

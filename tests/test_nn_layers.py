@@ -1,5 +1,7 @@
 """Tests for Dense, Dropout, TimeDistributed, LSTM and Bidirectional layers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,30 @@ class TestDense:
         assert config["units"] == 4
         assert config["activation"] == "relu"
         assert config["kernel_regularizer"]["type"] == "l2"
+
+
+# The model registry content-addresses a model by the hash of its config, so a
+# config must be JSON and must tell apart layers that compute differently.
+_CONFIG_PAIRS = {
+    "dense-units": lambda u: Dense(4 + u, name="d"),
+    "dense-activation": lambda u: Dense(4, activation=("relu", "tanh")[u], name="d"),
+    "dense-regularizer": lambda u: Dense(4, kernel_regularizer=(None, 1e-4)[u], name="d"),
+    "dropout-rate": lambda u: Dropout((0.2, 0.3)[u], name="p"),
+    "time-distributed-inner": lambda u: TimeDistributed(Dense(4 + u, name="d"), name="t"),
+    "lstm-return-sequences": lambda u: LSTM(4, return_sequences=bool(u), name="l"),
+    "bidirectional-units": lambda u: Bidirectional(LSTM(4 + u, name="l"), name="b"),
+    "bidirectional-backward": lambda u: Bidirectional(
+        LSTM(4, name="l"), LSTM(4, double_bias=bool(u), name="l_backward"), name="b"),
+}
+
+
+class TestLayerConfig:
+    @pytest.mark.parametrize("make", _CONFIG_PAIRS.values(), ids=_CONFIG_PAIRS.keys())
+    def test_config_is_json_and_tells_the_layers_apart(self, make):
+        first, second = make(0).get_config(), make(1).get_config()
+        assert json.loads(json.dumps(first)) == first
+        assert first["type"] == second["type"]
+        assert first != second
 
 
 class TestDropout:

@@ -21,11 +21,13 @@ class TestLosses:
         assert loss.value(pred, target) == pytest.approx(2.5)
         np.testing.assert_allclose(loss.gradient(pred, target), [[1.0, 2.0]])
 
-    def test_gradient_matches_finite_difference(self):
+    # A batch of vectors (the autoencoders) and of sequences (seq2seq).
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 5, 3)], ids=["batch", "sequence-batch"])
+    def test_gradient_matches_finite_difference(self, shape):
         loss = MeanSquaredError()
         rng = np.random.default_rng(0)
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
+        pred = rng.normal(size=shape)
+        target = rng.normal(size=shape)
         analytic = loss.gradient(pred, target)
         eps = 1e-6
         numeric = np.zeros_like(pred)
@@ -72,9 +74,19 @@ class TestRegularizers:
         instance = L2Regularizer(0.3)
         assert get_regularizer(instance) is instance
 
-    def test_get_regularizer_invalid(self):
-        with pytest.raises(ConfigurationError):
-            get_regularizer(object())
+    @pytest.mark.parametrize(
+        "name, cls", [("l2", L2Regularizer), ("L2", L2Regularizer),
+                      ("none", ZeroRegularizer), ("zero", ZeroRegularizer)],
+    )
+    def test_every_listed_name_resolves(self, name, cls):
+        reg = get_regularizer(name)
+        assert type(reg) is cls
+        assert get_regularizer(reg.get_config()["type"]).get_config() == reg.get_config()
+
+    @pytest.mark.parametrize("spec", [object(), True, "ridge"], ids=["object", "bool", "ridge"])
+    def test_get_regularizer_invalid(self, spec):
+        with pytest.raises(ConfigurationError, match="available"):
+            get_regularizer(spec)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -93,10 +105,25 @@ def _quadratic_descent(optimizer, steps=400):
 class TestOptimizers:
     @pytest.mark.parametrize(
         "optimizer",
-        [RMSProp(learning_rate=0.01), Adam(learning_rate=0.1)],
+        [
+            RMSProp(learning_rate=0.01),
+            Adam(learning_rate=0.1),
+            RMSProp(learning_rate=0.01, clip_norm=0.5),
+            Adam(learning_rate=0.1, clip_norm=0.5),
+        ],
     )
     def test_converges_on_quadratic(self, optimizer):
         assert _quadratic_descent(optimizer) < 0.05
+
+    @pytest.mark.parametrize("cls", [RMSProp, Adam])
+    def test_clipping_leaves_the_callers_gradients_untouched(self, cls):
+        grads = [np.full(3, 4.0), np.full((2, 2), -3.0)]
+        before = [grad.copy() for grad in grads]
+        params = [np.zeros(3), np.zeros((2, 2))]
+        cls(clip_norm=0.1).step(list(zip(params, grads)))
+        for grad, want in zip(grads, before):
+            np.testing.assert_array_equal(grad, want)
+        assert all(np.all(param != 0.0) for param in params)
 
     def test_step_updates_in_place(self):
         w = np.ones(3)
@@ -135,13 +162,41 @@ class TestOptimizers:
         with pytest.raises(ConfigurationError):
             get_optimizer("adagradzilla")
 
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ConfigurationError):
-            RMSProp(rho=1.5)
-        with pytest.raises(ConfigurationError):
-            Adam(beta_1=1.0)
-        with pytest.raises(ConfigurationError):
-            Adam(learning_rate=0.0)
+    @pytest.mark.parametrize(
+        "cls, kwargs, name",
+        [
+            (RMSProp, {"rho": 1.5}, "rho"),
+            (Adam, {"beta_1": 1.0}, "beta_1"),
+            (Adam, {"learning_rate": 0.0}, "learning_rate"),
+            (RMSProp, {"rho": 0.0}, "rho"),
+            (RMSProp, {"rho": 1.0}, "rho"),
+            (RMSProp, {"epsilon": 0.0}, "epsilon"),
+            (RMSProp, {"learning_rate": float("nan")}, "learning_rate"),
+            (Adam, {"beta_1": -0.1}, "beta_1"),
+            (Adam, {"beta_2": 1.0}, "beta_2"),
+            (Adam, {"epsilon": -1e-8}, "epsilon"),
+            (Adam, {"clip_norm": 0.0}, "clip_norm"),
+            (Adam, {"clip_norm": float("inf")}, "clip_norm"),
+        ],
+    )
+    def test_invalid_hyperparameters(self, cls, kwargs, name):
+        with pytest.raises(ConfigurationError, match=name):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize(
+        "optimizer",
+        [
+            RMSProp(),
+            RMSProp(learning_rate=0.01, rho=0.5, epsilon=1e-4, clip_norm=2.0),
+            Adam(),
+            Adam(learning_rate=0.01, beta_1=0.0, beta_2=0.9, epsilon=1e-6, clip_norm=1.0),
+        ],
+    )
+    def test_config_rebuilds_an_equal_optimizer(self, optimizer):
+        config = optimizer.get_config()
+        rebuilt = get_optimizer(config["type"], **{k: v for k, v in config.items() if k != "type"})
+        assert type(rebuilt) is type(optimizer)
+        assert rebuilt.get_config() == config
 
     def test_config_contains_type(self):
         assert Adam().get_config()["type"] == "Adam"
@@ -227,6 +282,13 @@ _STEP_SHAPES = [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 7,)
 _STEP_CASES = [
     pytest.param(RMSProp, {}, _reference_rmsprop, id="rmsprop"),
     pytest.param(Adam, {}, _reference_adam, id="adam"),
+    # Off the defaults, so a kernel that read a default instead of its own
+    # hyperparameter would differ.
+    pytest.param(RMSProp, {"learning_rate": 0.01, "rho": 0.5, "epsilon": 1e-4},
+                 _reference_rmsprop, id="rmsprop-tuned"),
+    pytest.param(Adam, {"learning_rate": 0.01, "beta_1": 0.5, "beta_2": 0.9, "epsilon": 1e-6},
+                 _reference_adam, id="adam-tuned"),
+    pytest.param(Adam, {"beta_1": 0.0}, _reference_adam, id="adam-no-momentum"),
 ]
 
 

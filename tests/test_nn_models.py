@@ -31,6 +31,11 @@ class TestSequential:
         out = model.forward(np.zeros((4, 6)))
         assert out.shape == (4, 6)
 
+    def test_call_is_predict(self):
+        model = self._autoencoder()
+        x = np.random.default_rng(2).normal(size=(7, 6))
+        np.testing.assert_array_equal(model(x), model.predict(x))
+
     def test_predict_batched_matches_full(self):
         model = self._autoencoder()
         x = np.random.default_rng(0).normal(size=(10, 6))

@@ -238,6 +238,22 @@ class TestShardedTelemetry:
             drop_substrings=_CLOCK_FREE
         ) == serial_tel.registry.project(drop_substrings=_CLOCK_FREE)
 
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["in-memory", "on-disk"])
+    def test_child_session_is_scoped_and_folds_back(self, on_disk, tmp_path):
+        out = tmp_path / "obs" if on_disk else None
+        parent = Telemetry(out_dir=out, name="run")
+        child = parent.child(3)
+        assert (child.name, child.scope) == ("run/shard-03", "s03-")
+        assert child.out_dir == (out / "shard-03" if on_disk else None)
+        with child.tracer.span("work"):
+            pass
+        parent.absorb_shard(child.shard_payload())
+        parent.finalize()
+        spans = read_trace(out / "shard-03" / "trace.jsonl") if on_disk else parent.spans
+        assert [(r["name"], r["span_id"][:4]) for r in spans if r.get("kind") == "span"] == [
+            ("work", "s03-")
+        ]
+
     def test_shard_sinks_mirror_checkpoint_layout(self, fleet_trained, tmp_path):
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)

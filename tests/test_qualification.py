@@ -7,6 +7,7 @@ pack's composition, the contract arithmetic, the contract<->alert agreement,
 the report's JSON schema, and the CLI's exit-code contract.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -93,6 +94,16 @@ class TestContractSpec:
     def test_malformed_contracts_are_rejected(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):
             ContractSpec(**kwargs)
+
+    @pytest.mark.parametrize("pack", sorted(QUALIFY_PACKS))
+    def test_pack_contracts_round_trip_through_from_dict(self, pack):
+        for case in QUALIFY_PACKS[pack]:
+            for contract in case.contracts:
+                assert ContractSpec.from_dict(dataclasses.asdict(contract)) == contract
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ConfigurationError, match=r"\['threshold'\] in contract"):
+            ContractSpec.from_dict({"name": "x", "metric": "f1", "op": ">=", "threshold": 0})
 
     def test_case_rejects_duplicate_contract_names(self):
         contract = ContractSpec(name="same", metric="f1", op=">=", bound=0)

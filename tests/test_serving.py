@@ -292,6 +292,18 @@ class TestServingHappyPath:
         path = report.to_json(tmp_path / "serving.json")
         assert ServingReport.from_json(path) == report
 
+    def test_summary_states_counts_slo_and_tiers(self, trained):
+        report, _results = _serve(trained, offered_rps=60.0, max_requests=60)
+        lines = report.summary().splitlines()
+        assert lines[0] == f"Serving report for {report.name}:"
+        assert "60 requests offered at 60 rps" in lines[1]
+        assert "-> 60 served" in lines[1]
+        assert "shed: 0 rejected, 0 evicted, 0 expired (0.0% of offered" in lines[2]
+        assert f"SLO {report.slo_p99_ms:.0f} ms: met" in lines[3]
+        tier_lines = [line for line in lines if line.startswith("  tier ")]
+        assert len(tier_lines) == len(report.tiers)
+        assert not any("hot swaps" in line or "fault retries" in line for line in lines)
+
     def test_runner_serve_stage(self, trained):
         _spec, runner = trained
         report = runner.serve()
@@ -415,6 +427,7 @@ class TestDrainAndSwap:
         )
         assert report.n_swaps == 1
         assert report.swap_versions == (before + 1,)
+        assert f"hot swaps: 1 (v{before + 1})" in report.summary()
         assert int(system.state_version) == before + 1
         # Zero-drop contract: every submission resolved to exactly one result.
         assert report.n_dropped == 0

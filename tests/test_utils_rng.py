@@ -24,9 +24,10 @@ class TestEnsureRng:
         gen = np.random.default_rng(0)
         assert ensure_rng(gen) is gen
 
-    def test_invalid_type_raises(self):
-        with pytest.raises(TypeError):
-            ensure_rng("not-a-seed")
+    @pytest.mark.parametrize("seed", ["not-a-seed", 1.5, [1, 2]], ids=["str", "float", "list"])
+    def test_invalid_type_raises(self, seed):
+        with pytest.raises(TypeError, match="seed must be"):
+            ensure_rng(seed)
 
     def test_numpy_integer_seed_accepted(self):
         seed = np.int64(7)
