@@ -16,9 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.evaluation.figures import build_demo_panel_series
+from repro.evaluation.experiment import evaluate_outcomes
+from repro.evaluation.figures import demo_panel_from_evaluation
 from repro.evaluation.tables import format_table
 from repro.schemes.adaptive import AdaptiveScheme
+from repro.schemes.base import SchemeRun
 
 from .conftest import write_result
 
@@ -33,11 +35,10 @@ def test_fig3_demo_panel_stream(benchmark, univariate_result, multivariate_resul
     def stream():
         result.system.reset()
         scheme = AdaptiveScheme(result.system, result.policy, result.context_extractor)
-        outcomes = [
-            scheme.handle_window(windows[index], index, ground_truth=int(labels[index]))
-            for index in range(len(labels))
-        ]
-        return build_demo_panel_series(outcomes, labels, windows=windows, scheme_name=scheme.name)
+        run = SchemeRun.concatenate(
+            [scheme.run_batch(windows[index : index + 1]) for index in range(len(labels))]
+        )
+        return demo_panel_from_evaluation(evaluate_outcomes(scheme.name, run, labels))
 
     panel = benchmark(stream)
 

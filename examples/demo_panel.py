@@ -3,9 +3,9 @@
 The paper's demo shows a GUI where a user picks a dataset and a selection
 scheme, presses "Start" and watches the raw signals, detection outcome vs.
 ground truth, delay vs. selected action, and the cumulative accuracy/F1 update
-in real time.  This example reproduces the same information as a streaming
-text panel: it runs the chosen scheme window by window and prints one panel
-row per window.
+in real time.  This example reproduces the same information as a text panel:
+it streams the test windows through the chosen scheme one at a time, then
+prints one panel row per window.
 
 Run it with::
 
@@ -23,10 +23,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.evaluation.figures import build_demo_panel_series
-from repro.evaluation.metrics import cumulative_accuracy, cumulative_f1
+from repro.evaluation.experiment import evaluate_outcomes
+from repro.evaluation.figures import demo_panel_from_evaluation
 from repro.experiments import ExperimentRunner, get_scenario
 from repro.schemes.adaptive import AdaptiveScheme
+from repro.schemes.base import SchemeRun
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme
 
@@ -65,21 +66,12 @@ def main() -> None:
     result.system.reset()
 
     print(f"\nStreaming {len(windows)} test windows through the {scheme.name!r} scheme:\n")
-    print("idx  pred  truth  layer  delay_ms  cum_acc  cum_f1")
-    outcomes = []
-    for index in range(len(windows)):
-        outcome = scheme.handle_window(windows[index], index, ground_truth=int(labels[index]))
-        outcomes.append(outcome)
-        predictions = np.array([o.prediction for o in outcomes])
-        seen_labels = labels[: index + 1]
-        accuracy = cumulative_accuracy(predictions, seen_labels)[-1]
-        f1 = cumulative_f1(predictions, seen_labels)[-1]
-        print(
-            f"{index:3d}  {outcome.prediction:4d}  {int(labels[index]):5d}  "
-            f"{outcome.layer:5d}  {outcome.delay_ms:8.1f}  {accuracy:7.3f}  {f1:6.3f}"
-        )
+    run = SchemeRun.concatenate(
+        [scheme.run_batch(windows[index : index + 1]) for index in range(len(windows))]
+    )
+    panel = demo_panel_from_evaluation(evaluate_outcomes(scheme.name, run, labels))
+    print("\n".join(panel.summary_lines(max_rows=len(windows))))
 
-    panel = build_demo_panel_series(outcomes, labels, windows=windows, scheme_name=scheme.name)
     actions = np.bincount(panel.actions, minlength=result.system.n_layers)
     print("\nSummary")
     print(f"  final cumulative accuracy: {panel.cumulative_accuracy[-1]:.3f}")

@@ -160,7 +160,7 @@ class AdaptationController:
         folding, reservoir feeding and the monitor stream build no
         intermediate per-window structures.
         """
-        from repro.fleet.metrics import confusion_counts
+        from repro.evaluation.metrics import confusion_counts
 
         predictions = np.asarray(predictions, dtype=int)
         labels = np.asarray(labels, dtype=int)
@@ -219,7 +219,7 @@ class AdaptationController:
     def _feed_f1_monitors(self, tick: int) -> None:
         if (tick + 1) % self.metrics_window != 0:
             return
-        from repro.fleet.metrics import rates_from_confusion
+        from repro.evaluation.metrics import rates_from_confusion
 
         for layer in range(len(self.tier_names)):
             counts = self._window_confusion[layer]

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.detectors.base import AnomalyDetector
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import confusion_counts, rates_from_confusion
+from repro.evaluation.metrics import confusion_counts, rates_from_confusion
 
 
 class WindowReservoir:

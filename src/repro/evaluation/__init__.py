@@ -1,7 +1,6 @@
 """Evaluation: detection metrics, experiment running and table/figure generation."""
 
 from repro.evaluation.metrics import (
-    ConfusionCounts,
     confusion_counts,
     accuracy_score,
     precision_score,
@@ -10,10 +9,9 @@ from repro.evaluation.metrics import (
 )
 from repro.evaluation.experiment import SchemeEvaluation, evaluate_scheme, evaluate_outcomes
 from repro.evaluation.tables import ModelComparisonRow, SchemeComparisonRow, format_table
-from repro.evaluation.figures import DemoPanelSeries, build_demo_panel_series
+from repro.evaluation.figures import DemoPanelSeries, demo_panel_from_evaluation
 
 __all__ = [
-    "ConfusionCounts",
     "confusion_counts",
     "accuracy_score",
     "precision_score",
@@ -26,5 +24,5 @@ __all__ = [
     "SchemeComparisonRow",
     "format_table",
     "DemoPanelSeries",
-    "build_demo_panel_series",
+    "demo_panel_from_evaluation",
 ]

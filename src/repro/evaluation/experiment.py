@@ -7,14 +7,16 @@ usage distribution that explains *why* a scheme achieves its delay.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.bandit.reward import RewardFunction
 from repro.evaluation.metrics import accuracy_score, f1_score
-from repro.schemes.base import SchemeOutcome, SelectionScheme
+from repro.exceptions import ShapeError
+from repro.schemes.base import SchemeRun, SelectionScheme
 
 
 @dataclass
@@ -51,19 +53,15 @@ class SchemeEvaluation:
 
 def evaluate_outcomes(
     scheme_name: str,
-    outcomes: List[SchemeOutcome],
+    run: SchemeRun,
     labels: np.ndarray,
     reward_fn: Optional[RewardFunction] = None,
 ) -> SchemeEvaluation:
-    """Aggregate a list of scheme outcomes against the ground-truth labels."""
+    """Aggregate a scheme's run against the ground-truth labels."""
     labels = np.asarray(labels, dtype=int)
-    if len(outcomes) != labels.shape[0]:
-        raise ValueError(
-            f"got {len(outcomes)} outcomes for {labels.shape[0]} labels"
-        )
-    predictions = np.asarray([outcome.prediction for outcome in outcomes], dtype=int)
-    delays = np.asarray([outcome.delay_ms for outcome in outcomes], dtype=float)
-    layers = np.asarray([outcome.layer for outcome in outcomes], dtype=int)
+    if run.n != labels.shape[0]:
+        raise ShapeError(f"got a run of {run.n} windows for {labels.shape[0]} labels")
+    predictions, delays, layers = run.predictions, run.delays_ms, run.layers
 
     correct = (predictions == labels).astype(float)
     if reward_fn is not None:
@@ -74,10 +72,6 @@ def evaluate_outcomes(
         total_reward = float("nan")
         mean_reward = float("nan")
 
-    usage: Dict[int, int] = {}
-    for layer in layers:
-        usage[int(layer)] = usage.get(int(layer), 0) + 1
-
     return SchemeEvaluation(
         scheme_name=scheme_name,
         f1=f1_score(predictions, labels),
@@ -86,7 +80,8 @@ def evaluate_outcomes(
         total_reward=total_reward,
         mean_reward=mean_reward,
         n_windows=int(labels.shape[0]),
-        layer_usage=usage,
+        # Layers in order of first use.
+        layer_usage=dict(Counter(layers.tolist())),
         predictions=predictions,
         labels=labels,
         delays_ms=delays,
@@ -109,6 +104,5 @@ def evaluate_scheme(
     """
     if reset_system:
         scheme.system.reset()
-    windows = np.asarray(windows, dtype=float)
-    outcomes = scheme.run_batch(windows, np.asarray(labels, dtype=int))
-    return evaluate_outcomes(scheme.name, outcomes, labels, reward_fn=reward_fn)
+    run = scheme.run_batch(windows)
+    return evaluate_outcomes(scheme.name, run, labels, reward_fn=reward_fn)

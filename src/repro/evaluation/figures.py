@@ -7,20 +7,19 @@ The paper's GUI continuously plots, for the selected dataset and scheme:
 * the detection delay versus the action (layer) chosen by the policy network,
 * the cumulative accuracy and F1-score.
 
-:func:`build_demo_panel_series` produces exactly those series from a list of
-scheme outcomes, so examples and benchmarks can print/plot the same content
-without a GUI.
+:func:`demo_panel_from_evaluation` produces exactly those series (bar the raw
+signals, which the caller already holds) from a scheme's evaluation, so
+examples and benchmarks can print/plot the same content without a GUI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from repro.evaluation.metrics import cumulative_accuracy, cumulative_f1
-from repro.schemes.base import SchemeOutcome
 
 
 @dataclass
@@ -34,7 +33,6 @@ class DemoPanelSeries:
     actions: np.ndarray
     cumulative_accuracy: np.ndarray
     cumulative_f1: np.ndarray
-    raw_signal_preview: Optional[np.ndarray] = None
     scheme_name: str = ""
 
     def summary_lines(self, max_rows: int = 10) -> List[str]:
@@ -62,8 +60,8 @@ def demo_panel_from_evaluation(evaluation, scheme_name: str = "") -> DemoPanelSe
     """Assemble the demo-panel series from a finished :class:`SchemeEvaluation`.
 
     The evaluation already stores the per-window prediction/delay/action
-    arrays, so no outcome objects are needed — this is what the experiment
-    runner uses to attach the adaptive scheme's panel to a pipeline result.
+    arrays; this is what the experiment runner uses to attach the adaptive
+    scheme's panel to a pipeline result.
     """
     predictions = np.asarray(evaluation.predictions, dtype=int)
     labels = np.asarray(evaluation.labels, dtype=int)
@@ -78,41 +76,3 @@ def demo_panel_from_evaluation(evaluation, scheme_name: str = "") -> DemoPanelSe
         scheme_name=scheme_name or evaluation.scheme_name,
     )
 
-
-def build_demo_panel_series(
-    outcomes: List[SchemeOutcome],
-    labels: np.ndarray,
-    windows: Optional[np.ndarray] = None,
-    scheme_name: str = "",
-) -> DemoPanelSeries:
-    """Assemble the demo-panel series from scheme outcomes and ground truth.
-
-    ``windows`` is optional; when provided, the mean over channels of each
-    window is kept as a light-weight raw-signal preview (what the GUI's top
-    plot shows, decimated).
-    """
-    labels = np.asarray(labels, dtype=int)
-    predictions = np.asarray([outcome.prediction for outcome in outcomes], dtype=int)
-    delays = np.asarray([outcome.delay_ms for outcome in outcomes], dtype=float)
-    actions = np.asarray([outcome.layer for outcome in outcomes], dtype=int)
-    indices = np.asarray([outcome.window_index for outcome in outcomes], dtype=int)
-
-    preview = None
-    if windows is not None:
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim == 3:
-            preview = windows.mean(axis=2)
-        else:
-            preview = windows
-
-    return DemoPanelSeries(
-        window_indices=indices,
-        predictions=predictions,
-        ground_truth=labels,
-        delays_ms=delays,
-        actions=actions,
-        cumulative_accuracy=cumulative_accuracy(predictions, labels),
-        cumulative_f1=cumulative_f1(predictions, labels),
-        raw_signal_preview=preview,
-        scheme_name=scheme_name,
-    )

@@ -548,7 +548,7 @@ class ExperimentRunner:
         :attr:`STAGES`): requires ``train_policy`` plus both a ``fleet`` node
         (the traffic source) and a ``serve`` node (the front-door
         configuration).  Requests arrive open-loop at ``serve.offered_rps``,
-        are micro-batched into ``detect_batch_columnar`` and answered with
+        are micro-batched into ``detect_batch`` and answered with
         measured service latency; overload is absorbed by the bounded ingress
         queue and ``serve.shed_policy``.
 

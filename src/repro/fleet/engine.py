@@ -9,7 +9,7 @@ is never materialised.
 
 There is one streaming loop, struct-of-arrays end to end:
 :meth:`~repro.fleet.devices.DeviceFleet.arrivals_columnar` arrays in,
-:meth:`~repro.hec.simulation.HECSystem.detect_batch_columnar` arrays out,
+:meth:`~repro.hec.simulation.HECSystem.detect_batch` arrays out,
 tick-batched metric/controller feeds, zero per-window objects.  Its reports
 are pinned by goldens recorded from the per-window loop it replaced (see
 DESIGN.md, "Goldens").
@@ -537,7 +537,7 @@ class FleetEngine:
                         tier_windows = windows[chosen]
                         tier_labels = labels[chosen]
                         tier_keys = keys[chosen]
-                    detected = system.detect_batch_columnar(int(action), tier_windows)
+                    detected = system.detect_batch(int(action), tier_windows)
                     # Failover may have served the batch at a lower tier than
                     # the policy chose; account at the tier that did the work.
                     served = int(detected.layer)

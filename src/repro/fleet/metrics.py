@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.evaluation.metrics import confusion_counts
 from repro.exceptions import ConfigurationError
 
 # splitmix64's increment, and its output function's multipliers and shifts.
@@ -284,25 +285,6 @@ class StreamingMetrics:
         return merged
 
 
-#: Where each ``2 * prediction + label`` cell lands in ``[tp, fp, tn, fn]``.
-_CELL_ORDER = np.array([3, 2, 0, 1])
-
-
-def confusion_counts(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The ``[tp, fp, tn, fn]`` count vector for one batch of binary outcomes.
-
-    The single source of the count ordering :func:`rates_from_confusion`
-    expects — shared by the streaming aggregator and the adaptation loop's
-    windowed-F1 and shadow-gate computations.  Anything but 0/1 raises.
-    """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any((predictions | labels) & ~1):
-        raise ConfigurationError("confusion counts need 0/1 predictions and labels")
-    cells = np.bincount((2 * predictions + labels).ravel(), minlength=4)
-    return cells[_CELL_ORDER]
-
-
 def delay_ns(delays_ms) -> np.ndarray:
     """Delays as int64 nanoseconds: each rounded once, so sums are exact.
 
@@ -316,20 +298,3 @@ def mean_ms(total_ns, count: int) -> float:
     """The mean in milliseconds of ``count`` delays summing to ``total_ns``
     (0.0 when empty): one correctly rounded division of two integers."""
     return int(total_ns) / (int(count) * 1_000_000) if count else 0.0
-
-
-def rates_from_confusion(counts: np.ndarray) -> dict:
-    """accuracy/precision/recall/F1 from one ``[tp, fp, tn, fn]`` vector."""
-    tp, fp, tn, fn = (int(c) for c in counts)
-    total = tp + fp + tn + fn
-    accuracy = (tp + tn) / total if total else 0.0
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return {
-        "accuracy": float(accuracy),
-        "precision": float(precision),
-        "recall": float(recall),
-        "f1": float(f1),
-        "anomaly_fraction": float((tp + fn) / total) if total else 0.0,
-    }

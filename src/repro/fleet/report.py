@@ -20,8 +20,9 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.adapt.events import AdaptationTimeline
+from repro.evaluation.metrics import rates_from_confusion
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import StreamingMetrics, mean_ms, rates_from_confusion
+from repro.fleet.metrics import StreamingMetrics, mean_ms
 from repro.utils.serialization import load_json, save_json, to_jsonable
 
 PathLike = Union[str, Path]

@@ -24,7 +24,7 @@ from repro.hec.network import NetworkLink, TransferSpec
 from repro.hec.topology import HECTopology, build_three_layer_topology
 from repro.hec.deployment import ModelDeployment, deploy_registry
 from repro.hec.delay import DelayBreakdown, end_to_end_delay
-from repro.hec.simulation import HECSystem, DetectionRecord
+from repro.hec.simulation import HECSystem
 
 __all__ = [
     "DeviceProfile",
@@ -40,5 +40,4 @@ __all__ = [
     "DelayBreakdown",
     "end_to_end_delay",
     "HECSystem",
-    "DetectionRecord",
 ]

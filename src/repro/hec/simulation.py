@@ -2,19 +2,17 @@
 
 :class:`HECSystem` ties the pieces together: a topology, the per-layer model
 deployments and the delay model.  A caller submits a batch of windows for one
-layer and gets the predictions, the detector's confidence and the end-to-end
-delays back — as aligned arrays (:meth:`HECSystem.detect_batch_columnar`, the
-streaming and serving hot path) or boxed into one :class:`DetectionRecord` per
-window (:meth:`HECSystem.detect_batch`, what the selection schemes consume).
-Both are views over one kernel, which is the only code that resolves failover,
-runs a detector, computes delays, advances the clock and bumps the per-layer
-counters used to verify offloading behaviour.
+layer to :meth:`HECSystem.detect_batch` and gets the predictions, the
+detector's confidence and the end-to-end delays back as aligned arrays.  That
+one kernel is the only code that resolves failover, runs a detector, computes
+delays, advances the clock and bumps the per-layer counters used to verify
+offloading behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -44,11 +42,11 @@ def _as_float64_batch(windows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchDetectionResult:
-    """One batched detection outcome as aligned arrays (the columnar view).
+    """One batched detection outcome as aligned arrays.
 
-    What :meth:`HECSystem.detect_batch_columnar` returns: exactly the
-    per-window fields the streaming metrics and the adaptation loop consume,
-    with no per-window objects and nothing to tear back apart.
+    What :meth:`HECSystem.detect_batch` returns: exactly the per-window fields
+    the schemes, the streaming metrics and the adaptation loop consume, with
+    no per-window objects and nothing to tear back apart.
     """
 
     layer: int
@@ -59,28 +57,14 @@ class BatchDetectionResult:
     #: ``(n,)`` float64 end-to-end delays.
     delays_ms: np.ndarray
     #: ``(n,)`` bool confidence-rule outcomes — ``None`` unless the caller
-    #: asked for them (streaming consumers never do; the Successive scheme's
-    #: escalation logic is the confidence rules' only customer).
+    #: asked for them (streaming and serving never do; the schemes log them
+    #: and the Successive scheme escalates on them).
     confidents: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         """Number of windows in the batch."""
         return int(self.predictions.shape[0])
-
-
-@dataclass
-class DetectionRecord:
-    """Everything known about one detection request handled by the HEC system."""
-
-    window_index: int
-    layer: int
-    prediction: int
-    confident: bool
-    anomaly_score: float
-    #: Total end-to-end delay of the request (escalation and retry included).
-    delay_ms: float
-    ground_truth: Optional[int] = None
 
 
 @dataclass
@@ -119,7 +103,6 @@ class HECSystem:
         self.layer_counters: Dict[int, LayerCounters] = {
             layer: LayerCounters() for layer in range(topology.n_layers)
         }
-        self._request_counter = 0
         #: Monotone counter bumped whenever the deployed model set changes
         #: (hot-swaps).  The serving front door stamps every response with it,
         #: which is how a drain-and-swap shows which model set answered.
@@ -165,7 +148,7 @@ class HECSystem:
         for link in self.topology.links_to(layer):
             delay += 2.0 * link.one_way_latency_ms
             delay += link.serialization_delay_ms(payload)
-            delay += link.serialization_delay_ms(64.0)
+            delay += link.serialization_delay_ms(RESULT_PAYLOAD_BYTES)
         return float(delay)
 
     # -- failover ------------------------------------------------------------------
@@ -209,53 +192,10 @@ class HECSystem:
         self,
         layer: int,
         windows: np.ndarray,
-        ground_truths: Optional[Sequence[int]] = None,
-        escalated_ms: Optional[np.ndarray] = None,
-    ) -> List[DetectionRecord]:
-        """Handle a batch of detection requests, boxed one record per window.
-
-        The record view of :meth:`detect_batch_columnar` (same kernel, same
-        values, confidence always computed): what the selection schemes
-        consume.  ``ground_truths`` is carried onto the records untouched.
-        """
-        if ground_truths is not None and len(ground_truths) != len(windows):
-            raise ShapeError(
-                f"got {len(ground_truths)} ground truths for {len(windows)} windows"
-            )
-        first_index = self._request_counter
-        result = self._detect(layer, windows, True, escalated_ms)
-        truths = (
-            [None] * result.n if ground_truths is None else [int(t) for t in ground_truths]
-        )
-        return [
-            DetectionRecord(
-                window_index=first_index + offset,
-                layer=result.layer,
-                prediction=prediction,
-                confident=confident,
-                anomaly_score=score,
-                delay_ms=delay_ms,
-                ground_truth=truth,
-            )
-            for offset, (prediction, confident, score, delay_ms, truth) in enumerate(
-                zip(
-                    result.predictions.tolist(),
-                    result.confidents.tolist(),
-                    result.anomaly_scores.tolist(),
-                    result.delays_ms.tolist(),
-                    truths,
-                )
-            )
-        ]
-
-    def detect_batch_columnar(
-        self,
-        layer: int,
-        windows: np.ndarray,
         with_confidence: bool = False,
         escalated_ms: Optional[np.ndarray] = None,
     ) -> BatchDetectionResult:
-        """Handle a batch of detection requests, returning arrays not records.
+        """Handle a batch of detection requests at ``layer``.
 
         One detector forward for the whole ``(n, ...)`` batch, per-window
         delays as one array (computed in request order, so the per-transfer
@@ -270,16 +210,6 @@ class HECSystem:
         layers (the Successive scheme's escalation); it is added to the
         reported delay.
         """
-        return self._detect(layer, windows, with_confidence, escalated_ms)
-
-    def _detect(
-        self,
-        layer: int,
-        windows: np.ndarray,
-        with_confidence: bool,
-        escalated_ms: Optional[np.ndarray],
-    ) -> BatchDetectionResult:
-        """The detection kernel behind both public entry points."""
         layer, retry_ms, redirected = self._resolve_layer(layer)
         deployment = self.deployment_at(layer)
         windows = _as_float64_batch(windows)
@@ -318,7 +248,6 @@ class HECSystem:
 
         total_delay = float(delays.sum())
         self.clock.advance(total_delay)
-        self._request_counter += n
         counters = self.layer_counters[layer]
         counters.requests += n
         counters.total_execution_ms += deployment.execution_time_ms * n
@@ -332,6 +261,10 @@ class HECSystem:
             anomaly_scores=scores,
             delays_ms=delays,
         )
+
+    #: The old name of :meth:`detect_batch`, kept only because the benchmark
+    #: harness wraps both names; nothing in the package calls it.
+    detect_batch_columnar = detect_batch
 
     def _batch_delay_profile(
         self,
@@ -372,14 +305,13 @@ class HECSystem:
     def snapshot_state(self) -> dict:
         """Picklable mid-run state for the fleet checkpoint layer.
 
-        Captures the clock position, the request counter, per-layer counters
+        Captures the clock position, per-layer counters
         and per-link state.  The deployed models are *not* captured here; the
         adaptation controller snapshots them (a frozen run redeploys the same
         detectors deterministically).
         """
         return {
             "clock_now_ms": float(self.clock.now_ms),
-            "request_counter": int(self._request_counter),
             "state_version": int(self.state_version),
             "failover_retries": self._failover_retries,
             "retry_timeout_ms": self._retry_timeout_ms,
@@ -400,7 +332,6 @@ class HECSystem:
         """Restore the state captured by :meth:`snapshot_state`."""
         self.clock.reset()
         self.clock.now_ms = float(snapshot["clock_now_ms"])
-        self._request_counter = int(snapshot["request_counter"])
         self.state_version = int(snapshot["state_version"])
         self._failover_retries = int(snapshot["failover_retries"])
         self._retry_timeout_ms = float(snapshot["retry_timeout_ms"])
@@ -418,7 +349,6 @@ class HECSystem:
         self.layer_counters = {layer: LayerCounters() for layer in range(self.n_layers)}
         self.clock.reset()
         self.topology.reset_links()
-        self._request_counter = 0
 
     def layer_usage(self) -> Dict[int, int]:
         """Number of requests handled per layer."""

@@ -17,14 +17,14 @@ harness can run them interchangeably against the same
 :class:`~repro.hec.simulation.HECSystem`.
 """
 
-from repro.schemes.base import SelectionScheme, SchemeOutcome
+from repro.schemes.base import SelectionScheme, SchemeRun
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme
 from repro.schemes.adaptive import AdaptiveScheme
 
 __all__ = [
     "SelectionScheme",
-    "SchemeOutcome",
+    "SchemeRun",
     "FixedLayerScheme",
     "SuccessiveScheme",
     "AdaptiveScheme",

@@ -15,15 +15,13 @@ delay accounting, which ignores it).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.bandit.context import ContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
 from repro.exceptions import ConfigurationError
-from repro.hec.simulation import DetectionRecord, HECSystem
-from repro.schemes.base import SchemeOutcome, SelectionScheme
+from repro.hec.simulation import HECSystem
+from repro.schemes.base import SchemeRun, SelectionScheme
 from repro.utils.validation import check_non_negative
 
 
@@ -50,45 +48,40 @@ class AdaptiveScheme(SelectionScheme):
         self.context_extractor = context_extractor
         self.greedy = bool(greedy)
         self.policy_overhead_ms = check_non_negative(policy_overhead_ms, "policy_overhead_ms")
-        #: Actions chosen so far (useful for the demo panel's action plot).
-        self.chosen_actions: list[int] = []
 
-    def run_batch(
-        self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
-    ) -> List[SchemeOutcome]:
+    def run_batch(self, windows: np.ndarray) -> SchemeRun:
         """One context extraction, one policy forward, then one batched
         detector call per selected layer.
 
         Windows are grouped by chosen action — groups in order of first
         arrival, so each link's connection setup is paid by the first window
-        to cross it — detected per group, and the outcomes re-assembled in the
-        original window order.  On jittery links the windows go through one at
-        a time instead (grouping would reorder the per-transfer jitter draws).
-        With ``greedy=False`` the actions come from the policy's vectorised
-        sampler.
+        to cross it — detected per group, and each group's results written
+        back at its windows' positions.  On jittery links the windows go
+        through one at a time instead (grouping would reorder the
+        per-transfer jitter draws).  With ``greedy=False`` the actions come
+        from the policy's vectorised sampler.
         """
         windows = np.asarray(windows, dtype=float)
         n = windows.shape[0]
-        if n == 0:
-            return []
         if self._must_step(n):
-            return self._step(windows, ground_truth)
+            return self._step(windows)
+        predictions = np.empty(n, dtype=np.int64)
+        layers = np.empty(n, dtype=np.int64)
+        delays = np.empty(n)
+        confident = np.empty(n, dtype=bool)
+        if n == 0:
+            return SchemeRun.one_attempt(predictions, layers, delays, confident)
         contexts = self.context_extractor.extract(windows)
         actions = self.policy.select_actions(contexts, greedy=self.greedy)
-        self.chosen_actions.extend(int(action) for action in actions)
 
-        records: List[Optional[DetectionRecord]] = [None] * n
         _, first_arrival = np.unique(actions, return_index=True)
         for action in actions[np.sort(first_arrival)]:
             indices = np.flatnonzero(actions == action)
-            truths = ground_truth[indices] if ground_truth is not None else None
-            for index, record in zip(
-                indices,
-                self.system.detect_batch(int(action), windows[indices], ground_truths=truths),
-            ):
-                record.delay_ms += self.policy_overhead_ms
-                records[index] = record
-        return [
-            SchemeOutcome(window_index=index, final=record, records=[record])
-            for index, record in enumerate(records)
-        ]
+            result = self.system.detect_batch(
+                int(action), windows[indices], with_confidence=True
+            )
+            predictions[indices] = result.predictions
+            layers[indices] = result.layer
+            delays[indices] = result.delays_ms + self.policy_overhead_ms
+            confident[indices] = result.confidents
+        return SchemeRun.one_attempt(predictions, layers, delays, confident)

@@ -2,47 +2,72 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
-from repro.hec.simulation import DetectionRecord, HECSystem
+from repro.hec.simulation import HECSystem
 
 
-@dataclass
-class SchemeOutcome:
-    """The outcome of a scheme handling one window.
+@dataclass(frozen=True)
+class SchemeRun:
+    """What a scheme did with a batch of ``n`` windows, as aligned arrays.
 
-    ``records`` holds every detection the scheme triggered for the window (the
-    Successive scheme can trigger several); ``final`` is the record whose
-    prediction the scheme reports, and ``delay_ms`` the total end-to-end delay
-    experienced by the window (including escalations).
+    ``predictions``, ``layers`` and ``delays_ms`` are the scheme's verdict per
+    window: the reported prediction, the layer that produced it and the total
+    end-to-end delay (escalations included).  The escalation log records every
+    detection the scheme triggered: ``attempts[i]`` detections for window
+    ``i``, whose layers and confidence-rule outcomes are listed window-major
+    in ``attempt_layers`` / ``attempt_confident`` (the last attempt of each
+    window is the one that produced its verdict).
     """
 
-    window_index: int
-    final: DetectionRecord
-    records: List[DetectionRecord] = field(default_factory=list)
+    #: ``(n,)`` int64 binary predictions.
+    predictions: np.ndarray
+    #: ``(n,)`` int64 layer that produced each prediction.
+    layers: np.ndarray
+    #: ``(n,)`` float64 end-to-end delays.
+    delays_ms: np.ndarray
+    #: ``(n,)`` int64 number of detections per window.
+    attempts: np.ndarray
+    #: ``(attempts.sum(),)`` int64 layer of every detection, window-major.
+    attempt_layers: np.ndarray
+    #: ``(attempts.sum(),)`` bool confidence of every detection, window-major.
+    attempt_confident: np.ndarray
 
     @property
-    def prediction(self) -> int:
-        """The scheme's binary prediction for the window."""
-        return self.final.prediction
+    def n(self) -> int:
+        """Number of windows in the run."""
+        return int(self.predictions.shape[0])
 
-    @property
-    def layer(self) -> int:
-        """The layer that produced the final prediction."""
-        return self.final.layer
+    @classmethod
+    def one_attempt(
+        cls,
+        predictions: np.ndarray,
+        layers: np.ndarray,
+        delays_ms: np.ndarray,
+        confident: np.ndarray,
+    ) -> "SchemeRun":
+        """A run in which every window was detected exactly once."""
+        return cls(
+            predictions=predictions,
+            layers=layers,
+            delays_ms=delays_ms,
+            attempts=np.ones(predictions.shape[0], dtype=np.int64),
+            attempt_layers=layers,
+            attempt_confident=confident,
+        )
 
-    @property
-    def delay_ms(self) -> float:
-        """Total end-to-end delay of handling the window."""
-        return self.final.delay_ms
-
-    @property
-    def ground_truth(self) -> Optional[int]:
-        """Ground-truth label of the window, when known."""
-        return self.final.ground_truth
+    @classmethod
+    def concatenate(cls, runs: Sequence["SchemeRun"]) -> "SchemeRun":
+        """The runs of consecutive batches as one run, in order."""
+        return cls(
+            **{
+                field.name: np.concatenate([getattr(run, field.name) for run in runs])
+                for field in fields(cls)
+            }
+        )
 
 
 class SelectionScheme:
@@ -53,28 +78,15 @@ class SelectionScheme:
     def __init__(self, system: HECSystem) -> None:
         self.system = system
 
-    def run_batch(
-        self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
-    ) -> List[SchemeOutcome]:
-        """Process a batch of windows; returns one outcome per window, in order.
+    def run_batch(self, windows: np.ndarray) -> SchemeRun:
+        """Process a batch of windows in order; the one driver every scheme
+        implements.
 
-        The one driver every scheme implements: whole batches go through
-        :meth:`~repro.hec.simulation.HECSystem.detect_batch`, one detector
-        call per layer involved.
+        Whole batches go through
+        :meth:`~repro.hec.simulation.HECSystem.detect_batch`, one detector call
+        per layer involved, always with the confidence-rule outcomes.
         """
         raise NotImplementedError
-
-    def handle_window(
-        self,
-        window: np.ndarray,
-        window_index: int,
-        ground_truth: Optional[int] = None,
-    ) -> SchemeOutcome:
-        """Process one window: :meth:`run_batch` over a batch of one."""
-        truth = None if ground_truth is None else np.asarray([ground_truth])
-        (outcome,) = self.run_batch(np.asarray(window, dtype=float)[None, ...], truth)
-        outcome.window_index = window_index
-        return outcome
 
     def _must_step(self, n: int) -> bool:
         """Whether ``n`` windows must go through the driver one at a time.
@@ -85,15 +97,10 @@ class SelectionScheme:
         """
         return n > 1 and any(link.jitter_ms > 0.0 for link in self.system.topology.links)
 
-    def _step(
-        self, windows: np.ndarray, ground_truth: Optional[np.ndarray]
-    ) -> List[SchemeOutcome]:
-        return [
-            self.handle_window(
-                windows[index], index, None if ground_truth is None else ground_truth[index]
-            )
-            for index in range(windows.shape[0])
-        ]
+    def _step(self, windows: np.ndarray) -> SchemeRun:
+        return SchemeRun.concatenate(
+            [self.run_batch(windows[index : index + 1]) for index in range(windows.shape[0])]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

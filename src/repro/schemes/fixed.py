@@ -6,13 +6,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.hec.simulation import HECSystem
-from repro.schemes.base import SchemeOutcome, SelectionScheme
+from repro.schemes.base import SchemeRun, SelectionScheme
 
 #: Human-readable names matching the paper's Table II rows (three-layer case);
 #: the top layer of a deeper hierarchy is always "Cloud" and unnamed middle
@@ -41,13 +41,13 @@ class FixedLayerScheme(SelectionScheme):
         else:
             self.name = _FIXED_SCHEME_NAMES.get(self.layer, f"Layer-{self.layer}")
 
-    def run_batch(
-        self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
-    ) -> List[SchemeOutcome]:
+    def run_batch(self, windows: np.ndarray) -> SchemeRun:
         """All windows go to the configured layer in one batched detector call."""
         windows = np.asarray(windows, dtype=float)
-        records = self.system.detect_batch(self.layer, windows, ground_truths=ground_truth)
-        return [
-            SchemeOutcome(window_index=index, final=record, records=[record])
-            for index, record in enumerate(records)
-        ]
+        result = self.system.detect_batch(self.layer, windows, with_confidence=True)
+        return SchemeRun.one_attempt(
+            predictions=result.predictions,
+            layers=np.full(result.n, result.layer, dtype=np.int64),
+            delays_ms=result.delays_ms,
+            confident=result.confidents,
+        )

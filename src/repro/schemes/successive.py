@@ -11,13 +11,13 @@ the right layer directly.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hec.simulation import DetectionRecord, HECSystem
-from repro.schemes.base import SchemeOutcome, SelectionScheme
+from repro.hec.simulation import HECSystem
+from repro.schemes.base import SchemeRun, SelectionScheme
 
 
 class SuccessiveScheme(SelectionScheme):
@@ -33,9 +33,7 @@ class SuccessiveScheme(SelectionScheme):
             )
         self.start_layer = int(start_layer)
 
-    def run_batch(
-        self, windows: np.ndarray, ground_truth: Optional[np.ndarray] = None
-    ) -> List[SchemeOutcome]:
+    def run_batch(self, windows: np.ndarray) -> SchemeRun:
         """Escalation loop over layers with batched per-layer detector calls.
 
         All windows are detected at the start layer in one batch; the
@@ -47,35 +45,44 @@ class SuccessiveScheme(SelectionScheme):
         """
         windows = np.asarray(windows, dtype=float)
         n = windows.shape[0]
-        if n == 0:
-            return []
         if self._must_step(n):
-            return self._step(windows, ground_truth)
-        finals: List[Optional[DetectionRecord]] = [None] * n
-        chains: List[List[DetectionRecord]] = [[] for _ in range(n)]
+            return self._step(windows)
+        predictions = np.empty(n, dtype=np.int64)
+        layers = np.empty(n, dtype=np.int64)
+        delays = np.empty(n)
+        if n == 0:
+            return SchemeRun.one_attempt(predictions, layers, delays, np.empty(0, dtype=bool))
+        # The escalation log, one entry per detection, in layer order.
+        attempt_windows, attempt_layers, attempt_confident = [], [], []
 
         top = self.system.n_layers - 1
         active = np.arange(n)
         spent_ms: Optional[np.ndarray] = None
         for layer in range(self.start_layer, self.system.n_layers):
-            truths = ground_truth[active] if ground_truth is not None else None
-            records = self.system.detect_batch(
-                layer, windows[active], ground_truths=truths, escalated_ms=spent_ms
+            result = self.system.detect_batch(
+                layer, windows[active], with_confidence=True, escalated_ms=spent_ms
             )
-            escalating = []
-            for index, record in zip(active, records):
-                chains[index].append(record)
-                if record.confident or layer == top:
-                    finals[index] = record
-                else:
-                    escalating.append(index)
-            if not escalating:
+            attempt_windows.append(active)
+            attempt_layers.append(np.full(active.size, result.layer, dtype=np.int64))
+            attempt_confident.append(result.confidents)
+            escalating = ~result.confidents & (layer < top)
+            final = ~escalating
+            predictions[active[final]] = result.predictions[final]
+            layers[active[final]] = result.layer
+            delays[active[final]] = result.delays_ms[final]
+            if not escalating.any():
                 break
-            active = np.asarray(escalating)
+            active = active[escalating]
             # The next attempt inherits everything spent so far.
-            spent_ms = np.asarray([chains[index][-1].delay_ms for index in active])
+            spent_ms = result.delays_ms[escalating]
 
-        return [
-            SchemeOutcome(window_index=index, final=finals[index], records=chains[index])
-            for index in range(n)
-        ]
+        attempt_windows = np.concatenate(attempt_windows)
+        window_major = np.argsort(attempt_windows, kind="stable")
+        return SchemeRun(
+            predictions=predictions,
+            layers=layers,
+            delays_ms=delays,
+            attempts=np.bincount(attempt_windows, minlength=n),
+            attempt_layers=np.concatenate(attempt_layers)[window_major],
+            attempt_confident=np.concatenate(attempt_confident)[window_major],
+        )

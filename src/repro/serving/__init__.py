@@ -8,7 +8,7 @@ serving under real queueing:
   control, SLO, offered load);
 * :mod:`repro.serving.server` — the asyncio
   :class:`~repro.serving.server.IngestServer`: micro-batching into
-  ``detect_batch_columnar``, bounded-queue load shedding, per-tier
+  ``detect_batch``, bounded-queue load shedding, per-tier
   concurrency backpressure and the drain-and-swap deployment gate;
 * :mod:`repro.serving.loadgen` — the open-loop
   :class:`~repro.serving.loadgen.OpenLoopLoadGenerator` backed by

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
+from repro.evaluation.metrics import rates_from_confusion
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import DelayReservoir, delay_ns, mean_ms, rates_from_confusion
+from repro.fleet.metrics import DelayReservoir, delay_ns, mean_ms
 from repro.fleet.report import DelaySummary
 from repro.serving.server import IngestServer
 from repro.utils.serialization import load_json, save_json, to_jsonable

@@ -5,7 +5,7 @@
 micro-batcher — a batch flushes once it holds ``serve.max_batch`` requests or
 once its oldest request has waited ``serve.max_wait_ms``, whichever first —
 and routes each flushed batch through the trained policy into
-:meth:`~repro.hec.simulation.HECSystem.detect_batch_columnar`.  Every
+:meth:`~repro.hec.simulation.HECSystem.detect_batch`.  Every
 submission resolves to a :class:`ServeResult`; served results carry the
 prediction, the simulated HEC delay, the *measured* wall-clock service
 latency (scheduled arrival to completed response, so a backlog cannot hide
@@ -58,9 +58,9 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.evaluation.metrics import confusion_counts
 from repro.exceptions import ConfigurationError
 from repro.fleet.faults import FaultSchedule, FaultSpec
-from repro.fleet.metrics import confusion_counts
 from repro.obs.export import Telemetry
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.serving.spec import ServingSpec
@@ -635,7 +635,7 @@ class IngestServer:
             if self._fault_schedule is not None:
                 await self._apply_link_faults(layer, rows)
             # No await since the links were set: no other batch sees them torn.
-            detected = self.system.detect_batch_columnar(layer, windows)
+            detected = self.system.detect_batch(layer, windows)
             # Safe to read outside the gate: a swap needs the in-flight count
             # (which includes this task) to reach zero first.
             version = int(self.system.state_version)

@@ -262,12 +262,12 @@ class TestAdaptationController:
             windows = training_windows[
                 rng.integers(0, len(training_windows), size=6)
             ] + (shift if drifted else 0.0)
-            records = system.detect_batch(0, windows)
+            detected = system.detect_batch(0, windows)
             controller.observe_batch(
                 tick, 0, windows=windows,
-                predictions=np.asarray([r.prediction for r in records]),
+                predictions=detected.predictions,
                 labels=np.zeros(6, dtype=int),
-                scores=np.asarray([r.anomaly_score for r in records]),
+                scores=detected.anomaly_scores,
             )
             controller.end_tick(tick)
         assert len(controller.drifts) >= 1

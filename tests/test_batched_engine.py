@@ -4,8 +4,8 @@ Every batched path must agree with the same path stepped one sample at a time
 (the Keras wrapper/recurrent test idiom): the minibatched policy-gradient step
 with a batch of one matches the per-sample step, one ``HECSystem.detect_batch``
 call reproduces repeated single-window calls including all bookkeeping, the
-scheme ``run_batch`` drivers reproduce themselves stepped through
-``handle_window``, and the vectorised LSTM backward matches the seed
+scheme ``run_batch`` drivers reproduce themselves stepped one window at a
+time, and the vectorised LSTM backward matches the seed
 (per-timestep) implementation's gradients to tight tolerance.  What the deleted
 sequential implementations (``detect_at``, ``SelectionScheme.run``) produced is
 pinned by the recorded goldens in ``tests/test_schemes_goldens.py``.
@@ -21,6 +21,7 @@ from repro.bandit.reinforce import ReinforcementComparisonBaseline, ReinforceTra
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.lstm import LSTM
 from repro.schemes.adaptive import AdaptiveScheme
+from repro.schemes.base import SchemeRun
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme
 
@@ -351,20 +352,6 @@ class TestMinibatchedTrainer:
 # HECSystem.detect_batch vs repeated single-window calls
 # ---------------------------------------------------------------------------
 
-def _record_exact(record):
-    return (
-        record.window_index,
-        record.layer,
-        record.prediction,
-        record.confident,
-        record.ground_truth,
-    )
-
-
-def _record_floats(record):
-    return (record.anomaly_score, record.delay_ms)
-
-
 def _system_state(system, layer):
     return (
         system.clock.now_ms,
@@ -377,39 +364,41 @@ def _system_state(system, layer):
 class TestDetectBatch:
     @pytest.mark.parametrize("layer", [0, 1, 2])
     def test_matches_repeated_single_window_calls(self, univariate_hec, layer):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         batch = windows[:10]
-        truths = labels[:10]
 
         system.reset()
         stepped = [
-            system.detect_batch(layer, batch[i][None, ...], ground_truths=truths[i:i + 1])[0]
+            system.detect_batch(layer, batch[i : i + 1], with_confidence=True)
             for i in range(batch.shape[0])
         ]
         stepped_state = _system_state(system, layer)
 
         system.reset()
-        batched = system.detect_batch(layer, batch, ground_truths=truths)
+        batched = system.detect_batch(layer, batch, with_confidence=True)
         batched_state = _system_state(system, layer)
 
-        assert len(batched) == len(stepped)
-        for record_a, record_b in zip(stepped, batched):
-            assert _record_exact(record_a) == _record_exact(record_b)
-            assert _record_floats(record_a) == pytest.approx(_record_floats(record_b))
+        assert [r.layer for r in stepped] == [batched.layer] * 10
+        for name in ("predictions", "confidents"):
+            assert np.array_equal(
+                getattr(batched, name), np.concatenate([getattr(r, name) for r in stepped])
+            ), name
+        for name in ("anomaly_scores", "delays_ms"):
+            assert_allclose(
+                getattr(batched, name), np.concatenate([getattr(r, name) for r in stepped])
+            )
         assert stepped_state[0] == pytest.approx(batched_state[0])
         assert stepped_state[1] == batched_state[1]
         assert stepped_state[2] == pytest.approx(batched_state[2])
 
     def test_empty_batch(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
-        assert system.detect_batch(0, windows[:0]) == []
+        assert system.detect_batch(0, windows[:0]).n == 0
 
     def test_shape_validation(self, univariate_hec):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         with pytest.raises(ShapeError):
             system.detect_batch(0, windows[0])  # single window, not a batch
-        with pytest.raises(ShapeError):
-            system.detect_batch(0, windows[:3], ground_truths=labels[:2])
         with pytest.raises(ShapeError):
             system.detect_batch(0, windows[:3], escalated_ms=np.zeros(1))
 
@@ -419,36 +408,24 @@ class TestDetectBatch:
         system.topology.warm_links()
         previous = system.detect_batch(0, windows[:2])
         plain = system.detect_batch(1, windows[:2])
-        escalated = system.detect_batch(
-            1, windows[:2], escalated_ms=[record.delay_ms for record in previous]
-        )
-        for before, alone, after in zip(previous, plain, escalated):
-            assert after.delay_ms == pytest.approx(alone.delay_ms + before.delay_ms)
+        escalated = system.detect_batch(1, windows[:2], escalated_ms=previous.delays_ms)
+        assert_allclose(escalated.delays_ms, plain.delays_ms + previous.delays_ms)
 
 
 # ---------------------------------------------------------------------------
-# Scheme run_batch vs itself stepped through handle_window
+# Scheme run_batch vs itself stepped one window at a time
 # ---------------------------------------------------------------------------
 
-def _outcome_signature(outcomes):
-    return [
-        (
-            outcome.window_index,
-            outcome.prediction,
-            outcome.layer,
-            outcome.delay_ms,
-            outcome.ground_truth,
-            len(outcome.records),
-        )
-        for outcome in outcomes
-    ]
+def _assert_same_run(run_a, run_b):
+    for name in ("predictions", "layers", "attempts", "attempt_layers", "attempt_confident"):
+        assert np.array_equal(getattr(run_a, name), getattr(run_b, name)), name
+    assert_allclose(run_a.delays_ms, run_b.delays_ms)
 
 
-def _stepped(scheme, windows, labels):
-    return [
-        scheme.handle_window(windows[index], index, ground_truth=int(labels[index]))
-        for index in range(windows.shape[0])
-    ]
+def _stepped(scheme, windows):
+    return SchemeRun.concatenate(
+        [scheme.run_batch(windows[index : index + 1]) for index in range(windows.shape[0])]
+    )
 
 
 def _untrained_policy(windows):
@@ -463,53 +440,48 @@ class TestSchemeRunBatchEquivalence:
     """One driver at two batch sizes: all windows at once vs one at a time."""
 
     def test_fixed_scheme(self, univariate_hec):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         for layer in range(system.n_layers):
             system.reset()
-            stepped = _stepped(FixedLayerScheme(system, layer), windows, labels)
+            stepped = _stepped(FixedLayerScheme(system, layer), windows)
             system.reset()
-            batched = FixedLayerScheme(system, layer).run_batch(windows, labels)
-            assert _outcome_signature(batched) == pytest.approx(_outcome_signature(stepped))
+            batched = FixedLayerScheme(system, layer).run_batch(windows)
+            _assert_same_run(batched, stepped)
 
     def test_successive_scheme(self, univariate_hec):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        """Same verdicts and the same escalation chains, layer by layer."""
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         system.reset()
-        stepped = _stepped(SuccessiveScheme(system), windows, labels)
+        stepped = _stepped(SuccessiveScheme(system), windows)
         system.reset()
-        batched = SuccessiveScheme(system).run_batch(windows, labels)
-        assert _outcome_signature(batched) == pytest.approx(_outcome_signature(stepped))
-        # The per-window escalation chains must match layer by layer.
-        for outcome_a, outcome_b in zip(stepped, batched):
-            assert [r.layer for r in outcome_a.records] == [r.layer for r in outcome_b.records]
-            assert [r.confident for r in outcome_a.records] == [
-                r.confident for r in outcome_b.records
-            ]
+        batched = SuccessiveScheme(system).run_batch(windows)
+        _assert_same_run(batched, stepped)
+        assert batched.attempts.max() > 1  # something actually escalated
 
     def test_adaptive_scheme_greedy(self, univariate_hec):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         policy, extractor = _untrained_policy(windows)
         system.reset()
-        stepped = _stepped(AdaptiveScheme(system, policy, extractor), windows, labels)
+        stepped = _stepped(AdaptiveScheme(system, policy, extractor), windows)
         system.reset()
-        batched_scheme = AdaptiveScheme(system, policy, extractor)
-        batched = batched_scheme.run_batch(windows, labels)
-        assert _outcome_signature(batched) == pytest.approx(_outcome_signature(stepped))
-        assert len(batched_scheme.chosen_actions) == windows.shape[0]
+        batched = AdaptiveScheme(system, policy, extractor).run_batch(windows)
+        _assert_same_run(batched, stepped)
 
     def test_first_window_to_cross_a_link_pays_its_setup(self, univariate_hec):
         """Grouping by layer must not move connection setup off the window
         that, in arrival order, opens the connection."""
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         policy, extractor = _untrained_policy(windows)
         policy.select_actions = lambda contexts, greedy=True: np.array([2, 1, 1, 0])[
             : len(contexts)
         ]
         system.reset()
-        batched = AdaptiveScheme(system, policy, extractor).run_batch(windows[:4], labels[:4])
+        batched = AdaptiveScheme(system, policy, extractor).run_batch(windows[:4])
         setup = sum(link.connection_setup_ms for link in system.topology.links)
         assert setup > 0
         shape = windows.shape[1:]
-        assert [outcome.delay_ms for outcome in batched] == pytest.approx(
+        assert batched.layers.tolist() == [2, 1, 1, 0]
+        assert batched.delays_ms.tolist() == pytest.approx(
             [
                 system.expected_delay_ms(2, shape) + setup,  # opens both links
                 system.expected_delay_ms(1, shape),
@@ -519,21 +491,20 @@ class TestSchemeRunBatchEquivalence:
         )
 
     def test_adaptive_scheme_policy_overhead(self, univariate_hec):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         policy, extractor = _untrained_policy(windows)
         system.reset()
-        plain = AdaptiveScheme(system, policy, extractor).run_batch(windows[:4], labels[:4])
+        plain = AdaptiveScheme(system, policy, extractor).run_batch(windows[:4])
         system.reset()
         overhead = AdaptiveScheme(
             system, policy, extractor, policy_overhead_ms=5.0
-        ).run_batch(windows[:4], labels[:4])
-        for outcome_a, outcome_b in zip(plain, overhead):
-            assert outcome_b.delay_ms == pytest.approx(outcome_a.delay_ms + 5.0)
+        ).run_batch(windows[:4])
+        assert np.array_equal(overhead.delays_ms, plain.delays_ms + 5.0)
 
     def test_jittery_links_step_window_by_window(self, univariate_hec, monkeypatch):
         """Grouped batching would reorder jitter draws, so on jittery links
         run_batch feeds itself one window at a time, in arrival order."""
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         policy, extractor = _untrained_policy(windows)
         link = system.topology.links[0]
         original_jitter = link.jitter_ms
@@ -546,22 +517,28 @@ class TestSchemeRunBatchEquivalence:
                 batch_sizes = []
                 run_batch = type(scheme).run_batch
 
-                def spy(self, w, l=None, _sizes=batch_sizes, _run=run_batch):
+                def spy(self, w, _sizes=batch_sizes, _run=run_batch):
                     _sizes.append(w.shape[0])
-                    return _run(self, w, l)
+                    return _run(self, w)
 
                 monkeypatch.setattr(type(scheme), "run_batch", spy)
                 system.reset()
-                outcomes = scheme.run_batch(windows[:3], labels[:3])
+                run = scheme.run_batch(windows[:3])
                 assert batch_sizes == [3, 1, 1, 1]
-                assert [outcome.window_index for outcome in outcomes] == [0, 1, 2]
+                assert run.n == 3
                 monkeypatch.undo()
         finally:
             link.jitter_ms = original_jitter
 
     def test_empty_batches(self, univariate_hec):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         policy, extractor = _untrained_policy(windows)
         system.reset()
-        assert AdaptiveScheme(system, policy, extractor).run_batch(windows[:0]) == []
-        assert SuccessiveScheme(system).run_batch(windows[:0]) == []
+        for scheme in (
+            FixedLayerScheme(system, 1),
+            AdaptiveScheme(system, policy, extractor),
+            SuccessiveScheme(system),
+        ):
+            run = scheme.run_batch(windows[:0])
+            assert run.n == 0 and run.attempt_layers.shape == (0,), scheme.name
+        assert system.layer_usage() == {0: 0, 1: 0, 2: 0}

@@ -1,11 +1,10 @@
-"""Tests for the columnar detection path.
+"""Tests for the detection kernel's array contract.
 
-``HECSystem.detect_batch`` is a boxing view over the kernel behind
-``HECSystem.detect_batch_columnar``: its records must equal the columnar
-arrays element for element — predictions, confidence flags, anomaly scores,
-delays and every piece of bookkeeping — with and without ``escalated_ms``,
-behind a down link and on jittery links.  The detectors' ``detect_arrays``
-must likewise reproduce ``detect``.
+``HECSystem.detect_batch`` returns one :class:`BatchDetectionResult` of
+aligned arrays: escalation and retry delays compose in a fixed float order,
+failover serves the best reachable tier, jittery links draw per window in
+request order, and confidence is computed only on request.  The detectors'
+``detect_arrays`` must likewise reproduce ``detect``.
 """
 
 import copy
@@ -17,114 +16,90 @@ from repro.exceptions import ShapeError
 from repro.hec.simulation import BatchDetectionResult, _as_float64_batch
 
 
-def _columnar_from_records(records):
-    return (
-        np.array([r.prediction for r in records], dtype=np.int64),
-        np.array([r.confident for r in records], dtype=bool),
-        np.array([r.anomaly_score for r in records]),
-        np.array([r.delay_ms for r in records]),
-    )
-
-
-def _assert_same_outcome(reference, records, system, result):
-    """Records from ``reference`` equal the arrays from ``system``, state included."""
-    predictions, confidents, scores, delays = _columnar_from_records(records)
-    assert isinstance(result, BatchDetectionResult)
-    assert {r.layer for r in records} == {result.layer}
-    assert np.array_equal(result.predictions, predictions)
-    assert np.array_equal(result.confidents, confidents)
-    assert np.array_equal(result.anomaly_scores, scores)
-    assert np.array_equal(result.delays_ms, delays)
-    assert system.layer_counters == reference.layer_counters
-    assert system.clock.now_ms == reference.clock.now_ms
-    for link_a, link_b in zip(reference.topology.links, system.topology.links):
-        assert link_a.transfer_count == link_b.transfer_count
-        assert link_a.transferred_bytes == link_b.transferred_bytes
-
-
-class TestDetectBatchColumnar:
+class TestDetectBatch:
     @pytest.mark.parametrize("layer", [0, 1, 2])
-    def test_matches_detect_batch(self, univariate_hec, layer):
-        system, _deployments, _detectors, windows, labels = univariate_hec
+    def test_escalated_delays_add_to_plain_delays(self, univariate_hec, layer):
+        system, _deployments, _detectors, windows, _labels = univariate_hec
         batch = windows[:10]
-        reference = copy.deepcopy(system)
-        for escalated_ms in (None, np.linspace(5.0, 50.0, 10)):
-            reference.reset()
-            records = reference.detect_batch(
-                layer, batch, ground_truths=labels[:10], escalated_ms=escalated_ms
-            )
-            system.reset()
-            result = system.detect_batch_columnar(
-                layer, batch, with_confidence=True, escalated_ms=escalated_ms
-            )
-            assert result.layer == layer
-            assert [r.window_index for r in records] == list(range(10))
-            assert [r.ground_truth for r in records] == labels[:10].tolist()
-            _assert_same_outcome(reference, records, system, result)
-        # The escalated run reports exactly the plain delays plus escalated_ms.
+        escalated_ms = np.linspace(5.0, 50.0, 10)
         system.reset()
-        plain = system.detect_batch_columnar(layer, batch)
+        plain = system.detect_batch(layer, batch, with_confidence=True)
+        plain_clock = system.clock.now_ms
+        system.reset()
+        result = system.detect_batch(
+            layer, batch, with_confidence=True, escalated_ms=escalated_ms
+        )
+        assert isinstance(result, BatchDetectionResult)
+        assert result.layer == layer and result.n == 10
+        assert np.array_equal(result.predictions, plain.predictions)
+        assert np.array_equal(result.confidents, plain.confidents)
+        assert np.array_equal(result.anomaly_scores, plain.anomaly_scores)
         assert np.array_equal(result.delays_ms, plain.delays_ms + escalated_ms)
+        counters = system.layer_counters[layer]
+        assert counters.requests == 10
+        assert counters.anomalies_reported == int(result.predictions.sum())
+        assert counters.total_delay_ms == float(result.delays_ms.sum())
+        assert system.clock.now_ms == pytest.approx(plain_clock + escalated_ms.sum())
 
-    def test_matches_detect_batch_behind_a_down_link(self, univariate_hec):
+    def test_down_link_serves_the_best_reachable_tier(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
         escalated_ms = np.full(6, 12.4)
-        reference = copy.deepcopy(system)
-        reference.reset()
-        reference.topology.links[1].set_status("down")
-        records = reference.detect_batch(2, windows[:6], escalated_ms=escalated_ms)
-
         system.reset()
         system.topology.links[1].set_status("down")
-        result = system.detect_batch_columnar(
+        result = system.detect_batch(
             2, windows[:6], with_confidence=True, escalated_ms=escalated_ms
         )
         system.topology.links[1].set_status("up")
 
         assert result.layer == 1  # served by the best reachable tier
         assert system.layer_counters[1].redirected == 6
-        _assert_same_outcome(reference, records, system, result)
+        assert system.layer_counters[2].requests == 0
         # (uplink + execution + downlink) + escalated + retry, in that order.
         system.reset()
-        at_edge = system.detect_batch_columnar(1, windows[:6])
+        at_edge = system.detect_batch(1, windows[:6], with_confidence=True)
         assert np.array_equal(result.delays_ms, (at_edge.delays_ms + escalated_ms) + 200.0)
+        assert np.array_equal(result.confidents, at_edge.confidents)
 
-    def test_matches_detect_batch_on_jittery_links(self, univariate_hec):
+    def test_jittery_links_draw_per_window_in_request_order(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
         jittery = copy.deepcopy(system)
         for link in jittery.topology.links:
             link.jitter_ms = 0.25
-        reference = copy.deepcopy(jittery)
-
-        reference.reset()
-        records = reference.detect_batch(2, windows[:8])
+        stepped_system = copy.deepcopy(jittery)
 
         jittery.reset()
-        result = jittery.detect_batch_columnar(2, windows[:8], with_confidence=True)
+        result = jittery.detect_batch(2, windows[:8])
+        stepped_system.reset()
+        stepped = [stepped_system.detect_batch(2, windows[i : i + 1]) for i in range(8)]
 
         # Per-window jitter draws happen in the same order, so the delay
         # stream is bit-identical, not merely statistically equal.
-        _assert_same_outcome(reference, records, jittery, result)
+        assert np.array_equal(
+            result.delays_ms, np.concatenate([r.delays_ms for r in stepped])
+        )
         assert len(set(result.delays_ms)) > 1  # jitter actually varied
+        for link_a, link_b in zip(jittery.topology.links, stepped_system.topology.links):
+            assert link_a.transfer_count == link_b.transfer_count
+            assert link_a.transferred_bytes == link_b.transferred_bytes
 
     def test_confidence_skipped_by_default(self, univariate_hec):
         """Streaming never reads confidence, so the default skips computing it."""
         system, _deployments, _detectors, windows, _labels = univariate_hec
-        reference = copy.deepcopy(system)
-        reference.reset()
-        records = reference.detect_batch(1, windows[:6])
-
         system.reset()
-        lean = system.detect_batch_columnar(1, windows[:6])
+        full = system.detect_batch(1, windows[:6], with_confidence=True)
+        system.reset()
+        lean = system.detect_batch(1, windows[:6])
         assert lean.confidents is None
+        assert full.confidents.dtype == bool and full.confidents.shape == (6,)
         # The detection rule itself is unchanged by the lean path.
-        assert np.array_equal(lean.predictions, [r.prediction for r in records])
-        assert np.array_equal(lean.anomaly_scores, [r.anomaly_score for r in records])
+        assert np.array_equal(lean.predictions, full.predictions)
+        assert np.array_equal(lean.anomaly_scores, full.anomaly_scores)
+        assert np.array_equal(lean.delays_ms, full.delays_ms)
 
     def test_empty_batch(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
         system.reset()
-        result = system.detect_batch_columnar(0, windows[:0])
+        result = system.detect_batch(0, windows[:0])
         assert result.n == 0
         assert result.predictions.shape == (0,)
         assert system.layer_counters[0].requests == 0
@@ -132,9 +107,9 @@ class TestDetectBatchColumnar:
     def test_shape_validation(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
         with pytest.raises(ShapeError):
-            system.detect_batch_columnar(0, windows[0])  # not a batch
+            system.detect_batch(0, windows[0])  # not a batch
         with pytest.raises(ShapeError):
-            system.detect_batch_columnar(0, windows[:3], escalated_ms=np.zeros(2))
+            system.detect_batch(0, windows[:3], escalated_ms=np.zeros(2))
 
 
 class TestDetectArrays:

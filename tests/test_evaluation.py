@@ -5,7 +5,7 @@ import pytest
 
 from repro.bandit.reward import DelayCost, RewardFunction
 from repro.evaluation.experiment import evaluate_outcomes, evaluate_scheme
-from repro.evaluation.figures import build_demo_panel_series
+from repro.evaluation.figures import demo_panel_from_evaluation
 from repro.evaluation.metrics import (
     accuracy_score,
     confusion_counts,
@@ -29,11 +29,8 @@ from repro.schemes.successive import SuccessiveScheme
 
 class TestMetrics:
     def test_confusion_counts(self):
-        counts = confusion_counts([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-        assert counts.true_positives == 2
-        assert counts.false_positives == 1
-        assert counts.true_negatives == 1
-        assert counts.false_negatives == 1
+        # [tp, fp, tn, fn]
+        assert confusion_counts([1, 1, 0, 0, 1], [1, 0, 0, 1, 1]).tolist() == [2, 1, 1, 1]
 
     def test_accuracy(self):
         assert accuracy_score([1, 0, 1], [1, 0, 0]) == pytest.approx(2 / 3)
@@ -75,6 +72,21 @@ class TestMetrics:
 
     def test_cumulative_empty(self):
         assert cumulative_accuracy([], []).size == 0
+        assert cumulative_f1([], []).size == 0
+
+    def test_cumulative_f1_equals_f1_of_every_prefix(self):
+        rng = np.random.default_rng(0)
+        streams = [([], []), ([0] * 9, [0] * 9), ([1] * 9, [1] * 9), ([0] * 5, [1] * 5),
+                   ([1] * 5, [0] * 5)]
+        while len(streams) < 200:
+            n = int(rng.integers(1, 40))
+            streams.append(tuple(rng.integers(0, 2, size=(2, n))))
+        for predictions, labels in streams:
+            predictions, labels = np.asarray(predictions), np.asarray(labels)
+            expected = [
+                f1_score(predictions[: i + 1], labels[: i + 1]) for i in range(len(labels))
+            ]
+            assert cumulative_f1(predictions, labels).tolist() == expected
 
 
 class TestSchemeEvaluation:
@@ -115,9 +127,9 @@ class TestSchemeEvaluation:
     def test_outcome_label_count_mismatch(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
         scheme = FixedLayerScheme(system, 0)
-        outcomes = scheme.run_batch(windows[:3], labels[:3])
-        with pytest.raises(ValueError):
-            evaluate_outcomes("x", outcomes, labels[:4])
+        run = scheme.run_batch(windows[:3])
+        with pytest.raises(ShapeError):
+            evaluate_outcomes("x", run, labels[:4])
 
     def test_as_dict_round_trip(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
@@ -205,46 +217,30 @@ class TestTables:
 class TestDemoPanel:
     def test_series_lengths(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
-        system.reset()
-        outcomes = SuccessiveScheme(system).run_batch(windows, labels)
-        panel = build_demo_panel_series(outcomes, labels, windows=windows, scheme_name="Successive")
+        evaluation = evaluate_scheme(SuccessiveScheme(system), windows, labels)
+        panel = demo_panel_from_evaluation(evaluation)
         n = len(labels)
+        assert panel.scheme_name == "Successive"
+        assert panel.window_indices.tolist() == list(range(n))
         assert len(panel.predictions) == n
         assert len(panel.delays_ms) == n
         assert len(panel.cumulative_accuracy) == n
         assert len(panel.cumulative_f1) == n
-        assert panel.raw_signal_preview.shape[0] == n
+        assert np.array_equal(panel.actions, evaluation.layers)
 
     def test_cumulative_accuracy_final_matches_overall(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
-        system.reset()
-        outcomes = FixedLayerScheme(system, 2).run_batch(windows, labels)
-        panel = build_demo_panel_series(outcomes, labels)
+        evaluation = evaluate_scheme(FixedLayerScheme(system, 2), windows, labels)
+        panel = demo_panel_from_evaluation(evaluation)
         assert panel.cumulative_accuracy[-1] == pytest.approx(
             accuracy_score(panel.predictions, labels)
         )
+        assert panel.cumulative_f1[-1] == evaluation.f1
 
     def test_summary_lines_truncate(self, univariate_hec):
         system, _deployments, _detectors, windows, labels = univariate_hec
-        system.reset()
-        outcomes = FixedLayerScheme(system, 0).run_batch(windows, labels)
-        panel = build_demo_panel_series(outcomes, labels, scheme_name="IoT Device")
+        evaluation = evaluate_scheme(FixedLayerScheme(system, 0), windows, labels)
+        panel = demo_panel_from_evaluation(evaluation)
         lines = panel.summary_lines(max_rows=3)
         assert "IoT Device" in lines[0]
         assert any("more windows" in line for line in lines)
-
-    def test_multivariate_preview_averages_channels(self):
-        from repro.hec.simulation import DetectionRecord
-        from repro.schemes.base import SchemeOutcome
-
-        records = [
-            DetectionRecord(
-                window_index=i, layer=0, prediction=0, confident=True, anomaly_score=-1.0,
-                delay_ms=1.0, ground_truth=0,
-            )
-            for i in range(2)
-        ]
-        outcomes = [SchemeOutcome(window_index=i, final=r, records=[r]) for i, r in enumerate(records)]
-        windows = np.ones((2, 5, 3))
-        panel = build_demo_panel_series(outcomes, np.zeros(2, dtype=int), windows=windows)
-        assert panel.raw_signal_preview.shape == (2, 5)

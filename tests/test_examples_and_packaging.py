@@ -15,6 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.evaluation.figures
+import repro.evaluation.metrics
+import repro.hec
+import repro.schemes
 from repro.adapt.spec import AdaptSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments import apply_overrides, get_scenario
@@ -193,6 +197,7 @@ class TestPackageSurface:
         from repro.evaluation.experiment import evaluate_scheme
         from repro.experiments.spec import EvaluationSpec
         from repro.experiments.stages import evaluate_all_schemes
+        from repro.hec.simulation import HECSystem
         from repro.schemes import (
             AdaptiveScheme, FixedLayerScheme, SelectionScheme, SuccessiveScheme,
         )
@@ -205,42 +210,62 @@ class TestPackageSurface:
                      "_batch_delay_breakdowns"):
             assert not hasattr(system, name), name
         assert not hasattr(SimulatedClock(), "history")
-        assert not hasattr(SelectionScheme, "run")
-        assert "handle_window" in vars(SelectionScheme)
-        for scheme in (FixedLayerScheme, SuccessiveScheme, AdaptiveScheme):
+        # One detection method; its old name is an alias the benchmark harness wraps.
+        assert vars(HECSystem)["detect_batch_columnar"] is vars(HECSystem)["detect_batch"]
+        assert not hasattr(system, "_request_counter")
+        assert "request_counter" not in system.snapshot_state()
+        parameters = inspect.signature(system.detect_batch).parameters
+        assert list(parameters) == ["layer", "windows", "with_confidence", "escalated_ms"]
+        assert not hasattr(system, "_detect")
+        for name in ("run", "handle_window"):
+            assert not hasattr(SelectionScheme, name), name
+        for scheme in (SelectionScheme, FixedLayerScheme, SuccessiveScheme, AdaptiveScheme):
             assert "run_batch" in vars(scheme), scheme.__name__
-            assert "handle_window" not in vars(scheme), scheme.__name__
+            assert list(inspect.signature(scheme.run_batch).parameters) == ["self", "windows"]
+        assert "chosen_actions" not in inspect.getsource(AdaptiveScheme)
         for function in (evaluate_scheme, evaluate_all_schemes, EvaluationSpec):
             assert "batched" not in inspect.signature(function).parameters, function
-        assert "escalated_from" not in inspect.signature(system.detect_batch).parameters
 
     @pytest.mark.parametrize(
-        "refused, remaining",
+        "refused, error, remaining",
         [
-            (partial(get_optimizer, "sgd"), "adam"),
-            (partial(get_loss, "huber"), "mse"),
-            (partial(get_loss, "mae"), "mse"),
-            (partial(get_loss, "mean_absolute_error"), "mean_squared_error"),
-            (partial(get_regularizer, "l1"), "l2"),
-            (partial(get_initializer, "he_normal"), "orthogonal"),
-            (partial(get_initializer, "he_uniform"), "glorot_uniform"),
-            (partial(get_initializer, "glorot_normal"), "glorot_uniform"),
-            (partial(get_initializer, "ones"), "zeros"),
-            (partial(get_activation, "softplus"), "sigmoid"),
-            (partial(AdaptSpec, monitors=("adwin",)), "page-hinkley"),
+            (partial(get_optimizer, "sgd"), ConfigurationError, "adam"),
+            (partial(get_loss, "huber"), ConfigurationError, "mse"),
+            (partial(get_loss, "mae"), ConfigurationError, "mse"),
+            (partial(get_loss, "mean_absolute_error"), ConfigurationError,
+             "mean_squared_error"),
+            (partial(get_regularizer, "l1"), ConfigurationError, "l2"),
+            (partial(get_initializer, "he_normal"), ConfigurationError, "orthogonal"),
+            (partial(get_initializer, "he_uniform"), ConfigurationError, "glorot_uniform"),
+            (partial(get_initializer, "glorot_normal"), ConfigurationError, "glorot_uniform"),
+            (partial(get_initializer, "ones"), ConfigurationError, "zeros"),
+            (partial(get_activation, "softplus"), ConfigurationError, "sigmoid"),
+            (partial(AdaptSpec, monitors=("adwin",)), ConfigurationError, "page-hinkley"),
             (partial(apply_overrides, get_scenario("adapt-1k-drift-recovery"),
-                     {"adapt.adwin_capacity": "8"}), "ph_delta"),
+                     {"adapt.adwin_capacity": "8"}), ConfigurationError, "ph_delta"),
             (partial(apply_overrides, get_scenario("adapt-1k-drift-recovery"),
-                     {"adapt.adwin_sensitivity": "0.01"}), "ph_delta"),
+                     {"adapt.adwin_sensitivity": "0.01"}), ConfigurationError, "ph_delta"),
+            (partial(getattr, repro.hec, "DetectionRecord"), AttributeError,
+             "DetectionRecord"),
+            (partial(getattr, repro.schemes, "SchemeOutcome"), AttributeError,
+             "SchemeOutcome"),
+            (partial(getattr, repro.schemes.SelectionScheme, "handle_window"),
+             AttributeError, "handle_window"),
+            (partial(getattr, repro.evaluation.figures, "build_demo_panel_series"),
+             AttributeError, "build_demo_panel_series"),
+            (partial(getattr, repro.evaluation.metrics, "ConfusionCounts"), AttributeError,
+             "ConfusionCounts"),
         ],
         ids=["sgd", "huber", "mae", "mean_absolute_error", "l1", "he_normal", "he_uniform",
              "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
-             "adwin_sensitivity"],
+             "adwin_sensitivity", "DetectionRecord", "SchemeOutcome", "handle_window",
+             "build_demo_panel_series", "ConfusionCounts"],
     )
-    def test_removed_names_are_refused(self, refused, remaining):
-        """Names only tests reached were deleted: asking for one is a
-        configuration error that lists what is left."""
-        with pytest.raises(ConfigurationError, match=remaining):
+    def test_removed_names_are_refused(self, refused, error, remaining):
+        """Names only tests reached were deleted: asking for a deleted option is
+        a configuration error that lists what is left, and a deleted class or
+        function is simply not there."""
+        with pytest.raises(error, match=remaining):
             refused()
 
     def test_exceptions_exported_at_top_level(self):

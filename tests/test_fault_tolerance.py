@@ -602,15 +602,15 @@ class TestLinkFailover:
         window = WindowPool.from_labeled(runner.state.standardized_all).normal[0]
         system.reset()
         system.topology.warm_links()
-        (at_edge,) = system.detect_batch(1, window[None])
+        at_edge = system.detect_batch(1, window[None])
         system.reset()
         system.topology.warm_links()
         system.configure_failover(retries=2, timeout_ms=150.0)
         system.topology.links[1].set_status("down")
         assert system.reachable_layer(2) == 1
-        (record,) = system.detect_batch(2, window[None])
-        assert record.layer == 1
-        assert record.delay_ms == pytest.approx(at_edge.delay_ms + 300.0)
+        redirected = system.detect_batch(2, window[None])
+        assert redirected.layer == 1
+        assert redirected.delays_ms[0] == pytest.approx(at_edge.delays_ms[0] + 300.0)
         system.reset()
         assert system.reachable_layer(2) == 2
 

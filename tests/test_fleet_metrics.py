@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.evaluation.metrics import confusion_counts, rates_from_confusion
 from repro.exceptions import ConfigurationError
-from repro.fleet.metrics import (
-    DelayReservoir,
-    StreamingMetrics,
-    confusion_counts,
-    mix64,
-    rates_from_confusion,
-)
+from repro.fleet.metrics import DelayReservoir, StreamingMetrics, mix64
 from repro.fleet.report import report_from_metrics
 
 

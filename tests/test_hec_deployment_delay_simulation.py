@@ -177,7 +177,7 @@ class TestKernelDelays:
         twin = copy.deepcopy(topology)
         execution_ms = system.deployment_at(layer).execution_time_ms
         for _ in range(2):  # the first batch pays connection setup, the second does not
-            delays = system.detect_batch_columnar(layer, np.zeros((n, 10))).delays_ms
+            delays = system.detect_batch(layer, np.zeros((n, 10))).delays_ms
             expected = [
                 end_to_end_delay(twin, layer, execution_ms, window_payload_bytes((10,))).total_ms
                 for _ in range(n)
@@ -196,18 +196,17 @@ class TestHECSystem:
         deployments = deploy_registry(registry, topology, workload="univariate")
         return HECSystem(topology, deployments)
 
-    def test_detect_batch_returns_record(self, system):
+    def test_detect_batch_returns_arrays(self, system):
         window = np.random.default_rng(0).normal(size=10)
-        (record,) = system.detect_batch(1, window[None], ground_truths=[0])
-        assert record.layer == 1
-        assert record.prediction in (0, 1)
-        assert record.delay_ms > 0.0
-        assert record.ground_truth == 0
+        result = system.detect_batch(1, window[None])
+        assert result.layer == 1 and result.n == 1
+        assert result.predictions[0] in (0, 1)
+        assert result.delays_ms[0] > 0.0
 
-    def test_records_and_counters_accumulate(self, system):
+    def test_counters_accumulate(self, system):
         windows = np.zeros((2, 10))
-        records = system.detect_batch(0, windows) + system.detect_batch(2, windows[:1])
-        assert [record.window_index for record in records] == [0, 1, 2]
+        system.detect_batch(0, windows)
+        system.detect_batch(2, windows[:1])
         assert system.layer_usage() == {0: 2, 1: 0, 2: 1}
 
     def test_clock_advances(self, system):
@@ -235,10 +234,6 @@ class TestHECSystem:
         with pytest.raises(SchedulingError):
             system.detect_batch(5, np.zeros((1, 10)))
 
-    def test_ground_truth_optional(self, system):
-        (record,) = system.detect_batch(0, np.zeros((1, 10)))
-        assert record.ground_truth is None
-
     def test_reset_clears_state(self, system):
         system.detect_batch(1, np.zeros((1, 10)))
         system.reset()
@@ -259,8 +254,8 @@ class TestHECSystem:
 
     def test_escalation_delay_included(self, system):
         window = np.zeros((1, 10))
-        (first,) = system.detect_batch(0, window)
-        (alone,) = system.detect_batch(1, window)
+        first = system.detect_batch(0, window)
+        alone = system.detect_batch(1, window)
         system.reset()
-        (second,) = system.detect_batch(1, window, escalated_ms=[first.delay_ms])
-        assert second.delay_ms == pytest.approx(alone.delay_ms + first.delay_ms)
+        second = system.detect_batch(1, window, escalated_ms=first.delays_ms)
+        assert second.delays_ms[0] == pytest.approx(alone.delays_ms[0] + first.delays_ms[0])

@@ -1,13 +1,16 @@
 """Tests for the five model-selection schemes."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.bandit.context import UnivariateContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
 from repro.exceptions import ConfigurationError
+from repro.experiments.stages import build_schemes
 from repro.schemes.adaptive import AdaptiveScheme
-from repro.schemes.base import SchemeOutcome
+from repro.schemes.base import SchemeRun
 from repro.schemes.fixed import FixedLayerScheme
 from repro.schemes.successive import SuccessiveScheme
 
@@ -26,6 +29,52 @@ def _context_extractor(test_windows):
     return extractor
 
 
+def _chains(run):
+    """Each window's escalation chain as ``(layers, confident)`` arrays."""
+    splits = np.cumsum(run.attempts)[:-1]
+    return list(
+        zip(np.split(run.attempt_layers, splits), np.split(run.attempt_confident, splits))
+    )
+
+
+class TestSchemeRun:
+    @pytest.mark.parametrize("jitter_ms", [0.0, 0.25], ids=["plain", "jittery"])
+    def test_escalation_log_matches_the_verdicts(self, univariate_hec, jitter_ms):
+        """For all five schemes: one log entry per detection, and each
+        window's last detection is the one that produced its verdict."""
+        system, _deployments, _detectors, windows, _labels = univariate_hec
+        system = copy.deepcopy(system)
+        for link in system.topology.links:
+            link.jitter_ms = jitter_ms
+        extractor = _context_extractor(windows)
+        policy = PolicyNetwork(context_dim=extractor.context_dim, n_actions=3,
+                               hidden_units=8, seed=0)
+        for scheme in build_schemes(system, policy, extractor):
+            system.reset()
+            run = scheme.run_batch(windows)
+            assert isinstance(run, SchemeRun)
+            n = windows.shape[0]
+            for name in ("predictions", "layers", "delays_ms", "attempts"):
+                assert getattr(run, name).shape == (n,), (scheme.name, name)
+            assert run.attempts.min() >= 1
+            assert run.attempts.sum() == len(run.attempt_layers) == len(run.attempt_confident)
+            last = np.cumsum(run.attempts) - 1
+            assert np.array_equal(run.attempt_layers[last], run.layers), scheme.name
+            assert run.attempts.sum() == sum(system.layer_usage().values())
+
+    def test_concatenate_keeps_order(self, fresh_system):
+        system, _detectors, windows, _labels = fresh_system
+        scheme = SuccessiveScheme(system)
+        first, second = scheme.run_batch(windows[:3]), scheme.run_batch(windows[3:5])
+        joined = SchemeRun.concatenate([first, second])
+        assert joined.n == 5
+        assert np.array_equal(joined.attempts, np.concatenate([first.attempts, second.attempts]))
+        assert np.array_equal(
+            joined.attempt_layers,
+            np.concatenate([first.attempt_layers, second.attempt_layers]),
+        )
+
+
 class TestFixedLayerScheme:
     def test_names_match_paper(self, fresh_system):
         system, _detectors, _windows, _labels = fresh_system
@@ -34,29 +83,27 @@ class TestFixedLayerScheme:
         assert FixedLayerScheme(system, 2).name == "Cloud"
 
     def test_always_uses_configured_layer(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
+        system, _detectors, windows, _labels = fresh_system
         scheme = FixedLayerScheme(system, 1)
-        outcomes = scheme.run_batch(windows[:5], labels[:5])
-        assert all(outcome.layer == 1 for outcome in outcomes)
+        run = scheme.run_batch(windows[:5])
+        assert run.layers.tolist() == [1] * 5
         assert system.layer_usage()[1] == 5
 
-    def test_outcome_fields(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        scheme = FixedLayerScheme(system, 0)
-        outcome = scheme.handle_window(windows[0], 0, ground_truth=int(labels[0]))
-        assert isinstance(outcome, SchemeOutcome)
-        assert outcome.prediction in (0, 1)
-        assert outcome.ground_truth == int(labels[0])
-        assert outcome.delay_ms > 0
+    def test_run_fields(self, fresh_system):
+        system, _detectors, windows, _labels = fresh_system
+        run = FixedLayerScheme(system, 0).run_batch(windows[:1])
+        assert run.predictions.dtype == np.int64 and run.predictions[0] in (0, 1)
+        assert run.delays_ms.dtype == np.float64 and run.delays_ms[0] > 0
+        assert run.attempts.tolist() == [1] and run.attempt_layers.tolist() == [0]
+        assert run.attempt_confident.dtype == bool
 
     def test_delay_ordering_iot_edge_cloud(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
+        system, _detectors, windows, _labels = fresh_system
         delays = []
         for layer in range(3):
             system.reset()
             scheme = FixedLayerScheme(system, layer)
-            outcomes = scheme.run_batch(windows[:4], labels[:4])
-            delays.append(np.mean([o.delay_ms for o in outcomes]))
+            delays.append(scheme.run_batch(windows[:4]).delays_ms.mean())
         assert delays[0] < delays[1] < delays[2]
 
     def test_invalid_layer(self, fresh_system):
@@ -67,47 +114,39 @@ class TestFixedLayerScheme:
 
 class TestSuccessiveScheme:
     def test_starts_at_iot(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        scheme = SuccessiveScheme(system)
-        outcome = scheme.handle_window(windows[0], 0, ground_truth=int(labels[0]))
-        assert outcome.records[0].layer == 0
+        system, _detectors, windows, _labels = fresh_system
+        run = SuccessiveScheme(system).run_batch(windows[:1])
+        assert run.attempt_layers[0] == 0
 
     def test_escalates_only_when_not_confident(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        scheme = SuccessiveScheme(system)
-        outcomes = scheme.run_batch(windows, labels)
-        for outcome in outcomes:
-            # Every record except the last must be unconfident (that is why it escalated).
-            for record in outcome.records[:-1]:
-                assert not record.confident
+        system, _detectors, windows, _labels = fresh_system
+        run = SuccessiveScheme(system).run_batch(windows)
+        for layers, confident in _chains(run):
+            # Every attempt except the last must be unconfident (that is why it escalated).
+            assert not confident[:-1].any()
             # Layers are visited bottom-up without skipping.
-            layers = [record.layer for record in outcome.records]
-            assert layers == list(range(layers[0], layers[-1] + 1))
+            assert layers.tolist() == list(range(layers[0], layers[-1] + 1))
 
     def test_final_layer_bounded_by_cloud(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        scheme = SuccessiveScheme(system)
-        outcomes = scheme.run_batch(windows, labels)
-        assert all(outcome.layer < system.n_layers for outcome in outcomes)
+        system, _detectors, windows, _labels = fresh_system
+        run = SuccessiveScheme(system).run_batch(windows)
+        assert run.layers.max() < system.n_layers
 
     def test_escalation_accumulates_delay(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        scheme = SuccessiveScheme(system)
-        outcomes = scheme.run_batch(windows, labels)
-        escalated = [o for o in outcomes if len(o.records) > 1]
-        if escalated:  # delay of an escalated window exceeds the pure IoT delay
-            iot_exec = system.execution_time_ms(0)
-            assert all(o.delay_ms > iot_exec for o in escalated)
+        system, _detectors, windows, _labels = fresh_system
+        run = SuccessiveScheme(system).run_batch(windows)
+        escalated = run.delays_ms[run.attempts > 1]
+        # The delay of an escalated window exceeds the pure IoT delay.
+        assert np.all(escalated > system.execution_time_ms(0))
 
     def test_mean_delay_between_iot_and_cloud(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
+        system, _detectors, windows, _labels = fresh_system
         system.reset()
-        successive = SuccessiveScheme(system).run_batch(windows, labels)
-        successive_delay = np.mean([o.delay_ms for o in successive])
+        successive_delay = SuccessiveScheme(system).run_batch(windows).delays_ms.mean()
         system.reset()
-        iot_delay = np.mean([o.delay_ms for o in FixedLayerScheme(system, 0).run_batch(windows, labels)])
+        iot_delay = FixedLayerScheme(system, 0).run_batch(windows).delays_ms.mean()
         system.reset()
-        cloud_delay = np.mean([o.delay_ms for o in FixedLayerScheme(system, 2).run_batch(windows, labels)])
+        cloud_delay = FixedLayerScheme(system, 2).run_batch(windows).delays_ms.mean()
         assert iot_delay <= successive_delay <= cloud_delay
 
     def test_invalid_start_layer(self, fresh_system):
@@ -116,10 +155,9 @@ class TestSuccessiveScheme:
             SuccessiveScheme(system, start_layer=9)
 
     def test_custom_start_layer(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        scheme = SuccessiveScheme(system, start_layer=1)
-        outcome = scheme.handle_window(windows[0], 0, ground_truth=int(labels[0]))
-        assert outcome.records[0].layer == 1
+        system, _detectors, windows, _labels = fresh_system
+        run = SuccessiveScheme(system, start_layer=1).run_batch(windows[:1])
+        assert run.attempt_layers[0] == 1
 
 
 class TestAdaptiveScheme:
@@ -134,34 +172,25 @@ class TestAdaptiveScheme:
         return policy
 
     def test_uses_policy_choice(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
+        system, _detectors, windows, _labels = fresh_system
         extractor = _context_extractor(windows)
         policy = self._policy(extractor.context_dim, favored_action=1)
         scheme = AdaptiveScheme(system, policy, extractor)
-        outcomes = scheme.run_batch(windows[:6], labels[:6])
+        run = scheme.run_batch(windows[:6])
         # The nudged policy should pick the favoured layer most of the time.
-        chosen = [o.layer for o in outcomes]
-        assert chosen.count(1) >= 4
-
-    def test_records_chosen_actions(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
-        extractor = _context_extractor(windows)
-        policy = self._policy(extractor.context_dim)
-        scheme = AdaptiveScheme(system, policy, extractor)
-        scheme.run_batch(windows[:5], labels[:5])
-        assert len(scheme.chosen_actions) == 5
+        assert run.layers.tolist().count(1) >= 4
 
     def test_policy_overhead_added(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
+        system, _detectors, windows, _labels = fresh_system
         extractor = _context_extractor(windows)
         policy = self._policy(extractor.context_dim, favored_action=0)
         system.reset()
-        without = AdaptiveScheme(system, policy, extractor).handle_window(windows[0], 0)
+        without = AdaptiveScheme(system, policy, extractor).run_batch(windows[:1])
         system.reset()
         with_overhead = AdaptiveScheme(
             system, policy, extractor, policy_overhead_ms=5.0
-        ).handle_window(windows[0], 0)
-        assert with_overhead.delay_ms == pytest.approx(without.delay_ms + 5.0)
+        ).run_batch(windows[:1])
+        assert with_overhead.delays_ms[0] == pytest.approx(without.delays_ms[0] + 5.0)
 
     def test_action_count_mismatch_rejected(self, fresh_system):
         system, _detectors, windows, _labels = fresh_system
@@ -171,10 +200,10 @@ class TestAdaptiveScheme:
             AdaptiveScheme(system, bad_policy, extractor)
 
     def test_non_greedy_mode_samples(self, fresh_system):
-        system, _detectors, windows, labels = fresh_system
+        system, _detectors, windows, _labels = fresh_system
         extractor = _context_extractor(windows)
         policy = self._policy(extractor.context_dim)
         scheme = AdaptiveScheme(system, policy, extractor, greedy=False)
-        scheme.run_batch(windows, labels)
+        run = scheme.run_batch(windows)
         # Sampling from an untrained (nearly uniform) policy should hit >1 layer.
-        assert len(set(scheme.chosen_actions)) > 1
+        assert len(set(run.layers.tolist())) > 1

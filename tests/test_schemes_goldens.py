@@ -36,9 +36,8 @@ def scheme_payload(scheme, windows, labels, reward_fn, prepare=None):
     system.reset()
     if prepare is not None:
         prepare(system)
-    outcomes = scheme.run_batch(windows, labels)
-    evaluation = evaluate_outcomes(scheme.name, outcomes, labels, reward_fn)
-    attempts = [record for outcome in outcomes for record in outcome.records]
+    run = scheme.run_batch(windows)
+    evaluation = evaluate_outcomes(scheme.name, run, labels, reward_fn)
     counters = [system.layer_counters[layer] for layer in range(system.n_layers)]
     links = system.topology.links
     fields = {
@@ -51,9 +50,9 @@ def scheme_payload(scheme, windows, labels, reward_fn, prepare=None):
         "total_reward": evaluation.total_reward,
         "layer_usage": [evaluation.layer_usage.get(layer, 0) for layer in range(system.n_layers)],
         # Escalation chains: attempts per window, then every attempt in order.
-        "attempts": [len(outcome.records) for outcome in outcomes],
-        "attempt_layers": [record.layer for record in attempts],
-        "attempt_confident": [record.confident for record in attempts],
+        "attempts": run.attempts,
+        "attempt_layers": run.attempt_layers,
+        "attempt_confident": run.attempt_confident,
         # What the run left behind on the system.
         "counters/requests": [c.requests for c in counters],
         "counters/anomalies_reported": [c.anomalies_reported for c in counters],

@@ -282,9 +282,7 @@ class TestServingHappyPath:
         for i, result in enumerate(results):
             if not result.served:
                 continue
-            direct = system.detect_batch_columnar(
-                result.layer, reference.windows[i : i + 1]
-            )
+            direct = system.detect_batch(result.layer, reference.windows[i : i + 1])
             assert int(direct.predictions[0]) == result.prediction
 
     def test_report_json_round_trip(self, trained, tmp_path):
@@ -604,7 +602,7 @@ class TestRequestTable:
         served = [(i, r) for i, r in enumerate(results) if r.served]
         assert len(served) + sum(r.status == "shed" for r in results) == 12
         for i, result in served:
-            direct = system.detect_batch_columnar(result.layer, windows[i : i + 1])
+            direct = system.detect_batch(result.layer, windows[i : i + 1])
             assert result.prediction == int(direct.predictions[0])
             np.testing.assert_allclose(
                 result.anomaly_score, direct.anomaly_scores[0], rtol=1e-9
@@ -614,7 +612,7 @@ class TestRequestTable:
         def broken(self, layer, windows, *args, **kwargs):
             raise RuntimeError("detector down")
 
-        monkeypatch.setattr(HECSystem, "detect_batch_columnar", broken)
+        monkeypatch.setattr(HECSystem, "detect_batch", broken)
         outcome = []
 
         def _run():
