@@ -15,16 +15,14 @@ benchmark harness measures retrain/swap latency separately.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.exceptions import ConfigurationError
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import JsonRecord
 
 
 @dataclass(frozen=True)
-class DriftEvent:
+class DriftEvent(JsonRecord):
     """One monitor deciding that a tier's score stream has shifted."""
 
     tick: int
@@ -35,13 +33,9 @@ class DriftEvent:
     statistic: float
     threshold: float
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DriftEvent":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
-class RetrainEvent:
+class RetrainEvent(JsonRecord):
     """One drift-triggered fine-tuning attempt and its gate decision."""
 
     tick: int
@@ -58,13 +52,9 @@ class RetrainEvent:
     #: Registry version of the candidate (``None`` when the gate rejected it).
     candidate_version: Optional[str] = None
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RetrainEvent":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
-class SwapEvent:
+class SwapEvent(JsonRecord):
     """A promoted checkpoint atomically replacing a tier's detector."""
 
     tick: int
@@ -75,13 +65,9 @@ class SwapEvent:
     #: Whether the deployed candidate was FP16-quantised (IoT/edge tiers).
     quantized: bool
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SwapEvent":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
-class AdaptationTimeline:
+class AdaptationTimeline(JsonRecord):
     """Everything the adaptation loop did during one streaming run."""
 
     drifts: Tuple[DriftEvent, ...] = ()
@@ -92,30 +78,3 @@ class AdaptationTimeline:
         object.__setattr__(self, "drifts", tuple(self.drifts))
         object.__setattr__(self, "retrains", tuple(self.retrains))
         object.__setattr__(self, "swaps", tuple(self.swaps))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready nested dictionary."""
-        return to_jsonable(dataclasses.asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AdaptationTimeline":
-        kwargs = dict(payload)
-        unknown = sorted(set(kwargs) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown} in adaptation timeline payload"
-            )
-        return cls(
-            drifts=tuple(
-                e if isinstance(e, DriftEvent) else DriftEvent.from_dict(e)
-                for e in kwargs.get("drifts", ())
-            ),
-            retrains=tuple(
-                e if isinstance(e, RetrainEvent) else RetrainEvent.from_dict(e)
-                for e in kwargs.get("retrains", ())
-            ),
-            swaps=tuple(
-                e if isinstance(e, SwapEvent) else SwapEvent.from_dict(e)
-                for e in kwargs.get("swaps", ())
-            ),
-        )

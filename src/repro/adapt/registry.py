@@ -26,12 +26,11 @@ it, and rolling back past the root raises.  Checkpoint I/O builds on
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from repro.detectors.base import AnomalyDetector
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.nn.quantization import QuantizationReport
 from repro.utils.serialization import (
+    JsonRecord,
     load_arrays,
     load_json,
     save_arrays,
@@ -115,7 +115,7 @@ def _content_version(tier: str, config: Mapping[str, Any],
 
 
 @dataclass(frozen=True)
-class ModelVersion:
+class ModelVersion(JsonRecord):
     """Lineage metadata of one committed checkpoint."""
 
     version: str
@@ -126,7 +126,7 @@ class ModelVersion:
     parent: Optional[str]
     #: Event-clock tick range ``[start, end]`` of the training windows
     #: (``None`` for offline-trained roots).
-    training_window: Optional[tuple]
+    training_window: Optional[Tuple[int, ...]]
     #: Number of windows the checkpoint was (re)trained on.
     n_train_windows: int
     parameter_count: int
@@ -134,19 +134,6 @@ class ModelVersion:
     weight_dtypes: Dict[str, int]
     #: Quantization report of the deployed form (``None`` when unquantised).
     quantization: Optional[Dict[str, Any]]
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        if self.training_window is not None:
-            payload["training_window"] = list(self.training_window)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ModelVersion":
-        kwargs = dict(payload)
-        if kwargs.get("training_window") is not None:
-            kwargs["training_window"] = tuple(int(t) for t in kwargs["training_window"])
-        return cls(**kwargs)
 
 
 class ModelRegistry:
@@ -254,7 +241,7 @@ class ModelRegistry:
             raise SerializationError(
                 f"no checkpoint {version!r} in registry {self.root}"
             )
-        return ModelVersion.from_dict(load_json(directory / "meta.json"))
+        return ModelVersion.from_json(directory / "meta.json")
 
     def restore(self, version: str, detector: AnomalyDetector) -> ModelVersion:
         """Load checkpoint ``version`` into an already-built ``detector``.

@@ -18,15 +18,15 @@ spec tree can import it without cycles (the same rule as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.adapt.monitors import MONITOR_KINDS
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import checked_dataclass_kwargs
+from repro.utils.serialization import JsonRecord
 
 
 @dataclass(frozen=True)
-class AdaptSpec:
+class AdaptSpec(JsonRecord):
     """The adaptation loop attached to a streaming experiment.
 
     ``seed`` is the loop's own entropy; the controller folds it with the
@@ -100,10 +100,3 @@ class AdaptSpec:
             raise ConfigurationError(
                 f"min_improvement must be non-negative, got {self.min_improvement}"
             )
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AdaptSpec":
-        kwargs = checked_dataclass_kwargs(cls, payload, "adapt")
-        if "monitors" in kwargs:
-            kwargs["monitors"] = tuple(kwargs["monitors"])
-        return cls(**kwargs)

@@ -15,10 +15,8 @@ lower tiers with a seq2seq model on the cloud).
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.adapt.spec import AdaptSpec
@@ -27,10 +25,7 @@ from repro.fleet.faults import FaultSpec
 from repro.fleet.spec import FleetSpec
 from repro.obs.spec import ObsSpec
 from repro.serving.spec import ServingSpec
-from repro.utils.serialization import load_json, save_json, to_jsonable
-from repro.utils.validation import checked_dataclass_kwargs
-
-PathLike = Union[str, Path]
+from repro.utils.serialization import JsonRecord
 
 #: Dataset sources understood by the runner's ``prepare_data`` stage.
 DATA_SOURCES = ("power", "mhealth")
@@ -65,7 +60,7 @@ def _freeze(value):
 
 
 @dataclass(frozen=True)
-class DataSpec:
+class DataSpec(JsonRecord):
     """Dataset generation, windowing and split fractions.
 
     ``source`` selects the generator; fields that do not apply to the chosen
@@ -103,13 +98,9 @@ class DataSpec:
         """The data seed derived from a new master ``seed`` (per-source offset)."""
         return replace(self, seed=seed + _DATA_SEED_OFFSETS[self.source])
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DataSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "data"))
-
 
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(JsonRecord):
     """One detector (family + architecture + training knobs) for one tier."""
 
     family: str = "autoencoder"
@@ -139,13 +130,9 @@ class DetectorSpec:
         if self.hidden_sizes is not None:
             object.__setattr__(self, "hidden_sizes", _freeze(self.hidden_sizes))
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DetectorSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "detector"))
-
 
 @dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(JsonRecord):
     """A serialisable :class:`~repro.hec.device.DeviceProfile`."""
 
     name: str
@@ -179,13 +166,9 @@ class DeviceSpec:
             supports_fp32=self.supports_fp32,
         )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeviceSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "device"))
-
 
 @dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(JsonRecord):
     """A serialisable :class:`~repro.hec.network.NetworkLink`."""
 
     name: str
@@ -206,13 +189,9 @@ class LinkSpec:
             connection_setup_ms=self.connection_setup_ms,
         )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LinkSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "link"))
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(JsonRecord):
     """The HEC hierarchy: a preset or explicit device/link profiles."""
 
     #: ``"paper-three-layer"`` builds the paper's Pi 3 -> Jetson TX2 -> Devbox
@@ -262,24 +241,9 @@ class TopologySpec:
             links=[link.build() for link in self.links],
         )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TopologySpec":
-        kwargs = checked_dataclass_kwargs(cls, payload, "topology")
-        if "devices" in kwargs:
-            kwargs["devices"] = tuple(
-                d if isinstance(d, DeviceSpec) else DeviceSpec.from_dict(d)
-                for d in kwargs["devices"]
-            )
-        if "links" in kwargs:
-            kwargs["links"] = tuple(
-                l if isinstance(l, LinkSpec) else LinkSpec.from_dict(l)
-                for l in kwargs["links"]
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class DeploymentSpec:
+class DeploymentSpec(JsonRecord):
     """How detectors are placed on the topology."""
 
     #: Calibration-table key used to resolve execution times (falls back to the
@@ -290,13 +254,9 @@ class DeploymentSpec:
     #: (the paper quantises everything below the cloud).
     quantize_below_layer: Optional[int] = None
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeploymentSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "deployment"))
-
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(JsonRecord):
     """Bandit policy network, its REINFORCE training and the reward."""
 
     hidden_units: int = 100
@@ -315,25 +275,17 @@ class PolicySpec:
     def __post_init__(self) -> None:
         _check_choice(self.context, CONTEXT_KINDS, "policy.context")
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PolicySpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "policy"))
-
 
 @dataclass(frozen=True)
-class EvaluationSpec:
+class EvaluationSpec(JsonRecord):
     """What the ``evaluate`` stage produces."""
 
     table1: bool = True
     demo_panel: bool = True
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EvaluationSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "evaluation"))
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(JsonRecord):
     """A complete declarative experiment."""
 
     name: str
@@ -387,57 +339,6 @@ class ExperimentSpec:
     def with_seed(self, seed: int) -> "ExperimentSpec":
         """A copy with a new master seed (the data seed follows at its offset)."""
         return replace(self, seed=seed, data=self.data.reseed(seed))
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready nested dictionary (tuples become lists)."""
-        return to_jsonable(dataclasses.asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output (unknown keys raise)."""
-        kwargs = checked_dataclass_kwargs(cls, payload, "experiment")
-        nested = {
-            "data": DataSpec,
-            "topology": TopologySpec,
-            "deployment": DeploymentSpec,
-            "policy": PolicySpec,
-            "evaluation": EvaluationSpec,
-            "fleet": FleetSpec,
-            "adapt": AdaptSpec,
-            "faults": FaultSpec,
-            "serve": ServingSpec,
-            "obs": ObsSpec,
-        }
-        # ``fleet``, ``adapt``, ``faults``, ``serve`` and ``obs`` are the only
-        # nested nodes that may be null (offline / frozen-detector /
-        # fault-free / non-serving / untelemetered specs); a null required
-        # node must keep raising the clean mapping error.
-        optional = {"fleet", "adapt", "faults", "serve", "obs"}
-        for key, sub_cls in nested.items():
-            if key not in kwargs:
-                continue
-            value = kwargs[key]
-            if key in optional and value is None:
-                continue
-            if not isinstance(value, sub_cls):
-                kwargs[key] = sub_cls.from_dict(value)
-        if "detectors" in kwargs:
-            kwargs["detectors"] = tuple(
-                d if isinstance(d, DetectorSpec) else DetectorSpec.from_dict(d)
-                for d in kwargs["detectors"]
-            )
-        return cls(**kwargs)
-
-    def to_json(self, path: PathLike) -> Path:
-        """Write the spec as pretty-printed JSON; returns the path."""
-        return save_json(path, self.to_dict())
-
-    @classmethod
-    def from_json(cls, path: PathLike) -> "ExperimentSpec":
-        """Load a spec written by :meth:`to_json`."""
-        return cls.from_dict(load_json(path))
 
 
 # -- dotted overrides (the CLI's --set) ------------------------------------------
@@ -521,7 +422,7 @@ def apply_overrides(spec: ExperimentSpec, overrides: Mapping[str, Any]) -> Exper
             # Unlike the other optional nodes, ``obs`` has usable defaults for
             # every field, so ``--set obs.dir=...`` on an untelemetered spec
             # materialises the node instead of erroring on the null.
-            payload["obs"] = to_jsonable(dataclasses.asdict(ObsSpec()))
+            payload["obs"] = ObsSpec().to_dict()
         node = payload
         walked = []
         for segment in segments[:-1]:

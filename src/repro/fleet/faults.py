@@ -32,10 +32,11 @@ them (the modelled crash already happened), otherwise resuming at or before
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_non_negative, checked_dataclass_kwargs
+from repro.utils.serialization import JsonRecord
+from repro.utils.validation import check_non_negative
 
 #: Fault kinds understood by :class:`FaultSchedule`.
 FAULT_KINDS = ("link-degrade", "link-down", "shard-crash", "process-kill")
@@ -52,7 +53,7 @@ class WorkerCrash(Exception):
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(JsonRecord):
     """One scheduled fault.
 
     ``until_tick`` is exclusive and only read by the link kinds; ``None``
@@ -93,13 +94,9 @@ class FaultEvent:
         """Whether a link fault covers ``tick`` (``until_tick`` exclusive)."""
         return tick >= self.at_tick and (self.until_tick is None or tick < self.until_tick)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultEvent":
-        return cls(**checked_dataclass_kwargs(cls, payload, "fault event"))
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(JsonRecord):
     """The fault-injection plan of an experiment.
 
     ``failover_retries``/``retry_timeout_ms`` parameterise the delay penalty
@@ -124,15 +121,6 @@ class FaultSpec:
                 f"failover_retries must be >= 1, got {self.failover_retries}"
             )
         check_non_negative(self.retry_timeout_ms, "retry_timeout_ms")
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultSpec":
-        kwargs = checked_dataclass_kwargs(cls, payload, "fault spec")
-        events = kwargs.pop("events", ())
-        return cls(
-            events=tuple(FaultEvent.from_dict(entry) for entry in events),
-            **kwargs,
-        )
 
 
 class FaultSchedule:

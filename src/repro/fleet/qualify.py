@@ -8,8 +8,10 @@ on a metric of the resulting :class:`~repro.fleet.report.FleetReport` or
 the scenario exists to exercise (flash-crowd overload, tier partition,
 correlated drift, sensor corruption, adversarial camouflage, heterogeneous
 device classes).  The output is a machine-readable
-:class:`QualificationReport` whose JSON layout is itself pinned by
-:data:`QUALIFICATION_REPORT_SCHEMA`.
+:class:`QualificationReport` whose JSON layout is pinned by its own type
+hints: :meth:`QualificationReport.from_dict` (the shared
+:class:`~repro.utils.serialization.JsonRecord` codec) rejects a payload with a
+missing or unknown key or a leaf of the wrong type, naming its dotted path.
 
 Alerting is wired in, not bolted on: every qualification run attaches the
 stock :func:`~repro.obs.alerts.default_fleet_rules` /
@@ -32,11 +34,9 @@ scenario, invalid ``--set qualify.*`` override, malformed contract).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import get_scenario, register_scenario
@@ -47,10 +47,7 @@ from repro.fleet.report import FleetReport
 from repro.fleet.spec import DeviceClassSpec, FleetSpec, LoadCurveSpec, MutatorSpec
 from repro.serving.report import ServingReport
 from repro.serving.spec import ServingSpec
-from repro.utils.serialization import load_json, save_json, to_jsonable
-from repro.utils.validation import checked_dataclass_kwargs
-
-PathLike = Union[str, Path]
+from repro.utils.serialization import JsonRecord
 
 #: Comparison operators a contract may pin.
 CONTRACT_OPS = (">=", "<=", "==")
@@ -66,7 +63,7 @@ _EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class ContractSpec:
+class ContractSpec(JsonRecord):
     """One pinned pass/fail bound on a report metric.
 
     ``metric`` names either a derived qualification metric (see
@@ -111,10 +108,6 @@ class ContractSpec:
     def holds(self, value: float) -> bool:
         """Whether ``value`` satisfies the pinned bound."""
         return self.margin(value) >= 0.0
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ContractSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "contract"))
 
 
 @dataclass(frozen=True)
@@ -230,7 +223,7 @@ def resolve_metric(report, metric: str) -> float:
 
 
 @dataclass(frozen=True)
-class ContractResult:
+class ContractResult(JsonRecord):
     """One evaluated contract: the pinned bound, the observed value, the verdict."""
 
     name: str
@@ -240,15 +233,11 @@ class ContractResult:
     value: float
     margin: float
     passed: bool
-    description: str = ""
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ContractResult":
-        return cls(**checked_dataclass_kwargs(cls, payload, "contract result"))
+    description: str
 
 
 @dataclass(frozen=True)
-class CaseResult:
+class CaseResult(JsonRecord):
     """One qualified scenario: its contracts' verdicts and the alerts fired."""
 
     scenario: str
@@ -258,21 +247,11 @@ class CaseResult:
     contracts: Tuple[ContractResult, ...]
     #: Names of ``alert.fire`` events this case emitted — the stock watch
     #: rules plus one ``contract:<scenario>:<name>`` alert per breach.
-    alerts: Tuple[str, ...] = ()
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CaseResult":
-        kwargs = checked_dataclass_kwargs(cls, payload, "case result")
-        kwargs["contracts"] = tuple(
-            c if isinstance(c, ContractResult) else ContractResult.from_dict(c)
-            for c in kwargs.get("contracts", ())
-        )
-        kwargs["alerts"] = tuple(kwargs.get("alerts", ()))
-        return cls(**kwargs)
+    alerts: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class QualificationReport:
+class QualificationReport(JsonRecord):
     """The machine-readable outcome of one pack run."""
 
     pack: str
@@ -281,29 +260,7 @@ class QualificationReport:
     n_contracts: int
     n_failed: int
     cases: Tuple[CaseResult, ...]
-    schema_version: int = 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready nested dictionary (validates against the schema)."""
-        return to_jsonable(dataclasses.asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QualificationReport":
-        kwargs = checked_dataclass_kwargs(cls, payload, "qualification report")
-        kwargs["cases"] = tuple(
-            c if isinstance(c, CaseResult) else CaseResult.from_dict(c)
-            for c in kwargs.get("cases", ())
-        )
-        return cls(**kwargs)
-
-    def to_json(self, path: PathLike) -> Path:
-        """Write the report as pretty-printed JSON; returns the path."""
-        return save_json(path, self.to_dict())
-
-    @classmethod
-    def from_json(cls, path: PathLike) -> "QualificationReport":
-        """Load a report written by :meth:`to_json`."""
-        return cls.from_dict(load_json(path))
+    schema_version: int
 
     def failed_contracts(self) -> List[str]:
         """``"scenario:contract"`` labels of every failed contract."""
@@ -337,102 +294,11 @@ class QualificationReport:
         return "\n".join(lines)
 
 
-#: Hand-rolled JSON schema for the report payload (the container has no
-#: ``jsonschema`` dependency; :func:`validate_report` walks this directly).
-QUALIFICATION_REPORT_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": [
-        "schema_version", "pack", "seed", "passed", "n_contracts",
-        "n_failed", "cases",
-    ],
-    "properties": {
-        "schema_version": {"type": "integer"},
-        "pack": {"type": "string"},
-        "seed": {"type": "integer"},
-        "passed": {"type": "boolean"},
-        "n_contracts": {"type": "integer"},
-        "n_failed": {"type": "integer"},
-        "cases": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "scenario", "failure_mode", "kind", "passed",
-                    "contracts", "alerts",
-                ],
-                "properties": {
-                    "scenario": {"type": "string"},
-                    "failure_mode": {"type": "string"},
-                    "kind": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "alerts": {"type": "array", "items": {"type": "string"}},
-                    "contracts": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": [
-                                "name", "metric", "op", "bound", "value",
-                                "margin", "passed", "description",
-                            ],
-                            "properties": {
-                                "name": {"type": "string"},
-                                "metric": {"type": "string"},
-                                "op": {"type": "string"},
-                                "bound": {"type": "number"},
-                                "value": {"type": "number"},
-                                "margin": {"type": "number"},
-                                "passed": {"type": "boolean"},
-                                "description": {"type": "string"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-_SCHEMA_TYPES = {
-    "object": lambda v: isinstance(v, Mapping),
-    "array": lambda v: isinstance(v, (list, tuple)),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-}
-
-
-def validate_report(
-    payload: Any,
-    schema: Mapping[str, Any] = QUALIFICATION_REPORT_SCHEMA,
-    path: str = "report",
-) -> None:
-    """Validate ``payload`` against the (subset) JSON schema; raises on mismatch."""
-    expected = schema.get("type")
-    if expected is not None and not _SCHEMA_TYPES[expected](payload):
-        raise ConfigurationError(
-            f"{path}: expected {expected}, got {type(payload).__name__}"
-        )
-    if expected == "object":
-        for key in schema.get("required", ()):
-            if key not in payload:
-                raise ConfigurationError(f"{path}: missing required key {key!r}")
-        properties = schema.get("properties", {})
-        for key, sub in properties.items():
-            if key in payload:
-                validate_report(payload[key], sub, f"{path}.{key}")
-    elif expected == "array":
-        items = schema.get("items")
-        if items is not None:
-            for index, item in enumerate(payload):
-                validate_report(item, items, f"{path}.{index}")
-
-
 # -- the qualify spec and its --set overrides -------------------------------------
 
 
 @dataclass(frozen=True)
-class QualifySpec:
+class QualifySpec(JsonRecord):
     """One qualification run: which pack, at what seed and scale."""
 
     pack: str = "hostile"
@@ -453,10 +319,6 @@ class QualifySpec:
                     f"qualify.{name} must be a positive number, got {value!r}"
                 )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QualifySpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "qualify"))
-
 
 def apply_qualify_overrides(
     spec: QualifySpec, overrides: Mapping[str, Any]
@@ -467,7 +329,7 @@ def apply_qualify_overrides(
     :class:`ConfigurationError` — the CLI turns those into its uniform
     one-line ``error:`` exit-2 path.
     """
-    payload = to_jsonable(dataclasses.asdict(spec))
+    payload = spec.to_dict()
     for key, raw in overrides.items():
         prefix, _, field_name = str(key).partition(".")
         if prefix != "qualify" or not field_name or "." in field_name:
@@ -717,6 +579,7 @@ class QualificationEngine:
             n_contracts=n_contracts,
             n_failed=n_failed,
             cases=case_results,
+            schema_version=1,
         )
 
 

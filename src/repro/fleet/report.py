@@ -14,22 +14,18 @@ two runs of the same spec — sharded or not — must produce equal reports.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.adapt.events import AdaptationTimeline
 from repro.evaluation.metrics import rates_from_confusion
 from repro.exceptions import ConfigurationError
 from repro.fleet.metrics import StreamingMetrics, mean_ms
-from repro.utils.serialization import load_json, save_json, to_jsonable
-
-PathLike = Union[str, Path]
+from repro.utils.serialization import JsonRecord
 
 
 @dataclass(frozen=True)
-class WindowedMetrics:
+class WindowedMetrics(JsonRecord):
     """Online metrics over one block of ``metrics_window`` ticks."""
 
     index: int
@@ -40,13 +36,9 @@ class WindowedMetrics:
     anomaly_fraction: float
     mean_delay_ms: float
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WindowedMetrics":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
-class TierUsage:
+class TierUsage(JsonRecord):
     """How much of the stream one tier handled, and at what delay."""
 
     layer: int
@@ -60,13 +52,9 @@ class TierUsage:
     #: so reports written before fault injection still load).
     redirected: int = 0
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TierUsage":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
-class DelaySummary:
+class DelaySummary(JsonRecord):
     """End-to-end delay statistics (percentiles from the bounded reservoir)."""
 
     mean_ms: float
@@ -77,13 +65,9 @@ class DelaySummary:
     samples_seen: int
     reservoir_size: int
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DelaySummary":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(JsonRecord):
     """Everything one fleet streaming run produced."""
 
     name: str
@@ -105,45 +89,6 @@ class FleetReport:
     #: streamed without a controller — reports from such runs stay equal to
     #: pre-adaptation reports, field for field).
     adaptation: Optional[AdaptationTimeline] = None
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready nested dictionary."""
-        return to_jsonable(dataclasses.asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FleetReport":
-        kwargs = dict(payload)
-        unknown = sorted(set(kwargs) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown} in fleet report payload"
-            )
-        kwargs["windowed"] = tuple(
-            w if isinstance(w, WindowedMetrics) else WindowedMetrics.from_dict(w)
-            for w in kwargs.get("windowed", ())
-        )
-        kwargs["tiers"] = tuple(
-            t if isinstance(t, TierUsage) else TierUsage.from_dict(t)
-            for t in kwargs.get("tiers", ())
-        )
-        delay = kwargs.get("delay")
-        if delay is not None and not isinstance(delay, DelaySummary):
-            kwargs["delay"] = DelaySummary.from_dict(delay)
-        adaptation = kwargs.get("adaptation")
-        if adaptation is not None and not isinstance(adaptation, AdaptationTimeline):
-            kwargs["adaptation"] = AdaptationTimeline.from_dict(adaptation)
-        return cls(**kwargs)
-
-    def to_json(self, path: PathLike) -> Path:
-        """Write the report as pretty-printed JSON; returns the path."""
-        return save_json(path, self.to_dict())
-
-    @classmethod
-    def from_json(cls, path: PathLike) -> "FleetReport":
-        """Load a report written by :meth:`to_json`."""
-        return cls.from_dict(load_json(path))
 
     # -- presentation ------------------------------------------------------------
 

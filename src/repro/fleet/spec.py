@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import checked_dataclass_kwargs
+from repro.utils.serialization import JsonRecord
 
 #: Stream-mutator kinds understood by :meth:`MutatorSpec.build`.
 MUTATOR_KINDS = (
@@ -39,7 +39,7 @@ MUTATOR_KINDS = (
 
 
 @dataclass(frozen=True)
-class MutatorSpec:
+class MutatorSpec(JsonRecord):
     """One stream mutator: a ``kind`` plus the knobs that kind reads.
 
     Fields that do not apply to the chosen ``kind`` are ignored, mirroring how
@@ -206,13 +206,9 @@ class MutatorSpec:
             )
         return PhaseJitter(max_shift=self.max_shift)
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MutatorSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "fleet mutator"))
-
 
 @dataclass(frozen=True)
-class DeviceClassSpec:
+class DeviceClassSpec(JsonRecord):
     """One heterogeneous slice of the fleet population.
 
     Devices are partitioned into classes by cumulative ``weight`` over the id
@@ -254,13 +250,9 @@ class DeviceClassSpec:
                 f"got {self.amplitude_scale}"
             )
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeviceClassSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "device class"))
-
 
 @dataclass(frozen=True)
-class LoadCurveSpec:
+class LoadCurveSpec(JsonRecord):
     """A time-varying multiplier on the fleet's Poisson arrival rates.
 
     ``rate_multiplier(tick)`` is a pure function shared by
@@ -271,7 +263,7 @@ class LoadCurveSpec:
 
     #: Sinusoidal swing: rate × (1 + amplitude·sin(2π·tick/period)).
     diurnal_amplitude: float = 0.0
-    diurnal_period: int = 24
+    diurnal_period: float = 24
     #: Flash crowd: rate × flash_multiplier for ticks in
     #: [flash_at_tick, flash_at_tick + flash_ticks).
     flash_multiplier: float = 1.0
@@ -311,13 +303,9 @@ class LoadCurveSpec:
             multiplier *= self.flash_multiplier
         return multiplier
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LoadCurveSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "load curve"))
-
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(JsonRecord):
     """A streaming fleet workload attached to an experiment.
 
     ``seed`` is the fleet's own stream seed; the engine folds it together with
@@ -429,21 +417,3 @@ class FleetSpec:
         if self.load_curve is None:
             return 1.0
         return self.load_curve.rate_multiplier(tick)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FleetSpec":
-        kwargs = checked_dataclass_kwargs(cls, payload, "fleet")
-        if "mutators" in kwargs:
-            kwargs["mutators"] = tuple(
-                m if isinstance(m, MutatorSpec) else MutatorSpec.from_dict(m)
-                for m in kwargs["mutators"]
-            )
-        if "device_classes" in kwargs:
-            kwargs["device_classes"] = tuple(
-                c if isinstance(c, DeviceClassSpec) else DeviceClassSpec.from_dict(c)
-                for c in kwargs["device_classes"]
-            )
-        if "load_curve" in kwargs and kwargs["load_curve"] is not None:
-            if not isinstance(kwargs["load_curve"], LoadCurveSpec):
-                kwargs["load_curve"] = LoadCurveSpec.from_dict(kwargs["load_curve"])
-        return cls(**kwargs)

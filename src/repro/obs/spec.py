@@ -15,13 +15,13 @@ Like the other spec modules this one imports nothing from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Optional
 
-from repro.utils.validation import checked_dataclass_kwargs
+from repro.utils.serialization import JsonRecord
 
 
 @dataclass(frozen=True)
-class ObsSpec:
+class ObsSpec(JsonRecord):
     """Telemetry configuration for one run."""
 
     #: Output directory for ``trace.jsonl`` / ``metrics.json`` /
@@ -43,7 +43,3 @@ class ObsSpec:
     def enabled(self) -> bool:
         """Whether a run with this spec writes telemetry anywhere."""
         return self.dir is not None
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ObsSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "obs"))

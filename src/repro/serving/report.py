@@ -16,24 +16,19 @@ the SLO pass/fail booleans; see the ``serve-smoke`` assertions on
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Tuple
 
 from repro.evaluation.metrics import rates_from_confusion
-from repro.exceptions import ConfigurationError
 from repro.fleet.metrics import DelayReservoir, delay_ns, mean_ms
 from repro.fleet.report import DelaySummary
 from repro.serving.server import IngestServer
-from repro.utils.serialization import load_json, save_json, to_jsonable
-
-PathLike = Union[str, Path]
+from repro.utils.serialization import JsonRecord
 
 
 @dataclass(frozen=True)
-class ServingTierUsage:
+class ServingTierUsage(JsonRecord):
     """How much of the served traffic one tier handled."""
 
     layer: int
@@ -44,13 +39,9 @@ class ServingTierUsage:
     #: unreachable (zero on healthy runs).
     redirected: int = 0
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ServingTierUsage":
-        return cls(**dict(payload))
-
 
 @dataclass(frozen=True)
-class ServingReport:
+class ServingReport(JsonRecord):
     """Everything one open-loop serving run produced."""
 
     name: str
@@ -90,39 +81,6 @@ class ServingReport:
     #: Backoff retries spent against tiers behind a down link (0 on healthy
     #: runs; defaulted so pre-fault-injection payloads still load).
     n_retries: int = 0
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready nested dictionary."""
-        return to_jsonable(dataclasses.asdict(self))
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ServingReport":
-        kwargs = dict(payload)
-        unknown = sorted(set(kwargs) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) {unknown} in serving report payload"
-            )
-        kwargs["tiers"] = tuple(
-            t if isinstance(t, ServingTierUsage) else ServingTierUsage.from_dict(t)
-            for t in kwargs.get("tiers", ())
-        )
-        latency = kwargs.get("latency")
-        if latency is not None and not isinstance(latency, DelaySummary):
-            kwargs["latency"] = DelaySummary.from_dict(latency)
-        kwargs["swap_versions"] = tuple(kwargs.get("swap_versions", ()))
-        return cls(**kwargs)
-
-    def to_json(self, path: PathLike) -> Path:
-        """Write the report as pretty-printed JSON; returns the path."""
-        return save_json(path, self.to_dict())
-
-    @classmethod
-    def from_json(cls, path: PathLike) -> "ServingReport":
-        """Load a report written by :meth:`to_json`."""
-        return cls.from_dict(load_json(path))
 
     # -- presentation ------------------------------------------------------------
 

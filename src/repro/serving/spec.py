@@ -17,10 +17,10 @@ spec tree can import it without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import checked_dataclass_kwargs
+from repro.utils.serialization import JsonRecord
 
 #: Admission-control policies for a full ingress queue: ``reject-new`` turns
 #: the incoming request away immediately; ``shed-oldest`` evicts the oldest
@@ -29,7 +29,7 @@ SHED_POLICIES = ("reject-new", "shed-oldest")
 
 
 @dataclass(frozen=True)
-class ServingSpec:
+class ServingSpec(JsonRecord):
     """An open-loop serving workload attached to an experiment.
 
     ``seed`` is the serving run's own stream seed; the load generator folds
@@ -147,7 +147,3 @@ class ServingSpec:
         if self.max_age_ms is not None:
             return float(self.max_age_ms)
         return float(self.slo_p99_ms) / 2.0
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ServingSpec":
-        return cls(**checked_dataclass_kwargs(cls, payload, "serve"))

@@ -1,9 +1,12 @@
-"""Lightweight argument-validation helpers used across the package."""
+"""Lightweight argument-validation helpers used across the package.
+
+Payload validation (unknown, missing or mistyped keys of a spec or report)
+lives in the one JSON codec, :class:`repro.utils.serialization.JsonRecord`.
+"""
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -29,24 +32,6 @@ def check_probability(value: float, name: str) -> float:
     if not np.isfinite(value) or value < 0.0 or value > 1.0:
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
-
-
-def checked_dataclass_kwargs(cls, payload, where: str) -> dict:
-    """``payload`` as kwargs for dataclass ``cls``, rejecting unknown keys.
-
-    Shared by the ``from_dict`` constructors of the experiment- and
-    fleet-spec trees (both deserialise frozen dataclasses from JSON payloads
-    and must fail loudly on misspelled keys).
-    """
-    if not isinstance(payload, Mapping):
-        raise ConfigurationError(f"{where} must be a mapping, got {type(payload).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {where}; valid keys: {sorted(allowed)}"
-        )
-    return dict(payload)
 
 
 def check_binary_labels(labels: Any, name: str = "labels") -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adapt.events import AdaptationTimeline, DriftEvent, RetrainEvent, SwapEvent
+from repro.adapt.events import AdaptationTimeline
 from repro.adapt.monitors import (
     MONITOR_KINDS,
     F1FloorMonitor,
@@ -101,25 +101,5 @@ class TestBuildMonitor:
 
 
 class TestTimeline:
-    def _timeline(self):
-        return AdaptationTimeline(
-            drifts=(DriftEvent(tick=9, layer=0, tier="iot", monitor="page-hinkley",
-                               statistic=2.0, threshold=1.0),),
-            retrains=(RetrainEvent(tick=10, layer=0, tier="iot", n_train_windows=64,
-                                   n_holdout_windows=32, incumbent_f1=0.5,
-                                   candidate_f1=0.9, accepted=True,
-                                   candidate_version="v-abc"),),
-            swaps=(SwapEvent(tick=10, layer=0, tier="iot", from_version="v-root",
-                             to_version="v-abc", quantized=True),),
-        )
-
-    def test_round_trip(self):
-        timeline = self._timeline()
-        assert AdaptationTimeline.from_dict(timeline.to_dict()) == timeline
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AdaptationTimeline.from_dict({"drifts": [], "bogus": 1})
-
     def test_empty_timeline_round_trips(self):
         assert AdaptationTimeline.from_dict({}) == AdaptationTimeline()

@@ -118,3 +118,20 @@ class TestRunCommand:
     def test_malformed_set_pair_exits_2(self, capsys):
         assert main(["run", "univariate-power", "--set", "data.weeks"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, path",
+        [("detectors", 5, "experiment.detectors"),
+         ("data", None, "experiment.data"),
+         ("seed", "zero", "experiment.seed")],
+    )
+    def test_malformed_spec_file_exits_2_naming_the_node(
+        self, key, value, path, tmp_path, capsys
+    ):
+        payload = get_scenario("univariate-power").to_dict()
+        payload[key] = value
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", "--spec-file", str(spec_file), "--spec-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err

@@ -35,24 +35,8 @@ BUILTIN_SCENARIOS = (
 
 
 class TestSpecRoundTrip:
-    # Every registered scenario, so the fleet, adapt, serve and qualify nodes
-    # each round-trip in the shapes the shipped scenarios give them.
-    @pytest.mark.parametrize("name", SCENARIOS.names())
-    def test_dict_round_trip(self, name):
-        spec = get_scenario(name)
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-
-    @pytest.mark.parametrize("name", SCENARIOS.names())
-    def test_json_file_round_trip(self, name, tmp_path):
-        spec = get_scenario(name)
-        path = spec.to_json(tmp_path / f"{name}.json")
-        assert path.exists()
-        assert ExperimentSpec.from_json(path) == spec
-
-    def test_to_dict_is_json_serialisable(self):
-        payload = get_scenario("hierarchical-edge-4tier").to_dict()
-        assert json.loads(json.dumps(payload)) == payload
-
+    # Every scenario's dict and JSON-file round trip is checked by
+    # TestRecordProtocol in test_utils_serialization.py.
     def test_from_dict_rejects_unknown_keys(self):
         payload = get_scenario("univariate-power").to_dict()
         payload["data"]["not_a_field"] = 1

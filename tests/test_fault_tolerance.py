@@ -45,7 +45,6 @@ import pytest
 from repro.cli import main
 from repro.exceptions import ConfigurationError, SchedulingError, SerializationError
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
-from repro.experiments.spec import ExperimentSpec
 from repro.fleet import sharding
 from repro.fleet.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -306,11 +305,6 @@ class TestFaultSpec:
         assert spec.failover_retries == 3
         assert spec.events[0].kind == "link-down" and spec.events[0].link == 1
         assert spec.events[1].at_tick == 7
-
-    def test_fault_scenarios_survive_spec_round_trip(self):
-        for name in ("fleet-link-outage", "fleet-shard-crash", "fleet-crash-resume"):
-            spec = get_scenario(name)
-            assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_schedule_predicates(self):
         schedule = FaultSchedule(

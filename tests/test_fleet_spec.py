@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import ExperimentSpec, apply_overrides, get_scenario
+from repro.experiments import apply_overrides, get_scenario
 from repro.fleet.mutators import (
     AdversarialCamouflage,
     AnomalyBurst,
@@ -53,11 +53,6 @@ class TestMutatorSpec:
         with pytest.raises(ConfigurationError):
             MutatorSpec(kind="device-churn", offline_ticks=20, churn_period=10)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown key"):
-            MutatorSpec.from_dict({"kind": "phase-jitter", "wobble": 3})
-
-
 class TestFleetSpec:
     def test_defaults_valid(self):
         spec = FleetSpec()
@@ -85,27 +80,6 @@ class TestFleetSpec:
 
 
 class TestExperimentSpecIntegration:
-    def test_fleet_node_round_trips_through_json_dict(self):
-        spec = get_scenario("fleet-burst-storm")
-        assert spec.fleet is not None
-        rebuilt = ExperimentSpec.from_dict(spec.to_dict())
-        assert rebuilt == spec
-        assert isinstance(rebuilt.fleet, FleetSpec)
-        assert isinstance(rebuilt.fleet.mutators[0], MutatorSpec)
-
-    def test_offline_specs_keep_fleet_none(self):
-        spec = get_scenario("univariate-power")
-        assert spec.fleet is None
-        assert ExperimentSpec.from_dict(spec.to_dict()).fleet is None
-
-    def test_null_required_nested_nodes_still_rejected_cleanly(self):
-        """Only ``fleet`` may be null; null required nodes keep the old error."""
-        for key in ("data", "topology", "deployment", "policy", "evaluation"):
-            payload = get_scenario("univariate-power").to_dict()
-            payload[key] = None
-            with pytest.raises(ConfigurationError, match="must be a mapping"):
-                ExperimentSpec.from_dict(payload)
-
     def test_dotted_overrides_reach_fleet_fields(self):
         spec = get_scenario("fleet-burst-storm")
         overridden = apply_overrides(

@@ -7,7 +7,6 @@ pack's composition, the contract arithmetic, the contract<->alert agreement,
 the report's JSON schema, and the CLI's exit-code contract.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -26,7 +25,6 @@ from repro.fleet.qualify import (
     resolve_metric,
     run_qualification,
     scaled_case_spec,
-    validate_report,
 )
 from repro.obs.export import Telemetry
 
@@ -94,12 +92,6 @@ class TestContractSpec:
     def test_malformed_contracts_are_rejected(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):
             ContractSpec(**kwargs)
-
-    @pytest.mark.parametrize("pack", sorted(QUALIFY_PACKS))
-    def test_pack_contracts_round_trip_through_from_dict(self, pack):
-        for case in QUALIFY_PACKS[pack]:
-            for contract in case.contracts:
-                assert ContractSpec.from_dict(dataclasses.asdict(contract)) == contract
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match=r"\['threshold'\] in contract"):
@@ -343,33 +335,47 @@ class TestAlertAgreement:
 
 
 class TestReportSchema:
+    """``QualificationReport.from_dict`` is the report's schema check."""
+
     def test_report_payload_validates(self, hostile_report, control_report):
-        validate_report(hostile_report.to_dict())
-        validate_report(control_report.to_dict())
+        for report in (hostile_report, control_report):
+            assert QualificationReport.from_dict(report.to_dict()) == report
 
     def test_missing_key_fails_validation(self, hostile_report):
         payload = hostile_report.to_dict()
         del payload["cases"]
         with pytest.raises(ConfigurationError, match="missing required key"):
-            validate_report(payload)
+            QualificationReport.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "path",
+        [("schema_version",), ("cases", 0, "alerts"), ("cases", 0, "contracts", 0, "description")],
+    )
+    def test_every_schema_key_is_required(self, hostile_report, path):
+        payload = hostile_report.to_dict()
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        with pytest.raises(ConfigurationError, match=f"missing required key '{path[-1]}'"):
+            QualificationReport.from_dict(payload)
 
     def test_type_mismatch_fails_validation(self, hostile_report):
         payload = hostile_report.to_dict()
         payload["passed"] = "yes"
         with pytest.raises(ConfigurationError, match="expected boolean"):
-            validate_report(payload)
+            QualificationReport.from_dict(payload)
 
     def test_nested_contract_mismatch_names_the_path(self, hostile_report):
         payload = hostile_report.to_dict()
         payload["cases"][0]["contracts"][0]["bound"] = "tight"
         with pytest.raises(ConfigurationError, match=r"cases\.0\.contracts\.0\.bound"):
-            validate_report(payload)
+            QualificationReport.from_dict(payload)
 
     def test_json_round_trip(self, hostile_report, tmp_path):
         path = hostile_report.to_json(tmp_path / "qualify.json")
-        validate_report(json.loads(path.read_text()))
-        loaded = QualificationReport.from_json(path)
-        assert loaded == hostile_report
+        assert QualificationReport.from_dict(json.loads(path.read_text())) == hostile_report
+        assert QualificationReport.from_json(path) == hostile_report
 
     def test_summary_names_every_contract(self, hostile_report):
         text = hostile_report.summary()
@@ -391,8 +397,7 @@ class TestQualifyCli:
             "--output-dir", str(tmp_path), "--quiet",
         ]) == 1
         payload = json.loads((tmp_path / "qualify_control.json").read_text())
-        validate_report(payload)
-        assert payload["passed"] is False
+        assert QualificationReport.from_dict(payload).passed is False
         capsys.readouterr()
 
     def test_control_pack_exits_one(self, capsys):

@@ -146,11 +146,6 @@ class TestSpecTreeIntegration:
         assert spec.serve == ServingSpec()
         assert spec.fleet is not None
 
-    def test_experiment_spec_round_trip_preserves_serve(self):
-        spec = get_scenario("serve-front-door")
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-        assert ExperimentSpec.from_dict(spec.to_dict()).serve == spec.serve
-
     def test_serve_overrides_apply(self):
         spec = get_scenario("serve-front-door")
         spec = apply_overrides(

@@ -1,7 +1,5 @@
 """Tests for repro.utils.validation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    checked_dataclass_kwargs,
 )
 
 
@@ -48,26 +45,6 @@ class TestScalarChecks:
     def test_message_names_the_argument(self, check):
         with pytest.raises(ConfigurationError, match="dropout_rate"):
             check(-5.0, "dropout_rate")
-
-
-@dataclasses.dataclass(frozen=True)
-class _Node:
-    size: int = 1
-    name: str = "n"
-
-
-class TestCheckedDataclassKwargs:
-    def test_known_keys_pass_through(self):
-        assert checked_dataclass_kwargs(_Node, {"size": 3}, "node") == {"size": 3}
-
-    def test_unknown_key_lists_the_valid_ones(self):
-        with pytest.raises(ConfigurationError, match=r"\['sizes'\] in node; valid keys: \['name', 'size'\]"):
-            checked_dataclass_kwargs(_Node, {"sizes": 3}, "node")
-
-    @pytest.mark.parametrize("payload", [[("size", 3)], "size=3", None])
-    def test_non_mapping_rejected(self, payload):
-        with pytest.raises(ConfigurationError, match="node must be a mapping"):
-            checked_dataclass_kwargs(_Node, payload, "node")
 
 
 class TestOtherChecks:
