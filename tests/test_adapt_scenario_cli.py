@@ -268,13 +268,17 @@ class TestCli:
         assert registry.current("iot") == root.version
 
     @pytest.mark.parametrize(
-        "damage",
-        [lambda meta: meta.pop("tier"), lambda meta: meta.update(bogus=1),
-         lambda meta: meta.update(layer="zero")],
-        ids=["missing-key", "unknown-key", "wrong-type"],
+        "damage, named",
+        [
+            (lambda meta: {k: v for k, v in meta.items() if k != "tier"}, "model_version"),
+            (lambda meta: {**meta, "bogus": 1}, "model_version"),
+            (lambda meta: {**meta, "layer": "zero"}, "model_version.layer"),
+            (None, "meta.json"),
+        ],
+        ids=["missing-key", "unknown-key", "wrong-type", "truncated"],
     )
     @pytest.mark.parametrize("command", ["show", "list"])
-    def test_models_on_damaged_meta_exit_2(self, damage, command, tmp_path, capsys):
+    def test_models_on_damaged_meta_exit_2(self, damage, named, command, tmp_path, capsys):
         from repro.adapt.registry import ModelRegistry
         from repro.detectors.autoencoder import AutoencoderDetector
 
@@ -282,30 +286,13 @@ class TestCli:
         detector = AutoencoderDetector(window_size=12, hidden_sizes=(4,), seed=0)
         detector.fit(np.random.default_rng(0).normal(size=(16, 12)), epochs=1)
         meta = registry.commit(detector, tier="iot", layer=0)
-        registry.promote(meta.version, "iot")
         meta_path = tmp_path / "registry" / "versions" / meta.version / "meta.json"
-        payload = json.loads(meta_path.read_text())
-        damage(payload)
-        meta_path.write_text(json.dumps(payload))
-        args = ["models", command, "--registry", str(tmp_path / "registry")]
-        assert main(args[:2] + [meta.version] * (command == "show") + args[2:]) == 2
+        text = meta_path.read_text()
+        meta_path.write_text(text[:20] if damage is None else json.dumps(damage(json.loads(text))))
+        target = [meta.version] if command == "show" else []
+        assert main(["models", command, *target, "--registry", str(tmp_path / "registry")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "model_version" in err
-
-    def test_models_show_on_truncated_meta_exits_2(self, tmp_path, capsys):
-        from repro.adapt.registry import ModelRegistry
-        from repro.detectors.autoencoder import AutoencoderDetector
-
-        registry = ModelRegistry(tmp_path / "registry")
-        detector = AutoencoderDetector(window_size=12, hidden_sizes=(4,), seed=0)
-        detector.fit(np.random.default_rng(0).normal(size=(16, 12)), epochs=1)
-        meta = registry.commit(detector, tier="iot", layer=0)
-        meta_path = tmp_path / "registry" / "versions" / meta.version / "meta.json"
-        meta_path.write_text(meta_path.read_text()[:20])
-        assert main([
-            "models", "show", meta.version, "--registry", str(tmp_path / "registry"),
-        ]) == 2
-        assert "meta.json" in capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_models_on_missing_registry_exits_nonzero(self, tmp_path, capsys):
         """A mistyped --registry path must error, not conjure an empty registry."""
