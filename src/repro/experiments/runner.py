@@ -58,7 +58,7 @@ from repro.experiments.stages import (
 from repro.evaluation.tables import ModelComparisonRow, model_comparison_row
 from repro.fleet.checkpoint import save_run_descriptor
 from repro.fleet.devices import DeviceFleet, WindowPool
-from repro.fleet.engine import FleetEngine, ShardedFleetEngine
+from repro.fleet.engine import FleetEngine
 from repro.fleet.report import FleetReport
 from repro.hec.deployment import ModelDeployment, deploy_registry
 from repro.hec.simulation import HECSystem
@@ -465,9 +465,9 @@ class ExperimentRunner:
 
         An *optional* sixth stage (not part of :attr:`STAGES`, so :meth:`run`
         stays purely offline): requires ``train_policy`` and a ``fleet`` node
-        on the spec.  ``fleet.n_shards > 1`` partitions the devices across
-        :class:`~repro.fleet.engine.ShardedFleetEngine` workers; a single
-        shard runs in-process and is bit-identical to the unsharded engine.
+        on the spec.  One :class:`~repro.fleet.engine.FleetEngine` streams it;
+        ``fleet.n_shards > 1`` runs the devices as that many shards (see
+        :mod:`repro.fleet.sharding`), with a report equal to the one-shard run's.
 
         A spec with an ``adapt`` node streams under an
         :class:`~repro.adapt.controller.AdaptationController` — drift
@@ -509,7 +509,7 @@ class ExperimentRunner:
                 registry_root=registry_root,
             )
         state.adaptation_controller = controller
-        engine_kwargs = dict(
+        engine = FleetEngine(
             system=state.system,
             policy=state.policy,
             context_extractor=state.context_extractor,
@@ -524,10 +524,6 @@ class ExperimentRunner:
             checkpoint_dir=checkpoint_dir,
             checkpoint_cadence=checkpoint_cadence,
         )
-        if fleet_spec.n_shards > 1:
-            engine = ShardedFleetEngine(**engine_kwargs)
-        else:
-            engine = FleetEngine(**engine_kwargs)
         if checkpoint_dir is not None and not resume:
             save_run_descriptor(
                 checkpoint_dir,

@@ -1,4 +1,4 @@
-"""Fleet streaming subsystem: workload generators, sharded streaming engine
+"""Fleet streaming subsystem: workload generators, the streaming engine
 and online evaluation for thousand-device HEC simulations.
 
 The offline experiments replay one pre-windowed dataset; this package turns
@@ -14,10 +14,10 @@ streaming sensor windows:
   device churn, phase jitter and sensor faults, as batch hooks;
 * :mod:`repro.fleet.engine` — the event-clocked :class:`FleetEngine` (one
   struct-of-arrays streaming loop, pinned by goldens recorded from the
-  per-window loop it replaced) and the ``multiprocessing``-sharded
-  :class:`ShardedFleetEngine`;
-* :mod:`repro.fleet.sharding` — the one shard runner and the per-run worker
-  pool (zero-copy shard payloads under ``fork``) behind the sharded engine;
+  per-window loop it replaced);
+* :mod:`repro.fleet.sharding` — how the engine runs a spec with
+  ``n_shards > 1``: one-shard engines over a device partition, in a per-run
+  worker pool (zero-copy shard payloads under ``fork``) or serially;
 * :mod:`repro.fleet.metrics` / :mod:`repro.fleet.report` — bounded-memory
   online evaluation and the serialisable :class:`FleetReport`.
 
@@ -27,7 +27,7 @@ keep the import graph acyclic).
 """
 
 from repro.fleet.devices import ColumnarArrivals, DeviceFleet, WindowPool
-from repro.fleet.engine import FleetEngine, ShardedFleetEngine
+from repro.fleet.engine import FleetEngine
 from repro.fleet.metrics import DelayReservoir, StreamingMetrics
 from repro.fleet.mutators import (
     AnomalyBurst,
@@ -50,7 +50,6 @@ __all__ = [
     "DeviceFleet",
     "WindowPool",
     "FleetEngine",
-    "ShardedFleetEngine",
     "DelayReservoir",
     "StreamingMetrics",
     "StreamMutator",

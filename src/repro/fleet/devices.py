@@ -16,10 +16,9 @@ ids, the tick (or the creation draws) and what the draw is for, so one tick
 is a handful of array calls per block and any tick can be drawn without the
 ticks before it.  A fleet holding a subset of the ids (a shard) draws the
 blocks it overlaps and keeps its own devices' rows — exactly the rows the
-whole fleet emits for them.  That is what lets
-:class:`~repro.fleet.engine.ShardedFleetEngine` partition the fleet across
-workers and still merge to the exact unsharded result, and what makes a
-checkpoint resume O(1).
+whole fleet emits for them.  That is what lets a multi-shard run
+(:mod:`repro.fleet.sharding`) partition the fleet across workers and still
+merge to the exact one-shard result, and what makes a checkpoint resume O(1).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The streaming engines: event-clocked fleet traffic through the HEC system.
+"""The streaming engine: event-clocked fleet traffic through the HEC system.
 
 :class:`FleetEngine` drains per-tick arrival queues from a
 :class:`~repro.fleet.devices.DeviceFleet` through the trained bandit policy
@@ -21,12 +21,12 @@ telemetry session; this module is the one place that knows those names) or
 :class:`_Unobserved`, whose hooks are no-op bound methods, so the plain loop
 times nothing.  Neither draws RNG: a telemetered run streams bit-identical.
 
-:class:`ShardedFleetEngine` partitions the device ids across shard engines
-(worker processes, see :mod:`repro.fleet.sharding`) and merges their
-aggregators.  A device's stream is a function of its id, not of its shard,
-and every metric is an order-free function of the windows (exact integer
-delay sums, a delay sample keyed by window identity), so a K-shard report
-equals the unsharded one field for field (pinned by the equivalence tests).
+A spec with ``n_shards > 1`` runs as one-shard engines over a partition of
+the device ids (:func:`repro.fleet.sharding.run_sharded`).  A device's stream
+is a function of its id, not of its shard, and every metric is an order-free
+function of the windows (exact integer delay sums, a delay sample keyed by
+window identity), so a K-shard report equals the one-shard one field for
+field (pinned by the equivalence tests).
 
 An optional adaptation ``controller`` (:mod:`repro.adapt.controller`) is fed
 every detected batch and ends each tick (drift decisions, retrains, atomic
@@ -46,21 +46,20 @@ kill/crash events are disarmed on resumed runs so recovery cannot re-die.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import warnings
 from contextlib import nullcontext
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bandit.context import ContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError
 from repro.fleet import sharding
-from repro.fleet.checkpoint import CheckpointStore, shard_checkpoint_dir
+from repro.fleet.checkpoint import CheckpointStore
 from repro.fleet.devices import DeviceFleet, WindowPool
 from repro.fleet.faults import FaultSchedule, FaultSpec, WorkerCrash
 from repro.fleet.metrics import StreamingMetrics, mix64
@@ -95,26 +94,6 @@ def _window_keys(device_ids: np.ndarray, salt: np.uint64) -> np.ndarray:
     below 2**43 and ranks below 2**20; the salts set the ticks apart."""
     rank = np.arange(device_ids.size) - np.searchsorted(device_ids, device_ids)
     return ((device_ids << 20) | rank).view(np.uint64) ^ salt
-
-
-#: Whether the degraded-parallelism warning already fired this process.
-_pool_fallback_warned = False
-
-
-def _warn_pool_fallback_once(exc: BaseException) -> None:
-    """Satellite contract: a silent serial fallback hides broken parallelism
-    from benchmarks and CI logs, so name the failure — once per process."""
-    global _pool_fallback_warned
-    if _pool_fallback_warned:
-        return
-    _pool_fallback_warned = True
-    warnings.warn(
-        f"sharded fleet worker pool failed ({type(exc).__name__}: {exc}); "
-        "falling back to serial in-process shards — throughput numbers from "
-        "this run do not measure parallel scaling",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 # -- the per-run observation seam ---------------------------------------------------
@@ -285,7 +264,7 @@ class _Observed:
             self.run_span.end(windows=metrics.n_windows)
 
 
-# -- the engines ------------------------------------------------------------------
+# -- the engine -------------------------------------------------------------------
 
 
 class FleetEngine:
@@ -317,6 +296,13 @@ class FleetEngine:
         if checkpoint_cadence < 0:
             raise ConfigurationError(
                 f"checkpoint_cadence must be non-negative, got {checkpoint_cadence}"
+            )
+        if spec.n_shards > 1 and any(link.jitter_ms > 0.0 for link in system.topology.links):
+            # Each shard draws jitter from its own link replicas, so the delay
+            # stream would depend on the partitioning.
+            raise ConfigurationError(
+                f"a {spec.n_shards}-shard fleet requires jitter-free links; "
+                "set link jitter_ms=0 or use n_shards=1"
             )
         self.system = system
         self.policy = policy
@@ -352,7 +338,7 @@ class FleetEngine:
         #: Save a checkpoint every this many ticks (0 = never save; resume
         #: from an existing directory still works).
         self.checkpoint_cadence = int(checkpoint_cadence)
-        #: Which shard of a sharded run this engine is (0 when unsharded);
+        #: Which shard of a sharded run this engine is (0 for a whole fleet);
         #: shard-crash fault events fire only on their matching shard.
         self.shard_index = int(shard_index)
         # One-shot kill/crash events are armed only on non-resumed runs —
@@ -369,6 +355,12 @@ class FleetEngine:
     def run_metrics(self, resume: bool = False) -> StreamingMetrics:
         """The core streaming loop; returns the filled metrics aggregator.
 
+        A spec with ``n_shards > 1`` runs as shard engines
+        (:func:`~repro.fleet.sharding.run_sharded`), unless the engine adapts:
+        adaptation is tick-synchronous global state (monitors, a shared
+        registry, live detector swaps), so an adaptive run streams the whole
+        fleet through this engine, with a warning.
+
         ``resume=True`` continues from the newest durable checkpoint in
         :attr:`checkpoint_dir` (bit-identical to an uninterrupted run) and
         disarms one-shot kill/crash fault events so recovery cannot re-die
@@ -378,8 +370,19 @@ class FleetEngine:
         first discards the checkpoints already in :attr:`checkpoint_dir`, so
         a later resume can only continue this run, never an earlier one.
         """
-        obs = _Observed(self, resume) if self.telemetry is not None else _UNOBSERVED
         spec = self.spec
+        if spec.n_shards > 1:
+            if self.controller is None:
+                return sharding.run_sharded(self, resume)
+            warnings.warn(
+                f"adaptive streaming is tick-synchronous; running the "
+                f"{spec.n_shards}-shard fleet through one in-process "
+                "engine (every metric is partition-independent, so the "
+                "report is identical)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        obs = _Observed(self, resume) if self.telemetry is not None else _UNOBSERVED
         system = self.system
         self._armed = not resume
         store = CheckpointStore(self.checkpoint_dir) if self.checkpoint_dir else None
@@ -596,215 +599,3 @@ class FleetEngine:
                 "checkpoint_dir or resume(path=...))"
             )
         return self.run(resume=True)
-
-
-#: The :class:`FleetEngine` settings every shard engine copies unchanged.
-_SHARD_SETTINGS = (
-    "system", "policy", "context_extractor", "spec", "pool", "master_seed",
-    "name", "tier_names", "faults", "checkpoint_cadence",
-)
-
-
-class ShardedFleetEngine(FleetEngine):
-    """Partition the fleet across worker processes and merge deterministically.
-
-    A :class:`FleetEngine` over the whole fleet whose :meth:`run_metrics`
-    streams it as ``n_shards`` shard engines (shard ``i`` checkpoints under
-    ``<checkpoint_dir>/shard-<i>``, so per-shard recovery never mixes stores).
-
-    Multi-shard runs require jitter-free links (the paper's configuration):
-    per-transfer jitter draws would come from each shard's own link replicas
-    and so depend on the partitioning, which would break the merge contract.
-
-    ``parallel`` accepts ``True`` (always fork the worker pool), ``False``
-    (always run shards serially in-process) and ``"auto"`` (the default:
-    fork only when the host actually has more than one CPU to run workers
-    on — a single-core host pays fork/IPC overhead for pure time-slicing,
-    which is exactly what made multi-shard runs *slower* than one shard).
-    Nothing else decides it — in particular a telemetry session does not:
-    each shard — pooled or serial — runs its own child session
-    (``shard-NN/`` sinks mirroring the checkpoint layout, shard-scoped trace
-    ids) and the parent absorbs the children in shard order through the
-    deterministic registry merge algebra, so the merged metrics equal what a
-    serial unsharded run records (stage and run seconds add up across
-    shards).
-    """
-
-    def __init__(
-        self,
-        system: HECSystem,
-        policy: PolicyNetwork,
-        context_extractor: ContextExtractor,
-        spec: FleetSpec,
-        pool: WindowPool,
-        master_seed: int = 0,
-        name: str = "fleet",
-        tier_names: Optional[Sequence[str]] = None,
-        n_shards: Optional[int] = None,
-        parallel: Union[bool, str] = "auto",
-        controller=None,
-        telemetry: Optional[Telemetry] = None,
-        faults: Optional[FaultSpec] = None,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_cadence: int = 0,
-    ) -> None:
-        super().__init__(
-            system, policy, context_extractor, spec, pool, master_seed, name,
-            tier_names, controller=controller, telemetry=telemetry, faults=faults,
-            checkpoint_dir=checkpoint_dir, checkpoint_cadence=checkpoint_cadence,
-        )
-        self.n_shards = int(n_shards) if n_shards is not None else spec.n_shards
-        if self.n_shards <= 0:
-            raise ConfigurationError(f"n_shards must be positive, got {self.n_shards}")
-        if self.n_shards > spec.n_devices:
-            raise ConfigurationError(
-                f"n_shards ({self.n_shards}) cannot exceed n_devices ({spec.n_devices})"
-            )
-        if parallel not in (True, False, "auto"):
-            raise ConfigurationError(
-                f"parallel must be True, False or 'auto', got {parallel!r}"
-            )
-        self.parallel = parallel
-        if self.n_shards > 1 and any(
-            link.jitter_ms > 0.0 for link in system.topology.links
-        ):
-            # Jittery links draw per-transfer RNG from each shard's own link
-            # replicas, so the delay stream would depend on the partitioning —
-            # the determinism contract only holds on jitter-free links.
-            raise ConfigurationError(
-                "ShardedFleetEngine requires jitter-free links for n_shards > 1 "
-                "(per-transfer jitter draws would depend on the device "
-                "partitioning); set link jitter_ms=0 or use n_shards=1"
-            )
-
-    def _resolve_parallel(self) -> bool:
-        if self.parallel == "auto":
-            return sharding.available_cpus() > 1
-        return self.parallel
-
-    def _engine_kwargs(self, shard_index: int) -> dict:
-        """The kwargs of the :class:`FleetEngine` this one runs as shard
-        ``shard_index`` (its own settings, checkpointing in that shard's store)."""
-        kwargs = {key: getattr(self, key) for key in _SHARD_SETTINGS}
-        if self.checkpoint_dir is not None:
-            kwargs["checkpoint_dir"] = shard_checkpoint_dir(self.checkpoint_dir, shard_index)
-        return {**kwargs, "shard_index": shard_index}
-
-    def _shard_payloads(self) -> List[dict]:
-        """The :class:`FleetEngine` kwargs of every shard, in shard order."""
-        if self.n_shards > 1 and self.telemetry is not None:
-            # The frozen recipe each shard builds its child session from.
-            observe = {"obs": self.telemetry.shard_config()}
-        else:
-            # A 1-shard "sharded" run is just the serial run: the parent
-            # session records directly (tick spans, unscoped ids) instead of
-            # routing through a pointless shard-00 child.
-            observe = {"obs": None, "telemetry": self.telemetry}
-        partitions = np.array_split(np.arange(self.spec.n_devices), self.n_shards)
-        return [
-            {**self._engine_kwargs(index), **observe, "device_ids": partition.tolist()}
-            for index, partition in enumerate(partitions)
-        ]
-
-    def _recover_shard(self, payload: dict) -> "sharding.ShardResult":
-        """Re-run a crashed shard in-process from its last durable checkpoint.
-
-        At-most-once by construction: the dead worker returned nothing, so its
-        partial stream was never merged, and the recovery run (resumed from
-        the shard's own checkpoint store, crash events disarmed) produces the
-        shard's complete metrics exactly once.  On telemetered runs the
-        recovery builds a fresh child session whose sink overwrites the
-        crashed shard's half-written ``trace.jsonl.tmp`` — the merged parent
-        only ever sees the complete recovered shard.
-        """
-        warnings.warn(
-            f"shard {payload.get('shard_index', 0)} crashed; recovering it "
-            "in-process from its last checkpoint",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return sharding.run_shard(payload, resume=True)
-
-    def _absorb_shards(self, results: list) -> List[StreamingMetrics]:
-        """Fold child telemetry into the parent session, in shard order.
-
-        Child registries merge through the deterministic algebra (counters
-        add, gauges max, histogram buckets add elementwise); in-memory
-        children's spans/events re-emit through the parent sink with their
-        shard-scoped ids.  Each merge is logged as a ``shard.merge`` event,
-        and the parent's watcher (``--watch``) observes shard completions.
-        """
-        telemetry = self.telemetry
-        metrics = []
-        for index, result in enumerate(results):
-            metrics.append(result.metrics)
-            if telemetry is None or result.obs is None:
-                continue
-            telemetry.absorb_shard(result.obs)
-            telemetry.event(
-                "shard.merge", shard=index, scope=result.obs.get("scope")
-            )
-            if telemetry.watcher is not None:
-                telemetry.watcher.observe(float(index + 1))
-        return metrics
-
-    def _run_shards(self, resume: bool = False) -> List[StreamingMetrics]:
-        payloads = self._shard_payloads()
-        results = None
-        # Resumed runs stay in-process: each shard restores the system from
-        # its own checkpoint store, one shard at a time.
-        if self.n_shards > 1 and not resume and self._resolve_parallel():
-            try:
-                results = sharding.run_pooled(payloads)
-            except ReproError:
-                # Application errors raised inside a worker (configuration/shape
-                # problems) are not pool failures: re-running them serially would
-                # double the wall-clock only to raise the same error, behind a
-                # warning blaming parallelism.  ReproErrors also subclass
-                # ValueError/RuntimeError, so this re-raise must precede the catch.
-                raise
-            except (OSError, ValueError, RuntimeError, multiprocessing.ProcessError) as exc:
-                # RuntimeError: BrokenProcessPool, a worker that died without
-                # raising (OOM kill) — its shards have no result to wait for.
-                _warn_pool_fallback_once(exc)
-        if results is None:
-            # In-process: FleetEngine.run_metrics resets the shared system
-            # before each shard, so sequential shards stay isolated.
-            results = []
-            for payload in payloads:
-                try:
-                    results.append(sharding.run_shard(payload, resume=resume))
-                except WorkerCrash as crash:
-                    results.append(crash)
-        # Injected shard crashes sit in their shard's slot, pooled or serial;
-        # recover each from its shard checkpoint store.
-        return self._absorb_shards(
-            [
-                self._recover_shard(payload) if isinstance(result, WorkerCrash) else result
-                for payload, result in zip(payloads, results)
-            ]
-        )
-
-    def run_metrics(self, resume: bool = False) -> StreamingMetrics:
-        """Run every shard and merge their metrics in shard order."""
-        if self.controller is not None:
-            # Adaptation is tick-synchronous global state (monitors, a shared
-            # registry, live detector swaps), so an adaptive run streams the
-            # whole fleet through one in-process engine.  Every metric is
-            # partition-independent, so the report is the one a sharded merge
-            # would have produced.
-            if self.n_shards > 1:
-                warnings.warn(
-                    f"adaptive streaming is tick-synchronous; running the "
-                    f"{self.n_shards}-shard fleet through one in-process "
-                    "engine (every metric is partition-independent, so the "
-                    "report is identical)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return FleetEngine(
-                **self._engine_kwargs(0),
-                controller=self.controller,
-                telemetry=self.telemetry,
-            ).run_metrics(resume=resume)
-        return StreamingMetrics.merge(self._run_shards(resume=resume))

@@ -204,7 +204,7 @@ def fleet_shard_crash() -> ExperimentSpec:
     """A sharded fleet whose shard 1 worker crashes mid-run and is re-executed.
 
     Recovery contract (pinned by the fault-tolerance tests): the sharded
-    engine re-runs only the lost shard (from its last checkpoint when one
+    run re-runs only the lost shard (from its last checkpoint when one
     exists) and merges it at-most-once — the final report carries the exact
     same counts as a crash-free run.
     """

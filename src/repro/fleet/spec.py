@@ -324,7 +324,8 @@ class FleetSpec(JsonRecord):
     metrics_window: int = 8
     #: Capacity of the bounded delay reservoir behind the percentile estimates.
     reservoir_size: int = 2048
-    #: Worker processes for :class:`~repro.fleet.engine.ShardedFleetEngine`.
+    #: Shards the devices stream as (:mod:`repro.fleet.sharding`); the
+    #: report equals the one-shard report whatever the count.
     n_shards: int = 1
     mutators: Tuple[MutatorSpec, ...] = ()
     #: Heterogeneous population slices; empty = one homogeneous class.

@@ -24,6 +24,7 @@ read registry snapshots and trace records and never touch run state or RNG.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
@@ -146,11 +147,11 @@ TOP_LATENCY_WINDOW = 256
 
 
 def _percentile(values: List[float], q: float) -> Optional[float]:
+    """Nearest rank: the ceil(q * n)-th smallest of the ``n`` values."""
     if not values:
         return None
     ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, int(q * len(ordered)) - 1))
-    return ordered[index]
+    return ordered[math.ceil(q * len(ordered)) - 1]
 
 
 class TopView:
@@ -193,9 +194,12 @@ class TopView:
             name = str(record.get("name"))
             self.span_counts[name] = self.span_counts.get(name, 0) + 1
             attributes = record.get("attributes") or {}
-            tier = attributes.get("tier")
-            if tier is not None:
-                self.tier_counts[str(tier)] = self.tier_counts.get(str(tier), 0) + 1
+            if name == "serve.batch" and "tier" in attributes:
+                # A batch's end-time tier served all its ``n`` rows; request
+                # spans would count those rows a second time.
+                tier = str(attributes["tier"])
+                n = int(attributes.get("n", 1))
+                self.tier_counts[tier] = self.tier_counts.get(tier, 0) + n
             if name == "serve.request":
                 latency = attributes.get("latency_ms", record.get("duration_ms"))
                 if isinstance(latency, (int, float)):

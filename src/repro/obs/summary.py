@@ -44,6 +44,10 @@ def _load_sibling_registry(trace_path: Path) -> Optional[MetricsRegistry]:
 
 
 def _tier_counts(registry: Optional[MetricsRegistry], spans: List[dict]) -> Counter:
+    """Windows/requests per tier: the registry's tier counters, else the
+    ``serve.batch`` spans — each carries its row count ``n`` and, at its end,
+    the tier that served it.  No other span counts: a request span repeats
+    its batch's rows and an ``adapt.retrain`` span serves nothing."""
     counts: Counter = Counter()
     if registry is not None:
         for name in ("fleet_tier_windows_total", "serve_tier_requests_total"):
@@ -55,9 +59,9 @@ def _tier_counts(registry: Optional[MetricsRegistry], spans: List[dict]) -> Coun
         if counts:
             return counts
     for span in spans:
-        tier = span.get("attributes", {}).get("tier")
-        if tier is not None:
-            counts[str(tier)] += int(span.get("attributes", {}).get("n", 1))
+        attributes = span.get("attributes", {})
+        if span.get("name") == "serve.batch" and "tier" in attributes:
+            counts[str(attributes["tier"])] += int(attributes.get("n", 1))
     return counts
 
 
@@ -218,16 +222,9 @@ def summarize_trace(path: PathLike) -> str:
     # The parent's metrics.json already folded every shard (the merge
     # algebra); only merge shard registries ourselves when it is absent.
     registry = _load_sibling_registry(trace)
-    if registry is None and shard_traces:
-        merged = None
-        for shard_trace in shard_traces:
-            shard_registry = _load_sibling_registry(shard_trace)
-            if shard_registry is None:
-                continue
-            if merged is None:
-                merged = MetricsRegistry()
-            merged.merge_from(shard_registry)
-        registry = merged
+    if registry is None:
+        parts = [r for r in map(_load_sibling_registry, shard_traces) if r is not None]
+        registry = MetricsRegistry.merge(parts) if parts else None
     if not records:
         # Surface the same clean error a plain missing trace file raises.
         records = read_trace(trace)

@@ -41,6 +41,18 @@ def golden(request):
     return lambda name, payload: assert_matches_golden(name, payload, record=record)
 
 
+@pytest.fixture()
+def cpus(monkeypatch):
+    """``cpus(n)``: the CPU count a multi-shard fleet run sees — with 1 its
+    shards run serially in-process, with more they fork the worker pool."""
+    from repro.fleet import sharding
+
+    def set_cpus(n):
+        monkeypatch.setattr(sharding, "available_cpus", lambda: n)
+
+    return set_cpus
+
+
 @pytest.fixture(scope="session")
 def rng():
     """A deterministic NumPy generator for ad-hoc randomness in tests."""

@@ -13,6 +13,7 @@ The acceptance pins live here:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.experiments import (
     get_scenario,
 )
 from repro.cli import main
-from repro.fleet.engine import FleetEngine, ShardedFleetEngine
+from repro.fleet.engine import FleetEngine
 from repro.fleet.report import FleetReport
 
 #: Shrink the drift-recovery scenario to test size (training and streaming).
@@ -95,8 +96,6 @@ class TestDisabledAdaptationBitIdentical:
 
     @pytest.fixture(scope="class")
     def frozen_spec(self, tiny_spec):
-        from dataclasses import replace
-
         return replace(tiny_spec, adapt=None)
 
     def test_no_adapt_report_has_no_timeline(self, frozen_spec):
@@ -120,11 +119,13 @@ class TestDisabledAdaptationBitIdentical:
             name=frozen_spec.name,
             tier_names=frozen_spec.topology.tier_names,
         )
-        unsharded = FleetEngine(**kwargs).run()
-        one_shard = ShardedFleetEngine(**kwargs, n_shards=1).run()
+        one_shard = FleetEngine(**kwargs).run()
+        two_shards = FleetEngine(
+            **{**kwargs, "spec": replace(frozen_spec.fleet, n_shards=2)}
+        ).run()
         explicit_none = FleetEngine(**kwargs, controller=None).run()
-        assert unsharded == one_shard == explicit_none
-        assert unsharded.adaptation is None
+        assert one_shard == two_shards == explicit_none
+        assert one_shard.adaptation is None
 
     def test_stream_identical_until_first_swap(self, frozen_spec, adaptive_report):
         """Observation never perturbs the stream: pre-swap blocks match."""
@@ -159,16 +160,15 @@ class TestDisabledAdaptationBitIdentical:
                 return AdaptationTimeline()
 
         state = runner.state
-        engine = ShardedFleetEngine(
+        engine = FleetEngine(
             system=state.system,
             policy=state.policy,
             context_extractor=state.context_extractor,
-            spec=frozen_spec.fleet,
+            spec=replace(frozen_spec.fleet, n_shards=2),
             pool=WindowPool.from_labeled(state.standardized_all),
             master_seed=frozen_spec.seed,
             name=frozen_spec.name,
             tier_names=frozen_spec.topology.tier_names,
-            n_shards=2,
             controller=_NullController(),
         )
         with pytest.warns(RuntimeWarning, match="tick-synchronous"):

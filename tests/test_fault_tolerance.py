@@ -54,7 +54,7 @@ from repro.fleet.checkpoint import (
     shard_checkpoint_dir,
 )
 from repro.fleet.devices import WindowPool
-from repro.fleet.engine import FleetEngine, ShardedFleetEngine
+from repro.fleet.engine import FleetEngine
 from repro.fleet.faults import FaultEvent, FaultSchedule, FaultSpec, WorkerCrash
 from repro.fleet.metrics import DelayReservoir, StreamingMetrics
 from repro.fleet.spec import MutatorSpec
@@ -111,32 +111,27 @@ def _engine_kwargs(spec, runner):
     )
 
 
-def _die_streaming(kwargs, faults, checkpoint_dir, cadence, sharded=False):
+def _sharded(kwargs, n_shards, **extra):
+    """A :class:`FleetEngine` streaming ``kwargs``' spec as ``n_shards`` shards."""
+    return FleetEngine(**{**kwargs, **extra, "spec": replace(kwargs["spec"], n_shards=n_shards)})
+
+
+def _die_streaming(kwargs, faults, checkpoint_dir, cadence):
     """Fork-child target: stream until the injected process-kill SIGKILLs us."""
-    if sharded:
-        engine = ShardedFleetEngine(
-            **kwargs,
-            n_shards=2,
-            parallel=False,
-            faults=faults,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_cadence=cadence,
-        )
-    else:
-        engine = FleetEngine(
-            **kwargs,
-            faults=faults,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_cadence=cadence,
-        )
-    engine.run()
+    FleetEngine(
+        **kwargs,
+        faults=faults,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_cadence=cadence,
+    ).run()
 
 
-def _run_killed(kwargs, faults, checkpoint_dir, cadence, sharded=False):
-    """Run the fleet in a fork child and assert it died by SIGKILL."""
+def _run_killed(kwargs, faults, checkpoint_dir, cadence):
+    """Run the fleet in a fork child and assert it died by SIGKILL (a
+    multi-shard spec must run its shards in-process: set ``cpus(1)``)."""
     child = _FORK.Process(
         target=_die_streaming,
-        args=(kwargs, faults, checkpoint_dir, cadence, sharded),
+        args=(kwargs, faults, checkpoint_dir, cadence),
     )
     child.start()
     child.join(timeout=300)
@@ -409,18 +404,18 @@ class TestCheckpointResume:
         assert drawn == list(range(6, spec.fleet.ticks))
         assert resumed == uninterrupted
 
-    def test_kill_and_resume_sharded_is_bit_identical(self, trained, tmp_path):
+    def test_kill_and_resume_sharded_is_bit_identical(self, trained, cpus, tmp_path):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        uninterrupted = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
-        _run_killed(kwargs, KILL_AT_7, str(tmp_path), cadence=3, sharded=True)
+        kwargs["spec"] = replace(spec.fleet, n_shards=2)
+        cpus(1)
+        uninterrupted = FleetEngine(**kwargs).run()
+        _run_killed(kwargs, KILL_AT_7, str(tmp_path), cadence=3)
         # The kill hit shard 0 mid-run; its store holds the durable boundary.
         shard0 = CheckpointStore(shard_checkpoint_dir(tmp_path, 0))
         assert shard0.latest()["tick"] == 6
-        resumed = ShardedFleetEngine(
+        resumed = FleetEngine(
             **kwargs,
-            n_shards=2,
-            parallel=False,
             faults=KILL_AT_7,
             checkpoint_dir=str(tmp_path),
             checkpoint_cadence=3,
@@ -441,7 +436,7 @@ class TestCheckpointResume:
         with pytest.raises(ConfigurationError, match="checkpoint directory"):
             FleetEngine(**kwargs).resume()
         with pytest.raises(ConfigurationError, match="checkpoint directory"):
-            ShardedFleetEngine(**kwargs, n_shards=2).resume()
+            _sharded(kwargs, 2).resume()
 
     def test_controller_presence_must_match_checkpoint(self, trained):
         spec, runner = trained
@@ -452,13 +447,11 @@ class TestCheckpointResume:
         with pytest.raises(ConfigurationError, match="without adaptation"):
             engine._restore_checkpoint({"tick": 0, "controller": None}, shape=None)
 
-    def test_checkpoint_from_another_shard_or_run_refused(self, trained, tmp_path):
+    def test_checkpoint_from_another_shard_or_run_refused(self, trained, cpus, tmp_path):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=False,
-            checkpoint_dir=str(tmp_path), checkpoint_cadence=3,
-        ).run()
+        cpus(1)
+        _sharded(kwargs, 2, checkpoint_dir=str(tmp_path), checkpoint_cadence=3).run()
         shard1 = shard_checkpoint_dir(tmp_path, 1)
         with pytest.raises(ConfigurationError, match="shard 1.*shard 0"):
             FleetEngine(**kwargs, shard_index=0).resume(path=shard1)
@@ -473,7 +466,7 @@ class TestCheckpointResume:
         with pytest.raises(ConfigurationError, match="cadence"):
             FleetEngine(**kwargs, checkpoint_cadence=-1)
         with pytest.raises(ConfigurationError, match="cadence"):
-            ShardedFleetEngine(**kwargs, n_shards=2, checkpoint_cadence=-1)
+            _sharded(kwargs, 2, checkpoint_cadence=-1)
 
 
 # -- shard-crash recovery --------------------------------------------------------
@@ -483,25 +476,24 @@ CRASH_SHARD_1 = FaultSpec(events=(FaultEvent(kind="shard-crash", at_tick=5, shar
 
 
 class TestShardCrashRecovery:
-    def test_serial_crash_recovers_exact_counts(self, trained):
+    def test_serial_crash_recovers_exact_counts(self, trained, cpus):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        baseline = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+        cpus(1)
+        baseline = _sharded(kwargs, 2).run()
         with pytest.warns(RuntimeWarning, match="crashed; recovering"):
-            crashed = ShardedFleetEngine(
-                **kwargs, n_shards=2, parallel=False, faults=CRASH_SHARD_1
-            ).run()
+            crashed = _sharded(kwargs, 2, faults=CRASH_SHARD_1).run()
         assert crashed == baseline
 
-    def test_crash_recovery_resumes_from_shard_checkpoints(self, trained, tmp_path):
+    def test_crash_recovery_resumes_from_shard_checkpoints(self, trained, cpus, tmp_path):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        baseline = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+        cpus(1)
+        baseline = _sharded(kwargs, 2).run()
         with pytest.warns(RuntimeWarning, match="crashed; recovering"):
-            crashed = ShardedFleetEngine(
-                **kwargs,
-                n_shards=2,
-                parallel=False,
+            crashed = _sharded(
+                kwargs,
+                2,
                 faults=CRASH_SHARD_1,
                 checkpoint_dir=str(tmp_path),
                 checkpoint_cadence=2,
@@ -515,14 +507,14 @@ class TestShardCrashRecovery:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs fork pools",
     )
-    def test_pooled_crash_recovers_exact_counts(self, trained):
+    def test_pooled_crash_recovers_exact_counts(self, trained, cpus):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        baseline = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+        cpus(1)
+        baseline = _sharded(kwargs, 2).run()
+        cpus(2)
         with pytest.warns(RuntimeWarning, match="crashed; recovering"):
-            crashed = ShardedFleetEngine(
-                **kwargs, n_shards=2, parallel=True, faults=CRASH_SHARD_1
-            ).run()
+            crashed = _sharded(kwargs, 2, faults=CRASH_SHARD_1).run()
         assert crashed == baseline
         assert multiprocessing.active_children() == []
 
@@ -752,10 +744,11 @@ class TestMergeEdgeCases:
 #: the pool workers inherit through fork.
 _POOLED_PRELUDE = """
 import json, multiprocessing, os, sys, time, warnings
+from dataclasses import replace
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 from repro.fleet import sharding
 from repro.fleet.devices import WindowPool
-from repro.fleet.engine import ShardedFleetEngine
+from repro.fleet.engine import FleetEngine
 
 spec = apply_overrides(get_scenario("fleet-burst-storm"), json.loads(sys.argv[1]))
 runner = ExperimentRunner(spec)
@@ -764,11 +757,16 @@ for stage in ("prepare_data", "fit_detectors", "deploy", "train_policy"):
 state = runner.state
 kwargs = dict(
     system=state.system, policy=state.policy,
-    context_extractor=state.context_extractor, spec=spec.fleet,
+    context_extractor=state.context_extractor, spec=replace(spec.fleet, n_shards=2),
     pool=WindowPool.from_labeled(state.standardized_all),
     master_seed=spec.seed, name=spec.name, tier_names=spec.topology.tier_names,
 )
 parent, run_shard = os.getpid(), sharding.run_shard
+
+
+def cpus(n):
+    # 1 runs the shards serially in-process, more forks the worker pool.
+    sharding.available_cpus = lambda: n
 """
 
 
@@ -796,7 +794,7 @@ class TestPoolCleanup:
         # Shard 0 returns, the parent is interrupted reading its result while
         # shard 1's worker is still mid-stream: that worker must not survive.
         spec, runner = trained
-        engine = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2)
+        engine = _sharded(_engine_kwargs(spec, runner), 2)
         run_shard = sharding.run_shard
 
         def slow_second_shard(payload, resume=False):
@@ -811,7 +809,7 @@ class TestPoolCleanup:
         monkeypatch.setattr(StreamingMetrics, "from_payload", interrupted)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            sharding.run_pooled(engine._shard_payloads())
+            sharding.run_pooled(sharding._shard_payloads(engine))
         assert multiprocessing.active_children() == []
         assert time.monotonic() - started < 30
 
@@ -826,10 +824,12 @@ def dying(payload, resume=False):
     return run_shard(payload, resume)
 
 sharding.run_shard = dying
-serial = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+cpus(1)
+serial = FleetEngine(**kwargs).run()
+cpus(2)
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    pooled = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+    pooled = FleetEngine(**kwargs).run()
 print(json.dumps({
     "equal": pooled == serial,
     "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
@@ -860,7 +860,8 @@ def blocking(payload, resume=False):
     time.sleep(120)
 
 sharding.run_shard = blocking
-ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+cpus(2)
+FleetEngine(**kwargs).run()
 """
         )
         watchdog = threading.Timer(120, script.kill)

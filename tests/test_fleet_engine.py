@@ -1,8 +1,9 @@
 """Tests for the streaming engines and the runner's ``stream`` stage.
 
-The central pin is the acceptance criterion: ``ShardedFleetEngine(n_shards=K)``
+The central pin is the acceptance criterion: a
+:class:`~repro.fleet.engine.FleetEngine` over a spec with ``n_shards=K``
 produces a :class:`~repro.fleet.report.FleetReport` equal, field for field, to
-the unsharded :class:`~repro.fleet.engine.FleetEngine`'s for every K.  Device
+the one-shard engine's for every K.  Device
 streams are partition-independent, delay sums are exact integers and the delay
 sample is keyed by window identity, so no statistic depends on the shards.
 """
@@ -15,7 +16,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 from repro.fleet.devices import WindowPool
-from repro.fleet.engine import FleetEngine, ShardedFleetEngine
+from repro.fleet.engine import FleetEngine
 
 #: Shrink the burst-storm scenario to test size (training and streaming).
 TINY = {
@@ -72,6 +73,11 @@ def _engine_kwargs(spec, runner):
     )
 
 
+def _sharded(kwargs, n_shards, **extra):
+    """A :class:`FleetEngine` streaming ``kwargs``' spec as ``n_shards`` shards."""
+    return FleetEngine(**{**kwargs, **extra, "spec": replace(kwargs["spec"], n_shards=n_shards)})
+
+
 class TestFleetEngine:
     def test_run_is_deterministic(self, trained):
         spec, runner = trained
@@ -125,17 +131,22 @@ class TestScenarioStreams:
 
 
 class TestShardedEquivalence:
+    @pytest.mark.parametrize("available", [1, 2], ids=["serial", "forked"])
     @pytest.mark.parametrize("reservoir_size", [2048, 16])
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
-    def test_sharded_report_equals_unsharded(self, trained, n_shards, reservoir_size):
-        """Every field, bit for bit, for any partitioning: counts, exact
-        nanosecond delay sums and the keyed bottom-k delay percentiles —
-        also when the sample holds a sixteenth of the stream's windows."""
+    def test_sharded_report_equals_unsharded(
+        self, trained, cpus, n_shards, reservoir_size, available
+    ):
+        """Every field, bit for bit, for any partitioning, serial or forked:
+        counts, exact nanosecond delay sums and the keyed bottom-k delay
+        percentiles — also when the sample holds a sixteenth of the stream's
+        windows."""
         spec, runner = trained
+        cpus(available)
         kwargs = _engine_kwargs(spec, runner)
-        kwargs["spec"] = replace(spec.fleet, reservoir_size=reservoir_size)
+        kwargs["spec"] = replace(spec.fleet, reservoir_size=reservoir_size, n_shards=1)
         unsharded = FleetEngine(**kwargs)
-        sharded = ShardedFleetEngine(**kwargs, n_shards=n_shards)
+        sharded = _sharded(kwargs, n_shards)
         assert sharded.run() == unsharded.run()
         # The sample itself, priorities included (tiers share delay values,
         # so equal percentiles alone would not tell two samples apart).
@@ -147,22 +158,41 @@ class TestShardedEquivalence:
     def test_multi_shard_deterministic(self, trained):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        first = ShardedFleetEngine(**kwargs, n_shards=2).run()
-        second = ShardedFleetEngine(**kwargs, n_shards=2).run()
+        first = _sharded(kwargs, 2).run()
+        second = _sharded(kwargs, 2).run()
         assert first == second
 
-    def test_parallel_and_sequential_shards_agree(self, trained):
+    def test_parallel_and_sequential_shards_agree(self, trained, cpus):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        parallel = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
-        sequential = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+        cpus(2)
+        parallel = _sharded(kwargs, 2).run()
+        cpus(1)
+        sequential = _sharded(kwargs, 2).run()
         assert parallel == sequential
+
+    def test_resumed_shards_never_pool(self, trained, cpus, monkeypatch, tmp_path):
+        """With CPUs to spare a fresh multi-shard run forks its pool; a resume
+        restores each shard from its own store, in-process."""
+        from repro.fleet import sharding
+
+        spec, runner = trained
+        engine = _sharded(_engine_kwargs(spec, runner), 2, checkpoint_dir=str(tmp_path))
+        pooled = []
+        run_pooled = sharding.run_pooled
+        monkeypatch.setattr(
+            sharding, "run_pooled", lambda payloads: pooled.append(1) or run_pooled(payloads)
+        )
+        cpus(2)
+        engine.run()
+        engine.resume()
+        assert pooled == [1]
 
     def test_more_shards_than_devices_rejected(self, trained):
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
         with pytest.raises(ConfigurationError, match="n_shards"):
-            ShardedFleetEngine(**kwargs, n_shards=999)
+            _sharded(kwargs, 999)
 
     def test_jittery_links_rejected_for_multi_shard(self, trained):
         """Per-transfer jitter draws would depend on the partitioning."""
@@ -172,9 +202,9 @@ class TestShardedEquivalence:
         link.jitter_ms = 1.5
         try:
             with pytest.raises(ConfigurationError, match="jitter-free"):
-                ShardedFleetEngine(**kwargs, n_shards=2)
-            # A single shard stays allowed (bit-identical to unsharded).
-            ShardedFleetEngine(**kwargs, n_shards=1)
+                _sharded(kwargs, 2)
+            # A single shard stays allowed.
+            _sharded(kwargs, 1)
         finally:
             link.jitter_ms = 0.0
 
@@ -224,7 +254,7 @@ class TestColumnarEngine:
 
     def test_two_shard_report_matches_golden(self, trained, golden):
         spec, runner = trained
-        report = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2).run()
+        report = _sharded(_engine_kwargs(spec, runner), 2).run()
         golden("fleet/report-fleet-burst-storm.json", report.to_dict())
 
     def test_profiler_accounts_the_run(self, trained):
@@ -243,44 +273,39 @@ class TestColumnarEngine:
         assert stages.value(stage="detect") > 0
         assert sum(stages.value(stage=stage) for stage in STAGES) <= total
 
-    def test_invalid_parallel_value_rejected(self, trained):
-        spec, runner = trained
-        with pytest.raises(ConfigurationError, match="parallel"):
-            ShardedFleetEngine(
-                **_engine_kwargs(spec, runner), n_shards=2, parallel="always"
-            )
-
 
 class TestPoolFallbackWarning:
     """Satellite: a degraded pool must be loud, and loud exactly once."""
 
-    def test_pool_failure_warns_once_and_falls_back(self, trained, monkeypatch):
+    def test_pool_failure_warns_once_and_falls_back(self, trained, cpus, monkeypatch):
         import warnings as warnings_module
 
-        from repro.fleet import engine as engine_module, sharding
+        from repro.fleet import sharding
 
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        reference = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+        cpus(1)
+        reference = _sharded(kwargs, 2).run()
 
         def broken(*args, **kw):
             raise OSError("fork refused for the test")
 
         monkeypatch.setattr(sharding, "run_pooled", broken)
-        monkeypatch.setattr(engine_module, "_pool_fallback_warned", False)
+        monkeypatch.setattr(sharding, "_pool_fallback_warned", False)
+        cpus(2)
 
         with pytest.warns(RuntimeWarning, match="OSError: fork refused"):
-            degraded = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+            degraded = _sharded(kwargs, 2).run()
         assert degraded == reference
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            again = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+            again = _sharded(kwargs, 2).run()
         assert again == reference
 
 
 class TestShardingInfrastructure:
-    def test_pooled_run_never_streams_a_stale_fork(self, trained):
+    def test_pooled_run_never_streams_a_stale_fork(self, trained, cpus):
         """A pooled run owns its pool, so it can never stream a stale fork:
         overwrite the policy's output layer in place between two pooled runs
         (no version bump, nothing to invalidate) and the second run equals the
@@ -289,7 +314,8 @@ class TestShardingInfrastructure:
 
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
-        before = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
+        cpus(2)
+        before = _sharded(kwargs, 2).run()
         assert multiprocessing.active_children() == []
         params = kwargs["policy"].model.layers[-1].params
         saved = {name: value.copy() for name, value in params.items()}
@@ -297,8 +323,9 @@ class TestShardingInfrastructure:
             params["kernel"][...] = 0.0
             params["bias"][...] = 0.0
             params["bias"][-1] = 50.0  # every context now picks the top tier
-            pooled = ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
-            serial = ShardedFleetEngine(**kwargs, n_shards=2, parallel=False).run()
+            pooled = _sharded(kwargs, 2).run()
+            cpus(1)
+            serial = _sharded(kwargs, 2).run()
         finally:
             for name, value in saved.items():
                 params[name][...] = value
@@ -322,10 +349,10 @@ class TestShardingInfrastructure:
             raise WorkerCrash(repr(signal.getsignal(signal.SIGTERM)))
 
         spec, runner = trained
-        engine = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2)
+        engine = _sharded(_engine_kwargs(spec, runner), 2)
         monkeypatch.setattr(sharding, "run_shard", report_disposition)
         previous = signal.getsignal(signal.SIGTERM)
-        crashes = sharding.run_pooled(engine._shard_payloads())
+        crashes = sharding.run_pooled(sharding._shard_payloads(engine))
         assert [str(crash) for crash in crashes] == [repr(signal.SIG_DFL)] * 2
         # ... and the parent's own disposition is back once the pool is gone.
         assert signal.getsignal(signal.SIGTERM) is previous
@@ -339,7 +366,7 @@ class TestShardingInfrastructure:
         from repro.fleet import sharding
 
         spec, runner = trained
-        engine = ShardedFleetEngine(**_engine_kwargs(spec, runner), n_shards=2)
+        engine = _sharded(_engine_kwargs(spec, runner), 2)
         sizes = []
         submit = ProcessPoolExecutor.submit
 
@@ -348,7 +375,7 @@ class TestShardingInfrastructure:
             return submit(self, fn, *args, **kwargs)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", measuring_submit)
-        results = sharding.run_pooled(engine._shard_payloads())
+        results = sharding.run_pooled(sharding._shard_payloads(engine))
         assert len(results) == len(sizes) == 2
         assert max(sizes) < 4096
 
@@ -366,9 +393,11 @@ class TestShardingInfrastructure:
             assert np.array_equal(rebuilt[key], value), key
             assert np.array_equal(merged[key], value), key
 
-    def test_worker_application_error_is_not_a_pool_failure(self, trained, monkeypatch):
+    def test_worker_application_error_is_not_a_pool_failure(
+        self, trained, cpus, monkeypatch
+    ):
         """ConfigurationError from a worker propagates instead of warning+serial."""
-        from repro.fleet import engine as engine_module, sharding
+        from repro.fleet import sharding
 
         spec, runner = trained
         kwargs = _engine_kwargs(spec, runner)
@@ -377,7 +406,8 @@ class TestShardingInfrastructure:
             raise ConfigurationError("bad spec inside the worker")
 
         monkeypatch.setattr(sharding, "run_shard", broken)  # inherited by fork
-        monkeypatch.setattr(engine_module, "_pool_fallback_warned", False)
+        monkeypatch.setattr(sharding, "_pool_fallback_warned", False)
+        cpus(2)
         with pytest.raises(ConfigurationError, match="bad spec"):
-            ShardedFleetEngine(**kwargs, n_shards=2, parallel=True).run()
-        assert engine_module._pool_fallback_warned is False
+            _sharded(kwargs, 2).run()
+        assert sharding._pool_fallback_warned is False

@@ -33,7 +33,7 @@ from repro.cli import main
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
 from repro.fleet import sharding
 from repro.fleet.devices import DeviceFleet, WindowPool
-from repro.fleet.engine import STAGES, FleetEngine, ShardedFleetEngine
+from repro.fleet.engine import STAGES, FleetEngine
 from repro.fleet.faults import FaultEvent, FaultSpec
 from repro.obs.export import Telemetry, read_trace
 from repro.obs.metrics import MetricsRegistry
@@ -114,6 +114,11 @@ def _engine_kwargs(spec, runner):
     )
 
 
+def _sharded(kwargs, n_shards, **extra):
+    """A :class:`FleetEngine` streaming ``kwargs``' spec as ``n_shards`` shards."""
+    return FleetEngine(**{**kwargs, **extra, "spec": replace(kwargs["spec"], n_shards=n_shards)})
+
+
 @pytest.fixture(scope="module")
 def fleet_reports(fleet_trained, tmp_path_factory):
     """(baseline report, telemetered report, telemetry, artifact paths)."""
@@ -135,32 +140,31 @@ class TestFleetBitIdentity:
     def test_sharded_telemetry_run_is_bit_identical(self, fleet_trained):
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
-        baseline = ShardedFleetEngine(**kwargs, n_shards=2).run()
+        baseline = _sharded(kwargs, 2).run()
         telemetry = Telemetry(name=spec.name)
-        traced = ShardedFleetEngine(**kwargs, n_shards=2, telemetry=telemetry).run()
+        traced = _sharded(kwargs, 2, telemetry=telemetry).run()
         assert traced == baseline
         # Each shard ran its own child session; the parent's registry holds
         # the fold of both, so counts still add up to the merged totals.
         family = telemetry.registry.get("fleet_windows_total")
         assert family is not None and family.value() == traced.n_windows
 
-    def test_telemetry_no_longer_forces_serial_shards(self, fleet_trained, monkeypatch):
-        # Child shard sessions fold through the registry merge, so only
-        # ``parallel`` and the CPU count decide whether shards fork.
+    def test_telemetry_no_longer_forces_serial_shards(self, fleet_trained, cpus, monkeypatch):
+        # Child shard sessions fold through the registry merge, so only the
+        # CPU count decides whether shards fork.
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
-
-        def resolve(parallel):
-            return ShardedFleetEngine(
-                **kwargs, n_shards=2, parallel=parallel, telemetry=Telemetry(),
-            )._resolve_parallel()
-
-        monkeypatch.setattr(sharding, "available_cpus", lambda: 1)
-        assert resolve(True) is True
-        assert resolve(False) is False
-        assert resolve("auto") is False
-        monkeypatch.setattr(sharding, "available_cpus", lambda: 2)
-        assert resolve("auto") is True
+        pooled = []
+        run_pooled = sharding.run_pooled
+        monkeypatch.setattr(
+            sharding, "run_pooled", lambda payloads: pooled.append(1) or run_pooled(payloads)
+        )
+        cpus(1)
+        _sharded(kwargs, 2, telemetry=Telemetry()).run()
+        assert pooled == []
+        cpus(2)
+        _sharded(kwargs, 2, telemetry=Telemetry()).run()
+        assert pooled == [1]
 
     def test_faulted_checkpointed_run_is_bit_identical(self, fleet_trained, tmp_path):
         spec, runner = fleet_trained
@@ -225,15 +229,14 @@ class TestFleetBitIdentity:
 class TestShardedTelemetry:
     """Cross-shard telemetry: child sessions, shard sinks, deterministic merge."""
 
-    def test_merged_shard_registry_equals_serial_run_registry(self, fleet_trained):
+    def test_merged_shard_registry_equals_serial_run_registry(self, fleet_trained, cpus):
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
         serial_tel = Telemetry(name=spec.name)
         FleetEngine(**kwargs, telemetry=serial_tel).run()
         sharded_tel = Telemetry(name=spec.name)
-        ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=False, telemetry=sharded_tel
-        ).run()
+        cpus(1)
+        _sharded(kwargs, 2, telemetry=sharded_tel).run()
         assert sharded_tel.registry.project(
             drop_substrings=_CLOCK_FREE
         ) == serial_tel.registry.project(drop_substrings=_CLOCK_FREE)
@@ -254,16 +257,15 @@ class TestShardedTelemetry:
             ("work", "s03-")
         ]
 
-    def test_shard_sinks_mirror_checkpoint_layout(self, fleet_trained, tmp_path):
+    def test_shard_sinks_mirror_checkpoint_layout(self, fleet_trained, cpus, tmp_path):
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
         out = tmp_path / "obs"
         telemetry = Telemetry(
             out_dir=out, spec=ObsSpec(dir=str(out)), name=spec.name
         )
-        report = ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=False, telemetry=telemetry
-        ).run()
+        cpus(1)
+        report = _sharded(kwargs, 2, telemetry=telemetry).run()
         paths = telemetry.finalize()
         shard_windows = 0
         for index in (0, 1):
@@ -294,29 +296,50 @@ class TestShardedTelemetry:
         assert merged.get("fleet_windows_total").value() == shard_windows
         assert shard_windows == report.n_windows
 
-    def test_summarize_aggregates_sharded_run_dir(self, fleet_trained, tmp_path):
+    def test_summarize_aggregates_sharded_run_dir(self, fleet_trained, cpus, tmp_path):
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
         out = tmp_path / "obs"
         telemetry = Telemetry(
             out_dir=out, spec=ObsSpec(dir=str(out)), name=spec.name
         )
-        ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=False, telemetry=telemetry
-        ).run()
+        cpus(1)
+        _sharded(kwargs, 2, telemetry=telemetry).run()
         telemetry.finalize()
         digest = summarize_trace(out)
         assert "tier utilization:" in digest
         # Tick spans live in the shard sinks; the directory digest sees them.
         assert "fleet.tick" in digest
 
-    def test_in_memory_children_fold_spans_into_parent(self, fleet_trained):
+    def test_summarize_merges_shard_registries_without_parent_metrics(
+        self, fleet_trained, cpus, tmp_path
+    ):
+        spec, runner = fleet_trained
+        out = tmp_path / "obs"
+        telemetry = Telemetry(out_dir=out, spec=ObsSpec(dir=str(out)), name=spec.name)
+        cpus(1)
+        _sharded(_engine_kwargs(spec, runner), 2, telemetry=telemetry).run()
+        telemetry.finalize()
+        (out / "metrics.json").unlink()
+        expected = {}
+        for index in (0, 1):
+            shard = MetricsRegistry.from_payload(
+                json.loads((out / f"shard-{index:02d}" / "metrics.json").read_text())
+            )
+            for tier in spec.topology.tier_names:
+                count = shard.get("fleet_tier_windows_total").value(tier=tier)
+                expected[tier] = expected.get(tier, 0) + int(count)
+        digest = summarize_trace(out)
+        shown = dict(re.findall(r"^  (\S+) +(\d+)  \(", digest, re.MULTILINE))
+        assert {tier: int(count) for tier, count in shown.items()} == expected
+        assert sum(expected.values()) > 0
+
+    def test_in_memory_children_fold_spans_into_parent(self, fleet_trained, cpus):
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
         telemetry = Telemetry(name=spec.name)
-        ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=False, telemetry=telemetry
-        ).run()
+        cpus(1)
+        _sharded(kwargs, 2, telemetry=telemetry).run()
         ids = [span["span_id"] for span in telemetry.spans]
         assert any(span_id.startswith("s00-") for span_id in ids)
         assert any(span_id.startswith("s01-") for span_id in ids)
@@ -326,17 +349,15 @@ class TestShardedTelemetry:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs the fork start method",
     )
-    def test_pooled_shards_match_serial_shards(self, fleet_trained):
+    def test_pooled_shards_match_serial_shards(self, fleet_trained, cpus):
         spec, runner = fleet_trained
         kwargs = _engine_kwargs(spec, runner)
         serial_tel = Telemetry(name=spec.name)
-        serial = ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=False, telemetry=serial_tel
-        ).run()
+        cpus(1)
+        serial = _sharded(kwargs, 2, telemetry=serial_tel).run()
         pooled_tel = Telemetry(name=spec.name)
-        pooled = ShardedFleetEngine(
-            **kwargs, n_shards=2, parallel=True, telemetry=pooled_tel
-        ).run()
+        cpus(2)
+        pooled = _sharded(kwargs, 2, telemetry=pooled_tel).run()
         assert pooled == serial
         assert pooled_tel.registry.project(
             drop_substrings=_CLOCK_FREE

@@ -117,10 +117,17 @@ class TestTraceFollower:
         assert [r["kind"] for r in records] == ["header", "span"]
 
 
+#: The served batches behind ``SPANS``: one per tier, two rows each.
+BATCHES = [
+    _record("span", "serve.batch", span_id=f"b{i:011x}", attributes={"tier": tier, "n": 2})
+    for i, tier in enumerate(("cloud", "edge"))
+]
+
+
 class TestTopView:
     def test_digest_from_records(self):
         view = TopView(slo_p99_ms=100.0)
-        view.update([HEADER] + SPANS)
+        view.update([HEADER] + SPANS + BATCHES)
         view.update([
             _record("event", "watch.rollup", key=4.0, label="serve",
                     alerts=[], served_rate=2.5, queue_depth=3),
@@ -134,9 +141,34 @@ class TestTopView:
         assert "overload events: 1" in digest
         assert "served/s=2.50" in digest
         assert "alerts: none" in digest
-        # Nearest-rank on 4 samples [10, 20, 30, 40]: rank index 2.
-        assert view.p99_ms == 30.0
+        # Nearest rank on 4 samples [10, 20, 30, 40]: the ceil(q * 4)-th value.
+        assert view.p99_ms == 40.0
         assert view.p50_ms == 20.0
+
+    def test_percentiles_are_nearest_rank(self):
+        view = TopView()
+        view.latencies.extend([3.0, 1.0, 2.0])
+        assert view.p50_ms == 2.0
+        assert view.p99_ms == 3.0
+        view.latencies.clear()
+        view.latencies.append(7.0)
+        assert view.p50_ms == view.p99_ms == 7.0
+
+    def test_tier_counts_are_served_batch_rows(self):
+        """Each request counts once, at the tier its batch's end names: not
+        again through its request span, and never through an adapt.retrain
+        span (which serves nothing)."""
+        view = TopView()
+        view.update(SPANS + [
+            _record("span", "serve.batch", span_id="b1",
+                    attributes={"tier": "edge", "n": 3}),
+            _record("span", "serve.batch", span_id="b2",
+                    attributes={"tier": "cloud", "n": 1}),
+            _record("span", "adapt.retrain", span_id="r1",
+                    attributes={"tier": "edge", "tick": 4}),
+        ])
+        assert view.tier_counts == {"edge": 3, "cloud": 1}
+        assert "tiers: cloud=1 (25%)  edge=3 (75%)" in view.render()
 
     def test_alert_lifecycle_tracked(self):
         view = TopView()

@@ -13,6 +13,7 @@ The contract under test:
 """
 
 import json
+import re
 
 import pytest
 
@@ -217,6 +218,28 @@ class TestSummary:
         assert "shed=1" in digest
         assert "adaptation timeline:" in digest
         assert "fault activations: link-down=1" in digest
+
+    def test_tier_utilization_without_registry_counts_served_batches(self):
+        """Without metrics.json the digest counts each served batch's rows at
+        its tier; request and adapt.retrain spans carry a tier too but add
+        nothing."""
+        records = [{"kind": "header", "schema": 1, "name": "tiers"}]
+        for i in range(5):
+            records.append({"kind": "span", "name": "serve.request", "duration_ms": 1.0,
+                            "attributes": {"tier": "iot" if i < 3 else "edge"}})
+        records += [
+            {"kind": "span", "name": "serve.batch", "duration_ms": 1.0,
+             "attributes": {"tier": "iot", "n": 3}},
+            {"kind": "span", "name": "serve.batch", "duration_ms": 1.0,
+             "attributes": {"tier": "edge", "n": 2}},
+            {"kind": "span", "name": "adapt.retrain", "duration_ms": 1.0,
+             "attributes": {"tier": "edge", "tick": 2}},
+        ]
+        digest = summarize_records(records)
+        assert re.search(r"^  iot +3  \( 60\.0%\)$", digest, re.MULTILINE), digest
+        assert re.search(r"^  edge +2  \( 40\.0%\)$", digest, re.MULTILINE), digest
+        fleet_only = [r for r in records if r.get("name") != "serve.batch"]
+        assert "tier utilization:" not in summarize_records(fleet_only)
 
     def test_summarize_trace_accepts_directory(self, tmp_path):
         telemetry = Telemetry(out_dir=tmp_path, name="dirrun")
