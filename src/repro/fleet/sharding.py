@@ -4,6 +4,7 @@ spec with ``n_shards > 1``.
 :func:`run_sharded` partitions the device ids across one-shard engines (shard
 ``i`` checkpoints under ``<checkpoint_dir>/shard-<i>``), runs them pooled or
 serially and merges their metrics in shard order.
+
 :func:`run_shard` streams one shard — the only place a shard's engine is
 built, in-process or in a pool worker.  :func:`run_pooled` runs one run's
 shards in a pool it creates for that call and tears down before returning, so
