@@ -9,8 +9,8 @@ anomaly detection:
   and a windowed-F1 floor) over per-tier score streams;
 * :mod:`repro.adapt.registry` — a content-addressed, versioned model registry
   with lineage metadata and promote/rollback semantics;
-* :mod:`repro.adapt.retrainer` — drift-triggered fine-tuning on a reservoir
-  of recent clean windows, behind a shadow-evaluation gate;
+* :mod:`repro.adapt.retrainer` — drift-triggered fine-tuning on a keyed
+  sample of clean windows, behind a shadow-evaluation gate;
 * :mod:`repro.adapt.deployer` — atomic hot-swap of promoted (optionally
   FP16-quantised) checkpoints into the running HEC system at tick boundaries;
 * :mod:`repro.adapt.controller` — the per-tick state machine gluing the four
@@ -24,7 +24,7 @@ degrades the windowed F1, a monitor fires, the gated retrain hot-swaps a
 recalibrated checkpoint, and the online F1 recovers.
 """
 
-from repro.adapt.controller import AdaptationController, build_controller
+from repro.adapt.controller import AdaptationController
 from repro.adapt.deployer import HotSwapDeployer
 from repro.adapt.events import (
     AdaptationTimeline,
@@ -43,7 +43,6 @@ from repro.adapt.registry import ModelRegistry, ModelVersion
 from repro.adapt.retrainer import (
     OnlineRetrainer,
     RetrainOutcome,
-    WindowReservoir,
     detection_f1,
 )
 from repro.adapt.spec import AdaptSpec
@@ -64,8 +63,6 @@ __all__ = [
     "RetrainOutcome",
     "ScoreMonitor",
     "SwapEvent",
-    "WindowReservoir",
-    "build_controller",
     "build_monitor",
     "detection_f1",
 ]

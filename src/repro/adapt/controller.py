@@ -23,6 +23,7 @@ carrying it) stays timing-free and deterministic.
 
 from __future__ import annotations
 
+import copy
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
@@ -33,11 +34,12 @@ from repro.adapt.deployer import HotSwapDeployer
 from repro.adapt.events import AdaptationTimeline, DriftEvent, RetrainEvent
 from repro.adapt.monitors import ScoreMonitor, build_monitor
 from repro.adapt.registry import ModelRegistry
-from repro.adapt.retrainer import OnlineRetrainer, WindowReservoir
+from repro.adapt.retrainer import OnlineRetrainer
 from repro.adapt.spec import AdaptSpec
+from repro.fleet.metrics import DelayReservoir, mix64
 from repro.hec.simulation import HECSystem
 
-#: SeedSequence entropy tags separating the train/holdout reservoir streams.
+#: Key-salt tags separating the train/holdout samples of one window stream.
 _TRAIN_TAG = 0xAD01
 _HOLDOUT_TAG = 0xAD02
 
@@ -45,6 +47,12 @@ _HOLDOUT_TAG = 0xAD02
 _SECONDS_BUCKETS = (
     0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
 )
+
+
+def _key_salts(seed: int, tag: int, n_layers: int) -> np.ndarray:
+    """One key salt per layer for the sample ``tag`` names, under ``seed``."""
+    base = mix64(np.uint64(int(seed) % 2**64)) ^ np.uint64(tag << 16)
+    return mix64(base ^ np.arange(n_layers, dtype=np.uint64))
 
 
 class AdaptationController:
@@ -86,14 +94,17 @@ class AdaptationController:
         )
 
         n_layers = len(self.tier_names)
-        entropy = (self.master_seed, spec.seed)
+        # Keyed bottom-k samples of each tier's windows, under the engine's
+        # window keys: the train sample holds clean windows, the holdout all
+        # windows with their labels.  Salting the keys per sample and layer
+        # makes the two samples independent.
+        self._train_salts = _key_salts(spec.seed, _TRAIN_TAG, n_layers)
+        self._holdout_salts = _key_salts(spec.seed, _HOLDOUT_TAG, n_layers)
         self.train_reservoirs = [
-            WindowReservoir(spec.reservoir_size, (*entropy, _TRAIN_TAG, layer))
-            for layer in range(n_layers)
+            DelayReservoir(spec.reservoir_size) for _ in range(n_layers)
         ]
         self.holdout_reservoirs = [
-            WindowReservoir(spec.holdout_size, (*entropy, _HOLDOUT_TAG, layer))
-            for layer in range(n_layers)
+            DelayReservoir(spec.holdout_size, labelled=True) for _ in range(n_layers)
         ]
         # Per-tier score/F1 monitors ("f1-floor" consumes windowed confusion
         # blocks; the others consume the per-tick mean score stream).
@@ -142,6 +153,7 @@ class AdaptationController:
         tick: int,
         layer: int,
         windows: np.ndarray,
+        keys: np.ndarray,
         predictions: np.ndarray,
         labels: np.ndarray,
         scores: np.ndarray,
@@ -154,11 +166,13 @@ class AdaptationController:
         monitor watches.  Labels play the delayed-label audit role:
         label-0 windows feed the clean retraining reservoir, every labelled
         window feeds the holdout slice the shadow gate scores against.
+        ``keys`` are the engine's window keys (distinct within a run), so
+        each sample is a function of the windows seen, not of their order.
 
         The hook is array-in/array-out all the way down (the streaming loop
-        hands it the engine's columnar arrays directly): confusion
-        folding, reservoir feeding and the monitor stream build no
-        intermediate per-window structures.
+        hands it the engine's columnar arrays directly): confusion folding,
+        one vectorised offer per reservoir and the monitor stream build no
+        per-window structures.
         """
         from repro.evaluation.metrics import confusion_counts
 
@@ -166,15 +180,20 @@ class AdaptationController:
         labels = np.asarray(labels, dtype=int)
         self._window_confusion[layer] += confusion_counts(predictions, labels)
 
+        keys = np.asarray(keys, dtype=np.uint64)
         clean = np.flatnonzero(labels == 0)
         if clean.size:
-            self.train_reservoirs[layer].extend(windows[clean], labels[clean])
+            self.train_reservoirs[layer].extend(
+                windows[clean], keys[clean] ^ self._train_salts[layer]
+            )
             tick_range = self._train_ranges[layer]
             if tick_range is None:
                 self._train_ranges[layer] = [int(tick), int(tick)]
             else:
                 tick_range[1] = int(tick)
-        self.holdout_reservoirs[layer].extend(windows, labels)
+        self.holdout_reservoirs[layer].extend(
+            windows, keys ^ self._holdout_salts[layer], labels=labels
+        )
 
         if scores.size:
             badness = float(-np.mean(scores))
@@ -247,14 +266,16 @@ class AdaptationController:
         tier = self.tier_names[layer]
         telemetry = self.telemetry
         incumbent = self.system.deployment_at(layer).detector
-        train_windows, _ = self.train_reservoirs[layer].snapshot()
-        holdout_windows, holdout_labels = self.holdout_reservoirs[layer].snapshot()
+        train_windows = self.train_reservoirs[layer].sample()[0]
+        holdout_windows, _, holdout_labels = self.holdout_reservoirs[layer].sample()
 
         started = time.perf_counter()
         # Fine-tune, then put the candidate into its deployable form (FP16 on
         # quantised tiers) *before* the gate — the gate must judge exactly
         # the model that would serve traffic.
-        candidate = self.retrainer.fine_tune(incumbent, train_windows)
+        candidate = self.retrainer.fine_tune(
+            incumbent, train_windows, seed=(self.master_seed, self.spec.seed, layer, tick)
+        )
         quantization = self.deployer.prepare_candidate(layer, candidate)
         outcome = self.retrainer.evaluate(
             candidate,
@@ -340,68 +361,49 @@ class AdaptationController:
     # -- checkpointing -----------------------------------------------------------
 
     def snapshot_state(self) -> Dict[str, object]:
-        """Picklable mid-run state for the fleet checkpoint layer.
+        """The mid-run state for the fleet checkpoint layer, as plain data.
 
-        Captures everything the lifecycle state machine needs to continue
-        bit-identically: the reservoirs and monitors (whole objects — their
-        internal RNG/statistics are mid-stream), the pending/cooldown machine,
-        the recorded timeline, and for each tier the *currently deployed*
-        detector plus its registry lineage metadata.  The controller object
+        Arrays, ints, the monitors, the recorded timeline, each reservoir's
+        k sampled rows with its priorities, and each tier's current registry
+        version — never a detector: the registry already stores every
+        deployed model under its content address.  The controller object
         itself is never pickled (it owns an unpicklable run-scoped temporary
         directory); the engine stores this snapshot instead.
         """
-        deployments = []
-        for layer, tier in enumerate(self.tier_names):
-            deployment = self.system.deployment_at(layer)
-            current = self.registry.current(tier)
-            deployments.append(
-                {
-                    "tier": tier,
-                    "detector": deployment.detector,
-                    "quantized": deployment.quantized,
-                    "quantization": deployment.quantization,
-                    "version": self.registry.show(current) if current else None,
-                }
-            )
         return {
             "window_confusion": self._window_confusion.copy(),
             "train_ranges": [
                 list(r) if r is not None else None for r in self._train_ranges
             ],
-            "pending": set(self._pending),
+            "pending": sorted(self._pending),
             "cooldown_until": list(self._cooldown_until),
             "drifts": list(self.drifts),
             "retrains": list(self.retrains),
             "swaps": list(self.swaps),
-            "train_reservoirs": self.train_reservoirs,
-            "holdout_reservoirs": self.holdout_reservoirs,
+            "train_reservoirs": [r.to_payload() for r in self.train_reservoirs],
+            "holdout_reservoirs": [r.to_payload() for r in self.holdout_reservoirs],
             "score_monitors": self.score_monitors,
             "f1_monitors": self.f1_monitors,
-            "deployments": deployments,
+            "versions": {tier: self.registry.current(tier) for tier in self.tier_names},
         }
 
     def restore_state(self, snapshot: Dict[str, object]) -> None:
         """Restore the state captured by :meth:`snapshot_state`.
 
-        Rebinds the checkpointed detectors into the live system's deployments
-        and reconciles the registry: each restored detector is re-committed
-        (commits are content-addressed and idempotent) and must hash to the
-        exact version recorded at checkpoint time — a mismatch means the
-        pickled weights do not match the lineage metadata and resuming would
-        silently diverge, so it raises
-        :class:`~repro.exceptions.SerializationError`.  Promotion is skipped
-        when the registry (a persistent one that survived the crash) already
-        has the version current.
+        Each tier's recorded version is read back from the registry
+        (:meth:`~repro.adapt.registry.ModelRegistry.restore`) into a copy of
+        the deployed detector, made current, and rebound into the live
+        deployment, so no object the caller still holds is mutated.  A
+        registry that lacks a recorded version raises
+        :class:`~repro.exceptions.SerializationError` naming it.
         """
         from repro.exceptions import SerializationError
-        from repro.nn.quantization import QuantizationReport
 
-        deployments = snapshot["deployments"]
-        tiers = tuple(entry["tier"] for entry in deployments)
-        if tiers != self.tier_names:
+        versions = snapshot["versions"]
+        if tuple(versions) != self.tier_names:
             raise SerializationError(
-                f"checkpointed controller served tiers {tiers}, this run serves "
-                f"{self.tier_names}"
+                f"checkpointed controller served tiers {tuple(versions)}, this run "
+                f"serves {self.tier_names}"
             )
         self._window_confusion = np.array(snapshot["window_confusion"], dtype=np.int64)
         self._train_ranges = [
@@ -412,44 +414,24 @@ class AdaptationController:
         self.drifts = list(snapshot["drifts"])
         self.retrains = list(snapshot["retrains"])
         self.swaps = list(snapshot["swaps"])
-        self.train_reservoirs = list(snapshot["train_reservoirs"])
-        self.holdout_reservoirs = list(snapshot["holdout_reservoirs"])
+        self.train_reservoirs = [
+            DelayReservoir.from_payload(r) for r in snapshot["train_reservoirs"]
+        ]
+        self.holdout_reservoirs = [
+            DelayReservoir.from_payload(r) for r in snapshot["holdout_reservoirs"]
+        ]
         self.score_monitors = [list(group) for group in snapshot["score_monitors"]]
         self.f1_monitors = [list(group) for group in snapshot["f1_monitors"]]
 
-        for layer, entry in enumerate(deployments):
+        for layer, (tier, version) in enumerate(versions.items()):
             deployment = self.system.deployment_at(layer)
-            deployment.detector = entry["detector"]
-            deployment.quantized = bool(entry["quantized"])
-            deployment.quantization = entry["quantization"]
-            meta = entry["version"]
-            if meta is None:
-                continue
-            quantization = None
-            if meta.quantization is not None:
-                quantization = QuantizationReport(
-                    parameter_count=meta.quantization["parameter_count"],
-                    original_bytes=meta.quantization["original_bytes"],
-                    quantized_bytes=meta.quantization["quantized_bytes"],
-                    max_absolute_error=meta.quantization["max_absolute_error"],
-                )
-            committed = self.registry.commit(
-                entry["detector"],
-                tier=entry["tier"],
-                layer=layer,
-                parent=meta.parent,
-                training_window=meta.training_window,
-                n_train_windows=meta.n_train_windows,
-                quantization=quantization,
-            )
-            if committed.version != meta.version:
-                raise SerializationError(
-                    f"restored detector for tier {entry['tier']!r} hashes to "
-                    f"{committed.version}, but the checkpoint recorded "
-                    f"{meta.version} — weights and lineage disagree"
-                )
-            if self.registry.current(entry["tier"]) != meta.version:
-                self.registry.promote(meta.version, entry["tier"])
+            detector = copy.deepcopy(deployment.detector)
+            meta = self.registry.restore(version, detector)
+            if self.registry.current(tier) != version:
+                self.registry.promote(version, tier)
+            deployment.detector = detector
+            deployment.quantization = meta.quantization_report()
+            deployment.quantized = deployment.quantization is not None
         # No bump_state_version() here: the engine restores the system's
         # checkpointed state_version (already post-swap) around this call.
 
@@ -467,22 +449,3 @@ class AdaptationController:
             retrains=tuple(self.retrains),
             swaps=tuple(self.swaps),
         )
-
-
-def build_controller(
-    spec: AdaptSpec,
-    system: HECSystem,
-    tier_names: Sequence[str],
-    metrics_window: int,
-    master_seed: int = 0,
-    registry_root: Optional[str] = None,
-) -> AdaptationController:
-    """Construct the controller for one streaming run (convenience factory)."""
-    return AdaptationController(
-        spec=spec,
-        system=system,
-        tier_names=tier_names,
-        metrics_window=metrics_window,
-        master_seed=master_seed,
-        registry_root=registry_root,
-    )

@@ -37,10 +37,13 @@ class HotSwapDeployer:
         self.quantize_swapped = bool(quantize_swapped)
 
     def register_incumbents(self, tier_names) -> None:
-        """Commit and promote the initially deployed detectors as root versions.
+        """Commit the initially deployed detectors as root versions and make
+        each current unless it already is.
 
         Gives every tier a rollback target and every later candidate a parent,
-        so lineage is complete from the first swap on.
+        so lineage is complete from the first swap on.  A run against a
+        registry an earlier run left behind starts from its own roots too,
+        never from that run's last swap.
         """
         for layer, tier in enumerate(tier_names):
             deployment = self.system.deployment_at(layer)
@@ -51,7 +54,7 @@ class HotSwapDeployer:
                 parent=None,
                 quantization=deployment.quantization,
             )
-            if self.registry.current(tier) is None:
+            if self.registry.current(tier) != meta.version:
                 self.registry.promote(meta.version, tier)
 
     def prepare_candidate(

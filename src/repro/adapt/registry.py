@@ -135,6 +135,14 @@ class ModelVersion(JsonRecord):
     #: Quantization report of the deployed form (``None`` when unquantised).
     quantization: Optional[Dict[str, Any]]
 
+    def quantization_report(self) -> Optional[QuantizationReport]:
+        """The deployed form's :class:`QuantizationReport` (``None`` when
+        unquantised), rebuilt from :attr:`quantization`."""
+        if self.quantization is None:
+            return None
+        fields = QuantizationReport.__dataclass_fields__
+        return QuantizationReport(**{name: self.quantization[name] for name in fields})
+
 
 class ModelRegistry:
     """Content-addressed, versioned detector checkpoints with promote/rollback."""

@@ -1,74 +1,27 @@
 """Online retraining: drift-triggered fine-tuning behind a shadow gate.
 
-Two pieces live here:
-
-* :class:`WindowReservoir` — a bounded uniform sample (Vitter's algorithm R)
-  over a stream of windows, optionally keeping labels.  The retrainer feeds
-  one reservoir per tier with recent *clean* windows (the delayed-label audit
-  stream the F1 monitor already relies on) and a labelled holdout reservoir
-  for gate evaluation.
-* :class:`OnlineRetrainer` — given a drift signal, deep-copies the incumbent
-  detector, fine-tunes it on the reservoir snapshot with early stopping,
-  refits the scorer on the same recent windows (recalibrating the detection
-  threshold to the drifted distribution), and shadow-evaluates candidate vs
-  incumbent on the held-out labelled slice.  Only a candidate that beats the
-  incumbent's F1 is handed to the deployer.
+:class:`OnlineRetrainer`, given a drift signal, deep-copies the incumbent
+detector, fine-tunes it with early stopping on a sample of *clean* windows
+(the delayed-label audit stream the F1 monitor already relies on), refits the
+scorer on the same windows (recalibrating the detection threshold to the
+drifted distribution), and shadow-evaluates candidate vs incumbent on a
+labelled holdout sample.  Only a candidate that beats the incumbent's F1 is
+handed to the deployer.  Both samples are keyed bottom-k reservoirs
+(:class:`~repro.fleet.metrics.DelayReservoir`) the controller keeps per tier.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
+from repro.adapt.registry import _detector_parts
 from repro.detectors.base import AnomalyDetector
 from repro.exceptions import ConfigurationError
 from repro.evaluation.metrics import confusion_counts, rates_from_confusion
-
-
-class WindowReservoir:
-    """Bounded uniform sample of a window stream (algorithm R), with labels."""
-
-    def __init__(self, capacity: int, seed_entropy: Sequence[int]) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(
-                f"reservoir capacity must be positive, got {capacity}"
-            )
-        self.capacity = int(capacity)
-        self.windows: List[np.ndarray] = []
-        self.labels: List[int] = []
-        self.seen = 0
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence([int(e) & 0xFFFFFFFF for e in seed_entropy])
-        )
-
-    def __len__(self) -> int:
-        return len(self.windows)
-
-    def add(self, window: np.ndarray, label: int = 0) -> None:
-        """Offer one window (with its label) to the reservoir."""
-        self.seen += 1
-        if len(self.windows) < self.capacity:
-            self.windows.append(np.asarray(window, dtype=float))
-            self.labels.append(int(label))
-            return
-        slot = int(self._rng.integers(self.seen))
-        if slot < self.capacity:
-            self.windows[slot] = np.asarray(window, dtype=float)
-            self.labels[slot] = int(label)
-
-    def extend(self, windows: np.ndarray, labels: Sequence[int]) -> None:
-        """Offer a batch of windows in order."""
-        for window, label in zip(windows, labels):
-            self.add(window, label)
-
-    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sampled (windows, labels) arrays, in reservoir slot order."""
-        if not self.windows:
-            raise ConfigurationError("cannot snapshot an empty reservoir")
-        return np.stack(self.windows), np.asarray(self.labels, dtype=int)
 
 
 def detection_f1(detector: AnomalyDetector, windows: np.ndarray,
@@ -113,6 +66,7 @@ class OnlineRetrainer:
         self,
         incumbent: AnomalyDetector,
         train_windows: np.ndarray,
+        seed: Sequence[int],
     ) -> AnomalyDetector:
         """A candidate: the incumbent deep-copied and fine-tuned on recent data.
 
@@ -121,8 +75,18 @@ class OnlineRetrainer:
         drifted window sample, which is what recalibrates the false-positive
         rate after a distribution shift.  The incumbent itself is untouched
         and keeps serving traffic until the deployer swaps.
+
+        The copy's model generator (minibatch shuffling, dropout) is reseeded
+        in place from ``seed``, so the candidate is a function of the
+        incumbent's weights, the windows and ``seed`` — all a resume can
+        rebuild — and never of the fits the incumbent's generator went through.
         """
         candidate = copy.deepcopy(incumbent)
+        # The model's layers share its generator: reseed that object in place.
+        generator = _detector_parts(candidate)[1]._rng
+        generator.bit_generator.state = type(generator.bit_generator)(
+            np.random.SeedSequence([int(part) % 2**64 for part in seed])
+        ).state
         candidate.fit(
             np.asarray(train_windows, dtype=float),
             epochs=self.epochs,

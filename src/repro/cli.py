@@ -139,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "online retraining, hot-swap deployment); scenarios with "
                        "an 'adapt' spec node adapt by default")
     fleet.add_argument("--registry", type=str, default=None,
-                       help="model-registry directory for adaptation checkpoints "
-                       "(default: <output-dir>/registry, or a temporary directory)")
+                       help="model-registry directory for adaptive runs (default: "
+                       "adapt.registry_dir, else <output-dir>/registry, else "
+                       "<checkpoint-dir>/registry, else a temporary directory)")
     fleet.add_argument("--output-dir", type=str, default=None,
                        help="directory for the JSON fleet report")
     fleet.add_argument("--profile", action="store_true",

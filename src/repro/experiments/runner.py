@@ -17,11 +17,12 @@ identical Table I / Table II rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.adapt.controller import build_controller
+from repro.adapt.controller import AdaptationController
 from repro.bandit.context import (
     ContextExtractor,
     EncoderContextExtractor,
@@ -472,8 +473,9 @@ class ExperimentRunner:
         A spec with an ``adapt`` node streams under an
         :class:`~repro.adapt.controller.AdaptationController` — drift
         monitoring, gated online retraining and hot-swap deployment —
-        checkpointing into ``registry_root`` (or ``adapt.registry_dir``, or a
-        run-scoped temporary directory).
+        committing models into ``registry_root``, else ``adapt.registry_dir``,
+        else ``<checkpoint_dir>/registry`` (where a resume finds the models
+        its checkpoints name), else a run-scoped temporary directory.
 
         A spec with a ``faults`` node streams under that fault-injection
         schedule (see :mod:`repro.fleet.faults`).
@@ -500,13 +502,16 @@ class ExperimentRunner:
         pool = WindowPool.from_labeled(state.standardized_all)
         controller = None
         if self.spec.adapt is not None:
-            controller = build_controller(
+            registry = registry_root
+            if registry is None and self.spec.adapt.registry_dir is None and checkpoint_dir:
+                registry = str(Path(checkpoint_dir) / "registry")
+            controller = AdaptationController(
                 self.spec.adapt,
                 system=state.system,
                 tier_names=self.tier_names,
                 metrics_window=fleet_spec.metrics_window,
                 master_seed=self.spec.seed,
-                registry_root=registry_root,
+                registry_root=registry,
             )
         state.adaptation_controller = controller
         engine = FleetEngine(

@@ -29,7 +29,7 @@ window identity), so a K-shard report equals the one-shard one field for
 field (pinned by the equivalence tests).
 
 An optional adaptation ``controller`` (:mod:`repro.adapt.controller`) is fed
-every detected batch and ends each tick (drift decisions, retrains, atomic
+every detected batch with its window keys and ends each tick (drift decisions, retrains, atomic
 detector swaps); with none the loop takes no extra branch and draws nothing,
 so a non-adaptive run is bit-identical to the pre-adaptation engine.
 
@@ -81,13 +81,13 @@ _NO_SCOPE = nullcontext()
 
 
 def _tick_salts(master_seed: int, fleet_seed: int, ticks: int) -> np.ndarray:
-    """One delay-sample key salt per tick, folding in the run's two seeds."""
+    """One sample-key salt per tick, folding in the run's two seeds."""
     run = mix64(np.uint64(master_seed % 2**64) ^ mix64(np.uint64(fleet_seed % 2**64)))
     return mix64(run ^ np.arange(ticks, dtype=np.uint64))
 
 
 def _window_keys(device_ids: np.ndarray, salt: np.uint64) -> np.ndarray:
-    """Each window's delay-sample key: its device id and its rank among the
+    """Each window's sample key: its device id and its rank among the
     device's arrivals this tick, under the tick's ``salt``.  Arrivals are
     device-contiguous, so the rank (unlike the row) is the same in every
     shard that holds the device.  A tick's keys are distinct while ids stay
@@ -561,6 +561,7 @@ class FleetEngine:
                             tick,
                             served,
                             windows=tier_windows,
+                            keys=tier_keys,
                             predictions=detected.predictions,
                             labels=tier_labels,
                             scores=detected.anomaly_scores,

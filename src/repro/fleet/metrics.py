@@ -44,60 +44,96 @@ def mix64(keys) -> np.ndarray:
     return mixed
 
 
-class DelayReservoir:
-    """Keyed bottom-k sample of a delay stream.
+#: A reservoir's columns: the sampled values, their priorities, then their
+#: labels when the reservoir is labelled.
+_COLUMNS = ("values", "priorities", "labels")
 
-    Each delay arrives with an integer key naming what it measured (the
-    fleet engine's window identity, serving's request row).  The sample is
-    the ``capacity`` delays of smallest priority ``mix64(key)``: a uniform
-    sample without replacement, and, for distinct keys, a function of the
-    set of (key, delay) pairs alone.  Any batching, interleaving or sharding
-    of the stream keeps the same sample, and :meth:`merge` keeps the k
-    smallest of the union (Cohen & Kaplan, *Summarizing data using bottom-k
-    sketches*, PODC 2007).  While ``seen <= capacity`` the sample is the
-    whole stream.
+
+class DelayReservoir:
+    """Keyed bottom-k sample of a stream of values.
+
+    Each value arrives with an integer key naming what it measured (the
+    fleet engine's window identity, serving's request row).  A value is a
+    delay, or a row such as a whole window, optionally with an integer label
+    (``labelled=True``).  The sample is the ``capacity`` values of smallest
+    priority ``mix64(key)``: a uniform sample without replacement, and, for
+    distinct keys, a function of the set of (key, value) pairs alone.  Any
+    batching, interleaving or sharding of the stream keeps the same sample,
+    and :meth:`merge` keeps the k smallest of the union (Cohen & Kaplan,
+    *Summarizing data using bottom-k sketches*, PODC 2007).  While
+    ``seen <= capacity`` the sample is the whole stream.  Two samples of one
+    stream are independent when their keys carry different salts.
 
     Selection is amortised: offered entries collect in a buffer of twice
     the capacity, which one ``argpartition`` cuts back to the k smallest
-    whenever it would overflow.
+    whenever it would overflow.  The first values offered set the buffer's
+    row shape.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, labelled: bool = False) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"reservoir capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
         self.seen = 0
-        self._values = np.empty(2 * self.capacity)
-        self._priorities = np.empty(2 * self.capacity, dtype=np.uint64)
+        # The buffer's columns, as :data:`_COLUMNS` names them.
+        self._columns = [np.empty(2 * self.capacity), np.empty(2 * self.capacity, np.uint64)]
+        if labelled:
+            self._columns.append(np.empty(2 * self.capacity, dtype=np.int64))
         self._size = 0
 
-    def extend(self, values, keys) -> None:
-        """Offer a batch of delays, one key each."""
+    @property
+    def labelled(self) -> bool:
+        """Whether each sampled value carries a label."""
+        return len(self._columns) == len(_COLUMNS)
+
+    def __len__(self) -> int:
+        """The number of values in the sample."""
+        return min(self._size, self.capacity)
+
+    def extend(self, values, keys, labels=None) -> None:
+        """Offer a batch of values (delays or rows), one key each, and one
+        label each when the reservoir is labelled."""
         values = np.asarray(values, dtype=float)
         priorities = mix64(keys)
-        if priorities.shape != values.shape:
+        if priorities.shape != values.shape[:1]:
             raise ConfigurationError(
-                f"got {priorities.size} keys for {values.size} delays"
+                f"got {priorities.size} keys for {values.shape[:1]} values"
             )
-        self.seen += values.size
-        self._offer(values, priorities)
+        if (labels is not None) != self.labelled:
+            raise ConfigurationError(
+                "a labelled reservoir takes one label per value, an unlabelled one none"
+            )
+        self.seen += priorities.size
+        if labels is None:
+            self._offer(values, priorities)
+        else:
+            self._offer(values, priorities, np.asarray(labels, dtype=np.int64))
 
-    def _offer(self, values: np.ndarray, priorities: np.ndarray) -> None:
-        start, end = self._size, self._size + values.size
-        if end > self._values.size:
-            values = np.concatenate([self._values[:start], values])
-            priorities = np.concatenate([self._priorities[:start], priorities])
-            keep = np.argpartition(priorities, self.capacity - 1)[: self.capacity]
-            values, priorities = values[keep], priorities[keep]
+    def _offer(self, *columns: np.ndarray) -> None:
+        """Add rows given column by column, as :data:`_COLUMNS` names them."""
+        values, priorities = columns[:2]
+        if not priorities.size:
+            return
+        if not self._size and values.shape[1:] != self._columns[0].shape[1:]:
+            self._columns[0] = np.empty((2 * self.capacity, *values.shape[1:]))
+        start, end = self._size, self._size + priorities.size
+        if end > 2 * self.capacity:
+            columns = [
+                np.concatenate([buffer[:start], column])
+                for buffer, column in zip(self._columns, columns)
+            ]
+            keep = np.argpartition(columns[1], self.capacity - 1)[: self.capacity]
+            columns = [column[keep] for column in columns]
             start, end = 0, self.capacity
-        self._values[start:end] = values
-        self._priorities[start:end] = priorities
+        for buffer, column in zip(self._columns, columns):
+            buffer[start:end] = column
         self._size = end
 
-    def sample(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sampled ``(delays, priorities)``, in ascending priority."""
-        order = np.argsort(self._priorities[: self._size])[: self.capacity]
-        return self._values[order], self._priorities[order]
+    def sample(self) -> Tuple[np.ndarray, ...]:
+        """The sample's ``(values, priorities)`` in ascending priority, then
+        its labels when the reservoir is labelled."""
+        order = np.argsort(self._columns[1][: self._size])[: self.capacity]
+        return tuple(buffer[order] for buffer in self._columns)
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of the sampled delays (NaN when empty)."""
@@ -105,13 +141,26 @@ class DelayReservoir:
             return float("nan")
         return float(np.percentile(self.sample()[0], q))
 
+    def to_payload(self) -> dict:
+        """The reservoir as plain data: its capacity, how many values it has
+        seen, and the k sampled rows column by column — never the 2k buffer."""
+        return {"capacity": self.capacity, "seen": self.seen, **dict(zip(_COLUMNS, self.sample()))}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "DelayReservoir":
+        """Rebuild a reservoir from :meth:`to_payload`."""
+        reservoir = cls(int(payload["capacity"]), labelled=_COLUMNS[-1] in payload)
+        reservoir.seen = int(payload["seen"])
+        reservoir._offer(*(payload[name] for name in _COLUMNS if name in payload))
+        return reservoir
+
     @classmethod
     def merge(cls, parts: Sequence["DelayReservoir"]) -> "DelayReservoir":
         """The reservoir of the concatenated streams: the k smallest
         priorities of the parts' union, whatever the parts' order."""
         if not parts:
             raise ConfigurationError("cannot merge zero reservoirs")
-        merged = cls(parts[0].capacity)
+        merged = cls(parts[0].capacity, labelled=parts[0].labelled)
         for part in parts:
             if part.capacity != merged.capacity:
                 raise ConfigurationError("cannot merge reservoirs of different capacities")
@@ -127,6 +176,8 @@ _SUMMED_ARRAYS = (
     "layer_delay_sum", "layer_anomalies", "layer_redirected",
 )
 _SUMMED_COUNTS = ("delay_sum", "online_device_ticks", "offline_device_ticks")
+#: The prefix of the delay sample's fields in the aggregator's payload.
+_RESERVOIR = "reservoir_"
 
 
 class StreamingMetrics:
@@ -224,17 +275,14 @@ class StreamingMetrics:
         count arrays, the delay sums and the reservoir's sample with its
         priorities.  No generator state exists to carry.
         """
-        values, priorities = self.reservoir.sample()
+        sample = self.reservoir.to_payload()
         return {
             "ticks": self.ticks,
             "metrics_window": self.metrics_window,
             "n_layers": self.n_layers,
             **{name: getattr(self, name) for name in _SUMMED_ARRAYS + _SUMMED_COUNTS},
             "delay_max": self.delay_max,
-            "reservoir_capacity": self.reservoir.capacity,
-            "reservoir_seen": self.reservoir.seen,
-            "reservoir_values": values,
-            "reservoir_priorities": priorities,
+            **{f"{_RESERVOIR}{key}": value for key, value in sample.items()},
         }
 
     @classmethod
@@ -250,7 +298,7 @@ class StreamingMetrics:
             ticks=int(payload["ticks"]),
             metrics_window=int(payload["metrics_window"]),
             n_layers=int(payload["n_layers"]),
-            reservoir_size=int(payload["reservoir_capacity"]),
+            reservoir_size=int(payload[f"{_RESERVOIR}capacity"]),
         )
         if shape is not None and metrics.shape != tuple(shape):
             raise ConfigurationError(
@@ -262,10 +310,9 @@ class StreamingMetrics:
         for name in _SUMMED_COUNTS:
             setattr(metrics, name, int(payload[name]))
         metrics.delay_max = float(payload["delay_max"])
-        metrics.reservoir.seen = int(payload["reservoir_seen"])
-        metrics.reservoir._offer(
-            np.asarray(payload["reservoir_values"], dtype=float),
-            np.asarray(payload["reservoir_priorities"], dtype=np.uint64),
+        metrics.reservoir = DelayReservoir.from_payload(
+            {key[len(_RESERVOIR):]: value for key, value in payload.items()
+             if key.startswith(_RESERVOIR)}
         )
         return metrics
 

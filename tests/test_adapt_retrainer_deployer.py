@@ -6,7 +6,7 @@ import pytest
 from repro.adapt.controller import AdaptationController
 from repro.adapt.deployer import HotSwapDeployer
 from repro.adapt.registry import ModelRegistry
-from repro.adapt.retrainer import OnlineRetrainer, WindowReservoir, detection_f1
+from repro.adapt.retrainer import OnlineRetrainer, detection_f1
 from repro.adapt.spec import AdaptSpec
 from repro.detectors.autoencoder import build_autoencoder_detector
 from repro.detectors.registry import DetectorRegistry
@@ -40,39 +40,6 @@ def _tiny_system(training_windows):
     return HECSystem(topology, deployments)
 
 
-class TestWindowReservoir:
-    def test_bounded_capacity(self):
-        reservoir = WindowReservoir(8, (0, 1))
-        for i in range(100):
-            reservoir.add(np.full(4, float(i)), label=i % 2)
-        assert len(reservoir) == 8
-        assert reservoir.seen == 100
-
-    def test_snapshot_shapes_and_labels(self):
-        reservoir = WindowReservoir(16, (0, 1))
-        reservoir.extend(np.ones((5, 4)), labels=[0, 1, 0, 1, 0])
-        windows, labels = reservoir.snapshot()
-        assert windows.shape == (5, 4)
-        np.testing.assert_array_equal(labels, [0, 1, 0, 1, 0])
-
-    def test_deterministic_under_fixed_entropy(self):
-        def fill():
-            reservoir = WindowReservoir(4, (7, 9))
-            for i in range(50):
-                reservoir.add(np.full(2, float(i)))
-            return reservoir.snapshot()[0]
-
-        np.testing.assert_array_equal(fill(), fill())
-
-    def test_empty_snapshot_raises(self):
-        with pytest.raises(ConfigurationError):
-            WindowReservoir(4, (0,)).snapshot()
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ConfigurationError):
-            WindowReservoir(0, (0,))
-
-
 class TestOnlineRetrainer:
     def test_fine_tune_leaves_incumbent_untouched(self, training_windows):
         detector = build_autoencoder_detector(
@@ -81,7 +48,7 @@ class TestOnlineRetrainer:
         detector.fit(training_windows, epochs=2, batch_size=16)
         before = detector.model.get_weights()["0:AE-IoT_hidden_0"]["kernel"].copy()
         retrainer = OnlineRetrainer(epochs=2, batch_size=16)
-        candidate = retrainer.fine_tune(detector, training_windows + 0.5)
+        candidate = retrainer.fine_tune(detector, training_windows + 0.5, seed=(0,))
         after = detector.model.get_weights()["0:AE-IoT_hidden_0"]["kernel"]
         np.testing.assert_array_equal(after, before)
         assert candidate is not detector
@@ -103,7 +70,7 @@ class TestOnlineRetrainer:
         labels = np.concatenate([np.zeros(32, dtype=int), np.ones(16, dtype=int)])
 
         retrainer = OnlineRetrainer(epochs=4, batch_size=16)
-        candidate = retrainer.fine_tune(detector, drifted_normal)
+        candidate = retrainer.fine_tune(detector, drifted_normal, seed=(0,))
         outcome = retrainer.evaluate(
             candidate, detector, holdout, labels, n_train_windows=len(drifted_normal)
         )
@@ -122,6 +89,28 @@ class TestOnlineRetrainer:
         labels = np.concatenate([np.zeros(16, dtype=int), np.ones(8, dtype=int)])
         assert detection_f1(detector, windows, labels) > 0.8
 
+    def test_fine_tune_is_a_function_of_its_seed(self, training_windows):
+        """The candidate depends on the incumbent's weights, the windows and
+        the seed, never on how far the incumbent's generator has advanced —
+        the registry stores weights only, so a resume must rebuild it."""
+        detector = build_autoencoder_detector(
+            "iot", window_size=WINDOW_SIZE, hidden_sizes=(8,), seed=0
+        )
+        detector.fit(training_windows, epochs=2, batch_size=16)
+        retrainer = OnlineRetrainer(epochs=2, batch_size=16)
+        first = retrainer.fine_tune(detector, training_windows, seed=(1, 2, 0, 9))
+        detector.model._rng.random(100)
+        again = retrainer.fine_tune(detector, training_windows, seed=(1, 2, 0, 9))
+        other = retrainer.fine_tune(detector, training_windows, seed=(1, 2, 0, 10))
+
+        def kernel(candidate):
+            return candidate.model.get_weights()["0:AE-IoT_hidden_0"]["kernel"]
+
+        np.testing.assert_array_equal(kernel(again), kernel(first))
+        assert not np.array_equal(kernel(other), kernel(first))
+        # Reseeded in place: the layers still share the model's generator.
+        assert all(layer._rng is again.model._rng for layer in again.model.layers)
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             OnlineRetrainer(epochs=0)
@@ -138,6 +127,24 @@ class TestHotSwapDeployer:
             assert current is not None
             assert registry.show(current).parent is None
 
+    def test_register_incumbents_over_a_used_registry(self, training_windows, tmp_path):
+        """A second run against a registry whose tiers moved on starts from
+        its own roots again (and registering twice is harmless)."""
+        registry = ModelRegistry(tmp_path / "reg")
+        system = _tiny_system(training_windows)
+        deployer = HotSwapDeployer(system, registry)
+        deployer.register_incumbents(("iot", "edge", "cloud"))
+        root = registry.current("cloud")
+        candidate = OnlineRetrainer(epochs=1, batch_size=16).fine_tune(
+            system.deployment_at(2).detector, training_windows, seed=(0,)
+        )
+        deployer.swap(tick=3, layer=2, tier="cloud", candidate=candidate)
+        assert registry.current("cloud") != root
+        rerun = HotSwapDeployer(_tiny_system(training_windows), registry)
+        for _ in range(2):
+            rerun.register_incumbents(("iot", "edge", "cloud"))
+            assert registry.current("cloud") == root
+
     def test_swap_replaces_live_detector_and_quantizes(self, training_windows, tmp_path):
         system = _tiny_system(training_windows)
         registry = ModelRegistry(tmp_path / "reg")
@@ -146,7 +153,7 @@ class TestHotSwapDeployer:
 
         incumbent = system.deployment_at(0).detector
         retrainer = OnlineRetrainer(epochs=2, batch_size=16)
-        candidate = retrainer.fine_tune(incumbent, training_windows + 0.3)
+        candidate = retrainer.fine_tune(incumbent, training_windows + 0.3, seed=(0,))
         # prepare_candidate quantises *before* the gate would score it.
         report = deployer.prepare_candidate(0, candidate)
         assert report is not None
@@ -173,7 +180,7 @@ class TestHotSwapDeployer:
         deployer = HotSwapDeployer(system, ModelRegistry(tmp_path / "reg"))
         deployer.register_incumbents(("iot", "edge", "cloud"))
         candidate = OnlineRetrainer(epochs=1, batch_size=16).fine_tune(
-            system.deployment_at(2).detector, training_windows
+            system.deployment_at(2).detector, training_windows, seed=(0,)
         )
         assert deployer.prepare_candidate(2, candidate) is None
         event = deployer.swap(tick=3, layer=2, tier="cloud", candidate=candidate)
@@ -192,7 +199,7 @@ class TestHotSwapDeployer:
         deployment = system.deployment_at(0)
         assert deployment.quantized  # original deployment was fp16
         candidate = OnlineRetrainer(epochs=1, batch_size=16).fine_tune(
-            deployment.detector, training_windows
+            deployment.detector, training_windows, seed=(0,)
         )
         assert deployer.prepare_candidate(0, candidate) is None
         event = deployer.swap(tick=5, layer=0, tier="iot", candidate=candidate)
@@ -240,7 +247,7 @@ class TestAdaptationController:
         for tick in range(10):
             windows = training_windows[:4] + (0.0 if tick < 5 else 5.0)
             controller.observe_batch(
-                tick, 0, windows=windows,
+                tick, 0, windows=windows, keys=np.arange(4 * tick, 4 * tick + 4),
                 predictions=np.zeros(4, dtype=int), labels=np.zeros(4, dtype=int),
                 scores=rng.normal(-100.0 * (tick >= 5), 0.1, size=4),
             )
@@ -264,7 +271,7 @@ class TestAdaptationController:
             ] + (shift if drifted else 0.0)
             detected = system.detect_batch(0, windows)
             controller.observe_batch(
-                tick, 0, windows=windows,
+                tick, 0, windows=windows, keys=np.arange(6 * tick, 6 * tick + 6),
                 predictions=detected.predictions,
                 labels=np.zeros(6, dtype=int),
                 scores=detected.anomaly_scores,
@@ -311,9 +318,48 @@ class TestAdaptationController:
         for tick in range(12):
             windows = training_windows[:6] + (0.0 if tick < 4 else 3.0)
             controller.observe_batch(
-                tick, 0, windows=windows,
+                tick, 0, windows=windows, keys=np.arange(6 * tick, 6 * tick + 6),
                 predictions=np.zeros(6, dtype=int), labels=np.zeros(6, dtype=int),
                 scores=rng.normal(-200.0 * (tick >= 4), 0.1, size=6),
             )
             controller.end_tick(tick)
         assert len(controller.retrains) <= 1
+
+    def test_snapshot_is_data_and_restores_through_the_registry(
+        self, training_windows, tmp_path
+    ):
+        """The snapshot names each tier's version and holds no detector; a
+        restore reads the weights back into a copy and rebinds it, and a
+        registry that lacks a recorded version is refused by name."""
+        from repro.detectors.base import AnomalyDetector
+        from repro.exceptions import SerializationError
+
+        system = _tiny_system(training_windows)
+        controller = self._controller(system, tmp_path)
+        candidate = controller.retrainer.fine_tune(
+            system.deployment_at(0).detector, training_windows + 0.3, seed=(0,)
+        )
+        swap = controller.deployer.swap(
+            tick=3, layer=0, tier="iot", candidate=candidate,
+            quantization=controller.deployer.prepare_candidate(0, candidate),
+        )
+        snapshot = controller.snapshot_state()
+        assert snapshot["versions"]["iot"] == swap.to_version
+        assert not any(
+            isinstance(value, AnomalyDetector) for value in snapshot.values()
+        )
+
+        fresh = _tiny_system(training_windows)
+        original = fresh.deployment_at(0).detector
+        resumed = self._controller(fresh, tmp_path)
+        resumed.restore_state(snapshot)
+        restored = fresh.deployment_at(0)
+        assert restored.detector is not original and restored.quantized
+        assert resumed.registry.current("iot") == swap.to_version
+        np.testing.assert_array_equal(
+            restored.detector.predict(training_windows), candidate.predict(training_windows)
+        )
+
+        elsewhere = self._controller(_tiny_system(training_windows), tmp_path / "other")
+        with pytest.raises(SerializationError, match=swap.to_version):
+            elsewhere.restore_state(snapshot)

@@ -47,12 +47,13 @@ def tiny_spec():
 
 
 @pytest.fixture(scope="module")
-def adaptive_report(tiny_spec, tmp_path_factory):
-    runner = ExperimentRunner(tiny_spec)
-    report = runner.run_fleet(
-        registry_root=str(tmp_path_factory.mktemp("registry"))
-    )
-    return report
+def registry_root(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("registry"))
+
+
+@pytest.fixture(scope="module")
+def adaptive_report(tiny_spec, registry_root):
+    return ExperimentRunner(tiny_spec).run_fleet(registry_root=registry_root)
 
 
 class TestDriftRecoveryScenario:
@@ -72,10 +73,10 @@ class TestDriftRecoveryScenario:
             f"post-swap F1 {post:.3f} not within 10% of pre-drift {pre_drift:.3f}"
         )
 
-    def test_deterministic_under_fixed_seed(self, tiny_spec, adaptive_report, tmp_path):
-        again = ExperimentRunner(tiny_spec).run_fleet(
-            registry_root=str(tmp_path / "registry")
-        )
+    def test_deterministic_under_fixed_seed(self, tiny_spec, adaptive_report, registry_root):
+        """A rerun against the registry the first run left behind starts from
+        its own roots and reports the same, swaps and versions included."""
+        again = ExperimentRunner(tiny_spec).run_fleet(registry_root=registry_root)
         assert again == adaptive_report
 
     def test_report_json_round_trip_with_timeline(self, adaptive_report, tmp_path):

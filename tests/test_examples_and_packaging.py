@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.adapt
 import repro.evaluation.figures
 import repro.evaluation.metrics
 import repro.fleet
@@ -257,11 +258,16 @@ class TestPackageSurface:
              "ConfusionCounts"),
             (partial(getattr, repro.fleet, "ShardedFleetEngine"), AttributeError,
              "ShardedFleetEngine"),
+            (partial(getattr, repro.adapt, "WindowReservoir"), AttributeError,
+             "WindowReservoir"),
+            (partial(getattr, repro.adapt, "build_controller"), AttributeError,
+             "build_controller"),
         ],
         ids=["sgd", "huber", "mae", "mean_absolute_error", "l1", "he_normal", "he_uniform",
              "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
              "adwin_sensitivity", "DetectionRecord", "SchemeOutcome", "handle_window",
-             "build_demo_panel_series", "ConfusionCounts", "ShardedFleetEngine"],
+             "build_demo_panel_series", "ConfusionCounts", "ShardedFleetEngine",
+             "WindowReservoir", "build_controller"],
     )
     def test_removed_names_are_refused(self, refused, error, remaining):
         """Names only tests reached were deleted: asking for a deleted option is

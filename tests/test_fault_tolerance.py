@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.adapt.controller import AdaptationController
 from repro.cli import main
 from repro.exceptions import ConfigurationError, SchedulingError, SerializationError
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
@@ -195,17 +196,19 @@ class TestCheckpointStore:
     def test_format_mismatch_refused(self, tmp_path):
         store = self._saved(tmp_path, 2)
         # A format-1 file is a bare pickle with no header; format 2 carried
-        # the delay reservoir's generator state; a future format carries
-        # another number.  None is skipped: all are refused.
+        # the delay reservoir's generator state; format 3 pickled the
+        # adaptation reservoirs and deployed detectors; a future format
+        # carries another number.  None is skipped: all are refused.
         pickled = pickle.dumps({"format": 1, "tick": 4})
         digest = hashlib.sha256(pickled).hexdigest().encode()
         for data, found in (
             (pickled, "format 1 "),
             (b"repro-ckpt 2 " + digest + b"\n" + pickled, "format 2;"),
-            (b"repro-ckpt 4 " + digest + b"\n" + pickled, "format 4;"),
+            (b"repro-ckpt 3 " + digest + b"\n" + pickled, "format 3;"),
+            (b"repro-ckpt 5 " + digest + b"\n" + pickled, "format 5;"),
         ):
             (tmp_path / "ckpt-00000004.pkl").write_bytes(data)
-            with pytest.raises(SerializationError, match=f"{found}.*reads format 3"):
+            with pytest.raises(SerializationError, match=f"{found}.*reads format 4"):
                 store.latest()
 
     def test_stray_tmp_file_ignored(self, tmp_path):
@@ -1017,9 +1020,7 @@ def adapt_trained():
 
 
 def _adaptive_engine(spec, runner, registry_root, **extra):
-    from repro.adapt.controller import build_controller
-
-    controller = build_controller(
+    controller = AdaptationController(
         spec.adapt,
         system=runner.state.system,
         tier_names=spec.topology.tier_names,
@@ -1032,65 +1033,74 @@ def _adaptive_engine(spec, runner, registry_root, **extra):
     )
 
 
-def _adaptive_baseline(spec, runner, registry_root, conn):
-    """Fork-child target: run uninterrupted, ship the report back by pipe.
+def _adaptive_run(spec, runner, registry_root, resume=False, **extra):
+    """The report and each tier's current registry version after a run."""
+    engine = _adaptive_engine(spec, runner, registry_root, **extra)
+    report = engine.run(resume=resume)
+    registry = engine.controller.registry
+    return report, {tier: registry.current(tier) for tier in spec.topology.tier_names}
 
-    Adaptive runs hot-swap detectors into the live system, so each full run
-    happens in its own fork — the parent's trained state stays pristine for
-    the resume leg.
+
+def _send_result(conn, function, args, kwargs):
+    conn.send(function(*args, **kwargs))
+
+
+def _forked(function, *args, **kwargs):
+    """``function(*args, **kwargs)`` run in a fork child, its result sent back.
+
+    Adaptive runs hot-swap detectors into the live system, so each run
+    happens in its own fork — the parent's trained state stays pristine.
     """
-    report = _adaptive_engine(spec, runner, registry_root).run()
-    conn.send(report)
-    conn.close()
-
-
-def _adaptive_death(spec, runner, registry_root, checkpoint_dir):
-    _adaptive_engine(
-        spec,
-        runner,
-        registry_root,
-        faults=FaultSpec(events=(FaultEvent(kind="process-kill", at_tick=17),)),
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_cadence=8,
-    ).run()
+    parent_conn, child_conn = _FORK.Pipe()
+    child = _FORK.Process(target=_send_result, args=(child_conn, function, args, kwargs))
+    child.start()
+    child_conn.close()  # so a child that dies ends the pipe: recv raises EOFError
+    assert parent_conn.poll(600), "the forked run timed out"
+    result = parent_conn.recv()
+    child.join(timeout=600)
+    assert child.exitcode == 0
+    return result
 
 
 class TestAdaptiveKillResume:
-    def test_kill_and_resume_adaptive_is_bit_identical(self, adapt_trained, tmp_path):
+    @pytest.mark.parametrize(
+        "kill_tick, checkpoint_tick",
+        [(17, 16), (13, 8)],
+        ids=["checkpointed-after-swap", "killed-after-swap"],
+    )
+    def test_kill_and_resume_adaptive_is_bit_identical(
+        self, adapt_trained, tmp_path, kill_tick, checkpoint_tick
+    ):
+        """Killed with a swap behind its newest checkpoint, or with a swap
+        after it, the run resumes against its own registry to the
+        uninterrupted report and the same current version on every tier."""
         spec, runner = adapt_trained
-        parent_conn, child_conn = _FORK.Pipe()
-        baseline_child = _FORK.Process(
-            target=_adaptive_baseline,
-            args=(spec, runner, str(tmp_path / "registry-a"), child_conn),
+        baseline, baseline_current = _forked(
+            _adaptive_run, spec, runner, str(tmp_path / "baseline-registry")
         )
-        baseline_child.start()
-        baseline = parent_conn.recv()
-        baseline_child.join(timeout=600)
-        assert baseline_child.exitcode == 0
+        assert any(swap.tick < kill_tick for swap in baseline.adaptation.swaps)
 
-        ckpt = tmp_path / "ckpt"
+        registry, ckpt = str(tmp_path / "registry"), str(tmp_path / "ckpt")
+        faulted = dict(
+            faults=FaultSpec(events=(FaultEvent(kind="process-kill", at_tick=kill_tick),)),
+            checkpoint_dir=ckpt,
+            checkpoint_cadence=8,
+        )
         kill_child = _FORK.Process(
-            target=_adaptive_death,
-            args=(spec, runner, str(tmp_path / "registry-b"), str(ckpt)),
+            target=_adaptive_run, args=(spec, runner, registry), kwargs=faulted
         )
         kill_child.start()
         kill_child.join(timeout=600)
         assert kill_child.exitcode == -9
-        assert CheckpointStore(ckpt).latest()["tick"] == 16
+        assert CheckpointStore(ckpt).latest()["tick"] == checkpoint_tick
 
-        resumed = _adaptive_engine(
-            spec,
-            runner,
-            str(tmp_path / "registry-c"),
-            faults=FaultSpec(events=(FaultEvent(kind="process-kill", at_tick=17),)),
-            checkpoint_dir=str(ckpt),
-            checkpoint_cadence=8,
-        ).run(resume=True)
-
+        resumed, resumed_current = _forked(
+            _adaptive_run, spec, runner, registry, resume=True, **faulted
+        )
         # The timeline — drifts, retrains, swaps — continues across the kill
         # exactly where the checkpoint left it, and the drift scenario did
         # adapt (the contract is not vacuous).
-        assert baseline.adaptation is not None
         assert len(baseline.adaptation.drifts) > 0
         assert resumed.adaptation == baseline.adaptation
         assert resumed == baseline
+        assert resumed_current == baseline_current

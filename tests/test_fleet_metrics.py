@@ -14,6 +14,34 @@ def _sample(reservoir):
     return sorted(reservoir.sample()[0].tolist())
 
 
+#: What one sampled value is: a delay, a window row, or a row with a label.
+KINDS = ("delay", "row", "labelled-row")
+
+
+def _stream(kind, n, seed):
+    """``n`` values of ``kind`` as the ``(values, labels)`` pair to offer."""
+    rng = np.random.default_rng(seed)
+    if kind == "delay":
+        return rng.exponential(scale=50.0, size=n), None
+    rows = rng.normal(size=(n, 3, 2))
+    return rows, (rng.integers(0, 2, size=n) if kind == "labelled-row" else None)
+
+
+def _reservoir(kind, capacity):
+    return DelayReservoir(capacity, labelled=kind == "labelled-row")
+
+
+def _offer(reservoir, values, keys, labels, rows):
+    """Offer the ``rows`` (an index array) of a stream to ``reservoir``."""
+    reservoir.extend(values[rows], keys[rows], None if labels is None else labels[rows])
+
+
+def _assert_same_sample(got, want):
+    assert got.seen == want.seen
+    for got_column, want_column in zip(got.sample(), want.sample(), strict=True):
+        np.testing.assert_array_equal(got_column, want_column)
+
+
 class TestDelayReservoir:
     def test_keeps_everything_under_capacity(self):
         reservoir = DelayReservoir(10)
@@ -21,29 +49,93 @@ class TestDelayReservoir:
         assert _sample(reservoir) == [1.0, 2.0, 3.0]
         assert reservoir.seen == 3
 
-    def test_bounded_beyond_capacity(self):
-        reservoir = DelayReservoir(16)
-        reservoir.extend(np.arange(1000, dtype=float), keys=np.arange(1000))
-        assert len(_sample(reservoir)) == 16
-        assert reservoir.seen == 1000
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bounded_beyond_capacity(self, kind):
+        values, labels = _stream(kind, 1000, seed=1)
+        reservoir = _reservoir(kind, 16)
+        reservoir.extend(values, np.arange(1000), labels)
+        sample = reservoir.sample()
+        assert len(reservoir) == 16 and reservoir.seen == 1000
+        assert len(sample) == (3 if labels is not None else 2)
+        assert sample[0].shape == (16, *values.shape[1:])
+        assert all(column.shape[0] == 16 for column in sample)
 
-    def test_sample_is_the_smallest_priorities(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sample_is_the_smallest_priorities(self, kind):
         """The sample is the k values whose mix64(key) is smallest, in
         ascending priority: a fixed function of the (key, value) pairs."""
         rng = np.random.default_rng(0)
         keys = rng.permutation(5000)
-        values = rng.normal(size=5000)
-        reservoir = DelayReservoir(64)
+        values, labels = _stream(kind, 5000, seed=0)
+        reservoir = _reservoir(kind, 64)
         for chunk in np.array_split(np.arange(5000), 37):
-            reservoir.extend(values[chunk], keys[chunk])
+            _offer(reservoir, values, keys, labels, chunk)
         smallest = np.argsort(mix64(keys))[:64]
-        sampled, priorities = reservoir.sample()
+        sampled, priorities, *sampled_labels = reservoir.sample()
         np.testing.assert_array_equal(sampled, values[smallest])
         np.testing.assert_array_equal(priorities, mix64(keys[smallest]))
+        if labels is not None:
+            np.testing.assert_array_equal(sampled_labels[0], labels[smallest])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("capacity", [16, 4000])
+    def test_sample_is_order_free(self, kind, capacity):
+        """One batch, window by window, reversed, or split and merged: the
+        same sample, whether it is a strict subset or the whole stream."""
+        values, labels = _stream(kind, 600, seed=3)
+        keys = np.arange(600) * 7919
+        whole = _reservoir(kind, capacity)
+        _offer(whole, values, keys, labels, np.arange(600))
+        one_by_one, backwards = _reservoir(kind, capacity), _reservoir(kind, capacity)
+        for row in range(600):
+            _offer(one_by_one, values, keys, labels, np.array([row]))
+            _offer(backwards, values, keys, labels, np.array([599 - row]))
+        parts = [_reservoir(kind, capacity) for _ in range(3)]
+        for part, rows in zip(parts, np.array_split(np.arange(600), 3)):
+            _offer(part, values, keys, labels, rows)
+        for other in (one_by_one, backwards, DelayReservoir.merge(parts)):
+            _assert_same_sample(other, whole)
+
+    def test_salted_samples_of_one_stream_differ(self):
+        """The controller's train and holdout samples offer one window stream
+        under two key salts: the two samples must be independent."""
+        values, labels = _stream("labelled-row", 2000, seed=4)
+        keys = np.arange(2000, dtype=np.uint64)
+        train, holdout = DelayReservoir(64), DelayReservoir(64, labelled=True)
+        train.extend(values, keys ^ mix64(np.uint64(1)))
+        holdout.extend(values, keys ^ mix64(np.uint64(2)), labels)
+        shared = {row.tobytes() for row in train.sample()[0]}
+        overlap = sum(row.tobytes() in shared for row in holdout.sample()[0])
+        assert overlap <= 16
 
     def test_keys_must_match_values(self):
         with pytest.raises(ConfigurationError, match="keys"):
             DelayReservoir(8).extend([1.0, 2.0], keys=[1])
+
+    def test_labels_only_on_a_labelled_reservoir(self):
+        with pytest.raises(ConfigurationError, match="label"):
+            DelayReservoir(8).extend([1.0, 2.0], keys=[1, 2], labels=[0, 1])
+        with pytest.raises(ConfigurationError, match="label"):
+            DelayReservoir(8, labelled=True).extend([1.0, 2.0], keys=[1, 2])
+
+    def test_invalid_capacity(self):
+        with pytest.raises(ConfigurationError, match="capacity"):
+            DelayReservoir(0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_payload_holds_the_k_sampled_rows(self, kind):
+        """The payload carries the sample, not the 2k buffer, and rebuilds
+        a reservoir that keeps sampling exactly like the original."""
+        values, labels = _stream(kind, 300, seed=6)
+        keys = np.arange(300)
+        original = _reservoir(kind, 16)
+        _offer(original, values, keys, labels, np.arange(250))
+        payload = original.to_payload()
+        assert payload["seen"] == 250 and payload["values"].shape[0] == 16
+        rebuilt = DelayReservoir.from_payload(payload)
+        for reservoir in (original, rebuilt):
+            _offer(reservoir, values, keys, labels, np.arange(250, 300))
+        _assert_same_sample(rebuilt, original)
 
     def test_percentiles_on_full_sample(self):
         reservoir = DelayReservoir(1000)
@@ -58,50 +150,48 @@ class TestDelayReservoir:
         assert _sample(merged) == _sample(part)
         assert merged.seen == part.seen
 
-    def test_merge_equals_the_reservoir_of_the_whole_stream(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_merge_equals_the_reservoir_of_the_whole_stream(self, kind):
         """Shards of one keyed stream merge to exactly the sample one
         reservoir keeps over all of it, in any shard order."""
         rng = np.random.default_rng(5)
-        values = rng.exponential(scale=50.0, size=900)
+        values, labels = _stream(kind, 900, seed=5)
         keys = np.arange(900) * 7919
-        whole = DelayReservoir(32)
-        whole.extend(values, keys)
+        whole = _reservoir(kind, 32)
+        _offer(whole, values, keys, labels, np.arange(900))
         parts = []
         for shard in np.array_split(rng.permutation(900), 3):
-            part = DelayReservoir(32)
-            part.extend(values[shard], keys[shard])
+            part = _reservoir(kind, 32)
+            _offer(part, values, keys, labels, shard)
             parts.append(part)
         for order in (parts, parts[::-1]):
-            merged = DelayReservoir.merge(order)
-            assert merged.seen == 900
-            for got, want in zip(merged.sample(), whole.sample()):
-                np.testing.assert_array_equal(got, want)
+            _assert_same_sample(DelayReservoir.merge(order), whole)
 
     def test_merge_rejects_mixed_capacities(self):
         with pytest.raises(ConfigurationError, match="capacities"):
             DelayReservoir.merge([DelayReservoir(8), DelayReservoir(16)])
 
-    def test_merge_equivalence_under_out_of_order_batch_completion(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_merge_equivalence_under_out_of_order_batch_completion(self, kind):
         """Batches completing in any order, into any part, merge to the same
         sample: the serving front door's tier-completion order and the
         fleet's shard order cannot leak into the percentiles."""
-        rng = np.random.default_rng(23)
         sizes = (5, 32, 1, 12, 20, 3, 9)
-        batches = [rng.exponential(scale=10.0, size=n) for n in sizes]
+        values, labels = _stream(kind, sum(sizes), seed=23)
+        keys = np.arange(sum(sizes))
         offsets = np.cumsum((0,) + sizes)
-        keyed = [(batch, np.arange(start, start + batch.size))
-                 for batch, start in zip(batches, offsets)]
+        batches = [np.arange(start, end) for start, end in zip(offsets, offsets[1:])]
 
         def _fill(schedule):
-            parts = {"a": DelayReservoir(16), "b": DelayReservoir(16)}
+            parts = {"a": _reservoir(kind, 16), "b": _reservoir(kind, 16)}
             for name, index in schedule:
-                parts[name].extend(*keyed[index])
+                _offer(parts[name], values, keys, labels, batches[index])
             return DelayReservoir.merge([parts["a"], parts["b"]])
 
         in_order = _fill([("a", 0), ("a", 1), ("a", 2), ("a", 3), ("b", 4), ("b", 5), ("b", 6)])
         interleaved = _fill([("b", 6), ("a", 2), ("b", 0), ("a", 5), ("a", 1), ("b", 3), ("a", 4)])
-        assert _sample(in_order) == _sample(interleaved)
-        assert in_order.seen == interleaved.seen == 82
+        _assert_same_sample(in_order, interleaved)
+        assert in_order.seen == 82
 
 
 class TestConfusionCounts:
