@@ -132,10 +132,10 @@ class AutoencoderDetector(AnomalyDetector):
     def reconstruct(self, windows: np.ndarray) -> np.ndarray:
         """Reconstruct windows with the autoencoder."""
         windows = self._check_windows(windows)
-        return self.model.predict(windows, batch_size=64)
+        return self.model.predict(windows)
 
     def _point_errors(self, windows: np.ndarray) -> np.ndarray:
-        reconstruction = self.model.predict(windows, batch_size=64)
+        reconstruction = self.model.predict(windows)
         return windows - reconstruction
 
     def _point_score_matrix(self, windows: np.ndarray) -> np.ndarray:

@@ -17,6 +17,33 @@ import numpy as np
 from repro.exceptions import NotFittedError
 from repro.utils.rng import RngLike, ensure_rng
 
+#: Rows per BLAS call of an inference matmul (see :func:`batch_invariant_matmul`).
+ROW_BLOCK = 8
+
+
+def batch_invariant_matmul(inputs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``inputs @ kernel`` whose every row has the same bits in any batch.
+
+    A BLAS library picks its code path from the shape of the whole call: a
+    lone row goes to gemv, a row count the micro-tile does not divide ends
+    in an edge tile, and OpenBLAS's small-matrix kernel (AVX-512 hosts)
+    gives way to the blocked kernel once ``rows x columns x depth`` passes
+    its threshold.  Each path rounds differently.  So the rows are
+    zero-padded to a multiple of :data:`ROW_BLOCK` (at least one block) and
+    multiplied as a stack of ``ROW_BLOCK``-row matmuls: every BLAS call has
+    the same shape, whatever the batch, and the padding is sliced off.
+    Inference only; training keeps the plain matmul its gradients were
+    pinned with.
+    """
+    n, depth = inputs.shape
+    rows = max(ROW_BLOCK, -(-n // ROW_BLOCK) * ROW_BLOCK)
+    if rows != n:
+        padded = np.zeros((rows, depth))
+        padded[:n] = inputs
+        inputs = padded
+    product = np.matmul(inputs.reshape(-1, ROW_BLOCK, depth), kernel)
+    return product.reshape(rows, kernel.shape[1])[:n]
+
 
 class Layer:
     """Base class for all layers.

@@ -9,7 +9,7 @@ import numpy as np
 from repro.exceptions import ShapeError
 from repro.nn.activations import Activation, get_activation
 from repro.nn.initializers import get_initializer
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, batch_invariant_matmul
 from repro.nn.regularizers import Regularizer, ZeroRegularizer, get_regularizer
 from repro.utils.validation import check_positive
 
@@ -63,8 +63,13 @@ class Dense(Layer):
                 f"Dense {self.name!r} was built with input_dim={self.input_dim}, "
                 f"got input with {inputs.shape[1]} features"
             )
-        # Bias and activation run in place on the matmul's fresh result.
-        pre_activation = inputs @ self.params["kernel"]
+        # Bias and activation run in place on the matmul's fresh result.  An
+        # inference row does not depend on the rest of its batch.
+        kernel = self.params["kernel"]
+        if training:
+            pre_activation = inputs @ kernel
+        else:
+            pre_activation = batch_invariant_matmul(inputs, kernel)
         if self.use_bias:
             pre_activation += self.params["bias"]
         output = self.activation.forward(pre_activation, out=pre_activation)

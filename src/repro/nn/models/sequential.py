@@ -61,16 +61,11 @@ class Sequential:
             output = layer.forward(output, training=training)
         return output
 
-    def predict(self, inputs: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
-        """Inference-mode forward pass, optionally in batches."""
-        inputs = np.asarray(inputs, dtype=float)
-        if batch_size is None or inputs.shape[0] <= batch_size:
-            return self.forward(inputs, training=False)
-        chunks = [
-            self.forward(inputs[start: start + batch_size], training=False)
-            for start in range(0, inputs.shape[0], batch_size)
-        ]
-        return np.concatenate(chunks, axis=0)
+    def predict(self, inputs: np.ndarray) -> np.ndarray:
+        """Inference-mode forward pass; each output row depends on its input
+        row alone (see :func:`~repro.nn.layers.base.batch_invariant_matmul`),
+        so any split of the batch gives the same rows."""
+        return self.forward(inputs, training=False)
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.predict(inputs)

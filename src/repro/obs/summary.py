@@ -85,7 +85,9 @@ def _overload_counts(registry: Optional[MetricsRegistry], events: List[dict]) ->
 
 
 #: Histograms the digest shows interpolated percentiles for, when present.
-_PERCENTILE_FAMILIES = ("serve_latency_ms", "serve_queue_wait_ms", "serve_batch_size")
+_PERCENTILE_FAMILIES = (
+    "serve_latency_ms", "serve_queue_wait_ms", "serve_batch_size", "serve_tier_batch_size",
+)
 
 
 def _latency_lines(registry: Optional[MetricsRegistry]) -> List[str]:

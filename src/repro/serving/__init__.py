@@ -7,8 +7,8 @@ serving under real queueing:
   :class:`~repro.serving.spec.ServingSpec` (micro-batcher, admission
   control, SLO, offered load);
 * :mod:`repro.serving.server` — the asyncio
-  :class:`~repro.serving.server.IngestServer`: micro-batching into
-  ``detect_batch``, bounded-queue load shedding, per-tier
+  :class:`~repro.serving.server.IngestServer`: micro-batching, per-tier
+  batches into ``detect_batch``, bounded-queue load shedding, per-tier
   concurrency backpressure and the drain-and-swap deployment gate;
 * :mod:`repro.serving.loadgen` — the open-loop
   :class:`~repro.serving.loadgen.OpenLoopLoadGenerator` backed by

@@ -1,11 +1,19 @@
-"""The asyncio ingestion front door: micro-batching, backpressure, drain-and-swap.
+"""The asyncio ingestion front door: micro-batching, tier batching, backpressure, drain-and-swap.
 
 :class:`IngestServer` accepts per-device window submissions
 (:meth:`IngestServer.submit`), coalesces them across devices with a tunable
 micro-batcher — a batch flushes once it holds ``serve.max_batch`` requests or
 once its oldest request has waited ``serve.max_wait_ms``, whichever first —
-and routes each flushed batch through the trained policy into
-:meth:`~repro.hec.simulation.HECSystem.detect_batch`.  Every
+and routes each flushed batch through the trained policy.  Routing splits a
+micro-batch into one share per chosen tier, and each share joins that tier's
+routed queue.  A tier detects its queue in tier batches of up to
+``serve.max_batch`` rows, oldest first, with one
+:meth:`~repro.hec.simulation.HECSystem.detect_batch` call each.  A tier batch
+starts once the tier holds ``max_batch`` routed rows, once its oldest routed
+row has waited ``max_wait_ms``, or once the micro-batcher is about to wait on
+an empty ingress queue or to close.  Regrouping rows this way changes no
+prediction or score, because a detector's inference rows do not depend on
+their batch (:func:`~repro.nn.layers.base.batch_invariant_matmul`).  Every
 submission resolves to a :class:`ServeResult`; served results carry the
 prediction, the simulated HEC delay, the *measured* wall-clock service
 latency (scheduled arrival to completed response, so a backlog cannot hide
@@ -13,19 +21,21 @@ behind coordinated omission) and the model version that computed them.
 
 Requests are rows of a request table, not objects.  ``submit`` admits a
 request synchronously into preallocated columns, queues its row id and
-returns an awaitable for that row's result.  A micro-batch is an array of row
-ids; a finished tier batch writes each result column with one fancy-index
-assignment and wakes every waiter once (:meth:`IngestServer.settled` waits
-for all of them).  Detection runs on the event-loop thread.
+returns an awaitable for that row's result.  A micro-batch and a tier batch
+are arrays of row ids; a finished tier batch writes each result column with
+one fancy-index assignment and wakes every waiter once
+(:meth:`IngestServer.settled` waits for all of them).  Detection runs on the
+event-loop thread.
 
 Overload degrades gracefully instead of growing the queue without bound:
 
 * the ingress queue is bounded at ``serve.queue_capacity``; a full queue
   either rejects the newcomer (``reject-new``) or evicts the oldest queued
   request (``shed-oldest``),
-* dispatched batches are bounded per tier by ``serve.tier_concurrency``
-  slots; when a tier is saturated, dispatch blocks, the queue fills, and
-  admission control takes over — that chain is the backpressure,
+* started tier batches are bounded per tier by ``serve.tier_concurrency``
+  slots; when a tier is saturated, starting its next batch blocks the
+  micro-batcher, the queue fills, and admission control takes over — that
+  chain is the backpressure,
 * requests older than ``serve.effective_max_age_ms`` are shed instead of
   being served hopelessly late — checked at dispatch *and* again once a tier
   slot is actually acquired (the semaphore wait is unbounded under
@@ -39,13 +49,15 @@ is enough); every shed is counted and reported.
 Service is paced by the simulated HEC delay (``serve.service_time_scale``):
 a tier slot is held for the scaled simulated duration of its batch, so
 serving throughput is bounded by the simulated hierarchy rather than by how
-fast the host spins a for-loop.
+fast the host spins a for-loop.  Under a link-fault plan each routed share
+stays a tier batch of its own, because the plan charges its fault tick and
+its retries per batch.
 
 :meth:`IngestServer.drain_and_swap` is the deployment gate: it blocks new
-dispatches, waits for every in-flight batch to complete, runs the swap
-against the quiescent system, and resumes.  Queued requests stay queued —
-zero are dropped — and every response computed after the swap carries the
-bumped ``model_version``.
+dispatches and tier batches, waits for every started tier batch to complete,
+runs the swap against the quiescent system, and resumes.  Queued and routed
+requests stay where they are — zero are dropped — and every response
+computed after the swap carries the bumped ``model_version``.
 """
 
 from __future__ import annotations
@@ -65,7 +77,8 @@ from repro.obs.export import Telemetry
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.serving.spec import ServingSpec
 
-#: Bucket bounds for the micro-batch size histogram (requests per batch).
+#: Bucket bounds for the micro-batch and tier-batch size histograms
+#: (requests per batch).
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Final request statuses the ``serve_requests_total`` counter is keyed by.
@@ -233,6 +246,11 @@ class IngestServer:
                 "Requests per dispatched micro-batch.",
                 buckets=_BATCH_BUCKETS,
             )
+            self._tel_tier_batch_size = registry.histogram(
+                "serve_tier_batch_size",
+                "Requests per tier batch (one detection call).",
+                buckets=_BATCH_BUCKETS,
+            )
             self._tel_latency = registry.histogram(
                 "serve_latency_ms",
                 "Measured wall-clock service latency.",
@@ -265,6 +283,12 @@ class IngestServer:
         self._warned_overload = False
         self._inflight = 0
         self._tier_tasks: Set[asyncio.Task] = set()
+        #: Per tier, the routed shares waiting for a tier batch, oldest first:
+        #: ``(routing time, rows, windows)``; and how many rows they hold.
+        self._routed: List[Deque[Tuple[float, np.ndarray, np.ndarray]]] = [
+            deque() for _ in range(system.n_layers)
+        ]
+        self._routed_rows = [0] * system.n_layers
         #: The first exception a micro-batch raised; waiters re-raise it.
         self._error: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -298,7 +322,8 @@ class IngestServer:
         self._batcher = self._loop.create_task(self._run())
 
     async def stop(self) -> None:
-        """Flush the remaining queue, wait for in-flight work, shut down."""
+        """Flush the remaining queue and the routed tier queues, wait for
+        in-flight work, shut down."""
         if not self._started:
             return
         self._closing = True
@@ -422,11 +447,13 @@ class IngestServer:
     async def drain_and_swap(self, swap: Callable[[], object]):
         """Land a deployment between micro-batches; returns ``swap()``'s result.
 
-        Holds the dispatch gate (no new micro-batch dispatches), waits for
-        every in-flight tier batch to complete, runs ``swap()`` in the event
-        loop thread against the now-quiescent system, and resumes.  Queued
-        requests stay queued — nothing is dropped or recomputed — and every
-        response computed afterwards carries the bumped ``state_version``.
+        Holds the dispatch gate (no micro-batch dispatches and no tier batch
+        starts), waits for every started tier batch to complete, runs
+        ``swap()`` in the event loop thread against the now-quiescent system,
+        and resumes.  Queued and routed requests stay where they are —
+        nothing is dropped or recomputed — and every response computed
+        afterwards, routed rows included, carries the bumped
+        ``state_version``.
         """
         async with self._gate:
             await self._idle.wait()
@@ -528,12 +555,20 @@ class IngestServer:
         self._fault_schedule.apply_links(self.system, tick)
 
     async def _run(self) -> None:
-        """The micro-batcher: collect, then dispatch under the swap gate."""
+        """The micro-batcher: collect, then dispatch under the swap gate.
+
+        Before it waits on an empty ingress queue, and before it closes, it
+        starts every routed row's tier batch (rule (c) of
+        :meth:`_start_tier_batches`), so an idle server holds no routed row.
+        """
         serving = self.serving
         queue = self._queue
         try:
             while True:
                 while not queue:
+                    if any(self._routed_rows):
+                        await self._flush_routed()
+                        continue
                     if self._closing:
                         return
                     self._wake.clear()
@@ -543,6 +578,9 @@ class IngestServer:
                 while len(batch) < serving.max_batch:
                     if queue:
                         batch.append(queue.popleft())
+                        continue
+                    if any(self._routed_rows):
+                        await self._flush_routed()
                         continue
                     if self._closing:
                         break
@@ -564,12 +602,16 @@ class IngestServer:
             self._fail(exc)
             raise
 
-    async def _dispatch(self, batch: List[int]) -> None:
-        """Expire stale requests, route the rest, hand each tier its share.
+    async def _flush_routed(self) -> None:
+        async with self._gate:
+            await self._start_tier_batches(flush=True)
 
-        Runs while holding the dispatch gate.  Acquiring a saturated tier's
-        slot blocks *here*, which stalls the batcher, fills the ingress queue
-        and triggers admission control — the backpressure chain.
+    async def _dispatch(self, batch: List[int]) -> None:
+        """Expire stale requests, route the rest, start the tier batches due.
+
+        Runs while holding the dispatch gate.  Each tier's share of the
+        micro-batch joins that tier's routed queue, stamped with the routing
+        time; :meth:`_start_tier_batches` then cuts the batches that are due.
         """
         now = self._loop.time()
         telemetry = self.telemetry
@@ -598,17 +640,63 @@ class IngestServer:
                 span = self._spans.get(row)
                 if span is not None:
                     span.set_attribute("queue_ms", wait_ms)
-        for action in np.unique(actions):
+        for action in np.unique(actions).tolist():
             chosen = np.flatnonzero(actions == action)
-            sem = self._sems[int(action)]
-            await sem.acquire()
-            self._inflight += 1
-            self._idle.clear()
-            task = self._loop.create_task(
-                self._serve_tier(int(action), windows[chosen], rows[chosen], sem)
-            )
-            self._tier_tasks.add(task)
-            task.add_done_callback(self._tier_tasks.discard)
+            self._routed[action].append((now, rows[chosen], windows[chosen]))
+            self._routed_rows[action] += len(chosen)
+        # Under a link-fault plan a share is charged its fault tick and its
+        # retries as a batch of its own, so it starts at once, alone.
+        await self._start_tier_batches(flush=self._fault_schedule is not None)
+
+    async def _start_tier_batches(self, flush: bool) -> None:
+        """Cut and start each tier batch that is due, oldest rows first.
+
+        Runs while holding the dispatch gate.  A tier's batch is due when
+        (a) its routed queue holds ``max_batch`` rows, (b) its oldest routed
+        row has waited ``max_wait_ms``, or (c) ``flush``: the micro-batcher
+        is about to wait on an empty ingress queue or to close.  Without (b)
+        a minority tier's rows would wait for a full batch while an
+        overloaded batcher never goes idle.  Acquiring a saturated tier's
+        slot blocks *here*, which stalls the batcher, fills the ingress
+        queue and triggers admission control — the backpressure chain.
+        """
+        max_batch = self.serving.max_batch
+        max_wait = self.serving.max_wait_ms / 1000.0
+        for layer, shares in enumerate(self._routed):
+            while shares and (
+                flush
+                or self._routed_rows[layer] >= max_batch
+                or self._loop.time() - shares[0][0] >= max_wait
+            ):
+                rows, windows = self._cut(layer)
+                sem = self._sems[layer]
+                await sem.acquire()
+                self._inflight += 1
+                self._idle.clear()
+                task = self._loop.create_task(self._serve_tier(layer, windows, rows, sem))
+                self._tier_tasks.add(task)
+                task.add_done_callback(self._tier_tasks.discard)
+
+    def _cut(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Take the oldest ``max_batch`` routed rows of ``layer`` as
+        ``(rows, windows)``."""
+        shares = self._routed[layer]
+        room = self.serving.max_batch
+        rows, windows = [], []
+        while shares and room:
+            routed_at, share_rows, share_windows = shares[0]
+            if len(share_rows) <= room:
+                shares.popleft()
+            else:
+                shares[0] = (routed_at, share_rows[room:], share_windows[room:])
+                share_rows, share_windows = share_rows[:room], share_windows[:room]
+            rows.append(share_rows)
+            windows.append(share_windows)
+            room -= len(share_rows)
+        self._routed_rows[layer] -= sum(len(part) for part in rows)
+        if len(rows) == 1:
+            return rows[0], windows[0]
+        return np.concatenate(rows), np.concatenate(windows)
 
     async def _serve_tier(
         self, layer: int, windows: np.ndarray, rows: np.ndarray, sem: asyncio.Semaphore
@@ -628,10 +716,12 @@ class IngestServer:
                 return
             telemetry = self.telemetry
             batch_span = None
-            if telemetry is not None and telemetry.trace_enabled:
-                batch_span = telemetry.tracer.start_span(
-                    "serve.batch", tier=self.tier_names[layer], n=len(rows)
-                )
+            if telemetry is not None:
+                self._tel_tier_batch_size.observe(len(rows))
+                if telemetry.trace_enabled:
+                    batch_span = telemetry.tracer.start_span(
+                        "serve.batch", tier=self.tier_names[layer], n=len(rows)
+                    )
             if self._fault_schedule is not None:
                 await self._apply_link_faults(layer, rows)
             # No await since the links were set: no other batch sees them torn.

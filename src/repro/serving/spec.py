@@ -2,7 +2,8 @@
 
 A :class:`ServingSpec` describes one open-loop serving run: how the
 micro-batcher coalesces per-device submissions (flush on ``max_batch`` or
-``max_wait_ms``, whichever first), how admission control bounds the ingress
+``max_wait_ms``, whichever first) and how each tier batches its routed rows
+(the same two bounds), how admission control bounds the ingress
 queue and sheds under overload, how fast the load generator offers traffic,
 and the p99 latency SLO the run is judged against.  Like the rest of the
 experiment-spec tree it is pure data — frozen, comparable, JSON
@@ -38,17 +39,21 @@ class ServingSpec(JsonRecord):
     streams.
     """
 
-    # -- micro-batcher ---------------------------------------------------------
-    #: Flush a micro-batch once it holds this many requests ...
+    # -- micro-batcher and tier batches ----------------------------------------
+    #: Flush a micro-batch once it holds this many requests ... (also the
+    #: most rows one tier batch detects at once)
     max_batch: int = 32
-    #: ... or once the oldest request in it has waited this long.
+    #: ... or once the oldest request in it has waited this long.  A tier
+    #: batch is due, too, once its oldest routed row has waited this long in
+    #: the tier's queue.
     max_wait_ms: float = 5.0
     # -- admission control / load shedding -------------------------------------
     #: Bounded ingress queue; submissions beyond it trigger ``shed_policy``.
     queue_capacity: int = 128
     shed_policy: str = "reject-new"
-    #: In-flight micro-batches allowed per tier before dispatch blocks
-    #: (the backpressure that fills the ingress queue under overload).
+    #: In-flight tier batches allowed per tier before the next one blocks
+    #: dispatch (the backpressure that fills the ingress queue under
+    #: overload).
     tier_concurrency: int = 2
     #: Queued requests older than this are shed at dispatch time instead of
     #: being served hopelessly late; ``None`` derives ``slo_p99_ms / 2``.

@@ -477,12 +477,14 @@ class TestServingBitIdentity:
         requests = [s for s in telemetry.spans if s["name"] == "serve.request"]
         assert len(requests) == report.n_submitted
         assert all(s["attributes"]["status"] == "served" for s in requests)
-        # serve.batch spans are per-tier micro-batches; a dispatch batch
-        # splits across tiers, so there are at least as many spans as batches
-        # and their sizes add back up to the served total.
+        # serve.batch spans are tier batches (one detection call each, up to
+        # max_batch rows regrouped from the micro-batches' tier shares); the
+        # tier-batch size histogram observes each once, and their sizes add
+        # back up to the served total.
         batches = [s for s in telemetry.spans if s["name"] == "serve.batch"]
-        assert len(batches) >= report.n_batches
-        assert sum(s["attributes"]["n"] for s in batches) == report.n_served
+        sizes = telemetry.registry.get("serve_tier_batch_size").snapshot()
+        assert sizes["count"] == len(batches) > 0
+        assert sizes["sum"] == sum(s["attributes"]["n"] for s in batches) == report.n_served
 
     def test_overload_events_alongside_the_warning(self, serve_trained):
         telemetry = Telemetry()

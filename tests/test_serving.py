@@ -15,6 +15,7 @@ capacity — and with it the overload behaviour — is machine-independent.
 
 import asyncio
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from repro.experiments import (
     get_scenario,
 )
 from repro.fleet.devices import DeviceFleet, WindowPool
+from repro.fleet.faults import FaultEvent, FaultSpec
 from repro.hec.simulation import HECSystem
 from repro.serving import (
     IngestServer,
@@ -621,3 +623,212 @@ class TestRequestTable:
         worker.join(timeout=60)
         assert not worker.is_alive(), "serve_workload hung on a failing detector"
         assert [str(exc) for exc in outcome] == ["detector down"]
+
+
+def _spy_detect(monkeypatch, calls, slow_layer=None, seconds=0.0):
+    """Record ``(layer, rows)`` per detection call; ``slow_layer``'s calls
+    also block the event loop for ``seconds``, as a costly detector would."""
+    real = HECSystem.detect_batch
+
+    def spy(self, layer, windows, *args, **kwargs):
+        calls.append((layer, len(windows)))
+        if layer == slow_layer:
+            time.sleep(seconds)
+        return real(self, layer, windows, *args, **kwargs)
+
+    monkeypatch.setattr(HECSystem, "detect_batch", spy)
+
+
+class _Route:
+    """A stand-in policy: micro-batch ``k`` gets the actions ``plan(k, n)``."""
+
+    def __init__(self, n_actions, plan):
+        self.n_actions = n_actions
+        self.plan = plan
+        self.calls = 0
+
+    def select_actions(self, contexts, greedy=True):
+        self.calls += 1
+        return self.plan(self.calls, len(contexts))
+
+
+def _routed_server(trained, serving, plan):
+    spec, runner = trained
+    state = runner.state
+    policy = _Route(state.system.n_layers, plan)
+    return IngestServer(state.system, policy, state.context_extractor, serving,
+                        tier_names=spec.topology.tier_names)
+
+
+def _windows(trained, n):
+    spec, runner = trained
+    windows = runner.state.standardized_all.windows
+    return [windows[i % len(windows)] for i in range(n)]
+
+
+class TestTierBatches:
+    """Rows routed to a tier wait in its queue and are detected together."""
+
+    def test_a_flood_detects_full_tier_batches(self, trained, monkeypatch):
+        calls = []
+        _spy_detect(monkeypatch, calls)
+        report, results = _serve(
+            trained, offered_rps=ALL_DUE, max_requests=240, queue_capacity=240,
+            max_batch=8, max_wait_ms=60_000.0, **UNPACED,
+        )
+        assert all(result.served for result in results)
+        assert report.n_batches == 30  # the micro-batches are unchanged
+        sizes = {}
+        for layer, n in calls:
+            sizes.setdefault(layer, []).append(n)
+        assert len(sizes) >= 2, sizes  # the policy split the micro-batches
+        assert sum(n for _, n in calls) == 240
+        for layer, batch_sizes in sizes.items():
+            # max_wait_ms cannot fire, so only the closing flush cuts short.
+            assert batch_sizes[:-1] == [8] * (len(batch_sizes) - 1), (layer, batch_sizes)
+            assert 1 <= batch_sizes[-1] <= 8
+
+    def test_a_minority_tier_waits_at_most_max_wait_while_the_batcher_is_busy(
+        self, trained, monkeypatch
+    ):
+        """One row of every tenth micro-batch goes to tier 1 while tier 0's
+        slow batches keep the ingress queue from emptying: without the
+        ``max_wait_ms`` rule those rows would wait ~80 micro-batches for a
+        full batch."""
+        spec, _runner = trained
+        _spy_detect(monkeypatch, [], slow_layer=0, seconds=0.005)
+        waits = []
+        real_cut = IngestServer._cut
+
+        def cut(self, layer):
+            if layer == 1 and self._queue:  # not the closing flush
+                waits.append(self._loop.time() - self._routed[1][0][0])
+            return real_cut(self, layer)
+
+        monkeypatch.setattr(IngestServer, "_cut", cut)
+
+        def every_tenth(call, n):
+            actions = np.zeros(n, dtype=np.int64)
+            actions[0] = 1 if call % 10 == 0 else 0
+            return actions
+
+        serving = replace(spec.serve, max_batch=8, max_wait_ms=10.0, queue_capacity=800,
+                          offered_rps=ALL_DUE, **UNPACED)
+        windows = _windows(trained, 720)
+
+        async def _main():
+            server = _routed_server(trained, serving, every_tenth)
+            await server.start()
+            rows = [server.submit(i, window) for i, window in enumerate(windows)]
+            await server.settled()
+            await server.stop()
+            return server.results(), rows
+
+        results, _rows = asyncio.run(_main())
+        assert all(result.served for result in results)
+        assert len(waits) >= 5, waits
+        assert max(waits) < 0.1, waits
+
+    def test_under_a_link_fault_plan_each_tier_batch_is_one_routed_share(
+        self, trained, monkeypatch
+    ):
+        spec, runner = trained
+        state = runner.state
+        micro_batches, tier_batches = [], []
+        real_dispatch, real_serve_tier = IngestServer._dispatch, IngestServer._serve_tier
+
+        async def dispatch(self, batch):
+            micro_batches.append(frozenset(batch))
+            await real_dispatch(self, batch)
+
+        async def serve_tier(self, layer, windows, rows, sem):
+            tier_batches.append((layer, frozenset(rows.tolist())))
+            await real_serve_tier(self, layer, windows, rows, sem)
+
+        monkeypatch.setattr(IngestServer, "_dispatch", dispatch)
+        monkeypatch.setattr(IngestServer, "_serve_tier", serve_tier)
+        faults = FaultSpec(
+            events=(FaultEvent(kind="link-down", at_tick=3, until_tick=8, link=0),),
+            failover_retries=2, retry_timeout_ms=25.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report, results = serve_workload(
+                system=state.system, policy=state.policy,
+                context_extractor=state.context_extractor,
+                serving=replace(spec.serve, offered_rps=ALL_DUE, max_requests=400,
+                                queue_capacity=400, max_batch=8, max_wait_ms=60_000.0,
+                                **UNPACED),
+                fleet=_fresh_fleet(spec, runner), master_seed=spec.seed, name=spec.name,
+                tier_names=spec.topology.tier_names, faults=faults,
+            )
+        assert all(result.served for result in results)
+        assert report.n_retries > 0  # the plan did cover some batches
+        for micro_batch in micro_batches:
+            shares = [(layer, rows) for layer, rows in tier_batches if rows <= micro_batch]
+            assert frozenset().union(*(rows for _, rows in shares)) == micro_batch
+            assert len({layer for layer, _ in shares}) == len(shares)
+        assert len(tier_batches) > len(micro_batches)  # some micro-batches split
+
+    def test_rows_routed_before_a_swap_are_detected_with_the_new_version(self, trained):
+        spec, runner = trained
+        system = runner.state.system
+        # Paced, one slot per tier: a tier-0 batch blocks the batcher while
+        # tier 1's rows (one per micro-batch) sit in its queue.
+        serving = replace(spec.serve, max_batch=4, max_wait_ms=60_000.0, tier_concurrency=1,
+                          offered_rps=ALL_DUE, max_age_ms=600_000.0, slo_p99_ms=600_000.0)
+
+        def three_to_one(call, n):
+            actions = np.zeros(n, dtype=np.int64)
+            actions[-1] = 1
+            return actions
+
+        windows = _windows(trained, 24)
+
+        async def _main():
+            server = _routed_server(trained, serving, three_to_one)
+            await server.start()
+            rows = [server.submit(i, window) for i, window in enumerate(windows)]
+            for _ in range(10_000):
+                if server._gate.locked() and any(server._routed_rows):
+                    break
+                await asyncio.sleep(0)
+            routed_at_swap = []
+
+            def _swap():
+                routed_at_swap.extend(
+                    int(row) for shares in server._routed for _, part, _ in shares for row in part
+                )
+                return system.bump_state_version()
+
+            version = await server.drain_and_swap(_swap)
+            results = [await row for row in rows]
+            await server.stop()
+            return version, routed_at_swap, results, server
+
+        version, routed, results, server = asyncio.run(_main())
+        assert routed, "the swap landed with no row waiting in a tier queue"
+        assert all(result.served for result in results)
+        assert server.total_shed == 0
+        assert {results[row].model_version for row in routed} == {version}
+        assert {result.model_version for result in results} == {version - 1, version}
+
+    def test_stop_flushes_partial_tier_batches(self, trained, monkeypatch):
+        spec, _runner = trained
+        calls = []
+        _spy_detect(monkeypatch, calls)
+        serving = replace(spec.serve, max_batch=32, max_wait_ms=60_000.0,
+                          offered_rps=ALL_DUE, **UNPACED)
+        windows = _windows(trained, 10)
+
+        async def _main():
+            server = _server(trained, serving)
+            await server.start()
+            rows = [server.submit(i, window) for i, window in enumerate(windows)]
+            await server.stop()
+            return [await row for row in rows]
+
+        results = asyncio.run(_main())
+        assert all(result.served for result in results)
+        assert sum(n for _, n in calls) == 10
+        assert all(n < 32 for _, n in calls)
