@@ -40,10 +40,10 @@ def _reward_setup(result):
 class _ZeroBaseline(ReinforcementComparisonBaseline):
     """A disabled baseline: always zero (plain REINFORCE without comparison)."""
 
-    def value(self, action=None) -> float:  # noqa: D102 - trivial override
+    def value(self) -> float:  # noqa: D102 - trivial override
         return 0.0
 
-    def update(self, reward, action=None) -> float:  # noqa: D102 - trivial override
+    def update(self, reward) -> float:  # noqa: D102 - trivial override
         return 0.0
 
 
@@ -91,7 +91,7 @@ def test_ablation_contextual_vs_contextfree(benchmark, univariate_result):
     def run_all():
         outcomes = {}
         # Contextual policy (greedy, already trained by the pipeline).
-        actions = result.policy.select_actions(contexts, greedy=True)
+        actions = result.policy.select_actions(contexts)
         outcomes["policy network (contextual)"] = float(
             rewards[np.arange(len(actions)), actions].mean()
         )

@@ -81,9 +81,10 @@ def test_fig2_policy_inference_latency(benchmark, univariate_result):
     result = univariate_result
     context = result.context_extractor.extract(result.test_windows[:1])[0]
 
-    action, probabilities = benchmark(lambda: result.policy.select_action(context, greedy=True))
+    actions = benchmark(lambda: result.policy.select_actions(context))
+    assert actions.shape == (1,)
+    action = int(actions[0])
     assert 0 <= action < 3
-    assert probabilities.shape == (3,)
     text = format_table(
         [
             {

@@ -23,102 +23,29 @@ from repro.utils.rng import RngLike, ensure_rng
 class ReinforcementComparisonBaseline:
     """Running-average reward baseline ``R(a~, z)`` used for reinforcement comparison.
 
-    The baseline tracks an exponentially weighted average of observed rewards;
-    the advantage fed to the policy gradient is ``R - baseline``.  A per-action
-    variant is supported (one running average per action), which is sometimes
-    a better fit when action rewards have very different scales.
+    The baseline tracks one exponentially weighted average of observed
+    rewards; the advantage fed to the policy gradient is ``R - baseline``.
     """
 
-    def __init__(self, decay: float = 0.9, per_action: bool = False, n_actions: int = 3) -> None:
+    def __init__(self, decay: float = 0.9) -> None:
         if not 0.0 <= decay < 1.0:
             raise ConfigurationError(f"decay must lie in [0, 1), got {decay}")
         self.decay = float(decay)
-        self.per_action = bool(per_action)
-        self.n_actions = int(n_actions)
         self._value = 0.0
-        self._per_action_values = np.zeros(self.n_actions)
         self._initialized = False
-        self._per_action_initialized = np.zeros(self.n_actions, dtype=bool)
 
-    def value(self, action: Optional[int] = None) -> float:
-        """Current baseline value (for ``action`` when per-action tracking is on)."""
-        if self.per_action and action is not None:
-            return float(self._per_action_values[action])
+    def value(self) -> float:
+        """Current baseline value (0.0 before the first update)."""
         return float(self._value)
 
-    def update(self, reward: float, action: Optional[int] = None) -> float:
+    def update(self, reward: float) -> float:
         """Fold one observed reward into the baseline; returns the new value."""
         reward = float(reward)
-        if self.per_action and action is not None:
-            if not self._per_action_initialized[action]:
-                self._per_action_values[action] = reward
-                self._per_action_initialized[action] = True
-            else:
-                self._per_action_values[action] = (
-                    self.decay * self._per_action_values[action] + (1.0 - self.decay) * reward
-                )
-            return float(self._per_action_values[action])
         if not self._initialized:
             self._value = reward
             self._initialized = True
         else:
             self._value = self.decay * self._value + (1.0 - self.decay) * reward
-        return float(self._value)
-
-    def values(self, actions: Optional[np.ndarray] = None) -> np.ndarray:
-        """Vectorised baseline lookup for a batch of actions.
-
-        Uninitialised entries read as 0.0, matching what :meth:`value` returns
-        for an action that has never been updated.
-        """
-        if actions is None or not self.per_action:
-            n = 1 if actions is None else np.asarray(actions).shape[0]
-            return np.full(n, self._value, dtype=float)
-        actions = np.asarray(actions, dtype=int)
-        return self._per_action_values[actions].astype(float)
-
-    def _fold(self, value: float, rewards: np.ndarray) -> float:
-        """Closed-form EWMA fold of ``rewards`` (in order) into ``value``."""
-        k = rewards.shape[0]
-        if k == 0:
-            return float(value)
-        weights = (1.0 - self.decay) * self.decay ** np.arange(k - 1, -1, -1)
-        return float(self.decay**k * value + weights @ rewards)
-
-    def update_batch(self, rewards: np.ndarray, actions: Optional[np.ndarray] = None) -> float:
-        """Fold a batch of rewards into the baseline in one vectorised pass.
-
-        Equivalent (up to floating-point associativity) to calling
-        :meth:`update` once per ``(reward, action)`` pair in order: the
-        exponentially weighted average is applied in closed form per action.
-        Returns the new baseline value — the global value, or the mean over
-        all per-action values when per-action tracking is on.
-        """
-        rewards = np.asarray(rewards, dtype=float).ravel()
-        if rewards.size == 0:
-            return self.value()
-        if self.per_action and actions is not None:
-            actions = np.asarray(actions, dtype=int).ravel()
-            if actions.shape != rewards.shape:
-                raise ConfigurationError(
-                    f"actions and rewards must have the same length, got "
-                    f"{actions.shape} and {rewards.shape}"
-                )
-            for action in np.unique(actions):
-                action_rewards = rewards[actions == action]
-                if not self._per_action_initialized[action]:
-                    start, action_rewards = action_rewards[0], action_rewards[1:]
-                    self._per_action_initialized[action] = True
-                else:
-                    start = self._per_action_values[action]
-                self._per_action_values[action] = self._fold(start, action_rewards)
-            return float(self._per_action_values.mean())
-        if not self._initialized:
-            start, rewards = rewards[0], rewards[1:]
-            self._initialized = True
-        else:
-            start = self._value
-        self._value = self._fold(start, rewards)
         return float(self._value)
 
 
@@ -170,16 +97,12 @@ class ReinforceTrainer:
         baseline: Optional[ReinforcementComparisonBaseline] = None,
         entropy_weight: float = 0.01,
         rng: RngLike = 0,
-        batch_size: int = 1,
     ) -> None:
         self.policy = policy
-        self.baseline = baseline or ReinforcementComparisonBaseline(n_actions=policy.n_actions)
+        self.baseline = baseline or ReinforcementComparisonBaseline()
         if entropy_weight < 0:
             raise ConfigurationError(f"entropy_weight must be non-negative, got {entropy_weight}")
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         self.entropy_weight = float(entropy_weight)
-        self.batch_size = int(batch_size)
         self._rng = ensure_rng(rng)
         self.log = BanditEpisodeLog()
 
@@ -192,7 +115,6 @@ class ReinforceTrainer:
         episodes: int = 50,
         shuffle: bool = True,
         callback: Optional[Callable[[int, BanditEpisodeLog], None]] = None,
-        batch_size: Optional[int] = None,
     ) -> BanditEpisodeLog:
         """Run ``episodes`` passes over the training contexts.
 
@@ -209,15 +131,6 @@ class ReinforceTrainer:
             Whether to visit windows in random order each episode.
         callback:
             Optional per-episode hook ``callback(episode, log)``.
-        batch_size:
-            Minibatch size for the policy-gradient updates; defaults to the
-            trainer's ``batch_size``.  ``1`` runs the original per-sample
-            REINFORCE loop (one optimizer step per window, baseline updated
-            after every step).  Larger values sample actions for a whole
-            minibatch at once, compute all advantages against the baseline as
-            of the start of the minibatch, and perform a single fused
-            forward/backward/optimizer step per minibatch — the standard
-            minibatched REINFORCE semantics, and the fast path.
         """
         contexts = np.asarray(contexts, dtype=float)
         action_rewards = np.asarray(action_rewards, dtype=float)
@@ -230,34 +143,25 @@ class ReinforceTrainer:
             )
         if episodes <= 0:
             raise ConfigurationError(f"episodes must be positive, got {episodes}")
-        batch_size = self.batch_size if batch_size is None else int(batch_size)
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
 
         n = contexts.shape[0]
         for episode in range(episodes):
             order = self._rng.permutation(n) if shuffle else np.arange(n)
-            if batch_size == 1:
-                total_reward, counts = self._train_episode_sequential(
-                    contexts, action_rewards, order
-                )
-            else:
-                total_reward, counts = self._train_episode_batched(
-                    contexts, action_rewards, order, batch_size
-                )
+            total_reward, counts = self._train_episode(contexts, action_rewards, order)
             mean_reward = total_reward / n if n else 0.0
             self.log.record(total_reward, mean_reward, counts, self.baseline.value())
             if callback is not None:
                 callback(episode, self.log)
         return self.log
 
-    def _train_episode_sequential(
+    def _train_episode(
         self,
         contexts: np.ndarray,
         action_rewards: np.ndarray,
         order: np.ndarray,
     ) -> tuple:
-        """One pass with per-sample updates (the original REINFORCE loop).
+        """One pass of per-sample updates: one optimizer step per window,
+        the baseline updated after every step.
 
         Each update samples its action from the training forward it then
         backpropagates through: one policy forward per window.
@@ -268,40 +172,14 @@ class ReinforceTrainer:
             context = contexts[index]
             action, probabilities = self.policy.explore(context)
             reward = float(action_rewards[index, action])
-            baseline_value = self.baseline.value(action)
-            advantage = reward - baseline_value
+            advantage = reward - self.baseline.value()
             self.policy.policy_gradient_step(
                 context, action, advantage, entropy_weight=self.entropy_weight,
                 probabilities=probabilities,
             )
-            self.baseline.update(reward, action)
+            self.baseline.update(reward)
             total_reward += reward
             counts[action] += 1
-        return total_reward, counts
-
-    def _train_episode_batched(
-        self,
-        contexts: np.ndarray,
-        action_rewards: np.ndarray,
-        order: np.ndarray,
-        batch_size: int,
-    ) -> tuple:
-        """One pass with minibatched updates (vectorised sampling and gradients)."""
-        total_reward = 0.0
-        counts = np.zeros(self.policy.n_actions, dtype=int)
-        for start in range(0, order.shape[0], batch_size):
-            batch_indices = order[start: start + batch_size]
-            batch_contexts = contexts[batch_indices]
-            actions, probabilities = self.policy.explore_batch(batch_contexts)
-            rewards = action_rewards[batch_indices, actions]
-            advantages = rewards - self.baseline.values(actions)
-            self.policy.policy_gradient_step_batch(
-                batch_contexts, actions, advantages, entropy_weight=self.entropy_weight,
-                probabilities=probabilities,
-            )
-            self.baseline.update_batch(rewards, actions)
-            total_reward += float(rewards.sum())
-            counts += np.bincount(actions, minlength=self.policy.n_actions)
         return total_reward, counts
 
     # -- evaluation -------------------------------------------------------------------
@@ -314,7 +192,7 @@ class ReinforceTrainer:
         """
         contexts = np.asarray(contexts, dtype=float)
         action_rewards = np.asarray(action_rewards, dtype=float)
-        actions = self.policy.select_actions(contexts, greedy=True)
+        actions = self.policy.select_actions(contexts)
         chosen = action_rewards[np.arange(len(actions)), actions]
         best = action_rewards.max(axis=1)
         counts = np.bincount(actions, minlength=self.policy.n_actions)

@@ -340,13 +340,11 @@ class ExperimentRunner:
         registry = DetectorRegistry(tier_names=self.tier_names)
         for layer, detector in enumerate(state.detectors):
             registry.register(layer, detector)
-        overrides = None if deployment.use_calibrated_execution_times else {}
         state.deployments = deploy_registry(
             registry,
             topology,
             workload=deployment.workload,
             quantize_below_layer=deployment.quantize_below_layer,
-            execution_time_overrides=overrides,
         )
         state.system = HECSystem(topology, state.deployments)
         self._done("deploy")
@@ -378,7 +376,6 @@ class ExperimentRunner:
             learning_rate=policy_spec.learning_rate,
             entropy_weight=policy_spec.entropy_weight,
             seed=self.spec.seed,
-            batch_size=policy_spec.batch_size,
         )
         self._done("train_policy")
         return self

@@ -249,7 +249,6 @@ class DeploymentSpec(JsonRecord):
     #: Calibration-table key used to resolve execution times (falls back to the
     #: generic parameter-count model for unknown workloads).
     workload: str = "univariate"
-    use_calibrated_execution_times: bool = True
     #: Layers strictly below this index are FP16-quantised; ``None`` = ``K - 1``
     #: (the paper quantises everything below the cloud).
     quantize_below_layer: Optional[int] = None
@@ -262,8 +261,6 @@ class PolicySpec(JsonRecord):
     hidden_units: int = 100
     episodes: int = 40
     learning_rate: float = 5e-3
-    #: 1 = the paper's per-sample REINFORCE loop; >1 = vectorised minibatches.
-    batch_size: int = 1
     entropy_weight: float = 0.01
     #: Delay-cost coefficient of the reward function (Eq. 1).
     alpha: float = 0.0005

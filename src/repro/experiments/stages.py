@@ -153,13 +153,8 @@ def train_policy(
     learning_rate: float = 1e-2,
     entropy_weight: float = 0.01,
     seed: int = 0,
-    batch_size: int = 1,
 ) -> tuple[PolicyNetwork, BanditEpisodeLog, np.ndarray]:
-    """Build and train the policy network; returns (policy, log, reward_table).
-
-    ``batch_size=1`` (default) runs the paper's per-sample REINFORCE loop;
-    larger values use the vectorised minibatched trainer.
-    """
+    """Build and train the policy network; returns (policy, log, reward_table)."""
     contexts = context_extractor.extract(train_windows)
     reward_table = compute_reward_table(
         system, detectors_by_layer, train_windows, train_labels, reward_fn
@@ -171,9 +166,7 @@ def train_policy(
         learning_rate=learning_rate,
         seed=seed,
     )
-    trainer = ReinforceTrainer(
-        policy, entropy_weight=entropy_weight, rng=seed, batch_size=batch_size
-    )
+    trainer = ReinforceTrainer(policy, entropy_weight=entropy_weight, rng=seed)
     log = trainer.train(contexts, reward_table, episodes=episodes)
     return policy, log, reward_table
 

@@ -528,7 +528,7 @@ class FleetEngine:
             if batch.n:
                 windows = batch.windows
                 labels = batch.labels
-                actions = select_actions(extract(windows), greedy=True)
+                actions = select_actions(extract(windows))
                 obs.lap("context_policy")
                 for action in np.unique(actions):
                     chosen = np.flatnonzero(actions == action)

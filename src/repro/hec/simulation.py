@@ -349,7 +349,3 @@ class HECSystem:
         self.layer_counters = {layer: LayerCounters() for layer in range(self.n_layers)}
         self.clock.reset()
         self.topology.reset_links()
-
-    def layer_usage(self) -> Dict[int, int]:
-        """Number of requests handled per layer."""
-        return {layer: counters.requests for layer, counters in self.layer_counters.items()}

@@ -30,7 +30,7 @@ Edge-case semantics are pinned by tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -201,7 +201,6 @@ class _RuleState:
     firing: bool = False
     healthy_streak: int = 0
     fired_at: Optional[float] = None
-    detail: Dict[str, Any] = field(default_factory=dict)
 
 
 class AlertManager:
@@ -226,16 +225,6 @@ class AlertManager:
         """Names of currently-firing alerts, sorted."""
         return sorted(n for n, s in self._states.items() if s.firing)
 
-    def state(self, name: str) -> Dict[str, Any]:
-        """Lifecycle state of one rule (for live views and tests)."""
-        state = self._states[name]
-        return {
-            "firing": state.firing,
-            "healthy_streak": state.healthy_streak,
-            "fired_at": state.fired_at,
-            "detail": dict(state.detail),
-        }
-
     def _emit(self, name: str, **attributes: Any) -> None:
         if self.telemetry is not None:
             self.telemetry.event(name, **attributes)
@@ -245,7 +234,6 @@ class AlertManager:
         for rule in self.rules:
             breached, detail = rule.evaluate(ring)
             state = self._states[rule.name]
-            state.detail = detail
             if breached:
                 state.healthy_streak = 0
                 if not state.firing:

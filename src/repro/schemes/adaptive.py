@@ -35,7 +35,6 @@ class AdaptiveScheme(SelectionScheme):
         system: HECSystem,
         policy: PolicyNetwork,
         context_extractor: ContextExtractor,
-        greedy: bool = True,
         policy_overhead_ms: float = 0.0,
     ) -> None:
         super().__init__(system)
@@ -46,7 +45,6 @@ class AdaptiveScheme(SelectionScheme):
             )
         self.policy = policy
         self.context_extractor = context_extractor
-        self.greedy = bool(greedy)
         self.policy_overhead_ms = check_non_negative(policy_overhead_ms, "policy_overhead_ms")
 
     def run_batch(self, windows: np.ndarray) -> SchemeRun:
@@ -58,8 +56,7 @@ class AdaptiveScheme(SelectionScheme):
         to cross it — detected per group, and each group's results written
         back at its windows' positions.  On jittery links the windows go
         through one at a time instead (grouping would reorder the
-        per-transfer jitter draws).  With ``greedy=False`` the actions come
-        from the policy's vectorised sampler.
+        per-transfer jitter draws).
         """
         windows = np.asarray(windows, dtype=float)
         n = windows.shape[0]
@@ -72,7 +69,7 @@ class AdaptiveScheme(SelectionScheme):
         if n == 0:
             return SchemeRun.one_attempt(predictions, layers, delays, confident)
         contexts = self.context_extractor.extract(windows)
-        actions = self.policy.select_actions(contexts, greedy=self.greedy)
+        actions = self.policy.select_actions(contexts)
 
         _, first_arrival = np.unique(actions, return_index=True)
         for action in actions[np.sort(first_arrival)]:

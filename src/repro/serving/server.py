@@ -628,7 +628,7 @@ class IngestServer:
             np.stack([self._windows.pop(row) for row in rows.tolist()]), dtype=float
         )
         contexts = self.context_extractor.extract(windows)
-        actions = np.asarray(self.policy.select_actions(contexts, greedy=True))
+        actions = np.asarray(self.policy.select_actions(contexts))
         n = len(rows)
         self.n_batches += 1
         self.batched_requests += n

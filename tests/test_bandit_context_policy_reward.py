@@ -90,23 +90,23 @@ class TestPolicyNetwork:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
         assert np.all(probs >= 0)
 
-    def test_select_action_greedy_is_argmax(self):
+    def test_select_actions_is_argmax(self):
         policy = PolicyNetwork(context_dim=4, n_actions=3, hidden_units=8, seed=0)
-        context = np.random.default_rng(1).normal(size=4)
-        action, probs = policy.select_action(context, greedy=True)
-        assert action == int(np.argmax(probs))
+        contexts = np.random.default_rng(1).normal(size=(6, 4))
+        probs = policy.action_probabilities(contexts)
+        np.testing.assert_array_equal(policy.select_actions(contexts), np.argmax(probs, axis=1))
 
     def test_select_actions_batch(self):
         policy = PolicyNetwork(context_dim=4, n_actions=3, hidden_units=8, seed=0)
         contexts = np.random.default_rng(2).normal(size=(20, 4))
-        actions = policy.select_actions(contexts, greedy=True)
+        actions = policy.select_actions(contexts)
         assert actions.shape == (20,)
         assert np.all((actions >= 0) & (actions < 3))
 
     def test_sampled_actions_cover_support(self):
         policy = PolicyNetwork(context_dim=2, n_actions=3, hidden_units=4, seed=0)
         context = np.zeros(2)
-        actions = {policy.select_action(context, greedy=False)[0] for _ in range(200)}
+        actions = {policy.explore(context)[0] for _ in range(200)}
         assert len(actions) >= 2
 
     def test_policy_gradient_step_increases_chosen_probability(self):
@@ -138,11 +138,12 @@ class TestPolicyNetwork:
         context_b = np.array([0.0, 1.0])
         for _ in range(150):
             context, best = (context_a, 0) if rng.random() < 0.5 else (context_b, 1)
-            action, _ = policy.select_action(context, greedy=False)
+            action, probabilities = policy.explore(context)
             reward = 1.0 if action == best else 0.0
-            policy.policy_gradient_step(context, action, advantage=reward - 0.5)
-        assert policy.select_action(context_a, greedy=True)[0] == 0
-        assert policy.select_action(context_b, greedy=True)[0] == 1
+            policy.policy_gradient_step(
+                context, action, advantage=reward - 0.5, probabilities=probabilities
+            )
+        np.testing.assert_array_equal(policy.select_actions(np.stack([context_a, context_b])), [0, 1])
 
     def test_parameter_count_formula(self):
         policy = PolicyNetwork(context_dim=28, n_actions=3, hidden_units=100, seed=0)

@@ -26,14 +26,6 @@ class TestBaselineTracker:
         baseline.update(0.0)
         assert baseline.value() == pytest.approx(0.5)
 
-    def test_per_action_tracking(self):
-        baseline = ReinforcementComparisonBaseline(decay=0.5, per_action=True, n_actions=3)
-        baseline.update(1.0, action=0)
-        baseline.update(0.0, action=2)
-        assert baseline.value(0) == pytest.approx(1.0)
-        assert baseline.value(2) == pytest.approx(0.0)
-        assert baseline.value(1) == pytest.approx(0.0)
-
     def test_invalid_decay(self):
         with pytest.raises(ConfigurationError):
             ReinforcementComparisonBaseline(decay=1.0)
@@ -122,70 +114,49 @@ class TestReinforceTrainer:
         assert sum(evaluation["action_distribution"]) == pytest.approx(1.0)
 
 
-# -- one policy forward per update, against the two-forward loops it replaced -----
+# -- one policy forward per update, against the two-forward loop it replaced ------
 #
-# The references below are the trainer loops as they were when every update
-# sampled from an inference forward (``select_action(s)``) and then ran a
-# second, training forward inside ``policy_gradient_step(_batch)``.  Both
-# forwards compute the same probabilities and the sampling draw is the same,
-# so everything the trainer leaves behind must be *equal*.
+# The reference below is the trainer loop as it was when every update sampled
+# from an inference forward and then ran a second, training forward inside
+# ``policy_gradient_step``.  Both forwards compute the same probabilities and
+# the sampling draw is the same, so everything the trainer leaves behind must
+# be *equal*.
 
 
 class _TwoForwardTrainer(ReinforceTrainer):
-    def _train_episode_sequential(self, contexts, action_rewards, order):
+    def _train_episode(self, contexts, action_rewards, order):
         total_reward = 0.0
-        counts = np.zeros(self.policy.n_actions, dtype=int)
+        policy, n = self.policy, self.policy.n_actions
+        counts = np.zeros(n, dtype=int)
         for index in order:
             context = contexts[index]
-            action, _probs = self.policy.select_action(context, greedy=False)
+            action = int(policy._rng.choice(n, p=policy.action_probabilities(context)[0]))
             reward = float(action_rewards[index, action])
-            advantage = reward - self.baseline.value(action)
-            self.policy.policy_gradient_step(
+            advantage = reward - self.baseline.value()
+            policy.policy_gradient_step(
                 context, action, advantage, entropy_weight=self.entropy_weight
             )
-            self.baseline.update(reward, action)
+            self.baseline.update(reward)
             total_reward += reward
             counts[action] += 1
         return total_reward, counts
 
-    def _train_episode_batched(self, contexts, action_rewards, order, batch_size):
-        total_reward = 0.0
-        counts = np.zeros(self.policy.n_actions, dtype=int)
-        for start in range(0, order.shape[0], batch_size):
-            batch_indices = order[start: start + batch_size]
-            batch_contexts = contexts[batch_indices]
-            actions = self.policy.select_actions(batch_contexts, greedy=False)
-            rewards = action_rewards[batch_indices, actions]
-            advantages = rewards - self.baseline.values(actions)
-            self.policy.policy_gradient_step_batch(
-                batch_contexts, actions, advantages, entropy_weight=self.entropy_weight
-            )
-            self.baseline.update_batch(rewards, actions)
-            total_reward += float(rewards.sum())
-            counts += np.bincount(actions, minlength=self.policy.n_actions)
-        return total_reward, counts
 
-
-def _trained(trainer_cls, context_dim, entropy_weight, per_action, batch_size):
+def _trained(trainer_cls, context_dim, entropy_weight):
     rng = np.random.default_rng(context_dim)
     contexts = rng.normal(size=(45, context_dim))
     rewards = rng.random((45, 3))
     policy = PolicyNetwork(context_dim=context_dim, hidden_units=24, seed=3)
-    baseline = ReinforcementComparisonBaseline(per_action=per_action, n_actions=3)
-    trainer = trainer_cls(
-        policy, baseline=baseline, entropy_weight=entropy_weight, rng=5, batch_size=batch_size
-    )
+    trainer = trainer_cls(policy, entropy_weight=entropy_weight, rng=5)
     trainer.train(contexts, rewards, episodes=3)
     return trainer
 
 
 class TestOneForwardPerUpdate:
-    @pytest.mark.parametrize("batch_size", [1, 8], ids=["per-sample", "minibatched"])
     @pytest.mark.parametrize("context_dim", [16, 28])
-    @pytest.mark.parametrize("per_action", [False, True], ids=["global", "per-action"])
     @pytest.mark.parametrize("entropy_weight", [0.0, 0.01], ids=["no-entropy", "entropy"])
-    def test_equals_the_two_forward_loop(self, entropy_weight, per_action, context_dim, batch_size):
-        args = (context_dim, entropy_weight, per_action, batch_size)
+    def test_equals_the_two_forward_loop(self, entropy_weight, context_dim):
+        args = (context_dim, entropy_weight)
         subject, reference = _trained(ReinforceTrainer, *args), _trained(_TwoForwardTrainer, *args)
         got, want = subject.policy.get_weights(), reference.policy.get_weights()
         assert got.keys() == want.keys()
@@ -197,47 +168,30 @@ class TestOneForwardPerUpdate:
         for got_counts, want_counts in zip(subject.log.action_counts, reference.log.action_counts):
             np.testing.assert_array_equal(got_counts, want_counts)
         assert subject.baseline.value() == reference.baseline.value()
-        np.testing.assert_array_equal(
-            subject.baseline.values(np.arange(3)), reference.baseline.values(np.arange(3))
-        )
         assert subject.policy._rng.bit_generator.state == reference.policy._rng.bit_generator.state
         assert subject._rng.bit_generator.state == reference._rng.bit_generator.state
 
-    @pytest.mark.parametrize("batch_size", [1, 8])
-    def test_one_forward_per_update(self, batch_size, monkeypatch):
+    def test_one_forward_per_update(self, monkeypatch):
         policy = PolicyNetwork(context_dim=4, hidden_units=8, seed=0)
         forwards = []
         original = policy.model.forward
         monkeypatch.setattr(
             policy.model, "forward", lambda *a, **k: forwards.append(k) or original(*a, **k)
         )
-        trainer = ReinforceTrainer(policy, rng=0, batch_size=batch_size)
+        trainer = ReinforceTrainer(policy, rng=0)
         trainer.train(np.ones((20, 4)), np.ones((20, 3)), episodes=2)
         updates = policy.optimizer.iterations
-        assert updates == 2 * -(-20 // batch_size)
+        assert updates == 2 * 20
         assert forwards == [{"training": True}] * updates
 
-    def test_select_action_and_select_actions_are_unchanged_for_callers(self):
+    def test_select_actions_is_the_greedy_arm_and_draws_nothing(self):
         policy = PolicyNetwork(context_dim=5, hidden_units=8, seed=1)
-        twin = np.random.default_rng(0)
-        policy._rng = np.random.default_rng(0)
+        before = policy._rng.bit_generator.state
         contexts = np.random.default_rng(9).normal(size=(12, 5))
-        for context in contexts:
-            action, probabilities = policy.select_action(context, greedy=False)
-            expected = policy.model.predict(context[None, :])[0]
-            np.testing.assert_array_equal(probabilities, expected)
-            assert action == int(twin.choice(3, p=expected))
-            assert policy.select_action(context, greedy=True)[0] == int(np.argmax(expected))
-        sampled = policy.select_actions(contexts, greedy=False)
-        expected = policy.model.predict(contexts)
-        draws = twin.random((12, 1))
         np.testing.assert_array_equal(
-            sampled, np.minimum((draws > np.cumsum(expected, axis=1)).sum(axis=1), 2)
+            policy.select_actions(contexts), np.argmax(policy.model.predict(contexts), axis=1)
         )
-        np.testing.assert_array_equal(
-            policy.select_actions(contexts, greedy=True), np.argmax(expected, axis=1)
-        )
-        assert policy._rng.bit_generator.state == twin.bit_generator.state
+        assert policy._rng.bit_generator.state == before
 
     def test_a_gradient_step_called_alone_runs_its_own_forward(self):
         context = np.linspace(-1.0, 1.0, 6)

@@ -1,8 +1,7 @@
 """Batch-size equivalence tests for the vectorised execution engine.
 
 Every batched path must agree with the same path stepped one sample at a time
-(the Keras wrapper/recurrent test idiom): the minibatched policy-gradient step
-with a batch of one matches the per-sample step, one ``HECSystem.detect_batch``
+(the Keras wrapper/recurrent test idiom): one ``HECSystem.detect_batch``
 call reproduces repeated single-window calls including all bookkeeping, the
 scheme ``run_batch`` drivers reproduce themselves stepped one window at a
 time, and the vectorised LSTM backward matches the seed
@@ -17,8 +16,7 @@ from numpy.testing import assert_allclose
 
 from repro.bandit.context import UnivariateContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
-from repro.bandit.reinforce import ReinforcementComparisonBaseline, ReinforceTrainer
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ShapeError
 from repro.nn.layers.lstm import LSTM
 from repro.schemes.adaptive import AdaptiveScheme
 from repro.schemes.base import SchemeRun
@@ -168,187 +166,6 @@ class TestVectorizedLSTMBackward:
 
 
 # ---------------------------------------------------------------------------
-# Batched policy-gradient step
-# ---------------------------------------------------------------------------
-
-def _fresh_policy(seed=0, context_dim=6, **kwargs):
-    return PolicyNetwork(context_dim=context_dim, n_actions=3, hidden_units=12,
-                         learning_rate=1e-2, seed=seed, **kwargs)
-
-
-class TestPolicyGradientStepBatch:
-    def test_batch_of_one_matches_single_step(self):
-        rng = np.random.default_rng(0)
-        context = rng.normal(size=6)
-        single = _fresh_policy(seed=3)
-        batched = _fresh_policy(seed=3)
-
-        log_prob = single.policy_gradient_step(context, 1, advantage=0.7, entropy_weight=0.01)
-        log_probs = batched.policy_gradient_step_batch(
-            context[None, :], np.array([1]), np.array([0.7]), entropy_weight=0.01
-        )
-        assert log_probs.shape == (1,)
-        assert log_probs[0] == pytest.approx(log_prob, abs=1e-12)
-        for key, weights in single.get_weights().items():
-            for name, value in weights.items():
-                assert_allclose(batched.get_weights()[key][name], value, atol=1e-12)
-
-    def test_batch_gradient_is_sum_of_per_sample_gradients(self):
-        rng = np.random.default_rng(1)
-        contexts = rng.normal(size=(5, 6))
-        actions = np.array([0, 2, 1, 0, 1])
-        advantages = rng.normal(size=5)
-
-        policy = _fresh_policy(seed=5)
-
-        def gradients(ctx, act, adv):
-            probabilities = policy.model.forward(np.atleast_2d(ctx), training=True)
-            ctx2 = np.atleast_2d(ctx)
-            act = np.atleast_1d(act)
-            adv = np.atleast_1d(adv)
-            rows = np.arange(ctx2.shape[0])
-            chosen = np.clip(probabilities[rows, act], 1e-12, 1.0)
-            grad = np.zeros_like(probabilities)
-            grad[rows, act] = -adv / chosen
-            policy.model.backward(grad)
-            return [g.copy() for _p, g in policy.model.parameters_and_gradients()]
-
-        batch_grads = gradients(contexts, actions, advantages)
-        summed = None
-        for index in range(5):
-            sample = gradients(contexts[index], actions[index], advantages[index])
-            summed = sample if summed is None else [s + g for s, g in zip(summed, sample)]
-        for got, expected in zip(batch_grads, summed):
-            assert_allclose(got, expected, atol=1e-10)
-
-    def test_shape_and_range_validation(self):
-        policy = _fresh_policy()
-        contexts = np.zeros((3, 6))
-        with pytest.raises(ShapeError):
-            policy.policy_gradient_step_batch(contexts, np.array([0, 1]), np.zeros(3))
-        with pytest.raises(ShapeError):
-            policy.policy_gradient_step_batch(contexts, np.array([0, 1, 2]), np.zeros(2))
-        with pytest.raises(ConfigurationError):
-            policy.policy_gradient_step_batch(contexts, np.array([0, 1, 3]), np.zeros(3))
-
-    def test_sampled_actions_always_in_range(self):
-        """The inverse-transform sampler must clip the fp edge case to K-1."""
-        policy = _fresh_policy(seed=11)
-
-        class _EdgeRng:
-            def random(self, shape):
-                return np.full(shape, 1.0 - 1e-16)
-
-        probabilities = np.array([[0.3, 0.3, 0.4 - 1e-12]])
-        policy.action_probabilities = lambda contexts: probabilities
-        policy._rng = _EdgeRng()
-        actions = policy.select_actions(np.zeros((1, 6)), greedy=False)
-        assert actions[0] == policy.n_actions - 1
-
-
-# ---------------------------------------------------------------------------
-# Vectorised baseline updates
-# ---------------------------------------------------------------------------
-
-class TestBaselineUpdateBatch:
-    @pytest.mark.parametrize("per_action", [False, True])
-    def test_matches_sequential_updates(self, per_action):
-        rng = np.random.default_rng(2)
-        rewards = rng.normal(size=40)
-        actions = rng.integers(0, 3, size=40)
-
-        sequential = ReinforcementComparisonBaseline(decay=0.9, per_action=per_action)
-        batched = ReinforcementComparisonBaseline(decay=0.9, per_action=per_action)
-        for reward, action in zip(rewards, actions):
-            sequential.update(float(reward), int(action))
-        batched.update_batch(rewards, actions)
-
-        for action in range(3):
-            assert batched.value(action) == pytest.approx(sequential.value(action), abs=1e-12)
-        assert batched.value() == pytest.approx(sequential.value(), abs=1e-12)
-
-    def test_matches_sequential_updates_across_chunks(self):
-        """Folding the same stream in several minibatches gives the same values."""
-        rng = np.random.default_rng(3)
-        rewards = rng.normal(size=33)
-        actions = rng.integers(0, 3, size=33)
-        sequential = ReinforcementComparisonBaseline(decay=0.8, per_action=True)
-        batched = ReinforcementComparisonBaseline(decay=0.8, per_action=True)
-        for reward, action in zip(rewards, actions):
-            sequential.update(float(reward), int(action))
-        for start in range(0, 33, 8):
-            batched.update_batch(rewards[start: start + 8], actions[start: start + 8])
-        for action in range(3):
-            assert batched.value(action) == pytest.approx(sequential.value(action), abs=1e-12)
-
-    def test_values_vectorised_lookup(self):
-        baseline = ReinforcementComparisonBaseline(decay=0.9, per_action=True)
-        baseline.update(2.0, 1)
-        values = baseline.values(np.array([0, 1, 1, 2]))
-        assert_allclose(values, [0.0, 2.0, 2.0, 0.0])
-        scalar = ReinforcementComparisonBaseline(decay=0.9)
-        scalar.update(3.0)
-        assert_allclose(scalar.values(np.array([0, 2])), [3.0, 3.0])
-
-    def test_empty_batch_is_noop(self):
-        baseline = ReinforcementComparisonBaseline(decay=0.9)
-        baseline.update(1.5)
-        assert baseline.update_batch(np.array([])) == pytest.approx(1.5)
-
-
-# ---------------------------------------------------------------------------
-# Minibatched REINFORCE training
-# ---------------------------------------------------------------------------
-
-class TestMinibatchedTrainer:
-    def _task(self, n=96, context_dim=4, seed=0):
-        """A contextual task where the best action depends on the context sign."""
-        rng = np.random.default_rng(seed)
-        contexts = rng.normal(size=(n, context_dim))
-        rewards = np.zeros((n, 3))
-        best = (contexts[:, 0] > 0).astype(int) * 2
-        rewards[np.arange(n), best] = 1.0
-        return contexts, rewards
-
-    def test_batched_training_learns(self):
-        contexts, rewards = self._task()
-        policy = _fresh_policy(seed=0, context_dim=4)
-        trainer = ReinforceTrainer(policy, rng=0, batch_size=32)
-        log = trainer.train(contexts, rewards, episodes=30)
-        assert log.episodes == 30
-        assert log.episode_mean_rewards[-1] > log.episode_mean_rewards[0]
-        evaluation = trainer.evaluate(contexts, rewards)
-        assert evaluation["mean_reward"] > 0.6
-
-    def test_batched_and_sequential_reach_similar_reward(self):
-        """Stochastic equivalence: both paths learn the same task comparably."""
-        contexts, rewards = self._task()
-        sequential = ReinforceTrainer(_fresh_policy(seed=0, context_dim=4), rng=0, batch_size=1)
-        batched = ReinforceTrainer(_fresh_policy(seed=0, context_dim=4), rng=0, batch_size=32)
-        sequential.train(contexts, rewards, episodes=20)
-        batched.train(contexts, rewards, episodes=20)
-        mean_sequential = sequential.evaluate(contexts, rewards)["mean_reward"]
-        mean_batched = batched.evaluate(contexts, rewards)["mean_reward"]
-        assert abs(mean_sequential - mean_batched) < 0.3
-
-    def test_episode_bookkeeping_matches_sequential_shape(self):
-        contexts, rewards = self._task(n=37)
-        trainer = ReinforceTrainer(_fresh_policy(seed=1, context_dim=4), rng=1, batch_size=8)
-        log = trainer.train(contexts, rewards, episodes=3)
-        for counts in log.action_counts:
-            assert counts.sum() == 37
-
-    def test_invalid_batch_size_rejected(self):
-        policy = _fresh_policy(context_dim=4)
-        with pytest.raises(ConfigurationError):
-            ReinforceTrainer(policy, batch_size=0)
-        trainer = ReinforceTrainer(policy)
-        contexts, rewards = self._task(n=8)
-        with pytest.raises(ConfigurationError):
-            trainer.train(contexts, rewards, episodes=1, batch_size=-2)
-
-
-# ---------------------------------------------------------------------------
 # HECSystem.detect_batch vs repeated single-window calls
 # ---------------------------------------------------------------------------
 
@@ -472,7 +289,7 @@ class TestSchemeRunBatchEquivalence:
         that, in arrival order, opens the connection."""
         system, _deployments, _detectors, windows, _labels = univariate_hec
         policy, extractor = _untrained_policy(windows)
-        policy.select_actions = lambda contexts, greedy=True: np.array([2, 1, 1, 0])[
+        policy.select_actions = lambda contexts: np.array([2, 1, 1, 0])[
             : len(contexts)
         ]
         system.reset()
@@ -541,4 +358,4 @@ class TestSchemeRunBatchEquivalence:
         ):
             run = scheme.run_batch(windows[:0])
             assert run.n == 0 and run.attempt_layers.shape == (0,), scheme.name
-        assert system.layer_usage() == {0: 0, 1: 0, 2: 0}
+        assert [c.requests for c in system.layer_counters.values()] == [0, 0, 0]

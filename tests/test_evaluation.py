@@ -120,8 +120,8 @@ class TestSchemeEvaluation:
         evaluate_scheme(FixedLayerScheme(system, 0), windows, labels)
         evaluation = evaluate_scheme(FixedLayerScheme(system, 2), windows, labels)
         # Only the second scheme's requests should remain in the system log.
-        assert system.layer_usage()[0] == 0
-        assert system.layer_usage()[2] == len(labels)
+        assert system.layer_counters[0].requests == 0
+        assert system.layer_counters[2].requests == len(labels)
         assert evaluation.layer_usage == {2: len(labels)}
 
     def test_outcome_label_count_mismatch(self, univariate_hec):

@@ -22,6 +22,7 @@ import repro.fleet
 import repro.hec
 import repro.schemes
 from repro.adapt.spec import AdaptSpec
+from repro.bandit import PolicyNetwork, ReinforcementComparisonBaseline, ReinforceTrainer
 from repro.exceptions import ConfigurationError
 from repro.experiments import apply_overrides, get_scenario
 from repro.nn.activations import get_activation
@@ -213,6 +214,9 @@ class TestPackageSurface:
         assert not hasattr(SimulatedClock(), "history")
         # One detection method; its old name is an alias the benchmark harness wraps.
         assert vars(HECSystem)["detect_batch_columnar"] is vars(HECSystem)["detect_batch"]
+        # One policy-gradient step; its old batch name is an alias the harness wraps.
+        assert (vars(PolicyNetwork)["policy_gradient_step_batch"]
+                is vars(PolicyNetwork)["policy_gradient_step"])
         assert not hasattr(system, "_request_counter")
         assert "request_counter" not in system.snapshot_state()
         parameters = inspect.signature(system.detect_batch).parameters
@@ -262,12 +266,22 @@ class TestPackageSurface:
              "WindowReservoir"),
             (partial(getattr, repro.adapt, "build_controller"), AttributeError,
              "build_controller"),
+            (partial(apply_overrides, get_scenario("univariate-power"),
+                     {"policy.batch_size": "8"}), ConfigurationError, "entropy_weight"),
+            (partial(apply_overrides, get_scenario("univariate-power"),
+                     {"deployment.use_calibrated_execution_times": "false"}),
+             ConfigurationError, "quantize_below_layer"),
+            (partial(ReinforceTrainer, PolicyNetwork(context_dim=2), batch_size=8), TypeError,
+             "batch_size"),
+            (partial(ReinforcementComparisonBaseline, per_action=True), TypeError,
+             "per_action"),
         ],
         ids=["sgd", "huber", "mae", "mean_absolute_error", "l1", "he_normal", "he_uniform",
              "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
              "adwin_sensitivity", "DetectionRecord", "SchemeOutcome", "handle_window",
              "build_demo_panel_series", "ConfusionCounts", "ShardedFleetEngine",
-             "WindowReservoir", "build_controller"],
+             "WindowReservoir", "build_controller", "policy.batch_size",
+             "use_calibrated_execution_times", "trainer_batch_size", "per_action"],
     )
     def test_removed_names_are_refused(self, refused, error, remaining):
         """Names only tests reached were deleted: asking for a deleted option is

@@ -219,6 +219,22 @@ class TestBuiltinSpecDigests:
 
     DIGESTS = {
         "univariate-power":
+            "8f91f75a79ab23e8bb825e6568c02017b0dede76799d2308911dbcf8fde60e87",
+        "multivariate-mhealth":
+            "dcca87afe54c619b95a81edbb44cbe066c02be4e6c5c599f5bbf0de5ef387e59",
+        "univariate-power-paper":
+            "2a9ebc838f65b32efe56edf6c1790e1644646c9bfbcb880215969c4c5e440cd5",
+        "multivariate-mhealth-paper":
+            "3097b7da9f705770aa0545d9176c8798dc58c3990dc4217c6c523cd4d5cb4efa",
+        "hierarchical-edge-4tier":
+            "bc328742f0be26f62e611ff4ff220fb1e5450da6631717add94d04ef0d2fc529",
+        "mixed-detectors":
+            "2a3b10ed4c73db99e232ecd30a9aaa0557e2181ae5fa6b5dbba09a6fc9dff100",
+    }
+    #: The digests before ``policy.batch_size`` and
+    #: ``deployment.use_calibrated_execution_times`` were removed.
+    DIGESTS_WITH_BANDIT_KEYS = {
+        "univariate-power":
             "fc2ceb9d40fa107a07381dd826a13ed2df2cf3fb6daefeaea3d7b09ceea24775",
         "multivariate-mhealth":
             "453724df9b15c937e592e623f5f14cdfa7bffc8eb5d1a3dbace78b55ef630131",
@@ -231,7 +247,7 @@ class TestBuiltinSpecDigests:
         "mixed-detectors":
             "fb3a331e1c862a1fcd2b77f3b579f97cccac37e48e1264bfff862f876fd78ebc",
     }
-    #: The digests before ``evaluation.batched`` was removed (PR 14).
+    #: The digests before ``evaluation.batched`` was removed as well.
     DIGESTS_WITH_BATCHED = {
         "univariate-power":
             "2e2644712068c2a8905db27a5fb1f8a7c8dabfd871b02a6a943526ff898343b7",
@@ -247,19 +263,24 @@ class TestBuiltinSpecDigests:
             "95fe3e1789774e1956c5db0d44df192c0efe1d486f76d9aec14c1247086c61f6",
     }
 
-    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
-    def test_spec_digest_is_pinned(self, name):
-        payload = json.dumps(get_scenario(name).to_dict(), sort_keys=True)
-        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGESTS[name]
+    @staticmethod
+    def _digest(spec: dict) -> str:
+        return hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
 
     @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
-    def test_only_the_batched_key_left_the_spec(self, name):
-        """Re-inserting the removed key reproduces the previous digest, so the
-        re-pin above moved nothing else."""
+    def test_spec_digest_is_pinned(self, name):
+        assert self._digest(get_scenario(name).to_dict()) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_only_the_removed_keys_left_the_spec(self, name):
+        """Re-inserting the removed keys reproduces each previous digest, so
+        the re-pins above moved nothing else."""
         spec = get_scenario(name).to_dict()
+        spec["policy"]["batch_size"] = 1
+        spec["deployment"]["use_calibrated_execution_times"] = True
+        assert self._digest(spec) == self.DIGESTS_WITH_BANDIT_KEYS[name]
         spec["evaluation"]["batched"] = True
-        payload = json.dumps(spec, sort_keys=True)
-        assert hashlib.sha256(payload.encode()).hexdigest() == self.DIGESTS_WITH_BATCHED[name]
+        assert self._digest(spec) == self.DIGESTS_WITH_BATCHED[name]
 
 
 class TestCustomScenarioExample:

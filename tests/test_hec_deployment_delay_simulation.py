@@ -207,7 +207,7 @@ class TestHECSystem:
         windows = np.zeros((2, 10))
         system.detect_batch(0, windows)
         system.detect_batch(2, windows[:1])
-        assert system.layer_usage() == {0: 2, 1: 0, 2: 1}
+        assert [c.requests for c in system.layer_counters.values()] == [2, 0, 1]
 
     def test_clock_advances(self, system):
         system.detect_batch(2, np.zeros((1, 10)))
@@ -226,7 +226,7 @@ class TestHECSystem:
 
     def test_expected_delay_does_not_log_records(self, system):
         system.expected_delay_ms(2, (10,))
-        assert system.layer_usage() == {0: 0, 1: 0, 2: 0}
+        assert [c.requests for c in system.layer_counters.values()] == [0, 0, 0]
         assert system.clock.now_ms == 0.0
         assert all(link.transfer_count == 0 for link in system.topology.links)
 
@@ -238,7 +238,7 @@ class TestHECSystem:
         system.detect_batch(1, np.zeros((1, 10)))
         system.reset()
         assert system.clock.now_ms == 0.0
-        assert system.layer_usage() == {0: 0, 1: 0, 2: 0}
+        assert [c.requests for c in system.layer_counters.values()] == [0, 0, 0]
 
     def test_duplicate_deployment_rejected(self):
         topology = build_three_layer_topology()

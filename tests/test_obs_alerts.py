@@ -75,20 +75,23 @@ class TestThresholdLifecycle:
     )
 
     def test_fire_and_resolve_with_hysteresis(self):
-        manager = AlertManager([self.RULE])
+        telemetry = Telemetry(name="hysteresis-test")
+        manager = AlertManager([self.RULE], telemetry)
         ring = RollupRing()
         _advance(ring, 0, submitted=10)
         assert manager.evaluate(ring, 0) == []  # warming up
 
         _advance(ring, 1, submitted=20, shed=8)  # shed rate 8 > 1: fire
         assert manager.evaluate(ring, 1) == ["shed-rate"]
-        assert manager.state("shed-rate")["fired_at"] == 1.0
+        assert [(e["name"], e["key"]) for e in telemetry.events] == [("alert.fire", 1.0)]
 
         _advance(ring, 2, submitted=30, shed=8)  # healthy window 1 of 2
         assert manager.evaluate(ring, 2) == ["shed-rate"]
         _advance(ring, 3, submitted=40, shed=8)  # healthy window 2 of 2
         assert manager.evaluate(ring, 3) == []
-        assert manager.state("shed-rate")["firing"] is False
+        assert manager.active == []
+        assert telemetry.events[-1]["name"] == "alert.resolve"
+        assert telemetry.events[-1]["fired_at"] == 1.0
 
     def test_flapping_signal_stays_firing(self):
         manager = AlertManager([self.RULE])
@@ -145,7 +148,7 @@ class TestBurnRate:
         # No new submissions in-window: denominator delta 0 -> burn 0.
         _advance(ring, 1, submitted=100, shed=50)
         assert manager.evaluate(ring, 1) == []
-        assert manager.state("slo-burn")["detail"]["fast_burn"] == 0.0
+        assert self.RULE.evaluate(ring)[1]["fast_burn"] == 0.0
 
     def test_both_windows_must_burn(self):
         manager = AlertManager([self.RULE])

@@ -647,7 +647,7 @@ class _Route:
         self.plan = plan
         self.calls = 0
 
-    def select_actions(self, contexts, greedy=True):
+    def select_actions(self, contexts):
         self.calls += 1
         return self.plan(self.calls, len(contexts))
 
