@@ -66,6 +66,16 @@ class PolicyNetwork:
             )
         return context
 
+    def _check_one_context(self, context: np.ndarray) -> np.ndarray:
+        """One context as a ``(1, context_dim)`` row; the learning methods
+        draw and step on row 0 only, so more rows are refused, not ignored."""
+        context = self._check_context(context)
+        if context.shape[0] != 1:
+            raise ShapeError(
+                f"expected one context of shape ({self.context_dim},), got {context.shape}"
+            )
+        return context
+
     def action_probabilities(self, context: np.ndarray) -> np.ndarray:
         """``pi(a | z)`` for each row of ``context`` (shape ``(n, n_actions)``)."""
         context = self._check_context(context)
@@ -87,7 +97,7 @@ class PolicyNetwork:
         forward instead of running its own — the REINFORCE trainer's one
         forward per update.
         """
-        probabilities = self.model.forward(self._check_context(context), training=True)
+        probabilities = self.model.forward(self._check_one_context(context), training=True)
         return int(self._rng.choice(self.n_actions, p=probabilities[0])), probabilities
 
     def policy_gradient_step(
@@ -105,7 +115,7 @@ class PolicyNetwork:
         ``probabilities`` is what :meth:`explore` returned for this context, if
         it was the last forward pass; otherwise the step runs the forward.
         """
-        context = self._check_context(context)
+        context = self._check_one_context(context)
         if not 0 <= action < self.n_actions:
             raise ConfigurationError(
                 f"action must lie in [0, {self.n_actions}), got {action}"

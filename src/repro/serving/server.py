@@ -319,6 +319,12 @@ class IngestServer:
             self.system.configure_failover(
                 self.faults.failover_retries, self.faults.retry_timeout_ms
             )
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.watcher is not None:
+            # Baseline snapshot at progress 0: the first watch window then
+            # covers the submissions (and sheds) before the first completion
+            # instead of starting at it.
+            telemetry.watcher.observe(0.0, queue_depth=0)
         self._batcher = self._loop.create_task(self._run())
 
     async def stop(self) -> None:

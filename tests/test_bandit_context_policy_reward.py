@@ -176,6 +176,33 @@ class TestPolicyNetwork:
         with pytest.raises(ConfigurationError):
             policy.policy_gradient_step(np.zeros(4), action=5, advantage=1.0)
 
+    @pytest.mark.parametrize("method", ["explore", "policy_gradient_step"])
+    def test_learning_methods_take_one_context(self, method):
+        """Both draw and step on row 0 only: a stack of contexts is refused
+        instead of silently training on its first row."""
+        policy = PolicyNetwork(context_dim=4, n_actions=3, hidden_units=8, seed=0)
+        before = policy.get_weights()
+        call = getattr(policy, method)
+        args = (np.zeros((2, 4)),) if method == "explore" else (np.zeros((2, 4)), 0, 1.0)
+        with pytest.raises(ShapeError, match="one context"):
+            call(*args)
+        assert policy.optimizer.iterations == 0
+        after = policy.get_weights()
+        for key in before:
+            for name in before[key]:
+                np.testing.assert_array_equal(after[key][name], before[key][name])
+
+    def test_explore_samples_from_the_policy_generator(self):
+        policy = PolicyNetwork(context_dim=5, n_actions=3, hidden_units=8, seed=1)
+        twin = np.random.default_rng(4)
+        policy._rng = np.random.default_rng(4)
+        for context in np.random.default_rng(9).normal(size=(12, 5)):
+            action, probabilities = policy.explore(context)
+            expected = policy.model.forward(context[None, :], training=True)
+            np.testing.assert_array_equal(probabilities, expected)
+            assert action == int(twin.choice(3, p=expected[0]))
+        assert policy._rng.bit_generator.state == twin.bit_generator.state
+
     def test_config(self):
         config = PolicyNetwork(context_dim=4, n_actions=3, hidden_units=7, seed=0).get_config()
         assert config["hidden_units"] == 7

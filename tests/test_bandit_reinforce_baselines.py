@@ -26,6 +26,19 @@ class TestBaselineTracker:
         baseline.update(0.0)
         assert baseline.value() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("decay", [0.0, 0.5, 0.9])
+    def test_update_is_the_ewma_recursion(self, decay):
+        """The first reward seeds the average; each later one is folded in as
+        ``decay * value + (1 - decay) * reward`` and the new value returned."""
+        rewards = np.random.default_rng(7).random(12)
+        baseline = ReinforcementComparisonBaseline(decay=decay)
+        expected = rewards[0]
+        assert baseline.update(rewards[0]) == expected
+        for reward in rewards[1:]:
+            expected = decay * expected + (1.0 - decay) * reward
+            assert baseline.update(reward) == expected
+        assert baseline.value() == expected
+
     def test_invalid_decay(self):
         with pytest.raises(ConfigurationError):
             ReinforcementComparisonBaseline(decay=1.0)
@@ -101,6 +114,39 @@ class TestReinforceTrainer:
         with pytest.raises(ConfigurationError):
             trainer.train(np.zeros((5, 2)), np.zeros((5, 3)), episodes=0)
 
+    def test_training_is_a_function_of_the_seeds(self):
+        contexts, rewards = _contextual_problem(n=30)
+
+        def run():
+            policy = PolicyNetwork(context_dim=2, n_actions=3, hidden_units=8, seed=4)
+            trainer = ReinforceTrainer(policy, rng=6)
+            return trainer.train(contexts, rewards, episodes=3), policy.get_weights()
+
+        (log_a, weights_a), (log_b, weights_b) = run(), run()
+        assert log_a.episode_rewards == log_b.episode_rewards
+        assert log_a.baselines == log_b.baselines
+        for key in weights_a:
+            for name in weights_a[key]:
+                np.testing.assert_array_equal(weights_a[key][name], weights_b[key][name])
+
+    def test_baseline_folds_every_revealed_reward_in_visit_order(self):
+        """With action-independent rewards and no shuffling, the logged
+        baseline after each episode is the EWMA of the reward column so far."""
+        contexts, _ = _contextual_problem(n=25)
+        column = np.random.default_rng(3).random(25)
+        rewards = np.repeat(column[:, None], 3, axis=1)
+        policy = PolicyNetwork(context_dim=2, n_actions=3, hidden_units=8, seed=0)
+        trainer = ReinforceTrainer(
+            policy, baseline=ReinforcementComparisonBaseline(decay=0.8), rng=0
+        )
+        log = trainer.train(contexts, rewards, episodes=2, shuffle=False)
+        reference = ReinforcementComparisonBaseline(decay=0.8)
+        for episode in range(2):
+            for reward in column:
+                reference.update(reward)
+            assert log.baselines[episode] == reference.value()
+            assert log.episode_rewards[episode] == pytest.approx(column.sum())
+
     def test_negative_entropy_rejected(self):
         policy = PolicyNetwork(context_dim=2, n_actions=3, seed=0)
         with pytest.raises(ConfigurationError):
@@ -142,11 +188,12 @@ class _TwoForwardTrainer(ReinforceTrainer):
         return total_reward, counts
 
 
-def _trained(trainer_cls, context_dim, entropy_weight):
+def _trained(trainer_cls, context_dim, entropy_weight, n_actions=3):
     rng = np.random.default_rng(context_dim)
     contexts = rng.normal(size=(45, context_dim))
-    rewards = rng.random((45, 3))
-    policy = PolicyNetwork(context_dim=context_dim, hidden_units=24, seed=3)
+    rewards = rng.random((45, n_actions))
+    policy = PolicyNetwork(context_dim=context_dim, n_actions=n_actions, hidden_units=24,
+                           seed=3)
     trainer = trainer_cls(policy, entropy_weight=entropy_weight, rng=5)
     trainer.train(contexts, rewards, episodes=3)
     return trainer
@@ -156,7 +203,16 @@ class TestOneForwardPerUpdate:
     @pytest.mark.parametrize("context_dim", [16, 28])
     @pytest.mark.parametrize("entropy_weight", [0.0, 0.01], ids=["no-entropy", "entropy"])
     def test_equals_the_two_forward_loop(self, entropy_weight, context_dim):
-        args = (context_dim, entropy_weight)
+        self._assert_equal_trainers(context_dim, entropy_weight)
+
+    @pytest.mark.parametrize("context_dim", [16, 28])
+    @pytest.mark.parametrize("entropy_weight", [0.0, 0.01], ids=["no-entropy", "entropy"])
+    def test_four_arms_equal_the_two_forward_loop(self, entropy_weight, context_dim):
+        """The four-tier topology's policy: one more arm, same equality."""
+        self._assert_equal_trainers(context_dim, entropy_weight, 4)
+
+    @staticmethod
+    def _assert_equal_trainers(*args):
         subject, reference = _trained(ReinforceTrainer, *args), _trained(_TwoForwardTrainer, *args)
         got, want = subject.policy.get_weights(), reference.policy.get_weights()
         assert got.keys() == want.keys()

@@ -25,11 +25,14 @@ from repro.adapt.spec import AdaptSpec
 from repro.bandit import PolicyNetwork, ReinforcementComparisonBaseline, ReinforceTrainer
 from repro.exceptions import ConfigurationError
 from repro.experiments import apply_overrides, get_scenario
+from repro.experiments.spec import DeploymentSpec, PolicySpec
+from repro.experiments.stages import train_policy
 from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.losses import get_loss
 from repro.nn.optimizers import get_optimizer
 from repro.nn.regularizers import get_regularizer
+from repro.obs.alerts import AlertManager
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO_ROOT / "examples"
@@ -275,13 +278,45 @@ class TestPackageSurface:
              "batch_size"),
             (partial(ReinforcementComparisonBaseline, per_action=True), TypeError,
              "per_action"),
+            (partial(PolicySpec, batch_size=8), TypeError, "batch_size"),
+            (partial(DeploymentSpec, use_calibrated_execution_times=False), TypeError,
+             "use_calibrated_execution_times"),
+            (partial(train_policy, *[None] * 6, batch_size=8), TypeError, "batch_size"),
+            (partial(ReinforceTrainer(PolicyNetwork(context_dim=2)).train, [[0.0, 0.0]],
+                     [[0.0, 0.0, 0.0]], batch_size=8), TypeError, "batch_size"),
+            (partial(PolicyNetwork, 2, hidden_activation="relu"), TypeError,
+             "hidden_activation"),
+            (partial(PolicyNetwork, 2, optimizer="sgd"), TypeError, "optimizer"),
+            (partial(getattr, PolicyNetwork, "select_action"), AttributeError,
+             "select_action"),
+            (partial(getattr, PolicyNetwork, "explore_batch"), AttributeError,
+             "explore_batch"),
+            (partial(PolicyNetwork(context_dim=2).select_actions, [[0.0, 0.0]], greedy=False),
+             TypeError, "greedy"),
+            (partial(repro.schemes.AdaptiveScheme, None, None, None, greedy=False),
+             TypeError, "greedy"),
+            (partial(ReinforcementComparisonBaseline, n_actions=3), TypeError, "n_actions"),
+            (partial(ReinforcementComparisonBaseline().update, 1.0, action=0), TypeError,
+             "action"),
+            (partial(getattr, ReinforcementComparisonBaseline, "update_batch"),
+             AttributeError, "update_batch"),
+            (partial(getattr, ReinforcementComparisonBaseline, "values"), AttributeError,
+             "values"),
+            (partial(getattr, repro.hec.HECSystem, "layer_usage"), AttributeError,
+             "layer_usage"),
+            (partial(getattr, AlertManager, "state"), AttributeError, "state"),
         ],
         ids=["sgd", "huber", "mae", "mean_absolute_error", "l1", "he_normal", "he_uniform",
              "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
              "adwin_sensitivity", "DetectionRecord", "SchemeOutcome", "handle_window",
              "build_demo_panel_series", "ConfusionCounts", "ShardedFleetEngine",
              "WindowReservoir", "build_controller", "policy.batch_size",
-             "use_calibrated_execution_times", "trainer_batch_size", "per_action"],
+             "use_calibrated_execution_times", "trainer_batch_size", "per_action",
+             "PolicySpec.batch_size", "DeploymentSpec.use_calibrated_execution_times",
+             "train_policy_batch_size", "train_batch_size", "hidden_activation",
+             "policy_optimizer", "select_action", "explore_batch", "select_actions_greedy",
+             "adaptive_greedy", "baseline_n_actions", "baseline_update_action",
+             "update_batch", "values", "layer_usage", "alert_state"],
     )
     def test_removed_names_are_refused(self, refused, error, remaining):
         """Names only tests reached were deleted: asking for a deleted option is

@@ -128,6 +128,18 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match="boolean"):
             apply_overrides(spec, {"evaluation.demo_panel": "maybe"})
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [("policy", "batch_size"), ("deployment", "use_calibrated_execution_times")],
+    )
+    def test_removed_key_in_a_spec_file_is_rejected_by_name(self, section, key):
+        """A saved spec still carrying a deleted key fails loudly, naming the
+        key and the section's remaining keys, instead of being dropped."""
+        stale = get_scenario("univariate-power").to_dict()
+        stale[section][key] = 1
+        with pytest.raises(ConfigurationError, match=f"unknown key.*{key}.*experiment.{section}"):
+            ExperimentSpec.from_dict(stale)
+
     def test_removed_batched_key_is_rejected_by_name(self):
         """``evaluation.batched`` selected the sequential scheme drivers, which
         are gone; an old spec file or ``--set`` still carrying it fails loudly."""

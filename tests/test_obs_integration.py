@@ -488,10 +488,14 @@ class TestServingBitIdentity:
 
     def test_overload_events_alongside_the_warning(self, serve_trained):
         telemetry = Telemetry()
+        # Two-row batches: the paced tier slots, not host speed, bound
+        # service far below the offered rate, so the queue overflows; the
+        # far-off age limit leaves rejection the only refusal.
         with pytest.warns(RuntimeWarning, match="serving ingress overloaded"):
             report, _results = self._serve(
                 serve_trained, telemetry,
-                offered_rps=5000.0, queue_capacity=8, shed_policy="reject-new",
+                offered_rps=5000.0, queue_capacity=8, max_batch=2,
+                max_age_ms=60_000.0, shed_policy="reject-new",
             )
         assert report.n_rejected > 0
         overloads = [e for e in telemetry.events if e["name"] == "serve.overload"]
@@ -505,12 +509,15 @@ class TestServingBitIdentity:
         # Under overload the shed/served split is wall-clock-dependent (queue
         # eviction races dispatch) with or without telemetry, so the pin here
         # is the zero-drop conservation contract and event/counter agreement,
-        # not projection equality.
+        # not projection equality.  Two-row batches keep the overload itself
+        # independent of host speed, and the far-off age limit leaves
+        # queue-full eviction the only refusal.
         telemetry = Telemetry()
         with pytest.warns(RuntimeWarning):
             report, results = self._serve(
                 serve_trained, telemetry,
-                offered_rps=5000.0, queue_capacity=8, shed_policy="shed-oldest",
+                offered_rps=5000.0, queue_capacity=8, max_batch=2,
+                max_age_ms=60_000.0, shed_policy="shed-oldest",
             )
         assert report.n_submitted == len(results) == 40
         assert report.n_dropped == 0
@@ -532,16 +539,21 @@ class TestServingBitIdentity:
         telemetry.watcher = RollupWatcher(
             telemetry,
             rules=default_serving_rules(),
-            every=2,
+            every=1,
             label="serve",
         )
         # 2x+ overload against a tiny queue: most submissions shed while the
         # generator runs, then the queue drains with no new traffic — the
-        # burn rate collapses to zero and the alert must resolve.
+        # burn rate collapses to zero and the alert must resolve.  Two-row
+        # batches bound service capacity by the paced tier slots rather than
+        # by host speed, and give the drain one watch window per batch; the
+        # far-off age limit keeps a stalled host from expiring the drain
+        # (expiries are bad events and would hold the alert open).
         with pytest.warns(RuntimeWarning):
             report, _results = self._serve(
                 serve_trained, telemetry,
-                offered_rps=2000.0, queue_capacity=16,
+                offered_rps=2000.0, queue_capacity=16, max_batch=2,
+                max_age_ms=60_000.0,
                 shed_policy="shed-oldest", max_requests=80,
             )
         assert report.n_shed > 0
@@ -558,6 +570,33 @@ class TestServingBitIdentity:
         # The rollup stream saw the alert active and then clear.
         assert any("slo-burn-rate" in e["alerts"] for e in rollups)
         assert "slo-burn-rate" not in rollups[-1]["alerts"]
+
+    def test_first_watch_window_covers_sheds_before_the_first_completion(
+        self, serve_trained
+    ):
+        from repro.obs.alerts import default_serving_rules
+        from repro.obs.live import RollupWatcher
+
+        telemetry = Telemetry()
+        telemetry.watcher = RollupWatcher(
+            telemetry, rules=default_serving_rules(), every=1, label="serve"
+        )
+        # The whole stream arrives within a fraction of a millisecond, so the
+        # overflow is shed before any paced tier batch can complete.  The
+        # server's progress-0 snapshot puts those sheds in the first window.
+        with pytest.warns(RuntimeWarning):
+            report, _results = self._serve(
+                serve_trained, telemetry,
+                offered_rps=1e6, queue_capacity=16, max_batch=2,
+                max_age_ms=60_000.0,
+                shed_policy="shed-oldest", max_requests=80,
+            )
+        assert report.n_shed > 0
+        rollups = [e for e in telemetry.events if e["name"] == "watch.rollup"]
+        fires = [e for e in telemetry.events
+                 if e["name"] == "alert.fire" and e["alert"] == "slo-burn-rate"]
+        assert rollups[0]["shed_delta"] > 0
+        assert fires and fires[0]["key"] == rollups[0]["key"]
 
 
 class TestAdaptiveBitIdentity:

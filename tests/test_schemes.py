@@ -192,6 +192,24 @@ class TestAdaptiveScheme:
         ).run_batch(windows[:1])
         assert with_overhead.delays_ms[0] == pytest.approx(without.delays_ms[0] + 5.0)
 
+    def test_routes_every_window_to_its_greedy_arm(self, fresh_system):
+        """Inference is the arg-max: a rerun routes identically and the policy's
+        generator is never drawn from."""
+        system, _detectors, windows, _labels = fresh_system
+        extractor = _context_extractor(windows)
+        policy = self._policy(extractor.context_dim, seed=3)
+        before = policy._rng.bit_generator.state
+        first = AdaptiveScheme(system, policy, extractor).run_batch(windows)
+        system.reset()
+        second = AdaptiveScheme(system, policy, extractor).run_batch(windows)
+        np.testing.assert_array_equal(
+            first.attempt_layers, policy.select_actions(extractor.extract(windows))
+        )
+        np.testing.assert_array_equal(first.layers, second.layers)
+        np.testing.assert_array_equal(first.predictions, second.predictions)
+        np.testing.assert_array_equal(first.delays_ms, second.delays_ms)
+        assert policy._rng.bit_generator.state == before
+
     def test_action_count_mismatch_rejected(self, fresh_system):
         system, _detectors, windows, _labels = fresh_system
         extractor = _context_extractor(windows)
