@@ -98,7 +98,6 @@ def main() -> None:
         print(f"Trained {detector.name}: {detector.parameter_count()} parameters")
 
     deployments = deploy_registry(registry, topology, workload="weekly-window",
-                                  execution_time_overrides=None,
                                   quantize_below_layer=2)
     system = HECSystem(topology, deployments)
     print("\n" + topology.describe())

@@ -2,9 +2,9 @@
 
 This subpackage implements the paper's detection side:
 
-* :mod:`repro.detectors.base` — the common :class:`AnomalyDetector` API
-  (fit on normal windows, score windows, predict binary labels, report
-  confidence);
+* :mod:`repro.detectors.base` — :class:`AnomalyDetector`, the one
+  reconstruction detector both families inherit (fit on normal windows, score
+  points by logPD, detect and predict, report confidence);
 * :mod:`repro.detectors.autoencoder` — the univariate autoencoder family
   (``AE-IoT`` / ``AE-Edge`` / ``AE-Cloud``);
 * :mod:`repro.detectors.lstm_seq2seq` — the multivariate LSTM-seq2seq family

@@ -1,10 +1,12 @@
-"""Common anomaly-detector interface.
+"""The one reconstruction detector both families share.
 
-A detector wraps a reconstruction model plus the Gaussian logPD scorer and the
-confidence rules.  The interface is deliberately small: ``fit`` on normal
-windows, ``detect`` a batch of windows (returning a
-:class:`DetectionResult` per window), and a few introspection helpers
-(parameter count, name) used by the HEC deployment and evaluation code.
+Section II-A of the paper gives the autoencoder and the seq2seq families one
+recipe: train a model to reconstruct normal windows with MSE, fit a Gaussian to
+the per-point reconstruction errors, score points by logPD and threshold at
+the training minimum.  :class:`AnomalyDetector` writes that recipe once —
+``fit``, the logPD matrix, ``detect``/``detect_arrays``/``predict`` and the
+parameter count — and a family subclass only builds its model and supplies
+``_check_windows``, ``reconstruct``, ``n_channels`` and its ``OPTIMIZER``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.detectors.confidence import ConfidencePolicy
+from repro.detectors.scoring import GaussianLogPDScorer
 from repro.exceptions import NotFittedError
 
 
@@ -109,17 +113,50 @@ def results_from_point_scores(
 
 
 class AnomalyDetector:
-    """Base class for the AE and seq2seq detectors."""
+    """Base class for the AE and seq2seq detectors.
 
-    def __init__(self, name: str) -> None:
+    A subclass sets ``self.model`` (a :class:`~repro.nn.training.ReconstructionModel`)
+    and defines ``_check_windows`` (validate a batch, promoting a single window),
+    ``reconstruct`` and the class attributes ``OPTIMIZER`` and ``n_channels``
+    (error channels per point: the scorer is fitted on
+    ``(points, n_channels)`` rows).
+    """
+
+    OPTIMIZER: str
+    n_channels: int
+
+    def __init__(self, name: str, confidence: Optional[ConfidencePolicy] = None) -> None:
         self.name = name
         self.fitted = False
+        self.confidence = confidence or ConfidencePolicy()
+        self.scorer = GaussianLogPDScorer()
 
     # -- training ------------------------------------------------------------
 
-    def fit(self, normal_windows: np.ndarray, **kwargs) -> "AnomalyDetector":
-        """Train the reconstruction model and the scorer on normal windows."""
-        raise NotImplementedError
+    def fit(
+        self,
+        normal_windows: np.ndarray,
+        epochs: int = 30,
+        batch_size: int = 16,
+        learning_rate: float = 1e-3,
+        early_stopping_patience: Optional[int] = 5,
+        verbose: bool = False,
+    ) -> "AnomalyDetector":
+        """Train the model on normal windows, then fit the scorer and threshold."""
+        windows = self._check_windows(normal_windows)
+        self.model.compile(self.OPTIMIZER, "mse", learning_rate=learning_rate)
+        self.model.fit(
+            windows,
+            epochs=epochs,
+            batch_size=batch_size,
+            patience=early_stopping_patience,
+            verbose=verbose,
+        )
+        # A fitted detector only infers: free gradient buffers and optimiser moments.
+        self.model.release_training_buffers()
+        self.scorer.fit(self._point_errors(windows))
+        self.fitted = True
+        return self
 
     # -- inference -------------------------------------------------------------
 
@@ -127,34 +164,35 @@ class AnomalyDetector:
         """Reconstruct windows with the underlying model."""
         raise NotImplementedError
 
+    def _point_errors(self, windows: np.ndarray) -> np.ndarray:
+        """Reconstruction errors of checked windows as ``(points, n_channels)`` rows."""
+        return (windows - self.reconstruct(windows)).reshape(-1, self.n_channels)
+
+    def _point_score_matrix(self, windows: np.ndarray) -> np.ndarray:
+        """The ``(n_windows, n_points)`` logPD matrix behind every detect path."""
+        self._require_fitted()
+        windows = self._check_windows(windows)
+        # Every point of every window is scored with a single vectorised call.
+        return self.scorer.log_probability_density(
+            self._point_errors(windows)
+        ).reshape(windows.shape[:2])
+
     def detect(self, windows: np.ndarray) -> List[DetectionResult]:
-        """Run detection on a batch of windows (one result per window)."""
-        raise NotImplementedError
+        """Score all windows in one pass and apply the detection + confidence rules."""
+        point_scores = self._point_score_matrix(windows)
+        return results_from_point_scores(point_scores, self.scorer.threshold, self.confidence)
 
     def detect_arrays(self, windows: np.ndarray, with_confidence: bool = True) -> tuple:
         """``(is_anomaly, confident, anomaly_scores, fractions)`` for a batch.
 
         The columnar counterpart of :meth:`detect`: the same outcomes as
-        aligned arrays instead of per-window :class:`DetectionResult`
-        objects.  The base implementation tears apart :meth:`detect` (so any
-        subclass is automatically correct); the built-in detectors override
-        it to skip the object layer entirely, and to skip the confidence
-        rules too when ``with_confidence=False`` (the base fallback simply
-        returns them regardless — a correct superset).
+        aligned arrays with no per-window objects; ``with_confidence=False``
+        skips the confidence rules (``None`` in their slots).
         """
-        del with_confidence
-        results = self.detect(windows)
-        return (
-            np.fromiter((r.is_anomaly for r in results), dtype=bool, count=len(results)),
-            np.fromiter((r.confident for r in results), dtype=bool, count=len(results)),
-            np.fromiter(
-                (r.anomaly_score for r in results), dtype=float, count=len(results)
-            ),
-            np.fromiter(
-                (r.anomalous_point_fraction for r in results),
-                dtype=float,
-                count=len(results),
-            ),
+        point_scores = self._point_score_matrix(windows)
+        return arrays_from_point_scores(
+            point_scores, self.scorer.threshold, self.confidence,
+            with_confidence=with_confidence,
         )
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
@@ -175,7 +213,7 @@ class AnomalyDetector:
 
     def parameter_count(self) -> int:
         """Number of trainable parameters of the underlying model."""
-        raise NotImplementedError
+        return self.model.parameter_count()
 
     def _require_fitted(self) -> None:
         if not self.fitted:

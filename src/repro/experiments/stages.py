@@ -80,7 +80,6 @@ def build_hec_system(
     detectors: Dict[str, AnomalyDetector],
     workload: str,
     topology: Optional[HECTopology] = None,
-    execution_time_overrides: Optional[Dict[int, float]] = None,
     quantize_below_layer: Optional[int] = None,
 ) -> tuple[HECSystem, List[ModelDeployment]]:
     """Register detectors per tier, deploy them and build the HEC system facade.
@@ -97,7 +96,6 @@ def build_hec_system(
         topology,
         workload=workload,
         quantize_below_layer=quantize_below_layer,
-        execution_time_overrides=execution_time_overrides,
     )
     system = HECSystem(topology, deployments)
     return system, deployments

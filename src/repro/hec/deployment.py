@@ -11,7 +11,7 @@ returns :class:`ModelDeployment` records that the HEC system uses to answer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.exceptions import DeploymentError
 from repro.detectors.base import AnomalyDetector
@@ -63,7 +63,6 @@ def deploy_registry(
     topology: HECTopology,
     workload: str,
     quantize_below_layer: Optional[int] = None,
-    execution_time_overrides: Optional[Dict[int, float]] = None,
 ) -> List[ModelDeployment]:
     """Deploy every registered detector onto its layer of ``topology``.
 
@@ -80,15 +79,10 @@ def deploy_registry(
         Layers strictly below this index get FP16-quantised before deployment
         (the paper quantises the IoT and edge models, i.e. layers 0 and 1, so
         the default is ``K-1``).  Pass 0 to disable quantisation entirely.
-    execution_time_overrides:
-        Optional per-layer execution times (milliseconds) that take precedence
-        over both the calibration table and the generic model — used by tests
-        and by experiments that measure actual NumPy inference time.
     """
     registry.require_complete(topology.n_layers)
     if quantize_below_layer is None:
         quantize_below_layer = topology.n_layers - 1
-    overrides = execution_time_overrides or {}
 
     deployments: List[ModelDeployment] = []
     for layer, detector in registry:
@@ -111,12 +105,9 @@ def deploy_registry(
                 f"quantized={should_quantize}) does not fit on device {device.name!r}"
             )
 
-        if layer in overrides:
-            execution_ms = float(overrides[layer])
-        else:
-            execution_ms = device.execution_time_ms(
-                workload, parameter_count=detector.parameter_count()
-            )
+        execution_ms = device.execution_time_ms(
+            workload, parameter_count=detector.parameter_count()
+        )
 
         deployments.append(
             ModelDeployment(

@@ -12,7 +12,7 @@ models need, implemented from scratch on NumPy:
 * optimisers: ``RMSProp``, ``Adam``,
 * a ``Sequential`` feed-forward model and a ``Seq2SeqAutoencoder``
   encoder–decoder model,
-* a training loop with mini-batching, shuffling and early stopping, and
+* one reconstruction training loop with mini-batching and early stopping, and
 * FP16 weight quantisation mirroring the paper's model-compression step.
 """
 
@@ -23,7 +23,7 @@ from repro.nn.optimizers import RMSProp, Adam, get_optimizer
 from repro.nn.layers import Dense, Dropout, LSTM, Bidirectional, TimeDistributed
 from repro.nn.models.sequential import Sequential
 from repro.nn.models.seq2seq import Seq2SeqAutoencoder
-from repro.nn.training import TrainingHistory, EarlyStopping
+from repro.nn.training import TrainingHistory
 from repro.nn.quantization import quantize_model, quantization_report
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "Sequential",
     "Seq2SeqAutoencoder",
     "TrainingHistory",
-    "EarlyStopping",
     "quantize_model",
     "quantization_report",
 ]

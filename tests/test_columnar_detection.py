@@ -3,8 +3,9 @@
 ``HECSystem.detect_batch`` returns one :class:`BatchDetectionResult` of
 aligned arrays: escalation and retry delays compose in a fixed float order,
 failover serves the best reachable tier, jittery links draw per window in
-request order, and confidence is computed only on request.  The detectors'
-``detect_arrays`` must likewise reproduce ``detect``.
+request order, and confidence is computed only on request.  That every
+detector's ``detect_arrays`` reproduces its ``detect`` is part of the detector
+contract in ``test_detector_conformance.py``.
 """
 
 import copy
@@ -110,46 +111,6 @@ class TestDetectBatch:
             system.detect_batch(0, windows[0])  # not a batch
         with pytest.raises(ShapeError):
             system.detect_batch(0, windows[:3], escalated_ms=np.zeros(2))
-
-
-class TestDetectArrays:
-    def test_matches_detect_for_fitted_detector(self, univariate_hec):
-        _system, _deployments, detectors, windows, _labels = univariate_hec
-        for detector in detectors.values():
-            results = detector.detect(windows[:12])
-            is_anomaly, confident, scores, fractions = detector.detect_arrays(
-                windows[:12]
-            )
-            assert np.array_equal(is_anomaly, [r.is_anomaly for r in results])
-            assert np.array_equal(confident, [r.confident for r in results])
-            assert np.array_equal(scores, [r.anomaly_score for r in results])
-            assert np.array_equal(
-                fractions, [r.anomalous_point_fraction for r in results]
-            )
-
-    def test_base_fallback_agrees_with_detect(self, univariate_hec):
-        """A subclass overriding only detect() still gets correct arrays."""
-        from repro.detectors.base import AnomalyDetector
-
-        _system, _deployments, detectors, windows, _labels = univariate_hec
-        inner = next(iter(detectors.values()))
-
-        class OnlyDetect(AnomalyDetector):
-            def __init__(self):
-                super().__init__(name="only-detect")
-
-            def detect(self, batch):
-                return inner.detect(batch)
-
-        wrapped = OnlyDetect()
-        is_anomaly, confident, scores, fractions = wrapped.detect_arrays(windows[:6])
-        results = inner.detect(windows[:6])
-        assert np.array_equal(is_anomaly, [r.is_anomaly for r in results])
-        assert np.array_equal(confident, [r.confident for r in results])
-        assert np.array_equal(scores, [r.anomaly_score for r in results])
-        assert np.array_equal(
-            fractions, [r.anomalous_point_fraction for r in results]
-        )
 
 
 class TestNoCopyFastPath:

@@ -18,16 +18,11 @@ from repro.detectors.lstm_seq2seq import (
     build_seq2seq_detector,
 )
 from repro.detectors.registry import DetectorRegistry
-from repro.exceptions import ConfigurationError, DeploymentError, NotFittedError, ShapeError
+from repro.exceptions import ConfigurationError, DeploymentError, ShapeError
 from repro.nn.layers.lstm import LSTM
 
 
 class TestAutoencoderDetector:
-    def test_detect_before_fit_raises(self):
-        detector = AutoencoderDetector(window_size=8, hidden_sizes=(4,), seed=0)
-        with pytest.raises(NotFittedError):
-            detector.detect(np.zeros((2, 8)))
-
     def test_fit_and_detect_shapes(self, trained_autoencoder, power_scaled):
         _train, test_windows, _labels = power_scaled
         results = trained_autoencoder.detect(test_windows[:5])
@@ -66,10 +61,6 @@ class TestAutoencoderDetector:
     def test_window_size_validated(self, trained_autoencoder):
         with pytest.raises(ShapeError):
             trained_autoencoder.detect(np.zeros((2, 5)))
-
-    def test_1d_window_accepted(self, trained_autoencoder, power_scaled):
-        _train, test_windows, _labels = power_scaled
-        assert len(trained_autoencoder.detect(test_windows[0])) == 1
 
     def test_context_features_none_for_autoencoder(self, trained_autoencoder, power_scaled):
         _train, test_windows, _labels = power_scaled
@@ -128,15 +119,6 @@ class TestSeq2SeqDetector:
     def test_channel_mismatch_rejected(self, trained_seq2seq):
         with pytest.raises(ShapeError):
             trained_seq2seq.detect(np.zeros((2, 10, 3)))
-
-    def test_2d_single_window_accepted(self, trained_seq2seq, mhealth_windows):
-        window = mhealth_windows.windows[0]
-        assert len(trained_seq2seq.detect(window)) == 1
-
-    def test_detect_before_fit_raises(self):
-        detector = Seq2SeqDetector(n_channels=3, units=4, seed=0)
-        with pytest.raises(NotFittedError):
-            detector.detect(np.zeros((1, 5, 3)))
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
@@ -236,21 +218,6 @@ class TestFittedDetectorKeepsOnlyWeights:
             detector = Seq2SeqDetector(mhealth_windows.windows.shape[2], units=16, seed=0)
         detector.fit(windows, epochs=2, batch_size=8)
         return detector, windows
-
-    def test_no_training_buffer_survives_fit(self, case):
-        detector, _windows = case
-        weights = [param for param, _grad in detector.model.parameters_and_gradients()]
-        detector.model.release_training_buffers()  # the call above allocated the buffers again
-        shapes = {param.shape for param in weights}
-        # A parameter made as a view (the orthogonal initialiser's) keeps its storage alive.
-        storage = weights + [param.base for param in weights if param.base is not None]
-        extras = [
-            array for array in _float_arrays(detector.model)  # the scorer's mean is bias-shaped
-            if array.shape in shapes and not any(array is kept for kept in storage)
-        ]
-        assert extras == []
-        weight_bytes = sum(param.nbytes for param in weights)
-        assert len(pickle.dumps(detector)) < 2.5 * weight_bytes
 
     def test_bidirectional_encoder_keeps_no_bptt_tensors(self, mhealth_windows):
         """The stacked encoder's (time + 1, 2, batch, units) states go with ``fit``."""

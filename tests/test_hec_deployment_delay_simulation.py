@@ -52,7 +52,6 @@ class TestDeployment:
         deployments = deploy_registry(
             _tiny_registry(), topology, workload="univariate",
             quantize_below_layer=0,
-            execution_time_overrides={0: 1.0, 1: 1.0, 2: 1.0},
         )
         assert not any(d.quantized for d in deployments)
 
@@ -61,14 +60,6 @@ class TestDeployment:
         assert deployments[0].execution_time_ms == pytest.approx(12.4)
         assert deployments[1].execution_time_ms == pytest.approx(7.4)
         assert deployments[2].execution_time_ms == pytest.approx(4.5)
-
-    def test_execution_time_overrides(self, topology):
-        deployments = deploy_registry(
-            _tiny_registry(), topology, workload="univariate",
-            execution_time_overrides={0: 99.0},
-        )
-        assert deployments[0].execution_time_ms == 99.0
-        assert deployments[1].execution_time_ms == pytest.approx(7.4)
 
     def test_incomplete_registry_rejected(self, topology):
         registry = DetectorRegistry()
@@ -86,10 +77,7 @@ class TestDeployment:
         links = [NetworkLink("a", 1.0), NetworkLink("b", 1.0)]
         topology = HECTopology(devices=devices, links=links)
         with pytest.raises(DeploymentError):
-            deploy_registry(
-                _tiny_registry(), topology, workload="univariate",
-                execution_time_overrides={0: 1.0, 1: 1.0, 2: 1.0},
-            )
+            deploy_registry(_tiny_registry(), topology, workload="univariate")
 
     def test_model_bytes_reflect_quantization(self, topology):
         deployments = deploy_registry(_tiny_registry(), topology, workload="univariate")

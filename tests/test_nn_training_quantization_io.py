@@ -8,7 +8,7 @@ from repro.nn.layers import Dense, LSTM
 from repro.nn.models.seq2seq import Seq2SeqAutoencoder
 from repro.nn.models.sequential import Sequential
 from repro.nn.quantization import quantization_report, quantize_model
-from repro.nn.training import EarlyStopping, TrainingHistory, iterate_minibatches
+from repro.nn.training import TrainingHistory, iterate_minibatches
 
 
 class TestTrainingHistory:
@@ -24,78 +24,58 @@ class TestTrainingHistory:
             TrainingHistory().last("loss")
 
 
-class TestEarlyStopping:
-    def _history_with(self, values):
-        history = TrainingHistory()
-        for value in values:
-            history.record("loss", value)
-        return history
+class TestFitPatience:
+    """``fit(patience=)`` stops once the epoch loss has not dropped below its
+    best for ``patience`` epochs; the epoch losses are scripted here (one
+    batch per epoch)."""
+
+    @staticmethod
+    def _epoch_losses(losses, patience):
+        model = Sequential([Dense(2)], seed=0)
+        model.compile("adam", "mse")
+        script = iter(losses)
+        model.train_on_batch = lambda batch: next(script)
+        history = model.fit(np.zeros((4, 2)), epochs=len(losses), batch_size=4, patience=patience)
+        return history.metrics["loss"]
 
     def test_stops_after_patience(self):
-        stopper = EarlyStopping(monitor="loss", patience=2)
-        history = TrainingHistory()
-        stops = []
-        for epoch, value in enumerate([1.0, 0.9, 0.95, 0.96, 0.97], start=1):
-            history.record("loss", value)
-            stops.append(stopper.update(epoch, history))
-        assert stops == [False, False, False, True, True] or stops[3] is True
+        losses = [1.0, 0.9, 0.95, 0.96, 0.97]
+        assert self._epoch_losses(losses, patience=2) == [1.0, 0.9, 0.95, 0.96]
 
     def test_improvement_resets_patience(self):
-        stopper = EarlyStopping(monitor="loss", patience=2)
-        history = TrainingHistory()
-        for epoch, value in enumerate([1.0, 0.99, 0.5, 0.51, 0.52], start=1):
-            history.record("loss", value)
-            stopped = stopper.update(epoch, history)
-        assert stopped is True
-        assert stopper.best == 0.5
+        losses = [1.0, 0.99, 0.5, 0.51, 0.52, 0.53]
+        assert self._epoch_losses(losses, patience=2) == [1.0, 0.99, 0.5, 0.51, 0.52]
 
-    def test_max_mode(self):
-        stopper = EarlyStopping(monitor="reward", patience=1, mode="max")
-        history = TrainingHistory()
-        history.record("reward", 1.0)
-        assert stopper.update(1, history) is False
-        history.record("reward", 0.5)
-        assert stopper.update(2, history) is True
+    def test_an_equal_loss_is_no_improvement(self):
+        assert self._epoch_losses([1.0, 1.0, 0.5], patience=1) == [1.0, 1.0]
 
-    def test_missing_metric_is_ignored(self):
-        stopper = EarlyStopping(monitor="val_loss", patience=1)
-        history = self._history_with([1.0])
-        assert stopper.update(1, history) is False
+    def test_no_patience_runs_every_epoch(self):
+        losses = [1.0, 2.0, 3.0, 4.0]
+        assert self._epoch_losses(losses, patience=None) == losses
 
-    def test_invalid_parameters(self):
+    def test_negative_patience_rejected(self):
         with pytest.raises(ConfigurationError):
-            EarlyStopping(patience=-1)
-        with pytest.raises(ConfigurationError):
-            EarlyStopping(mode="sideways")
+            self._epoch_losses([1.0], patience=-1)
 
 
 class TestMinibatches:
     def test_covers_all_samples(self):
         x = np.arange(10)[:, None].astype(float)
         seen = []
-        for batch, _ in iterate_minibatches(x, None, batch_size=3, shuffle=False):
+        for batch in iterate_minibatches(x, batch_size=3, rng=0):
             seen.extend(batch[:, 0].tolist())
         assert sorted(seen) == list(range(10))
 
-    def test_shuffle_changes_order(self):
+    def test_one_shuffled_order_per_generator_state(self):
         x = np.arange(20)[:, None].astype(float)
-        ordered = [b[:, 0].tolist() for b, _ in iterate_minibatches(x, None, 5, shuffle=False)]
-        shuffled = [b[:, 0].tolist() for b, _ in iterate_minibatches(x, None, 5, shuffle=True, rng=0)]
-        assert ordered != shuffled
-
-    def test_targets_stay_aligned(self):
-        x = np.arange(8)[:, None].astype(float)
-        y = x * 10
-        for batch_x, batch_y in iterate_minibatches(x, y, 3, shuffle=True, rng=1):
-            np.testing.assert_allclose(batch_y, batch_x * 10)
+        first = [b[:, 0].tolist() for b in iterate_minibatches(x, 5, rng=0)]
+        again = [b[:, 0].tolist() for b in iterate_minibatches(x, 5, rng=0)]
+        assert first == again
+        assert sum(first, []) != list(range(20))
 
     def test_invalid_batch_size(self):
         with pytest.raises(ConfigurationError):
-            list(iterate_minibatches(np.zeros((4, 1)), None, 0))
-
-    def test_mismatched_targets(self):
-        with pytest.raises(ConfigurationError):
-            list(iterate_minibatches(np.zeros((4, 1)), np.zeros((5, 1)), 2))
+            list(iterate_minibatches(np.zeros((4, 1)), 0))
 
 
 class TestQuantization:
