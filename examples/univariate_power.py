@@ -88,7 +88,7 @@ def main() -> None:
         )
         detector.fit(train_windows, epochs=args.epochs, batch_size=8, learning_rate=1e-3)
         print(f"Trained {detector.name}: {detector.parameter_count()} parameters, "
-              f"final loss {detector.model.history.last('loss'):.4f}")
+              f"final loss {detector.model.history.losses[-1]:.4f}")
         detectors[tier] = detector
 
     # 3. HEC deployment -------------------------------------------------------

@@ -79,18 +79,6 @@ def _unflatten_weights(flat: Dict[str, np.ndarray]) -> dict:
     return tree
 
 
-def _detector_parts(detector: AnomalyDetector):
-    """The (model, scorer) pair behind a detector, unwrapping window adapters."""
-    target = getattr(detector, "inner", detector)
-    model = getattr(target, "model", None)
-    scorer = getattr(target, "scorer", None)
-    if model is None or scorer is None:
-        raise ConfigurationError(
-            f"detector {detector.name!r} exposes no model/scorer to checkpoint"
-        )
-    return target, model, scorer
-
-
 def _content_version(tier: str, config: Mapping[str, Any],
                      flat_weights: Mapping[str, np.ndarray],
                      scorer_state: Mapping[str, np.ndarray]) -> str:
@@ -189,10 +177,10 @@ class ModelRegistry:
         rewriting it.  The detector must be fitted (the scorer state is part
         of the checkpoint).
         """
-        target, model, scorer = _detector_parts(detector)
-        config = model.get_config() if hasattr(model, "get_config") else {}
+        model = detector.model
+        config = model.get_config()
         flat = _flatten_weights(model.get_weights())
-        scorer_state = {k: np.asarray(v) for k, v in scorer.get_state().items()}
+        scorer_state = {k: np.asarray(v) for k, v in detector.scorer.get_state().items()}
         version = _content_version(str(tier), config, flat, scorer_state)
 
         quant_payload = None
@@ -260,19 +248,18 @@ class ModelRegistry:
         """
         meta = self.show(version)
         directory = self._version_dir(version)
-        target, model, _scorer = _detector_parts(detector)
         try:
             flat = load_arrays(directory / "model.weights.npz")
             scorer_state = load_arrays(directory / "scorer.npz")
-            model.set_weights(_unflatten_weights(flat))
-            target.scorer = type(target.scorer).from_state(scorer_state)
+            detector.model.set_weights(_unflatten_weights(flat))
+            detector.scorer = type(detector.scorer).from_state(scorer_state)
         except SerializationError:
             raise
         except Exception as exc:
             raise SerializationError(
                 f"checkpoint {version!r} in registry {self.root} is corrupt: {exc}"
             ) from exc
-        target.fitted = True
+        detector.fitted = True
         return meta
 
     # -- promotion ---------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.adapt.registry import _detector_parts
 from repro.detectors.base import AnomalyDetector
 from repro.exceptions import ConfigurationError
 from repro.evaluation.metrics import confusion_counts, rates_from_confusion
@@ -83,7 +82,7 @@ class OnlineRetrainer:
         """
         candidate = copy.deepcopy(incumbent)
         # The model's layers share its generator: reseed that object in place.
-        generator = _detector_parts(candidate)[1]._rng
+        generator = candidate.model._rng
         generator.bit_generator.state = type(generator.bit_generator)(
             np.random.SeedSequence([int(part) % 2**64 for part in seed])
         ).state

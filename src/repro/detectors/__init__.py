@@ -5,18 +5,24 @@ This subpackage implements the paper's detection side:
 * :mod:`repro.detectors.base` — :class:`AnomalyDetector`, the one
   reconstruction detector both families inherit (fit on normal windows, score
   points by logPD, detect and predict, report confidence);
-* :mod:`repro.detectors.autoencoder` — the univariate autoencoder family
-  (``AE-IoT`` / ``AE-Edge`` / ``AE-Cloud``);
-* :mod:`repro.detectors.lstm_seq2seq` — the multivariate LSTM-seq2seq family
-  (``LSTM-seq2seq-IoT`` / ``LSTM-seq2seq-Edge`` / ``BiLSTM-seq2seq-Cloud``);
+* :mod:`repro.detectors.autoencoder` — the autoencoder family
+  (``AE-IoT`` / ``AE-Edge`` / ``AE-Cloud``), which flattens each window to
+  one vector, so it reads univariate ``(n, T)`` and multivariate
+  ``(n, T, C)`` batches alike;
+* :mod:`repro.detectors.lstm_seq2seq` — the LSTM-seq2seq family
+  (``LSTM-seq2seq-IoT`` / ``LSTM-seq2seq-Edge`` / ``BiLSTM-seq2seq-Cloud``),
+  which reads ``(n, T, C)`` batches and a univariate ``(n, T)`` batch as one
+  channel;
 * :mod:`repro.detectors.scoring` — the Gaussian log-probability-density
   anomaly score and its minimum-logPD threshold;
 * :mod:`repro.detectors.confidence` — the paper's two confident-detection
   rules;
 * :mod:`repro.detectors.registry` — a registry that associates one detector
-  with each HEC layer;
-* :mod:`repro.detectors.adapters` — window-shape adapters that let a detector
-  family run on the other family's window layout (mixed-detector scenarios).
+  with each HEC layer.
+
+Each family has one constructor per tier, ``build_autoencoder_detector`` and
+``build_seq2seq_detector``: the tier picks the architecture and the window
+shape picks the input size.
 """
 
 from repro.detectors.base import AnomalyDetector, DetectionResult
@@ -33,7 +39,6 @@ from repro.detectors.lstm_seq2seq import (
     MULTIVARIATE_TIER_ARCHITECTURES,
 )
 from repro.detectors.registry import DetectorRegistry
-from repro.detectors.adapters import WindowReshapeAdapter
 
 __all__ = [
     "AnomalyDetector",
@@ -47,5 +52,4 @@ __all__ = [
     "build_seq2seq_detector",
     "MULTIVARIATE_TIER_ARCHITECTURES",
     "DetectorRegistry",
-    "WindowReshapeAdapter",
 ]

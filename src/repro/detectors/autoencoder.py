@@ -21,6 +21,7 @@ Cloud     (512, 256, 128, 256, 512)   1,085,077            1,018,144
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +39,7 @@ UNIVARIATE_TIER_ARCHITECTURES: dict[str, Tuple[int, ...]] = {
     "edge": (512, 256, 512),
     "cloud": (512, 256, 128, 256, 512),
 }
+_PAPER_NAMES = {"iot": "AE-IoT", "edge": "AE-Edge", "cloud": "AE-Cloud"}
 
 
 class AutoencoderDetector(AnomalyDetector):
@@ -82,19 +84,19 @@ class AutoencoderDetector(AnomalyDetector):
     # -- inference -----------------------------------------------------------------
 
     def _check_windows(self, windows: np.ndarray) -> np.ndarray:
+        """A ``(n, ...)`` window batch as ``(n, window_size)`` rows: trailing axes flatten."""
         windows = np.asarray(windows, dtype=float)
-        if windows.ndim == 1:
-            windows = windows[None, :]
-        if windows.ndim != 2:
+        if windows.ndim < 2:
             raise ShapeError(
-                f"univariate windows must be 2-D (n_windows, window_size), got {windows.shape}"
+                f"windows must be a batch (n_windows, ...), got shape {windows.shape}"
             )
-        if windows.shape[1] != self.window_size:
+        width = math.prod(windows.shape[1:])
+        if width != self.window_size:
             raise ShapeError(
-                f"windows have length {windows.shape[1]} but the detector expects "
-                f"{self.window_size}"
+                f"windows of shape {windows.shape} hold {width} values each but the "
+                f"detector expects {self.window_size}"
             )
-        return windows
+        return windows.reshape(windows.shape[0], width)
 
     def reconstruct(self, windows: np.ndarray) -> np.ndarray:
         """Reconstruct windows with the autoencoder."""
@@ -106,24 +108,30 @@ def build_autoencoder_detector(
     tier: str,
     window_size: int,
     hidden_sizes: Optional[Sequence[int]] = None,
+    name: Optional[str] = None,
     confidence: Optional[ConfidencePolicy] = None,
     seed: RngLike = 0,
 ) -> AutoencoderDetector:
-    """Build the AE detector for an HEC tier (``"iot"``, ``"edge"`` or ``"cloud"``).
+    """Build the AE detector for an HEC tier.
 
-    ``hidden_sizes`` overrides the paper-scale architecture, which is useful
-    for fast tests with small windows.
+    A paper tier (``"iot"``, ``"edge"`` or ``"cloud"``) gets its paper-scale
+    architecture and name; ``hidden_sizes`` and ``name`` override either one.
+    Any other tier needs ``hidden_sizes`` and is named ``AE-<tier>``.
     """
-    tier = tier.lower()
-    if tier not in UNIVARIATE_TIER_ARCHITECTURES:
-        raise ConfigurationError(
-            f"unknown tier {tier!r}; expected one of {sorted(UNIVARIATE_TIER_ARCHITECTURES)}"
-        )
-    sizes = tuple(hidden_sizes) if hidden_sizes is not None else UNIVARIATE_TIER_ARCHITECTURES[tier]
+    paper_sizes = UNIVARIATE_TIER_ARCHITECTURES.get(tier.lower())
+    if paper_sizes is None:
+        if hidden_sizes is None:
+            raise ConfigurationError(
+                f"autoencoder at custom tier {tier!r} needs explicit hidden_sizes; the "
+                f"paper tiers are {sorted(UNIVARIATE_TIER_ARCHITECTURES)}"
+            )
+        default_name = f"AE-{tier}"
+    else:
+        default_name = _PAPER_NAMES[tier.lower()]
     return AutoencoderDetector(
         window_size=window_size,
-        hidden_sizes=sizes,
+        hidden_sizes=hidden_sizes if hidden_sizes is not None else paper_sizes,
         confidence=confidence,
-        name=f"AE-{tier.capitalize() if tier != 'iot' else 'IoT'}",
+        name=name if name is not None else default_name,
         seed=seed,
     )

@@ -116,10 +116,10 @@ class AnomalyDetector:
     """Base class for the AE and seq2seq detectors.
 
     A subclass sets ``self.model`` (a :class:`~repro.nn.training.ReconstructionModel`)
-    and defines ``_check_windows`` (validate a batch, promoting a single window),
-    ``reconstruct`` and the class attributes ``OPTIMIZER`` and ``n_channels``
-    (error channels per point: the scorer is fitted on
-    ``(points, n_channels)`` rows).
+    and defines ``_check_windows`` (validate a ``(n, ...)`` batch and bring it
+    to the family's layout), ``reconstruct`` and the class attributes
+    ``OPTIMIZER`` and ``n_channels`` (error channels per point: the scorer is
+    fitted on ``(points, n_channels)`` rows).
     """
 
     OPTIMIZER: str

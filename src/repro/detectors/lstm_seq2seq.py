@@ -51,6 +51,9 @@ MULTIVARIATE_TIER_ARCHITECTURES: dict[str, Seq2SeqArchitecture] = {
     "edge": Seq2SeqArchitecture(units=100, bidirectional=False, double_bias=True),
     "cloud": Seq2SeqArchitecture(units=200, bidirectional=True, double_bias=True),
 }
+_PAPER_NAMES = {
+    "iot": "LSTM-seq2seq-IoT", "edge": "LSTM-seq2seq-Edge", "cloud": "BiLSTM-seq2seq-Cloud",
+}
 
 
 class Seq2SeqDetector(AnomalyDetector):
@@ -124,20 +127,20 @@ class Seq2SeqDetector(AnomalyDetector):
     # -- inference --------------------------------------------------------------------
 
     def _check_windows(self, windows: np.ndarray) -> np.ndarray:
+        """A ``(n, T, C)`` window batch; a 2-D ``(n, T)`` batch gets one channel."""
         windows = np.asarray(windows, dtype=float)
-        if windows.ndim == 2:
-            windows = windows[None, :, :]
-        if windows.ndim != 3:
+        batch = windows[:, :, None] if windows.ndim == 2 else windows
+        if batch.ndim != 3:
             raise ShapeError(
-                "multivariate windows must be 3-D (n_windows, window_size, channels), "
-                f"got {windows.shape}"
+                "windows must be a batch (n_windows, window_size[, channels]), "
+                f"got shape {windows.shape}"
             )
-        if windows.shape[2] != self.n_channels:
+        if batch.shape[2] != self.n_channels:
             raise ShapeError(
-                f"windows have {windows.shape[2]} channels but the detector expects "
-                f"{self.n_channels}"
+                f"windows of shape {windows.shape} have {batch.shape[2]} channel(s) per "
+                f"point but the detector expects {self.n_channels}"
             )
-        return windows
+        return batch
 
     def reconstruct(self, windows: np.ndarray) -> np.ndarray:
         """Reconstruct windows with the seq2seq model (mode set at construction)."""
@@ -158,28 +161,35 @@ def build_seq2seq_detector(
     inference_mode: str = "autoregressive",
     confidence: Optional[ConfidencePolicy] = None,
     dropout_rate: float = 0.3,
+    name: Optional[str] = None,
     seed: RngLike = 0,
 ) -> Seq2SeqDetector:
-    """Build the seq2seq detector for an HEC tier (``"iot"``, ``"edge"`` or ``"cloud"``).
+    """Build the seq2seq detector for an HEC tier.
 
-    ``units`` overrides the paper-scale encoder size, which keeps tests fast.
+    A paper tier (``"iot"``, ``"edge"`` or ``"cloud"``) gets its paper-scale
+    architecture and name; ``units`` and ``name`` override either one.  Any
+    other tier needs ``units`` and gets a unidirectional, single-bias model
+    named ``seq2seq-<tier>``.
     """
-    tier = tier.lower()
-    if tier not in MULTIVARIATE_TIER_ARCHITECTURES:
-        raise ConfigurationError(
-            f"unknown tier {tier!r}; expected one of {sorted(MULTIVARIATE_TIER_ARCHITECTURES)}"
-        )
-    architecture = MULTIVARIATE_TIER_ARCHITECTURES[tier]
-    resolved_units = int(units) if units is not None else architecture.units
-    names = {"iot": "LSTM-seq2seq-IoT", "edge": "LSTM-seq2seq-Edge", "cloud": "BiLSTM-seq2seq-Cloud"}
+    architecture = MULTIVARIATE_TIER_ARCHITECTURES.get(tier.lower())
+    if architecture is None:
+        if units is None:
+            raise ConfigurationError(
+                f"seq2seq at custom tier {tier!r} needs explicit units; the paper tiers "
+                f"are {sorted(MULTIVARIATE_TIER_ARCHITECTURES)}"
+            )
+        architecture = Seq2SeqArchitecture(units, bidirectional=False, double_bias=False)
+        default_name = f"seq2seq-{tier}"
+    else:
+        default_name = _PAPER_NAMES[tier.lower()]
     return Seq2SeqDetector(
         n_channels=n_channels,
-        units=resolved_units,
+        units=units if units is not None else architecture.units,
         bidirectional=architecture.bidirectional,
         double_bias=architecture.double_bias,
         dropout_rate=dropout_rate,
         inference_mode=inference_mode,
         confidence=confidence,
-        name=names[tier],
+        name=name if name is not None else default_name,
         seed=seed,
     )

@@ -16,6 +16,7 @@ identical Table I / Table II rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
@@ -35,18 +36,9 @@ from repro.data.power import PowerDatasetConfig, generate_power_dataset, weekly_
 from repro.data.preprocessing import StandardScaler
 from repro.data.splits import anomaly_detection_split, policy_training_split
 from repro.data.windowing import windows_from_dataset
-from repro.detectors.adapters import WindowReshapeAdapter
-from repro.detectors.autoencoder import (
-    UNIVARIATE_TIER_ARCHITECTURES,
-    AutoencoderDetector,
-    build_autoencoder_detector,
-)
+from repro.detectors.autoencoder import build_autoencoder_detector
 from repro.detectors.base import AnomalyDetector
-from repro.detectors.lstm_seq2seq import (
-    MULTIVARIATE_TIER_ARCHITECTURES,
-    Seq2SeqDetector,
-    build_seq2seq_detector,
-)
+from repro.detectors.lstm_seq2seq import Seq2SeqDetector, build_seq2seq_detector
 from repro.detectors.registry import DetectorRegistry
 from repro.exceptions import ConfigurationError
 from repro.experiments.spec import DataSpec, DetectorSpec, ExperimentSpec
@@ -156,84 +148,29 @@ def _build_detector(
     window_shape: tuple,
     seed: int,
 ) -> AnomalyDetector:
-    """Instantiate one detector for ``tier`` given the training-window shape."""
-    adapted_shape = window_shape
-    if spec.input_adapter == "expand-channel":
-        adapted_shape = window_shape + (1,)
-    elif spec.input_adapter == "flatten":
-        adapted_shape = (int(np.prod(window_shape)),)
+    """Instantiate one detector for ``tier`` given the training-window shape.
 
+    The family reads the windows in its own layout, so the shape only sets the
+    input size: an autoencoder takes every value of a window, a seq2seq model
+    one channel per column of a ``(T, C)`` window (one for ``(T,)`` windows).
+    """
     if spec.family == "autoencoder":
-        if len(adapted_shape) != 1:
-            raise ConfigurationError(
-                f"autoencoder at tier {tier!r} needs flat (n, window_size) windows, "
-                f"got window shape {adapted_shape}; use input_adapter='flatten' "
-                "on multivariate data"
-            )
-        window_size = int(adapted_shape[0])
-        if spec.name is None and tier in UNIVARIATE_TIER_ARCHITECTURES:
-            detector: AnomalyDetector = build_autoencoder_detector(
-                tier, window_size=window_size, hidden_sizes=spec.hidden_sizes, seed=seed
-            )
-        else:
-            if spec.hidden_sizes is None and tier not in UNIVARIATE_TIER_ARCHITECTURES:
-                raise ConfigurationError(
-                    f"autoencoder at custom tier {tier!r} needs explicit hidden_sizes"
-                )
-            sizes = spec.hidden_sizes or UNIVARIATE_TIER_ARCHITECTURES[tier]
-            detector = AutoencoderDetector(
-                window_size=window_size,
-                hidden_sizes=sizes,
-                name=spec.name or f"AE-{tier}",
-                seed=seed,
-            )
-    else:  # seq2seq
-        if len(adapted_shape) != 2:
-            raise ConfigurationError(
-                f"seq2seq at tier {tier!r} needs (n, time, channels) windows, got "
-                f"window shape {adapted_shape}; use input_adapter='expand-channel' "
-                "on univariate data"
-            )
-        n_channels = int(adapted_shape[1])
-        if (
-            spec.name is None
-            and spec.bidirectional is None
-            and tier in MULTIVARIATE_TIER_ARCHITECTURES
-        ):
-            detector = build_seq2seq_detector(
-                tier,
-                n_channels=n_channels,
-                units=spec.units,
-                inference_mode=spec.inference_mode,
-                dropout_rate=spec.dropout_rate,
-                seed=seed,
-            )
-        else:
-            architecture = MULTIVARIATE_TIER_ARCHITECTURES.get(tier)
-            if spec.units is None and architecture is None:
-                raise ConfigurationError(
-                    f"seq2seq at custom tier {tier!r} needs explicit units"
-                )
-            units = spec.units if spec.units is not None else architecture.units
-            if spec.bidirectional is not None:
-                bidirectional = spec.bidirectional
-            else:
-                bidirectional = architecture.bidirectional if architecture else False
-            double_bias = architecture.double_bias if architecture else False
-            detector = Seq2SeqDetector(
-                n_channels=n_channels,
-                units=units,
-                bidirectional=bidirectional,
-                double_bias=double_bias,
-                dropout_rate=spec.dropout_rate,
-                inference_mode=spec.inference_mode,
-                name=spec.name or f"seq2seq-{tier}",
-                seed=seed,
-            )
-
-    if spec.input_adapter is not None:
-        detector = WindowReshapeAdapter(detector, spec.input_adapter)
-    return detector
+        return build_autoencoder_detector(
+            tier,
+            window_size=math.prod(window_shape),
+            hidden_sizes=spec.hidden_sizes,
+            name=spec.name,
+            seed=seed,
+        )
+    return build_seq2seq_detector(
+        tier,
+        n_channels=window_shape[1] if len(window_shape) > 1 else 1,
+        units=spec.units,
+        inference_mode=spec.inference_mode,
+        dropout_rate=spec.dropout_rate,
+        name=spec.name,
+        seed=seed,
+    )
 
 
 class ExperimentRunner:
@@ -387,13 +324,12 @@ class ExperimentRunner:
             extractor.fit(policy_train_windows)
             return extractor
         bottom = self.state.detectors[0]
-        target = bottom.inner if isinstance(bottom, WindowReshapeAdapter) else bottom
-        if not isinstance(target, Seq2SeqDetector):
+        if not isinstance(bottom, Seq2SeqDetector):
             raise ConfigurationError(
                 "policy.context='iot-encoder' needs a seq2seq detector at layer 0, "
-                f"got {type(target).__name__}"
+                f"got {type(bottom).__name__}"
             )
-        return EncoderContextExtractor(target)
+        return EncoderContextExtractor(bottom)
 
     def evaluate(self) -> PipelineResult:
         """Build the Table I / Table II rows and the final :class:`PipelineResult`."""

@@ -220,9 +220,9 @@ def hierarchical_edge_4tier() -> ExperimentSpec:
 def mixed_detectors() -> ExperimentSpec:
     """Mixed detector families: autoencoders on IoT/edge, LSTM-seq2seq on the cloud.
 
-    The seq2seq cloud model consumes the univariate weekly windows through the
-    ``expand-channel`` adapter (``(n, T) -> (n, T, 1)``); the paper's tracks
-    use one family each.
+    The seq2seq cloud model reads each univariate weekly window as a
+    one-channel sequence (``(n, T)`` as ``(n, T, 1)``), a layout the window
+    shape sets; the paper's tracks use one family each.
     """
     return ExperimentSpec(
         name="mixed-detectors",
@@ -245,7 +245,6 @@ def mixed_detectors() -> ExperimentSpec:
                 family="seq2seq",
                 units=24,
                 inference_mode="teacher_forcing",
-                input_adapter="expand-channel",
                 epochs=8,
                 batch_size=16,
                 learning_rate=5e-3,

@@ -33,9 +33,6 @@ DATA_SOURCES = ("power", "mhealth")
 #: Detector families understood by the runner's ``fit_detectors`` stage.
 DETECTOR_FAMILIES = ("autoencoder", "seq2seq")
 
-#: Window adapters (see :mod:`repro.detectors.adapters`).
-INPUT_ADAPTERS = ("expand-channel", "flatten")
-
 #: Context extractors understood by the runner's ``train_policy`` stage.
 CONTEXT_KINDS = ("daily-stats", "iot-encoder")
 
@@ -101,21 +98,19 @@ class DataSpec(JsonRecord):
 
 @dataclass(frozen=True)
 class DetectorSpec(JsonRecord):
-    """One detector (family + architecture + training knobs) for one tier."""
+    """One detector (family + architecture + training knobs) for one tier.
+
+    The tier sets the paper architecture these fields override, and the
+    window shape sets the input size and layout.
+    """
 
     family: str = "autoencoder"
     #: Autoencoder hidden-layer sizes; ``None`` uses the tier's paper-scale default.
     hidden_sizes: Optional[Tuple[int, ...]] = None
     #: Seq2seq encoder units; ``None`` uses the tier's paper-scale default.
     units: Optional[int] = None
-    #: Seq2seq encoder direction; ``None`` uses the tier default (cloud = bidirectional).
-    bidirectional: Optional[bool] = None
     inference_mode: str = "autoregressive"
     dropout_rate: float = 0.3
-    #: Reshape incoming windows before the detector sees them
-    #: (``"expand-channel"``: 2-D univariate -> 3-D single-channel;
-    #: ``"flatten"``: 3-D multivariate -> 2-D).  Enables mixed detector families.
-    input_adapter: Optional[str] = None
     #: Detector display name; ``None`` derives one from the family and tier.
     name: Optional[str] = None
     # training
@@ -125,8 +120,6 @@ class DetectorSpec(JsonRecord):
 
     def __post_init__(self) -> None:
         _check_choice(self.family, DETECTOR_FAMILIES, "detector.family")
-        if self.input_adapter is not None:
-            _check_choice(self.input_adapter, INPUT_ADAPTERS, "detector.input_adapter")
         if self.hidden_sizes is not None:
             object.__setattr__(self, "hidden_sizes", _freeze(self.hidden_sizes))
 

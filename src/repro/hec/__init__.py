@@ -12,7 +12,7 @@ simulated equivalent:
 * :mod:`repro.hec.topology` — the K-layer hierarchy wiring devices and links;
 * :mod:`repro.hec.deployment` — placing (optionally quantised) detectors on
   layers;
-* :mod:`repro.hec.delay` — end-to-end delay accounting for a detection request
+* :mod:`repro.hec.delay` — the end-to-end delay of a detection request
   handled at a given layer;
 * :mod:`repro.hec.simulation` — the HEC system facade used by the selection
   schemes, the fleet engine and the ingest server (submit a batch of windows
@@ -23,7 +23,6 @@ from repro.hec.device import DeviceProfile, RASPBERRY_PI_3, JETSON_TX2, GPU_DEVB
 from repro.hec.network import NetworkLink, TransferSpec
 from repro.hec.topology import HECTopology, build_three_layer_topology
 from repro.hec.deployment import ModelDeployment, deploy_registry
-from repro.hec.delay import DelayBreakdown, end_to_end_delay
 from repro.hec.simulation import HECSystem
 
 __all__ = [
@@ -37,7 +36,5 @@ __all__ = [
     "build_three_layer_topology",
     "ModelDeployment",
     "deploy_registry",
-    "DelayBreakdown",
-    "end_to_end_delay",
     "HECSystem",
 ]

@@ -13,32 +13,13 @@ keep-alive sockets of the paper's implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
-from repro.exceptions import ConfigurationError
 from repro.hec.network import NetworkLink, TransferSpec
-from repro.hec.topology import HECTopology
 
 #: Size of the verdict/result message sent back down the hierarchy.
 RESULT_PAYLOAD_BYTES = 64.0
 _RESULT_TRANSFER = TransferSpec(RESULT_PAYLOAD_BYTES, "down")
-
-
-@dataclass
-class DelayBreakdown:
-    """Composition of one end-to-end detection delay (all values in milliseconds)."""
-
-    layer: int
-    uplink_ms: float = 0.0
-    execution_ms: float = 0.0
-    downlink_ms: float = 0.0
-    hops: List[str] = field(default_factory=list)
-
-    @property
-    def total_ms(self) -> float:
-        """Total end-to-end delay."""
-        return self.uplink_ms + self.execution_ms + self.downlink_ms
 
 
 def window_payload_bytes(window_shape: tuple, bytes_per_value: int = 4) -> float:
@@ -49,46 +30,20 @@ def window_payload_bytes(window_shape: tuple, bytes_per_value: int = 4) -> float
     return float(size * bytes_per_value)
 
 
-def end_to_end_delay(
-    topology: HECTopology,
-    layer: int,
-    execution_ms: float,
-    payload_bytes: float,
-    include_downlink: bool = True,
-) -> DelayBreakdown:
-    """Delay of one detection handled at ``layer`` for a window of ``payload_bytes``.
-
-    ``include_downlink`` covers returning the verdict to the IoT device; the
-    paper's end-to-end delay is measured at the device, so it is on by default.
-    """
-    if execution_ms < 0:
-        raise ConfigurationError(f"execution_ms must be non-negative, got {execution_ms}")
-    links = topology.links_to(layer)
-    uplink_ms, downlink_ms = _transfers_ms(links, payload_bytes, include_downlink)
-    hops = [f"{link.name}:up" for link in links]
-    if include_downlink:
-        hops += [f"{link.name}:down" for link in reversed(links)]
-    return DelayBreakdown(layer, uplink_ms, float(execution_ms), downlink_ms, hops)
-
-
 def request_delay_ms(
     links: Sequence[NetworkLink], execution_ms: float, payload_bytes: float
 ) -> float:
-    """``end_to_end_delay(...).total_ms`` over ``links``, without the breakdown."""
-    uplink_ms, downlink_ms = _transfers_ms(links, payload_bytes, True)
-    return uplink_ms + float(execution_ms) + downlink_ms
+    """One request's end-to-end delay over ``links`` (the hops up to its layer).
 
-
-def _transfers_ms(
-    links: Sequence[NetworkLink], payload_bytes: float, include_downlink: bool
-) -> Tuple[float, float]:
-    """One request's summed uplink and downlink transfers, in transfer order."""
+    The window travels up every link in order, the layer executes, and the
+    verdict travels back down every link in reverse order; each transfer
+    advances its link's keep-alive state.
+    """
     upload = TransferSpec(payload_bytes, "up")
     uplink_ms = 0.0
     for link in links:
         uplink_ms += link.transfer_delay_ms(upload)
     downlink_ms = 0.0
-    if include_downlink:
-        for link in reversed(links):
-            downlink_ms += link.transfer_delay_ms(_RESULT_TRANSFER)
-    return uplink_ms, downlink_ms
+    for link in reversed(links):
+        downlink_ms += link.transfer_delay_ms(_RESULT_TRANSFER)
+    return uplink_ms + float(execution_ms) + downlink_ms

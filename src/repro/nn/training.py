@@ -10,7 +10,7 @@ the epoch loss has not dropped below its best for ``patience`` epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -22,31 +22,14 @@ from repro.utils.rng import RngLike, ensure_rng
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch metric history recorded by ``fit``.
+    """The per-epoch mean loss recorded by ``fit``."""
 
-    ``metrics`` maps a metric name (e.g. ``"loss"``) to the list of its
-    per-epoch values.
-    """
-
-    metrics: Dict[str, List[float]] = field(default_factory=dict)
-
-    def record(self, name: str, value: float) -> None:
-        """Append ``value`` to the series for ``name``."""
-        self.metrics.setdefault(name, []).append(float(value))
-
-    def last(self, name: str) -> float:
-        """Most recent value of the metric ``name``."""
-        series = self.metrics.get(name)
-        if not series:
-            raise KeyError(f"no values recorded for metric {name!r}")
-        return series[-1]
+    losses: List[float] = field(default_factory=list)
 
     @property
     def epochs(self) -> int:
-        """Number of completed epochs (length of the loss series)."""
-        if not self.metrics:
-            return 0
-        return max(len(series) for series in self.metrics.values())
+        """Number of completed epochs."""
+        return len(self.losses)
 
 
 def iterate_minibatches(
@@ -148,7 +131,7 @@ class ReconstructionModel:
                 for batch in iterate_minibatches(inputs, batch_size, rng=self._rng)
             ]
             mean_loss = float(np.mean(losses)) if losses else float("nan")
-            self.history.record("loss", mean_loss)
+            self.history.losses.append(mean_loss)
             if verbose:
                 print(f"[{self.name}] epoch {epoch}/{epochs} loss={mean_loss:.6f}")
             if best is None or mean_loss < best:

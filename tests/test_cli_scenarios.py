@@ -135,3 +135,15 @@ class TestRunCommand:
         assert main(["run", "--spec-file", str(spec_file), "--spec-only"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err
+
+    def test_a_spec_file_carrying_input_adapter_exits_2_naming_it(self, tmp_path, capsys):
+        """The window shape sets a detector's layout: a saved spec that still
+        picks one by hand is refused on one line, naming the detector and key."""
+        payload = get_scenario("mixed-detectors").to_dict()
+        payload["detectors"][2]["input_adapter"] = "expand-channel"
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", "--spec-file", str(spec_file), "--spec-only"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "experiment.detectors.2" in lines[0] and "'input_adapter'" in lines[0]

@@ -1,18 +1,19 @@
 """The ``Detector`` contract, checked once for every detector shape.
 
-Every detector the HEC system deploys — the autoencoder, the seq2seq model in
-both inference modes, and both ``WindowReshapeAdapter`` modes — must agree on
-what ``fit``, ``detect``, ``detect_arrays``, ``predict`` and
-``parameter_count`` mean.  Each case builds a fresh seeded detector, its
-training windows and a test batch with shifted (anomalous) windows in it.
+Every detector the HEC system deploys — the autoencoder and the seq2seq model
+in both inference modes, each on its own window layout and on the other
+family's — must agree on what ``fit``, ``detect``, ``detect_arrays``,
+``predict`` and ``parameter_count`` mean.  Each case builds a fresh seeded
+detector, its training windows and a test batch with shifted (anomalous)
+windows in it.
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from repro.detectors.adapters import WindowReshapeAdapter
 from repro.detectors.autoencoder import AutoencoderDetector
 from repro.detectors.lstm_seq2seq import Seq2SeqDetector
 from repro.exceptions import NotFittedError, ShapeError
@@ -35,12 +36,12 @@ def _case(name):
         )
         train = rng.normal(size=(20, 8, 3))
     elif name == "expand-channel":
-        detector = WindowReshapeAdapter(Seq2SeqDetector(1, units=16, seed=3), "expand-channel")
+        # Seq2seq on univariate (n, T) windows: one channel.
+        detector = Seq2SeqDetector(1, units=16, seed=3)
         train = rng.normal(size=(20, 10))
     else:
-        detector = WindowReshapeAdapter(
-            AutoencoderDetector(24, hidden_sizes=(8,), seed=3), "flatten"
-        )
+        # Autoencoder on multivariate (n, T, C) windows: flattened.
+        detector = AutoencoderDetector(24, hidden_sizes=(8,), seed=3)
         train = rng.normal(size=(30, 8, 3))
     test = np.concatenate([train[:6], train[6:12] + 3.0])
     return detector, train, test
@@ -136,19 +137,14 @@ def test_detection_before_fit_raises(name):
             detect(test)
 
 
-def test_a_single_window_is_promoted_to_a_batch(fitted):
+def test_a_single_window_is_a_shape_error(fitted):
+    """Every input is a batch: a bare window is refused, naming its shape."""
     _name, detector, test = fitted
-    if isinstance(detector, WindowReshapeAdapter):
-        # An adapter takes batches only (see test_detectors_adapters.py).
-        with pytest.raises(ShapeError, match="expects"):
-            detector.detect(test[0])
-        return
-    single = detector.detect(test[0])
-    assert len(single) == 1
-    np.testing.assert_array_equal(
-        single[0].point_scores, detector.detect(test[:1])[0].point_scores
-    )
-    np.testing.assert_array_equal(detector.predict(test[0]), detector.predict(test[:1]))
+    shape = str(test[0].shape)
+    for call in (detector.detect, detector.detect_arrays, detector.predict,
+                 detector.reconstruct):
+        with pytest.raises(ShapeError, match=re.escape(shape)):
+            call(test[0])
 
 
 def test_parameter_count_is_the_models(fitted):

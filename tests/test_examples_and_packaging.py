@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.adapt
+import repro.detectors
 import repro.evaluation.figures
 import repro.evaluation.metrics
 import repro.fleet
@@ -28,13 +29,14 @@ from repro.bandit import PolicyNetwork, ReinforcementComparisonBaseline, Reinfor
 from repro.detectors import AutoencoderDetector
 from repro.exceptions import ConfigurationError
 from repro.experiments import apply_overrides, get_scenario
-from repro.experiments.spec import DeploymentSpec, PolicySpec
+from repro.experiments.spec import DeploymentSpec, DetectorSpec, PolicySpec
 from repro.experiments.stages import train_policy
 from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.layers import LSTM, Dense
 from repro.nn.losses import get_loss
 from repro.nn.models import Seq2SeqAutoencoder, Sequential
+from repro.nn.training import TrainingHistory
 from repro.nn.optimizers import get_optimizer
 from repro.nn.regularizers import get_regularizer
 from repro.obs.alerts import AlertManager
@@ -357,6 +359,17 @@ class TestPackageSurface:
                      optimizer="sgd"), TypeError, "optimizer"),
             (partial(repro.hec.deploy_registry, None, None, "univariate",
                      execution_time_overrides={}), TypeError, "execution_time_overrides"),
+            (partial(getattr, repro.detectors, "WindowReshapeAdapter"), AttributeError,
+             "WindowReshapeAdapter"),
+            (partial(getattr, repro.hec, "end_to_end_delay"), AttributeError,
+             "end_to_end_delay"),
+            (partial(getattr, repro.hec, "DelayBreakdown"), AttributeError, "DelayBreakdown"),
+            (partial(DetectorSpec.from_dict, {"input_adapter": "flatten"}),
+             ConfigurationError, "input_adapter.*inference_mode"),
+            (partial(DetectorSpec.from_dict, {"bidirectional": False}), ConfigurationError,
+             "bidirectional.*inference_mode"),
+            (partial(DetectorSpec, input_adapter="flatten"), TypeError, "input_adapter"),
+            (partial(getattr, TrainingHistory, "last"), AttributeError, "last"),
         ],
         ids=["sgd", "huber", "mae", "mean_absolute_error", "l1", "he_normal", "he_uniform",
              "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
@@ -370,7 +383,10 @@ class TestPackageSurface:
              "adaptive_greedy", "baseline_n_actions", "baseline_update_action",
              "update_batch", "values", "layer_usage", "alert_state", "EarlyStopping",
              "fit_targets", "train_on_batch_targets", "fit_shuffle", "fit_early_stopping",
-             "detector_fit_optimizer", "execution_time_overrides"],
+             "detector_fit_optimizer", "execution_time_overrides", "WindowReshapeAdapter",
+             "end_to_end_delay", "DelayBreakdown", "DetectorSpec.input_adapter",
+             "DetectorSpec.bidirectional", "DetectorSpec(input_adapter=)",
+             "TrainingHistory.last"],
     )
     def test_removed_names_are_refused(self, refused, error, remaining):
         """Names only tests reached were deleted: asking for a deleted option is

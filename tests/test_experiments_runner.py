@@ -7,7 +7,7 @@ shape (4-tier topology, mixed detector families).
 import numpy as np
 import pytest
 
-from repro.detectors.adapters import WindowReshapeAdapter
+from repro.detectors.lstm_seq2seq import Seq2SeqDetector
 from repro.evaluation.metrics import accuracy_score, f1_score
 from repro.exceptions import ConfigurationError
 from repro.experiments import SCENARIOS, ExperimentRunner, apply_overrides, get_scenario
@@ -149,10 +149,12 @@ class TestMixedDetectorScenario:
         assert names[1].startswith("AE-")
         assert "seq2seq" in names[2]
 
-    def test_cloud_detector_is_adapted(self, result):
+    def test_cloud_detector_reads_univariate_windows_as_one_channel(self, result):
         cloud = result.detectors["cloud"]
-        assert isinstance(cloud, WindowReshapeAdapter)
-        assert cloud.mode == "expand-channel"
+        assert isinstance(cloud, Seq2SeqDetector)
+        assert (cloud.name, cloud.n_channels, cloud.bidirectional) == (
+            "BiLSTM-seq2seq-Cloud", 1, True
+        )
         assert cloud.fitted
 
     def test_all_schemes_evaluated(self, result):
@@ -160,11 +162,11 @@ class TestMixedDetectorScenario:
             "IoT Device", "Edge", "Cloud", "Successive", "Our Method"
         }
 
-    def test_adapter_predictions_match_inner_detector(self, result):
+    def test_cloud_predictions_equal_those_on_the_channel_layout(self, result):
         cloud = result.detectors["cloud"]
         windows = result.test_windows
         np.testing.assert_array_equal(
-            cloud.predict(windows), cloud.inner.predict(windows[:, :, None])
+            cloud.predict(windows), cloud.predict(windows[:, :, None])
         )
 
 
@@ -180,14 +182,6 @@ class TestDetectorBuilding:
         assert detector.name == "My-Cloud"
         assert detector.bidirectional is True  # cloud tier default
 
-    def test_explicit_bidirectional_overrides_tier_default(self):
-        from repro.experiments.runner import _build_detector
-        from repro.experiments import DetectorSpec
-
-        spec = DetectorSpec(family="seq2seq", units=8, bidirectional=False)
-        detector = _build_detector(spec, tier="cloud", window_shape=(16, 3), seed=0)
-        assert detector.bidirectional is False
-
     def test_custom_tier_seq2seq_needs_units(self):
         from repro.experiments.runner import _build_detector
         from repro.experiments import DetectorSpec
@@ -196,28 +190,45 @@ class TestDetectorBuilding:
             _build_detector(DetectorSpec(family="seq2seq"), tier="fog",
                             window_shape=(16, 3), seed=0)
 
+    def test_custom_tier_seq2seq_is_unidirectional_and_single_bias(self):
+        from repro.experiments.runner import _build_detector
+        from repro.experiments import DetectorSpec
 
-class TestWindowReshapeAdapter:
-    def test_expand_channel_shape(self):
-        from repro.detectors.autoencoder import AutoencoderDetector
+        detector = _build_detector(DetectorSpec(family="seq2seq", units=5), tier="fog",
+                                   window_shape=(16, 3), seed=0)
+        assert (detector.name, detector.units, detector.bidirectional) == (
+            "seq2seq-fog", 5, False
+        )
+        assert not detector.model.encoder.double_bias
 
-        inner = AutoencoderDetector(window_size=6, hidden_sizes=(3,), seed=0)
-        adapter = WindowReshapeAdapter(inner, "flatten")
-        windows = np.arange(12.0).reshape(2, 3, 2)
-        assert adapter.adapt(windows).shape == (2, 6)
+    def test_custom_tier_autoencoder_needs_hidden_sizes(self):
+        from repro.experiments.runner import _build_detector
+        from repro.experiments import DetectorSpec
 
-    def test_flatten_rejects_flat_input(self):
-        from repro.detectors.autoencoder import AutoencoderDetector
-        from repro.exceptions import ShapeError
+        with pytest.raises(ConfigurationError, match="explicit hidden_sizes"):
+            _build_detector(DetectorSpec(), tier="fog", window_shape=(16,), seed=0)
+        detector = _build_detector(DetectorSpec(hidden_sizes=(4,)), tier="fog",
+                                   window_shape=(16,), seed=0)
+        assert (detector.name, detector.hidden_sizes) == ("AE-fog", (4,))
 
-        inner = AutoencoderDetector(window_size=6, hidden_sizes=(3,), seed=0)
-        adapter = WindowReshapeAdapter(inner, "flatten")
-        with pytest.raises(ShapeError):
-            adapter.adapt(np.zeros((2, 6)))
+    def test_named_autoencoder_keeps_the_tier_architecture(self):
+        from repro.experiments.runner import _build_detector
+        from repro.experiments import DetectorSpec
 
-    def test_unknown_mode_rejected(self):
-        from repro.detectors.autoencoder import AutoencoderDetector
+        detector = _build_detector(DetectorSpec(name="My-Edge"), tier="edge",
+                                   window_shape=(16,), seed=0)
+        assert (detector.name, detector.hidden_sizes) == ("My-Edge", (512, 256, 512))
 
-        inner = AutoencoderDetector(window_size=6, hidden_sizes=(3,), seed=0)
-        with pytest.raises(ConfigurationError):
-            WindowReshapeAdapter(inner, "transpose")
+    @pytest.mark.parametrize(
+        "family, window_shape, size",
+        [("autoencoder", (16,), 16), ("autoencoder", (8, 3), 24),
+         ("seq2seq", (16,), 1), ("seq2seq", (8, 3), 3)],
+    )
+    def test_the_window_shape_sets_the_input_size(self, family, window_shape, size):
+        from repro.experiments.runner import _build_detector
+        from repro.experiments import DetectorSpec
+
+        spec = DetectorSpec(family=family, hidden_sizes=(4,), units=4)
+        detector = _build_detector(spec, tier="iot", window_shape=window_shape, seed=0)
+        got = detector.window_size if family == "autoencoder" else detector.n_channels
+        assert got == size

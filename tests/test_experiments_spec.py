@@ -231,6 +231,22 @@ class TestBuiltinSpecDigests:
 
     DIGESTS = {
         "univariate-power":
+            "46513cc5e2fea663c6dee9ea629d01456943b83c466916f0aebd7951d2bf4767",
+        "multivariate-mhealth":
+            "b39106d9f6e751bd252a7f32351599a8217ac84b7ebf7006dd8479d132e235ba",
+        "univariate-power-paper":
+            "eb07718e1dc5f86ea96c458717685da69b216cf2e648fd7e976eddfe0c2327e5",
+        "multivariate-mhealth-paper":
+            "b7471b8c8b6bcfd56173969079df6b2f86796b50bba811bf9c7c242dfe6de353",
+        "hierarchical-edge-4tier":
+            "dbc8a60352701b50d686df81846394df12110962ae321608217b0b5de438edcd",
+        "mixed-detectors":
+            "66e8c9bc6b8c7956e95266f22744682626a7dec06b3766b67f58ad5f9f080c38",
+    }
+    #: The digests before each detector's ``input_adapter`` and
+    #: ``bidirectional`` were removed.
+    DIGESTS_WITH_DETECTOR_KEYS = {
+        "univariate-power":
             "8f91f75a79ab23e8bb825e6568c02017b0dede76799d2308911dbcf8fde60e87",
         "multivariate-mhealth":
             "dcca87afe54c619b95a81edbb44cbe066c02be4e6c5c599f5bbf0de5ef387e59",
@@ -288,6 +304,12 @@ class TestBuiltinSpecDigests:
         """Re-inserting the removed keys reproduces each previous digest, so
         the re-pins above moved nothing else."""
         spec = get_scenario(name).to_dict()
+        for detector in spec["detectors"]:
+            detector["input_adapter"] = None
+            detector["bidirectional"] = None
+        if name == "mixed-detectors":
+            spec["detectors"][2]["input_adapter"] = "expand-channel"
+        assert self._digest(spec) == self.DIGESTS_WITH_DETECTOR_KEYS[name]
         spec["policy"]["batch_size"] = 1
         spec["deployment"]["use_calibrated_execution_times"] = True
         assert self._digest(spec) == self.DIGESTS_WITH_BANDIT_KEYS[name]

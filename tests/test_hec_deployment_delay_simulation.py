@@ -1,6 +1,8 @@
 """Tests for deployment, delay accounting and the HEC system."""
 
 import copy
+from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 import pytest
@@ -8,12 +10,50 @@ import pytest
 from repro.detectors.autoencoder import AutoencoderDetector
 from repro.detectors.registry import DetectorRegistry
 from repro.exceptions import ConfigurationError, DeploymentError, SchedulingError
-from repro.hec.delay import RESULT_PAYLOAD_BYTES, end_to_end_delay, window_payload_bytes
+from repro.hec.delay import RESULT_PAYLOAD_BYTES, window_payload_bytes
 from repro.hec.deployment import deploy_registry
 from repro.hec.device import DeviceProfile
-from repro.hec.network import NetworkLink, paper_link_edge_cloud, paper_link_iot_edge
+from repro.hec.network import (
+    NetworkLink,
+    TransferSpec,
+    paper_link_edge_cloud,
+    paper_link_iot_edge,
+)
 from repro.hec.simulation import HECSystem
 from repro.hec.topology import HECTopology, build_three_layer_topology
+
+
+@dataclass
+class DelayBreakdown:
+    """Composition of one end-to-end detection delay (all values in milliseconds)."""
+
+    layer: int
+    uplink_ms: float = 0.0
+    execution_ms: float = 0.0
+    downlink_ms: float = 0.0
+    hops: List[str] = field(default_factory=list)
+
+    @property
+    def total_ms(self) -> float:
+        return self.uplink_ms + self.execution_ms + self.downlink_ms
+
+
+def end_to_end_delay(topology, layer, execution_ms, payload_bytes, include_downlink=True):
+    """The reference delay the HEC kernel's ``request_delay_ms`` is pinned to:
+    one request handled at ``layer``, hop by hop, with its breakdown."""
+    if execution_ms < 0:
+        raise ConfigurationError(f"execution_ms must be non-negative, got {execution_ms}")
+    links = topology.links_to(layer)
+    uplink_ms = 0.0
+    for link in links:
+        uplink_ms += link.transfer_delay_ms(TransferSpec(payload_bytes, "up"))
+    hops = [f"{link.name}:up" for link in links]
+    downlink_ms = 0.0
+    if include_downlink:
+        for link in reversed(links):
+            downlink_ms += link.transfer_delay_ms(TransferSpec(RESULT_PAYLOAD_BYTES, "down"))
+        hops += [f"{link.name}:down" for link in reversed(links)]
+    return DelayBreakdown(layer, uplink_ms, float(execution_ms), downlink_ms, hops)
 
 
 def _tiny_registry(window_size=10, fitted=True, rng_seed=0):

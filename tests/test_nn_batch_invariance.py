@@ -62,17 +62,12 @@ def _dense_layers_of(window_shape, detector_specs, tier_names, policy_spec):
     for layer, (det_spec, tier) in enumerate(zip(detector_specs, tier_names)):
         detector = _build_detector(det_spec, tier, window_shape, seed=layer)
         # Seq2seq models build on their first forward.
-        shape = window_shape
-        if det_spec.input_adapter == "expand-channel":
-            shape = window_shape + (1,)
-        elif det_spec.input_adapter == "flatten":
-            shape = (int(np.prod(window_shape)),)
-        getattr(detector, "inner", detector).model.forward(np.zeros((1,) + shape))
+        detector.reconstruct(np.zeros((1,) + window_shape))
         detectors.append(detector)
     if policy_spec.context == "daily-stats":
         context = UnivariateContextExtractor(segments=policy_spec.context_segments)
     else:
-        context = EncoderContextExtractor(getattr(detectors[0], "inner", detectors[0]))
+        context = EncoderContextExtractor(detectors[0])
     policy = PolicyNetwork(context.context_dim, n_actions=len(detectors),
                            hidden_units=policy_spec.hidden_units)
     found = []

@@ -48,12 +48,12 @@ class TestSequential:
         basis = rng.normal(size=(2, 6))
         x = rng.normal(size=(64, 2)) @ basis
         history = model.fit(x, epochs=30, batch_size=8)
-        assert history.metrics["loss"][-1] < history.metrics["loss"][0]
+        assert history.losses[-1] < history.losses[0]
 
     def test_patience_stops_at_the_first_epoch_without_a_new_best(self):
         model = self._autoencoder()
         x = np.random.default_rng(0).normal(size=(20, 6))
-        losses = model.fit(x, epochs=50, batch_size=8, patience=1).metrics["loss"]
+        losses = model.fit(x, epochs=50, batch_size=8, patience=1).losses
         assert len(losses) < 50
         assert all(later < earlier for earlier, later in zip(losses[:-2], losses[1:-1]))
         assert losses[-1] >= losses[-2]
@@ -179,7 +179,7 @@ class TestSeq2SeqAutoencoder:
             ]
         )
         history = model.fit(windows, epochs=8, batch_size=8)
-        assert history.metrics["loss"][-1] < history.metrics["loss"][0]
+        assert history.losses[-1] < history.losses[0]
 
     def test_fit_requires_compile(self):
         model = Seq2SeqAutoencoder(LSTM(3), LSTM(3, return_sequences=True), output_dim=2)

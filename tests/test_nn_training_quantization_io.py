@@ -12,16 +12,20 @@ from repro.nn.training import TrainingHistory, iterate_minibatches
 
 
 class TestTrainingHistory:
-    def test_record_and_last(self):
+    def test_one_loss_series(self):
         history = TrainingHistory()
-        history.record("loss", 1.0)
-        history.record("loss", 0.5)
-        assert history.last("loss") == 0.5
+        assert history.epochs == 0
+        history.losses.extend([1.0, 0.5])
+        assert history.losses[-1] == 0.5
         assert history.epochs == 2
 
-    def test_missing_metric_raises(self):
-        with pytest.raises(KeyError):
-            TrainingHistory().last("loss")
+    def test_fit_records_one_mean_loss_per_epoch(self):
+        model = Sequential([Dense(3), Dense(2)], seed=0)
+        model.compile("adam", "mse")
+        history = model.fit(np.ones((8, 2)), epochs=3, batch_size=4)
+        assert history is model.history
+        assert history.epochs == 3 and len(history.losses) == 3
+        assert all(isinstance(loss, float) for loss in history.losses)
 
 
 class TestFitPatience:
@@ -36,7 +40,7 @@ class TestFitPatience:
         script = iter(losses)
         model.train_on_batch = lambda batch: next(script)
         history = model.fit(np.zeros((4, 2)), epochs=len(losses), batch_size=4, patience=patience)
-        return history.metrics["loss"]
+        return history.losses
 
     def test_stops_after_patience(self):
         losses = [1.0, 0.9, 0.95, 0.96, 0.97]

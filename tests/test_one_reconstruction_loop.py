@@ -23,8 +23,7 @@ from repro.utils.rng import ensure_rng
 
 
 class _ReferenceEarlyStopping:
-    def __init__(self, monitor="loss", patience=5, min_delta=0.0, mode="min"):
-        self.monitor = monitor
+    def __init__(self, patience=5, min_delta=0.0, mode="min"):
         self.patience = int(patience)
         self.min_delta = float(abs(min_delta))
         self.mode = mode
@@ -32,10 +31,9 @@ class _ReferenceEarlyStopping:
         self.wait = 0
 
     def update(self, epoch, history):
-        try:
-            current = history.last(self.monitor)
-        except KeyError:
+        if not history.losses:
             return False
+        current = history.losses[-1]
         if self.best is None:
             self.best = current
             self.wait = 0
@@ -95,7 +93,7 @@ def _reference_sequential_fit(model, inputs, targets=None, epochs=10, batch_size
             epoch_losses.append(
                 _reference_sequential_train_on_batch(model, batch_inputs, batch_targets)
             )
-        history.record("loss", float(np.mean(epoch_losses)))
+        history.losses.append(float(np.mean(epoch_losses)))
         if early_stopping is not None and early_stopping.update(epoch, history):
             break
     return history
@@ -126,7 +124,7 @@ def _reference_seq2seq_fit(model, windows, epochs=10, batch_size=16, shuffle=Tru
             windows, None, batch_size, shuffle=shuffle, rng=model._rng
         ):
             losses.append(_reference_seq2seq_train_on_batch(model, batch))
-        history.record("loss", float(np.mean(losses)))
+        history.losses.append(float(np.mean(losses)))
         if early_stopping is not None and early_stopping.update(epoch, history):
             break
     return history
@@ -139,7 +137,7 @@ def _reference_detector_fit(detector, windows, epochs, batch_size, learning_rate
     detector.model.compile("adam" if autoencoder else "rmsprop", "mse",
                            learning_rate=learning_rate)
     stopper = (
-        _ReferenceEarlyStopping(monitor="loss", patience=patience)
+        _ReferenceEarlyStopping(patience=patience)
         if patience is not None
         else None
     )
@@ -212,7 +210,7 @@ def test_one_loop_equals_the_two_it_replaced(name, run):
         assert reference_history.epochs < epochs  # the patience fired
     assert subject.model.history.epochs == reference_history.epochs
     np.testing.assert_array_equal(
-        subject.model.history.metrics["loss"], reference_history.metrics["loss"]
+        subject.model.history.losses, reference_history.losses
     )
     want = _flat_weights(reference.model.get_weights())
     got = _flat_weights(subject.model.get_weights())
