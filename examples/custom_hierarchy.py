@@ -28,10 +28,9 @@ from repro.data.power import PowerDatasetConfig, generate_power_dataset, weekly_
 from repro.data.preprocessing import StandardScaler
 from repro.data.splits import anomaly_detection_split, policy_training_split
 from repro.detectors.autoencoder import AutoencoderDetector
-from repro.detectors.registry import DetectorRegistry
 from repro.evaluation.experiment import evaluate_scheme
 from repro.evaluation.tables import format_table
-from repro.hec.deployment import deploy_registry
+from repro.hec.deployment import deploy_detectors
 from repro.hec.device import DeviceProfile
 from repro.hec.network import NetworkLink
 from repro.hec.simulation import HECSystem
@@ -84,7 +83,7 @@ def main() -> None:
 
     # Five detectors of increasing capacity, one per layer.
     topology = build_five_layer_topology()
-    registry = DetectorRegistry(tier_names=TIER_NAMES)
+    detectors = []
     hidden_sizes = [(4,), (8,), (16,), (32, 16, 32), (64, 32, 16, 32, 64)]
     for layer, hidden in enumerate(hidden_sizes):
         detector = AutoencoderDetector(
@@ -94,11 +93,11 @@ def main() -> None:
             seed=int(rng.integers(0, 2**31 - 1)),
         )
         detector.fit(train_windows, epochs=60, batch_size=8, learning_rate=3e-3)
-        registry.register(layer, detector)
+        detectors.append(detector)
         print(f"Trained {detector.name}: {detector.parameter_count()} parameters")
 
-    deployments = deploy_registry(registry, topology, workload="weekly-window",
-                                  quantize_below_layer=2)
+    deployments = deploy_detectors(detectors, topology, workload="weekly-window",
+                                   quantize_below_layer=2)
     system = HECSystem(topology, deployments)
     print("\n" + topology.describe())
 
@@ -111,7 +110,7 @@ def main() -> None:
     reward_fn = RewardFunction(cost=DelayCost(alpha=0.002))
     policy, log, _ = train_policy(
         system,
-        registry.detectors(),
+        detectors,
         extractor,
         policy_train.windows,
         policy_train.labels,

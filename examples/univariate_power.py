@@ -34,7 +34,10 @@ from repro.data.splits import anomaly_detection_split, policy_training_split
 from repro.detectors.autoencoder import build_autoencoder_detector
 from repro.evaluation.experiment import evaluate_scheme
 from repro.evaluation.tables import format_table
-from repro.experiments.stages import build_hec_system, build_schemes, train_policy
+from repro.experiments.stages import build_schemes, train_policy
+from repro.hec.deployment import deploy_detectors
+from repro.hec.simulation import HECSystem
+from repro.hec.topology import build_three_layer_topology
 
 
 def parse_args() -> argparse.Namespace:
@@ -78,7 +81,7 @@ def main() -> None:
     hidden_sizes = None if args.paper_scale else {
         "iot": (12,), "edge": (48, 24, 48), "cloud": (64, 32, 16, 32, 64),
     }
-    detectors = {}
+    detectors = []
     for tier in ("iot", "edge", "cloud"):
         detector = build_autoencoder_detector(
             tier,
@@ -89,10 +92,12 @@ def main() -> None:
         detector.fit(train_windows, epochs=args.epochs, batch_size=8, learning_rate=1e-3)
         print(f"Trained {detector.name}: {detector.parameter_count()} parameters, "
               f"final loss {detector.model.history.losses[-1]:.4f}")
-        detectors[tier] = detector
+        detectors.append(detector)
 
     # 3. HEC deployment -------------------------------------------------------
-    system, deployments = build_hec_system(detectors, workload="univariate")
+    topology = build_three_layer_topology()
+    deployments = deploy_detectors(detectors, topology, workload="univariate")
+    system = HECSystem(topology, deployments)
     for deployment in deployments:
         print(f"Deployed {deployment.detector.name} on {deployment.device_name} "
               f"(quantized={deployment.quantized}, exec {deployment.execution_time_ms:.1f} ms)")
@@ -106,7 +111,7 @@ def main() -> None:
     reward_fn = RewardFunction(cost=DelayCost(alpha=PAPER_ALPHA_UNIVARIATE))
     policy, log, _table = train_policy(
         system,
-        [detectors[tier] for tier in ("iot", "edge", "cloud")],
+        detectors,
         extractor,
         policy_train.windows,
         policy_train.labels,

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -866,7 +867,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run_command(args)
+        status = run_command(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout is gone (``repro list | head``).  Point stdout
+        # at devnull so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

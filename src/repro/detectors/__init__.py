@@ -16,9 +16,7 @@ This subpackage implements the paper's detection side:
 * :mod:`repro.detectors.scoring` — the Gaussian log-probability-density
   anomaly score and its minimum-logPD threshold;
 * :mod:`repro.detectors.confidence` — the paper's two confident-detection
-  rules;
-* :mod:`repro.detectors.registry` — a registry that associates one detector
-  with each HEC layer.
+  rules.
 
 Each family has one constructor per tier, ``build_autoencoder_detector`` and
 ``build_seq2seq_detector``: the tier picks the architecture and the window
@@ -38,7 +36,6 @@ from repro.detectors.lstm_seq2seq import (
     build_seq2seq_detector,
     MULTIVARIATE_TIER_ARCHITECTURES,
 )
-from repro.detectors.registry import DetectorRegistry
 
 __all__ = [
     "AnomalyDetector",
@@ -51,5 +48,4 @@ __all__ = [
     "Seq2SeqDetector",
     "build_seq2seq_detector",
     "MULTIVARIATE_TIER_ARCHITECTURES",
-    "DetectorRegistry",
 ]

@@ -4,7 +4,7 @@ Every experiment runs through three pieces:
 
 * :mod:`repro.experiments.spec` — frozen, serialisable
   :class:`~repro.experiments.spec.ExperimentSpec` dataclasses
-  (dataset + detector-per-tier + topology + deployment + policy + evaluation)
+  (dataset + detector-per-tier + topology + deployment + policy)
   with ``to_dict``/``from_dict``/JSON round-trips and dotted-path overrides;
 * :mod:`repro.experiments.runner` — the
   :class:`~repro.experiments.runner.ExperimentRunner`, decomposing the shared
@@ -22,7 +22,6 @@ from repro.experiments.spec import (
     DeploymentSpec,
     DetectorSpec,
     DeviceSpec,
-    EvaluationSpec,
     ExperimentSpec,
     LinkSpec,
     PolicySpec,
@@ -36,7 +35,6 @@ from repro.obs.spec import ObsSpec
 from repro.serving.spec import ServingSpec
 from repro.experiments.stages import (
     PipelineResult,
-    build_hec_system,
     compute_reward_table,
     evaluate_all_schemes,
     train_policy,
@@ -64,7 +62,6 @@ __all__ = [
     "TopologySpec",
     "DeploymentSpec",
     "PolicySpec",
-    "EvaluationSpec",
     "FleetSpec",
     "MutatorSpec",
     "AdaptSpec",
@@ -75,7 +72,6 @@ __all__ = [
     "parse_set_arguments",
     # stages / runner
     "PipelineResult",
-    "build_hec_system",
     "compute_reward_table",
     "evaluate_all_schemes",
     "train_policy",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.data.windowing import windows_from_dataset
 from repro.detectors.autoencoder import build_autoencoder_detector
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.lstm_seq2seq import Seq2SeqDetector, build_seq2seq_detector
-from repro.detectors.registry import DetectorRegistry
 from repro.exceptions import ConfigurationError
 from repro.experiments.spec import DataSpec, DetectorSpec, ExperimentSpec
 from repro.experiments.stages import (
@@ -53,7 +52,7 @@ from repro.fleet.checkpoint import save_run_descriptor
 from repro.fleet.devices import DeviceFleet, WindowPool
 from repro.fleet.engine import FleetEngine
 from repro.fleet.report import FleetReport
-from repro.hec.deployment import ModelDeployment, deploy_registry
+from repro.hec.deployment import ModelDeployment, deploy_detectors
 from repro.hec.simulation import HECSystem
 from repro.obs.export import Telemetry
 from repro.serving.report import ServingReport
@@ -274,11 +273,8 @@ class ExperimentRunner:
         state = self.state
         deployment = self.spec.deployment
         topology = self.spec.topology.build()
-        registry = DetectorRegistry(tier_names=self.tier_names)
-        for layer, detector in enumerate(state.detectors):
-            registry.register(layer, detector)
-        state.deployments = deploy_registry(
-            registry,
+        state.deployments = deploy_detectors(
+            state.detectors,
             topology,
             workload=deployment.workload,
             quantize_below_layer=deployment.quantize_below_layer,
@@ -350,25 +346,22 @@ class ExperimentRunner:
             state.test_windows,
             state.test_labels,
             state.reward_fn,
-            demo_panel=self.spec.evaluation.demo_panel,
             fixed_layer_names=fixed_layer_names,
         )
         # Table I is a view of the fixed-layer schemes, which come first, bottom-up:
         # each ran its tier's detector over the whole test set.
-        table1_rows: List[ModelComparisonRow] = []
-        if self.spec.evaluation.table1:
-            fixed = list(evaluations.values())[: len(self.tier_names)]
-            for layer, (tier, evaluation) in enumerate(zip(self.tier_names, fixed)):
-                table1_rows.append(
-                    model_comparison_row(
-                        dataset=label,
-                        tier=tier,
-                        layer=layer,
-                        detector=state.detectors[layer],
-                        evaluation=evaluation,
-                        execution_time_ms=state.deployments[layer].execution_time_ms,
-                    )
-                )
+        fixed = list(evaluations.values())[: len(self.tier_names)]
+        table1_rows: List[ModelComparisonRow] = [
+            model_comparison_row(
+                dataset=label,
+                tier=tier,
+                layer=layer,
+                detector=state.detectors[layer],
+                evaluation=evaluation,
+                execution_time_ms=state.deployments[layer].execution_time_ms,
+            )
+            for layer, (tier, evaluation) in enumerate(zip(self.tier_names, fixed))
+        ]
         state.result = PipelineResult(
             dataset_name=label,
             detectors=dict(zip(self.tier_names, state.detectors)),

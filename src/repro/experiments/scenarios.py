@@ -187,7 +187,6 @@ def hierarchical_edge_4tier() -> ExperimentSpec:
                          epochs=80, name="AE-cloud"),
         ),
         topology=TopologySpec(
-            preset=None,
             tier_names=("sensor", "gateway", "edge", "cloud"),
             devices=(
                 DeviceSpec(name="Sensor MCU", tier="iot",

@@ -1,7 +1,7 @@
 """Declarative experiment specifications.
 
 An :class:`ExperimentSpec` describes one complete experiment — dataset,
-detector per tier, topology, deployment, policy training and evaluation — as
+detector per tier, topology, deployment and policy training — as
 a tree of frozen dataclasses.  Specs are pure data: they can be compared,
 serialised to/from JSON (via :mod:`repro.utils.serialization`), overridden
 with dotted ``key=value`` paths (the CLI's ``--set``) and handed to an
@@ -35,9 +35,6 @@ DETECTOR_FAMILIES = ("autoencoder", "seq2seq")
 
 #: Context extractors understood by the runner's ``train_policy`` stage.
 CONTEXT_KINDS = ("daily-stats", "iot-encoder")
-
-#: Topology presets understood by :meth:`TopologySpec.build`.
-TOPOLOGY_PRESETS = ("paper-three-layer",)
 
 #: Seed offsets applied by :meth:`DataSpec.reseed`: the data seed of each
 #: source trails the master seed by a fixed amount.
@@ -185,11 +182,12 @@ class LinkSpec(JsonRecord):
 
 @dataclass(frozen=True)
 class TopologySpec(JsonRecord):
-    """The HEC hierarchy: a preset or explicit device/link profiles."""
+    """The HEC hierarchy: the paper testbed, or explicit device/link profiles.
 
-    #: ``"paper-three-layer"`` builds the paper's Pi 3 -> Jetson TX2 -> Devbox
-    #: testbed; ``None`` requires explicit ``devices`` and ``links``.
-    preset: Optional[str] = "paper-three-layer"
+    No ``devices`` builds the paper's Pi 3 -> Jetson TX2 -> Devbox testbed;
+    given ``devices`` build exactly those, joined by one link fewer.
+    """
+
     tier_names: Tuple[str, ...] = ("iot", "edge", "cloud")
     devices: Tuple[DeviceSpec, ...] = ()
     links: Tuple[LinkSpec, ...] = ()
@@ -198,16 +196,16 @@ class TopologySpec(JsonRecord):
         object.__setattr__(self, "tier_names", tuple(str(t) for t in self.tier_names))
         object.__setattr__(self, "devices", _freeze(self.devices))
         object.__setattr__(self, "links", _freeze(self.links))
-        if self.preset is not None:
-            _check_choice(self.preset, TOPOLOGY_PRESETS, "topology.preset")
-        else:
-            if not self.devices:
-                raise ConfigurationError("topology without a preset needs explicit devices")
-            if len(self.links) != len(self.devices) - 1:
-                raise ConfigurationError(
-                    f"a {len(self.devices)}-layer topology needs {len(self.devices) - 1} "
-                    f"links, got {len(self.links)}"
-                )
+        if not self.devices and self.links:
+            raise ConfigurationError(
+                f"topology has {len(self.links)} links but no devices; links "
+                "need explicit devices (no devices builds the paper testbed)"
+            )
+        if self.devices and len(self.links) != len(self.devices) - 1:
+            raise ConfigurationError(
+                f"a {len(self.devices)}-layer topology needs {len(self.devices) - 1} "
+                f"links, got {len(self.links)}"
+            )
         if len(set(self.tier_names)) != len(self.tier_names):
             raise ConfigurationError(f"tier names must be unique, got {self.tier_names}")
         if len(self.tier_names) != self.n_layers:
@@ -219,15 +217,13 @@ class TopologySpec(JsonRecord):
     @property
     def n_layers(self) -> int:
         """Number of layers this topology will have once built."""
-        if self.preset is not None:
-            return 3
-        return len(self.devices)
+        return len(self.devices) or 3
 
     def build(self):
         """The concrete :class:`~repro.hec.topology.HECTopology`."""
         from repro.hec.topology import HECTopology, build_three_layer_topology
 
-        if self.preset == "paper-three-layer":
+        if not self.devices:
             return build_three_layer_topology()
         return HECTopology(
             devices=[device.build() for device in self.devices],
@@ -267,14 +263,6 @@ class PolicySpec(JsonRecord):
 
 
 @dataclass(frozen=True)
-class EvaluationSpec(JsonRecord):
-    """What the ``evaluate`` stage produces."""
-
-    table1: bool = True
-    demo_panel: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentSpec(JsonRecord):
     """A complete declarative experiment."""
 
@@ -288,7 +276,6 @@ class ExperimentSpec(JsonRecord):
     topology: TopologySpec = field(default_factory=TopologySpec)
     deployment: DeploymentSpec = field(default_factory=DeploymentSpec)
     policy: PolicySpec = field(default_factory=PolicySpec)
-    evaluation: EvaluationSpec = field(default_factory=EvaluationSpec)
     #: Streaming fleet workload for the runner's ``stream`` stage; ``None``
     #: for purely offline experiments (see :mod:`repro.fleet`).
     fleet: Optional[FleetSpec] = None

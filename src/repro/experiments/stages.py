@@ -3,12 +3,11 @@
 Both of the paper's experiment tracks — and every registered scenario — follow
 the same recipe once their detectors are trained:
 
-1. register the detectors in a :class:`~repro.detectors.registry.DetectorRegistry`,
-2. deploy them on the HEC topology (quantising the lower tiers),
-3. build the reward table for the bandit from per-layer correctness and
+1. deploy them on the HEC topology, one per layer (quantising the lower tiers),
+2. build the reward table for the bandit from per-layer correctness and
    per-layer expected delay,
-4. train the policy network with REINFORCE,
-5. evaluate the selection schemes against the same HEC system.
+3. train the policy network with REINFORCE,
+4. evaluate the selection schemes against the same HEC system.
 
 This module holds that shared machinery plus the :class:`PipelineResult`
 container returned by :meth:`~repro.experiments.runner.ExperimentRunner.run`.
@@ -26,13 +25,11 @@ from repro.bandit.policy_network import PolicyNetwork
 from repro.bandit.reinforce import BanditEpisodeLog, ReinforceTrainer
 from repro.bandit.reward import RewardFunction
 from repro.detectors.base import AnomalyDetector
-from repro.detectors.registry import DetectorRegistry
 from repro.evaluation.experiment import SchemeEvaluation, evaluate_scheme
 from repro.evaluation.figures import DemoPanelSeries, demo_panel_from_evaluation
 from repro.evaluation.tables import ModelComparisonRow, SchemeComparisonRow, scheme_comparison_row
-from repro.hec.deployment import ModelDeployment, deploy_registry
+from repro.hec.deployment import ModelDeployment
 from repro.hec.simulation import HECSystem
-from repro.hec.topology import HECTopology, build_three_layer_topology
 from repro.schemes.adaptive import AdaptiveScheme
 from repro.schemes.base import SelectionScheme
 from repro.schemes.fixed import FixedLayerScheme
@@ -74,31 +71,6 @@ class PipelineResult:
                 f"delay={row.delay_ms:.1f}ms reward={row.reward:.2f}"
             )
         return "\n".join(lines)
-
-
-def build_hec_system(
-    detectors: Dict[str, AnomalyDetector],
-    workload: str,
-    topology: Optional[HECTopology] = None,
-    quantize_below_layer: Optional[int] = None,
-) -> tuple[HECSystem, List[ModelDeployment]]:
-    """Register detectors per tier, deploy them and build the HEC system facade.
-
-    ``detectors`` maps tier names (``"iot"``, ``"edge"``, ``"cloud"``) to
-    fitted detectors.
-    """
-    topology = topology or build_three_layer_topology()
-    registry = DetectorRegistry()
-    for tier, detector in detectors.items():
-        registry.register(tier, detector)
-    deployments = deploy_registry(
-        registry,
-        topology,
-        workload=workload,
-        quantize_below_layer=quantize_below_layer,
-    )
-    system = HECSystem(topology, deployments)
-    return system, deployments
 
 
 def per_layer_correctness(
@@ -206,7 +178,6 @@ def evaluate_all_schemes(
     test_windows: np.ndarray,
     test_labels: np.ndarray,
     reward_fn: RewardFunction,
-    demo_panel: bool = True,
     fixed_layer_names: Optional[Sequence[str]] = None,
 ) -> tuple[Dict[str, SchemeEvaluation], List[SchemeComparisonRow], Optional[DemoPanelSeries]]:
     """Run every scheme on the test set; returns evaluations, Table II rows and the demo panel."""
@@ -217,6 +188,6 @@ def evaluate_all_schemes(
         evaluation = evaluate_scheme(scheme, test_windows, test_labels, reward_fn=reward_fn)
         evaluations[scheme.name] = evaluation
         rows.append(scheme_comparison_row(dataset_name, evaluation))
-        if demo_panel and isinstance(scheme, AdaptiveScheme):
+        if isinstance(scheme, AdaptiveScheme):
             panel = demo_panel_from_evaluation(evaluation)
     return evaluations, rows, panel

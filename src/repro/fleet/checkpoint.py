@@ -39,7 +39,7 @@ PathLike = Union[str, Path]
 
 #: Bumped whenever the checkpoint file or payload layout changes; resume
 #: refuses a file written in a different format.
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 #: The first word of every checkpoint file's header line.
 _MAGIC = b"repro-ckpt"

@@ -20,9 +20,9 @@ simulated equivalent:
 """
 
 from repro.hec.device import DeviceProfile, RASPBERRY_PI_3, JETSON_TX2, GPU_DEVBOX
-from repro.hec.network import NetworkLink, TransferSpec
+from repro.hec.network import NetworkLink
 from repro.hec.topology import HECTopology, build_three_layer_topology
-from repro.hec.deployment import ModelDeployment, deploy_registry
+from repro.hec.deployment import ModelDeployment, deploy_detectors
 from repro.hec.simulation import HECSystem
 
 __all__ = [
@@ -31,10 +31,9 @@ __all__ = [
     "JETSON_TX2",
     "GPU_DEVBOX",
     "NetworkLink",
-    "TransferSpec",
     "HECTopology",
     "build_three_layer_topology",
     "ModelDeployment",
-    "deploy_registry",
+    "deploy_detectors",
     "HECSystem",
 ]

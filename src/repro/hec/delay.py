@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.hec.network import NetworkLink, TransferSpec
+from repro.hec.network import NetworkLink
 
 #: Size of the verdict/result message sent back down the hierarchy.
 RESULT_PAYLOAD_BYTES = 64.0
-_RESULT_TRANSFER = TransferSpec(RESULT_PAYLOAD_BYTES, "down")
 
 
 def window_payload_bytes(window_shape: tuple, bytes_per_value: int = 4) -> float:
@@ -39,11 +38,10 @@ def request_delay_ms(
     verdict travels back down every link in reverse order; each transfer
     advances its link's keep-alive state.
     """
-    upload = TransferSpec(payload_bytes, "up")
     uplink_ms = 0.0
     for link in links:
-        uplink_ms += link.transfer_delay_ms(upload)
+        uplink_ms += link.transfer_delay_ms(payload_bytes)
     downlink_ms = 0.0
     for link in reversed(links):
-        downlink_ms += link.transfer_delay_ms(_RESULT_TRANSFER)
+        downlink_ms += link.transfer_delay_ms(RESULT_PAYLOAD_BYTES)
     return uplink_ms + float(execution_ms) + downlink_ms

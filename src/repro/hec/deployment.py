@@ -2,7 +2,7 @@
 
 The paper trains all models on the cloud and then deploys one model per layer,
 compressing (freezing + FP16-quantising) the ones destined for the Raspberry
-Pi and Jetson TX2.  :func:`deploy_registry` reproduces that step against the
+Pi and Jetson TX2.  :func:`deploy_detectors` reproduces that step against the
 simulated topology: it quantises where required, checks memory budgets, and
 returns :class:`ModelDeployment` records that the HEC system uses to answer
 "which detector runs at layer k, and how long does it take there?".
@@ -11,11 +11,10 @@ returns :class:`ModelDeployment` records that the HEC system uses to answer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.exceptions import DeploymentError
 from repro.detectors.base import AnomalyDetector
-from repro.detectors.registry import DetectorRegistry
 from repro.hec.topology import HECTopology
 from repro.nn.quantization import QuantizationReport, quantize_model
 
@@ -58,18 +57,19 @@ class ModelDeployment:
         return self.detector.parameter_count() * bytes_per_parameter
 
 
-def deploy_registry(
-    registry: DetectorRegistry,
+def deploy_detectors(
+    detectors: Sequence[AnomalyDetector],
     topology: HECTopology,
     workload: str,
     quantize_below_layer: Optional[int] = None,
 ) -> List[ModelDeployment]:
-    """Deploy every registered detector onto its layer of ``topology``.
+    """Deploy ``detectors[k]`` onto layer ``k`` of ``topology``.
 
     Parameters
     ----------
-    registry:
-        Detectors keyed by layer (must cover layers ``0..K-1``).
+    detectors:
+        One fitted detector per layer, bottom-up (exactly
+        ``topology.n_layers`` of them).
     topology:
         The target hierarchy.
     workload:
@@ -80,44 +80,33 @@ def deploy_registry(
         (the paper quantises the IoT and edge models, i.e. layers 0 and 1, so
         the default is ``K-1``).  Pass 0 to disable quantisation entirely.
     """
-    registry.require_complete(topology.n_layers)
+    if len(detectors) != topology.n_layers:
+        raise DeploymentError(
+            f"got {len(detectors)} detectors for a {topology.n_layers}-layer "
+            "topology; one detector per layer is required"
+        )
     if quantize_below_layer is None:
         quantize_below_layer = topology.n_layers - 1
 
     deployments: List[ModelDeployment] = []
-    for layer, detector in registry:
-        if layer >= topology.n_layers:
-            raise DeploymentError(
-                f"registry contains layer {layer} but the topology only has "
-                f"{topology.n_layers} layers"
-            )
+    for layer, detector in enumerate(detectors):
         device = topology.device_at(layer)
-        should_quantize = layer < quantize_below_layer
-        report: Optional[QuantizationReport] = None
-        if should_quantize:
-            report = quantize_model(detector.model)
-
-        bytes_per_parameter = 2 if should_quantize else 4
-        model_bytes = detector.parameter_count() * bytes_per_parameter
-        if not device.can_host(model_bytes, quantized=should_quantize):
+        quantized = layer < quantize_below_layer
+        deployment = ModelDeployment(
+            layer=layer,
+            detector=detector,
+            device_name=device.name,
+            workload=workload,
+            quantized=quantized,
+            quantization=quantize_model(detector.model) if quantized else None,
+            execution_time_ms=device.execution_time_ms(
+                workload, parameter_count=detector.parameter_count()
+            ),
+        )
+        if not device.can_host(deployment.model_bytes, quantized=quantized):
             raise DeploymentError(
-                f"model {detector.name!r} ({model_bytes / 1e6:.1f} MB, "
-                f"quantized={should_quantize}) does not fit on device {device.name!r}"
+                f"model {detector.name!r} ({deployment.model_bytes / 1e6:.1f} MB, "
+                f"quantized={quantized}) does not fit on device {device.name!r}"
             )
-
-        execution_ms = device.execution_time_ms(
-            workload, parameter_count=detector.parameter_count()
-        )
-
-        deployments.append(
-            ModelDeployment(
-                layer=layer,
-                detector=detector,
-                device_name=device.name,
-                workload=workload,
-                quantized=should_quantize,
-                quantization=report,
-                execution_time_ms=execution_ms,
-            )
-        )
+        deployments.append(deployment)
     return deployments

@@ -10,10 +10,7 @@ keep-alive behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.utils.rng import RngLike, ensure_rng
@@ -21,19 +18,6 @@ from repro.utils.validation import check_non_negative
 
 #: Health states a link can be in (see :meth:`NetworkLink.set_status`).
 LINK_STATUSES = ("up", "degraded", "down")
-
-
-@dataclass(frozen=True)
-class TransferSpec:
-    """Description of one payload transfer over a link."""
-
-    payload_bytes: float
-    direction: str = "up"  # "up" towards the cloud, "down" towards the device
-
-    def __post_init__(self) -> None:
-        check_non_negative(self.payload_bytes, "payload_bytes")
-        if self.direction not in ("up", "down"):
-            raise ConfigurationError(f"direction must be 'up' or 'down', got {self.direction!r}")
 
 
 class NetworkLink:
@@ -59,8 +43,6 @@ class NetworkLink:
         self.keep_alive = bool(keep_alive)
         self._rng = ensure_rng(rng)
         self._connection_established = False
-        self.transferred_bytes = 0.0
-        self.transfer_count = 0
         #: Health state driven by fault injection: "up" (healthy), "degraded"
         #: (latency multiplied by :attr:`degraded_factor`) or "down"
         #: (transfers raise; the system fails over to a reachable tier).
@@ -100,8 +82,9 @@ class NetworkLink:
         bits = payload_bytes * 8.0
         return bits / (self.bandwidth_mbps * 1e6) * 1e3
 
-    def transfer_delay_ms(self, transfer: TransferSpec) -> float:
-        """One-way delay of a transfer: setup (first use only) + latency + jitter + serialisation.
+    def transfer_delay_ms(self, payload_bytes: float) -> float:
+        """One-way delay of ``payload_bytes``: setup (first use only) + latency +
+        jitter + serialisation.
 
         A degraded link multiplies its propagation latency by
         :attr:`degraded_factor` (the factor is exactly 1.0 when healthy, so
@@ -116,15 +99,13 @@ class NetworkLink:
             )
         delay = (
             self.one_way_latency_ms * self.degraded_factor
-            + self.serialization_delay_ms(transfer.payload_bytes)
+            + self.serialization_delay_ms(payload_bytes)
         )
         if self.jitter_ms > 0:
             delay += float(abs(self._rng.normal(0.0, self.jitter_ms)))
         if not self._connection_established or not self.keep_alive:
             delay += self.connection_setup_ms
         self._connection_established = True
-        self.transferred_bytes += transfer.payload_bytes
-        self.transfer_count += 1
         return float(delay)
 
     def warm(self) -> None:
@@ -138,26 +119,11 @@ class NetworkLink:
         """
         self._connection_established = True
 
-    def record_transfers(self, payload_bytes: float, count: int) -> None:
-        """Account for ``count`` steady-state transfers at once.
-
-        Used by the batched detection path: once the connection is established
-        and the link is jitter-free, every further transfer of the same payload
-        has an identical delay, so only the traffic counters need updating.
-        """
-        check_non_negative(payload_bytes, "payload_bytes")
-        if count < 0:
-            raise ConfigurationError(f"count must be non-negative, got {count}")
-        self.transferred_bytes += payload_bytes * count
-        self.transfer_count += count
-
     # -- bookkeeping ----------------------------------------------------------------
 
     def reset(self) -> None:
-        """Forget connection state, traffic counters and injected faults."""
+        """Forget connection state and injected faults."""
         self._connection_established = False
-        self.transferred_bytes = 0.0
-        self.transfer_count = 0
         self.status = "up"
         self.degraded_factor = 1.0
 
@@ -165,8 +131,6 @@ class NetworkLink:
         """Picklable mid-run link state for the fleet checkpoint layer."""
         return {
             "connection_established": self._connection_established,
-            "transferred_bytes": self.transferred_bytes,
-            "transfer_count": self.transfer_count,
             "status": self.status,
             "degraded_factor": self.degraded_factor,
             "rng_state": self._rng.bit_generator.state,
@@ -175,8 +139,6 @@ class NetworkLink:
     def restore(self, snapshot: dict) -> None:
         """Restore the state captured by :meth:`snapshot`."""
         self._connection_established = bool(snapshot["connection_established"])
-        self.transferred_bytes = float(snapshot["transferred_bytes"])
-        self.transfer_count = int(snapshot["transfer_count"])
         self.status = str(snapshot["status"])
         self.degraded_factor = float(snapshot["degraded_factor"])
         self._rng.bit_generator.state = snapshot["rng_state"]

@@ -4,9 +4,9 @@
 deployments and the delay model.  A caller submits a batch of windows for one
 layer to :meth:`HECSystem.detect_batch` and gets the predictions, the
 detector's confidence and the end-to-end delays back as aligned arrays.  That
-one kernel is the only code that resolves failover, runs a detector, computes
-delays, advances the clock and bumps the per-layer counters used to verify
-offloading behaviour.
+one kernel is the only code that resolves failover, runs a detector and
+computes delays; what a run did is read from those arrays, not from state
+kept on the system.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.exceptions import DeploymentError, SchedulingError, ShapeError
 from repro.hec.delay import RESULT_PAYLOAD_BYTES, request_delay_ms, window_payload_bytes
 from repro.hec.deployment import ModelDeployment
 from repro.hec.topology import HECTopology
-from repro.utils.timer import SimulatedClock
 
 
 def _as_float64_batch(windows: np.ndarray) -> np.ndarray:
@@ -67,18 +66,6 @@ class BatchDetectionResult:
         return int(self.predictions.shape[0])
 
 
-@dataclass
-class LayerCounters:
-    """Aggregate per-layer usage statistics."""
-
-    requests: int = 0
-    total_execution_ms: float = 0.0
-    total_delay_ms: float = 0.0
-    anomalies_reported: int = 0
-    #: Requests served here because their requested tier was unreachable.
-    redirected: int = 0
-
-
 class HECSystem:
     """A deployed hierarchical edge computing system handling detection requests."""
 
@@ -86,10 +73,8 @@ class HECSystem:
         self,
         topology: HECTopology,
         deployments: Sequence[ModelDeployment],
-        clock: Optional[SimulatedClock] = None,
     ) -> None:
         self.topology = topology
-        self.clock = clock or SimulatedClock()
         self._deployments: Dict[int, ModelDeployment] = {}
         for deployment in deployments:
             if deployment.layer in self._deployments:
@@ -100,9 +85,6 @@ class HECSystem:
         ]
         if missing:
             raise DeploymentError(f"no deployment for layers {missing}")
-        self.layer_counters: Dict[int, LayerCounters] = {
-            layer: LayerCounters() for layer in range(topology.n_layers)
-        }
         #: Monotone counter bumped whenever the deployed model set changes
         #: (hot-swaps).  The serving front door stamps every response with it,
         #: which is how a drain-and-swap shows which model set answered.
@@ -179,12 +161,12 @@ class HECSystem:
         return effective
 
     def _resolve_layer(self, layer: int):
-        """``(effective layer, retry penalty ms, redirected?)`` for a request."""
+        """``(effective layer, retry penalty ms)`` for a request."""
         self.deployment_at(layer)  # unknown layers stay a scheduling error
         effective = self.reachable_layer(layer)
         if effective == layer:
-            return int(layer), 0.0, False
-        return effective, float(self._failover_retries * self._retry_timeout_ms), True
+            return int(layer), 0.0
+        return effective, float(self._failover_retries * self._retry_timeout_ms)
 
     # -- request handling --------------------------------------------------------------
 
@@ -199,9 +181,9 @@ class HECSystem:
 
         One detector forward for the whole ``(n, ...)`` batch, per-window
         delays as one array (computed in request order, so the per-transfer
-        jitter draws on jittery links are those of ``n`` single requests),
-        and bulk bookkeeping: the clock and the per-layer counters advance
-        once, by the batch totals.
+        jitter draws on jittery links are those of ``n`` single requests).
+        The result carries the layer that served the batch, which differs
+        from ``layer`` when failover redirected it.
 
         ``with_confidence`` opts into the confidence-rule outcomes
         (``result.confidents``); streaming consumers never read them, so the
@@ -210,7 +192,7 @@ class HECSystem:
         layers (the Successive scheme's escalation); it is added to the
         reported delay.
         """
-        layer, retry_ms, redirected = self._resolve_layer(layer)
+        layer, retry_ms = self._resolve_layer(layer)
         deployment = self.deployment_at(layer)
         windows = _as_float64_batch(windows)
         if windows.ndim < 2:
@@ -245,15 +227,6 @@ class HECSystem:
             delays += escalated_ms
         if retry_ms:
             delays += retry_ms
-
-        total_delay = float(delays.sum())
-        self.clock.advance(total_delay)
-        counters = self.layer_counters[layer]
-        counters.requests += n
-        counters.total_execution_ms += deployment.execution_time_ms * n
-        counters.total_delay_ms += total_delay
-        counters.anomalies_reported += int(predictions.sum())
-        counters.redirected += n if redirected else 0
         return BatchDetectionResult(
             layer=int(layer),
             predictions=predictions,
@@ -273,13 +246,12 @@ class HECSystem:
         n: int,
         deployment: ModelDeployment,
     ) -> np.ndarray:
-        """Per-request delays of ``n >= 1`` same-shaped requests, with link accounting.
+        """Per-request delays of ``n >= 1`` same-shaped requests.
 
         The first request may pay connection setup.  On jitter-free links the
-        remaining ``n - 1`` replicate one steady-state delay (the traffic
-        counters for the ``n - 2`` uncomputed transfers are advanced in bulk);
-        on jittery links every request is computed in order so the
-        per-transfer RNG draws match one-at-a-time handling.
+        remaining ``n - 1`` replicate one steady-state delay; on jittery links
+        every request is computed in order so the per-transfer RNG draws match
+        one-at-a-time handling.
         """
         payload = window_payload_bytes(window_shape)
         links = self.topology.links_to(layer)
@@ -295,9 +267,6 @@ class HECSystem:
             delays[1:] = [one_delay() for _ in range(n - 1)]
             return delays
         delays[1:] = one_delay()
-        for link in links:
-            link.record_transfers(payload, n - 2)
-            link.record_transfers(RESULT_PAYLOAD_BYTES, n - 2)
         return delays
 
     # -- checkpointing ---------------------------------------------------------------------
@@ -305,47 +274,28 @@ class HECSystem:
     def snapshot_state(self) -> dict:
         """Picklable mid-run state for the fleet checkpoint layer.
 
-        Captures the clock position, per-layer counters
-        and per-link state.  The deployed models are *not* captured here; the
+        Captures the state version, the failover policy and per-link state
+        (keep-alive, health, jitter generator).  The deployed models are *not* captured here; the
         adaptation controller snapshots them (a frozen run redeploys the same
         detectors deterministically).
         """
         return {
-            "clock_now_ms": float(self.clock.now_ms),
             "state_version": int(self.state_version),
             "failover_retries": self._failover_retries,
             "retry_timeout_ms": self._retry_timeout_ms,
-            "layer_counters": {
-                layer: dict(
-                    requests=c.requests,
-                    total_execution_ms=c.total_execution_ms,
-                    total_delay_ms=c.total_delay_ms,
-                    anomalies_reported=c.anomalies_reported,
-                    redirected=c.redirected,
-                )
-                for layer, c in self.layer_counters.items()
-            },
             "links": [link.snapshot() for link in self.topology.links],
         }
 
     def restore_state(self, snapshot: dict) -> None:
         """Restore the state captured by :meth:`snapshot_state`."""
-        self.clock.reset()
-        self.clock.now_ms = float(snapshot["clock_now_ms"])
         self.state_version = int(snapshot["state_version"])
         self._failover_retries = int(snapshot["failover_retries"])
         self._retry_timeout_ms = float(snapshot["retry_timeout_ms"])
-        self.layer_counters = {
-            int(layer): LayerCounters(**counters)
-            for layer, counters in snapshot["layer_counters"].items()
-        }
         for link, link_snapshot in zip(self.topology.links, snapshot["links"]):
             link.restore(link_snapshot)
 
     # -- bookkeeping -----------------------------------------------------------------------
 
     def reset(self) -> None:
-        """Clear the counters, clock and link state."""
-        self.layer_counters = {layer: LayerCounters() for layer in range(self.n_layers)}
-        self.clock.reset()
+        """Clear the link state (keep-alive connections and injected faults)."""
         self.topology.reset_links()

@@ -71,7 +71,7 @@ class HECTopology:
         return 2.0 * self.uplink_latency_ms(layer)
 
     def reset_links(self) -> None:
-        """Reset keep-alive state and traffic counters on every link."""
+        """Reset keep-alive state and injected faults on every link."""
         for link in self.links:
             link.reset()
 

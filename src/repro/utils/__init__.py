@@ -1,13 +1,11 @@
-"""Shared utilities: RNG handling, validation, timing and serialization helpers."""
+"""Shared utilities: RNG handling, validation and serialization helpers."""
 
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive, check_non_negative, check_probability
-from repro.utils.timer import SimulatedClock
 
 __all__ = [
     "ensure_rng",
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "SimulatedClock",
 ]

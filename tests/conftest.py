@@ -18,9 +18,10 @@ from repro.data.splits import anomaly_detection_split
 from repro.data.windowing import windows_from_dataset
 from repro.detectors.autoencoder import AutoencoderDetector
 from repro.detectors.lstm_seq2seq import Seq2SeqDetector
+from repro.hec.deployment import deploy_detectors
+from repro.hec.simulation import HECSystem
 from repro.hec.topology import build_three_layer_topology
 from repro.experiments import ExperimentRunner, apply_overrides, get_scenario
-from repro.experiments.stages import build_hec_system
 
 from goldens import assert_matches_golden
 
@@ -170,12 +171,13 @@ def topology():
 def univariate_hec(power_scaled):
     """(system, deployments, detectors, test_windows, test_labels) for scheme tests.
 
-    Three tiny autoencoders of increasing capacity trained on the same normal
-    windows, deployed with the paper's calibrated execution times.
+    Three tiny autoencoders of increasing capacity (``detectors``, bottom-up)
+    trained on the same normal windows, deployed with the paper's calibrated
+    execution times.
     """
     train_windows, test_windows, test_labels = power_scaled
     window_size = train_windows.shape[1]
-    detectors = {}
+    detectors = []
     for tier, hidden in (("iot", (4,)), ("edge", (16,)), ("cloud", (32, 16, 32))):
         detector = AutoencoderDetector(
             window_size=window_size,
@@ -184,9 +186,10 @@ def univariate_hec(power_scaled):
             seed=7,
         )
         detector.fit(train_windows, epochs=100, batch_size=8, learning_rate=3e-3)
-        detectors[tier] = detector
-    system, deployments = build_hec_system(detectors, workload="univariate")
-    return system, deployments, detectors, test_windows, test_labels
+        detectors.append(detector)
+    topology = build_three_layer_topology()
+    deployments = deploy_detectors(detectors, topology, workload="univariate")
+    return HECSystem(topology, deployments), deployments, detectors, test_windows, test_labels
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from repro.adapt.registry import ModelRegistry
 from repro.adapt.retrainer import OnlineRetrainer, detection_f1
 from repro.adapt.spec import AdaptSpec
 from repro.detectors.autoencoder import build_autoencoder_detector
-from repro.detectors.registry import DetectorRegistry
 from repro.exceptions import ConfigurationError
-from repro.hec.deployment import deploy_registry
+from repro.hec.deployment import deploy_detectors
 from repro.hec.simulation import HECSystem
 from repro.hec.topology import build_three_layer_topology
 
@@ -31,14 +30,14 @@ def training_windows():
 def _tiny_system(training_windows):
     """A fitted three-tier HEC system over tiny autoencoders."""
     topology = build_three_layer_topology()
-    registry = DetectorRegistry()
+    detectors = []
     for layer, tier in enumerate(("iot", "edge", "cloud")):
         detector = build_autoencoder_detector(
             tier, window_size=WINDOW_SIZE, hidden_sizes=(8,), seed=layer
         )
         detector.fit(training_windows, epochs=3, batch_size=16)
-        registry.register(layer, detector)
-    deployments = deploy_registry(registry, topology, workload="univariate")
+        detectors.append(detector)
+    deployments = deploy_detectors(detectors, topology, workload="univariate")
     return HECSystem(topology, deployments)
 
 

@@ -169,13 +169,9 @@ class TestVectorizedLSTMBackward:
 # HECSystem.detect_batch vs repeated single-window calls
 # ---------------------------------------------------------------------------
 
-def _system_state(system, layer):
-    return (
-        system.clock.now_ms,
-        {link.name: (link.transferred_bytes, link.transfer_count)
-         for link in system.topology.links},
-        system.layer_counters[layer].total_delay_ms,
-    )
+def _link_state(system):
+    """Keep-alive, health and jitter-generator position of every link."""
+    return [link.snapshot() for link in system.topology.links]
 
 
 class TestDetectBatch:
@@ -189,11 +185,11 @@ class TestDetectBatch:
             system.detect_batch(layer, batch[i : i + 1], with_confidence=True)
             for i in range(batch.shape[0])
         ]
-        stepped_state = _system_state(system, layer)
+        stepped_state = _link_state(system)
 
         system.reset()
         batched = system.detect_batch(layer, batch, with_confidence=True)
-        batched_state = _system_state(system, layer)
+        batched_state = _link_state(system)
 
         assert [r.layer for r in stepped] == [batched.layer] * 10
         for name in ("predictions", "confidents"):
@@ -204,9 +200,7 @@ class TestDetectBatch:
             assert_allclose(
                 getattr(batched, name), np.concatenate([getattr(r, name) for r in stepped])
             )
-        assert stepped_state[0] == pytest.approx(batched_state[0])
-        assert stepped_state[1] == batched_state[1]
-        assert stepped_state[2] == pytest.approx(batched_state[2])
+        assert stepped_state == batched_state
 
     def test_empty_batch(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
@@ -358,4 +352,4 @@ class TestSchemeRunBatchEquivalence:
         ):
             run = scheme.run_batch(windows[:0])
             assert run.n == 0 and run.attempt_layers.shape == (0,), scheme.name
-        assert [c.requests for c in system.layer_counters.values()] == [0, 0, 0]
+        assert not any(state["connection_established"] for state in _link_state(system))

@@ -1,9 +1,14 @@
 """Tests for the scenario-driven CLI (run / list / describe)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import _load_spec_file, build_parser, main
 from repro.experiments import SCENARIOS, get_scenario
 
@@ -65,6 +70,24 @@ class TestListAndDescribe:
         assert main(["describe", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["describe", "mixed-detectors"], ["list"], ["run", "univariate-power", "--spec-only"]],
+    )
+    def test_a_closed_pipe_ends_quietly(self, argv):
+        """``repro list | head`` with the reader already gone: exit 0, no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
 
 class TestRunCommand:
     def test_run_writes_scenario_report(self, tmp_path, capsys):
@@ -109,7 +132,7 @@ class TestRunCommand:
     def test_removed_batched_override_exits_2_naming_the_key(self, capsys):
         assert main(["run", "univariate-power", "--set", "evaluation.batched=false"]) == 2
         err = capsys.readouterr().err
-        assert "unknown key" in err and "batched" in err
+        assert "unknown key 'evaluation'" in err
 
     def test_bad_override_value_exits_2(self, capsys):
         assert main(["run", "univariate-power", "--set", "data.weeks=soon"]) == 2
@@ -147,3 +170,15 @@ class TestRunCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert "experiment.detectors.2" in lines[0] and "'input_adapter'" in lines[0]
+
+    def test_a_spec_file_carrying_topology_preset_exits_2_naming_it(self, tmp_path, capsys):
+        """No devices is the paper testbed: a saved spec that still names it
+        by preset is refused on one line, naming the node and the key."""
+        payload = get_scenario("univariate-power").to_dict()
+        payload["topology"]["preset"] = "paper-three-layer"
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", "--spec-file", str(spec_file), "--spec-only"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "experiment.topology" in lines[0] and "'preset'" in lines[0]

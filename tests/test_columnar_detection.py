@@ -25,7 +25,6 @@ class TestDetectBatch:
         escalated_ms = np.linspace(5.0, 50.0, 10)
         system.reset()
         plain = system.detect_batch(layer, batch, with_confidence=True)
-        plain_clock = system.clock.now_ms
         system.reset()
         result = system.detect_batch(
             layer, batch, with_confidence=True, escalated_ms=escalated_ms
@@ -36,11 +35,6 @@ class TestDetectBatch:
         assert np.array_equal(result.confidents, plain.confidents)
         assert np.array_equal(result.anomaly_scores, plain.anomaly_scores)
         assert np.array_equal(result.delays_ms, plain.delays_ms + escalated_ms)
-        counters = system.layer_counters[layer]
-        assert counters.requests == 10
-        assert counters.anomalies_reported == int(result.predictions.sum())
-        assert counters.total_delay_ms == float(result.delays_ms.sum())
-        assert system.clock.now_ms == pytest.approx(plain_clock + escalated_ms.sum())
 
     def test_down_link_serves_the_best_reachable_tier(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec
@@ -53,8 +47,7 @@ class TestDetectBatch:
         system.topology.links[1].set_status("up")
 
         assert result.layer == 1  # served by the best reachable tier
-        assert system.layer_counters[1].redirected == 6
-        assert system.layer_counters[2].requests == 0
+        assert result.n == 6
         # (uplink + execution + downlink) + escalated + retry, in that order.
         system.reset()
         at_edge = system.detect_batch(1, windows[:6], with_confidence=True)
@@ -79,9 +72,9 @@ class TestDetectBatch:
             result.delays_ms, np.concatenate([r.delays_ms for r in stepped])
         )
         assert len(set(result.delays_ms)) > 1  # jitter actually varied
+        # ...and leave every link's generator at the same position.
         for link_a, link_b in zip(jittery.topology.links, stepped_system.topology.links):
-            assert link_a.transfer_count == link_b.transfer_count
-            assert link_a.transferred_bytes == link_b.transferred_bytes
+            assert link_a.snapshot() == link_b.snapshot()
 
     def test_confidence_skipped_by_default(self, univariate_hec):
         """Streaming never reads confidence, so the default skips computing it."""
@@ -103,7 +96,7 @@ class TestDetectBatch:
         result = system.detect_batch(0, windows[:0])
         assert result.n == 0
         assert result.predictions.shape == (0,)
-        assert system.layer_counters[0].requests == 0
+        assert result.delays_ms.shape == (0,)
 
     def test_shape_validation(self, univariate_hec):
         system, _deployments, _detectors, windows, _labels = univariate_hec

@@ -1,4 +1,4 @@
-"""Tests for the autoencoder and seq2seq detectors and the detector registry."""
+"""Tests for the autoencoder and seq2seq detectors."""
 
 import copy
 import pickle
@@ -17,8 +17,7 @@ from repro.detectors.lstm_seq2seq import (
     Seq2SeqDetector,
     build_seq2seq_detector,
 )
-from repro.detectors.registry import DetectorRegistry
-from repro.exceptions import ConfigurationError, DeploymentError, ShapeError
+from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.lstm import LSTM
 
 
@@ -262,61 +261,3 @@ class TestFittedDetectorKeepsOnlyWeights:
                 detector.model.parameters_and_gradients(),
             ):
                 np.testing.assert_array_equal(got, want)
-
-
-class TestDetectorRegistry:
-    def _detector(self, name="d"):
-        return AutoencoderDetector(window_size=6, hidden_sizes=(3,), name=name, seed=0)
-
-    def test_register_by_index_and_name(self):
-        registry = DetectorRegistry()
-        registry.register(0, self._detector("a"))
-        registry.register("edge", self._detector("b"))
-        assert [(index, detector.name) for index, detector in registry] == [(0, "a"), (1, "b")]
-
-    def test_unknown_tier_name(self):
-        registry = DetectorRegistry()
-        with pytest.raises(ConfigurationError):
-            registry.register("fog", self._detector())
-
-    def test_layer_out_of_range(self):
-        registry = DetectorRegistry()
-        with pytest.raises(ConfigurationError):
-            registry.register(5, self._detector())
-
-    def test_require_complete(self):
-        registry = DetectorRegistry()
-        registry.register(0, self._detector())
-        with pytest.raises(DeploymentError):
-            registry.require_complete(3)
-        registry.register(1, self._detector())
-        registry.register(2, self._detector())
-        registry.require_complete(3)
-
-    def test_iteration_order_bottom_up(self):
-        registry = DetectorRegistry()
-        registry.register(2, self._detector("cloud"))
-        registry.register(0, self._detector("iot"))
-        registry.register(1, self._detector("edge"))
-        names = [detector.name for _, detector in registry]
-        assert names == ["iot", "edge", "cloud"]
-
-    def test_detectors_listed_bottom_up(self):
-        registry = DetectorRegistry()
-        registry.register("cloud", self._detector("c"))
-        registry.register("iot", self._detector("i"))
-        assert [detector.name for detector in registry.detectors()] == ["i", "c"]
-        assert registry.layers() == [0, 2]
-
-    def test_contains_and_len(self):
-        registry = DetectorRegistry()
-        registry.register("iot", self._detector())
-        assert 0 in registry
-        assert "iot" in registry
-        assert 1 not in registry
-        assert "unknown" not in registry
-        assert len(registry) == 1
-
-    def test_duplicate_tier_names_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DetectorRegistry(tier_names=("a", "a", "b"))

@@ -20,17 +20,22 @@ import repro.adapt
 import repro.detectors
 import repro.evaluation.figures
 import repro.evaluation.metrics
+import repro.experiments
 import repro.fleet
 import repro.hec
 import repro.nn
 import repro.schemes
+import repro.utils
 from repro.adapt.spec import AdaptSpec
 from repro.bandit import PolicyNetwork, ReinforcementComparisonBaseline, ReinforceTrainer
 from repro.detectors import AutoencoderDetector
 from repro.exceptions import ConfigurationError
 from repro.experiments import apply_overrides, get_scenario
-from repro.experiments.spec import DeploymentSpec, DetectorSpec, PolicySpec
+from repro.experiments.spec import (
+    DeploymentSpec, DetectorSpec, ExperimentSpec, PolicySpec, TopologySpec,
+)
 from repro.experiments.stages import train_policy
+from repro.hec import HECSystem, NetworkLink, build_three_layer_topology, deploy_detectors
 from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.layers import LSTM, Dense
@@ -48,6 +53,12 @@ def _compiled_autoencoder():
 
 def _compiled_seq2seq():
     return Seq2SeqAutoencoder(LSTM(3), LSTM(3, return_sequences=True), output_dim=2).compile()
+
+
+def _tiny_system():
+    topology = build_three_layer_topology()
+    detectors = [AutoencoderDetector(4, hidden_sizes=(2,)) for _ in range(3)]
+    return HECSystem(topology, deploy_detectors(detectors, topology, "univariate"))
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -202,7 +213,6 @@ class TestPackageSurface:
             repro.adapt.controller.AdaptationController.__init__
         )
         assert not hasattr(repro.utils, "WallClock" + "Timer")
-        assert not hasattr(repro.utils.SimulatedClock, "advance_to")
         assert sorted(path.name for path in BENCHMARK_FILES) == [
             "bench_ablation_alpha.py", "bench_ablation_baseline.py",
             "bench_fig1_hec_profile.py", "bench_fig2_policy_training.py",
@@ -241,13 +251,10 @@ class TestPackageSurface:
         import inspect
 
         from repro.evaluation.experiment import evaluate_scheme
-        from repro.experiments.spec import EvaluationSpec
         from repro.experiments.stages import evaluate_all_schemes
-        from repro.hec.simulation import HECSystem
         from repro.schemes import (
             AdaptiveScheme, FixedLayerScheme, SelectionScheme, SuccessiveScheme,
         )
-        from repro.utils.timer import SimulatedClock
 
         # Spelled in two halves so CI's grep guard for the name stays clean.
         assert importlib.util.find_spec("repro.hec." + "transport") is None
@@ -255,7 +262,6 @@ class TestPackageSurface:
         for name in ("detect_at", "record_log", "records", "mean_delay_ms",
                      "_batch_delay_breakdowns"):
             assert not hasattr(system, name), name
-        assert not hasattr(SimulatedClock(), "history")
         # One detection method; its old name is an alias the benchmark harness wraps.
         assert vars(HECSystem)["detect_batch_columnar"] is vars(HECSystem)["detect_batch"]
         # One policy-gradient step; its old batch name is an alias the harness wraps.
@@ -272,7 +278,7 @@ class TestPackageSurface:
             assert "run_batch" in vars(scheme), scheme.__name__
             assert list(inspect.signature(scheme.run_batch).parameters) == ["self", "windows"]
         assert "chosen_actions" not in inspect.getsource(AdaptiveScheme)
-        for function in (evaluate_scheme, evaluate_all_schemes, EvaluationSpec):
+        for function in (evaluate_scheme, evaluate_all_schemes):
             assert "batched" not in inspect.signature(function).parameters, function
 
     @pytest.mark.parametrize(
@@ -357,7 +363,7 @@ class TestPackageSurface:
              TypeError, "early_stopping"),
             (partial(AutoencoderDetector(4, hidden_sizes=(2,)).fit, np.zeros((3, 4)),
                      optimizer="sgd"), TypeError, "optimizer"),
-            (partial(repro.hec.deploy_registry, None, None, "univariate",
+            (partial(deploy_detectors, None, None, "univariate",
                      execution_time_overrides={}), TypeError, "execution_time_overrides"),
             (partial(getattr, repro.detectors, "WindowReshapeAdapter"), AttributeError,
              "WindowReshapeAdapter"),
@@ -370,6 +376,22 @@ class TestPackageSurface:
              "bidirectional.*inference_mode"),
             (partial(DetectorSpec, input_adapter="flatten"), TypeError, "input_adapter"),
             (partial(getattr, TrainingHistory, "last"), AttributeError, "last"),
+            (partial(getattr, repro.detectors, "DetectorRegistry"), AttributeError,
+             "DetectorRegistry"),
+            (partial(getattr, repro.experiments, "build_hec_system"), AttributeError,
+             "build_hec_system"),
+            (partial(getattr, repro.hec, "deploy_registry"), AttributeError,
+             "deploy_registry"),
+            (partial(getattr, repro.hec, "TransferSpec"), AttributeError, "TransferSpec"),
+            (partial(getattr, repro.utils, "SimulatedClock"), AttributeError,
+             "SimulatedClock"),
+            (lambda: _tiny_system().layer_counters, AttributeError, "layer_counters"),
+            (partial(getattr, NetworkLink, "record_transfers"), AttributeError,
+             "record_transfers"),
+            (partial(TopologySpec.from_dict, {"preset": "paper-three-layer"}),
+             ConfigurationError, "preset.*devices"),
+            (partial(ExperimentSpec.from_dict, {"name": "x", "evaluation": {}}),
+             ConfigurationError, "evaluation.*deployment"),
         ],
         ids=["sgd", "huber", "mae", "mean_absolute_error", "l1", "he_normal", "he_uniform",
              "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
@@ -386,7 +408,9 @@ class TestPackageSurface:
              "detector_fit_optimizer", "execution_time_overrides", "WindowReshapeAdapter",
              "end_to_end_delay", "DelayBreakdown", "DetectorSpec.input_adapter",
              "DetectorSpec.bidirectional", "DetectorSpec(input_adapter=)",
-             "TrainingHistory.last"],
+             "TrainingHistory.last", "DetectorRegistry", "build_hec_system",
+             "deploy_registry", "TransferSpec", "SimulatedClock", "layer_counters",
+             "record_transfers", "TopologySpec.preset", "ExperimentSpec.evaluation"],
     )
     def test_removed_names_are_refused(self, refused, error, remaining):
         """Names only tests reached were deleted: asking for a deleted option is
@@ -408,7 +432,7 @@ class TestPackageSurface:
             ("repro.data", ["generate_power_dataset", "generate_mhealth_dataset", "StandardScaler"]),
             ("repro.detectors", ["build_autoencoder_detector", "build_seq2seq_detector"]),
             ("repro.bandit", ["PolicyNetwork", "ReinforceTrainer", "RewardFunction"]),
-            ("repro.hec", ["HECSystem", "build_three_layer_topology", "deploy_registry"]),
+            ("repro.hec", ["HECSystem", "build_three_layer_topology", "deploy_detectors"]),
             ("repro.schemes", ["FixedLayerScheme", "SuccessiveScheme", "AdaptiveScheme"]),
             ("repro.experiments", ["ExperimentSpec", "ExperimentRunner", "register_scenario",
                                    "get_scenario", "apply_overrides"]),

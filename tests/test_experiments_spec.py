@@ -23,6 +23,7 @@ from repro.experiments import (
     get_scenario,
     parse_set_arguments,
 )
+from repro.hec.device import GPU_DEVBOX, JETSON_TX2, RASPBERRY_PI_3
 
 BUILTIN_SCENARIOS = (
     "univariate-power",
@@ -70,13 +71,31 @@ class TestSpecValidation:
     def test_custom_topology_needs_matching_links(self):
         devices = (DeviceSpec(name="a"), DeviceSpec(name="b"))
         with pytest.raises(ConfigurationError, match="needs 1 links"):
-            TopologySpec(preset=None, tier_names=("a", "b"), devices=devices, links=())
+            TopologySpec(tier_names=("a", "b"), devices=devices, links=())
 
     def test_custom_topology_needs_matching_tier_names(self):
         devices = (DeviceSpec(name="a"), DeviceSpec(name="b"))
         links = (LinkSpec(name="a-b", one_way_latency_ms=1.0),)
         with pytest.raises(ConfigurationError, match="tier names"):
-            TopologySpec(preset=None, tier_names=("a",), devices=devices, links=links)
+            TopologySpec(tier_names=("a",), devices=devices, links=links)
+
+    def test_links_without_devices_rejected(self):
+        links = (LinkSpec(name="a-b", one_way_latency_ms=1.0),)
+        with pytest.raises(ConfigurationError, match="no devices"):
+            TopologySpec(links=links)
+
+    def test_no_devices_builds_the_paper_testbed(self):
+        topology = TopologySpec().build()
+        assert topology.devices == [RASPBERRY_PI_3, JETSON_TX2, GPU_DEVBOX]
+        assert [link.one_way_latency_ms for link in topology.links] == [125.0, 125.0]
+
+    def test_explicit_devices_build_exactly_those(self):
+        devices = tuple(DeviceSpec(name=name) for name in ("a", "b", "c"))
+        links = (LinkSpec(name="a-b", one_way_latency_ms=50.0),
+                 LinkSpec(name="b-c", one_way_latency_ms=80.0))
+        topology = TopologySpec(devices=devices, links=links).build()
+        assert [device.name for device in topology.devices] == ["a", "b", "c"]
+        assert [link.one_way_latency_ms for link in topology.links] == [50.0, 80.0]
 
     def test_lists_are_normalised_to_tuples(self):
         spec = DetectorSpec(hidden_sizes=[8, 4, 8])
@@ -89,11 +108,11 @@ class TestOverrides:
         out = apply_overrides(spec, {
             "data.weeks": "12",
             "policy.learning_rate": "0.01",
-            "evaluation.demo_panel": "false",
+            "obs.trace": "false",
         })
         assert out.data.weeks == 12
         assert out.policy.learning_rate == pytest.approx(0.01)
-        assert out.evaluation.demo_panel is False
+        assert out.obs.trace is False
 
     def test_detector_index_paths(self):
         spec = get_scenario("univariate-power")
@@ -126,7 +145,7 @@ class TestOverrides:
     def test_bad_bool_raises(self):
         spec = get_scenario("univariate-power")
         with pytest.raises(ConfigurationError, match="boolean"):
-            apply_overrides(spec, {"evaluation.demo_panel": "maybe"})
+            apply_overrides(spec, {"obs.trace": "maybe"})
 
     @pytest.mark.parametrize(
         "section,key",
@@ -140,15 +159,24 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match=f"unknown key.*{key}.*experiment.{section}"):
             ExperimentSpec.from_dict(stale)
 
-    def test_removed_batched_key_is_rejected_by_name(self):
-        """``evaluation.batched`` selected the sequential scheme drivers, which
-        are gone; an old spec file or ``--set`` still carrying it fails loudly."""
+    def test_removed_evaluation_node_is_rejected_by_name(self):
+        """``evaluation`` held ``batched`` (the sequential scheme drivers),
+        ``table1`` and ``demo_panel``, and every run builds both now; an old
+        spec file or ``--set`` still carrying the node fails loudly."""
         spec = get_scenario("univariate-power")
-        with pytest.raises(ConfigurationError, match="unknown key.*batched"):
+        with pytest.raises(ConfigurationError, match="unknown key 'evaluation'"):
             apply_overrides(spec, {"evaluation.batched": "false"})
         stale = spec.to_dict()
-        stale["evaluation"]["batched"] = True
-        with pytest.raises(ConfigurationError, match="batched"):
+        stale["evaluation"] = {"table1": True, "demo_panel": True, "batched": True}
+        with pytest.raises(ConfigurationError, match="unknown key.*evaluation"):
+            ExperimentSpec.from_dict(stale)
+
+    def test_removed_topology_preset_is_rejected_by_name(self):
+        """No devices is the paper testbed; a spec naming it by preset is refused."""
+        stale = get_scenario("univariate-power").to_dict()
+        stale["topology"]["preset"] = "paper-three-layer"
+        with pytest.raises(ConfigurationError,
+                           match="unknown key.*preset.*experiment.topology"):
             ExperimentSpec.from_dict(stale)
 
     def test_bad_index_raises(self):
@@ -231,6 +259,22 @@ class TestBuiltinSpecDigests:
 
     DIGESTS = {
         "univariate-power":
+            "6a7854dd6c1a5033fcd322d1c7d50540344876c7f01cb7d83fe13bd976d0b182",
+        "multivariate-mhealth":
+            "c797700ecedb8ee46ae2fcacb72f187e51c1f3bedcd4b2e2d90665ec71a886b6",
+        "univariate-power-paper":
+            "8195811b9e34a966bf204a0d289591efafe1ba92f28bfb9b08148feaa39c41d5",
+        "multivariate-mhealth-paper":
+            "59eace5c2f7fc395ee5e0b336eb84c05fc3f3820df118a1b51bd7921066de16b",
+        "hierarchical-edge-4tier":
+            "8d63369d0ad09b74a99a4c8e56163130714d76f2bea2fd457b6c43c66ccf572e",
+        "mixed-detectors":
+            "223a0cacd562bf8046ef4de888a89f6dadf7ed2a0a0307950cf214bb3a91f741",
+    }
+    #: The digests before ``topology.preset`` and the ``evaluation`` node
+    #: (``table1``, ``demo_panel``) were removed.
+    DIGESTS_WITH_EVALUATION_AND_PRESET = {
+        "univariate-power":
             "46513cc5e2fea663c6dee9ea629d01456943b83c466916f0aebd7951d2bf4767",
         "multivariate-mhealth":
             "b39106d9f6e751bd252a7f32351599a8217ac84b7ebf7006dd8479d132e235ba",
@@ -304,6 +348,11 @@ class TestBuiltinSpecDigests:
         """Re-inserting the removed keys reproduces each previous digest, so
         the re-pins above moved nothing else."""
         spec = get_scenario(name).to_dict()
+        spec["topology"]["preset"] = (
+            None if name == "hierarchical-edge-4tier" else "paper-three-layer"
+        )
+        spec["evaluation"] = {"table1": True, "demo_panel": True}
+        assert self._digest(spec) == self.DIGESTS_WITH_EVALUATION_AND_PRESET[name]
         for detector in spec["detectors"]:
             detector["input_adapter"] = None
             detector["bidirectional"] = None

@@ -197,18 +197,21 @@ class TestCheckpointStore:
         store = self._saved(tmp_path, 2)
         # A format-1 file is a bare pickle with no header; format 2 carried
         # the delay reservoir's generator state; format 3 pickled the
-        # adaptation reservoirs and deployed detectors; a future format
-        # carries another number.  None is skipped: all are refused.
+        # adaptation reservoirs and deployed detectors; format 4 pickled the
+        # HEC system's clock, layer counters and link traffic counters; a
+        # future format carries another number.  None is skipped: all are
+        # refused.
         pickled = pickle.dumps({"format": 1, "tick": 4})
         digest = hashlib.sha256(pickled).hexdigest().encode()
         for data, found in (
             (pickled, "format 1 "),
             (b"repro-ckpt 2 " + digest + b"\n" + pickled, "format 2;"),
             (b"repro-ckpt 3 " + digest + b"\n" + pickled, "format 3;"),
-            (b"repro-ckpt 5 " + digest + b"\n" + pickled, "format 5;"),
+            (b"repro-ckpt 4 " + digest + b"\n" + pickled, "format 4;"),
+            (b"repro-ckpt 6 " + digest + b"\n" + pickled, "format 6;"),
         ):
             (tmp_path / "ckpt-00000004.pkl").write_bytes(data)
-            with pytest.raises(SerializationError, match=f"{found}.*reads format 4"):
+            with pytest.raises(SerializationError, match=f"{found}.*reads format 5"):
                 store.latest()
 
     def test_stray_tmp_file_ignored(self, tmp_path):

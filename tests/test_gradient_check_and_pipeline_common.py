@@ -5,9 +5,7 @@ import pytest
 
 from repro.bandit.context import UnivariateContextExtractor
 from repro.bandit.reward import DelayCost, RewardFunction
-from repro.exceptions import DeploymentError
 from repro.experiments.stages import (
-    build_hec_system,
     build_schemes,
     compute_reward_table,
     evaluate_all_schemes,
@@ -72,16 +70,10 @@ class TestGradientCheckUtility:
 
 
 class TestPipelineCommon:
-    def test_build_hec_system_requires_all_tiers(self, univariate_hec):
-        _system, _deployments, detectors, _windows, _labels = univariate_hec
-        partial = {"iot": detectors["iot"]}
-        with pytest.raises(DeploymentError):
-            build_hec_system(partial, workload="univariate")
-
     def test_per_layer_correctness_shapes(self, univariate_hec):
         _system, _deployments, detectors, windows, labels = univariate_hec
         correctness = per_layer_correctness(
-            [detectors[t] for t in ("iot", "edge", "cloud")], windows, labels
+            detectors, windows, labels
         )
         assert len(correctness) == 3
         for entry in correctness:
@@ -92,7 +84,7 @@ class TestPipelineCommon:
         system, _deployments, detectors, windows, labels = univariate_hec
         reward_fn = RewardFunction(cost=DelayCost(alpha=0.0005))
         table = compute_reward_table(
-            system, [detectors[t] for t in ("iot", "edge", "cloud")], windows, labels, reward_fn
+            system, detectors, windows, labels, reward_fn
         )
         assert table.shape == (len(labels), 3)
         assert np.all(table <= 1.0) and np.all(table > -1.0)
@@ -101,13 +93,13 @@ class TestPipelineCommon:
         system, _deployments, detectors, windows, labels = univariate_hec
         reward_fn = RewardFunction(cost=DelayCost(alpha=0.0005))
         table = compute_reward_table(
-            system, [detectors[t] for t in ("iot", "edge", "cloud")], windows, labels, reward_fn
+            system, detectors, windows, labels, reward_fn
         )
         all_correct = np.flatnonzero(
             np.all(
                 np.stack(
                     per_layer_correctness(
-                        [detectors[t] for t in ("iot", "edge", "cloud")], windows, labels
+                        detectors, windows, labels
                     ),
                     axis=1,
                 )
@@ -124,7 +116,7 @@ class TestPipelineCommon:
         reward_fn = RewardFunction(cost=DelayCost(alpha=0.0005))
         policy, log, table = train_policy(
             system,
-            [detectors[t] for t in ("iot", "edge", "cloud")],
+            detectors,
             extractor,
             windows,
             labels,
@@ -155,7 +147,7 @@ class TestPipelineCommon:
         reward_fn = RewardFunction(cost=DelayCost(alpha=0.0005))
         policy, _log, _table = train_policy(
             system,
-            [detectors[t] for t in ("iot", "edge", "cloud")],
+            detectors,
             extractor,
             windows,
             labels,

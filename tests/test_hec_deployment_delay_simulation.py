@@ -2,23 +2,18 @@
 
 import copy
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List
 
 import numpy as np
 import pytest
 
 from repro.detectors.autoencoder import AutoencoderDetector
-from repro.detectors.registry import DetectorRegistry
 from repro.exceptions import ConfigurationError, DeploymentError, SchedulingError
 from repro.hec.delay import RESULT_PAYLOAD_BYTES, window_payload_bytes
-from repro.hec.deployment import deploy_registry
+from repro.hec.deployment import deploy_detectors
 from repro.hec.device import DeviceProfile
-from repro.hec.network import (
-    NetworkLink,
-    TransferSpec,
-    paper_link_edge_cloud,
-    paper_link_iot_edge,
-)
+from repro.hec.network import NetworkLink, paper_link_edge_cloud, paper_link_iot_edge
 from repro.hec.simulation import HECSystem
 from repro.hec.topology import HECTopology, build_three_layer_topology
 
@@ -46,36 +41,35 @@ def end_to_end_delay(topology, layer, execution_ms, payload_bytes, include_downl
     links = topology.links_to(layer)
     uplink_ms = 0.0
     for link in links:
-        uplink_ms += link.transfer_delay_ms(TransferSpec(payload_bytes, "up"))
+        uplink_ms += link.transfer_delay_ms(payload_bytes)
     hops = [f"{link.name}:up" for link in links]
     downlink_ms = 0.0
     if include_downlink:
         for link in reversed(links):
-            downlink_ms += link.transfer_delay_ms(TransferSpec(RESULT_PAYLOAD_BYTES, "down"))
+            downlink_ms += link.transfer_delay_ms(RESULT_PAYLOAD_BYTES)
         hops += [f"{link.name}:down" for link in reversed(links)]
     return DelayBreakdown(layer, uplink_ms, float(execution_ms), downlink_ms, hops)
 
 
-def _tiny_registry(window_size=10, fitted=True, rng_seed=0):
-    """Three tiny fitted autoencoders registered on the three tiers."""
+def _tiny_detectors(window_size=10, rng_seed=0):
+    """Three tiny fitted autoencoders, one per tier, bottom-up."""
     rng = np.random.default_rng(rng_seed)
     train = rng.normal(size=(20, window_size))
-    registry = DetectorRegistry()
+    detectors = []
     for layer, hidden in enumerate(((3,), (6,), (8,))):
         detector = AutoencoderDetector(window_size=window_size, hidden_sizes=hidden, seed=layer)
-        if fitted:
-            detector.fit(train, epochs=5, batch_size=8)
-        registry.register(layer, detector)
-    return registry
+        detector.fit(train, epochs=5, batch_size=8)
+        detectors.append(detector)
+    return detectors
 
 
 class TestDeployment:
     def test_deploys_every_layer(self, topology):
-        deployments = deploy_registry(_tiny_registry(), topology, workload="univariate")
+        deployments = deploy_detectors(_tiny_detectors(), topology, workload="univariate")
         assert [d.layer for d in deployments] == [0, 1, 2]
 
     def test_quantizes_below_cloud_by_default(self, topology):
-        deployments = deploy_registry(_tiny_registry(), topology, workload="univariate")
+        deployments = deploy_detectors(_tiny_detectors(), topology, workload="univariate")
         assert deployments[0].quantized and deployments[1].quantized
         assert not deployments[2].quantized
         assert deployments[0].quantization is not None
@@ -89,23 +83,26 @@ class TestDeployment:
         ]
         links = [NetworkLink("a", 1.0), NetworkLink("b", 1.0)]
         topology = HECTopology(devices=devices, links=links)
-        deployments = deploy_registry(
-            _tiny_registry(), topology, workload="univariate",
+        deployments = deploy_detectors(
+            _tiny_detectors(), topology, workload="univariate",
             quantize_below_layer=0,
         )
         assert not any(d.quantized for d in deployments)
 
     def test_calibrated_execution_times_resolved(self, topology):
-        deployments = deploy_registry(_tiny_registry(), topology, workload="univariate")
+        deployments = deploy_detectors(_tiny_detectors(), topology, workload="univariate")
         assert deployments[0].execution_time_ms == pytest.approx(12.4)
         assert deployments[1].execution_time_ms == pytest.approx(7.4)
         assert deployments[2].execution_time_ms == pytest.approx(4.5)
 
-    def test_incomplete_registry_rejected(self, topology):
-        registry = DetectorRegistry()
-        registry.register(0, AutoencoderDetector(window_size=5, hidden_sizes=(2,), seed=0))
-        with pytest.raises(DeploymentError):
-            deploy_registry(registry, topology, workload="univariate")
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_detector_count_mismatch_rejected(self, topology, count):
+        detectors = [
+            AutoencoderDetector(window_size=5, hidden_sizes=(2,), seed=seed)
+            for seed in range(count)
+        ]
+        with pytest.raises(DeploymentError, match=f"{count} detectors for a 3-layer"):
+            deploy_detectors(detectors, topology, workload="univariate")
 
     def test_memory_budget_enforced(self):
         tiny_device = DeviceProfile(
@@ -117,10 +114,29 @@ class TestDeployment:
         links = [NetworkLink("a", 1.0), NetworkLink("b", 1.0)]
         topology = HECTopology(devices=devices, links=links)
         with pytest.raises(DeploymentError):
-            deploy_registry(_tiny_registry(), topology, workload="univariate")
+            deploy_detectors(_tiny_detectors(), topology, workload="univariate")
+
+    @pytest.mark.parametrize("quantize_below_layer, fits", [(1, True), (0, False)])
+    def test_memory_check_reads_the_deployed_bytes(self, quantize_below_layer, fits):
+        """Three bytes a parameter hold the FP16 model (2) but not the FP32 one (4)."""
+        detectors = _tiny_detectors()
+        budget_mb = 3 * detectors[0].parameter_count() / (1024 * 1024)
+        devices = [DeviceProfile(name="tight", tier="iot", throughput_params_per_ms=1.0,
+                                 memory_mb=budget_mb)] + [
+            DeviceProfile(name=name, tier=name, throughput_params_per_ms=1.0, memory_mb=100)
+            for name in ("edge", "cloud")
+        ]
+        links = [NetworkLink("a", 1.0), NetworkLink("b", 1.0)]
+        topology = HECTopology(devices=devices, links=links)
+        deploy = partial(deploy_detectors, detectors, topology, "univariate", quantize_below_layer)
+        if fits:
+            assert deploy()[0].model_bytes == 2 * detectors[0].parameter_count()
+        else:
+            with pytest.raises(DeploymentError, match="quantized=False.*'tight'"):
+                deploy()
 
     def test_model_bytes_reflect_quantization(self, topology):
-        deployments = deploy_registry(_tiny_registry(), topology, workload="univariate")
+        deployments = deploy_detectors(_tiny_detectors(), topology, workload="univariate")
         iot = deployments[0]
         cloud = deployments[2]
         assert iot.model_bytes == iot.detector.parameter_count() * 2
@@ -193,15 +209,15 @@ class TestKernelDelays:
     bit, ``end_to_end_delay(...).total_ms`` of the same requests in order."""
 
     @pytest.fixture(scope="class")
-    def registry(self):
-        return _tiny_registry(window_size=10)
+    def detectors(self):
+        return _tiny_detectors(window_size=10)
 
     @pytest.mark.parametrize("health", ["healthy", "degraded", "jittery"])
     @pytest.mark.parametrize("layer", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_batch_delays_are_end_to_end_delays(self, registry, health, layer, n):
+    def test_batch_delays_are_end_to_end_delays(self, detectors, health, layer, n):
         topology = build_three_layer_topology(links=_links(health))
-        system = HECSystem(topology, deploy_registry(registry, topology, workload="univariate"))
+        system = HECSystem(topology, deploy_detectors(detectors, topology, workload="univariate"))
         twin = copy.deepcopy(topology)
         execution_ms = system.deployment_at(layer).execution_time_ms
         for _ in range(2):  # the first batch pays connection setup, the second does not
@@ -211,8 +227,8 @@ class TestKernelDelays:
                 for _ in range(n)
             ]
             assert delays.tolist() == expected
-        assert [link.transfer_count for link in topology.links] == [
-            link.transfer_count for link in twin.links
+        assert [link.snapshot() for link in topology.links] == [
+            link.snapshot() for link in twin.links
         ]
 
 
@@ -220,8 +236,7 @@ class TestHECSystem:
     @pytest.fixture()
     def system(self):
         topology = build_three_layer_topology()
-        registry = _tiny_registry(window_size=10)
-        deployments = deploy_registry(registry, topology, workload="univariate")
+        deployments = deploy_detectors(_tiny_detectors(), topology, workload="univariate")
         return HECSystem(topology, deployments)
 
     def test_detect_batch_returns_arrays(self, system):
@@ -231,15 +246,12 @@ class TestHECSystem:
         assert result.predictions[0] in (0, 1)
         assert result.delays_ms[0] > 0.0
 
-    def test_counters_accumulate(self, system):
+    def test_results_are_per_call(self, system):
         windows = np.zeros((2, 10))
-        system.detect_batch(0, windows)
-        system.detect_batch(2, windows[:1])
-        assert [c.requests for c in system.layer_counters.values()] == [2, 0, 1]
-
-    def test_clock_advances(self, system):
-        system.detect_batch(2, np.zeros((1, 10)))
-        assert system.clock.now_ms > 0.0
+        first = system.detect_batch(0, windows)
+        second = system.detect_batch(2, windows[:1])
+        assert [(r.layer, r.n) for r in (first, second)] == [(0, 2), (2, 1)]
+        assert second.delays_ms[0] > first.delays_ms.max() > 0.0
 
     def test_expected_delay_ordering(self, system):
         shape = (10,)
@@ -252,31 +264,42 @@ class TestHECSystem:
         assert system.expected_delay_ms(1, shape) == pytest.approx(257.4, abs=2.0)
         assert system.expected_delay_ms(2, shape) == pytest.approx(504.5, abs=3.0)
 
-    def test_expected_delay_does_not_log_records(self, system):
+    def test_expected_delay_leaves_the_links_alone(self, system):
+        before = [link.snapshot() for link in system.topology.links]
         system.expected_delay_ms(2, (10,))
-        assert [c.requests for c in system.layer_counters.values()] == [0, 0, 0]
-        assert system.clock.now_ms == 0.0
-        assert all(link.transfer_count == 0 for link in system.topology.links)
+        assert [link.snapshot() for link in system.topology.links] == before
 
     def test_unknown_layer_rejected(self, system):
         with pytest.raises(SchedulingError):
             system.detect_batch(5, np.zeros((1, 10)))
 
     def test_reset_clears_state(self, system):
-        system.detect_batch(1, np.zeros((1, 10)))
+        cold = system.detect_batch(1, np.zeros((1, 10)))
+        system.topology.links[0].set_status("degraded", factor=2.0)
         system.reset()
-        assert system.clock.now_ms == 0.0
-        assert [c.requests for c in system.layer_counters.values()] == [0, 0, 0]
+        again = system.detect_batch(1, np.zeros((1, 10)))
+        assert np.array_equal(again.delays_ms, cold.delays_ms)  # setup paid, fault gone
+
+    def test_snapshot_holds_no_tallies(self, system):
+        """A checkpoint carries the failover policy and link state, no tallies."""
+        system.detect_batch(2, np.zeros((3, 10)))
+        snapshot = system.snapshot_state()
+        assert sorted(snapshot) == [
+            "failover_retries", "links", "retry_timeout_ms", "state_version",
+        ]
+        assert sorted(snapshot["links"][0]) == [
+            "connection_established", "degraded_factor", "rng_state", "status",
+        ]
 
     def test_duplicate_deployment_rejected(self):
         topology = build_three_layer_topology()
-        deployments = deploy_registry(_tiny_registry(), topology, workload="univariate")
+        deployments = deploy_detectors(_tiny_detectors(), topology, workload="univariate")
         with pytest.raises(DeploymentError):
             HECSystem(topology, deployments + deployments[:1])
 
     def test_missing_deployment_rejected(self):
         topology = build_three_layer_topology()
-        deployments = deploy_registry(_tiny_registry(), topology, workload="univariate")
+        deployments = deploy_detectors(_tiny_detectors(), topology, workload="univariate")
         with pytest.raises(DeploymentError):
             HECSystem(topology, deployments[:2])
 

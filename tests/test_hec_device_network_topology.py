@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.hec.device import GPU_DEVBOX, JETSON_TX2, RASPBERRY_PI_3, DeviceProfile
-from repro.hec.network import NetworkLink, TransferSpec, paper_link_edge_cloud, paper_link_iot_edge
+from repro.hec.network import NetworkLink, paper_link_edge_cloud, paper_link_iot_edge
 from repro.hec.topology import HECTopology, build_three_layer_topology
 
 
@@ -60,35 +60,26 @@ class TestNetworkLink:
 
     def test_transfer_includes_latency_and_serialization(self):
         link = NetworkLink("l", one_way_latency_ms=10.0, bandwidth_mbps=8.0)
-        delay = link.transfer_delay_ms(TransferSpec(1000, "up"))
+        delay = link.transfer_delay_ms(1000)
         assert delay == pytest.approx(11.0)
 
     def test_connection_setup_paid_once_with_keepalive(self):
         link = NetworkLink("l", one_way_latency_ms=10.0, connection_setup_ms=5.0, keep_alive=True)
-        first = link.transfer_delay_ms(TransferSpec(0.0))
-        second = link.transfer_delay_ms(TransferSpec(0.0))
+        first = link.transfer_delay_ms(0.0)
+        second = link.transfer_delay_ms(0.0)
         assert first == pytest.approx(15.0)
         assert second == pytest.approx(10.0)
 
     def test_connection_setup_every_time_without_keepalive(self):
         link = NetworkLink("l", one_way_latency_ms=10.0, connection_setup_ms=5.0, keep_alive=False)
-        assert link.transfer_delay_ms(TransferSpec(0.0)) == pytest.approx(15.0)
-        assert link.transfer_delay_ms(TransferSpec(0.0)) == pytest.approx(15.0)
+        assert link.transfer_delay_ms(0.0) == pytest.approx(15.0)
+        assert link.transfer_delay_ms(0.0) == pytest.approx(15.0)
 
     def test_jitter_is_non_negative_addition(self):
         link = NetworkLink("l", one_way_latency_ms=10.0, jitter_ms=2.0, rng=0)
-        delays = [link.transfer_delay_ms(TransferSpec(0.0)) for _ in range(50)]
+        delays = [link.transfer_delay_ms(0.0) for _ in range(50)]
         assert all(delay >= 10.0 for delay in delays)
         assert np.std(delays) > 0.0
-
-    def test_traffic_counters(self):
-        link = NetworkLink("l", one_way_latency_ms=1.0)
-        link.transfer_delay_ms(TransferSpec(100.0))
-        link.transfer_delay_ms(TransferSpec(50.0))
-        assert link.transferred_bytes == 150.0
-        assert link.transfer_count == 2
-        link.reset()
-        assert link.transferred_bytes == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -96,9 +87,7 @@ class TestNetworkLink:
         with pytest.raises(ConfigurationError):
             NetworkLink("l", one_way_latency_ms=1.0, bandwidth_mbps=0.0)
         with pytest.raises(ConfigurationError):
-            TransferSpec(-1.0)
-        with pytest.raises(ConfigurationError):
-            TransferSpec(1.0, direction="sideways")
+            NetworkLink("l", one_way_latency_ms=1.0).transfer_delay_ms(-1.0)
 
     def test_paper_links_reproduce_250ms_round_trips(self):
         iot_edge = paper_link_iot_edge()
@@ -145,9 +134,11 @@ class TestTopology:
 
     def test_reset_links(self):
         topology = build_three_layer_topology()
-        topology.links[0].transfer_delay_ms(TransferSpec(10.0))
+        link = topology.links[0]
+        cold = link.transfer_delay_ms(10.0)
+        assert link.transfer_delay_ms(10.0) < cold
         topology.reset_links()
-        assert topology.links[0].transfer_count == 0
+        assert link.transfer_delay_ms(10.0) == cold  # the setup is paid again
 
     def test_describe_mentions_devices(self):
         description = build_three_layer_topology().describe()

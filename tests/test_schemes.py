@@ -39,18 +39,27 @@ def _chains(run):
 
 class TestSchemeRun:
     @pytest.mark.parametrize("jitter_ms", [0.0, 0.25], ids=["plain", "jittery"])
-    def test_escalation_log_matches_the_verdicts(self, univariate_hec, jitter_ms):
+    def test_escalation_log_matches_the_verdicts(self, univariate_hec, jitter_ms, monkeypatch):
         """For all five schemes: one log entry per detection, and each
         window's last detection is the one that produced its verdict."""
         system, _deployments, _detectors, windows, _labels = univariate_hec
         system = copy.deepcopy(system)
         for link in system.topology.links:
             link.jitter_ms = jitter_ms
+        detected = []
+        detect_batch = system.detect_batch
+
+        def counting(layer, batch, **kwargs):
+            detected.append(len(batch))
+            return detect_batch(layer, batch, **kwargs)
+
+        monkeypatch.setattr(system, "detect_batch", counting)
         extractor = _context_extractor(windows)
         policy = PolicyNetwork(context_dim=extractor.context_dim, n_actions=3,
                                hidden_units=8, seed=0)
         for scheme in build_schemes(system, policy, extractor):
             system.reset()
+            detected.clear()
             run = scheme.run_batch(windows)
             assert isinstance(run, SchemeRun)
             n = windows.shape[0]
@@ -60,7 +69,7 @@ class TestSchemeRun:
             assert run.attempts.sum() == len(run.attempt_layers) == len(run.attempt_confident)
             last = np.cumsum(run.attempts) - 1
             assert np.array_equal(run.attempt_layers[last], run.layers), scheme.name
-            assert run.attempts.sum() == sum(c.requests for c in system.layer_counters.values())
+            assert run.attempts.sum() == sum(detected), scheme.name
 
     def test_concatenate_keeps_order(self, fresh_system):
         system, _detectors, windows, _labels = fresh_system
@@ -87,7 +96,7 @@ class TestFixedLayerScheme:
         scheme = FixedLayerScheme(system, 1)
         run = scheme.run_batch(windows[:5])
         assert run.layers.tolist() == [1] * 5
-        assert system.layer_counters[1].requests == 5
+        assert run.attempt_layers.tolist() == [1] * 5
 
     def test_run_fields(self, fresh_system):
         system, _detectors, windows, _labels = fresh_system

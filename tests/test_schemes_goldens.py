@@ -7,6 +7,11 @@ DESIGN.md, "Goldens".  The tests here reach only ``run_batch`` — the one
 driver left — and must reproduce those files: predictions, layers, escalation
 chains and every integer counter exactly, delays and the float accumulators
 at the ``tests/goldens.py`` tolerance.
+
+The ``counters/*``, ``clock_now_ms`` and ``links/*`` fields were recorded from
+running tallies the HEC system used to keep.  :class:`Tally` recomputes them
+here from what each ``detect_batch`` call returns, so the files still pin the
+per-layer requests, redirects and delay totals and the per-link traffic.
 """
 
 import copy
@@ -18,12 +23,59 @@ from repro.bandit.context import UnivariateContextExtractor
 from repro.bandit.policy_network import PolicyNetwork
 from repro.bandit.reward import DelayCost, RewardFunction
 from repro.evaluation.experiment import evaluate_outcomes
-from repro.experiments.stages import build_hec_system, build_schemes
+from repro.experiments.stages import build_schemes
+from repro.hec.delay import RESULT_PAYLOAD_BYTES, window_payload_bytes
+from repro.hec.deployment import deploy_detectors
 from repro.hec.network import paper_link_edge_cloud, paper_link_iot_edge
+from repro.hec.simulation import HECSystem
 from repro.hec.topology import build_three_layer_topology
 from repro.schemes.successive import SuccessiveScheme
 
 REWARD = RewardFunction(cost=DelayCost(alpha=0.0005))
+
+
+class Tally:
+    """Per-layer and per-link totals of every ``detect_batch`` call on a system.
+
+    At the layer that served a call: its requests, reported anomalies,
+    execution and delay, and its requests redirected off the layer asked for.
+    The clock is the sum of every delay.  Each request crosses every link
+    below its serving layer twice: the window up, the verdict down.
+    """
+
+    def __init__(self, system):
+        n_layers, n_links = system.n_layers, len(system.topology.links)
+        self.requests = [0] * n_layers
+        self.anomalies_reported = [0] * n_layers
+        self.redirected = [0] * n_layers
+        self.total_execution_ms = [0.0] * n_layers
+        self.total_delay_ms = [0.0] * n_layers
+        self.clock_now_ms = 0.0
+        self.transfer_count = [0] * n_links
+        self.transferred_bytes = [0.0] * n_links
+        self._system = system
+        self._detect_batch = system.detect_batch
+        system.detect_batch = self._tallied
+
+    def _tallied(self, layer, windows, **kwargs):
+        result = self._detect_batch(layer, windows, **kwargs)
+        served, n = result.layer, result.n
+        total_delay = float(result.delays_ms.sum())
+        self.requests[served] += n
+        self.anomalies_reported[served] += int(result.predictions.sum())
+        self.total_execution_ms[served] += self._system.execution_time_ms(served) * n
+        self.total_delay_ms[served] += total_delay
+        self.redirected[served] += n if served != layer else 0
+        self.clock_now_ms += total_delay
+        payload = window_payload_bytes(windows.shape[1:])
+        for link in range(served):
+            self.transfer_count[link] += 2 * n
+            self.transferred_bytes[link] += n * (payload + RESULT_PAYLOAD_BYTES)
+        return result
+
+    def close(self):
+        """Stop tallying: the system answers ``detect_batch`` itself again."""
+        del self._system.detect_batch
 
 
 def scheme_payload(scheme, windows, labels, reward_fn, prepare=None):
@@ -36,10 +88,12 @@ def scheme_payload(scheme, windows, labels, reward_fn, prepare=None):
     system.reset()
     if prepare is not None:
         prepare(system)
-    run = scheme.run_batch(windows)
+    tally = Tally(system)
+    try:
+        run = scheme.run_batch(windows)
+    finally:
+        tally.close()
     evaluation = evaluate_outcomes(scheme.name, run, labels, reward_fn)
-    counters = [system.layer_counters[layer] for layer in range(system.n_layers)]
-    links = system.topology.links
     fields = {
         "predictions": evaluation.predictions,
         "layers": evaluation.layers,
@@ -53,15 +107,15 @@ def scheme_payload(scheme, windows, labels, reward_fn, prepare=None):
         "attempts": run.attempts,
         "attempt_layers": run.attempt_layers,
         "attempt_confident": run.attempt_confident,
-        # What the run left behind on the system.
-        "counters/requests": [c.requests for c in counters],
-        "counters/anomalies_reported": [c.anomalies_reported for c in counters],
-        "counters/redirected": [c.redirected for c in counters],
-        "counters/total_execution_ms": [c.total_execution_ms for c in counters],
-        "counters/total_delay_ms": [c.total_delay_ms for c in counters],
-        "clock_now_ms": system.clock.now_ms,
-        "links/transfer_count": [link.transfer_count for link in links],
-        "links/transferred_bytes": [link.transferred_bytes for link in links],
+        # What the run did, tallied per layer and per link.
+        "counters/requests": tally.requests,
+        "counters/anomalies_reported": tally.anomalies_reported,
+        "counters/redirected": tally.redirected,
+        "counters/total_execution_ms": tally.total_execution_ms,
+        "counters/total_delay_ms": tally.total_delay_ms,
+        "clock_now_ms": tally.clock_now_ms,
+        "links/transfer_count": tally.transfer_count,
+        "links/transferred_bytes": tally.transferred_bytes,
     }
     return {f"{scheme.name}/{key}": np.asarray(value) for key, value in fields.items()}
 
@@ -127,9 +181,8 @@ def test_jittery_links_match_golden(golden, univariate_hec):
     links = [paper_link_iot_edge(rng=11), paper_link_edge_cloud(rng=12)]
     for link in links:
         link.jitter_ms = 0.25
-    system, _ = build_hec_system(
-        detectors, workload="univariate", topology=build_three_layer_topology(links=links)
-    )
+    topology = build_three_layer_topology(links=links)
+    system = HECSystem(topology, deploy_detectors(detectors, topology, workload="univariate"))
     payload = table2_payload(_five_schemes(system, windows), windows, labels, REWARD)
     assert len(set(payload["Successive/delays_ms"])) > 3  # jitter actually varied
     golden("schemes/hec-jittery-links.npz", payload)
