@@ -56,15 +56,18 @@ class UnivariateContextExtractor(ContextExtractor):
                 f"univariate windows must be 2-D (n_windows, window_size), got {windows.shape}"
             )
         n_windows, window_size = windows.shape
-        if window_size % self.segments != 0:
+        segments = self.segments
+        if window_size % segments != 0:
             raise ShapeError(
-                f"window size {window_size} is not divisible into {self.segments} segments"
+                f"window size {window_size} is not divisible into {segments} segments"
             )
-        segment_length = window_size // self.segments
-        segmented = windows.reshape(n_windows, self.segments, segment_length)
+        segment_length = window_size // segments
+        segmented = windows.reshape(n_windows, segments, segment_length)
         # [min | max | mean | std] blocks of one matrix, each written in place.
-        features = np.empty((n_windows, 4 * self.segments))
-        minimum, maximum, mean, std = np.split(features, 4, axis=1)
+        features = np.empty((n_windows, 4 * segments))
+        minimum, maximum, mean, std = (
+            features[:, block * segments:(block + 1) * segments] for block in range(4)
+        )
         # Min and max are order-free: reduce a position-major copy elementwise.
         by_position = np.ascontiguousarray(segmented.transpose(2, 0, 1))
         np.minimum.reduce(by_position, axis=0, out=minimum)

@@ -1,8 +1,8 @@
 """Scenario registry: named, discoverable experiment-spec factories.
 
-Mirrors the decorator-less registration style of
-:mod:`repro.detectors.registry`, but keyed by scenario name and storing
-zero-argument factories so heavy spec construction stays lazy::
+Keyed by scenario name, it stores zero-argument factories so heavy spec
+construction stays lazy; :meth:`ScenarioRegistry.register` works as a call
+or as a decorator::
 
     @register_scenario("my-scenario", description="...", tags=("fast",))
     def my_scenario() -> ExperimentSpec:
@@ -11,8 +11,9 @@ zero-argument factories so heavy spec construction stays lazy::
     spec = get_scenario("my-scenario")
 
 The module-level :data:`SCENARIOS` registry backs the CLI's ``repro run`` /
-``repro list`` / ``repro describe`` commands and the benchmark harness's
-``--scenario`` hook.
+``repro list`` / ``repro describe`` commands, and the benchmark harness
+builds each workload's spec from a registered scenario
+(``get_scenario`` plus ``apply_overrides``).
 """
 
 from __future__ import annotations

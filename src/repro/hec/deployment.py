@@ -3,7 +3,7 @@
 The paper trains all models on the cloud and then deploys one model per layer,
 compressing (freezing + FP16-quantising) the ones destined for the Raspberry
 Pi and Jetson TX2.  :func:`deploy_detectors` reproduces that step against the
-simulated topology: it quantises where required, checks memory budgets, and
+simulated topology: it checks memory budgets, quantises where required, and
 returns :class:`ModelDeployment` records that the HEC system uses to answer
 "which detector runs at layer k, and how long does it take there?".
 """
@@ -88,6 +88,8 @@ def deploy_detectors(
     if quantize_below_layer is None:
         quantize_below_layer = topology.n_layers - 1
 
+    # Every budget is checked before any detector is quantised in place, so
+    # a refused deployment leaves the caller's detectors as they were.
     deployments: List[ModelDeployment] = []
     for layer, detector in enumerate(detectors):
         device = topology.device_at(layer)
@@ -98,7 +100,7 @@ def deploy_detectors(
             device_name=device.name,
             workload=workload,
             quantized=quantized,
-            quantization=quantize_model(detector.model) if quantized else None,
+            quantization=None,
             execution_time_ms=device.execution_time_ms(
                 workload, parameter_count=detector.parameter_count()
             ),
@@ -109,4 +111,7 @@ def deploy_detectors(
                 f"quantized={quantized}) does not fit on device {device.name!r}"
             )
         deployments.append(deployment)
+    for deployment in deployments:
+        if deployment.quantized:
+            deployment.quantization = quantize_model(deployment.detector.model)
     return deployments

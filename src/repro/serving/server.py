@@ -65,8 +65,7 @@ from __future__ import annotations
 import asyncio
 import warnings
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -86,10 +85,10 @@ _STATUSES = ("submitted", "served", "rejected", "shed", "expired")
 
 #: Row status codes.  A row leaves ``_PENDING`` exactly once; the two tables
 #: map each final code to the status and shed reason its ``ServeResult``
-#: reports.
+#: reports, and are arrays so that a whole status column indexes them at once.
 _PENDING, _SERVED, _REJECTED, _EVICTED, _EXPIRED = range(5)
-_STATUS_OF = (None, "served", "rejected", "shed", "shed")
-_REASON_OF = (None, None, "queue-full", "queue-full", "expired")
+_STATUS_OF = np.array((None, "served", "rejected", "shed", "shed"), dtype=object)
+_REASON_OF = np.array((None, None, "queue-full", "queue-full", "expired"), dtype=object)
 
 #: Per refusal code: its telemetry status, its counter, and what the
 #: warn-once message says happened.
@@ -112,10 +111,17 @@ _COLUMNS = (
     ("_latency", np.float64), ("_version", np.int64),
 )
 
+#: The columns only a served row has, in ``ServeResult`` field order; a
+#: refused row reports ``None`` for each.
+_SERVED_ONLY = ("_prediction", "_score", "_layer", "_delay", "_latency", "_version")
 
-@dataclass(frozen=True)
-class ServeResult:
-    """What one submitted window got back from the front door."""
+
+class ServeResult(NamedTuple):
+    """What one submitted window got back from the front door.
+
+    A named tuple: fields read by name or position, and a result cannot be
+    changed in place (``result._replace(...)`` makes a changed copy).
+    """
 
     device_id: int
     #: ``"served"``, ``"rejected"`` (refused at admission) or ``"shed"``
@@ -408,23 +414,26 @@ class IngestServer:
         """The results of rows ``start:stop`` in submission order.
 
         Every row in the range must have its final status, as all do once
-        :meth:`settled` returns.
+        :meth:`settled` returns.  The rows are built in one pass over the
+        request-table columns.
         """
         rows = slice(start, self.n_submitted if stop is None else stop)
-        names = ("_status", "_device", "_label", "_prediction", "_score", "_layer",
-                 "_delay", "_latency", "_version")
-        results = []
-        for status, device, label, *served in zip(
-            *(getattr(self, name)[rows].tolist() for name in names)
-        ):
-            label = None if label == _MISSING else label
-            if status == _SERVED:
-                results.append(ServeResult(device, "served", *served, label))
-            else:
-                results.append(ServeResult(
-                    device, _STATUS_OF[status], label=label, shed_reason=_REASON_OF[status]
-                ))
-        return results
+        codes = self._status[rows]
+        refused = codes != _SERVED
+        served_only = [getattr(self, name)[rows] for name in _SERVED_ONLY]
+        if np.count_nonzero(refused):
+            served_only = [np.where(refused, None, column) for column in served_only]
+        labels = self._label[rows]
+        unlabelled = labels == _MISSING
+        if np.count_nonzero(unlabelled):
+            labels = np.where(unlabelled, None, labels)
+        return list(map(ServeResult._make, zip(
+            self._device[rows].tolist(),
+            _STATUS_OF[codes].tolist(),
+            *(column.tolist() for column in served_only),
+            labels.tolist(),
+            _REASON_OF[codes].tolist(),
+        )))
 
     @property
     def confusion(self) -> np.ndarray:
@@ -646,10 +655,18 @@ class IngestServer:
                 span = self._spans.get(row)
                 if span is not None:
                     span.set_attribute("queue_ms", wait_ms)
-        for action in np.unique(actions).tolist():
-            chosen = np.flatnonzero(actions == action)
-            self._routed[action].append((now, rows[chosen], windows[chosen]))
-            self._routed_rows[action] += len(chosen)
+        # One stable sort groups the rows by tier, ascending, each tier's rows
+        # in micro-batch order; each share is then one contiguous slice.  For
+        # a one-tier micro-batch the sort is the identity: no gather.
+        order = np.argsort(actions, kind="stable")
+        actions = actions[order]
+        if actions[0] != actions[-1]:
+            rows, windows = rows[order], windows[order]
+        bounds = [0, *(np.flatnonzero(actions[1:] != actions[:-1]) + 1).tolist(), n]
+        for begin, end in zip(bounds[:-1], bounds[1:]):
+            action = int(actions[begin])
+            self._routed[action].append((now, rows[begin:end], windows[begin:end]))
+            self._routed_rows[action] += end - begin
         # Under a link-fault plan a share is charged its fault tick and its
         # retries as a batch of its own, so it starts at once, alone.
         await self._start_tier_batches(flush=self._fault_schedule is not None)

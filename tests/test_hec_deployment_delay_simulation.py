@@ -116,6 +116,25 @@ class TestDeployment:
         with pytest.raises(DeploymentError):
             deploy_detectors(_tiny_detectors(), topology, workload="univariate")
 
+    def test_a_refused_deployment_leaves_the_detectors_unrounded(self):
+        """Layer 0 fits and layer 1 does not: the refusal comes before any
+        detector is FP16-quantised in place, so layer 0 scores as before."""
+        detectors = _tiny_detectors()
+        before = copy.deepcopy(detectors)
+        devices = [
+            DeviceProfile(name=name, tier=name, throughput_params_per_ms=1.0, memory_mb=memory)
+            for name, memory in (("iot", 100), ("edge", 1e-6), ("cloud", 100))
+        ]
+        links = [NetworkLink("a", 1.0), NetworkLink("b", 1.0)]
+        topology = HECTopology(devices=devices, links=links)
+        with pytest.raises(DeploymentError, match="'edge'"):
+            deploy_detectors(detectors, topology, workload="univariate")
+        windows = np.random.default_rng(1).normal(size=(12, 10))
+        for detector, reference in zip(detectors, before):
+            np.testing.assert_array_equal(
+                detector.detect_arrays(windows)[2], reference.detect_arrays(windows)[2]
+            )
+
     @pytest.mark.parametrize("quantize_below_layer, fits", [(1, True), (0, False)])
     def test_memory_check_reads_the_deployed_bytes(self, quantize_below_layer, fits):
         """Three bytes a parameter hold the FP16 model (2) but not the FP32 one (4)."""

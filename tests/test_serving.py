@@ -14,10 +14,13 @@ capacity — and with it the overload behaviour — is machine-independent.
 """
 
 import asyncio
+import dataclasses
 import threading
 import time
 import warnings
-from dataclasses import replace
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from repro.hec.simulation import HECSystem
 from repro.serving import (
     IngestServer,
     OpenLoopLoadGenerator,
+    ServeResult,
     ServingReport,
     blue_green_swap,
     serve_workload,
@@ -309,36 +313,6 @@ class TestServingHappyPath:
 
 
 class TestOverload:
-    def test_reject_new_policy(self, trained):
-        with pytest.warns(RuntimeWarning, match="serving ingress overloaded"):
-            report, results = _serve(
-                trained,
-                offered_rps=5000.0,
-                max_requests=80,
-                queue_capacity=8,
-                shed_policy="reject-new",
-            )
-        assert report.n_rejected > 0
-        assert report.n_dropped == 0
-        rejected = [r for r in results if r.status == "rejected"]
-        assert len(rejected) == report.n_rejected
-        assert all(r.shed_reason == "queue-full" for r in rejected)
-
-    def test_shed_oldest_policy(self, trained):
-        with pytest.warns(RuntimeWarning, match="serving ingress overloaded"):
-            report, results = _serve(
-                trained,
-                offered_rps=5000.0,
-                max_requests=80,
-                queue_capacity=8,
-                shed_policy="shed-oldest",
-            )
-        assert report.n_shed > 0
-        assert report.n_rejected == 0  # eviction admits every newcomer
-        assert report.n_dropped == 0
-        evicted = [r for r in results if r.status == "shed" and r.shed_reason == "queue-full"]
-        assert len(evicted) == report.n_shed
-
     def test_age_budget_expires_stale_requests(self, trained):
         with pytest.warns(RuntimeWarning, match="serving ingress overloaded"):
             report, results = _serve(
@@ -351,24 +325,35 @@ class TestOverload:
         expired = [r for r in results if r.shed_reason == "expired"]
         assert len(expired) == report.n_expired
 
-    def test_overload_warns_exactly_once_per_run(self, trained):
+    @pytest.mark.parametrize("shed_policy", ["reject-new", "shed-oldest"])
+    def test_overload_warns_exactly_once_per_run(self, trained, shed_policy):
         # Every request is due at once, so all 80 meet the queue of 8 before
         # the first micro-batch: the refusals follow from (spec, seed), not
         # from the host's clock.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report, _results = _serve(
+            report, results = _serve(
                 trained,
                 offered_rps=ALL_DUE,
                 max_requests=80,
                 queue_capacity=8,
+                shed_policy=shed_policy,
             )
         overload = [
             w for w in caught if "serving ingress overloaded" in str(w.message)
         ]
         assert len(overload) == 1
-        # The other 71 refusals are counted silently.
-        assert (report.n_rejected, report.n_expired) == (72, 0)
+        # The other 71 refusals are counted silently.  reject-new keeps the
+        # first 8 and refuses the last 72; shed-oldest admits every newcomer
+        # and evicts the first 72.
+        if shed_policy == "reject-new":
+            counts, served, refused, status = (72, 0), results[:8], results[8:], "rejected"
+        else:
+            counts, served, refused, status = (0, 72), results[72:], results[:72], "shed"
+        assert (report.n_rejected, report.n_shed, report.n_expired) == (*counts, 0)
+        assert (report.n_served, report.n_dropped) == (8, 0)
+        assert all(result.served for result in served)
+        assert [(r.status, r.shed_reason) for r in refused] == [(status, "queue-full")] * 72
 
     def test_acceptance_2x_overload_sheds_but_served_p99_meets_slo(self, trained):
         """The PR's overload pin: at 2x capacity the server sheds (reported,
@@ -501,7 +486,7 @@ def _server(trained, serving):
 
 
 def _without_latency(results):
-    return [replace(result, latency_ms=None) for result in results]
+    return [result._replace(latency_ms=None) for result in results]
 
 
 class TestRequestTable:
@@ -832,3 +817,185 @@ class TestTierBatches:
         assert all(result.served for result in results)
         assert sum(n for _, n in calls) == 10
         assert all(n < 32 for _, n in calls)
+
+    def test_a_micro_batch_is_routed_in_tier_order_and_row_order(self, trained):
+        """Each tier's share holds that tier's rows and windows in micro-batch
+        order, and the shares join their queues in ascending tier order, as
+        ``np.unique`` plus one ``flatnonzero`` per tier would route them."""
+        spec, _runner = trained
+        # Past 16 rows an unstable sort would reorder a tier's rows.
+        rng = np.random.default_rng(3)
+        plans = {1: rng.integers(0, 3, 32), 2: np.ones(32, dtype=np.int64),
+                 3: rng.choice([0, 2], 32)}
+        serving = replace(spec.serve, max_batch=32, max_wait_ms=60_000.0,
+                          offered_rps=ALL_DUE, **UNPACED)
+        windows = _windows(trained, 96)
+        shares = []
+
+        class _Recording(deque):
+            def __init__(self, layer):
+                super().__init__()
+                self.layer = layer
+
+            def append(self, share):
+                _routed_at, rows, share_windows = share
+                shares.append((self.layer, rows.tolist(), share_windows.copy()))
+                super().append(share)
+
+        async def _main():
+            server = _routed_server(trained, serving, lambda call, n: plans[call])
+            server._routed = [_Recording(layer) for layer in range(len(server._routed))]
+            await server.start()
+            for i, window in enumerate(windows):
+                server.submit(i, window)
+            await server.settled()
+            await server.stop()
+            return server.results()
+
+        results = asyncio.run(_main())
+        assert all(result.served for result in results)
+        expected = []
+        for call, actions in plans.items():
+            rows = 32 * (call - 1) + np.arange(len(actions))
+            expected += [
+                (action, rows[np.flatnonzero(actions == action)].tolist())
+                for action in np.unique(actions).tolist()
+            ]
+        assert [(layer, rows) for layer, rows, _ in shares] == expected
+        for _layer, rows, share_windows in shares:
+            np.testing.assert_array_equal(share_windows, np.stack([windows[r] for r in rows]))
+
+
+#: ``ServeResult``'s eight defaulted fields, in order, with their defaults.
+_RESULT_DEFAULTS = {
+    "prediction": None, "anomaly_score": None, "layer": None, "simulated_delay_ms": None,
+    "latency_ms": None, "model_version": None, "label": None, "shed_reason": None,
+}
+
+
+@dataclass(frozen=True)
+class _ReferenceResult:
+    """The reference row: a frozen dataclass with ``ServeResult``'s fields."""
+
+    device_id: int
+    status: str
+    prediction: Optional[int] = None
+    anomaly_score: Optional[float] = None
+    layer: Optional[int] = None
+    simulated_delay_ms: Optional[float] = None
+    latency_ms: Optional[float] = None
+    model_version: Optional[int] = None
+    label: Optional[int] = None
+    shed_reason: Optional[str] = None
+
+
+def _reference_results(server, start, stop):
+    """The reference: one row at a time off the request-table columns, the
+    refused rows' served-only fields left at their defaults."""
+    status_of = (None, "served", "rejected", "shed", "shed")
+    reason_of = (None, None, "queue-full", "queue-full", "expired")
+    names = ("_status", "_device", "_label", "_prediction", "_score", "_layer",
+             "_delay", "_latency", "_version")
+    results = []
+    for status, device, label, *served in zip(
+        *(getattr(server, name)[start:stop].tolist() for name in names)
+    ):
+        label = None if label == -1 else label
+        if status_of[status] == "served":
+            results.append(_ReferenceResult(device, "served", *served, label))
+        else:
+            results.append(_ReferenceResult(
+                device, status_of[status], label=label, shed_reason=reason_of[status]
+            ))
+    return results
+
+
+def _typed(result):
+    """Every field with its value's type: ``1 == 1.0`` must not pass."""
+    return [(name, value, type(value)) for name, value in zip(ServeResult._fields, result)]
+
+
+class TestResultRows:
+    """``IngestServer.results`` builds its rows in one pass; the reference
+    builds them one at a time.  Both must agree on every field."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, trained):
+        """One settled server whose rows are served, rejected, evicted,
+        expired and unlabelled, and each row's awaited result."""
+        spec, _runner = trained
+        serving = replace(spec.serve, queue_capacity=8, shed_policy="reject-new",
+                          offered_rps=ALL_DUE, **UNPACED)
+        windows = _windows(trained, 10)
+        labels = [0, None, 1, None, 0, 1, 0, None, None, 1]
+
+        async def _main():
+            server = _server(trained, serving)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            rows = []
+            for i, (window, label) in enumerate(zip(windows, labels)):
+                # Row 6 arrived an hour ago and expires at dispatch; row 8
+                # meets a full queue under reject-new, and row 9, under
+                # shed-oldest, evicts row 0.
+                arrival = loop.time() - 3600.0 if i == 6 else None
+                if i == 9:
+                    server.serving = replace(serving, shed_policy="shed-oldest")
+                rows.append(server.submit(100 + i, window, label=label,
+                                          arrival_time=arrival, tick=i))
+            await server.settled()
+            awaited = [await row for row in rows]
+            await server.stop()
+            return server, awaited
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return asyncio.run(_main())
+
+    def test_the_server_holds_every_kind_of_row(self, mixed):
+        server, _awaited = mixed
+        kinds = [(r.status, r.shed_reason, r.label is None) for r in server.results()]
+        assert kinds[0] == ("shed", "queue-full", False)
+        assert kinds[6] == ("shed", "expired", False)
+        assert kinds[8] == ("rejected", "queue-full", True)
+        assert [kind[0] for kind in kinds].count("served") == 7
+        assert ("served", None, True) in kinds
+
+    def test_every_range_equals_the_reference(self, mixed):
+        server, _awaited = mixed
+        n = server.n_submitted
+        for start in range(n + 1):
+            for stop in range(start, n + 1):
+                subject = server.results(start, stop)
+                reference = _reference_results(server, start, stop)
+                assert [_typed(r) for r in subject] == [
+                    _typed(dataclasses.astuple(r)) for r in reference
+                ], (start, stop)
+        assert server.results() == server.results(0, n)
+
+    def test_each_awaited_row_equals_the_reference(self, mixed):
+        server, awaited = mixed
+        for row, result in enumerate(awaited):
+            (reference,) = _reference_results(server, row, row + 1)
+            assert _typed(result) == _typed(dataclasses.astuple(reference))
+
+    def test_the_row_type_keeps_its_fields_defaults_and_served(self, mixed):
+        server, _awaited = mixed
+        assert ServeResult._fields == tuple(
+            field.name for field in dataclasses.fields(_ReferenceResult)
+        )
+        assert ServeResult._field_defaults == _RESULT_DEFAULTS
+        assert ServeResult(7, "shed") == (7, "shed", *_RESULT_DEFAULTS.values())
+        results = server.results()
+        assert [r.served for r in results] == [r.status == "served" for r in results]
+        assert ServeResult(7, "served").served and not ServeResult(7, "rejected").served
+
+    def test_a_row_refuses_attribute_assignment(self, mixed):
+        server, _awaited = mixed
+        result = server.results(0, 1)[0]
+        with pytest.raises(AttributeError):
+            result.status = "served"
+        with pytest.raises(AttributeError):
+            result.note = "x"
+        assert result._replace(status="served").status == "served"
+        assert result.status == "shed"
