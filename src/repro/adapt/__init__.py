@@ -9,12 +9,11 @@ anomaly detection:
   and a windowed-F1 floor) over per-tier score streams;
 * :mod:`repro.adapt.registry` — a content-addressed, versioned model registry
   with lineage metadata and promote/rollback semantics;
-* :mod:`repro.adapt.retrainer` — drift-triggered fine-tuning on a keyed
-  sample of clean windows, behind a shadow-evaluation gate;
-* :mod:`repro.adapt.deployer` — atomic hot-swap of promoted (optionally
-  FP16-quantised) checkpoints into the running HEC system at tick boundaries;
-* :mod:`repro.adapt.controller` — the per-tick state machine gluing the four
-  together, driven by the fleet engine;
+* :mod:`repro.adapt.controller` — the per-tick lifecycle, driven by the
+  fleet engine: it feeds the monitors, fine-tunes a drifted tier's detector
+  on a keyed sample of clean windows behind a shadow-evaluation gate, and
+  hot-swaps an accepted (FP16-quantised below the cloud) candidate into the
+  running HEC system at a tick boundary;
 * :mod:`repro.adapt.spec` — the declarative :class:`~repro.adapt.spec.AdaptSpec`
   hanging off :class:`~repro.experiments.spec.ExperimentSpec` as ``adapt``.
 
@@ -25,7 +24,6 @@ recalibrated checkpoint, and the online F1 recovers.
 """
 
 from repro.adapt.controller import AdaptationController
-from repro.adapt.deployer import HotSwapDeployer
 from repro.adapt.events import (
     AdaptationTimeline,
     DriftEvent,
@@ -37,14 +35,8 @@ from repro.adapt.monitors import (
     F1FloorMonitor,
     PageHinkleyMonitor,
     ScoreMonitor,
-    build_monitor,
 )
 from repro.adapt.registry import ModelRegistry, ModelVersion
-from repro.adapt.retrainer import (
-    OnlineRetrainer,
-    RetrainOutcome,
-    detection_f1,
-)
 from repro.adapt.spec import AdaptSpec
 
 __all__ = [
@@ -53,16 +45,11 @@ __all__ = [
     "AdaptationTimeline",
     "DriftEvent",
     "F1FloorMonitor",
-    "HotSwapDeployer",
     "MONITOR_KINDS",
     "ModelRegistry",
     "ModelVersion",
-    "OnlineRetrainer",
     "PageHinkleyMonitor",
     "RetrainEvent",
-    "RetrainOutcome",
     "ScoreMonitor",
     "SwapEvent",
-    "build_monitor",
-    "detection_f1",
 ]

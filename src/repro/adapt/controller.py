@@ -1,24 +1,30 @@
 """The adaptation controller: monitor -> retrain -> gate -> swap, per tick.
 
-:class:`AdaptationController` is the object the streaming engine talks to.
-Per tick it ingests every detected batch (windows, predictions, labels and
-anomaly scores, per tier), feeds the drift monitors and the retraining
-reservoirs, and at the tick boundary runs the lifecycle state machine:
+:class:`AdaptationController` is the object the streaming engine talks to,
+and the one place the model lifecycle lives.  Per tick it ingests every
+detected batch (windows, predictions, labels and anomaly scores, per tier),
+feeds the drift monitors and the retraining reservoirs, and at the tick
+boundary runs the lifecycle state machine:
 
 1. a monitor fires -> the tier is marked *pending*;
 2. a pending tier outside its cooldown, with enough reservoir fill, gets a
-   drift-triggered fine-tune on the recent clean-window sample;
-3. the candidate must beat the incumbent's F1 on the labelled holdout slice
-   (the shadow gate) — rejected candidates are recorded and discarded;
-4. an accepted candidate is quantised like its tier's original deployment,
-   committed to the registry, promoted and hot-swapped into the live system;
-   the tier's monitors reset so the new model gets a fresh baseline.
+   drift-triggered fine-tune of a deep copy of its incumbent on the recent
+   clean-window sample (refitting the scorer recalibrates the threshold);
+3. the candidate is quantised like its tier's original deployment, then must
+   beat the incumbent's F1 on the labelled holdout slice (the shadow gate) —
+   rejected candidates are recorded and discarded;
+4. an accepted candidate is committed to the registry, promoted and
+   hot-swapped into the live system by one deployment rebind at the tick
+   boundary, so no in-flight batch sees a half-updated model; the tier's
+   monitors reset so the new model gets a fresh baseline.
 
-Everything the controller does is recorded in an
-:class:`~repro.adapt.events.AdaptationTimeline`; wall-clock retrain/swap
-latencies go only to the telemetry session's ``adapt_retrain_seconds`` /
-``adapt_swap_seconds`` histograms, so the timeline (and the fleet report
-carrying it) stays timing-free and deterministic.
+Construction commits every deployed detector as its tier's root version, so
+lineage is complete from the first swap on.  Everything the controller does
+is recorded in an :class:`~repro.adapt.events.AdaptationTimeline`;
+wall-clock retrain/swap latencies go only to the telemetry session's
+``adapt_retrain_seconds`` / ``adapt_swap_seconds`` histograms, so the
+timeline (and the fleet report carrying it) stays timing-free and
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,18 +32,20 @@ from __future__ import annotations
 import copy
 import tempfile
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.adapt.deployer import HotSwapDeployer
-from repro.adapt.events import AdaptationTimeline, DriftEvent, RetrainEvent
-from repro.adapt.monitors import ScoreMonitor, build_monitor
+from repro.adapt.events import AdaptationTimeline, DriftEvent, RetrainEvent, SwapEvent
+from repro.adapt.monitors import F1FloorMonitor, PageHinkleyMonitor, ScoreMonitor
 from repro.adapt.registry import ModelRegistry
-from repro.adapt.retrainer import OnlineRetrainer
 from repro.adapt.spec import AdaptSpec
+from repro.detectors.base import AnomalyDetector
+from repro.evaluation.metrics import confusion_counts, rates_from_confusion
 from repro.fleet.metrics import DelayReservoir, mix64
 from repro.hec.simulation import HECSystem
+from repro.nn.quantization import QuantizationReport, quantize_model
 
 #: Key-salt tags separating the train/holdout samples of one window stream.
 _TRAIN_TAG = 0xAD01
@@ -53,6 +61,11 @@ def _key_salts(seed: int, tag: int, n_layers: int) -> np.ndarray:
     """One key salt per layer for the sample ``tag`` names, under ``seed``."""
     base = mix64(np.uint64(int(seed) % 2**64)) ^ np.uint64(tag << 16)
     return mix64(base ^ np.arange(n_layers, dtype=np.uint64))
+
+
+def _f1(detector: AnomalyDetector, windows: np.ndarray, labels: np.ndarray) -> float:
+    """Windowed detection F1 of ``detector`` on a labelled holdout slice."""
+    return rates_from_confusion(confusion_counts(detector.predict(windows), labels))["f1"]
 
 
 class AdaptationController:
@@ -82,16 +95,22 @@ class AdaptationController:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-model-registry-")
             root = self._tmpdir.name
         self.registry = ModelRegistry(root)
-        self.deployer = HotSwapDeployer(
-            system, self.registry, quantize_swapped=spec.quantize_swapped
-        )
-        self.deployer.register_incumbents(self.tier_names)
-        self.retrainer = OnlineRetrainer(
-            epochs=spec.retrain_epochs,
-            batch_size=spec.retrain_batch_size,
-            learning_rate=spec.retrain_learning_rate,
-            min_improvement=spec.min_improvement,
-        )
+        # Each deployed detector becomes its tier's root version and is made
+        # current unless it already is: every tier gets a rollback target and
+        # every later candidate a parent.  A run against a registry an earlier
+        # run left behind starts from its own roots, never from that run's
+        # last swap.
+        for layer, tier in enumerate(self.tier_names):
+            deployment = system.deployment_at(layer)
+            meta = self.registry.commit(
+                deployment.detector,
+                tier=tier,
+                layer=layer,
+                parent=None,
+                quantization=deployment.quantization,
+            )
+            if self.registry.current(tier) != meta.version:
+                self.registry.promote(meta.version, tier)
 
         n_layers = len(self.tier_names)
         # Keyed bottom-k samples of each tier's windows, under the engine's
@@ -106,18 +125,18 @@ class AdaptationController:
         self.holdout_reservoirs = [
             DelayReservoir(spec.holdout_size, labelled=True) for _ in range(n_layers)
         ]
-        # Per-tier score/F1 monitors ("f1-floor" consumes windowed confusion
-        # blocks; the others consume the per-tick mean score stream).
-        self.score_monitors: List[List[ScoreMonitor]] = []
-        self.f1_monitors: List[List[ScoreMonitor]] = []
-        for layer, tier in enumerate(self.tier_names):
-            per_tick: List[ScoreMonitor] = []
-            per_window: List[ScoreMonitor] = []
-            for kind in spec.monitors:
-                monitor = self._build_monitor(kind, layer, tier)
-                (per_window if kind == "f1-floor" else per_tick).append(monitor)
-            self.score_monitors.append(per_tick)
-            self.f1_monitors.append(per_window)
+        # Per-tier monitors, at most one of each kind: "page-hinkley" watches
+        # the per-tick mean score, "f1-floor" the windowed confusion blocks.
+        self.score_monitors: List[List[ScoreMonitor]] = [
+            [PageHinkleyMonitor(layer, tier, spec.ph_delta, spec.ph_threshold)]
+            if "page-hinkley" in spec.monitors else []
+            for layer, tier in enumerate(self.tier_names)
+        ]
+        self.f1_monitors: List[List[ScoreMonitor]] = [
+            [F1FloorMonitor(layer, tier, spec.f1_floor_fraction, spec.f1_baseline_windows)]
+            if "f1-floor" in spec.monitors else []
+            for layer, tier in enumerate(self.tier_names)
+        ]
 
         #: Per-tier [tp, fp, tn, fn] counts of the metrics window in progress.
         self._window_confusion = np.zeros((n_layers, 4), dtype=np.int64)
@@ -128,23 +147,11 @@ class AdaptationController:
 
         self.drifts: List[DriftEvent] = []
         self.retrains: List[RetrainEvent] = []
-        self.swaps: List = []
+        self.swaps: List[SwapEvent] = []
         #: Optional :class:`~repro.obs.export.Telemetry` session (the engine
         #: binds it for telemetry-enabled runs).  Read via one ``is None``
         #: check per lifecycle decision — never inside the per-batch hook.
         self.telemetry = None
-
-    def _build_monitor(self, kind: str, layer: int, tier: str) -> ScoreMonitor:
-        spec = self.spec
-        if kind == "page-hinkley":
-            return build_monitor(
-                kind, layer, tier, delta=spec.ph_delta, threshold=spec.ph_threshold
-            )
-        return build_monitor(
-            kind, layer, tier,
-            floor_fraction=spec.f1_floor_fraction,
-            baseline_windows=spec.f1_baseline_windows,
-        )
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -174,8 +181,6 @@ class AdaptationController:
         one vectorised offer per reservoir and the monitor stream build no
         per-window structures.
         """
-        from repro.evaluation.metrics import confusion_counts
-
         predictions = np.asarray(predictions, dtype=int)
         labels = np.asarray(labels, dtype=int)
         self._window_confusion[layer] += confusion_counts(predictions, labels)
@@ -238,8 +243,6 @@ class AdaptationController:
     def _feed_f1_monitors(self, tick: int) -> None:
         if (tick + 1) % self.metrics_window != 0:
             return
-        from repro.evaluation.metrics import rates_from_confusion
-
         for layer in range(len(self.tier_names)):
             counts = self._window_confusion[layer]
             if counts.sum():
@@ -248,115 +251,176 @@ class AdaptationController:
                     self._record(tick, monitor.update(tick, f1))
         self._window_confusion[:] = 0
 
+    def _fine_tune(
+        self,
+        incumbent: AnomalyDetector,
+        train_windows: np.ndarray,
+        seed: Sequence[int],
+    ) -> AnomalyDetector:
+        """A candidate: the incumbent deep-copied and fine-tuned on recent data.
+
+        ``fit`` continues from the incumbent's weights (warm start) and refits
+        the Gaussian scorer — and thereby the detection threshold — on the
+        drifted window sample, which is what recalibrates the false-positive
+        rate after a distribution shift.  The incumbent itself is untouched
+        and keeps serving traffic until the swap.
+
+        The copy's model generator (minibatch shuffling, dropout) is reseeded
+        in place from ``seed``, so the candidate is a function of the
+        incumbent's weights, the windows and ``seed`` — all a resume can
+        rebuild — and never of the fits the incumbent's generator went through.
+        """
+        candidate = copy.deepcopy(incumbent)
+        # The model's layers share its generator: reseed that object in place.
+        generator = candidate.model._rng
+        generator.bit_generator.state = type(generator.bit_generator)(
+            np.random.SeedSequence([int(part) % 2**64 for part in seed])
+        ).state
+        candidate.fit(
+            np.asarray(train_windows, dtype=float),
+            epochs=self.spec.retrain_epochs,
+            batch_size=self.spec.retrain_batch_size,
+            learning_rate=self.spec.retrain_learning_rate,
+            early_stopping_patience=2,
+        )
+        return candidate
+
     def _retrain(self, tick: int, layer: int) -> None:
+        """One lifecycle attempt on ``layer``: fine-tune, quantise, gate, swap.
+
+        The candidate is put into its deployable form (FP16 on quantised
+        tiers) *before* the gate, so the gate judges exactly the model that
+        would serve traffic; the incumbent is scored first.  A candidate
+        that beats the incumbent's holdout F1 is committed with its lineage,
+        promoted, and rebound live.  Both outcomes are recorded.
+        """
+        tier = self.tier_names[layer]
         telemetry = self.telemetry
+        span = None
+        scope = nullcontext()
         if telemetry is not None and telemetry.trace_enabled:
             # One span per lifecycle attempt links the triggering drift to
             # the gate verdict and (when accepted) the hot-swap; activating
             # it stamps the adapt.gate/adapt.swap events with its ids.
-            span = telemetry.tracer.start_span(
-                "adapt.retrain", tick=int(tick), tier=self.tier_names[layer]
-            )
-            with telemetry.tracer.activate(span):
-                self._retrain_impl(tick, layer, span)
-        else:
-            self._retrain_impl(tick, layer, None)
+            span = telemetry.tracer.start_span("adapt.retrain", tick=int(tick), tier=tier)
+            scope = telemetry.tracer.activate(span)
+        with scope:
+            deployment = self.system.deployment_at(layer)
+            incumbent = deployment.detector
+            train_windows = self.train_reservoirs[layer].sample()[0]
+            holdout_windows, _, holdout_labels = self.holdout_reservoirs[layer].sample()
 
-    def _retrain_impl(self, tick: int, layer: int, span) -> None:
-        tier = self.tier_names[layer]
-        telemetry = self.telemetry
-        incumbent = self.system.deployment_at(layer).detector
-        train_windows = self.train_reservoirs[layer].sample()[0]
-        holdout_windows, _, holdout_labels = self.holdout_reservoirs[layer].sample()
-
-        started = time.perf_counter()
-        # Fine-tune, then put the candidate into its deployable form (FP16 on
-        # quantised tiers) *before* the gate — the gate must judge exactly
-        # the model that would serve traffic.
-        candidate = self.retrainer.fine_tune(
-            incumbent, train_windows, seed=(self.master_seed, self.spec.seed, layer, tick)
-        )
-        quantization = self.deployer.prepare_candidate(layer, candidate)
-        outcome = self.retrainer.evaluate(
-            candidate,
-            incumbent,
-            holdout_windows,
-            holdout_labels,
-            n_train_windows=train_windows.shape[0],
-        )
-        retrain_seconds = time.perf_counter() - started
-
-        candidate_version = None
-        if outcome.accepted:
             started = time.perf_counter()
-            tick_range = self._train_ranges[layer]
-            swap = self.deployer.swap(
-                tick=tick,
-                layer=layer,
-                tier=tier,
-                candidate=outcome.candidate,
-                quantization=quantization,
-                training_window=tuple(tick_range) if tick_range else None,
-                n_train_windows=outcome.n_train_windows,
+            candidate = self._fine_tune(
+                incumbent, train_windows, seed=(self.master_seed, self.spec.seed, layer, tick)
             )
-            swap_seconds = time.perf_counter() - started
-            candidate_version = swap.to_version
-            self.swaps.append(swap)
+            quantization = quantize_model(candidate.model) if deployment.quantized else None
+            incumbent_f1 = _f1(incumbent, holdout_windows, holdout_labels)
+            candidate_f1 = _f1(candidate, holdout_windows, holdout_labels)
+            accepted = candidate_f1 > incumbent_f1
+            retrain_seconds = time.perf_counter() - started
+
+            candidate_version = None
+            if accepted:
+                started = time.perf_counter()
+                from_version = self.registry.current(tier)
+                tick_range = self._train_ranges[layer]
+                meta = self.registry.commit(
+                    candidate,
+                    tier=tier,
+                    layer=layer,
+                    parent=from_version,
+                    training_window=tuple(tick_range) if tick_range else None,
+                    n_train_windows=train_windows.shape[0],
+                    quantization=quantization,
+                )
+                self.registry.promote(meta.version, tier)
+                self._rebind(layer, candidate, quantization)
+                # Invalidate any snapshot keyed on the pre-swap model set (the
+                # sharded engine's forked worker pools hold copy-on-write state).
+                self.system.bump_state_version()
+                swap_seconds = time.perf_counter() - started
+                candidate_version = meta.version
+                self.swaps.append(
+                    SwapEvent(
+                        tick=int(tick),
+                        layer=int(layer),
+                        tier=tier,
+                        from_version=from_version,
+                        to_version=candidate_version,
+                        quantized=quantization is not None,
+                    )
+                )
+                if telemetry is not None:
+                    telemetry.registry.counter(
+                        "adapt_swaps_total", "Gated candidates hot-swapped live."
+                    ).inc()
+                    telemetry.registry.histogram(
+                        "adapt_swap_seconds",
+                        "Hot-swap (commit + promote + rebind) latency.",
+                        buckets=_SECONDS_BUCKETS,
+                    ).observe(swap_seconds)
+                    telemetry.event(
+                        "adapt.swap",
+                        tick=int(tick),
+                        tier=tier,
+                        from_version=from_version,
+                        to_version=candidate_version,
+                    )
+                # The new model gets fresh monitor baselines.
+                for monitor in self.score_monitors[layer] + self.f1_monitors[layer]:
+                    monitor.reset()
+
+            self.retrains.append(
+                RetrainEvent(
+                    tick=int(tick),
+                    layer=int(layer),
+                    tier=tier,
+                    n_train_windows=int(train_windows.shape[0]),
+                    n_holdout_windows=int(holdout_windows.shape[0]),
+                    incumbent_f1=incumbent_f1,
+                    candidate_f1=candidate_f1,
+                    accepted=accepted,
+                    candidate_version=candidate_version,
+                )
+            )
             if telemetry is not None:
                 telemetry.registry.counter(
-                    "adapt_swaps_total", "Gated candidates hot-swapped live."
-                ).inc()
+                    "adapt_retrains_total",
+                    "Retrain attempts by gate verdict.",
+                    labelnames=("accepted",),
+                ).labels(accepted="true" if accepted else "false").value += 1
                 telemetry.registry.histogram(
-                    "adapt_swap_seconds",
-                    "Hot-swap (commit + promote + rebind) latency.",
+                    "adapt_retrain_seconds",
+                    "Fine-tune + shadow-gate latency.",
                     buckets=_SECONDS_BUCKETS,
-                ).observe(swap_seconds)
+                ).observe(retrain_seconds)
                 telemetry.event(
-                    "adapt.swap",
+                    "adapt.gate",
                     tick=int(tick),
                     tier=tier,
-                    from_version=swap.from_version,
-                    to_version=swap.to_version,
+                    accepted=accepted,
+                    incumbent_f1=incumbent_f1,
+                    candidate_f1=candidate_f1,
                 )
-            # The new model gets fresh monitor baselines.
-            for monitor in self.score_monitors[layer] + self.f1_monitors[layer]:
-                monitor.reset()
+                if span is not None:
+                    span.end(accepted=accepted)
 
-        self.retrains.append(
-            RetrainEvent(
-                tick=int(tick),
-                layer=int(layer),
-                tier=tier,
-                n_train_windows=outcome.n_train_windows,
-                n_holdout_windows=outcome.n_holdout_windows,
-                incumbent_f1=outcome.incumbent_f1,
-                candidate_f1=outcome.candidate_f1,
-                accepted=outcome.accepted,
-                candidate_version=candidate_version,
-            )
-        )
-        if telemetry is not None:
-            accepted = "true" if outcome.accepted else "false"
-            telemetry.registry.counter(
-                "adapt_retrains_total",
-                "Retrain attempts by gate verdict.",
-                labelnames=("accepted",),
-            ).labels(accepted=accepted).value += 1
-            telemetry.registry.histogram(
-                "adapt_retrain_seconds",
-                "Fine-tune + shadow-gate latency.",
-                buckets=_SECONDS_BUCKETS,
-            ).observe(retrain_seconds)
-            telemetry.event(
-                "adapt.gate",
-                tick=int(tick),
-                tier=tier,
-                accepted=outcome.accepted,
-                incumbent_f1=outcome.incumbent_f1,
-                candidate_f1=outcome.candidate_f1,
-            )
-            if span is not None:
-                span.end(accepted=outcome.accepted)
+    def _rebind(
+        self,
+        layer: int,
+        detector: AnomalyDetector,
+        quantization: Optional[QuantizationReport],
+    ) -> None:
+        """Make ``detector`` the live model of ``layer``: one record rebind.
+
+        The deployment's quantisation bookkeeping follows the detector's
+        actual form, so the record never describes a replaced model.
+        """
+        deployment = self.system.deployment_at(layer)
+        deployment.detector = detector
+        deployment.quantization = quantization
+        deployment.quantized = quantization is not None
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -424,14 +488,11 @@ class AdaptationController:
         self.f1_monitors = [list(group) for group in snapshot["f1_monitors"]]
 
         for layer, (tier, version) in enumerate(versions.items()):
-            deployment = self.system.deployment_at(layer)
-            detector = copy.deepcopy(deployment.detector)
+            detector = copy.deepcopy(self.system.deployment_at(layer).detector)
             meta = self.registry.restore(version, detector)
             if self.registry.current(tier) != version:
                 self.registry.promote(version, tier)
-            deployment.detector = detector
-            deployment.quantization = meta.quantization_report()
-            deployment.quantized = deployment.quantization is not None
+            self._rebind(layer, detector, meta.quantization_report())
         # No bump_state_version() here: the engine restores the system's
         # checkpointed state_version (already post-swap) around this call.
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.adapt.events import DriftEvent
 from repro.exceptions import ConfigurationError
 
-#: Monitor kinds understood by :func:`build_monitor` and the adapt spec.
+#: Monitor kinds the adapt spec accepts, at most one of each per tier.
 MONITOR_KINDS = ("page-hinkley", "f1-floor")
 
 
@@ -161,13 +161,3 @@ class F1FloorMonitor(ScoreMonitor):
             return event
         return None
 
-
-def build_monitor(kind: str, layer: int, tier: str, **kwargs) -> ScoreMonitor:
-    """Construct one monitor by kind string (see :data:`MONITOR_KINDS`)."""
-    if kind == "page-hinkley":
-        return PageHinkleyMonitor(layer, tier, **kwargs)
-    if kind == "f1-floor":
-        return F1FloorMonitor(layer, tier, **kwargs)
-    raise ConfigurationError(
-        f"monitor kind must be one of {MONITOR_KINDS}, got {kind!r}"
-    )

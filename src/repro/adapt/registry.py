@@ -2,10 +2,12 @@
 
 The registry is the adaptation loop's persistence layer.  Every checkpoint is
 a full detector snapshot — architecture config, weight arrays (dtype
-preserved, so FP16-quantised checkpoints stay FP16 on disk) and the fitted
-Gaussian scorer state — stored under a version id derived from the content
-itself, plus lineage metadata (parent version, the training-window tick
-range, the quantization report).  Committing identical content twice yields
+preserved) and the fitted Gaussian scorer state — stored under a version id
+derived from the content itself, plus lineage metadata (parent version, the
+training-window tick range, the quantization report).  A quantised checkpoint
+is float64 on disk like any other:
+:func:`~repro.nn.quantization.quantize_model` stores FP16-rounded values in
+float64 arrays, so only the values and the quantization report tell it apart.  Committing identical content twice yields
 the same version, which is what makes rollback and replay deterministic.
 
 On-disk layout (deterministic; everything JSON or ``.npz``)::

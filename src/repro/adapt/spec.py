@@ -1,14 +1,14 @@
 """Declarative adaptation specifications.
 
 An :class:`AdaptSpec` describes the model-lifecycle loop attached to a fleet
-streaming run: which drift monitors watch the per-tier score streams, how the
-drift-triggered retrainer samples recent windows and fine-tunes, what the
-shadow-evaluation gate requires before promotion, and whether hot-swapped
-checkpoints are FP16-quantised for the lower tiers.  Like the rest of the
-spec tree it is pure data — frozen, comparable, JSON round-trippable,
-``--set``-able — and hangs off
-:class:`~repro.experiments.spec.ExperimentSpec` as the optional ``adapt``
-node consumed by the runner's ``stream`` stage.
+streaming run: which drift monitors watch the per-tier score streams, when a
+tier may retrain, and how the drift-triggered retrain samples recent windows
+and fine-tunes.  The shadow gate (a candidate must beat the incumbent's
+holdout F1) and FP16 quantisation of candidates on quantised tiers are not
+knobs: the controller always applies both.  Like the rest of the spec tree it
+is pure data — frozen, comparable, JSON round-trippable, ``--set``-able — and
+hangs off :class:`~repro.experiments.spec.ExperimentSpec` as the optional
+``adapt`` node consumed by the runner's ``stream`` stage.
 
 This module deliberately imports nothing from :mod:`repro.experiments` so the
 spec tree can import it without cycles (the same rule as
@@ -56,10 +56,6 @@ class AdaptSpec(JsonRecord):
     retrain_epochs: int = 5
     retrain_batch_size: int = 16
     retrain_learning_rate: float = 1e-3
-    #: The gate: candidate F1 must exceed incumbent F1 by more than this.
-    min_improvement: float = 0.0
-    #: FP16-quantise swapped checkpoints on tiers whose deployment is quantised.
-    quantize_swapped: bool = True
     #: On-disk model registry root; ``None`` uses a run-scoped temporary dir.
     registry_dir: Optional[str] = None
     seed: int = 0
@@ -72,6 +68,12 @@ class AdaptSpec(JsonRecord):
         if unknown:
             raise ConfigurationError(
                 f"unknown monitor kind(s) {unknown}; valid kinds: {MONITOR_KINDS}"
+            )
+        repeated = sorted({m for m in self.monitors if self.monitors.count(m) > 1})
+        if repeated:
+            raise ConfigurationError(
+                f"adapt.monitors names monitor kind(s) {repeated} more than once; "
+                "each tier runs at most one monitor of each kind"
             )
         if self.warmup_ticks < 0 or self.cooldown_ticks < 0:
             raise ConfigurationError(
@@ -95,8 +97,4 @@ class AdaptSpec(JsonRecord):
         if self.retrain_learning_rate <= 0:
             raise ConfigurationError(
                 f"retrain_learning_rate must be positive, got {self.retrain_learning_rate}"
-            )
-        if self.min_improvement < 0:
-            raise ConfigurationError(
-                f"min_improvement must be non-negative, got {self.min_improvement}"
             )

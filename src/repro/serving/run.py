@@ -24,10 +24,11 @@ from repro.serving.spec import ServingSpec
 def blue_green_swap(system, layer: int = 0) -> Callable[[], int]:
     """A swap callable rebinding ``layer``'s detector to a fresh deep copy.
 
-    The registry-backed path (:class:`~repro.adapt.deployer.HotSwapDeployer`)
-    carries lineage and quantisation; a blue/green redeploy of the *same*
-    weights only needs the atomic rebind plus a version bump, which is what
-    ``repro serve --hot-swap`` exercises.  Returns the new state version.
+    The registry-backed swap of the adaptation loop
+    (:class:`~repro.adapt.controller.AdaptationController`) carries lineage
+    and quantisation; a blue/green redeploy of the *same* weights only needs
+    the atomic rebind plus a version bump, which is what ``repro serve
+    --hot-swap`` exercises.  Returns the new state version.
     """
 
     def _swap() -> int:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.adapt.events import AdaptationTimeline
-from repro.adapt.monitors import (
-    MONITOR_KINDS,
-    F1FloorMonitor,
-    PageHinkleyMonitor,
-    build_monitor,
-)
+from repro.adapt.monitors import F1FloorMonitor, PageHinkleyMonitor
 from repro.exceptions import ConfigurationError
 
 
@@ -86,18 +81,6 @@ class TestF1Floor:
             F1FloorMonitor(0, "iot", floor_fraction=1.0)
         with pytest.raises(ConfigurationError):
             F1FloorMonitor(0, "iot", baseline_windows=0)
-
-
-class TestBuildMonitor:
-    @pytest.mark.parametrize("kind", MONITOR_KINDS)
-    def test_builds_every_kind(self, kind):
-        monitor = build_monitor(kind, 1, "edge")
-        assert monitor.kind == kind
-        assert monitor.layer == 1 and monitor.tier == "edge"
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ConfigurationError):
-            build_monitor("cusum", 0, "iot")
 
 
 class TestTimeline:

@@ -171,6 +171,20 @@ class TestRunCommand:
         assert len(lines) == 1
         assert "experiment.detectors.2" in lines[0] and "'input_adapter'" in lines[0]
 
+    def test_a_fleet_spec_file_carrying_quantize_swapped_exits_2_naming_it(
+        self, tmp_path, capsys
+    ):
+        """Candidates are always quantised like their tier: a saved adaptive
+        spec that still sets the removed knob is refused on one line."""
+        payload = get_scenario("adapt-1k-drift-recovery").to_dict()
+        payload["adapt"]["quantize_swapped"] = False
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["fleet", "--spec-file", str(spec_file), "--spec-only"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "experiment.adapt" in lines[0] and "'quantize_swapped'" in lines[0]
+
     def test_a_spec_file_carrying_topology_preset_exits_2_naming_it(self, tmp_path, capsys):
         """No devices is the paper testbed: a saved spec that still names it
         by preset is refused on one line, naming the node and the key."""

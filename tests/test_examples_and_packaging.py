@@ -316,6 +316,18 @@ class TestPackageSurface:
              "WindowReservoir"),
             (partial(getattr, repro.adapt, "build_controller"), AttributeError,
              "build_controller"),
+            (partial(getattr, repro.adapt, "HotSwapDeployer"), AttributeError,
+             "HotSwapDeployer"),
+            (partial(getattr, repro.adapt, "OnlineRetrainer"), AttributeError,
+             "OnlineRetrainer"),
+            (partial(getattr, repro.adapt, "RetrainOutcome"), AttributeError,
+             "RetrainOutcome"),
+            (partial(getattr, repro.adapt, "detection_f1"), AttributeError, "detection_f1"),
+            (partial(getattr, repro.adapt, "build_monitor"), AttributeError, "build_monitor"),
+            (partial(apply_overrides, get_scenario("adapt-1k-drift-recovery"),
+                     {"adapt.quantize_swapped": "false"}), ConfigurationError, "ph_delta"),
+            (partial(apply_overrides, get_scenario("adapt-1k-drift-recovery"),
+                     {"adapt.min_improvement": "0.1"}), ConfigurationError, "ph_delta"),
             (partial(apply_overrides, get_scenario("univariate-power"),
                      {"policy.batch_size": "8"}), ConfigurationError, "entropy_weight"),
             (partial(apply_overrides, get_scenario("univariate-power"),
@@ -397,7 +409,9 @@ class TestPackageSurface:
              "glorot_normal", "ones", "softplus", "adwin", "adwin_capacity",
              "adwin_sensitivity", "DetectionRecord", "SchemeOutcome", "handle_window",
              "build_demo_panel_series", "ConfusionCounts", "ShardedFleetEngine",
-             "WindowReservoir", "build_controller", "policy.batch_size",
+             "WindowReservoir", "build_controller", "HotSwapDeployer", "OnlineRetrainer",
+             "RetrainOutcome", "detection_f1", "build_monitor", "adapt.quantize_swapped",
+             "adapt.min_improvement", "policy.batch_size",
              "use_calibrated_execution_times", "trainer_batch_size", "per_action",
              "PolicySpec.batch_size", "DeploymentSpec.use_calibrated_execution_times",
              "train_policy_batch_size", "train_batch_size", "hidden_activation",
