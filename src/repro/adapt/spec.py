@@ -75,6 +75,18 @@ class AdaptSpec(JsonRecord):
                 f"adapt.monitors names monitor kind(s) {repeated} more than once; "
                 "each tier runs at most one monitor of each kind"
             )
+        # Checked whichever monitors are listed, so a bad knob is refused with
+        # the spec, not after fitting when a monitor is built from it.
+        if self.ph_threshold <= 0:
+            raise ConfigurationError(f"ph_threshold must be positive, got {self.ph_threshold}")
+        if not 0.0 < self.f1_floor_fraction < 1.0:
+            raise ConfigurationError(
+                f"f1_floor_fraction must lie in (0, 1), got {self.f1_floor_fraction}"
+            )
+        if self.f1_baseline_windows < 1:
+            raise ConfigurationError(
+                f"f1_baseline_windows must be at least 1, got {self.f1_baseline_windows}"
+            )
         if self.warmup_ticks < 0 or self.cooldown_ticks < 0:
             raise ConfigurationError(
                 f"warmup_ticks and cooldown_ticks must be non-negative, got "

@@ -36,14 +36,7 @@ from repro.exceptions import ReproError
 from repro.fleet.checkpoint import shard_checkpoint_dir
 from repro.fleet.faults import WorkerCrash
 from repro.fleet.metrics import StreamingMetrics
-
-
-def available_cpus() -> int:
-    """CPUs this process may schedule on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
+from repro.utils.host import available_cpus
 
 
 @dataclass

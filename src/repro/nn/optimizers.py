@@ -12,15 +12,24 @@ parameters smaller than a block lie side by side in that buffer and share one
 block: their gradients are gathered into a row laid out with the moments,
 so a run of small tensors costs one block's ufunc calls instead of one set
 per tensor.
+
+A step over ``_SPLIT`` or more elements is cut at its element midpoint into
+two halves with scratch rows of their own; inside :meth:`Optimizer.worker`,
+which ``ReconstructionModel.fit`` opens, a worker thread walks the second half
+while the caller walks the first.  Every element gets the same ufuncs in the
+same order either way, so the weights are the same bits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from typing import Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.utils.host import available_cpus
 from repro.utils.validation import check_positive
 
 ParamGrad = Tuple[np.ndarray, np.ndarray]
@@ -28,6 +37,10 @@ ParamGrad = Tuple[np.ndarray, np.ndarray]
 #: Elements updated per pass, so that a block's parameter, gradient, moments and
 #: scratch stay in L2 across the step's ~12 ufunc calls (DESIGN.md, *The training step*).
 _BLOCK = 16384
+
+#: Steps over at least this many elements are split in two halves, one per
+#: thread, inside :meth:`Optimizer.worker` (DESIGN.md, *The training step*).
+_SPLIT = 8 * _BLOCK
 
 
 class Optimizer:
@@ -45,6 +58,7 @@ class Optimizer:
         if clip_norm is not None:
             clip_norm = check_positive(clip_norm, "clip_norm")
         self.clip_norm = clip_norm
+        self._worker: ThreadPoolExecutor | None = None
         self.reset()
 
     # -- public API --------------------------------------------------------
@@ -56,7 +70,8 @@ class Optimizer:
         if shapes != [grad.shape for _, grad in pairs]:
             raise ConfigurationError(f"parameter shapes {shapes} do not match their gradients'")
         if self._shapes is None:
-            self._shapes, self._plan = shapes, self._lay_out(shapes)
+            self._shapes = shapes
+            self._plan, self._cut = self._lay_out(shapes)
         elif shapes != self._shapes:
             raise ConfigurationError(
                 f"optimiser state was laid out for parameter shapes {self._shapes}, got {shapes}"
@@ -68,7 +83,31 @@ class Optimizer:
                 pairs = [(p, g * (self.clip_norm / total)) for p, g in pairs]
         self.iterations += 1
         self._moment_steps += 1
-        for members, gathered, work in self._plan:
+        # Parameters updated in place are read through flat views, cut here so
+        # that both halves of a split step write the same one; a non-contiguous
+        # parameter flattens to a copy, written back once the step is done.
+        flats = {
+            index: (pairs[index][0].reshape(-1), pairs[index][1].reshape(-1))
+            for index, gathered, _ in self._plan if gathered is None
+        }
+        plan, cut = self._plan, self._cut
+        if cut < len(plan) and self._worker is not None:
+            second = self._worker.submit(self._walk, plan[cut:], pairs, flats)
+            try:
+                self._walk(plan[:cut], pairs, flats)
+            finally:
+                wait((second,))  # neither half outlives the step, even on an error
+            second.result()
+        else:
+            self._walk(plan, pairs, flats)
+        for index, (flat, _) in flats.items():
+            param = pairs[index][0]
+            if not param.flags.c_contiguous:
+                param[...] = flat.reshape(param.shape)
+
+    def _walk(self, entries, pairs, flats) -> None:
+        """Update the blocks of ``entries``, a run of the plan."""
+        for members, gathered, work in entries:
             if gathered is not None:
                 # Small parameters sharing a block: gather, update once, scatter.
                 for index, _, into in members:
@@ -78,17 +117,33 @@ class Optimizer:
                     param = pairs[index][0]
                     param -= update[where].reshape(param.shape)
                 continue
-            # One parameter, read and updated where it lives, block by block; a
-            # non-contiguous one flattens to a copy, written back afterwards.
-            param, grad = pairs[members]
-            flat, flat_grad = param.reshape(-1), grad.reshape(-1)
+            # One parameter, read and updated where it lives, block by block.
+            flat, flat_grad = flats[members]
             for where, *buffers in work:
                 target = flat[where]
                 target -= self._update_block(flat_grad[where], *buffers)
-            if not param.flags.c_contiguous:
-                param[...] = flat.reshape(param.shape)
 
-    def _lay_out(self, shapes) -> list:
+    @contextmanager
+    def worker(self) -> Iterator[None]:
+        """While open, run the second half of each split step on a worker thread.
+
+        A step of at least ``_SPLIT`` elements is laid out as two halves; the
+        calling thread walks the first while one worker thread walks the
+        second, one handoff per step.  With fewer than two CPUs to run on the
+        step stays on the calling thread.  The thread starts on the first
+        split step and is joined when the block exits, however it exits.
+        """
+        if self._worker is not None or available_cpus() < 2:
+            yield
+            return
+        self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="optimizer-step")
+        try:
+            yield
+        finally:
+            worker, self._worker = self._worker, None
+            worker.shutdown(wait=True)
+
+    def _lay_out(self, shapes) -> Tuple[list, int]:
         """The moment buffer and the views each step walks, cut once.
 
         A run of adjacent parameters smaller than ``_BLOCK`` whose sizes sum to
@@ -98,11 +153,19 @@ class Optimizer:
         Any other parameter is an *in-place* entry ``(position, None,
         [(slice, *buffers), ...])``, one slice per block.  ``buffers`` are the
         block's moment rows, then two scratch rows.
+
+        Returns the plan and its cut: with ``_SPLIT`` or more elements, the
+        blocks that start at or past the element midpoint form the second
+        half, ``plan[cut:]``, with scratch rows of its own (a parameter whose
+        blocks straddle the midpoint has one entry in each half); otherwise
+        ``cut == len(plan)``.
         """
         sizes = [int(np.prod(shape)) for shape in shapes]
         offsets = np.cumsum([0] + sizes).tolist()
         moments = np.zeros((self._n_moments, offsets[-1]))
-        scratch = np.empty((2, _BLOCK))
+        split = offsets[-1] >= _SPLIT
+        middle = offsets[-1] // 2 if split else offsets[-1]  # where the second half starts
+        scratch = np.empty((1 + split, 2, _BLOCK))
         runs: List[List[int]] = []
         room = -1
         for index, size in enumerate(sizes):
@@ -112,25 +175,32 @@ class Optimizer:
             else:
                 runs.append([index])
                 room = _BLOCK - size if size < _BLOCK else -1
-        plan = []
+        halves: Tuple[list, list] = ([], [])
         for run in runs:
             start, stop = offsets[run[0]], offsets[run[-1] + 1]
             if len(run) > 1:
+                half = int(start >= middle)
                 gathered = np.empty(stop - start)
                 members = []
                 for index in run:
                     where = slice(offsets[index] - start, offsets[index + 1] - start)
                     members.append((index, where, gathered[where].reshape(shapes[index])))
-                work = (*moments[:, start:stop], *scratch[:, : stop - start])
-                plan.append((members, gathered, work))
+                work = (*moments[:, start:stop], *scratch[half, :, : stop - start])
+                halves[half].append((members, gathered, work))
                 continue
             size = sizes[run[0]]
-            plan.append((run[0], None, [
-                (slice(at, at + _BLOCK), *moments[:, start + at: start + min(at + _BLOCK, size)],
-                 *scratch[:, : size - at])
-                for at in range(0, size, _BLOCK)
-            ]))
-        return plan
+            blocks: Tuple[list, list] = ([], [])
+            for at in range(0, size, _BLOCK):
+                half = int(start + at >= middle)
+                blocks[half].append(
+                    (slice(at, at + _BLOCK),
+                     *moments[:, start + at: start + min(at + _BLOCK, size)],
+                     *scratch[half, :, : size - at])
+                )
+            for half, work in enumerate(blocks):
+                if work:
+                    halves[half].append((run[0], None, work))
+        return halves[0] + halves[1], len(halves[0])
 
     def _update_block(self, grad, *buffers) -> np.ndarray:
         """Update one block's moments in place and return the block's update
@@ -139,12 +209,16 @@ class Optimizer:
 
     def reset(self) -> None:
         """Forget all optimiser state (momenta, moving averages, step count)."""
-        self._shapes = self._plan = None
+        self._shapes = self._plan = self._cut = None
         self.iterations = self._moment_steps = 0
 
     def __getstate__(self) -> dict:
-        """Configuration and ``iterations`` only: a copy starts from zero moments."""
-        return {**self.__dict__, "_shapes": None, "_plan": None, "_moment_steps": 0}
+        """Configuration and ``iterations`` only: a copy starts from zero moments
+        and with no worker thread."""
+        return {
+            **self.__dict__, "_shapes": None, "_plan": None, "_cut": None,
+            "_moment_steps": 0, "_worker": None,
+        }
 
     def get_config(self) -> dict:
         """JSON-serialisable optimiser configuration."""

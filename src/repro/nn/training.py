@@ -125,19 +125,22 @@ class ReconstructionModel:
 
         self.history = TrainingHistory()
         best, wait = None, 0
-        for epoch in range(1, epochs + 1):
-            losses = [
-                self.train_on_batch(batch)
-                for batch in iterate_minibatches(inputs, batch_size, rng=self._rng)
-            ]
-            mean_loss = float(np.mean(losses)) if losses else float("nan")
-            self.history.losses.append(mean_loss)
-            if verbose:
-                print(f"[{self.name}] epoch {epoch}/{epochs} loss={mean_loss:.6f}")
-            if best is None or mean_loss < best:
-                best, wait = mean_loss, 0
-            elif patience is not None:
-                wait += 1
-                if wait >= patience:
-                    break
+        # A large step runs on two threads while the loop lasts; the worker is
+        # joined before fit returns or raises, so no thread outlives it.
+        with self.optimizer.worker():
+            for epoch in range(1, epochs + 1):
+                losses = [
+                    self.train_on_batch(batch)
+                    for batch in iterate_minibatches(inputs, batch_size, rng=self._rng)
+                ]
+                mean_loss = float(np.mean(losses)) if losses else float("nan")
+                self.history.losses.append(mean_loss)
+                if verbose:
+                    print(f"[{self.name}] epoch {epoch}/{epochs} loss={mean_loss:.6f}")
+                if best is None or mean_loss < best:
+                    best, wait = mean_loss, 0
+                elif patience is not None:
+                    wait += 1
+                    if wait >= patience:
+                        break
         return self.history

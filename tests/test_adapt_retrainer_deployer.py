@@ -234,10 +234,15 @@ class TestAdaptSpec:
             ({"retrain_epochs": 0}, "retrain_epochs.*positive"),
             ({"retrain_batch_size": 0}, "retrain_batch_size.*positive"),
             ({"retrain_learning_rate": 0.0}, "retrain_learning_rate must be positive"),
+            # Monitor knobs are refused even when their monitor is not listed.
+            ({"ph_threshold": 0.0, "monitors": ("f1-floor",)}, "ph_threshold must be positive"),
+            ({"f1_floor_fraction": 1.0, "monitors": ("page-hinkley",)},
+             r"f1_floor_fraction must lie in \(0, 1\)"),
+            ({"f1_baseline_windows": 0}, "f1_baseline_windows must be at least 1"),
         ],
         ids=["no-monitor", "unknown-kind", "repeated-kind", "warmup", "cooldown",
              "reservoir", "holdout", "min-retrain-windows", "epochs", "batch-size",
-             "learning-rate"],
+             "learning-rate", "ph-threshold", "f1-floor-fraction", "f1-baseline-windows"],
     )
     def test_refusals(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):

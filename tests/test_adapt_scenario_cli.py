@@ -231,6 +231,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["adapt"]["retrain_epochs"] == 9
 
+    @pytest.mark.parametrize("knob", [
+        "ph_threshold=0", "f1_floor_fraction=1.5", "f1_baseline_windows=0",
+    ])
+    def test_a_bad_monitor_knob_is_refused_with_the_spec(self, knob, capsys):
+        """Refused before any fitting, whether or not its monitor is listed."""
+        assert main([
+            "fleet", "adapt-1k-drift-recovery", "--set", f"adapt.{knob}", "--spec-only",
+        ]) == 2
+        assert knob.split("=")[0] in capsys.readouterr().err
+
     def test_fleet_without_adapt_flag_keeps_node_null(self, capsys):
         assert main(["fleet", "fleet-burst-storm", "--spec-only"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -2,14 +2,17 @@
 
 import copy
 import pickle
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.nn import optimizers
 from repro.nn.losses import MeanSquaredError, get_loss
-from repro.nn.optimizers import _BLOCK, Adam, RMSProp, get_optimizer
+from repro.nn.optimizers import _BLOCK, _SPLIT, Adam, Optimizer, RMSProp, get_optimizer
 from repro.nn.regularizers import L2Regularizer, ZeroRegularizer, get_regularizer
 
 
@@ -278,6 +281,16 @@ _MIXED_SHAPES = [
     (1,), (3,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
     (50, 80), (50, 80), (50, 80), (50, 80), (50, 80), (7,), (30, 40),
 ]
+#: The paper-scale cloud autoencoder's tensors (672-512-256-128-256-512-672),
+#: past ``_SPLIT``, with a non-contiguous tensor across the element midpoint
+#: (replaced in the test) and a packed run of small tensors.
+_AE_CLOUD_SHAPES = [
+    (672, 512), (512,), (512, 256), (256,), (256, 128), (128,),
+    (128, 256), (256,), (256, 512), (512,), (512, 672), (672,),
+]
+_SPLIT_SHAPES = [
+    *_AE_CLOUD_SHAPES[:6], (300, 300), (50, 80), (50, 80), (50, 80), (7,), *_AE_CLOUD_SHAPES[6:],
+]
 _STEP_SHAPES = [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (3 * _BLOCK + 7,), (37, 911)]
 _STEP_CASES = [
     pytest.param(RMSProp, {}, _reference_rmsprop, id="rmsprop"),
@@ -289,6 +302,13 @@ _STEP_CASES = [
     pytest.param(Adam, {"learning_rate": 0.01, "beta_1": 0.5, "beta_2": 0.9, "epsilon": 1e-6},
                  _reference_adam, id="adam-tuned"),
     pytest.param(Adam, {"beta_1": 0.0}, _reference_adam, id="adam-no-momentum"),
+]
+#: The per-parameter walk is the reference for a packed layout below
+#: ``_SPLIT`` under every case, and for a split one under both optimisers.
+_PER_PARAMETER_CASES = [
+    pytest.param(*case.values[:2], "mixed", id=case.id) for case in _STEP_CASES
+] + [
+    pytest.param(*case.values[:2], "split", id=f"{case.id}-split") for case in _STEP_CASES[:2]
 ]
 
 
@@ -366,27 +386,47 @@ class TestInPlaceStep:
         assert peak < grads[1].nbytes // 2
 
     @pytest.mark.parametrize("clip_norm", [None, 0.5])
-    @pytest.mark.parametrize("cls, kwargs, reference", _STEP_CASES)
-    def test_packed_blocks_equal_the_per_parameter_step(self, cls, kwargs, reference, clip_norm):
+    @pytest.mark.parametrize("cls, kwargs, layout", _PER_PARAMETER_CASES)
+    def test_packed_blocks_equal_the_per_parameter_step(
+        self, cls, kwargs, layout, clip_norm, optimizer_cpus
+    ):
         rng = np.random.default_rng(2)
-        params = [rng.normal(size=shape) for shape in _MIXED_SHAPES]
-        params[-1] = rng.normal(size=(40, 30)).T  # a non-contiguous member of a packed run
-        params.append(rng.normal(size=(130, 130)).T)  # ... and a large one, in place
+        if layout == "mixed":
+            params = [rng.normal(size=shape) for shape in _MIXED_SHAPES]
+            params[-1] = rng.normal(size=(40, 30)).T  # a non-contiguous member of a packed run
+            params.append(rng.normal(size=(130, 130)).T)  # ... and a large one, in place
+            odd = -1
+        else:
+            params = [rng.normal(size=shape) for shape in _SPLIT_SHAPES]
+            odd = 6
+            params[odd] = rng.normal(size=(300, 300)).T  # straddles the midpoint
         expected = [param.copy(order="K") for param in params]
-        assert not params[-1].flags.c_contiguous and not expected[-1].flags.c_contiguous
+        assert not params[odd].flags.c_contiguous and not expected[odd].flags.c_contiguous
         optimizer = cls(clip_norm=clip_norm, **kwargs)
         per_parameter = _PerParameterStep(cls(clip_norm=clip_norm, **kwargs))
-        for step in range(1, 21):
-            scale = 1e-4 if step % 2 else 1.0
-            grads = [scale * rng.normal(size=param.shape) for param in params]
-            per_parameter.step(list(zip(expected, grads)))
-            optimizer.step(list(zip(params, grads)))
+        optimizer_cpus(2)
+        with optimizer.worker():
+            for step in range(1, 21):
+                scale = 1e-4 if step % 2 else 1.0
+                grads = [scale * rng.normal(size=param.shape) for param in params]
+                per_parameter.step(list(zip(expected, grads)))
+                optimizer.step(list(zip(params, grads)))
         for got, want in zip(params, expected):
             np.testing.assert_array_equal(got, want)
-        packed = [members for members, gathered, _ in optimizer._plan if gathered is not None]
-        assert [[index for index, _, _ in members] for members in packed] == [
-            [0, 1], [5, 6, 7, 8], [9, 10, 11]
+        plan, cut = optimizer._plan, optimizer._cut
+        packed = [members for members, gathered, _ in plan if gathered is not None]
+        if layout == "mixed":
+            assert cut == len(plan)  # below _SPLIT: one half, on the calling thread
+            assert [[index for index, _, _ in members] for members in packed] == [
+                [0, 1], [5, 6, 7, 8], [9, 10, 11]
+            ]
+            return
+        halves = [
+            {index for index, gathered, _ in entries if gathered is None}
+            for entries in (plan[:cut], plan[cut:])
         ]
+        assert odd in halves[0] and odd in halves[1]  # the non-contiguous one is cut
+        assert [[index for index, _, _ in members] for members in packed] == [[7, 8, 9, 10]]
 
     def test_state_is_positional_so_a_changed_parameter_list_is_refused(self):
         optimizer = Adam()
@@ -426,3 +466,114 @@ class TestInPlaceStep:
         before = weights.copy()
         optimizer.step([(weights, np.full(size, 0.5))])
         assert not np.array_equal(before - weights, 1.0 - fresh)
+
+
+# -- a split step on two threads ----------------------------------------------
+
+
+def _optimizer_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("optimizer-step")]
+
+
+@pytest.fixture()
+def optimizer_cpus(monkeypatch):
+    """``optimizer_cpus(n)``: the CPU count ``Optimizer.worker`` sees."""
+    return lambda n: monkeypatch.setattr(optimizers, "available_cpus", lambda: n)
+
+
+def _fit_ae_edge(epochs=2):
+    """An AE-Edge-shaped detector (672-512-256-512-672, past ``_SPLIT``), fitted."""
+    from repro.detectors.autoencoder import AutoencoderDetector
+
+    windows = np.random.default_rng(3).normal(size=(40, 672))
+    detector = AutoencoderDetector(window_size=672, hidden_sizes=(512, 256, 512), seed=0)
+    return detector.fit(windows, epochs=epochs, batch_size=16, early_stopping_patience=None)
+
+
+class TestTwoThreadStep:
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_an_error_in_either_half_surfaces_after_both_finish(self, failing, optimizer_cpus):
+        optimizer_cpus(2)
+        caller, visits = threading.get_ident(), {"caller": 0, "worker": 0}
+
+        class Failing(Adam):
+            def _update_block(self, grad, *buffers):
+                side = "caller" if threading.get_ident() == caller else "worker"
+                if side == failing:
+                    raise RuntimeError(f"{side} half failed")
+                time.sleep(0.002)
+                visits[side] += 1
+                return super()._update_block(grad, *buffers)
+
+        optimizer, weights = Failing(), np.zeros(_SPLIT)
+        with optimizer.worker():
+            with pytest.raises(RuntimeError, match=f"{failing} half failed"):
+                optimizer.step([(weights, np.ones(_SPLIT))])
+            # The other half ran all four of its blocks before step raised.
+            assert visits == {"caller": 0, "worker": 4} if failing == "caller" else {
+                "caller": 4, "worker": 0
+            }
+
+    def test_a_fit_with_the_worker_equals_one_on_one_cpu(self, optimizer_cpus, monkeypatch):
+        threads = set()
+        walk = Optimizer._walk
+
+        def spy(self, entries, pairs, flats):
+            threads.add(threading.get_ident())
+            return walk(self, entries, pairs, flats)
+
+        monkeypatch.setattr(Optimizer, "_walk", spy)
+        optimizer_cpus(1)
+        alone = _fit_ae_edge()
+        assert threads == {threading.get_ident()}
+        optimizer_cpus(2)
+        split = _fit_ae_edge()
+        assert len(threads) == 2  # the second fit's steps ran on a worker too
+        for got, want in zip(split.model.parameters_and_gradients(),
+                             alone.model.parameters_and_gradients()):
+            np.testing.assert_array_equal(got[0], want[0])
+        assert split.model.history.losses == alone.model.history.losses
+        assert split.scorer.threshold == alone.scorer.threshold
+        assert not _optimizer_threads()
+
+    def test_no_thread_outlives_fit_when_it_raises_mid_epoch(self, optimizer_cpus, monkeypatch):
+        optimizer_cpus(2)
+        steps, alive = [], []
+        update = Adam._update_block
+
+        def failing(self, grad, *buffers):
+            alive.append(bool(_optimizer_threads()))
+            if self._moment_steps == 3:
+                raise RuntimeError("step 3 failed")
+            steps.append(self._moment_steps)
+            return update(self, grad, *buffers)
+
+        monkeypatch.setattr(Adam, "_update_block", failing)
+        with pytest.raises(RuntimeError, match="step 3 failed"):
+            _fit_ae_edge()
+        assert steps and max(steps) == 2 and any(alive)  # mid-epoch, worker running
+        assert not _optimizer_threads()
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))])
+    def test_a_copy_carries_no_worker(self, duplicate, optimizer_cpus):
+        optimizer_cpus(2)
+        detector = _fit_ae_edge(epochs=1)
+        assert detector.model.optimizer._worker is None and not _optimizer_threads()
+        assert duplicate(detector).model.optimizer._worker is None
+        optimizer = Adam()
+        with optimizer.worker():
+            optimizer.step([(np.zeros(_SPLIT), np.ones(_SPLIT))])
+            assert optimizer._worker is not None and _optimizer_threads()
+            assert duplicate(optimizer)._worker is None
+        assert optimizer._worker is None and not _optimizer_threads()
+
+    def test_steps_below_split_or_outside_worker_stay_on_the_caller(self, optimizer_cpus):
+        optimizer_cpus(2)
+        small = Adam()
+        with small.worker():
+            small.step([(np.zeros(_SPLIT - 1), np.ones(_SPLIT - 1))])
+        assert small._cut == len(small._plan)
+        outside = Adam()
+        outside.step([(np.zeros(_SPLIT), np.ones(_SPLIT))])
+        assert outside._cut < len(outside._plan) and outside._worker is None
+        assert not _optimizer_threads()
